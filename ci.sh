@@ -36,7 +36,11 @@ echo "== bench concurrency smoke (4-thread wall <= 1.1x 1-thread) =="
 cargo run --release -p fsdm-bench --bin bench -- concurrency --scale small --smoke \
   --json BENCH_concurrency.json
 
-echo "== bench imc smoke (columnar Q1-3 wall <= row-path wall) =="
+echo "== bench imc smoke (columnar wall <= row-path wall on Q1-3 and on Q4,7-10; fallback with vectors <= without) =="
+# the second subset reads paths with no resident vector: the batch spine
+# runs them on transient columns and must still beat the row evaluator.
+# The fallback statement stays on the row evaluator either way; resident
+# vectors must not slow it down.
 # --json persists the run in the stable fsdm-bench-imc-v1 schema so CI
 # revisions accumulate the row-vs-columnar trajectory alongside the
 # concurrency one
@@ -86,6 +90,11 @@ cargo run --release -p fsdm-sentinel --bin fsdm-sentinel -- --json \
   > sentinel-report.json \
   || { echo "fsdm-sentinel found concurrency findings:"; cat sentinel-report.json; exit 1; }
 grep -q '"errors": 0' sentinel-report.json
+
+echo "== committed benchmark (fmt, clippy, unit tests, smoke run with the oracle on) =="
+# the benchmark package builds the engine from this checkout: an engine
+# change that breaks its build or its text-storage oracle fails here
+benchmark/check.sh
 
 echo "== rustfmt =="
 cargo fmt --all --check

@@ -165,21 +165,29 @@ fn run_imc(args: &[String]) {
     }
 
     if smoke {
-        let row = run.scan_heavy_row().as_secs_f64();
-        let col = run.scan_heavy_columnar().as_secs_f64();
-        if col > row {
+        for (name, labels) in [("Q1-3", &imc::SCAN_HEAVY[..]), ("Q4,7-10", &imc::PATH_HEAVY[..])] {
+            let (row, col) = run.subtotal(labels);
+            let (row, col) = (row.as_secs_f64() * 1e3, col.as_secs_f64() * 1e3);
+            if col > row {
+                eprintln!(
+                    "SMOKE FAIL: columnar {name} wall {col:.1}ms exceeds the row-path wall {row:.1}ms"
+                );
+                std::process::exit(1);
+            }
+            println!("smoke ok: columnar {name} wall {col:.1}ms <= row-path wall {row:.1}ms");
+        }
+        // vectors may only help, also where the row evaluator is all
+        // there is; 5% covers the jitter of one ~10 ms statement
+        let bare = run.fallback_bare.as_secs_f64() * 1e3;
+        let resident = run.fallback_resident.as_secs_f64() * 1e3;
+        if resident > bare * 1.05 {
             eprintln!(
-                "SMOKE FAIL: columnar Q1-3 wall {:.1}ms exceeds the row-path wall {:.1}ms",
-                col * 1e3,
-                row * 1e3
+                "SMOKE FAIL: the row-evaluator fallback takes {resident:.1}ms with vectors \
+                 resident, {bare:.1}ms without"
             );
             std::process::exit(1);
         }
-        println!(
-            "smoke ok: columnar Q1-3 wall {:.1}ms <= row-path wall {:.1}ms",
-            col * 1e3,
-            row * 1e3
-        );
+        println!("smoke ok: fallback with vectors {resident:.1}ms <= without {bare:.1}ms");
     }
 }
 

@@ -7,8 +7,16 @@
 //! times each query twice through [`Database::set_columnar`]: once on
 //! the scratch-based row path, once on the batch pipeline. Results are
 //! byte-identical either way (`tests/vectorized_identity.rs` asserts
-//! it); only wall-clock time may change, and on the kernel-covered
-//! Q1–Q3 subset columnar must never lose.
+//! it); only wall-clock time may change, and columnar must never lose:
+//! neither on Q1–Q3, which read resident vectors only, nor on Q4 and
+//! Q7–Q10, whose paths have no vector and run on transient columns.
+//!
+//! A statement no kernel expresses ([`FALLBACK_SQL`]) stays on the row
+//! evaluator whatever the switch says. For it the run holds the pipeline
+//! fixed and varies the data instead: the OSON-IMC alone, then with the
+//! vectors resident too. Vectors must not lose there either — the row
+//! evaluator reads the vector its expression spells out and gathers no
+//! other.
 //!
 //! [`Database::set_columnar`]: fsdm_store::Database::set_columnar
 
@@ -33,25 +41,39 @@ pub struct ImcRun {
     pub scale: usize,
     /// Per-query timings, in workload order Q1–Q11.
     pub per_query: Vec<ImcTiming>,
+    /// Best wall time of [`FALLBACK_SQL`] over the OSON-IMC alone.
+    pub fallback_bare: Duration,
+    /// The same with the Q1–Q3 vectors resident as well.
+    pub fallback_resident: Duration,
 }
+
+/// A statement whose filter no kernel expresses (`SUBSTR`), over a path
+/// the Q1–Q3 virtual columns materialize: it runs on the row evaluator.
+pub const FALLBACK_SQL: &str =
+    "select did from nobench where substr(json_value(jdoc, '$.str1'), 1, 1) = 'a'";
+
+/// The queries every column of which is a resident vector.
+pub const SCAN_HEAVY: [&str; 3] = ["Q1", "Q2", "Q3"];
+/// The scan-rooted queries that read a path with no vector.
+pub const PATH_HEAVY: [&str; 5] = ["Q4", "Q7", "Q8", "Q9", "Q10"];
 
 impl ImcRun {
     /// Summed best row-path time of the kernel-covered subset Q1–Q3.
     pub fn scan_heavy_row(&self) -> Duration {
-        self.subset(|t| t.row)
+        self.subtotal(&SCAN_HEAVY).0
     }
 
     /// Summed best columnar time of the kernel-covered subset Q1–Q3.
     pub fn scan_heavy_columnar(&self) -> Duration {
-        self.subset(|t| t.columnar)
+        self.subtotal(&SCAN_HEAVY).1
     }
 
-    fn subset(&self, f: impl Fn(&ImcTiming) -> Duration) -> Duration {
-        self.per_query
-            .iter()
-            .filter(|t| matches!(t.label.as_str(), "Q1" | "Q2" | "Q3"))
-            .map(f)
-            .sum()
+    /// Summed best (row, columnar) times of the queries labelled `labels`.
+    pub fn subtotal(&self, labels: &[&str]) -> (Duration, Duration) {
+        let of = |f: fn(&ImcTiming) -> Duration| {
+            self.per_query.iter().filter(|t| labels.contains(&t.label.as_str())).map(f).sum()
+        };
+        (of(|t| t.row), of(|t| t.columnar))
     }
 }
 
@@ -83,7 +105,20 @@ pub fn run(scale: usize, warmup: usize, reps: usize) -> ImcRun {
         per_query.push(ImcTiming { label: label.clone(), row, columnar });
     }
     session.db.set_columnar(true);
-    ImcRun { scale, per_query }
+
+    let mut session = nobench_db(scale);
+    session.db.table_mut("nobench").expect("corpus table").populate_oson_imc().expect("OSON-IMC");
+    let plan = session.plan(FALLBACK_SQL, &[]).expect("the fallback statement plans");
+    let time = |session: &fsdm_sql::Session| {
+        let run = || {
+            session.db.execute(&plan).expect("the fallback statement executes");
+        };
+        crate::time_best(run, warmup, reps)
+    };
+    let fallback_bare = time(&session);
+    add_nobench_columnar_vcs(&mut session);
+    let fallback_resident = time(&session);
+    ImcRun { scale, per_query, fallback_bare, fallback_resident }
 }
 
 /// Table rendering: one row per query with both pipelines' ms and the
@@ -104,13 +139,22 @@ pub fn render(run: &ImcRun) -> String {
             speedup
         );
     }
-    let (r, c) = (run.scan_heavy_row(), run.scan_heavy_columnar());
+    for (name, labels) in [("Q1-3", &SCAN_HEAVY[..]), ("Q4,7-10", &PATH_HEAVY[..])] {
+        let (r, c) = run.subtotal(labels);
+        let _ = writeln!(
+            out,
+            "{name} subtotal: row {} ms, columnar {} ms ({:.2}x)",
+            crate::ms(r),
+            crate::ms(c),
+            r.as_secs_f64() / c.as_secs_f64().max(1e-9)
+        );
+    }
     let _ = writeln!(
         out,
-        "Q1-3 subtotal: row {} ms, columnar {} ms ({:.2}x)",
-        crate::ms(r),
-        crate::ms(c),
-        r.as_secs_f64() / c.as_secs_f64().max(1e-9)
+        "row-evaluator fallback: OSON-IMC {} ms, with vectors {} ms ({:.2}x)",
+        crate::ms(run.fallback_bare),
+        crate::ms(run.fallback_resident),
+        run.fallback_bare.as_secs_f64() / run.fallback_resident.as_secs_f64().max(1e-9)
     );
     out
 }
@@ -120,7 +164,9 @@ pub fn render(run: &ImcRun) -> String {
 /// ```json
 /// {"schema":"fsdm-bench-imc-v1","git_rev":"abc1234","scale":4000,
 ///  "per_query":{"Q1":{"row_ms":1.23,"columnar_ms":0.41,"speedup":3.0},…},
-///  "scan_heavy":{"row_ms":…,"columnar_ms":…,"speedup":…}}
+///  "scan_heavy":{"row_ms":…,"columnar_ms":…,"speedup":…},
+///  "path_heavy":{"row_ms":…,"columnar_ms":…,"speedup":…},
+///  "fallback":{"bare_ms":…,"resident_ms":…,"speedup":…}}
 /// ```
 ///
 /// The schema is stable: additions may append fields, never rename or
@@ -147,14 +193,26 @@ pub fn to_json(run: &ImcRun) -> String {
             row / col.max(1e-9)
         );
     }
-    let (r, c) = (run.scan_heavy_row(), run.scan_heavy_columnar());
+    out.push('}');
+    for (key, labels) in [("scan_heavy", &SCAN_HEAVY[..]), ("path_heavy", &PATH_HEAVY[..])] {
+        let (r, c) = run.subtotal(labels);
+        let _ = write!(
+            out,
+            ",\"{key}\":{{\"row_ms\":{:.3},\"columnar_ms\":{:.3},\"speedup\":{:.3}}}",
+            r.as_secs_f64() * 1e3,
+            c.as_secs_f64() * 1e3,
+            r.as_secs_f64() / c.as_secs_f64().max(1e-9)
+        );
+    }
+    let (bare, resident) = (run.fallback_bare.as_secs_f64(), run.fallback_resident.as_secs_f64());
     let _ = write!(
         out,
-        "}},\"scan_heavy\":{{\"row_ms\":{:.3},\"columnar_ms\":{:.3},\"speedup\":{:.3}}}}}",
-        r.as_secs_f64() * 1e3,
-        c.as_secs_f64() * 1e3,
-        r.as_secs_f64() / c.as_secs_f64().max(1e-9)
+        ",\"fallback\":{{\"bare_ms\":{:.3},\"resident_ms\":{:.3},\"speedup\":{:.3}}}",
+        bare * 1e3,
+        resident * 1e3,
+        bare / resident.max(1e-9)
     );
+    out.push('}');
     out
 }
 
@@ -171,6 +229,8 @@ mod tests {
         assert!(json.contains("\"scale\":80"), "{json}");
         assert!(json.contains("\"Q1\":{\"row_ms\":"), "{json}");
         assert!(json.contains("\"scan_heavy\":{\"row_ms\":"), "{json}");
+        assert!(json.contains("\"path_heavy\":{\"row_ms\":"), "{json}");
+        assert!(json.contains("\"fallback\":{\"bare_ms\":"), "{json}");
         // must parse with the in-repo JSON parser
         fsdm_json::parse(&json).expect("bench JSON parses");
     }
@@ -184,5 +244,7 @@ mod tests {
         let text = render(&r);
         assert!(text.contains("columnar ms"), "{text}");
         assert!(text.contains("Q1-3 subtotal"), "{text}");
+        assert!(r.fallback_bare > Duration::ZERO && r.fallback_resident > Duration::ZERO);
+        assert!(text.contains("row-evaluator fallback"), "{text}");
     }
 }

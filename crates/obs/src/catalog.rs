@@ -70,6 +70,12 @@ pub const SPAN_EXEC_OP: &str = "exec.op";
 /// One morsel-parallel pipeline: the fork/join region of `run_morsels`
 /// (span).
 pub const SPAN_EXEC_PIPELINE: &str = "exec.pipeline";
+/// Transient columns extracted by fused scans, one per column per
+/// morsel that needed it (counter).
+pub const EXEC_TRANSIENT_COLS: &str = "exec.transient.cols";
+/// Row slots filled by transient-column extraction: extracted columns
+/// times the rows still selected when they were needed (counter).
+pub const EXEC_TRANSIENT_ROWS: &str = "exec.transient.rows";
 /// One worker thread's lifetime within a parallel pipeline; parented
 /// explicitly under the spawning pipeline span (span).
 pub const SPAN_EXEC_WORKER: &str = "exec.worker";
@@ -99,6 +105,9 @@ pub const GOVERN_WORKER_PANIC: &str = "govern.worker_panic";
 /// Per-batch predicate-kernel evaluation time over IMC column vectors in
 /// nanoseconds (histogram).
 pub const IMC_KERNEL_NS: &str = "imc.kernel.ns";
+/// Per-stage transient-column extraction time in nanoseconds: opening the
+/// selected rows' documents and running the stage's paths (histogram).
+pub const IMC_TRANSIENT_EXTRACT_NS: &str = "imc.transient.extract.ns";
 
 // --- index --------------------------------------------------------------
 
@@ -231,6 +240,8 @@ pub const ALL: &[&str] = &[
     EXEC_MORSEL_ROWS,
     SPAN_EXEC_OP,
     SPAN_EXEC_PIPELINE,
+    EXEC_TRANSIENT_COLS,
+    EXEC_TRANSIENT_ROWS,
     SPAN_EXEC_WORKER,
     EXEC_WORKER_BUSY_NS,
     FAULT_INJECTED,
@@ -239,6 +250,7 @@ pub const ALL: &[&str] = &[
     GOVERN_DEADLINE_EXCEEDED,
     GOVERN_WORKER_PANIC,
     IMC_KERNEL_NS,
+    IMC_TRANSIENT_EXTRACT_NS,
     INDEX_INSERT_DOCS,
     SPAN_INDEX_LOOKUP,
     INDEX_LOOKUP_PATH,
@@ -372,6 +384,8 @@ pub const ATOMICS: &[(&str, AtomicDiscipline)] = &[
     ("budget", AtomicDiscipline::Monotonic),
     ("count", AtomicDiscipline::Monotonic),
     ("dropped", AtomicDiscipline::Monotonic),
+    // store/govern.rs: the most `used` ever reached (a `fetch_max`)
+    ("high", AtomicDiscipline::Monotonic),
     // store/parallel.rs race oracle: merge cursor, coordinator-only
     ("merged", AtomicDiscipline::Monotonic),
     // store/parallel.rs: the morsel ticket dispenser
@@ -383,8 +397,9 @@ pub const ATOMICS: &[(&str, AtomicDiscipline)] = &[
     // slowlog.rs: the slow-query threshold (0 = disabled); the ring it
     // gates is Mutex-protected, so the load needs no ordering
     ("threshold_ns", AtomicDiscipline::Monotonic),
-    // store/govern.rs: bytes charged against the statement memory budget;
-    // monotone per statement, the limit comparison needs no ordering
+    // store/govern.rs: bytes currently charged against the statement
+    // memory budget (morsel-local buffers are released); a plain tally,
+    // the limit comparison needs no ordering
     ("used", AtomicDiscipline::Monotonic),
 ];
 

@@ -121,12 +121,13 @@ impl Datum {
                 _ => None,
             },
             SqlType::Varchar2(maxlen) => {
-                let s = self.to_text();
-                if s.len() > maxlen {
-                    None // exceeds declared length: conversion error
-                } else {
-                    Some(Datum::Str(s))
-                }
+                // a string is checked in place, not copied through `to_text`
+                let s = match self {
+                    Datum::Str(s) => s,
+                    other => other.to_text(),
+                };
+                // exceeding the declared length is a conversion error
+                (s.len() <= maxlen).then_some(Datum::Str(s))
             }
         }
     }

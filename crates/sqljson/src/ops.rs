@@ -1,6 +1,6 @@
 //! The SQL/JSON operators: `JSON_VALUE`, `JSON_QUERY`, `JSON_EXISTS`.
 
-use fsdm_json::{JsonDom, JsonValue, NodeKind};
+use fsdm_json::{JsonDom, JsonValue, NodeKind, ScalarRef};
 
 use crate::datum::{Datum, SqlType};
 use crate::engine::{PathEvaluator, PathOutput};
@@ -71,8 +71,15 @@ pub fn json_value<D: JsonDom>(
         [] => Ok(Datum::Null), // ON EMPTY default
         [single] => {
             let scalar: Option<Datum> = match single {
+                // straight from the leaf: a string is copied once, into
+                // the datum, not through an intermediate `JsonValue`
                 PathOutput::Node(n) => match dom.kind(*n) {
-                    NodeKind::Scalar => Datum::from_json_scalar(&dom.scalar(*n).to_value()),
+                    NodeKind::Scalar => Some(match dom.scalar(*n) {
+                        ScalarRef::Str(s) => Datum::Str(s.to_string()),
+                        ScalarRef::Num(x) => Datum::Num(x),
+                        ScalarRef::Bool(b) => Datum::Bool(b),
+                        ScalarRef::Null => Datum::Null,
+                    }),
                     _ => None,
                 },
                 PathOutput::Computed(v) => Datum::from_json_scalar(v),

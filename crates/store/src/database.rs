@@ -22,13 +22,12 @@ use fsdm_obs::trace::{self, Trace, TraceSession};
 
 use crate::expr::{AggFun, EvalScratch, Expr};
 use crate::govern::{fault_err, CancelHandle, CancelToken, QueryGovernor};
-use crate::parallel::{
-    default_degree, run_morsels, ExecContext, ParStats, RowRange, DEFAULT_MORSEL_ROWS,
-};
+use crate::parallel::{default_degree, run_morsels, ExecContext, ParStats, DEFAULT_MORSEL_ROWS};
 use crate::profile::{OpProfile, QueryProfile};
 use crate::query::{AggSpec, Query, QueryResult, SortKey, WindowFun};
 use crate::slowlog::SlowLog;
 use crate::table::{Cell, ErrorKind, Row, StoreError, Table};
+use crate::transient::{Leaves, Lowering, MorselCols};
 use crate::vector::{Batch, PredKernel, ValKernel};
 
 /// Rough per-entry byte estimates the memory budget charges for operator
@@ -41,9 +40,92 @@ const BUDGET_BYTES_PER_DATUM: u64 = 32;
 /// Per cell of a JSON_TABLE output row buffer.
 const BUDGET_BYTES_PER_CELL: u64 = 32;
 
-/// Result of attempting a fused columnar pipeline: `Ok(None)` means the
-/// plan does not lower to kernels — fall back to the row path.
-type FusedResult = Result<Option<(Vec<String>, Vec<Row>)>, StoreError>;
+/// One output column of a fused scan.
+enum ScanCol {
+    /// The stored cell of a base column (OSON-IMC substituted).
+    Cell(usize),
+    /// A value kernel's datum.
+    Val(ValKernel),
+}
+
+/// One top-level conjunct of the scan filter and the transient columns
+/// it reads: a pipeline stage, so that a column is only extracted for the
+/// rows the earlier stages kept.
+struct Conjunct {
+    kernel: PredKernel,
+    slots: Vec<usize>,
+}
+
+/// A scan-rooted pipeline — `Scan`, `Project(Scan)` or `GroupBy(Scan)` —
+/// lowered to kernels: the single unit the batch spine executes.
+struct FusedScan<'q> {
+    table: &'q Table,
+    /// The filter is a constant that rejects every row (the dead-path
+    /// pruning rewrite): no morsel runs.
+    empty: bool,
+    /// Filter stages, those over resident vectors only first.
+    conjuncts: Vec<Conjunct>,
+    outs: Vec<ScanCol>,
+    /// Transient columns the outputs read.
+    out_slots: Vec<usize>,
+    leaves: Leaves,
+}
+
+/// What a fused scan hands its consumer.
+enum Emit<'e> {
+    /// One datum per expression: a fused `Project` / `GroupBy` never
+    /// sees a column it did not ask for.
+    Values(Vec<&'e Expr>),
+    /// Whole scan rows, JSON cells left binary, for the row evaluator.
+    /// Only the columns the consumer's expressions read are filled
+    /// (`None`: every one); the rest are NULL placeholders.
+    Rows(Option<&'e [&'e Expr]>),
+}
+
+impl<'q> FusedScan<'q> {
+    /// Lower a scan of `table` under `filter` emitting `emit`. `Err` is
+    /// the rendering of the expression no kernel expresses.
+    fn lower(
+        table: &'q Table,
+        filter: Option<&Expr>,
+        emit: Emit<'_>,
+    ) -> Result<FusedScan<'q>, String> {
+        let mut lw = Lowering::new(table);
+        let (mut empty, mut conjuncts) = (false, Vec::new());
+        match filter {
+            Some(Expr::Lit(d)) => empty = *d != Datum::Bool(true),
+            Some(pred) => {
+                for c in pred.conjuncts() {
+                    let kernel = c.compile_predicate(&mut lw)?;
+                    conjuncts.push(Conjunct { kernel, slots: lw.take_touched() });
+                }
+                // stable: resident-only stages narrow the selection
+                // before any document is opened
+                conjuncts.sort_by_key(|c| !c.slots.is_empty());
+            }
+            None => {}
+        }
+        let width = table.schema.width();
+        let outs: Vec<ScanCol> = match emit {
+            Emit::Values(exprs) => exprs
+                .iter()
+                .map(|e| e.compile_value(&mut lw).map(ScanCol::Val))
+                .collect::<Result<_, _>>()?,
+            Emit::Rows(reads) => {
+                let used = reads.map(|r| table.demand(r.iter().copied()));
+                (0..width + table.virtual_columns.len())
+                    .map(|c| match used.as_ref().is_none_or(|u| u[c]) {
+                        true if c < width => Ok(ScanCol::Cell(c)),
+                        true => Expr::Col(c).compile_value(&mut lw).map(ScanCol::Val),
+                        false => Ok(ScanCol::Val(ValKernel::Lit(Datum::Null))),
+                    })
+                    .collect::<Result<_, _>>()?
+            }
+        };
+        let out_slots = lw.take_touched();
+        Ok(FusedScan { table, empty, conjuncts, outs, out_slots, leaves: lw.leaves })
+    }
+}
 
 /// An embedded database instance.
 pub struct Database {
@@ -77,8 +159,8 @@ impl Default for Database {
             parallelism: 0,
             morsel_rows: 0,
             slow_log: SlowLog::default(),
-            // columnar pipeline selection is on by default: it only fires
-            // where kernels reproduce row semantics exactly
+            // the batch spine is on by default: it only runs where kernels
+            // reproduce row semantics exactly
             columnar: true,
             statement_timeout_ms: crate::govern::default_timeout_ms(),
             mem_limit: None,
@@ -93,11 +175,10 @@ impl Database {
         Self::default()
     }
 
-    /// Enable or disable vectorized columnar pipeline selection (on by
-    /// default). With it off, every operator takes the scratch-based row
-    /// path. Results are byte-identical either way — the switch exists
-    /// for A/B verification and the `bench imc` row-vs-columnar
-    /// comparison.
+    /// Enable or disable the batch spine (on by default). With it off,
+    /// every operator runs on the scratch-based row evaluator, which is
+    /// kept as the oracle of the identity tests and the `bench imc`
+    /// comparison. Results are byte-identical either way.
     pub fn set_columnar(&mut self, on: bool) {
         self.columnar = on;
     }
@@ -479,50 +560,82 @@ impl Database {
         );
     }
 
-    /// Recursive entry point of the volcano executor. When `prof` carries
-    /// a sink, the operator's output row count and inclusive elapsed time
-    /// are measured and pushed into it (children collected via a fresh
-    /// sink passed down to [`Database::exec_inner`]); with `None` the
-    /// executor runs with zero profiling overhead.
+    /// Recursive entry point of the volcano executor: [`Database::exec_for`]
+    /// on behalf of a consumer that reads every column.
     fn exec(
         &self,
         plan: &Query,
         prof: &mut Option<Vec<OpProfile>>,
         ctx: &ExecContext,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
-        let mut op_span = trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
-        op_span.record_args(|| op_label(plan));
-        match prof {
-            None => {
-                let mut stats = ParStats::default();
-                self.exec_inner(plan, &mut None, ctx, &mut stats)
-            }
-            Some(sink) => {
-                let mut child_sink = Some(Vec::new());
-                let mut stats = ParStats::default();
-                let start = Instant::now();
-                let (names, rows) = self.exec_inner(plan, &mut child_sink, ctx, &mut stats)?;
-                sink.push(OpProfile {
-                    op: op_label(plan),
-                    rows_out: rows.len(),
-                    elapsed_ns: start.elapsed().as_nanos() as u64,
-                    workers: stats.workers.max(1),
-                    morsels: stats.morsels,
-                    mode: self.plan_mode(plan),
-                    children: child_sink.unwrap_or_default(),
-                });
-                Ok((names, rows))
-            }
-        }
+        self.exec_for(plan, None, prof, ctx)
     }
 
+    /// Run `plan` for a row-evaluator consumer whose expressions are
+    /// `reads` (`None`: all of every row is read) — column demand, which a
+    /// `Scan` honours by leaving the columns nobody reads NULL.
+    /// When `prof` carries a sink, the operator's output row count and
+    /// inclusive elapsed time are measured and pushed into it (children
+    /// collected via a fresh sink passed down to
+    /// [`Database::exec_inner`]); with `None` the executor runs with zero
+    /// profiling overhead.
+    fn exec_for(
+        &self,
+        plan: &Query,
+        reads: Option<&[&Expr]>,
+        prof: &mut Option<Vec<OpProfile>>,
+        ctx: &ExecContext,
+    ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
+        let mut op_span = trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
+        op_span.record_args(|| op_label(plan));
+        let mut stats = ParStats::default();
+        let start = Instant::now();
+        // the lowering that is reported is the lowering that runs
+        let lowered = self.lower_scan(plan, reads);
+        let Some(sink) = prof else {
+            return self.exec_inner(plan, lowered, reads, &mut None, ctx, &mut stats);
+        };
+        let mut child_sink = Some(Vec::new());
+        let (mode, note) = mode_note(lowered.as_ref());
+        let (names, rows) =
+            self.exec_inner(plan, lowered, reads, &mut child_sink, ctx, &mut stats)?;
+        sink.push(OpProfile {
+            op: op_label(plan),
+            rows_out: rows.len(),
+            elapsed_ns: start.elapsed().as_nanos() as u64,
+            workers: stats.workers.max(1),
+            morsels: stats.morsels,
+            mode,
+            note,
+            children: child_sink.unwrap_or_default(),
+        });
+        Ok((names, rows))
+    }
+
+    /// Run one operator. `lowered` is **the single mode decision** for
+    /// `plan` ([`Database::lower_scan`]), made once by the caller.
     fn exec_inner(
         &self,
         plan: &Query,
+        lowered: Option<Result<FusedScan<'_>, String>>,
+        reads: Option<&[&Expr]>,
         prof: &mut Option<Vec<OpProfile>>,
         ctx: &ExecContext,
         stats: &mut ParStats,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
+        // the batch spine: a scan-rooted pipeline that lowers to kernels
+        // never builds a whole scan row. Everything below this line is
+        // the row evaluator — the operators that consume rows by nature
+        // (join, sort, window, JSON_TABLE, non-scan filter/project), and
+        // the oracle for scans that did not lower or with the spine off,
+        // which reads resident vectors wherever its expressions spell out
+        // a virtual column: vectors only ever help, on either evaluator.
+        let rewritten = match lowered {
+            Some(Ok(fused)) => return self.run_fused(plan, &fused, prof, ctx, stats),
+            Some(Err(_)) => self.reading_resident(plan),
+            None => None,
+        };
+        let plan = rewritten.as_ref().unwrap_or(plan);
         match plan {
             Query::Scan { table, filter } => {
                 let t = self
@@ -530,44 +643,9 @@ impl Database {
                     .get(table)
                     .ok_or_else(|| StoreError::new(format!("no table {table}")))?;
                 let names = t.scan_column_names();
-                // constant-false scan (the dead-path pruning rewrite):
-                // nothing can qualify, so skip the row loop entirely
-                if let Some(Expr::Lit(d)) = filter {
-                    if !matches!(d, Datum::Bool(true)) {
-                        return Ok((names, Vec::new()));
-                    }
-                }
-                // columnar fast path (§5.2.1): a filter that lowers fully
-                // to predicate kernels evaluates per morsel over the typed
-                // IMC vectors — masks and selection vectors only; rows are
-                // rebuilt for qualifying ids alone (late materialization)
-                if self.columnar {
-                    if let Some(pred) = filter {
-                        if let Some(kernel) = pred.compile_predicate(&t.imc.vectors, t.rows.len()) {
-                            let chunks =
-                                run_morsels(ctx, t.rows.len(), stats, |range, scratch| {
-                                    fsdm_fault::fire(FP_EXEC_MORSEL).map_err(fault_err)?;
-                                    let start = Instant::now();
-                                    let batch = columnar_batch(range, Some(&kernel));
-                                    let mut out = Vec::with_capacity(batch.len());
-                                    let mut acc = 0;
-                                    for i in batch.sel.iter() {
-                                        ctx.governor.check_rows(&mut acc, 1)?;
-                                        out.push(scan_row(t, i, &t.rows[i], scratch)?);
-                                    }
-                                    fsdm_obs::counter!(
-                                        fsdm_obs::catalog::EXEC_LATE_MATERIALIZE_ROWS
-                                    )
-                                    .add(out.len() as u64);
-                                    fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_NS)
-                                        .record(start.elapsed().as_nanos() as u64);
-                                    Ok(out)
-                                })?;
-                            return Ok((names, chunks.into_iter().flatten().collect()));
-                        }
-                    }
-                }
-                // heap path: materialize + filter per-morsel; morsel-order
+                // what is read of a row: by the consumer, and by the filter
+                let used = reads.map(|r| t.demand(r.iter().copied().chain(filter)));
+                // materialize + filter per-morsel; morsel-order
                 // concatenation keeps row order identical to a serial scan
                 let chunks = run_morsels(ctx, t.rows.len(), stats, |range, scratch| {
                     fsdm_fault::fire(FP_EXEC_MORSEL).map_err(fault_err)?;
@@ -575,7 +653,7 @@ impl Database {
                     let mut acc = 0;
                     for i in range.start..range.end {
                         ctx.governor.check_rows(&mut acc, 1)?;
-                        let r = scan_row(t, i, &t.rows[i], scratch)?;
+                        let r = scan_row(t, i, used.as_deref(), scratch)?;
                         if let Some(pred) = filter {
                             if !pred.matches_with(&r, scratch)? {
                                 continue;
@@ -610,13 +688,8 @@ impl Database {
                 Ok((names, out))
             }
             Query::Project { input, exprs } => {
-                // full fusion: Scan→Filter→Project stays columnar end to
-                // end, gathering only selected rows per output expression;
-                // rows exist for the first time in the transposed result
-                if let Some(out) = self.try_columnar_project(input, exprs, prof, ctx, stats)? {
-                    return Ok(out);
-                }
-                let (_, rows) = self.exec(input, prof, ctx)?;
+                let reads: Vec<&Expr> = exprs.iter().map(|(_, e)| e).collect();
+                let (_, rows) = self.exec_for(input, Some(&reads), prof, ctx)?;
                 let names = exprs.iter().map(|(n, _)| n.clone()).collect();
                 let chunks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
                     let mut out = Vec::with_capacity(range.len());
@@ -716,14 +789,8 @@ impl Database {
                 Ok((names, chunks.into_iter().flatten().collect()))
             }
             Query::GroupBy { input, keys, aggs } => {
-                // keyless aggregate pushdown: COUNT/SUM/MIN/MAX/AVG fold
-                // over the selection vectors without building input rows
-                if keys.is_empty() {
-                    if let Some(out) = self.try_columnar_agg(input, aggs, prof, ctx, stats)? {
-                        return Ok(out);
-                    }
-                }
-                let (_, rows) = self.exec(input, prof, ctx)?;
+                let reads: Vec<&Expr> = group_reads(keys, aggs).collect();
+                let (_, rows) = self.exec_for(input, Some(&reads), prof, ctx)?;
                 group_by(rows, keys, aggs, ctx, stats)
             }
             Query::Sort { input, keys } => {
@@ -784,235 +851,234 @@ impl Database {
         }
     }
 
-    /// Compile the columnar Scan→Filter front of a fused pipeline: the
-    /// input must be a base-table scan whose filter (if any) lowers fully
-    /// to predicate kernels. This is the single decision point shared by
-    /// the executor's fused operators and the EXPLAIN mode report, so the
-    /// two can never disagree.
-    fn scan_pipeline<'a>(&'a self, input: &Query) -> Option<(&'a Table, Option<PredKernel>)> {
-        if !self.columnar {
-            return None;
-        }
-        let Query::Scan { table, filter } = input else { return None };
-        let t = self.tables.get(table)?;
-        let kernel = match filter {
-            None => None,
-            Some(pred) => Some(pred.compile_predicate(&t.imc.vectors, t.rows.len())?),
+    /// **The single mode decision.** `None` when `plan` is not a
+    /// scan-rooted pipeline (`Scan`, or a `Project` / `GroupBy` directly
+    /// over one); otherwise the pipeline lowered to kernels, or the
+    /// rendering of the expression that keeps it on the row evaluator.
+    /// The executor runs what this returns and reports it ([`mode_note`]);
+    /// [`Database::plan_mode`] and [`Database::explain_modes`] ask here
+    /// too, so report and execution cannot disagree.
+    fn lower_scan<'q>(
+        &'q self,
+        plan: &'q Query,
+        reads: Option<&[&Expr]>,
+    ) -> Option<Result<FusedScan<'q>, String>> {
+        let (scan, emit) = match plan {
+            // `reads`: what a row-evaluator consumer makes of the rows
+            Query::Scan { .. } => (plan, Emit::Rows(reads)),
+            Query::Project { input, exprs } => {
+                (&**input, Emit::Values(exprs.iter().map(|(_, e)| e).collect()))
+            }
+            Query::GroupBy { input, keys, aggs } => {
+                (&**input, Emit::Values(group_reads(keys, aggs).collect()))
+            }
+            _ => return None,
         };
-        Some((t, kernel))
+        let Query::Scan { table, filter } = scan else { return None };
+        let table = self.tables.get(table)?;
+        if !self.columnar {
+            return Some(Err("the batch spine is switched off".to_string()));
+        }
+        Some(FusedScan::lower(table, filter.as_ref(), emit))
     }
 
-    /// `Project` over a columnar scan pipeline, fully fused: per morsel,
-    /// kernels filter the batch and each output expression gathers only
-    /// the selected rows; the gathered columns are transposed into result
-    /// rows — the first (and only) point rows exist in this pipeline.
-    fn try_columnar_project(
+    /// **The single fused-scan entry.** Runs the lowered pipeline and
+    /// hands its output to the consumer: rows for a `Scan` or `Project`,
+    /// per-morsel group partials (built straight from the gathered
+    /// columns, no row in between) for a `GroupBy`.
+    fn run_fused(
         &self,
-        input: &Query,
-        exprs: &[(String, Expr)],
+        plan: &Query,
+        fused: &FusedScan<'_>,
         prof: &mut Option<Vec<OpProfile>>,
         ctx: &ExecContext,
         stats: &mut ParStats,
-    ) -> FusedResult {
-        let Some((t, kernel)) = self.scan_pipeline(input) else { return Ok(None) };
-        let floor = t.schema.width();
-        let mut vals = Vec::with_capacity(exprs.len());
-        for (_, e) in exprs {
-            match e.compile_value(&t.imc.vectors, t.rows.len(), floor) {
-                Some(v) => vals.push(v),
-                None => return Ok(None),
-            }
-        }
+    ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
+        // a fused consumer's scan is an operator of the plan all the same:
+        // it keeps its span and its profile row
+        let scan_node = match plan {
+            Query::Project { input, .. } | Query::GroupBy { input, .. } => Some(&**input),
+            _ => None,
+        };
+        let scan_span = scan_node.map(|scan| {
+            let mut span = trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
+            span.record_args(|| op_label(scan));
+            span
+        });
         let scan_start = Instant::now();
-        let chunks = run_morsels(ctx, t.rows.len(), stats, |range, _| {
-            fsdm_fault::fire(FP_EXEC_MORSEL).map_err(fault_err)?;
-            let mut acc = 0;
-            let start = Instant::now();
-            let batch = columnar_batch(range, kernel.as_ref());
-            ctx.governor.check_rows(&mut acc, batch.len())?;
-            let mut cols = Vec::with_capacity(vals.len());
-            for v in &vals {
-                cols.push(batch.gather(v)?);
+        let mut scan_stats = ParStats::default();
+        let (names, rows, scanned) = match plan {
+            Query::GroupBy { keys, aggs, .. } => {
+                let partials = self.scan_batches(fused, ctx, &mut scan_stats, |n, mut cols| {
+                    // the scan emitted [keys…, aggregate arguments…]
+                    let mut gathered = cols.split_off(keys.len()).into_iter();
+                    let args = aggs.iter().map(|a| a.arg.as_ref().and_then(|_| gathered.next()));
+                    GroupPartial::new(ctx, n, cols, args.collect())
+                })?;
+                let scanned = partials.iter().map(|p| p.rows).sum();
+                (group_names(keys, aggs), merge_groups(partials, keys.len(), aggs), scanned)
             }
-            // transpose the gathered columns into rows, moving each datum
-            // exactly once
-            let mut rows: Vec<Row> =
-                (0..batch.len()).map(|_| Vec::with_capacity(cols.len())).collect();
-            for col in cols {
-                for (r, d) in rows.iter_mut().zip(col) {
-                    r.push(Cell::D(d));
+            _ => {
+                let chunks = self.scan_batches(fused, ctx, &mut scan_stats, |n, cols| {
+                    // transpose, moving each cell exactly once: the first
+                    // and only point rows exist in the pipeline
+                    let mut rows: Vec<Row> =
+                        (0..n).map(|_| Vec::with_capacity(cols.len())).collect();
+                    for col in cols {
+                        for (r, cell) in rows.iter_mut().zip(col) {
+                            r.push(cell);
+                        }
+                    }
+                    Ok(rows)
+                })?;
+                let rows: Vec<Row> = chunks.into_iter().flatten().collect();
+                let names = match plan {
+                    Query::Project { exprs, .. } => exprs.iter().map(|(n, _)| n.clone()).collect(),
+                    _ => fused.table.scan_column_names(),
+                };
+                let scanned = rows.len();
+                (names, rows, scanned)
+            }
+        };
+        drop(scan_span);
+        match (scan_node, prof) {
+            (Some(scan), Some(sink)) => sink.push(OpProfile {
+                op: op_label(scan),
+                rows_out: scanned,
+                elapsed_ns: scan_start.elapsed().as_nanos() as u64,
+                workers: scan_stats.workers.max(1),
+                morsels: scan_stats.morsels,
+                mode: "columnar",
+                note: String::new(),
+                children: Vec::new(),
+            }),
+            (Some(_), None) => {}
+            (None, _) => *stats = scan_stats, // the scan is the operator itself
+        }
+        Ok((names, rows))
+    }
+
+    /// The per-morsel body of the fused scan: filter stages narrow the
+    /// selection (each extracting the transient columns it reads for the
+    /// rows still selected), then every output column is gathered for the
+    /// surviving ids only — late materialization — and `finish` turns
+    /// the `n` selected rows' columns into the consumer's unit of work.
+    fn scan_batches<T: Send>(
+        &self,
+        fused: &FusedScan<'_>,
+        ctx: &ExecContext,
+        stats: &mut ParStats,
+        finish: impl Fn(usize, Vec<Vec<Cell>>) -> Result<T, StoreError> + Sync,
+    ) -> Result<Vec<T>, StoreError> {
+        let t = fused.table;
+        let total = if fused.empty { 0 } else { t.rows.len() };
+        run_morsels(ctx, total, stats, |range, scratch| {
+            fsdm_fault::fire(FP_EXEC_MORSEL).map_err(fault_err)?;
+            let start = Instant::now();
+            let mut cols = MorselCols::new(range, fused.leaves.len(), &ctx.governor);
+            let mut batch = Batch::all(range);
+            for c in &fused.conjuncts {
+                if batch.is_empty() {
+                    break;
+                }
+                cols.extract(t, &fused.leaves, &c.slots, &batch.sel, scratch)?;
+                let kernel_start = Instant::now();
+                batch = batch.filter(&c.kernel, &cols);
+                fsdm_obs::histogram!(fsdm_obs::catalog::IMC_KERNEL_NS)
+                    .record(kernel_start.elapsed().as_nanos() as u64);
+            }
+            fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_ROWS).record(batch.len() as u64);
+            let mut out: Vec<Vec<Cell>> = fused.outs.iter().map(|_| Vec::new()).collect();
+            // nothing selected: no output column is extracted or gathered
+            if !batch.is_empty() {
+                cols.extract(t, &fused.leaves, &fused.out_slots, &batch.sel, scratch)?;
+                for (col, out) in fused.outs.iter().zip(&mut out) {
+                    *out = match col {
+                        ScanCol::Cell(c) => batch.sel.iter().map(|i| t.scan_cell(i, *c)).collect(),
+                        ScanCol::Val(v) => {
+                            batch.gather(v, &cols)?.into_iter().map(Cell::D).collect()
+                        }
+                    };
                 }
             }
+            drop(cols); // gathered: the morsel's transient columns are dead
+            let done = finish(batch.len(), out)?;
             fsdm_obs::counter!(fsdm_obs::catalog::EXEC_LATE_MATERIALIZE_ROWS)
-                .add(rows.len() as u64);
+                .add(batch.len() as u64);
             fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_NS)
                 .record(start.elapsed().as_nanos() as u64);
-            Ok(rows)
-        })?;
-        let rows: Vec<Row> = chunks.into_iter().flatten().collect();
-        // the scan never ran as a plan node; report it as part of this
-        // fused pipeline so profiled trees keep their plan shape
-        if let Some(sink) = prof {
-            sink.push(OpProfile {
-                op: op_label(input),
-                rows_out: rows.len(),
-                elapsed_ns: scan_start.elapsed().as_nanos() as u64,
-                workers: stats.workers.max(1),
-                morsels: stats.morsels,
-                mode: "columnar",
-                children: Vec::new(),
-            });
-        }
-        let names = exprs.iter().map(|(n, _)| n.clone()).collect();
-        Ok(Some((names, rows)))
+            Ok(done)
+        })
     }
 
-    /// Keyless aggregation over a columnar scan pipeline: per morsel,
-    /// kernels filter the batch and each aggregate argument gathers only
-    /// the selected rows; the gathered columns then replay **serially in
-    /// morsel order** into the accumulators, so order-sensitive float
-    /// SUM/AVG see exactly the update sequence of a serial row scan.
-    fn try_columnar_agg(
-        &self,
-        input: &Query,
-        aggs: &[AggSpec],
-        prof: &mut Option<Vec<OpProfile>>,
-        ctx: &ExecContext,
-        stats: &mut ParStats,
-    ) -> FusedResult {
-        let Some((t, kernel)) = self.scan_pipeline(input) else { return Ok(None) };
-        let floor = t.schema.width();
-        let mut arg_kernels: Vec<Option<ValKernel>> = Vec::with_capacity(aggs.len());
-        for spec in aggs {
-            match &spec.arg {
-                None => arg_kernels.push(None), // COUNT(*) needs no values
-                Some(e) => match e.compile_value(&t.imc.vectors, t.rows.len(), floor) {
-                    Some(v) => arg_kernels.push(Some(v)),
-                    None => return Ok(None),
-                },
+    /// A scan-rooted operator that stays on the row evaluator, with its
+    /// own expressions (a scan's filter, a projection's or group-by's
+    /// expressions over the scan's columns) rewritten by
+    /// [`Expr::reading_resident`]; `None` when the table has no resident
+    /// virtual column. The child scan is an operator of its own and is
+    /// rewritten when it runs.
+    fn reading_resident(&self, plan: &Query) -> Option<Query> {
+        let scan = match plan {
+            Query::Project { input, .. } | Query::GroupBy { input, .. } => input,
+            scan => scan,
+        };
+        let Query::Scan { table, .. } = scan else { return None };
+        let t = self.tables.get(table)?;
+        t.resident_vcs().next()?;
+        let sub = |e: &Expr| e.reading_resident(t);
+        let named = |es: &[(String, Expr)]| es.iter().map(|(n, e)| (n.clone(), sub(e))).collect();
+        Some(match plan {
+            Query::Scan { table, filter } => {
+                Query::Scan { table: table.clone(), filter: filter.as_ref().map(sub) }
             }
-        }
-        let scan_start = Instant::now();
-        let chunks = run_morsels(ctx, t.rows.len(), stats, |range, _| {
-            fsdm_fault::fire(FP_EXEC_MORSEL).map_err(fault_err)?;
-            let start = Instant::now();
-            let batch = columnar_batch(range, kernel.as_ref());
-            let mut cols: Vec<Option<Vec<Datum>>> = Vec::with_capacity(arg_kernels.len());
-            for k in &arg_kernels {
-                cols.push(match k {
-                    Some(v) => Some(batch.gather(v)?),
-                    None => None,
-                });
+            Query::Project { input, exprs } => {
+                Query::Project { input: input.clone(), exprs: named(exprs) }
             }
-            fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_NS)
-                .record(start.elapsed().as_nanos() as u64);
-            Ok((batch.len(), cols))
-        })?;
-        let mut selected = 0usize;
-        let mut accs: Vec<Acc> = aggs.iter().map(|a| Acc::new(a.fun)).collect();
-        let mut acc_rows = 0;
-        for (n, cols) in chunks {
-            ctx.governor.check_rows(&mut acc_rows, n)?;
-            selected += n;
-            for (acc, col) in accs.iter_mut().zip(cols) {
-                match col {
-                    Some(vals) => {
-                        for v in vals {
-                            acc.update(Some(v));
-                        }
-                    }
-                    None => {
-                        for _ in 0..n {
-                            acc.update(None);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(sink) = prof {
-            sink.push(OpProfile {
-                op: op_label(input),
-                rows_out: selected,
-                elapsed_ns: scan_start.elapsed().as_nanos() as u64,
-                workers: stats.workers.max(1),
-                morsels: stats.morsels,
-                mode: "columnar",
-                children: Vec::new(),
-            });
-        }
-        let names: Vec<String> = aggs.iter().map(|a| a.name.clone()).collect();
-        let row: Row = accs.into_iter().map(|a| Cell::D(a.finish())).collect();
-        fsdm_obs::counter!(fsdm_obs::catalog::EXEC_LATE_MATERIALIZE_ROWS).add(1);
-        Ok(Some((names, vec![row])))
+            Query::GroupBy { input, keys, aggs } => Query::GroupBy {
+                input: input.clone(),
+                keys: named(keys),
+                aggs: aggs
+                    .iter()
+                    .map(|a| AggSpec { arg: a.arg.as_ref().map(sub), ..a.clone() })
+                    .collect(),
+            },
+            _ => return None,
+        })
     }
 
     /// The pipeline the executor selects for the root operator of an
-    /// (already optimized) plan: `"columnar"` when it lowers to
-    /// vectorized kernels over IMC vectors, `"row"` otherwise. Backed by
-    /// the same kernel compilation the executor runs, so the report
-    /// matches the execution.
+    /// (already optimized) plan: `"columnar"` when it runs on the batch
+    /// spine, `"row"` otherwise. Backed by the same lowering the executor
+    /// runs, so the report matches the execution.
     pub fn plan_mode(&self, plan: &Query) -> &'static str {
-        if self.columnar_root(plan) {
-            "columnar"
-        } else {
-            "row"
-        }
-    }
-
-    fn columnar_root(&self, plan: &Query) -> bool {
-        match plan {
-            // a bare scan only counts as columnar when a kernel filter
-            // actually runs over the vectors
-            Query::Scan { filter: Some(_), .. } => {
-                matches!(self.scan_pipeline(plan), Some((_, Some(_))))
-            }
-            Query::Project { input, exprs } => self
-                .scan_pipeline(input)
-                .map(|(t, _)| {
-                    exprs.iter().all(|(_, e)| {
-                        e.compile_value(&t.imc.vectors, t.rows.len(), t.schema.width()).is_some()
-                    })
-                })
-                .unwrap_or(false),
-            Query::GroupBy { input, keys, aggs } if keys.is_empty() => self
-                .scan_pipeline(input)
-                .map(|(t, _)| {
-                    aggs.iter().all(|spec| match &spec.arg {
-                        None => true,
-                        Some(e) => e
-                            .compile_value(&t.imc.vectors, t.rows.len(), t.schema.width())
-                            .is_some(),
-                    })
-                })
-                .unwrap_or(false),
-            _ => false,
-        }
+        mode_note(self.lower_scan(plan, None).as_ref()).0
     }
 
     /// [`Query::render`] of an (already optimized) plan with the
     /// executor's pipeline selection appended to every line:
-    /// `… mode=columnar|row`. The scan feeding a fused columnar operator
+    /// `… mode=columnar|row`, then the operator's annotation (see
+    /// [`OpProfile::note`]). The scan feeding a fused columnar operator
     /// is part of that pipeline and annotates columnar as well.
     pub fn explain_modes(&self, plan: &Query) -> String {
         let mut modes = Vec::new();
         self.collect_modes(plan, false, &mut modes);
-        let mut out = String::new();
-        for (line, mode) in plan.render().lines().zip(modes) {
-            out.push_str(line);
-            out.push_str("  mode=");
-            out.push_str(mode);
-            out.push('\n');
-        }
-        out
+        let rendered = plan.render();
+        let lines = rendered.lines().zip(modes).map(|(line, (mode, note))| {
+            let gap = if note.is_empty() { "" } else { "  " };
+            format!("{line}  mode={mode}{gap}{note}\n")
+        });
+        lines.collect()
     }
 
     /// Pre-order mode walk mirroring [`Query::render`]'s line order.
-    fn collect_modes(&self, plan: &Query, fused: bool, out: &mut Vec<&'static str>) {
-        let columnar = fused || self.columnar_root(plan);
-        out.push(if columnar { "columnar" } else { "row" });
-        // a fused Project/GroupBy absorbs its scan child into the
-        // columnar pipeline; every other child is its own decision
-        let fuse_child = columnar && matches!(plan, Query::Project { .. } | Query::GroupBy { .. });
+    /// `fused` marks the scan absorbed by a fused consumer.
+    fn collect_modes(&self, plan: &Query, fused: bool, out: &mut Vec<(&'static str, String)>) {
+        let (mode, note) = match fused {
+            true => ("columnar", String::new()),
+            false => mode_note(self.lower_scan(plan, None).as_ref()),
+        };
+        let fuse_child = mode == "columnar" && !matches!(plan, Query::Scan { .. });
+        out.push((mode, note));
         match plan {
             Query::Filter { input, .. }
             | Query::Project { input, .. }
@@ -1031,52 +1097,115 @@ impl Database {
     }
 }
 
-/// Evaluate the (optional) predicate kernel over one morsel, recording
-/// kernel time and the surviving batch size.
-fn columnar_batch(range: RowRange, kernel: Option<&PredKernel>) -> Batch {
-    let batch = match kernel {
-        Some(k) => {
-            let start = Instant::now();
-            let batch = Batch::all(range).filter(k);
-            fsdm_obs::histogram!(fsdm_obs::catalog::IMC_KERNEL_NS)
-                .record(start.elapsed().as_nanos() as u64);
-            batch
-        }
-        None => Batch::all(range),
-    };
-    fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_ROWS).record(batch.len() as u64);
-    batch
+/// Mode of an operator plus its annotation, from its mode decision
+/// ([`Database::lower_scan`]): the transient columns a fused pipeline runs
+/// on (reported on its root), or — for a scan-rooted operator on the row
+/// evaluator — the expression that forced it.
+fn mode_note(lowered: Option<&Result<FusedScan<'_>, String>>) -> (&'static str, String) {
+    match lowered {
+        Some(Ok(fused)) => ("columnar", fused.leaves.note()),
+        Some(Err(why)) => ("row", format!("fallback={why}")),
+        None => ("row", String::new()),
+    }
 }
 
-/// Materialize one scan row: §5.2.2 transparent rewrite (substitute cached
-/// OSON bytes for text cells when the IMC is populated), then virtual
-/// columns from IMC vectors when materialized, computed on the fly
-/// otherwise.
-fn scan_row(t: &Table, i: usize, row: &Row, scratch: &mut EvalScratch) -> Result<Row, StoreError> {
-    let mut r = t.imc_row(row, Some(i));
-    for (vi, vc) in t.virtual_columns.iter().enumerate() {
-        let idx = t.schema.width() + vi;
-        let cell = match t.imc.vectors.get(&idx) {
-            // borrow the slot first so string cells clone straight out of
-            // the dictionary without an intermediate owned Datum
-            Some(vector) => Cell::D(vector.slot(i).to_datum()),
-            None => Cell::D(vc.expr.eval_with(&r, scratch)?),
+/// The row evaluator's scan row: §5.2.2 transparent rewrite (substitute
+/// cached OSON bytes for text cells when the IMC is populated), then
+/// every virtual column — from its IMC vector when materialized, computed
+/// on the fly otherwise. With `used` (column demand, see
+/// [`Table::demand`]) the columns nobody reads are NULL placeholders.
+fn scan_row(
+    t: &Table,
+    i: usize,
+    used: Option<&[bool]>,
+    scratch: &mut EvalScratch,
+) -> Result<Row, StoreError> {
+    let width = t.schema.width();
+    let ncols = width + t.virtual_columns.len();
+    let mut r: Row = Vec::with_capacity(ncols);
+    for col in 0..ncols {
+        let cell = match col.checked_sub(width) {
+            _ if used.is_some_and(|u| !u[col]) => Cell::D(Datum::Null),
+            None => t.scan_cell(i, col),
+            Some(vi) => Cell::D(match t.vector(col) {
+                // borrow the slot first so string cells clone straight out
+                // of the dictionary without an intermediate owned Datum
+                Some(vector) => vector.slot(i).to_datum(),
+                None => t.virtual_columns[vi].expr.eval_with(&r, scratch)?,
+            }),
         };
         r.push(cell);
     }
     Ok(r)
 }
 
-/// Per-morsel partial group table: keys in first-seen order, and for each
-/// key the evaluated aggregate-argument rows in input order. Keeping raw
-/// argument lists (instead of partial [`Acc`]s) lets the merge replay the
-/// exact serial accumulation sequence, so non-associative float SUM/AVG
-/// come out bit-identical at every degree.
+/// One morsel's contribution to a group-by, column-major: its distinct
+/// keys in first-seen order, each input row's group, and the evaluated
+/// aggregate arguments per input row. Keeping raw arguments (instead of
+/// partial [`Acc`]s) lets the merge replay the exact serial accumulation
+/// sequence, so non-associative float SUM/AVG come out bit-identical at
+/// every degree.
 struct GroupPartial {
+    /// Input rows of the morsel.
+    rows: usize,
+    /// Distinct keys, first-seen order.
     order: Vec<Vec<Datum>>,
-    args: HashMap<Vec<Datum>, Vec<Vec<Option<Datum>>>>,
+    /// Per input row, the index of its key in `order`; empty for a
+    /// keyless aggregate (one group).
+    group_of: Vec<u32>,
+    /// Per aggregate, its argument per input row (`None`: `COUNT(*)`).
+    args: Vec<Option<Vec<Cell>>>,
 }
 
+impl GroupPartial {
+    /// Build from `rows` evaluated input rows: one column per key, one
+    /// optional column per aggregate.
+    fn new(
+        ctx: &ExecContext,
+        rows: usize,
+        keys: Vec<Vec<Cell>>,
+        args: Vec<Option<Vec<Cell>>>,
+    ) -> Result<GroupPartial, StoreError> {
+        fsdm_fault::fire(FP_EXEC_GROUPBY_PARTIAL).map_err(fault_err)?;
+        // the partial holds one evaluated datum per key and aggregate
+        // argument for every input row of the morsel
+        ctx.governor
+            .charge((keys.len() + args.len()) as u64 * BUDGET_BYTES_PER_DATUM * rows as u64)?;
+        let (mut order, mut group_of) = (Vec::new(), Vec::new());
+        if !keys.is_empty() {
+            let mut index: HashMap<Vec<Datum>, u32> = HashMap::new();
+            let mut keys: Vec<_> = keys.into_iter().map(Vec::into_iter).collect();
+            group_of.reserve(rows);
+            for _ in 0..rows {
+                let key: Vec<Datum> =
+                    keys.iter_mut().filter_map(Iterator::next).map(Cell::into_datum).collect();
+                let next = order.len() as u32;
+                group_of.push(*index.entry(key).or_insert_with_key(|key| {
+                    order.push(key.clone());
+                    next
+                }));
+            }
+        }
+        Ok(GroupPartial { rows, order, group_of, args })
+    }
+}
+
+/// What a group-by reads of its input: its keys, then its aggregate
+/// arguments.
+fn group_reads<'q>(
+    keys: &'q [(String, Expr)],
+    aggs: &'q [AggSpec],
+) -> impl Iterator<Item = &'q Expr> {
+    keys.iter().map(|(_, e)| e).chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+}
+
+/// Output column names of a group-by: keys, then aggregates.
+fn group_names(keys: &[(String, Expr)], aggs: &[AggSpec]) -> Vec<String> {
+    keys.iter().map(|(n, _)| n.clone()).chain(aggs.iter().map(|a| a.name.clone())).collect()
+}
+
+/// The row evaluator's group-by: keys and aggregate arguments are
+/// evaluated per input row, per morsel, into [`GroupPartial`]s.
 fn group_by(
     rows: Vec<Row>,
     keys: &[(String, Expr)],
@@ -1084,95 +1213,70 @@ fn group_by(
     ctx: &ExecContext,
     stats: &mut ParStats,
 ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
-    let names: Vec<String> =
-        keys.iter().map(|(n, _)| n.clone()).chain(aggs.iter().map(|a| a.name.clone())).collect();
-    // no input rows + no keys: SQL still returns one row of aggregates
-    if rows.is_empty() && keys.is_empty() {
-        let accs: Vec<Acc> = aggs.iter().map(|a| Acc::new(a.fun)).collect();
-        let row: Row = accs.into_iter().map(|a| Cell::D(a.finish())).collect();
-        return Ok((names, vec![row]));
-    }
-    // phase 1 (parallel): per-morsel key + argument evaluation into
-    // partial tables that remember first-seen group order
     let partials = run_morsels(ctx, rows.len(), stats, |range, scratch| {
-        fsdm_fault::fire(FP_EXEC_GROUPBY_PARTIAL).map_err(fault_err)?;
-        // partial tables hold one evaluated datum per key and aggregate
-        // argument for every input row of the morsel
-        ctx.governor.charge(
-            (keys.len() + aggs.len()) as u64 * BUDGET_BYTES_PER_DATUM * range.len() as u64,
-        )?;
-        let mut p = GroupPartial { order: Vec::new(), args: HashMap::new() };
+        let mut key_cols: Vec<Vec<Cell>> = keys.iter().map(|_| Vec::new()).collect();
+        let mut arg_cols: Vec<Option<Vec<Cell>>> =
+            aggs.iter().map(|a| a.arg.as_ref().map(|_| Vec::new())).collect();
         for r in &rows[range.start..range.end] {
-            let key: Vec<Datum> =
-                keys.iter().map(|(_, e)| e.eval_with(r, scratch)).collect::<Result<_, _>>()?;
-            let mut arg_row = Vec::with_capacity(aggs.len());
-            for spec in aggs {
-                arg_row.push(match &spec.arg {
-                    Some(e) => Some(e.eval_with(r, scratch)?),
-                    None => None,
-                });
+            for (col, (_, e)) in key_cols.iter_mut().zip(keys) {
+                col.push(Cell::D(e.eval_with(r, scratch)?));
             }
-            match p.args.get_mut(&key) {
-                Some(group_rows) => group_rows.push(arg_row),
-                None => {
-                    p.order.push(key.clone());
-                    p.args.insert(key, vec![arg_row]);
+            for (col, spec) in arg_cols.iter_mut().zip(aggs) {
+                if let (Some(col), Some(e)) = (col, &spec.arg) {
+                    col.push(Cell::D(e.eval_with(r, scratch)?));
                 }
             }
         }
-        Ok(p)
+        GroupPartial::new(ctx, range.len(), key_cols, arg_cols)
     })?;
-    // phase 2 (serial merge barrier): concatenating each group's argument
-    // rows in morsel order is exactly global input order restricted to
-    // that group, so the accumulators see the same update sequence a
-    // serial run would; likewise first-seen order across morsels in
-    // morsel order equals serial first-seen order
-    let mut groups: HashMap<Vec<Datum>, Vec<Acc>> = HashMap::new();
-    let mut order: Vec<Vec<Datum>> = Vec::new();
+    Ok((group_names(keys, aggs), merge_groups(partials, keys.len(), aggs)))
+}
+
+/// The serial merge barrier of every group-by. Partials arrive in morsel
+/// order, and each holds its rows in input order, so replaying them here
+/// feeds every group's accumulators exactly the update sequence a serial
+/// run would; likewise first-seen key order across morsels in morsel
+/// order equals serial first-seen order.
+fn merge_groups(partials: Vec<GroupPartial>, nkeys: usize, aggs: &[AggSpec]) -> Vec<Row> {
+    let fresh = || aggs.iter().map(|a| Acc::new(a.fun)).collect::<Vec<Acc>>();
+    let mut index: HashMap<Vec<Datum>, usize> = HashMap::new();
+    let mut groups: Vec<(Vec<Datum>, Vec<Acc>)> = Vec::new();
+    if nkeys == 0 {
+        // no keys: SQL returns one row of aggregates even over no input
+        groups.push((Vec::new(), fresh()));
+    }
     for p in partials {
-        let mut args = p.args;
-        for key in p.order {
-            let arg_rows = args.remove(&key).unwrap_or_default();
-            let accs = match groups.get_mut(&key) {
-                Some(a) => a,
-                None => {
-                    order.push(key.clone());
-                    groups
-                        .entry(key)
-                        .or_insert_with(|| aggs.iter().map(|a| Acc::new(a.fun)).collect())
-                }
-            };
-            for arg_row in arg_rows {
-                for (acc, arg) in accs.iter_mut().zip(arg_row) {
-                    acc.update(arg);
-                }
+        // this partial's group numbers in terms of the merged table
+        let global: Vec<usize> = p
+            .order
+            .into_iter()
+            .map(|key| {
+                *index.entry(key).or_insert_with_key(|key| {
+                    groups.push((key.clone(), fresh()));
+                    groups.len() - 1
+                })
+            })
+            .collect();
+        let mut args: Vec<_> = p.args.into_iter().map(|c| c.map(Vec::into_iter)).collect();
+        for row in 0..p.rows {
+            let group = p.group_of.get(row).map_or(0, |g| global[*g as usize]);
+            for (acc, col) in groups[group].1.iter_mut().zip(&mut args) {
+                acc.update(col.as_mut().and_then(Iterator::next).map(Cell::into_datum));
             }
         }
     }
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let accs = groups.remove(&key).expect("group present");
-        let mut row: Row = key.into_iter().map(Cell::D).collect();
-        row.extend(accs.into_iter().map(|a| Cell::D(a.finish())));
-        out.push(row);
-    }
-    Ok((names, out))
+    groups
+        .into_iter()
+        .map(|(key, accs)| {
+            key.into_iter().chain(accs.into_iter().map(Acc::finish)).map(Cell::D).collect()
+        })
+        .collect()
 }
 
 /// Convert executor rows (which may still hold binary JSON cells) into the
 /// datum-only [`QueryResult`] surface.
 fn materialize(columns: Vec<String>, rows: Vec<Row>) -> QueryResult {
-    let rows = rows
-        .into_iter()
-        .map(|r| {
-            r.into_iter()
-                .map(|c| match c {
-                    Cell::D(d) => d,
-                    Cell::J(j) => Datum::Str(j.decode_to_text()),
-                })
-                .collect()
-        })
-        .collect();
+    let rows = rows.into_iter().map(|r| r.into_iter().map(Cell::into_datum).collect()).collect();
     QueryResult { columns, rows }
 }
 
@@ -1606,6 +1710,144 @@ mod tests {
         let replaced = db.add_table(t2).expect("same-name registration returns old table");
         assert_eq!(replaced.rows.len(), 1, "the displaced table is handed back intact");
         assert_eq!(db.table("t").unwrap().rows.len(), 0);
+    }
+
+    /// `(id, jdoc)` with `{"v": i}` everywhere and `"late"` only from
+    /// row 8 on, under 4-row morsels.
+    fn sparse_db() -> Database {
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                ColumnSpec::new("id", ColType::Number),
+                ColumnSpec::json("jdoc", JsonStorage::Oson, ConstraintMode::IsJson),
+            ],
+        ));
+        for i in 0..12 {
+            let late = if i >= 8 { r#","late":"x""# } else { "" };
+            t.insert(vec![(i as i64).into(), InsertValue::Json(format!(r#"{{"v":{i}{late}}}"#))])
+                .unwrap();
+        }
+        let mut db = Database::new();
+        db.add_table(t);
+        db.set_morsel_rows(4);
+        db.set_parallelism(1);
+        db
+    }
+
+    #[test]
+    fn fused_scan_extracts_only_what_the_selection_demands() {
+        let db = sparse_db();
+        let late = Expr::json_exists(1, parse_path("$.late").unwrap());
+        let v = Expr::json_value(1, parse_path("$.v").unwrap(), SqlType::Number);
+        let plan = Query::scan_where("t", late).project(vec![("v", v)]);
+        let fused = db.lower_scan(&plan, None).expect("scan-rooted").expect("lowers");
+        assert_eq!(fused.outs.len(), 1, "the consumer gets the demanded column, no more");
+        assert_eq!(fused.leaves.len(), 2);
+        // a path absent from every row of a morsel collapses its mask
+        let range = crate::parallel::RowRange { start: 0, end: 4 };
+        let ctx = db.exec_context(false);
+        let mut cols = MorselCols::new(range, fused.leaves.len(), &ctx.governor);
+        let filter = &fused.conjuncts[0];
+        let all = crate::vector::SelVec::All(range);
+        let mut scratch = EvalScratch::new();
+        cols.extract(fused.table, &fused.leaves, &filter.slots, &all, &mut scratch).unwrap();
+        assert_eq!(filter.kernel.eval(range, &cols), crate::vector::Mask::AllFalse);
+        // end to end: only the morsel with survivors extracts the
+        // projected column next to the filter column — an empty selection
+        // extracts nothing — and every morsel hands its charge back
+        let ctx = db.exec_context(false);
+        let sizes = db.scan_batches(&fused, &ctx, &mut ParStats::default(), |n, _| Ok(n)).unwrap();
+        assert_eq!(sizes, vec![0, 0, 4]);
+        assert_eq!(ctx.governor.mem_highwater(), 2 * 4 * 32, "one morsel, two columns");
+        assert_eq!(db.execute(&plan).unwrap().rows.len(), 4);
+    }
+
+    #[test]
+    fn fused_group_by_matches_the_row_evaluator() {
+        let mut db = sparse_db();
+        let v = || Expr::json_value(1, parse_path("$.v").unwrap(), SqlType::Number);
+        let late = Expr::json_value(1, parse_path("$.late").unwrap(), SqlType::Varchar2(4));
+        let keyed = Query::scan("t").group_by(
+            vec![("late", late)],
+            vec![AggSpec::count_star("n"), AggSpec::of("s", AggFun::Sum, v())],
+        );
+        let keyless =
+            Query::scan_where("t", Expr::cmp(v(), CmpOp::Gt, Expr::Lit(Datum::from(99i64))))
+                .group_by(
+                    vec![],
+                    vec![AggSpec::count_star("n"), AggSpec::of("m", AggFun::Max, v())],
+                );
+        for plan in [keyed, keyless] {
+            assert_eq!(db.plan_mode(&plan), "columnar");
+            let fused = db.execute(&plan).unwrap();
+            db.set_columnar(false);
+            assert_eq!(db.plan_mode(&plan), "row");
+            assert_eq!(db.execute(&plan).unwrap(), fused);
+            db.set_columnar(true);
+        }
+    }
+
+    #[test]
+    fn the_row_evaluator_reads_resident_vectors_too() {
+        use crate::expr::ScalarFun;
+        let mut db = sparse_db();
+        let v = || Expr::json_value(1, parse_path("$.v").unwrap(), SqlType::Number);
+        let abs = |e: Expr| Expr::Fun(ScalarFun::Abs, vec![e]);
+        // no kernel expresses ABS: filter, projection and group key all
+        // keep their operator on the row evaluator
+        let is_seven = Expr::cmp(abs(v()), CmpOp::Eq, Expr::Lit(Datum::from(7i64)));
+        let plans = [
+            Query::scan_where("t", is_seven).project(vec![("id", Expr::Col(0))]),
+            Query::scan("t").project(vec![("a", abs(v()))]),
+            Query::scan("t").group_by(vec![("a", abs(v()))], vec![AggSpec::count_star("n")]),
+        ];
+        let before: Vec<_> = plans.iter().map(|p| db.execute(p).unwrap()).collect();
+        assert_eq!(before[0].rows, vec![vec![Datum::from(7i64)]]);
+        let t = db.table_mut("t").unwrap();
+        t.add_virtual_column("t$v", v());
+        t.populate_vc_imc(&["t$v"]).unwrap();
+        for (plan, before) in plans.iter().zip(&before) {
+            assert!(matches!(db.lower_scan(plan, None), Some(Err(why)) if why.contains("Abs[")));
+            // the operator that holds the expression rewrites it
+            let holder = match plan {
+                Query::Project { input, .. } if format!("{input:?}").contains("Abs[") => input,
+                other => other,
+            };
+            let rewritten = db.reading_resident(holder).expect("a vector is resident");
+            let rendered = format!("{rewritten:?}");
+            assert!(
+                rendered.contains("Abs[col#2]") && !rendered.contains("JSON_VALUE"),
+                "{rendered}"
+            );
+            assert_eq!(&db.execute(plan).unwrap(), before, "vectors never change results");
+        }
+        // column demand: the scan under such a projection gathers the
+        // virtual column it reads and leaves the one nobody reads NULL,
+        // fused (the bare scan lowers) or not
+        let late = Expr::json_value(1, parse_path("$.late").unwrap(), SqlType::Varchar2(4));
+        let t = db.table_mut("t").unwrap();
+        t.add_virtual_column("t$late", late);
+        t.populate_vc_imc(&["t$late"]).unwrap();
+        let reads = abs(Expr::Col(2));
+        for columnar in [true, false] {
+            db.set_columnar(columnar);
+            let ctx = db.exec_context(false);
+            let (_, rows) =
+                db.exec_for(&Query::scan("t"), Some(&[&reads]), &mut None, &ctx).unwrap();
+            let null = |c: &Cell| matches!(c, Cell::D(Datum::Null));
+            assert!(rows.iter().all(|r| r.len() == 4 && !null(&r[2]) && null(&r[3])));
+            let (_, rows) = db.exec(&Query::scan("t"), &mut None, &ctx).unwrap();
+            assert!(!null(&rows[11][3]), "a consumer that reads everything gets everything");
+        }
+        // swap in a vector that disagrees with the documents: the rows
+        // coming back prove the vector is what was read
+        let sevens = vec![Datum::from(7i64); 12];
+        let t = db.table_mut("t").unwrap();
+        t.imc.vectors.insert(2, Arc::new(crate::imc::ColumnVector::from_datums(&sevens)));
+        for columnar in [true, false] {
+            db.set_columnar(columnar);
+            assert_eq!(db.execute(&plans[0]).unwrap().rows.len(), 12, "columnar={columnar}");
+        }
     }
 
     #[test]

@@ -17,18 +17,25 @@ use fsdm_sqljson::path::JsonPath;
 use fsdm_sqljson::{Datum, PathEvaluator, SqlType};
 
 use crate::imc::ColumnVector;
-use crate::table::{Cell, Row, StoreError};
-use crate::vector::{cmp_tri, PredKernel, Tri, ValKernel};
+use crate::table::{Cell, Row, StoreError, Table};
+use crate::transient::{ColKind, Leaves, Lowering};
+use crate::vector::{Col, PredKernel, StrTest, Tri, ValKernel};
 
-/// Per-worker evaluation state: reusable path evaluators keyed by the
-/// shared compiled path, and JSON_TABLE cursors keyed by definition.
-/// Both caches exist so the look-back field-id caches persist across the
-/// rows a worker processes — exactly the state the expression tree itself
-/// used to hold in `RefCell`s before the executor went parallel.
+/// Per-worker evaluation state. The fused scan addresses its path
+/// evaluators by dense transient-column slot; the row evaluator (the
+/// identity-test oracle) and JSON_TABLE look theirs up by address. Either
+/// way the look-back field-id caches persist across the rows a worker
+/// processes — exactly the state the expression tree itself used to hold
+/// in `RefCell`s before the executor went parallel.
 #[derive(Default)]
 pub struct EvalScratch {
-    /// One evaluator per distinct compiled path (keyed by `Arc` address:
-    /// expression clones share the path, hence the evaluator).
+    /// One evaluator per transient path column of the fused scan this
+    /// scratch serves, indexed by slot (`None` for heap columns). A
+    /// scratch lives for one `run_morsels` call, hence one registry.
+    slots: Vec<Option<PathEvaluator>>,
+    /// Row evaluator only: one evaluator per distinct compiled path
+    /// (keyed by `Arc` address: expression clones share the path, hence
+    /// the evaluator).
     evaluators: HashMap<usize, PathEvaluator>,
     /// One cursor per JSON_TABLE definition (keyed by address; the
     /// definition outlives the execution it is scanned by).
@@ -41,7 +48,18 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// The reusable evaluator for `path`, created on first use.
+    /// The slot-indexed evaluators for `leaves`, built on first use.
+    pub(crate) fn slot_evaluators(&mut self, leaves: &Leaves) -> &mut [Option<PathEvaluator>] {
+        if self.slots.is_empty() {
+            self.slots = (0..leaves.len())
+                .map(|s| leaves.path(s).map(|p| PathEvaluator::new(p.clone())))
+                .collect();
+        }
+        &mut self.slots
+    }
+
+    /// The row evaluator's reusable evaluator for `path`, created on
+    /// first use.
     pub(crate) fn evaluator(&mut self, path: &Arc<JsonPath>) -> &mut PathEvaluator {
         self.evaluators
             .entry(Arc::as_ptr(path) as usize)
@@ -303,104 +321,197 @@ impl Expr {
         Ok(matches!(self.eval_with(row, scratch)?, Datum::Bool(true)))
     }
 
-    /// Lower this predicate to a vectorized kernel plan when every column
-    /// it references is IMC-resident (and the vectors are not stale —
-    /// `len == nrows` guards against inserts after `populate_vc_imc`).
-    /// Returns `None` on any shape the kernels cannot express exactly;
-    /// the caller then falls back to the scratch-based row path, which
-    /// remains the semantic reference.
+    /// The top-level conjuncts of this predicate (itself, when it is not
+    /// an `AND`).
+    pub(crate) fn conjuncts(&self) -> Vec<&Expr> {
+        fn split<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+            match e {
+                Expr::And(a, b) => {
+                    split(a, out);
+                    split(b, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        split(self, &mut out);
+        out
+    }
+
+    /// Mark in `used` every input column this expression reads.
+    pub(crate) fn mark_cols(&self, used: &mut [bool]) {
+        match self {
+            Expr::Col(col) | Expr::JsonValue { col, .. } | Expr::JsonExists { col, .. } => {
+                if let Some(u) = used.get_mut(*col) {
+                    *u = true;
+                }
+            }
+            Expr::Lit(_) => {}
+            Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) | Expr::Arith(a, _, b) => {
+                a.mark_cols(used);
+                b.mark_cols(used);
+            }
+            Expr::Not(a) | Expr::IsNull(a) | Expr::InList(a, _) | Expr::Like(a, _) => {
+                a.mark_cols(used)
+            }
+            Expr::Fun(_, args) => args.iter().for_each(|a| a.mark_cols(used)),
+        }
+    }
+
+    /// The resident vector materializing a virtual column of `table` that
+    /// is defined by exactly this expression (by `Debug` rendering, the
+    /// structural equality the optimizer's dedupe uses), with that
+    /// column's scan index.
+    pub(crate) fn resident_vc<'t>(
+        &self,
+        table: &'t Table,
+    ) -> Option<(usize, &'t Arc<ColumnVector>)> {
+        if matches!(self, Expr::Col(_) | Expr::Lit(_)) {
+            return None;
+        }
+        let mut vcs = table.resident_vcs().peekable();
+        vcs.peek()?; // nothing resident: nothing is rendered
+        let key = format!("{self:?}");
+        vcs.find(|(def, ..)| *def == key).map(|(_, col, v)| (col, v))
+    }
+
+    /// This expression with every sub-expression that spells out a
+    /// resident virtual column's definition replaced by a reference to
+    /// that column, which the row evaluator's scan fills from the vector:
+    /// an operator that stays on the row evaluator reads resident vectors
+    /// all the same. Never changes the value — the scan schema types a
+    /// virtual column by its defining expression — and is idempotent
+    /// (`Col` matches no definition).
+    pub(crate) fn reading_resident(&self, table: &Table) -> Expr {
+        if let Some((col, _)) = self.resident_vc(table) {
+            return Expr::Col(col);
+        }
+        let sub = |e: &Expr| Box::new(e.reading_resident(table));
+        match self {
+            Expr::Cmp(a, op, b) => Expr::Cmp(sub(a), *op, sub(b)),
+            Expr::And(a, b) => Expr::And(sub(a), sub(b)),
+            Expr::Or(a, b) => Expr::Or(sub(a), sub(b)),
+            Expr::Not(a) => Expr::Not(sub(a)),
+            Expr::IsNull(a) => Expr::IsNull(sub(a)),
+            Expr::InList(a, list) => Expr::InList(sub(a), list.clone()),
+            Expr::Like(a, pat) => Expr::Like(sub(a), pat.clone()),
+            Expr::Arith(a, op, b) => Expr::Arith(sub(a), *op, sub(b)),
+            Expr::Fun(f, args) => {
+                Expr::Fun(*f, args.iter().map(|a| a.reading_resident(table)).collect())
+            }
+            leaf => leaf.clone(),
+        }
+    }
+
+    /// Lower this scan predicate to a kernel. A leaf binds a resident
+    /// vector when one covers its column — or materializes its very
+    /// expression as a virtual column — and registers a transient column
+    /// with `lw` otherwise. `Err` carries the rendering of the
+    /// sub-expression no kernel expresses exactly; the scan then runs on
+    /// the row evaluator, which remains the semantic reference.
     ///
     /// The lowering assumes vector null-ness mirrors datum null-ness,
-    /// which holds for typed base columns and for VC vectors (the only
-    /// things `populate_vc_imc` materializes).
-    pub(crate) fn compile_predicate(
-        &self,
-        vectors: &HashMap<usize, Arc<ColumnVector>>,
-        nrows: usize,
-    ) -> Option<PredKernel> {
+    /// which holds for typed base columns, VC vectors and transient
+    /// columns alike.
+    pub(crate) fn compile_predicate(&self, lw: &mut Lowering<'_>) -> Result<PredKernel, String> {
+        let not_lowered = || Err(format!("{self:?}"));
+        // a boolean column — bare, JSON_EXISTS, or a virtual column that
+        // materializes this very predicate — used as the filter
+        let truth = |bound: (Col, ColKind)| match bound {
+            (col, ColKind::Bools) => Ok(PredKernel::Truth { col }),
+            _ => not_lowered(),
+        };
+        if let Some(v) = lw.materialized(self) {
+            return truth(Lowering::resident(v));
+        }
         match self {
+            Expr::And(a, b) => Ok(PredKernel::And(
+                Box::new(a.compile_predicate(lw)?),
+                Box::new(b.compile_predicate(lw)?),
+            )),
+            Expr::Or(a, b) => Ok(PredKernel::Or(
+                Box::new(a.compile_predicate(lw)?),
+                Box::new(b.compile_predicate(lw)?),
+            )),
+            Expr::Not(a) => Ok(PredKernel::Not(Box::new(a.compile_predicate(lw)?))),
             Expr::Cmp(a, op, b) => {
                 let (col, op, lit) = match (&**a, &**b) {
-                    (Expr::Col(i), Expr::Lit(d)) => (*i, *op, d),
-                    (Expr::Lit(d), Expr::Col(i)) => (*i, flip_cmp(*op), d),
-                    _ => return None,
+                    (col, Expr::Lit(d)) => (col, *op, d),
+                    (Expr::Lit(d), col) => (col, flip_cmp(*op), d),
+                    _ => return not_lowered(),
                 };
-                compile_cmp(resident(vectors, col, nrows)?, op, lit)
+                let (col, kind) = lw.bind(col, false)?;
+                compile_cmp(col, kind, op, lit).map_or_else(not_lowered, Ok)
             }
-            Expr::And(a, b) => Some(PredKernel::And(
-                Box::new(a.compile_predicate(vectors, nrows)?),
-                Box::new(b.compile_predicate(vectors, nrows)?),
-            )),
-            Expr::Or(a, b) => Some(PredKernel::Or(
-                Box::new(a.compile_predicate(vectors, nrows)?),
-                Box::new(b.compile_predicate(vectors, nrows)?),
-            )),
-            Expr::Not(a) => Some(PredKernel::Not(Box::new(a.compile_predicate(vectors, nrows)?))),
-            Expr::IsNull(a) => match &**a {
-                Expr::Col(i) => Some(PredKernel::IsNull { col: resident(vectors, *i, nrows)? }),
-                _ => None,
-            },
-            Expr::InList(a, list) => match &**a {
-                Expr::Col(i) => compile_in(resident(vectors, *i, nrows)?, list),
-                _ => None,
-            },
-            Expr::Like(a, pat) => match &**a {
-                Expr::Col(i) => {
-                    let v = resident(vectors, *i, nrows)?;
-                    let ColumnVector::Strings { dict, .. } = &*v else { return None };
-                    // one LIKE match per distinct value, not per row
-                    let verdicts: Arc<[Tri]> = dict
-                        .iter()
-                        .map(|d| if like_match(d, pat) { Tri::True } else { Tri::False })
-                        .collect();
-                    Some(PredKernel::StrVerdict { col: v, verdicts })
-                }
-                _ => None,
-            },
-            // a bare boolean column used as the filter
-            Expr::Col(i) => {
-                let v = resident(vectors, *i, nrows)?;
-                matches!(&*v, ColumnVector::Bools(_)).then(|| PredKernel::Truth { col: v })
+            Expr::IsNull(a) => Ok(PredKernel::IsNull { col: lw.bind(a, false)?.0 }),
+            Expr::InList(a, list) => {
+                let (col, kind) = lw.bind(a, false)?;
+                Ok(match kind {
+                    // non-coercible list entries can never match a Num
+                    // operand (`sql_cmp` returns unknown → IN's
+                    // `unwrap_or(false)`), so they drop out of the
+                    // compiled list entirely
+                    ColKind::Nums => PredKernel::NumIn {
+                        col,
+                        list: list.iter().filter_map(|d| d.as_num()).collect(),
+                    },
+                    ColKind::Strs => str_kernel(col, StrTest::In(list.as_slice().into())),
+                    // bool IN reduces to equality kernels (nulls stay unknown)
+                    ColKind::Bools => {
+                        let eq = |b: bool| PredKernel::BoolCmp {
+                            col: col.clone(),
+                            op: CmpOp::Eq,
+                            lit: b,
+                        };
+                        let with_true = list.contains(&Datum::Bool(true));
+                        let with_false = list.contains(&Datum::Bool(false));
+                        match (with_true, with_false) {
+                            (true, true) => PredKernel::Or(Box::new(eq(true)), Box::new(eq(false))),
+                            (true, false) => eq(true),
+                            (false, true) => eq(false),
+                            // nothing can match: false for non-null,
+                            // unknown for null
+                            (false, false) => {
+                                PredKernel::And(Box::new(eq(true)), Box::new(eq(false)))
+                            }
+                        }
+                    }
+                })
             }
-            _ => None,
+            Expr::Like(a, pat) => match lw.bind(a, false)? {
+                (col, ColKind::Strs) => Ok(str_kernel(col, StrTest::Like(pat.clone()))),
+                _ => not_lowered(),
+            },
+            _ => truth(lw.bind(self, false)?),
         }
     }
 
-    /// Lower a projection/aggregate-argument expression to a gather
-    /// kernel. Only virtual columns (`col >= floor`, the base-schema
-    /// width) are read from vectors: VC vectors hold exactly the datums
-    /// the defining expression produced, whereas base-column vectors
-    /// normalize values (`from_datums` folds numbers to `f64`), which
-    /// would break byte-identity with the row path on materialized
-    /// output. Predicates tolerate that normalization (comparisons are
-    /// value-based); gathers must not.
-    pub(crate) fn compile_value(
-        &self,
-        vectors: &HashMap<usize, Arc<ColumnVector>>,
-        nrows: usize,
-        floor: usize,
-    ) -> Option<ValKernel> {
+    /// Lower a projection / group key / aggregate-argument expression to
+    /// a gather kernel. Only *virtual* columns are read from resident
+    /// vectors: VC vectors hold exactly the datums the defining
+    /// expression produced, whereas base-column vectors normalize values
+    /// (`from_datums` folds numbers to `f64`), which would break
+    /// byte-identity with the row path on materialized output. Predicates
+    /// tolerate that normalization (comparisons are value-based); gathers
+    /// must not, so base columns are copied off the heap as transient
+    /// columns instead.
+    pub(crate) fn compile_value(&self, lw: &mut Lowering<'_>) -> Result<ValKernel, String> {
+        if let Some(v) = lw.materialized(self) {
+            return Ok(ValKernel::Col(v));
+        }
         match self {
-            Expr::Col(i) if *i >= floor => Some(ValKernel::Col(resident(vectors, *i, nrows)?)),
-            Expr::Lit(d) => Some(ValKernel::Lit(d.clone())),
-            Expr::Arith(a, op, b) => Some(ValKernel::Arith {
-                l: Box::new(a.compile_value(vectors, nrows, floor)?),
+            Expr::Lit(d) => Ok(ValKernel::Lit(d.clone())),
+            Expr::Arith(a, op, b) => Ok(ValKernel::Arith {
+                l: Box::new(a.compile_value(lw)?),
                 op: *op,
-                r: Box::new(b.compile_value(vectors, nrows, floor)?),
+                r: Box::new(b.compile_value(lw)?),
             }),
-            _ => None,
+            _ => Ok(match lw.bind(self, true)?.0 {
+                Col::Resident(v) => ValKernel::Col(v),
+                Col::Transient(slot) => ValKernel::Transient(slot),
+            }),
         }
     }
-}
-
-/// The vector for `col`, if materialized and covering every current row.
-fn resident(
-    vectors: &HashMap<usize, Arc<ColumnVector>>,
-    col: usize,
-    nrows: usize,
-) -> Option<Arc<ColumnVector>> {
-    let v = vectors.get(&col)?;
-    (v.len() == nrows).then(|| v.clone())
 }
 
 /// Mirror a comparison so the column is always on the left.
@@ -415,100 +526,54 @@ fn flip_cmp(op: CmpOp) -> CmpOp {
     }
 }
 
-/// Lower `col <op> lit` against the column's vector representation.
-fn compile_cmp(v: Arc<ColumnVector>, op: CmpOp, lit: &Datum) -> Option<PredKernel> {
-    match &*v {
-        // `as_num` applies the same Str-side coercion `sql_cmp` uses, and
-        // rejects Bool/Null literals (which compare unknown — fall back)
-        ColumnVector::Numbers(_) => {
-            let lit = lit.as_num()?;
-            Some(PredKernel::NumCmp { col: v, op, lit })
+/// A [`StrTest`] over a string column: one verdict per dictionary entry
+/// for a resident vector, one per row for a transient column.
+fn str_kernel(col: Col, test: StrTest) -> PredKernel {
+    match col {
+        Col::Resident(v) => {
+            let ColumnVector::Strings { dict, .. } = &*v else {
+                unreachable!("string kernel bound to {v:?}")
+            };
+            let verdicts: Arc<[Tri]> = dict.iter().map(|d| test.tri(d)).collect();
+            PredKernel::StrVerdict { col: v, verdicts }
         }
-        ColumnVector::Strings { dict, .. } => match lit {
-            Datum::Str(s) => Some(match op {
-                // equality probes binary-search the sorted dictionary
-                CmpOp::Eq | CmpOp::Ne => PredKernel::StrEq {
-                    code: dict.binary_search(s).ok().map(|c| c as u32),
-                    col: v,
-                    negate: op == CmpOp::Ne,
-                },
-                // ranges become code-threshold tests: the dictionary is
-                // sorted, so code order == string order
-                CmpOp::Lt => PredKernel::StrBelow {
-                    bound: dict.partition_point(|d| d < s) as u32,
-                    col: v,
-                    below: true,
-                },
-                CmpOp::Le => PredKernel::StrBelow {
-                    bound: dict.partition_point(|d| d <= s) as u32,
-                    col: v,
-                    below: true,
-                },
-                CmpOp::Gt => PredKernel::StrBelow {
-                    bound: dict.partition_point(|d| d <= s) as u32,
-                    col: v,
-                    below: false,
-                },
-                CmpOp::Ge => PredKernel::StrBelow {
-                    bound: dict.partition_point(|d| d < s) as u32,
-                    col: v,
-                    below: false,
-                },
-            }),
-            // numeric literal: evaluate `sql_cmp`'s coercion once per
-            // dictionary entry instead of once per row
-            Datum::Num(_) => {
-                let verdicts: Arc<[Tri]> =
-                    dict.iter().map(|d| cmp_tri(Datum::Str(d.clone()).sql_cmp(lit), op)).collect();
-                Some(PredKernel::StrVerdict { col: v, verdicts })
-            }
-            _ => None,
-        },
-        ColumnVector::Bools(_) => match lit {
-            Datum::Bool(b) => Some(PredKernel::BoolCmp { col: v, op, lit: *b }),
-            _ => None,
-        },
+        Col::Transient(slot) => PredKernel::StrRow { slot, test },
     }
 }
 
-/// Lower `col IN (…)` against the column's vector representation.
-fn compile_in(v: Arc<ColumnVector>, list: &[Datum]) -> Option<PredKernel> {
-    match &*v {
-        // non-coercible list entries can never match a Num operand
-        // (`sql_cmp` returns unknown → IN's `unwrap_or(false)`), so they
-        // drop out of the compiled list entirely
-        ColumnVector::Numbers(_) => {
-            let nums: Vec<_> = list.iter().filter_map(|d| d.as_num()).collect();
-            Some(PredKernel::NumIn { col: v, list: nums.into() })
-        }
-        ColumnVector::Strings { dict, .. } => {
-            let verdicts: Arc<[Tri]> = dict
-                .iter()
-                .map(|e| {
-                    let v = Datum::Str(e.clone());
-                    let hit = list.iter().any(|d| v.sql_cmp(d).map(|o| o.is_eq()).unwrap_or(false));
-                    if hit {
-                        Tri::True
-                    } else {
-                        Tri::False
-                    }
-                })
-                .collect();
-            Some(PredKernel::StrVerdict { col: v, verdicts })
-        }
-        // bool IN reduces to equality kernels (nulls stay unknown)
-        ColumnVector::Bools(_) => {
-            let eq = |b: bool| PredKernel::BoolCmp { col: v.clone(), op: CmpOp::Eq, lit: b };
-            let with_true = list.contains(&Datum::Bool(true));
-            let with_false = list.contains(&Datum::Bool(false));
-            Some(match (with_true, with_false) {
-                (true, true) => PredKernel::Or(Box::new(eq(true)), Box::new(eq(false))),
-                (true, false) => eq(true),
-                (false, true) => eq(false),
-                // nothing can match: false for non-null, unknown for null
-                (false, false) => PredKernel::And(Box::new(eq(true)), Box::new(eq(false))),
-            })
-        }
+/// Lower `col <op> lit` against the column's representation; `None` when
+/// the literal's type makes the comparison unknown on every row.
+fn compile_cmp(col: Col, kind: ColKind, op: CmpOp, lit: &Datum) -> Option<PredKernel> {
+    match (kind, lit) {
+        // `as_num` applies the same Str-side coercion `sql_cmp` uses, and
+        // rejects Bool/Null literals (which compare unknown — fall back)
+        (ColKind::Nums, _) => Some(PredKernel::NumCmp { col, op, lit: lit.as_num()? }),
+        (ColKind::Bools, Datum::Bool(b)) => Some(PredKernel::BoolCmp { col, op, lit: *b }),
+        (ColKind::Strs, Datum::Str(s)) => Some(match col {
+            // the dictionary is sorted: equality is a binary-search probe,
+            // a range a partition-point threshold, both over codes
+            Col::Resident(v) => {
+                let ColumnVector::Strings { dict, .. } = &*v else {
+                    unreachable!("string kernel bound to {v:?}")
+                };
+                let codes = match op {
+                    CmpOp::Eq | CmpOp::Ne => match dict.binary_search(s) {
+                        Ok(c) => c as u32..c as u32 + 1,
+                        Err(_) => 0..0,
+                    },
+                    CmpOp::Lt => 0..dict.partition_point(|d| d < s) as u32,
+                    CmpOp::Le => 0..dict.partition_point(|d| d <= s) as u32,
+                    CmpOp::Gt => dict.partition_point(|d| d <= s) as u32..u32::MAX,
+                    CmpOp::Ge => dict.partition_point(|d| d < s) as u32..u32::MAX,
+                };
+                PredKernel::StrCodes { col: v.clone(), codes, negate: op == CmpOp::Ne }
+            }
+            col => str_kernel(col, StrTest::Cmp(op, lit.clone())),
+        }),
+        // a numeric literal coerces each string as `sql_cmp` does: one
+        // test per dictionary entry (resident) or per row (transient)
+        (ColKind::Strs, Datum::Num(_)) => Some(str_kernel(col, StrTest::Cmp(op, lit.clone()))),
+        _ => None,
     }
 }
 

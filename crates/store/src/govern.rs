@@ -136,13 +136,14 @@ impl CancelHandle {
     }
 }
 
-/// Per-statement memory accounting. `used` only grows during a statement
-/// (operators charge, nothing refunds), so the final value doubles as the
-/// statement's high-water mark.
+/// Per-statement memory accounting: `used` is what the statement holds
+/// right now (operator state is charged and kept; a morsel's transient
+/// columns are released with the morsel), `high` the most it ever held.
 #[derive(Debug, Default)]
 struct MemBudget {
     limit: Option<u64>,
     used: AtomicU64,
+    high: AtomicU64,
 }
 
 /// The per-statement governance bundle shared by every worker: cancel
@@ -178,7 +179,7 @@ impl QueryGovernor {
             cancel,
             deadline: timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
             timeout_ms,
-            budget: MemBudget { limit: mem_limit, used: AtomicU64::new(0) },
+            budget: MemBudget { limit: mem_limit, ..MemBudget::default() },
         }
     }
 
@@ -220,11 +221,12 @@ impl QueryGovernor {
     }
 
     /// Charge `bytes` against the statement memory budget. Over-budget
-    /// degrades into a typed [`ErrorKind::BudgetExceeded`] error; the
-    /// charge itself is never rolled back (the high-water mark records
-    /// what the statement tried to use).
+    /// degrades into a typed [`ErrorKind::BudgetExceeded`] error; a failed
+    /// charge is not rolled back (the high-water mark records what the
+    /// statement tried to use).
     pub fn charge(&self, bytes: u64) -> Result<(), StoreError> {
         let total = self.budget.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.budget.high.fetch_max(total, Ordering::Relaxed);
         match self.budget.limit {
             Some(limit) if total > limit => Err(StoreError::with_kind(
                 format!("memory budget exceeded (limit {limit} bytes)"),
@@ -234,9 +236,17 @@ impl QueryGovernor {
         }
     }
 
-    /// Bytes charged so far — the statement's memory high-water mark.
+    /// Hand back `bytes` charged earlier for memory that is now freed
+    /// (morsel-local buffers; operator state lives to the statement's end
+    /// and is never released).
+    pub fn release(&self, bytes: u64) {
+        self.budget.used.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// The most the statement held charged at once — its memory
+    /// high-water mark.
     pub fn mem_highwater(&self) -> u64 {
-        self.budget.used.load(Ordering::Relaxed)
+        self.budget.high.load(Ordering::Relaxed)
     }
 
     /// The configured statement timeout, if any.
@@ -329,6 +339,18 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::BudgetExceeded);
         assert_eq!(err.message, "memory budget exceeded (limit 100 bytes)");
         assert_eq!(g.mem_highwater(), 120, "high-water records the attempted usage");
+    }
+
+    #[test]
+    fn released_bytes_are_chargeable_again_and_leave_the_high_water_mark() {
+        let g = QueryGovernor::for_statement(Arc::new(CancelToken::new()), None, Some(100));
+        for _ in 0..10 {
+            g.charge(80).expect("live memory never exceeds 80 bytes");
+            g.release(80);
+        }
+        assert_eq!(g.mem_highwater(), 80);
+        g.charge(80).unwrap();
+        assert_eq!(g.charge(80).unwrap_err().kind, ErrorKind::BudgetExceeded);
     }
 
     #[test]

@@ -18,7 +18,8 @@ use std::sync::Arc;
 
 use fsdm_sqljson::Datum;
 
-use crate::jsonaccess::JsonCell;
+use crate::expr::Expr;
+use crate::jsonaccess::{JsonCell, OpenDoc};
 use crate::table::{Cell, StoreError, Table};
 
 /// A typed in-memory column vector.
@@ -158,6 +159,11 @@ pub struct ImcStore {
     /// Shared (`Arc`) so batch pipelines can borrow columns without
     /// holding the table borrow across kernel boundaries.
     pub vectors: HashMap<usize, Arc<ColumnVector>>,
+    /// For each *virtual* column in `vectors`: the `Debug` rendering of
+    /// its defining expression when the vector was populated, and its scan
+    /// column index. An expression that renders the same computes the
+    /// same value, so it may read the vector.
+    pub vc_defs: Vec<(String, usize)>,
 }
 
 impl ImcStore {
@@ -166,23 +172,12 @@ impl ImcStore {
         self.oson = None;
         self.oson_col = None;
         self.vectors.clear();
+        self.vc_defs.clear();
     }
 
     /// Total bytes held by the OSON cache.
     pub fn oson_bytes(&self) -> usize {
         self.oson.as_ref().map(|v| v.iter().flatten().map(|b| b.len()).sum()).unwrap_or(0)
-    }
-
-    /// Morsel partition over the OSON cache (or the largest materialized
-    /// column vector when only VC-IMC is populated): the same chunking the
-    /// executor uses for heap rows, so OSON-IMC byte scans and VC-IMC
-    /// vector scans parallelize identically.
-    pub fn morsels(&self, target_rows: usize) -> impl Iterator<Item = crate::parallel::RowRange> {
-        let total = match &self.oson {
-            Some(cache) => cache.len(),
-            None => self.vectors.values().map(|v| v.len()).max().unwrap_or(0),
-        };
-        crate::parallel::morsels(total, target_rows)
     }
 }
 
@@ -237,28 +232,89 @@ impl Table {
                     let vc = &self.virtual_columns[idx - width];
                     // evaluate against the IMC-substituted row so VC
                     // population itself benefits from the OSON cache
-                    let row_imc = self.imc_row(row, Some(i));
-                    vc.expr.eval_with(&row_imc, &mut scratch)?
+                    vc.expr.eval_with(&self.imc_row(i), &mut scratch)?
                 };
                 vals.push(d);
             }
             self.imc.vectors.insert(idx, Arc::new(ColumnVector::from_datums(&vals)));
+            if idx >= width {
+                let def = format!("{:?}", self.virtual_columns[idx - width].expr);
+                self.imc.vc_defs.retain(|(_, col)| *col != idx);
+                self.imc.vc_defs.push((def, idx));
+            }
         }
         Ok(())
     }
 
-    /// Apply the OSON-IMC substitution to one row (used by scans).
-    pub fn imc_row(&self, row: &crate::table::Row, row_id: Option<usize>) -> crate::table::Row {
-        match (&self.imc.oson, self.imc.oson_col, row_id) {
-            (Some(cache), Some(col), Some(id)) => {
-                let mut out = row.clone();
-                if let Some(Some(bytes)) = cache.get(id) {
-                    out[col] = Cell::J(JsonCell::Oson(bytes.clone()));
-                }
-                out
+    /// The vector of scan column `col`, if materialized and covering every
+    /// current row (`len == nrows` guards against inserts after
+    /// [`Table::populate_vc_imc`]).
+    pub(crate) fn vector(&self, col: usize) -> Option<&Arc<ColumnVector>> {
+        self.imc.vectors.get(&col).filter(|v| v.len() == self.rows.len())
+    }
+
+    /// Every virtual column with a usable vector, as (rendering of its
+    /// defining expression, scan column index, vector): what makes a
+    /// resident vector a transparent accelerator for any statement that
+    /// spells out its expression, whichever evaluator runs it.
+    pub(crate) fn resident_vcs(&self) -> impl Iterator<Item = (&str, usize, &Arc<ColumnVector>)> {
+        let defs = self.imc.vc_defs.iter();
+        defs.filter_map(|(def, col)| Some((def.as_str(), *col, self.vector(*col)?)))
+    }
+
+    /// Column demand of a row-evaluator consumer: which scan columns the
+    /// expressions `reads` touch — plus, for a demanded virtual column
+    /// that has to be computed, what its definition touches (definitions
+    /// see earlier columns only, hence the descending sweep).
+    pub(crate) fn demand<'e>(&self, reads: impl Iterator<Item = &'e Expr>) -> Vec<bool> {
+        let width = self.schema.width();
+        let mut used = vec![false; width + self.virtual_columns.len()];
+        reads.for_each(|e| e.mark_cols(&mut used));
+        for col in (width..used.len()).rev() {
+            if used[col] && self.vector(col).is_none() {
+                self.virtual_columns[col - width].expr.mark_cols(&mut used);
             }
-            _ => row.clone(),
         }
+        used
+    }
+
+    /// The OSON-IMC bytes shadowing `(row_id, col)`, when that column is
+    /// cached and the row has an entry.
+    fn imc_bytes(&self, row_id: usize, col: usize) -> Option<&Arc<Vec<u8>>> {
+        let cache = self.imc.oson.as_ref().filter(|_| self.imc.oson_col == Some(col))?;
+        cache.get(row_id)?.as_ref()
+    }
+
+    /// The cell a scan sees at `(row_id, col)`: the §5.2.2 transparent
+    /// rewrite substitutes cached OSON bytes for the stored JSON cell.
+    pub(crate) fn scan_cell(&self, row_id: usize, col: usize) -> Cell {
+        match self.imc_bytes(row_id, col) {
+            Some(bytes) => Cell::J(JsonCell::Oson(bytes.clone())),
+            None => self.rows[row_id][col].clone(),
+        }
+    }
+
+    /// The document a scan evaluates SQL/JSON operators against at
+    /// `(row_id, col)`, opened once; `None` when the cell is not JSON.
+    pub(crate) fn open_doc(&self, row_id: usize, col: usize) -> Option<OpenDoc<'_>> {
+        match self.imc_bytes(row_id, col) {
+            Some(bytes) => Some(OpenDoc::oson(bytes)),
+            None => match self.rows[row_id].get(col)? {
+                Cell::J(j) => Some(j.open()),
+                Cell::D(_) => None,
+            },
+        }
+    }
+
+    /// The base row a scan of the row evaluator sees at `row_id` (every
+    /// cell through [`Table::scan_cell`], so a shadowed JSON cell is never
+    /// cloned), with room for every virtual column: pushing them never
+    /// reallocates.
+    pub fn imc_row(&self, row_id: usize) -> crate::table::Row {
+        let width = self.schema.width();
+        let mut out = Vec::with_capacity(width + self.virtual_columns.len());
+        out.extend((0..width).map(|col| self.scan_cell(row_id, col)));
+        out
     }
 }
 
@@ -296,8 +352,11 @@ mod tests {
         assert!(t.imc.oson_bytes() > 0);
         // rows on disk remain text; the substitution happens per scan row
         assert!(matches!(&t.rows[0][1], Cell::J(JsonCell::Text(_))));
-        let sub = t.imc_row(&t.rows[0], Some(0));
+        let sub = t.imc_row(0);
         assert!(matches!(&sub[1], Cell::J(JsonCell::Oson(_))));
+        // sized for the scan's width up front: virtual cells never regrow it
+        t.add_virtual_column("v", crate::expr::Expr::Lit(Datum::Null));
+        assert_eq!((t.imc_row(0).len(), t.imc_row(0).capacity()), (2, 3));
         t.imc.clear();
         assert_eq!(t.imc.oson_bytes(), 0);
     }

@@ -87,38 +87,25 @@ impl JsonCell {
         }
     }
 
+    /// Open the document once, so several operators over the same row
+    /// share the format's header check.
+    pub(crate) fn open(&self) -> OpenDoc<'_> {
+        match self {
+            JsonCell::Text(s) => OpenDoc::Text(s),
+            JsonCell::Bson(b) => fsdm_bson::BsonDoc::new(b).map_or(OpenDoc::Invalid, OpenDoc::Bson),
+            JsonCell::Oson(b) => OpenDoc::oson(b),
+        }
+    }
+
     /// `JSON_VALUE` against this cell, paying each format's native access
     /// cost (text: parse / stream; BSON: sequential scan; OSON: jump).
     pub fn json_value(&self, ev: &mut PathEvaluator, ty: SqlType) -> Datum {
-        match self {
-            JsonCell::Text(s) => {
-                // §5.1: streaming for simple paths, DOM otherwise — both
-                // pay the text parse
-                match fsdm_sqljson::streaming::eval_text(s, ev.path()) {
-                    Ok(values) => single_scalar(values, ty),
-                    Err(_) => Datum::Null,
-                }
-            }
-            JsonCell::Bson(b) => match fsdm_bson::BsonDoc::new(b) {
-                Ok(doc) => json_value(&doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
-                Err(_) => Datum::Null,
-            },
-            JsonCell::Oson(b) => match fsdm_oson::OsonDoc::new(b) {
-                Ok(doc) => json_value(&doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
-                Err(_) => Datum::Null,
-            },
-        }
+        self.open().json_value(ev, ty)
     }
 
     /// `JSON_EXISTS` against this cell.
     pub fn json_exists(&self, ev: &mut PathEvaluator) -> bool {
-        match self {
-            JsonCell::Text(s) => {
-                fsdm_sqljson::streaming::exists_text(s, ev.path()).unwrap_or(false)
-            }
-            JsonCell::Bson(b) => fsdm_bson::BsonDoc::new(b).map(|d| ev.exists(&d)).unwrap_or(false),
-            JsonCell::Oson(b) => fsdm_oson::OsonDoc::new(b).map(|d| ev.exists(&d)).unwrap_or(false),
-        }
+        self.open().json_exists(ev)
     }
 
     /// Run a JSON_TABLE definition against this cell (one-shot; hot loops
@@ -131,22 +118,60 @@ impl JsonCell {
     /// Run JSON_TABLE with a caller-owned cursor, so compiled paths and
     /// their field-id look-back caches persist across documents.
     pub fn json_table_rows_with(&self, cursor: &mut JsonTableCursor) -> Vec<Vec<Datum>> {
+        match self.open() {
+            OpenDoc::Text(s) => match fsdm_json::parse(s) {
+                Ok(v) => cursor.rows(&ValueDom::new(&v)),
+                Err(_) => Vec::new(),
+            },
+            OpenDoc::Bson(doc) => cursor.rows(&doc),
+            OpenDoc::Oson(doc) => cursor.rows(&doc),
+            OpenDoc::Invalid => Vec::new(),
+        }
+    }
+}
+
+/// One stored document opened for evaluation. The fused scan opens each
+/// row once and runs every path of the statement against it; the row
+/// evaluator opens per operator through [`JsonCell::json_value`].
+pub(crate) enum OpenDoc<'a> {
+    /// JSON text: every operator streams (or parses) it again.
+    Text(&'a str),
+    /// A BSON buffer past its header check.
+    Bson(fsdm_bson::BsonDoc<'a>),
+    /// An OSON instance past its header check.
+    Oson(fsdm_oson::OsonDoc<'a>),
+    /// Bytes that failed their format's header check: nothing matches.
+    Invalid,
+}
+
+impl<'a> OpenDoc<'a> {
+    /// Open OSON bytes (a stored cell's, or the OSON-IMC's).
+    pub(crate) fn oson(bytes: &'a [u8]) -> OpenDoc<'a> {
+        fsdm_oson::OsonDoc::new(bytes).map_or(OpenDoc::Invalid, OpenDoc::Oson)
+    }
+
+    /// `JSON_VALUE … RETURNING ty NULL ON ERROR`.
+    pub(crate) fn json_value(&self, ev: &mut PathEvaluator, ty: SqlType) -> Datum {
         match self {
-            JsonCell::Text(s) => match fsdm_json::parse(s) {
-                Ok(v) => {
-                    let dom = ValueDom::new(&v);
-                    cursor.rows(&dom)
-                }
-                Err(_) => Vec::new(),
+            // §5.1: streaming for simple paths, DOM otherwise — both
+            // pay the text parse
+            OpenDoc::Text(s) => match fsdm_sqljson::streaming::eval_text(s, ev.path()) {
+                Ok(values) => single_scalar(values, ty),
+                Err(_) => Datum::Null,
             },
-            JsonCell::Bson(b) => match fsdm_bson::BsonDoc::new(b) {
-                Ok(doc) => cursor.rows(&doc),
-                Err(_) => Vec::new(),
-            },
-            JsonCell::Oson(b) => match fsdm_oson::OsonDoc::new(b) {
-                Ok(doc) => cursor.rows(&doc),
-                Err(_) => Vec::new(),
-            },
+            OpenDoc::Bson(doc) => json_value(doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
+            OpenDoc::Oson(doc) => json_value(doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
+            OpenDoc::Invalid => Datum::Null,
+        }
+    }
+
+    /// `JSON_EXISTS`.
+    pub(crate) fn json_exists(&self, ev: &mut PathEvaluator) -> bool {
+        match self {
+            OpenDoc::Text(s) => fsdm_sqljson::streaming::exists_text(s, ev.path()).unwrap_or(false),
+            OpenDoc::Bson(doc) => ev.exists(doc),
+            OpenDoc::Oson(doc) => ev.exists(doc),
+            OpenDoc::Invalid => false,
         }
     }
 }

@@ -33,6 +33,7 @@ pub mod query;
 pub mod schema;
 pub mod slowlog;
 pub mod table;
+pub mod transient;
 pub mod typecheck;
 pub mod vector;
 
@@ -49,10 +50,11 @@ pub use query::{Query, QueryResult, SortKey, WindowFun};
 pub use schema::{ColType, ColumnSpec, ConstraintMode, TableSchema};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use table::{CancelReason, Cell, ErrorKind, InsertValue, Row, StoreError, Table};
+pub use transient::{ColKind, MorselCols, TransientVec};
 pub use typecheck::{
     check_plan, infer, plan_deterministic, plan_safety, rewrite_violations, ColInfo, Inference,
     ParallelSafety, PlanSchema, ScalarType,
 };
-pub use vector::{Batch, Mask, PredKernel, SelVec, Tri, ValKernel};
+pub use vector::{Batch, Col, Mask, PredKernel, SelVec, StrTest, Tri, ValKernel};
 
 pub use fsdm_sqljson::{Datum, SqlType};

@@ -68,120 +68,10 @@ fn optimize_inner(db: &Database, plan: Query) -> Query {
         },
         other => other,
     };
-    let plan = if db.dead_path_pruning() { prune_dead_scan(db, plan) } else { plan };
-    // runs after pruning so dead-path proofs still see the JSON operators
-    substitute_imc_vcs(db, plan)
-}
-
-/// The pipeline-selection rewrite feeding the vectorized executor
-/// (§5.2.1): in expressions evaluated directly over a scan — the scan's
-/// own filter, a projection over the scan, a group-by's keys and
-/// aggregate arguments — any sub-expression that is *structurally
-/// identical* (by `Debug` rendering, the same equality the pushdown
-/// dedupe uses) to a virtual column's defining expression, where that
-/// virtual column has a **fresh IMC vector** materialized, is replaced by
-/// a direct column reference. `scan_row` already emits every virtual
-/// column, so the rewrite never changes results; what it buys is that
-/// the expression becomes kernel-compilable (`Expr::compile_predicate` /
-/// `Expr::compile_value` only lower column references), letting the
-/// executor run the operator columnar over the vectors.
-///
-/// Translation-valid by construction: the scan schema types virtual
-/// columns by inferring their defining expressions, so `Col(vc)` has
-/// exactly the inferred type of the sub-expression it replaces; and
-/// `Col` never matches a defining expression, so the rewrite is
-/// idempotent.
-fn substitute_imc_vcs(db: &Database, plan: Query) -> Query {
-    use std::collections::HashMap;
-    let subs = |table: &str| -> Option<HashMap<String, usize>> {
-        let t = db.table(table)?;
-        let width = t.schema.width();
-        let map: HashMap<String, usize> = t
-            .virtual_columns
-            .iter()
-            .enumerate()
-            .filter(|(vi, _)| {
-                t.imc.vectors.get(&(width + vi)).map(|v| v.len() == t.rows.len()).unwrap_or(false)
-            })
-            .map(|(vi, vc)| (format!("{:?}", vc.expr), width + vi))
-            .collect();
-        (!map.is_empty()).then_some(map)
-    };
-    match plan {
-        Query::Scan { table, filter: Some(pred) } => {
-            let pred = match subs(&table) {
-                Some(m) => substitute_expr(pred, &m),
-                None => pred,
-            };
-            Query::Scan { table, filter: Some(pred) }
-        }
-        Query::Project { input, exprs } => match (subs_for_scan(&input, &subs), exprs) {
-            (Some(m), exprs) => Query::Project {
-                input,
-                exprs: exprs.into_iter().map(|(n, e)| (n, substitute_expr(e, &m))).collect(),
-            },
-            (None, exprs) => Query::Project { input, exprs },
-        },
-        Query::GroupBy { input, keys, aggs } => match subs_for_scan(&input, &subs) {
-            Some(m) => Query::GroupBy {
-                input,
-                keys: keys.into_iter().map(|(n, e)| (n, substitute_expr(e, &m))).collect(),
-                aggs: aggs
-                    .into_iter()
-                    .map(|mut a| {
-                        a.arg = a.arg.map(|e| substitute_expr(e, &m));
-                        a
-                    })
-                    .collect(),
-            },
-            None => Query::GroupBy { input, keys, aggs },
-        },
-        other => other,
-    }
-}
-
-/// Substitutions for expressions that run directly over a scan's rows
-/// (the child has already been optimized, so a merged `Filter` is a
-/// `Scan` by now).
-fn subs_for_scan<F>(input: &Query, subs: &F) -> Option<std::collections::HashMap<String, usize>>
-where
-    F: Fn(&str) -> Option<std::collections::HashMap<String, usize>>,
-{
-    match input {
-        Query::Scan { table, .. } => subs(table),
-        _ => None,
-    }
-}
-
-/// Bottom-up structural replacement of defining expressions by their
-/// virtual-column references.
-fn substitute_expr(e: Expr, subs: &std::collections::HashMap<String, usize>) -> Expr {
-    if let Some(&idx) = subs.get(&format!("{e:?}")) {
-        return Expr::Col(idx);
-    }
-    match e {
-        Expr::Cmp(a, op, b) => {
-            Expr::Cmp(Box::new(substitute_expr(*a, subs)), op, Box::new(substitute_expr(*b, subs)))
-        }
-        Expr::And(a, b) => {
-            Expr::And(Box::new(substitute_expr(*a, subs)), Box::new(substitute_expr(*b, subs)))
-        }
-        Expr::Or(a, b) => {
-            Expr::Or(Box::new(substitute_expr(*a, subs)), Box::new(substitute_expr(*b, subs)))
-        }
-        Expr::Not(a) => Expr::Not(Box::new(substitute_expr(*a, subs))),
-        Expr::IsNull(a) => Expr::IsNull(Box::new(substitute_expr(*a, subs))),
-        Expr::InList(a, list) => Expr::InList(Box::new(substitute_expr(*a, subs)), list),
-        Expr::Like(a, p) => Expr::Like(Box::new(substitute_expr(*a, subs)), p),
-        Expr::Arith(a, op, b) => Expr::Arith(
-            Box::new(substitute_expr(*a, subs)),
-            op,
-            Box::new(substitute_expr(*b, subs)),
-        ),
-        Expr::Fun(f, args) => {
-            Expr::Fun(f, args.into_iter().map(|a| substitute_expr(a, subs)).collect())
-        }
-        leaf => leaf,
+    if db.dead_path_pruning() {
+        prune_dead_scan(db, plan)
+    } else {
+        plan
     }
 }
 
@@ -192,9 +82,7 @@ fn substitute_expr(e: Expr, subs: &std::collections::HashMap<String, usize>) -> 
 /// `IsJsonWithDataGuide` columns).
 fn prune_dead_scan(db: &Database, plan: Query) -> Query {
     let Query::Scan { table, filter: Some(pred) } = plan else { return plan };
-    let mut conjuncts = Vec::new();
-    split_and(&pred, &mut conjuncts);
-    if conjuncts.iter().any(|c| conjunct_provably_false(db, &table, c)) {
+    if pred.conjuncts().iter().any(|c| conjunct_provably_false(db, &table, c)) {
         fsdm_obs::counter!(fsdm_obs::catalog::ANALYZE_PRUNE_DEAD_PREDICATES).inc();
         Query::Scan { table, filter: Some(Expr::Lit(Datum::Bool(false))) }
     } else {
@@ -305,8 +193,7 @@ fn try_pushdown(db: &Database, input: Query, pred: Expr) -> Query {
         return Query::Filter { input: Box::new(restored), pred };
     };
     let scan_width = db.table(&table).map(|t| t.scan_column_names().len()).unwrap_or(0);
-    let mut conjuncts = Vec::new();
-    split_and(&pred, &mut conjuncts);
+    let conjuncts = pred.conjuncts();
     let col_paths = column_exists_paths(&def);
     let mut exists_exprs: Vec<Expr> = Vec::new();
     // resolve a column reference through the optional projection to a
@@ -367,11 +254,8 @@ fn try_pushdown(db: &Database, input: Query, pred: Expr) -> Query {
     // dedupe against probes already on the scan filter: the row-level
     // filter is kept above, so a second optimize() pass re-derives the
     // same exists probes — re-ANDing them would break idempotence
-    let mut existing = Vec::new();
-    if let Some(f) = &filter {
-        split_and(f, &mut existing);
-    }
-    let existing: Vec<String> = existing.iter().map(|e| format!("{e:?}")).collect();
+    let existing: Vec<String> =
+        filter.iter().flat_map(Expr::conjuncts).map(|e| format!("{e:?}")).collect();
     let mut scan_filter = filter;
     for e in exists_exprs {
         if existing.contains(&format!("{e:?}")) {
@@ -397,15 +281,6 @@ fn rebuild(proj: Option<Vec<(String, Expr)>>, inner: Query) -> Query {
     match proj {
         Some(exprs) => Query::Project { input: Box::new(inner), exprs },
         None => inner,
-    }
-}
-
-fn split_and(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::And(a, b) = e {
-        split_and(a, out);
-        split_and(b, out);
-    } else {
-        out.push(e.clone());
     }
 }
 

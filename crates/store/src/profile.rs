@@ -27,9 +27,16 @@ pub struct OpProfile {
     /// such as `Limit`).
     pub morsels: usize,
     /// Execution pipeline this operator ran on: `"columnar"` when it was
-    /// evaluated by vectorized kernels over IMC column vectors,
-    /// `"row"` for the scratch-based row path.
+    /// part of a scan-rooted pipeline on the batch spine (kernels over
+    /// resident and transient columns), `"row"` for the scratch-based
+    /// row evaluator.
     pub mode: &'static str,
+    /// Why, in the operator's own terms: `transient=[…]` names the path
+    /// and heap columns a columnar operator extracted per morsel (absent
+    /// when it read resident vectors only); `fallback=…` is the
+    /// expression that kept a scan-rooted operator on the row evaluator.
+    /// Empty for operators that consume rows by nature.
+    pub note: String,
     /// Child operators in plan order.
     pub children: Vec<OpProfile>,
 }
@@ -110,13 +117,14 @@ impl QueryProfile {
             let _ = write!(
                 out,
                 "{{\"op\":\"{}\",\"rows_out\":{},\"elapsed_ns\":{},\"workers\":{},\
-                 \"morsels\":{},\"mode\":\"{}\",\"children\":[",
+                 \"morsels\":{},\"mode\":\"{}\",\"note\":\"{}\",\"children\":[",
                 esc(&op.op),
                 op.rows_out,
                 op.elapsed_ns,
                 op.workers,
                 op.morsels,
-                op.mode
+                op.mode,
+                esc(&op.note)
             );
             for (i, c) in op.children.iter().enumerate() {
                 if i > 0 {
@@ -156,13 +164,14 @@ impl QueryProfile {
             } else {
                 String::new()
             };
-            // like the parallel annotation, the pipeline mode only shows
-            // when it departs from the default, so row plans render
-            // exactly as before
+            // like the parallel annotation, the pipeline mode and its
+            // note only show when they depart from the default, so plain
+            // row plans render exactly as before
             let mode = if op.mode == "columnar" { "  mode=columnar" } else { "" };
+            let note = if op.note.is_empty() { String::new() } else { format!("  {}", op.note) };
             let _ = writeln!(
                 out,
-                "{:indent$}{}  rows={}  time={:.2}ms{par}{mode}",
+                "{:indent$}{}  rows={}  time={:.2}ms{par}{mode}{note}",
                 "",
                 op.op,
                 op.rows_out,
@@ -199,6 +208,7 @@ mod tests {
             workers: 1,
             morsels: 1,
             mode: "row",
+            note: String::new(),
             children: vec![OpProfile {
                 op: "Scan(po)".into(),
                 rows_out: 3,
@@ -206,6 +216,7 @@ mod tests {
                 workers: 1,
                 morsels: 1,
                 mode: "row",
+                note: String::new(),
                 children: vec![],
             }],
         })
@@ -232,6 +243,18 @@ mod tests {
         assert!(text.contains("Project  rows=2  time=2.00ms  mode=columnar"), "{text}");
         assert!(text.contains("\n  Scan(po)  rows=3  time=1.50ms\n"), "row child plain: {text}");
         assert!(p.to_json().contains("\"mode\":\"columnar\""), "{}", p.to_json());
+    }
+
+    #[test]
+    fn render_appends_the_operator_note() {
+        let mut p = sample();
+        p.root.mode = "columnar";
+        p.root.note = "transient=[JSON_EXISTS(col#1, '$.a')]".into();
+        p.root.children[0].note = "fallback=col#0 LIKE \"x%\"".into();
+        let text = p.render();
+        assert!(text.contains("mode=columnar  transient=[JSON_EXISTS(col#1, '$.a')]"), "{text}");
+        assert!(text.contains("Scan(po)  rows=3  time=1.50ms  fallback=col#0 LIKE"), "{text}");
+        fsdm_json::parse(&p.to_json()).expect("notes are escaped into valid JSON");
     }
 
     #[test]

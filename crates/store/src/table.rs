@@ -108,6 +108,16 @@ pub enum Cell {
     J(JsonCell),
 }
 
+impl Cell {
+    /// The cell as a result datum: a JSON document renders as text.
+    pub fn into_datum(self) -> Datum {
+        match self {
+            Cell::D(d) => d,
+            Cell::J(j) => Datum::Str(j.decode_to_text()),
+        }
+    }
+}
+
 /// A table row.
 pub type Row = Vec<Cell>;
 
@@ -361,15 +371,6 @@ impl Table {
             .map(|c| c.name.clone())
             .chain(self.virtual_columns.iter().map(|v| v.name.clone()))
             .collect()
-    }
-
-    /// Morsel partition over this table's heap rows: the unit of work the
-    /// parallel executor dispatches to scan workers. Heap rows, OSON-IMC
-    /// bytes, and VC-IMC vectors all chunk through the same
-    /// [`crate::parallel::morsels`] splitter, so a scan's morsel structure
-    /// is identical no matter which physical representation serves it.
-    pub fn morsels(&self, target_rows: usize) -> impl Iterator<Item = crate::parallel::RowRange> {
-        crate::parallel::morsels(self.rows.len(), target_rows)
     }
 
     /// Position of a scan output column (base or virtual).

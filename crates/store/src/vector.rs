@@ -16,11 +16,16 @@
 //!   only — **late materialization**: rows are rebuilt from vectors at
 //!   pipeline breakers (final result, aggregate merge), never before.
 //!
+//! A kernel leaf reads its column from one of two sources ([`Col`]): a
+//! **resident** IMC vector, indexed by absolute row id, or a **transient**
+//! column the fused scan extracted for this morsel
+//! ([`crate::transient`]), indexed by offset from the morsel start.
+//!
 //! Compilation from [`crate::expr::Expr`] lives in `expr.rs`
 //! ([`crate::expr::Expr::compile_predicate`] /
-//! [`crate::expr::Expr::compile_value`]); any expression the compiler
-//! cannot lower falls back to the scratch-based row path, which remains
-//! the semantic reference.
+//! [`crate::expr::Expr::compile_value`]); a scan whose expressions the
+//! compiler cannot lower runs on the scratch-based row evaluator, which
+//! remains the semantic reference.
 
 use std::sync::Arc;
 
@@ -31,6 +36,7 @@ use crate::expr::{ArithOp, CmpOp};
 use crate::imc::ColumnVector;
 use crate::parallel::RowRange;
 use crate::table::StoreError;
+use crate::transient::{MorselCols, TransientVec};
 
 /// SQL three-valued truth for one row of a predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,8 +219,8 @@ impl Batch {
 
     /// Apply a predicate kernel, intersecting its mask with the current
     /// selection (AND semantics across pipeline stages).
-    pub fn filter(self, kernel: &PredKernel) -> Batch {
-        let mask = kernel.eval(self.range);
+    pub fn filter(self, kernel: &PredKernel, cols: &MorselCols) -> Batch {
+        let mask = kernel.eval(self.range, cols);
         let sel = match self.sel {
             SelVec::All(range) => SelVec::from_mask(range, &mask),
             SelVec::Ids(ids) => SelVec::Ids(
@@ -226,60 +232,112 @@ impl Batch {
 
     /// Gather a value kernel's output for the selected rows (the late
     /// materialization point).
-    pub fn gather(&self, kernel: &ValKernel) -> Result<Vec<Datum>, StoreError> {
+    pub fn gather(&self, kernel: &ValKernel, cols: &MorselCols) -> Result<Vec<Datum>, StoreError> {
         fsdm_fault::fire(fsdm_fault::catalog::FP_VECTOR_BATCH).map_err(crate::govern::fault_err)?;
-        kernel.gather(&self.sel)
+        kernel.gather(self, cols)
     }
 }
 
-/// A compiled, vector-bound predicate. Each leaf holds the
-/// [`Arc<ColumnVector>`] it reads, so evaluation is a tight typed loop
-/// with no per-row dispatch beyond the vector's own representation.
+/// Where a kernel leaf reads its column.
+#[derive(Debug, Clone)]
+pub enum Col {
+    /// A resident IMC vector, indexed by absolute row id.
+    Resident(Arc<ColumnVector>),
+    /// Slot of a transient column in the morsel's [`MorselCols`],
+    /// indexed by offset from the morsel start.
+    Transient(usize),
+}
+
+/// A single-string test, the per-value half of every string predicate:
+/// run once per dictionary entry for resident strings
+/// ([`PredKernel::StrVerdict`]) and once per row for transient ones
+/// ([`PredKernel::StrRow`]).
+#[derive(Debug, Clone)]
+pub enum StrTest {
+    /// `s <op> literal` under `sql_cmp` (a numeric literal coerces `s`).
+    Cmp(CmpOp, Datum),
+    /// `s IN (…)`: any list entry compares equal.
+    In(Arc<[Datum]>),
+    /// `s LIKE pattern`.
+    Like(String),
+}
+
+impl StrTest {
+    /// The verdict for a non-null string.
+    pub fn tri(&self, s: &str) -> Tri {
+        // `Datum::sql_cmp` with a `Str` on the left, without owning it
+        let sql_cmp = |d: &Datum| match d {
+            Datum::Str(lit) => Some(s.cmp(lit.as_str())),
+            Datum::Num(lit) => JsonNumber::from_literal(s.trim()).ok().map(|n| n.total_cmp(lit)),
+            Datum::Bool(_) | Datum::Null => None,
+        };
+        match self {
+            StrTest::Cmp(op, lit) => cmp_tri(sql_cmp(lit), *op),
+            StrTest::In(list) => {
+                Tri::from(list.iter().any(|d| sql_cmp(d).is_some_and(|o| o.is_eq())))
+            }
+            StrTest::Like(pat) => Tri::from(crate::expr::like_match(s, pat)),
+        }
+    }
+}
+
+impl From<bool> for Tri {
+    fn from(hit: bool) -> Tri {
+        if hit {
+            Tri::True
+        } else {
+            Tri::False
+        }
+    }
+}
+
+/// A compiled, column-bound predicate. Each leaf holds the [`Col`] it
+/// reads, so evaluation is a tight typed loop with no per-row dispatch
+/// beyond the column's own representation.
 #[derive(Debug, Clone)]
 pub enum PredKernel {
     /// `numbers <op> literal`, compared in [`JsonNumber`] total order —
-    /// exactly the row path's `sql_cmp` on a `Numbers` read-back.
+    /// exactly the row path's `sql_cmp`.
     NumCmp {
-        /// The `Numbers` vector.
-        col: Arc<ColumnVector>,
+        /// The numeric column.
+        col: Col,
         /// Comparison operator.
         op: CmpOp,
         /// The (pre-coerced) numeric literal.
         lit: JsonNumber,
     },
-    /// `strings =/<> literal`: the literal was binary-searched in the
-    /// sorted dictionary at compile time; rows compare codes only.
-    StrEq {
+    /// `strings <op> string literal` as a dictionary-code range test:
+    /// the dictionary is sorted, so the literal was binary-searched at
+    /// compile time (`=`/`<>`: the one-code range of its entry, empty when
+    /// absent) or became a partition-point threshold (code order ==
+    /// string order); rows compare codes only, never string bytes.
+    StrCodes {
         /// The `Strings` vector.
         col: Arc<ColumnVector>,
-        /// The literal's dictionary code, if present at all.
-        code: Option<u32>,
-        /// True for `<>`.
+        /// Matching codes, half-open.
+        codes: std::ops::Range<u32>,
+        /// True for `<>`: codes outside the range match.
         negate: bool,
     },
-    /// `strings </<=/>/>= literal` as a code-threshold test against the
-    /// sorted dictionary: true iff `code < bound` (`below`) or
-    /// `code >= bound` (`!below`).
-    StrBelow {
-        /// The `Strings` vector.
-        col: Arc<ColumnVector>,
-        /// Partition point of the literal in the sorted dictionary.
-        bound: u32,
-        /// Which side of the threshold is true.
-        below: bool,
-    },
-    /// Arbitrary single-column string predicate, pre-evaluated once per
-    /// dictionary entry (numeric-literal coercions, IN lists, LIKE).
+    /// A [`StrTest`] over a resident string column, pre-evaluated once
+    /// per dictionary entry (numeric-literal coercions, IN lists, LIKE).
     StrVerdict {
         /// The `Strings` vector.
         col: Arc<ColumnVector>,
         /// Verdict per dictionary code.
         verdicts: Arc<[Tri]>,
     },
+    /// A [`StrTest`] over a transient string column, evaluated per row.
+    StrRow {
+        /// The transient slot.
+        slot: usize,
+        /// The test.
+        test: StrTest,
+    },
     /// `bools <op> literal` (`false < true`, as in `sql_cmp`).
     BoolCmp {
-        /// The `Bools` vector.
-        col: Arc<ColumnVector>,
+        /// The boolean column.
+        col: Col,
         /// Comparison operator.
         op: CmpOp,
         /// The boolean literal.
@@ -287,18 +345,18 @@ pub enum PredKernel {
     },
     /// A bare boolean column used as the predicate.
     Truth {
-        /// The `Bools` vector.
-        col: Arc<ColumnVector>,
+        /// The boolean column.
+        col: Col,
     },
     /// `col IS NULL` (never unknown).
     IsNull {
-        /// Any vector.
-        col: Arc<ColumnVector>,
+        /// Any column.
+        col: Col,
     },
     /// `numbers IN (…)` against a pre-coerced literal list.
     NumIn {
-        /// The `Numbers` vector.
-        col: Arc<ColumnVector>,
+        /// The numeric column.
+        col: Col,
         /// Numeric views of the coercible list literals.
         list: Arc<[JsonNumber]>,
     },
@@ -318,21 +376,14 @@ pub enum PredKernel {
 pub(crate) fn cmp_tri(ord: Option<std::cmp::Ordering>, op: CmpOp) -> Tri {
     match ord {
         None => Tri::Unknown,
-        Some(ord) => {
-            let hit = match op {
-                CmpOp::Eq => ord.is_eq(),
-                CmpOp::Ne => ord.is_ne(),
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-            };
-            if hit {
-                Tri::True
-            } else {
-                Tri::False
-            }
-        }
+        Some(ord) => Tri::from(match op {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }),
     }
 }
 
@@ -341,113 +392,117 @@ fn scan_leaf(range: RowRange, f: impl Fn(usize) -> Tri) -> Mask {
     Mask::from_tris((range.start..range.end).map(f).collect())
 }
 
-impl PredKernel {
-    /// Evaluate over one morsel range.
-    pub fn eval(&self, range: RowRange) -> Mask {
-        match self {
-            PredKernel::NumCmp { col, op, lit } => match &**col {
-                ColumnVector::Numbers(vals) => scan_leaf(range, |i| match vals[i] {
-                    Some(v) => cmp_tri(Some(JsonNumber::from(v).total_cmp(lit)), *op),
-                    None => Tri::Unknown,
-                }),
-                other => unreachable!("NumCmp bound to {other:?}"),
-            },
-            PredKernel::StrEq { col, code, negate } => match &**col {
-                ColumnVector::Strings { codes, .. } => scan_leaf(range, |i| match codes[i] {
-                    Some(c) => {
-                        let eq = Some(c) == *code;
-                        if eq != *negate {
-                            Tri::True
-                        } else {
-                            Tri::False
-                        }
-                    }
-                    None => Tri::Unknown,
-                }),
-                other => unreachable!("StrEq bound to {other:?}"),
-            },
-            PredKernel::StrBelow { col, bound, below } => match &**col {
-                ColumnVector::Strings { codes, .. } => scan_leaf(range, |i| match codes[i] {
-                    Some(c) => {
-                        if (c < *bound) == *below {
-                            Tri::True
-                        } else {
-                            Tri::False
-                        }
-                    }
-                    None => Tri::Unknown,
-                }),
-                other => unreachable!("StrBelow bound to {other:?}"),
-            },
-            PredKernel::StrVerdict { col, verdicts } => match &**col {
-                ColumnVector::Strings { codes, .. } => scan_leaf(range, |i| match codes[i] {
-                    Some(c) => verdicts[c as usize],
-                    None => Tri::Unknown,
-                }),
-                other => unreachable!("StrVerdict bound to {other:?}"),
-            },
-            PredKernel::BoolCmp { col, op, lit } => match &**col {
-                ColumnVector::Bools(vals) => scan_leaf(range, |i| match vals[i] {
-                    Some(v) => cmp_tri(Some(v.cmp(lit)), *op),
-                    None => Tri::Unknown,
-                }),
-                other => unreachable!("BoolCmp bound to {other:?}"),
-            },
-            PredKernel::Truth { col } => match &**col {
-                ColumnVector::Bools(vals) => scan_leaf(range, |i| match vals[i] {
-                    Some(true) => Tri::True,
-                    Some(false) => Tri::False,
-                    None => Tri::Unknown,
-                }),
-                other => unreachable!("Truth bound to {other:?}"),
-            },
-            PredKernel::IsNull { col } => scan_leaf(range, |i| {
-                if matches!(col.slot(i), crate::imc::VectorSlot::Null) {
-                    Tri::True
-                } else {
-                    Tri::False
-                }
+/// A numeric leaf over either source: `f` sees each non-null value in
+/// [`JsonNumber`] form, NULL is unknown.
+fn num_leaf(col: &Col, range: RowRange, cols: &MorselCols, f: impl Fn(JsonNumber) -> Tri) -> Mask {
+    match col {
+        Col::Resident(v) => match &**v {
+            ColumnVector::Numbers(vals) => scan_leaf(range, |i| match vals[i] {
+                Some(v) => f(JsonNumber::from(v)),
+                None => Tri::Unknown,
             }),
-            PredKernel::NumIn { col, list } => match &**col {
-                ColumnVector::Numbers(vals) => scan_leaf(range, |i| match vals[i] {
-                    Some(v) => {
-                        let n = JsonNumber::from(v);
-                        if list.iter().any(|x| n.total_cmp(x).is_eq()) {
-                            Tri::True
-                        } else {
-                            Tri::False
-                        }
-                    }
-                    None => Tri::Unknown,
+            other => unreachable!("numeric kernel bound to {other:?}"),
+        },
+        Col::Transient(slot) => match cols.vec(*slot) {
+            TransientVec::Nums(vals) => scan_leaf(range, |i| match vals[i - range.start] {
+                Some(n) => f(n),
+                None => Tri::Unknown,
+            }),
+            other => unreachable!("numeric kernel bound to {other:?}"),
+        },
+    }
+}
+
+/// A boolean leaf over either source; NULL is unknown.
+fn bool_leaf(col: &Col, range: RowRange, cols: &MorselCols, f: impl Fn(bool) -> Tri) -> Mask {
+    let vals = match col {
+        Col::Resident(v) => match &**v {
+            ColumnVector::Bools(vals) => &vals[range.start..range.end],
+            other => unreachable!("boolean kernel bound to {other:?}"),
+        },
+        Col::Transient(slot) => match cols.vec(*slot) {
+            TransientVec::Bools(vals) => &vals[..],
+            other => unreachable!("boolean kernel bound to {other:?}"),
+        },
+    };
+    Mask::from_tris(vals.iter().map(|v| v.map_or(Tri::Unknown, &f)).collect())
+}
+
+/// A dictionary-code leaf over a resident string vector.
+fn code_leaf(col: &ColumnVector, range: RowRange, f: impl Fn(u32) -> Tri) -> Mask {
+    match col {
+        ColumnVector::Strings { codes, .. } => {
+            scan_leaf(range, |i| codes[i].map_or(Tri::Unknown, &f))
+        }
+        other => unreachable!("dictionary kernel bound to {other:?}"),
+    }
+}
+
+impl PredKernel {
+    /// Evaluate over one morsel range; `cols` holds the morsel's
+    /// transient columns (every slot this kernel reads already extracted
+    /// for the rows still selected).
+    pub fn eval(&self, range: RowRange, cols: &MorselCols) -> Mask {
+        match self {
+            PredKernel::NumCmp { col, op, lit } => {
+                num_leaf(col, range, cols, |n| cmp_tri(Some(n.total_cmp(lit)), *op))
+            }
+            PredKernel::StrCodes { col, codes, negate } => {
+                code_leaf(col, range, |c| Tri::from(codes.contains(&c) != *negate))
+            }
+            PredKernel::StrVerdict { col, verdicts } => {
+                code_leaf(col, range, |c| verdicts[c as usize])
+            }
+            PredKernel::StrRow { slot, test } => match cols.vec(*slot) {
+                TransientVec::Strs(vals) => scan_leaf(range, |i| {
+                    vals[i - range.start].as_deref().map_or(Tri::Unknown, |s| test.tri(s))
                 }),
-                other => unreachable!("NumIn bound to {other:?}"),
+                other => unreachable!("StrRow bound to {other:?}"),
             },
-            PredKernel::Not(inner) => !inner.eval(range),
+            PredKernel::BoolCmp { col, op, lit } => {
+                bool_leaf(col, range, cols, |b| cmp_tri(Some(b.cmp(lit)), *op))
+            }
+            PredKernel::Truth { col } => bool_leaf(col, range, cols, Tri::from),
+            PredKernel::IsNull { col } => match col {
+                Col::Resident(v) => scan_leaf(range, |i| {
+                    Tri::from(matches!(v.slot(i), crate::imc::VectorSlot::Null))
+                }),
+                Col::Transient(slot) => {
+                    let v = cols.vec(*slot);
+                    scan_leaf(range, |i| Tri::from(v.is_null(i - range.start)))
+                }
+            },
+            PredKernel::NumIn { col, list } => num_leaf(col, range, cols, |n| {
+                Tri::from(list.iter().any(|x| n.total_cmp(x).is_eq()))
+            }),
+            PredKernel::Not(inner) => !inner.eval(range, cols),
             PredKernel::And(a, b) => {
-                let left = a.eval(range);
+                let left = a.eval(range, cols);
                 if left == Mask::AllFalse {
                     return Mask::AllFalse; // skip the right side entirely
                 }
-                left.and(b.eval(range))
+                left.and(b.eval(range, cols))
             }
             PredKernel::Or(a, b) => {
-                let left = a.eval(range);
+                let left = a.eval(range, cols);
                 if left == Mask::AllTrue {
                     return Mask::AllTrue; // skip the right side entirely
                 }
-                left.or(b.eval(range))
+                left.or(b.eval(range, cols))
             }
         }
     }
 }
 
-/// A compiled, vector-bound value expression for projections and
+/// A compiled, column-bound value expression for projections and
 /// aggregate arguments.
 #[derive(Debug, Clone)]
 pub enum ValKernel {
-    /// Read a column vector back (numbers round-trip through
+    /// Read a resident column vector back (numbers round-trip through
     /// [`Datum::from`], which is the identity the row path applies too).
     Col(Arc<ColumnVector>),
+    /// Read a transient column back.
+    Transient(usize),
     /// A constant.
     Lit(Datum),
     /// Numeric arithmetic over two kernels, with the row path's exact
@@ -463,13 +518,18 @@ pub enum ValKernel {
 }
 
 impl ValKernel {
-    /// Materialize this kernel's value for every selected row.
-    pub fn gather(&self, sel: &SelVec) -> Result<Vec<Datum>, StoreError> {
+    /// Materialize this kernel's value for every selected row of `batch`.
+    pub fn gather(&self, batch: &Batch, cols: &MorselCols) -> Result<Vec<Datum>, StoreError> {
+        let sel = &batch.sel;
         match self {
             ValKernel::Col(v) => Ok(sel.iter().map(|i| v.slot(i).to_datum()).collect()),
+            ValKernel::Transient(slot) => {
+                let v = cols.vec(*slot);
+                Ok(sel.iter().map(|i| v.datum(i - batch.range.start)).collect())
+            }
             ValKernel::Lit(d) => Ok(vec![d.clone(); sel.len()]),
             ValKernel::Arith { l, op, r } => {
-                let (xs, ys) = (l.gather(sel)?, r.gather(sel)?);
+                let (xs, ys) = (l.gather(batch, cols)?, r.gather(batch, cols)?);
                 xs.into_iter()
                     .zip(ys)
                     .map(|(x, y)| crate::expr::arith_datums(&x, *op, &y))
@@ -482,9 +542,15 @@ impl ValKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::govern::QueryGovernor;
 
     fn range(start: usize, end: usize) -> RowRange {
         RowRange { start, end }
+    }
+
+    /// Evaluate a kernel that reads resident vectors only.
+    fn eval(k: &PredKernel, r: RowRange) -> Mask {
+        k.eval(r, &MorselCols::new(r, 0, &QueryGovernor::unlimited()))
     }
 
     fn nums(vals: &[Option<f64>]) -> Arc<ColumnVector> {
@@ -500,8 +566,9 @@ mod tests {
     #[test]
     fn num_cmp_is_null_aware() {
         let col = nums(&[Some(1.0), None, Some(3.0), Some(2.0)]);
-        let k = PredKernel::NumCmp { col, op: CmpOp::Ge, lit: JsonNumber::Int(2) };
-        let m = k.eval(range(0, 4));
+        let k =
+            PredKernel::NumCmp { col: Col::Resident(col), op: CmpOp::Ge, lit: JsonNumber::Int(2) };
+        let m = eval(&k, range(0, 4));
         assert_eq!(m.tri(0), Tri::False);
         assert_eq!(m.tri(1), Tri::Unknown, "NULL compares unknown");
         assert_eq!(m.tri(2), Tri::True);
@@ -511,22 +578,32 @@ mod tests {
     #[test]
     fn all_true_and_all_false_collapse() {
         let col = nums(&[Some(1.0), Some(2.0), Some(3.0)]);
-        let lo = PredKernel::NumCmp { col: col.clone(), op: CmpOp::Gt, lit: JsonNumber::Int(0) };
-        let hi = PredKernel::NumCmp { col: col.clone(), op: CmpOp::Gt, lit: JsonNumber::Int(9) };
-        assert_eq!(lo.eval(range(0, 3)), Mask::AllTrue);
-        assert_eq!(hi.eval(range(0, 3)), Mask::AllFalse);
+        let lo = PredKernel::NumCmp {
+            col: Col::Resident(col.clone()),
+            op: CmpOp::Gt,
+            lit: JsonNumber::Int(0),
+        };
+        let hi = PredKernel::NumCmp {
+            col: Col::Resident(col.clone()),
+            op: CmpOp::Gt,
+            lit: JsonNumber::Int(9),
+        };
+        assert_eq!(eval(&lo, range(0, 3)), Mask::AllTrue);
+        assert_eq!(eval(&hi, range(0, 3)), Mask::AllFalse);
         // AND short-circuits: an impossible left side wins immediately
         let and = PredKernel::And(Box::new(hi), Box::new(lo.clone()));
-        assert_eq!(and.eval(range(0, 3)), Mask::AllFalse);
-        let or = PredKernel::Or(Box::new(lo), Box::new(PredKernel::IsNull { col }));
-        assert_eq!(or.eval(range(0, 3)), Mask::AllTrue);
+        assert_eq!(eval(&and, range(0, 3)), Mask::AllFalse);
+        let or =
+            PredKernel::Or(Box::new(lo), Box::new(PredKernel::IsNull { col: Col::Resident(col) }));
+        assert_eq!(eval(&or, range(0, 3)), Mask::AllTrue);
     }
 
     #[test]
     fn empty_range_collapses_to_all_false() {
         let col = nums(&[Some(1.0)]);
-        let k = PredKernel::NumCmp { col, op: CmpOp::Eq, lit: JsonNumber::Int(1) };
-        assert_eq!(k.eval(range(1, 1)), Mask::AllFalse);
+        let k =
+            PredKernel::NumCmp { col: Col::Resident(col), op: CmpOp::Eq, lit: JsonNumber::Int(1) };
+        assert_eq!(eval(&k, range(1, 1)), Mask::AllFalse);
         let sel = SelVec::from_mask(range(1, 1), &Mask::AllFalse);
         assert!(sel.is_empty());
     }
@@ -535,11 +612,11 @@ mod tests {
     fn kleene_not_keeps_unknown() {
         let col = nums(&[Some(5.0), None]);
         let k = PredKernel::Not(Box::new(PredKernel::NumCmp {
-            col,
+            col: Col::Resident(col),
             op: CmpOp::Lt,
             lit: JsonNumber::Int(3),
         }));
-        let m = k.eval(range(0, 2));
+        let m = eval(&k, range(0, 2));
         assert_eq!(m.tri(0), Tri::True, "NOT(5 < 3)");
         assert_eq!(m.tri(1), Tri::Unknown, "NOT(unknown) stays unknown");
     }
@@ -549,35 +626,45 @@ mod tests {
         let col = strings(&[Some("pear"), Some("apple"), None, Some("plum"), Some("fig")]);
         let ColumnVector::Strings { dict, .. } = &*col else { panic!() };
         // sorted dict: apple fig pear plum
-        let code = dict.binary_search(&"pear".to_string()).ok().map(|c| c as u32);
-        let eq = PredKernel::StrEq { col: col.clone(), code, negate: false };
-        let m = eq.eval(range(0, 5));
+        let code = dict.binary_search(&"pear".to_string()).unwrap() as u32;
+        let eq = PredKernel::StrCodes { col: col.clone(), codes: code..code + 1, negate: false };
+        let m = eval(&eq, range(0, 5));
         assert_eq!(
             (m.tri(0), m.tri(1), m.tri(2), m.tri(3), m.tri(4)),
             (Tri::True, Tri::False, Tri::Unknown, Tri::False, Tri::False)
         );
         // strings < "pear": apple, fig
         let bound = dict.partition_point(|d| d.as_str() < "pear") as u32;
-        let lt = PredKernel::StrBelow { col: col.clone(), bound, below: true };
-        let m = lt.eval(range(0, 5));
+        let lt = PredKernel::StrCodes { col: col.clone(), codes: 0..bound, negate: false };
+        let m = eval(&lt, range(0, 5));
         assert_eq!(
             (m.tri(0), m.tri(1), m.tri(2), m.tri(3), m.tri(4)),
             (Tri::False, Tri::True, Tri::Unknown, Tri::False, Tri::True)
         );
         // >= "pear" is the complement over non-null rows
-        let ge = PredKernel::StrBelow { col, bound, below: false };
-        let m = ge.eval(range(0, 5));
+        let ge = PredKernel::StrCodes { col, codes: bound..u32::MAX, negate: false };
+        let m = eval(&ge, range(0, 5));
         assert_eq!((m.tri(0), m.tri(2), m.tri(4)), (Tri::True, Tri::Unknown, Tri::False));
     }
 
     #[test]
     fn selection_intersection_and_gather() {
         let col = nums(&[Some(0.0), Some(1.0), Some(2.0), Some(3.0), Some(4.0)]);
-        let ge1 = PredKernel::NumCmp { col: col.clone(), op: CmpOp::Ge, lit: JsonNumber::Int(1) };
-        let le3 = PredKernel::NumCmp { col: col.clone(), op: CmpOp::Le, lit: JsonNumber::Int(3) };
-        let batch = Batch::all(range(0, 5)).filter(&ge1).filter(&le3);
+        let ge1 = PredKernel::NumCmp {
+            col: Col::Resident(col.clone()),
+            op: CmpOp::Ge,
+            lit: JsonNumber::Int(1),
+        };
+        let le3 = PredKernel::NumCmp {
+            col: Col::Resident(col.clone()),
+            op: CmpOp::Le,
+            lit: JsonNumber::Int(3),
+        };
+        let gov = QueryGovernor::unlimited();
+        let cols = MorselCols::new(range(0, 5), 0, &gov);
+        let batch = Batch::all(range(0, 5)).filter(&ge1, &cols).filter(&le3, &cols);
         assert_eq!(batch.len(), 3);
-        let got = batch.gather(&ValKernel::Col(col)).unwrap();
+        let got = batch.gather(&ValKernel::Col(col), &cols).unwrap();
         assert_eq!(got, vec![Datum::from(1i64), Datum::from(2i64), Datum::from(3i64)]);
         // arithmetic matches the row path (integral results stay exact)
         let double = ValKernel::Arith {
@@ -591,17 +678,23 @@ mod tests {
             op: ArithOp::Mul,
             r: Box::new(ValKernel::Lit(Datum::from(2i64))),
         };
-        let doubled = batch.gather(&double).unwrap();
+        let doubled = batch.gather(&double, &cols).unwrap();
         assert_eq!(doubled, vec![Datum::from(2i64), Datum::from(4i64), Datum::from(6i64)]);
     }
 
     #[test]
     fn gather_on_empty_selection_is_empty() {
         let col = nums(&[Some(1.0), Some(2.0)]);
-        let none = PredKernel::NumCmp { col: col.clone(), op: CmpOp::Gt, lit: JsonNumber::Int(9) };
-        let batch = Batch::all(range(0, 2)).filter(&none);
+        let none = PredKernel::NumCmp {
+            col: Col::Resident(col.clone()),
+            op: CmpOp::Gt,
+            lit: JsonNumber::Int(9),
+        };
+        let gov = QueryGovernor::unlimited();
+        let cols = MorselCols::new(range(0, 2), 0, &gov);
+        let batch = Batch::all(range(0, 2)).filter(&none, &cols);
         assert!(batch.is_empty());
-        assert_eq!(batch.gather(&ValKernel::Col(col)).unwrap(), Vec::<Datum>::new());
+        assert_eq!(batch.gather(&ValKernel::Col(col), &cols).unwrap(), Vec::<Datum>::new());
     }
 
     #[test]
@@ -612,14 +705,31 @@ mod tests {
             op: ArithOp::Add,
             r: Box::new(ValKernel::Lit(Datum::from(1i64))),
         };
-        let out = k.gather(&SelVec::All(range(0, 2))).unwrap();
+        let gov = QueryGovernor::unlimited();
+        let cols = MorselCols::new(range(0, 2), 0, &gov);
+        let out = k.gather(&Batch::all(range(0, 2)), &cols).unwrap();
         assert_eq!(out, vec![Datum::from(5i64), Datum::Null]);
         let div = ValKernel::Arith {
             l: Box::new(ValKernel::Col(col)),
             op: ArithOp::Div,
             r: Box::new(ValKernel::Lit(Datum::from(0i64))),
         };
-        let err = div.gather(&SelVec::Ids(vec![0])).unwrap_err();
+        let first = Batch { range: range(0, 2), sel: SelVec::Ids(vec![0]) };
+        let err = div.gather(&first, &cols).unwrap_err();
         assert!(err.to_string().contains("division by zero"), "{err}");
+    }
+
+    #[test]
+    fn str_test_matches_sql_cmp_on_a_string_operand() {
+        let cmp = |op, lit: Datum| StrTest::Cmp(op, lit);
+        assert_eq!(cmp(CmpOp::Lt, Datum::from("b")).tri("a"), Tri::True);
+        // a numeric literal coerces the string; a non-numeric string is unknown
+        assert_eq!(cmp(CmpOp::Eq, Datum::from(7i64)).tri(" 7 "), Tri::True);
+        assert_eq!(cmp(CmpOp::Eq, Datum::from(7i64)).tri("seven"), Tri::Unknown);
+        let list: Arc<[Datum]> =
+            vec![Datum::from("x"), Datum::from(3i64), Datum::Bool(true)].into();
+        assert_eq!(StrTest::In(list.clone()).tri("3.0"), Tri::True);
+        assert_eq!(StrTest::In(list).tri("true"), Tri::False, "no string/boolean coercion");
+        assert_eq!(StrTest::Like("a_c%".into()).tri("abcd"), Tri::True);
     }
 }

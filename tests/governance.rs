@@ -19,7 +19,7 @@
 use fsdm::fault::{catalog, FailMode, FailScope};
 use fsdm::sqljson::Datum;
 use fsdm::store::{CancelReason, ErrorKind, Query, QueryResult};
-use fsdm_bench::setup::{nobench_db, nobench_q11_plan, nobench_q5_bind};
+use fsdm_bench::setup::{add_nobench_columnar_vcs, nobench_db, nobench_q11_plan, nobench_q5_bind};
 
 const DEGREES: [usize; 2] = [1, 4];
 
@@ -136,6 +136,75 @@ fn a_tiny_memory_budget_is_a_deterministic_budget_error() {
     }
     session.set_mem_limit(None);
     session.db.execute(&plan).expect("clearing the budget revives the session");
+}
+
+/// The fused scan is governed like every other pipeline. A Q4-shaped
+/// statement — one resident and one transient leaf in the filter, one of
+/// each in the projection — over the OSON-IMC dies with the same typed
+/// error at degree 1 and 4 under a zero deadline, a pending cancel, a
+/// budget smaller than one morsel's transient column (while a budget
+/// that covers the morsels in flight lets the whole table through), and
+/// a panic or an error injected into the extraction and gather stages;
+/// afterwards the same database answers with the same bytes.
+#[test]
+fn a_q4_shaped_statement_is_governed_on_the_transient_path() {
+    fsdm::fault::silence_failpoint_panics();
+    let scope = FailScope::disarmed();
+    let n = 400;
+    let mut session = nobench_db(n);
+    session.db.table_mut("nobench").unwrap().populate_oson_imc().unwrap();
+    add_nobench_columnar_vcs(&mut session);
+    session.db.set_morsel_rows(64);
+    let plan = session.plan(&fsdm::workloads::nobench::query_sql(4, n), &[]).unwrap();
+    let explain =
+        session.db.explain_modes(&fsdm::store::optimizer::optimize(&session.db, plan.clone()));
+    assert!(explain.contains("transient=[JSON_EXISTS(col#1, '$.sparse_220')"), "{explain}");
+    let baseline = session.db.execute(&plan).expect("ungoverned baseline runs");
+    let handle = session.cancel_handle();
+    for degree in DEGREES {
+        session.db.set_parallelism(degree);
+
+        session.set_statement_timeout(Some(0));
+        let err = session.db.execute(&plan).expect_err("a zero deadline kills the statement");
+        assert_eq!(err.kind, ErrorKind::DeadlineExceeded, "degree {degree}");
+        assert_eq!(err.message, "statement deadline exceeded (timeout 0 ms)", "degree {degree}");
+        session.set_statement_timeout(None);
+
+        assert!(handle.cancel());
+        let err = session.db.execute(&plan).expect_err("a pending cancel kills the statement");
+        assert_eq!(err.kind, ErrorKind::Cancelled(CancelReason::User), "degree {degree}");
+        session.db.cancel_token().reset();
+
+        // one morsel's `$.sparse_220` column charges 64 rows x 32 bytes
+        session.set_mem_limit(Some(1024));
+        let err = session.db.execute(&plan).expect_err("a 1 KiB budget kills the extraction");
+        assert_eq!(err.kind, ErrorKind::BudgetExceeded, "degree {degree}");
+        assert_eq!(err.message, "memory budget exceeded (limit 1024 bytes)", "degree {degree}");
+        // the budget bills the morsels in flight, not the table: 25
+        // morsels of at most two 16-row columns (1 KiB live per worker;
+        // 12.5 KiB for the filter column alone if nothing were handed
+        // back) pass under 4 KiB at either degree
+        session.db.set_morsel_rows(16);
+        session.set_mem_limit(Some(4 * 1024));
+        let governed = session.db.execute(&plan).expect("live transient memory fits 4 KiB");
+        assert_eq!(governed, baseline, "degree {degree}: budgeted run diverged");
+        session.db.set_morsel_rows(64);
+        session.set_mem_limit(None);
+
+        // extraction fires `expr.eval`, gathering fires `vector.batch`
+        scope.also(catalog::FP_EXPR_EVAL, FailMode::Panic);
+        let err = session.db.execute(&plan).expect_err("an armed panic surfaces as an error");
+        assert_eq!(err.kind, ErrorKind::WorkerPanic { morsel: 0 }, "degree {degree}: {err}");
+        fsdm::fault::reset();
+        scope.also(catalog::FP_VECTOR_BATCH, FailMode::Error);
+        let err = session.db.execute(&plan).expect_err("an injected gather fault surfaces");
+        assert_eq!(err.kind, ErrorKind::Generic, "degree {degree}: {err}");
+        assert!(err.message.contains(catalog::FP_VECTOR_BATCH), "degree {degree}: {err}");
+        fsdm::fault::reset();
+
+        let rerun = session.db.execute(&plan).expect("the database survives every kill");
+        assert_eq!(rerun, baseline, "degree {degree}: post-kill rerun diverged");
+    }
 }
 
 #[test]

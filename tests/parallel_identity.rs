@@ -8,7 +8,8 @@
 use fsdm::sqljson::Datum;
 use fsdm::store::{Database, Expr, Query, Table};
 use fsdm_bench::setup::{
-    bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db, olap_queries, StorageMethod,
+    add_nobench_columnar_vcs, bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db,
+    olap_queries, StorageMethod,
 };
 
 /// `Database` (and everything a plan closes over) must be shareable
@@ -52,6 +53,35 @@ fn nobench_results_identical_at_every_degree() {
                 results.push(session.execute_with(sql, binds).unwrap());
             }
         }
+        match &baseline {
+            None => baseline = Some(results),
+            Some(b) => assert_eq!(&results, b, "degree {degree} diverged from degree 1"),
+        }
+    }
+}
+
+/// The fused scan's transient columns are morsel-local, so the degree
+/// must be invisible there too: with the OSON-IMC and the `nbq$*`
+/// vectors resident, the statements that still read a vector-less path
+/// (Q4, Q7–Q11: resident and transient leaves in one pipeline, a fused
+/// keyed group-by, both sides of the join) agree at every degree, across
+/// morsel seams of 16 rows.
+#[test]
+fn transient_columns_identical_at_every_degree() {
+    let n = 500;
+    let mut session = nobench_db(n);
+    session.db.table_mut("nobench").unwrap().populate_oson_imc().unwrap();
+    add_nobench_columnar_vcs(&mut session);
+    session.db.set_morsel_rows(16);
+    let q11 = nobench_q11_plan(n, false);
+    let mut baseline = None;
+    for degree in DEGREES {
+        session.set_parallelism(degree);
+        let mut results: Vec<_> = [4, 7, 8, 9, 10]
+            .iter()
+            .map(|q| session.execute(&fsdm::workloads::nobench::query_sql(*q, n)).unwrap())
+            .collect();
+        results.push(session.db.execute(&q11).unwrap());
         match &baseline {
             None => baseline = Some(results),
             Some(b) => assert_eq!(&results, b, "degree {degree} diverged from degree 1"),
