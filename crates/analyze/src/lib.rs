@@ -21,14 +21,16 @@
 //! [`path_provably_empty`] holds, a predicate over the path is false for
 //! every row, and the scan below it can be rewritten to an empty scan.
 //! Statement-level collection of embedded paths lives in `fsdm-sql`
-//! (which depends on this crate); the `fsdm-analyze` lint binary lives
-//! in `fsdm-bench` next to the other workload tooling.
+//! (which depends on this crate). The crate also owns the finding shape
+//! every verification pass shares — [`Diagnostic`], the [`Code`] registry
+//! (FA, PK, SN and SR series) and its renderers; the `fsdm-check` binary
+//! that runs the passes lives in `crates/check`.
 
 pub mod check;
 pub mod diag;
 
 pub use check::{analyze_path, normalized_field_path, path_provably_empty, AnalyzerConfig};
-pub use diag::{render_json, render_text, Code, Diagnostic, Severity};
+pub use diag::{json_str, render_text, Code, Diagnostic, Severity};
 
 #[cfg(test)]
 mod tests {
@@ -204,7 +206,7 @@ mod tests {
         let d = run("$.persno");
         let text = render_text(&d);
         assert!(text.contains("FA001 error [unknown-path]"), "{text}");
-        let json = render_json(&d);
+        let json = d[0].render_json();
         assert!(json.contains("\"code\": \"FA001\""), "{json}");
     }
 }

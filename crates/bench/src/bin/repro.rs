@@ -25,18 +25,7 @@
 //! (`oson.*`, `sqljson.*`, `dataguide.*`, `index.*`, `store.*` — see
 //! README's Observability section) and writing it as JSON to
 //! `repro-metrics.json` for offline diffing. Pass `--no-metrics` to skip
-//! both. Pass `--lint-report` to also run the `fsdm-analyze` semantic
-//! lint over both workload query sets and write `repro-lint.json`;
-//! `--typecheck-report FILE` runs the `fsdm-planck` plan type-check the
-//! same way and writes FILE (conventionally `repro-planck.json`),
-//! re-parsing it through `fsdm-json` before the run is declared good.
-//! `--sentinel-report FILE` runs the `fsdm-sentinel` concurrency
-//! analysis over the workspace sources and writes FILE (conventionally
-//! `repro-sentinel.json`) under the same re-parse and zero-error gate.
-//! `--chaos-report FILE` runs the smoke-shaped chaos suite (seeded
-//! failpoint schedules over both workloads, see `fsdm_bench::chaos`)
-//! and writes FILE (conventionally `repro-chaos.json`), exiting
-//! non-zero on any governance-contract violation.
+//! both.
 //!
 //! `--timeout-ms N` arms a statement deadline for every query of the
 //! run (a statement that runs past it dies with a typed deadline
@@ -54,7 +43,6 @@
 //! trace exits non-zero.
 
 use fsdm_bench::experiments::*;
-use fsdm_bench::lint::{lint_nobench, lint_olap};
 use fsdm_bench::ms;
 use fsdm_bench::setup::StorageMethod;
 
@@ -142,18 +130,6 @@ fn main() {
             eprintln!("unknown command {other}; see the module docs");
             std::process::exit(2);
         }
-    }
-    if args.iter().any(|a| a == "--lint-report") {
-        dump_lint_report(scale.unwrap_or(1000));
-    }
-    if let Some(path) = flag("--typecheck-report") {
-        dump_typecheck_report(scale.unwrap_or(1000), path);
-    }
-    if let Some(path) = flag("--sentinel-report") {
-        dump_sentinel_report(path);
-    }
-    if let Some(path) = flag("--chaos-report") {
-        dump_chaos_report(path);
     }
     if !args.iter().any(|a| a == "--no-metrics") {
         dump_metrics();
@@ -266,133 +242,6 @@ fn run_trace_demo(scale: usize, trace_path: Option<&str>, slow_path: Option<&str
         }
         let captured = session.db.slow_log().entries().len();
         println!("slow-log ok: {captured} ring entries written to {path}");
-    }
-}
-
-/// Run the semantic lint over both workload query sets and persist the
-/// findings next to the results.
-fn dump_lint_report(scale: usize) {
-    println!("\n== fsdm-analyze: workload semantic lint (scale {scale}) ==");
-    let report = lint_nobench(scale).and_then(|mut r| {
-        r.merge(lint_olap(scale)?);
-        Ok(r)
-    });
-    match report {
-        Ok(r) => {
-            print!("{}", r.render_text());
-            let path = "repro-lint.json";
-            match std::fs::write(path, r.render_json()) {
-                Ok(()) => println!("lint report written to {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("lint failed: {e}"),
-    }
-}
-
-/// Run the planck plan type-check over both workload query sets,
-/// persist the findings to `path`, and prove the file round-trips
-/// through the JSON parser before the run is declared good.
-fn dump_typecheck_report(scale: usize, path: &str) {
-    use fsdm_bench::planck::{planck_nobench, planck_olap};
-    println!("\n== fsdm-planck: workload plan typecheck (scale {scale}) ==");
-    let report = planck_nobench(scale).and_then(|mut r| {
-        r.merge(planck_olap(scale)?);
-        Ok(r)
-    });
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("typecheck failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", report.render_text());
-    let json = report.render_json();
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        std::process::exit(1);
-    }
-    // same re-parse gate as the trace exports: a report CI cannot read
-    // back is a failure, not an artifact
-    match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| fsdm_json::parse(&text).map_err(|e| format!("{e:?}")).map(drop))
-    {
-        Ok(()) => println!("typecheck report written to {path} (re-parsed OK)"),
-        Err(e) => {
-            eprintln!("typecheck report {path} does not re-parse: {e}");
-            std::process::exit(1);
-        }
-    }
-    if report.errors() > 0 {
-        eprintln!("typecheck found {} error(s)", report.errors());
-        std::process::exit(1);
-    }
-}
-
-/// `--sentinel-report FILE`: run the `fsdm-sentinel` concurrency
-/// analysis over the workspace sources and persist the machine-readable
-/// findings, with the same write/re-parse/zero-error gate as the other
-/// report flags.
-fn dump_sentinel_report(path: &str) {
-    println!("\n== fsdm-sentinel: workspace concurrency analysis ==");
-    let report = match fsdm_sentinel::analyze_workspace(std::path::Path::new(".")) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sentinel scan failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", report.render_text());
-    let json = report.render_json();
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        std::process::exit(1);
-    }
-    match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| fsdm_json::parse(&text).map_err(|e| format!("{e:?}")).map(drop))
-    {
-        Ok(()) => println!("sentinel report written to {path} (re-parsed OK)"),
-        Err(e) => {
-            eprintln!("sentinel report {path} does not re-parse: {e}");
-            std::process::exit(1);
-        }
-    }
-    if report.errors() > 0 {
-        eprintln!("sentinel found {} error(s)", report.errors());
-        std::process::exit(1);
-    }
-}
-
-/// `--chaos-report FILE`: run the smoke-shaped chaos suite and persist
-/// the machine-readable outcomes, with the same write/re-parse/zero-
-/// violation gate as the other report flags.
-fn dump_chaos_report(path: &str) {
-    use fsdm_bench::chaos;
-    println!("\n== bench chaos: governance contract under injected faults ==");
-    let report = chaos::run(&chaos::ChaosConfig::smoke());
-    print!("{}", report.render());
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        std::process::exit(1);
-    }
-    match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| fsdm_json::parse(&text).map_err(|e| format!("{e:?}")).map(drop))
-    {
-        Ok(()) => println!("chaos report written to {path} (re-parsed OK)"),
-        Err(e) => {
-            eprintln!("chaos report {path} does not re-parse: {e}");
-            std::process::exit(1);
-        }
-    }
-    let violations = report.violations().len();
-    if violations > 0 {
-        eprintln!("chaos found {violations} contract violation(s)");
-        std::process::exit(1);
     }
 }
 

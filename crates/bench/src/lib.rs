@@ -7,8 +7,6 @@ pub mod concurrency;
 pub mod experiments;
 pub mod governov;
 pub mod imc;
-pub mod lint;
-pub mod planck;
 pub mod setup;
 pub mod traceov;
 

@@ -4,7 +4,7 @@
 //! The same discipline the obs crate applies to metric and span names
 //! applies here: names are dotted `lower_snake_case`, the constants are
 //! declared in ascending name order, and `ALL` lists them in declaration
-//! order. fsdm-sentinel cross-checks this file (diagnostic SN008): a
+//! order. fsdm-check cross-checks this file (diagnostic SN008): a
 //! `fire` call site outside `crates/fault` must pass one of these
 //! constants — a string literal or an undeclared identifier is flagged,
 //! and a constant missing from `ALL` (or a duplicate) is a catalog bug.

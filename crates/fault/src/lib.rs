@@ -12,7 +12,7 @@
 //!   registry mutex is only touched while at least one point is armed.
 //! - **Names come from a catalog.** Every failpoint name is a `pub const`
 //!   in [`catalog`]; [`arm`] rejects undeclared names at runtime and
-//!   fsdm-sentinel (SN008) rejects undeclared `fire` arguments statically.
+//!   fsdm-check (SN008) rejects undeclared `fire` arguments statically.
 //! - **Determinism.** The probability mode draws from the in-workspace
 //!   seeded `rand` stand-in, so a `(point, mode, seed)` triple replays the
 //!   same hit sequence on every run — the chaos harness depends on this.

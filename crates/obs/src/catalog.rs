@@ -3,13 +3,13 @@
 //! Each name lives here exactly once as a `pub const`; instrumented
 //! crates record through these constants instead of string literals
 //! (`fsdm_obs::counter!(fsdm_obs::catalog::OSON_DICT_PROBES)`).
-//! `fsdm-tidy` enforces the discipline: a string-literal metric name at
+//! `fsdm-check` enforces the discipline: a string-literal metric name at
 //! a `counter!`/`gauge!`/`histogram!` call site anywhere outside this
-//! file is a tidy error (rule `metric-literal`), so the catalog is the
+//! crate is an error (rule `metric-literal`), so the catalog is the
 //! complete, documented inventory of what the stack can emit. Constants
-//! must be declared in ascending order of metric name and the `ALL`
-//! inventory must mirror the declaration order exactly (tidy rule
-//! `catalog`).
+//! are declared in ascending order of metric name; every one must be
+//! listed in the `ALL` inventory (rule `catalog`), whose order and
+//! uniqueness the unit tests below assert.
 //!
 //! Naming convention: `<crate>.<subsystem>.<name>`.
 
@@ -296,7 +296,7 @@ pub const ALL: &[&str] = &[
 
 /// The subset of [`ALL`] that names trace spans rather than metrics, in
 /// the same order. [`crate::trace`] asserts (in debug builds) that every
-/// span name comes from this inventory, and `fsdm-tidy` bans string
+/// span name comes from this inventory, and `fsdm-check` bans string
 /// literals at span call sites outside `crates/obs/` (rule
 /// `span-name-from-catalog`).
 pub const SPANS: &[&str] = &[
@@ -314,7 +314,7 @@ pub const SPANS: &[&str] = &[
 /// The declared lock hierarchy: every `Mutex`/`RwLock` in the workspace,
 /// by field or static name, with its rank. A thread may only acquire a
 /// lock of *strictly higher* rank than any lock it already holds;
-/// `fsdm-sentinel` proves this statically (rule SN002) over the
+/// `fsdm-check` proves this statically (rule SN002) over the
 /// workspace call graph, which makes cyclic waits impossible. Ranks are
 /// spaced by 10 so a new lock can slot between existing ones without
 /// renumbering.
@@ -330,7 +330,7 @@ pub const LOCKS: &[(&str, u32)] = &[
     ("inner", 40),
 ];
 
-/// Which memory-ordering discipline an atomic follows. `fsdm-sentinel`
+/// Which memory-ordering discipline an atomic follows. `fsdm-check`
 /// checks every atomic operation against the discipline declared for it
 /// in [`ATOMICS`] (rule SN005).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

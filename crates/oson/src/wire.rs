@@ -24,7 +24,7 @@
 //! positions return `None` instead of panicking, and offset/length
 //! arithmetic goes through the widening helpers below rather than bare
 //! `as` casts, so a corrupted buffer can never take down the process.
-//! `fsdm-tidy` enforces this discipline (rules `no-panic`, `no-index`,
+//! `fsdm-check` enforces this discipline (rules `no-panic`, `no-index`,
 //! `no-as-int`) for this file and the other decode hot paths.
 
 pub const MAGIC: [u8; 4] = *b"OSON";

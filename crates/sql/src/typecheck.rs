@@ -1,5 +1,5 @@
 //! Statement-level plan type checking: the SQL front end of
-//! `fsdm-planck`.
+//! `fsdm_store::typecheck`.
 //!
 //! The inference and translation-validation passes live in
 //! `fsdm_store::typecheck`; this module plans the SQL text and runs

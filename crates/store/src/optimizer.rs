@@ -29,7 +29,7 @@ use crate::schema::{ColType, ConstraintMode};
 /// Apply all rewrites bottom-up. `db` supplies schema information (scan
 /// widths) and view expansion.
 ///
-/// Debug builds run the `fsdm-planck` translation validator on every
+/// Debug builds run the `typecheck` translation validator on every
 /// call (and, through the recursion, on every rewritten subtree): the
 /// output plan must be schema-equivalent to the input — same columns,
 /// same types, nullability no looser — with its determinism and

@@ -48,7 +48,7 @@ pub struct QueryProfile {
     /// The root operator (its `elapsed_ns` is the whole query's time).
     pub root: OpProfile,
     /// Prepare-time semantic findings (`fsdm-analyze` FA path codes and
-    /// `fsdm-planck` PK plan codes) for the statement this profile
+    /// `typecheck` PK plan codes) for the statement this profile
     /// measures. Empty when the executing surface has no analyzer hook
     /// (plan-level execution) or found nothing.
     pub diagnostics: Vec<Diagnostic>,

@@ -23,9 +23,6 @@ pub use fsdm_json as json;
 pub use fsdm_obs as obs;
 /// The OSON binary format.
 pub use fsdm_oson as oson;
-/// Plan-level type inference + optimizer translation validation
-/// (PK001–PK006).
-pub use fsdm_planck as planck;
 /// The SQL front end.
 pub use fsdm_sql as sql;
 /// SQL/JSON path language and operators.

@@ -13,11 +13,11 @@ use fsdm_bench::setup::{
     add_nobench_vcs, bind_datum, nobench_guided_db, nobench_q11_plan, nobench_q5_bind,
     olap_guided_db, olap_queries,
 };
-use fsdm_planck::{infer, rewrite_violations, Database, Query};
 use fsdm_store::expr::ArithOp;
 use fsdm_store::optimizer::optimize;
 use fsdm_store::query::{AggSpec, SortKey, WindowFun};
-use fsdm_store::{AggFun, CmpOp, Datum, Expr};
+use fsdm_store::typecheck::{infer, rewrite_violations};
+use fsdm_store::{AggFun, CmpOp, Database, Datum, Expr, Query};
 use fsdm_workloads::nobench;
 use proptest::prelude::*;
 use std::sync::OnceLock;
