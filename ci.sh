@@ -34,9 +34,12 @@ echo "== bench concurrency smoke (4-thread wall <= 1.1x 1-thread) =="
 cargo run --release -p fsdm-bench --bin bench -- concurrency --scale small --smoke \
   --json BENCH_concurrency.json
 
-echo "== bench imc smoke (columnar wall <= row-path wall on Q1-3 and on Q4,7-10; fallback with vectors <= without) =="
+echo "== bench imc smoke (columnar wall <= row-path wall on Q1-3, on Q4,7-10 and on OLAP T7-9; fallback with vectors <= without) =="
 # the second subset reads paths with no resident vector: the batch spine
 # runs them on transient columns and must still beat the row evaluator.
+# The third is the OLAP full expansions through po_item_dmdv: JSON_TABLE
+# expands column-major inside the fused pipeline and must beat the row
+# evaluator's operator-at-a-time JsonTable/Project/GroupBy.
 # The fallback statement stays on the row evaluator either way; resident
 # vectors must not slow it down.
 # --json persists the run in the stable fsdm-bench-imc-v1 schema so CI

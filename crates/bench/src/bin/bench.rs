@@ -21,11 +21,12 @@
 //! alias (same run, JSON written by default to `BENCH_concurrency.json`).
 //!
 //! `imc` times the NOBENCH set twice over one corpus with the Q1–Q3
-//! virtual columns materialized into the VC-IMC: once on the row
-//! pipeline, once on the vectorized columnar pipeline (see
-//! `fsdm_bench::imc`). `--smoke` is the CI mode: it exits non-zero if
-//! the columnar Q1–Q3 wall time exceeds the row-path wall time —
-//! vectorization must never lose on the queries its kernels cover.
+//! virtual columns materialized into the VC-IMC, then the OLAP set T1–T9
+//! over OSON storage: once on the row pipeline, once on the vectorized
+//! columnar pipeline (see `fsdm_bench::imc`). `--smoke` is the CI mode: it
+//! exits non-zero if the columnar wall time of a gated subset (Q1–3,
+//! Q4,7–10, T7–9) exceeds its row-path wall time — the spine must never
+//! lose on the pipelines it runs.
 //! `--json FILE` writes the stable `fsdm-bench-imc-v1` schema.
 //!
 //! `trace-overhead` verifies the tracing layer's disabled-mode contract:
@@ -165,7 +166,7 @@ fn run_imc(args: &[String]) {
     }
 
     if smoke {
-        for (name, labels) in [("Q1-3", &imc::SCAN_HEAVY[..]), ("Q4,7-10", &imc::PATH_HEAVY[..])] {
+        for (name, labels) in imc::SUBSETS {
             let (row, col) = run.subtotal(labels);
             let (row, col) = (row.as_secs_f64() * 1e3, col.as_secs_f64() * 1e3);
             if col > row {

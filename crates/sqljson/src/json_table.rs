@@ -20,7 +20,7 @@ use fsdm_json::{JsonDom, NodeRef};
 
 use crate::datum::{Datum, SqlType};
 use crate::engine::PathEvaluator;
-use crate::ops::{json_value, OnError};
+use crate::ops::{json_value_at, OnError};
 use crate::path::JsonPath;
 
 /// Column kinds of a JSON_TABLE definition.
@@ -89,29 +89,29 @@ pub struct JsonTableDef {
 }
 
 impl JsonTableDef {
-    /// All output column names in positional order (this level's columns,
-    /// then each nested block's, depth-first — matching the generated
-    /// view's SELECT list).
-    pub fn column_names(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        fn walk_cols(cols: &[ColumnDef], nested: &[NestedDef], out: &mut Vec<String>) {
-            for c in cols {
-                out.push(c.name.clone());
-            }
+    /// All output columns in positional order (this level's columns, then
+    /// each nested block's, depth-first — matching the generated view's
+    /// SELECT list).
+    pub fn flat_columns(&self) -> Vec<&ColumnDef> {
+        fn walk<'d>(cols: &'d [ColumnDef], nested: &'d [NestedDef], out: &mut Vec<&'d ColumnDef>) {
+            out.extend(cols);
             for n in nested {
-                walk_cols(&n.columns, &n.nested, out);
+                walk(&n.columns, &n.nested, out);
             }
         }
-        walk_cols(&self.columns, &self.nested, &mut out);
+        let mut out = Vec::new();
+        walk(&self.columns, &self.nested, &mut out);
         out
+    }
+
+    /// All output column names in positional order.
+    pub fn column_names(&self) -> Vec<String> {
+        self.flat_columns().iter().map(|c| c.name.clone()).collect()
     }
 
     /// Total output width.
     pub fn width(&self) -> usize {
-        fn w(cols: &[ColumnDef], nested: &[NestedDef]) -> usize {
-            cols.len() + nested.iter().map(|n| w(&n.columns, &n.nested)).sum::<usize>()
-        }
-        w(&self.columns, &self.nested)
+        self.flat_columns().len()
     }
 
     /// Compute all rows for one document. Convenience wrapper building a
@@ -128,207 +128,175 @@ impl JsonTableDef {
     }
 }
 
+/// What one definition block contributes to an output row: the node its
+/// columns are evaluated from, and that node's 1-based position among the
+/// block's rows under its parent (`FOR ORDINALITY`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ctx {
+    /// The block's row node.
+    pub node: NodeRef,
+    /// 1-based ordinality; 0 marks [`Ctx::NONE`].
+    pub ord: u32,
+}
+
+impl Ctx {
+    /// The block is not on the row's path: its columns are NULL.
+    pub const NONE: Ctx = Ctx { node: 0, ord: 0 };
+}
+
 /// Reusable execution state for one JSON_TABLE definition: one compiled
 /// evaluator per path, kept across documents.
+///
+/// Execution is split in two, so that a caller can expand first and
+/// evaluate columns later, for the rows and columns it turns out to need:
+/// [`JsonTableCursor::expand`] walks the row path and the NESTED PATHs and
+/// reports each output row as the [`Ctx`] of every block on its path;
+/// [`JsonTableCursor::cell`] evaluates one column from its block's
+/// context. [`JsonTableCursor::rows`] is the two put together.
 pub struct JsonTableCursor {
-    width: usize,
-    root_cols: usize,
-    row_ev: PathEvaluator,
+    /// Definition blocks in depth-first pre-order; block 0 is the root
+    /// level.
+    blocks: Vec<BlockCursor>,
+    /// Output columns in positional order.
     cols: Vec<ColCursor>,
-    nested: Vec<NestedCursor>,
+}
+
+struct BlockCursor {
+    path_ev: PathEvaluator,
+    /// Child blocks, in definition order.
+    children: Vec<usize>,
 }
 
 struct ColCursor {
+    block: usize,
     kind: ColKind,
     ty: SqlType,
     ev: PathEvaluator,
 }
 
-struct NestedCursor {
-    width: usize,
-    cols_len: usize,
-    path_ev: PathEvaluator,
-    cols: Vec<ColCursor>,
-    nested: Vec<NestedCursor>,
-}
-
-fn build_cols(cols: &[ColumnDef]) -> Vec<ColCursor> {
-    cols.iter()
-        .map(|c| ColCursor { kind: c.kind, ty: c.ty, ev: PathEvaluator::new(c.path.clone()) })
-        .collect()
-}
-
-fn build_nested(defs: &[NestedDef]) -> Vec<NestedCursor> {
-    defs.iter()
-        .map(|n| NestedCursor {
-            width: block_total_width(n),
-            cols_len: n.columns.len(),
-            path_ev: PathEvaluator::new(n.path.clone()),
-            cols: build_cols(&n.columns),
-            nested: build_nested(&n.nested),
-        })
-        .collect()
-}
-
 impl JsonTableCursor {
     /// Compile the definition's paths once.
     pub fn new(def: &JsonTableDef) -> Self {
-        JsonTableCursor {
-            width: def.width(),
-            root_cols: def.columns.len(),
-            row_ev: PathEvaluator::new(def.row_path.clone()),
-            cols: build_cols(&def.columns),
-            nested: build_nested(&def.nested),
-        }
+        let mut cursor = JsonTableCursor { blocks: Vec::new(), cols: Vec::new() };
+        cursor.add_block(&def.row_path, &def.columns, &def.nested);
+        cursor
     }
 
-    /// Compute all rows for one document.
-    pub fn rows<D: JsonDom>(&mut self, dom: &D) -> Vec<Vec<Datum>> {
-        let width = self.width;
-        let mut out = Vec::new();
-        let row_nodes = node_outputs(self.row_ev.evaluate(dom));
-        for (ord, row_node) in row_nodes.iter().enumerate() {
-            let mut base = vec![Datum::Null; width];
-            fill_columns(dom, *row_node, &mut self.cols, 0, ord + 1, &mut base);
-            expand_nested(dom, *row_node, &mut self.nested, self.root_cols, &base, &mut out);
+    fn add_block(&mut self, path: &JsonPath, columns: &[ColumnDef], nested: &[NestedDef]) -> usize {
+        let block = self.blocks.len();
+        self.blocks
+            .push(BlockCursor { path_ev: PathEvaluator::new(path.clone()), children: Vec::new() });
+        self.cols.extend(columns.iter().map(|c| ColCursor {
+            block,
+            kind: c.kind,
+            ty: c.ty,
+            ev: PathEvaluator::new(c.path.clone()),
+        }));
+        for n in nested {
+            let child = self.add_block(&n.path, &n.columns, &n.nested);
+            self.blocks[block].children.push(child);
         }
+        block
+    }
+
+    /// Number of definition blocks (the length of the slice `expand`
+    /// hands its sink).
+    pub fn blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// The block output column `col` belongs to.
+    pub fn block_of(&self, col: usize) -> usize {
+        self.cols[col].block
+    }
+
+    /// **The one expansion routine.** Calls `sink` once per output row of
+    /// `dom`, in output order, with the context of every block (indexed by
+    /// block, [`Ctx::NONE`] off the row's path). A child block outer-joins
+    /// its parent, sibling blocks union-join; no column is evaluated.
+    pub fn expand<D: JsonDom>(&mut self, dom: &D, sink: &mut impl FnMut(&[Ctx])) {
+        expand_blocks(&mut self.blocks, dom, sink);
+    }
+
+    /// The value of output column `col` for a row whose context in that
+    /// column's block is `ctx`.
+    pub fn cell<D: JsonDom>(&mut self, dom: &D, col: usize, ctx: Ctx) -> Datum {
+        self.cols[col].cell(dom, ctx)
+    }
+
+    /// Compute all rows for one document: the expansion with every column
+    /// demanded and a row sink. A block's columns are evaluated once per
+    /// row node, not once per output row.
+    pub fn rows<D: JsonDom>(&mut self, dom: &D) -> Vec<Vec<Datum>> {
+        let JsonTableCursor { blocks, cols } = self;
+        let mut out = Vec::new();
+        let mut row = vec![Datum::Null; cols.len()];
+        let mut filled = vec![Ctx::NONE; blocks.len()];
+        expand_blocks(blocks, dom, &mut |ctx: &[Ctx]| {
+            for (cell, col) in row.iter_mut().zip(cols.iter_mut()) {
+                if ctx[col.block] != filled[col.block] {
+                    *cell = col.cell(dom, ctx[col.block]);
+                }
+            }
+            filled.copy_from_slice(ctx);
+            out.push(row.clone());
+        });
         out
     }
 }
 
-/// Recursively expand nested blocks below one parent row.
-fn expand_nested<D: JsonDom>(
-    dom: &D,
-    row_node: NodeRef,
-    nested: &mut [NestedCursor],
-    col_base: usize,
-    base: &[Datum],
-    out: &mut Vec<Vec<Datum>>,
-) {
-    if nested.is_empty() {
-        out.push(base.to_vec());
-        return;
+fn expand_blocks<D: JsonDom>(blocks: &mut [BlockCursor], dom: &D, sink: &mut impl FnMut(&[Ctx])) {
+    let mut ctx = vec![Ctx::NONE; blocks.len()];
+    let rows = node_outputs(blocks[0].path_ev.evaluate(dom));
+    for (ord, node) in (1..).zip(rows) {
+        ctx[0] = Ctx { node, ord };
+        expand_below(blocks, dom, 0, &mut ctx, sink);
     }
-    // compute each sibling block's rows independently (union join)
+}
+
+/// Emit the rows below `block`'s current row node, depth first.
+fn expand_below<D: JsonDom>(
+    blocks: &mut [BlockCursor],
+    dom: &D,
+    block: usize,
+    ctx: &mut [Ctx],
+    sink: &mut impl FnMut(&[Ctx]),
+) {
     let mut any = false;
-    let mut offset = col_base;
-    for block in nested {
-        let block_width = block.width;
-        let rows = block_rows(dom, row_node, block, base.len(), offset);
-        if !rows.is_empty() {
+    // each sibling block's rows appear with the other siblings off the
+    // path (union join)
+    for k in 0..blocks[block].children.len() {
+        let child = blocks[block].children[k];
+        let rows = node_outputs(blocks[child].path_ev.evaluate_from(dom, ctx[block].node));
+        for (ord, node) in (1..).zip(rows) {
+            ctx[child] = Ctx { node, ord };
+            expand_below(blocks, dom, child, ctx, sink);
             any = true;
-            for r in rows {
-                // merge block cells over the base row
-                let mut row = base.to_vec();
-                for (i, cell) in r.into_iter().enumerate().skip(offset) {
-                    if !cell.is_null() {
-                        row[i] = cell;
-                    }
-                }
-                out.push(row);
-            }
         }
-        offset += block_width;
+        ctx[child] = Ctx::NONE;
     }
     if !any {
-        // left outer join: parent row survives with NULL nested columns
-        out.push(base.to_vec());
+        // a leaf block — or the left outer join: the parent row survives
+        // with NULL nested columns
+        sink(ctx);
     }
 }
 
-fn block_total_width(b: &NestedDef) -> usize {
-    b.columns.len() + b.nested.iter().map(block_total_width).sum::<usize>()
-}
-
-/// Rows contributed by one nested block under one parent row node. Each
-/// returned row is full-width with only this block's region populated.
-fn block_rows<D: JsonDom>(
-    dom: &D,
-    parent: NodeRef,
-    block: &mut NestedCursor,
-    width: usize,
-    offset: usize,
-) -> Vec<Vec<Datum>> {
-    let nodes = node_outputs(block.path_ev.evaluate_from(dom, parent));
-    let mut out = Vec::new();
-    let cols_len = block.cols_len;
-    for (ord, node) in nodes.iter().enumerate() {
-        let mut row = vec![Datum::Null; width];
-        fill_columns(dom, *node, &mut block.cols, offset, ord + 1, &mut row);
-        let mut expanded = Vec::new();
-        expand_nested(dom, *node, &mut block.nested, offset + cols_len, &row, &mut expanded);
-        out.extend(expanded);
-    }
-    out
-}
-
-fn fill_columns<D: JsonDom>(
-    dom: &D,
-    node: NodeRef,
-    cols: &mut [ColCursor],
-    offset: usize,
-    ordinality: usize,
-    row: &mut [Datum],
-) {
-    for (i, col) in cols.iter_mut().enumerate() {
-        let cell = match col.kind {
-            ColKind::Ordinality => Datum::from(ordinality as i64),
-            ColKind::Exists => Datum::from(i64::from(!col.ev.evaluate_from(dom, node).is_empty())),
-            ColKind::Value => json_value_from(dom, node, &mut col.ev, col.ty),
-        };
-        row[offset + i] = cell;
-    }
-}
-
-/// JSON_VALUE semantics (NULL ON ERROR) evaluated from a context node.
-fn json_value_from<D: JsonDom>(
-    dom: &D,
-    node: NodeRef,
-    ev: &mut PathEvaluator,
-    ty: SqlType,
-) -> Datum {
-    // reuse the operator by substituting the start node
-    struct Rooted<'a, D: JsonDom> {
-        inner: &'a D,
-        root: NodeRef,
-    }
-    impl<D: JsonDom> JsonDom for Rooted<'_, D> {
-        fn root(&self) -> NodeRef {
-            self.root
+impl ColCursor {
+    fn cell<D: JsonDom>(&mut self, dom: &D, ctx: Ctx) -> Datum {
+        if ctx == Ctx::NONE {
+            return Datum::Null;
         }
-        fn kind(&self, n: NodeRef) -> fsdm_json::NodeKind {
-            self.inner.kind(n)
-        }
-        fn object_len(&self, n: NodeRef) -> usize {
-            self.inner.object_len(n)
-        }
-        fn object_entry(&self, n: NodeRef, i: usize) -> (&str, NodeRef) {
-            self.inner.object_entry(n, i)
-        }
-        fn array_len(&self, n: NodeRef) -> usize {
-            self.inner.array_len(n)
-        }
-        fn array_element(&self, n: NodeRef, i: usize) -> NodeRef {
-            self.inner.array_element(n, i)
-        }
-        fn scalar(&self, n: NodeRef) -> fsdm_json::ScalarRef<'_> {
-            self.inner.scalar(n)
-        }
-        fn get_field(&self, n: NodeRef, name: &str, hash: u32) -> Option<NodeRef> {
-            self.inner.get_field(n, name, hash)
-        }
-        fn field_id(&self, name: &str, hash: u32) -> Option<fsdm_json::FieldId> {
-            self.inner.field_id(name, hash)
-        }
-        fn get_field_by_id(&self, n: NodeRef, id: fsdm_json::FieldId) -> Option<NodeRef> {
-            self.inner.get_field_by_id(n, id)
-        }
-        fn dict_fingerprint(&self) -> u64 {
-            self.inner.dict_fingerprint()
+        match self.kind {
+            ColKind::Ordinality => Datum::from(i64::from(ctx.ord)),
+            ColKind::Exists => {
+                Datum::from(i64::from(!self.ev.evaluate_from(dom, ctx.node).is_empty()))
+            }
+            // JSON_VALUE semantics, NULL ON ERROR
+            ColKind::Value => json_value_at(dom, ctx.node, &mut self.ev, self.ty, OnError::Null)
+                .unwrap_or(Datum::Null),
         }
     }
-    let rooted = Rooted { inner: dom, root: node };
-    json_value(&rooted, ev, ty, OnError::Null).unwrap_or(Datum::Null)
 }
 
 fn node_outputs(outs: Vec<crate::engine::PathOutput>) -> Vec<NodeRef> {
@@ -492,6 +460,108 @@ mod tests {
             assert!(r[3].is_null() && r[4].is_null());
             assert_eq!(r[10], Datum::from("bulb"));
         }
+    }
+
+    /// Rows rendered one per line, cells joined by `|`.
+    fn render(rows: &[Vec<Datum>]) -> String {
+        let line = |r: &Vec<Datum>| r.iter().map(Datum::to_string).collect::<Vec<_>>().join("|");
+        rows.iter().map(line).collect::<Vec<_>>().join("\n")
+    }
+
+    /// NESTED inside NESTED beside a sibling, `FOR ORDINALITY` at every
+    /// level, an `EXISTS` column, an empty and a missing array, a row
+    /// path matching several nodes.
+    fn deep_def() -> JsonTableDef {
+        JsonTableDef {
+            row_path: p("$.o[*]"),
+            columns: vec![
+                ColumnDef::ordinality("n"),
+                ColumnDef::value("id", SqlType::Number, p("$.id")),
+            ],
+            nested: vec![
+                NestedDef {
+                    path: p("$.a[*]"),
+                    columns: vec![
+                        ColumnDef::ordinality("an"),
+                        ColumnDef::value("x", SqlType::Varchar2(4), p("$.x")),
+                        ColumnDef::exists("hasb", p("$.b")),
+                    ],
+                    nested: vec![NestedDef {
+                        path: p("$.b[*]"),
+                        columns: vec![
+                            ColumnDef::ordinality("bn"),
+                            ColumnDef::value("y", SqlType::Number, p("$.y")),
+                        ],
+                        nested: vec![],
+                    }],
+                },
+                NestedDef {
+                    path: p("$.c[*]"),
+                    columns: vec![ColumnDef::value("z", SqlType::Boolean, p("$.z"))],
+                    nested: vec![],
+                },
+            ],
+        }
+    }
+
+    const DEEP: &str = r#"{"o":[
+        {"id":1,"a":[{"x":"p","b":[{"y":1},{"y":2}]},{"x":"q","b":[]}],"c":[{"z":true}]},
+        {"id":2,"a":[]},
+        {"id":3}]}"#;
+
+    /// The row API over the expansion routine returns, cell for cell and in
+    /// order, what the row-major routine it replaced returned (captured
+    /// from it before it went).
+    #[test]
+    fn rows_equal_the_replaced_row_major_expansion() {
+        let dom_rows = |def: &JsonTableDef, doc: &str| {
+            let v = parse(doc).unwrap();
+            render(&def.rows(&ValueDom::new(&v)))
+        };
+        assert_eq!(
+            dom_rows(&table8_def(), DOC),
+            "3|2015-06-03|CDEG35|TV|345.55|1|remoteCon|1|NULL|NULL|NULL\n\
+             3|2015-06-03|CDEG35|TV|345.55|1|power cord|1|NULL|NULL|NULL\n\
+             3|2015-06-03|CDEG35|PC|546.78|10|mouse|2|NULL|NULL|NULL\n\
+             3|2015-06-03|CDEG35|PC|546.78|10|keyboard|1|NULL|NULL|NULL\n\
+             3|2015-06-03|CDEG35|NULL|NULL|NULL|NULL|NULL|lamp|10.5|bulb"
+        );
+        assert_eq!(
+            dom_rows(&deep_def(), DEEP),
+            "1|1|1|p|1|1|1|NULL\n\
+             1|1|1|p|1|2|2|NULL\n\
+             1|1|2|q|1|NULL|NULL|NULL\n\
+             1|1|NULL|NULL|NULL|NULL|NULL|true\n\
+             2|2|NULL|NULL|NULL|NULL|NULL|NULL\n\
+             3|3|NULL|NULL|NULL|NULL|NULL|NULL"
+        );
+        // a row path that matches nothing yields no row at all
+        assert_eq!(dom_rows(&deep_def(), r#"{"o":[]}"#), "");
+        assert_eq!(dom_rows(&deep_def(), r#"{"p":1}"#), "");
+    }
+
+    #[test]
+    fn expand_reports_contexts_and_cells_evaluate_on_demand() {
+        let v = parse(DEEP).unwrap();
+        let dom = ValueDom::new(&v);
+        let mut cursor = JsonTableCursor::new(&deep_def());
+        assert_eq!(cursor.blocks(), 4, "root, a, b, c");
+        assert_eq!(
+            (0..8).map(|c| cursor.block_of(c)).collect::<Vec<_>>(),
+            [0, 0, 1, 1, 1, 2, 2, 3]
+        );
+        let mut paths: Vec<Vec<u32>> = Vec::new();
+        cursor.expand(&dom, &mut |ctx| paths.push(ctx.iter().map(|c| c.ord).collect()));
+        // ordinality per block, 0 = off the row's path
+        let want: [[u32; 4]; 6] =
+            [[1, 1, 1, 0], [1, 1, 2, 0], [1, 2, 0, 0], [1, 0, 0, 1], [2, 0, 0, 0], [3, 0, 0, 0]];
+        assert_eq!(paths, want);
+        // a column is evaluated from its block's context, on demand
+        let mut first = Vec::new();
+        cursor.expand(&dom, &mut |ctx| first.push(ctx.to_vec()));
+        assert_eq!(cursor.cell(&dom, 3, first[2][1]), Datum::from("q"));
+        assert_eq!(cursor.cell(&dom, 6, first[1][2]), Datum::from(2i64));
+        assert_eq!(cursor.cell(&dom, 6, first[2][2]), Datum::Null, "off the path");
     }
 
     #[test]

@@ -60,7 +60,19 @@ pub fn json_value<D: JsonDom>(
     ty: SqlType,
     on_error: OnError,
 ) -> Result<Datum, OpsError> {
-    let outs = ev.evaluate(dom);
+    json_value_at(dom, dom.root(), ev, ty, on_error)
+}
+
+/// [`json_value`] with `$` bound to the context node `start` (a
+/// JSON_TABLE column path is relative to its row node).
+pub fn json_value_at<D: JsonDom>(
+    dom: &D,
+    start: fsdm_json::NodeRef,
+    ev: &mut PathEvaluator,
+    ty: SqlType,
+    on_error: OnError,
+) -> Result<Datum, OpsError> {
+    let outs = ev.evaluate_from(dom, start);
     let fail = |m: &str| -> Result<Datum, OpsError> {
         match on_error {
             OnError::Null => Ok(Datum::Null),

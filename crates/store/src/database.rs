@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fsdm_sqljson::Datum;
+use fsdm_sqljson::{Datum, JsonTableDef};
 
 use fsdm_fault::catalog::{
     FP_EXEC_GROUPBY_PARTIAL, FP_EXEC_JOIN_BUILD, FP_EXEC_JSONTABLE_ROW, FP_EXEC_MORSEL,
@@ -22,12 +22,14 @@ use fsdm_obs::trace::{self, Trace, TraceSession};
 
 use crate::expr::{AggFun, EvalScratch, Expr};
 use crate::govern::{fault_err, CancelHandle, CancelToken, QueryGovernor};
-use crate::parallel::{default_degree, run_morsels, ExecContext, ParStats, DEFAULT_MORSEL_ROWS};
+use crate::parallel::{
+    default_degree, run_morsels, ExecContext, ParStats, RowRange, DEFAULT_MORSEL_ROWS,
+};
 use crate::profile::{OpProfile, QueryProfile};
 use crate::query::{AggSpec, Query, QueryResult, SortKey, WindowFun};
 use crate::slowlog::SlowLog;
 use crate::table::{Cell, ErrorKind, Row, StoreError, Table};
-use crate::transient::{Leaves, Lowering, MorselCols};
+use crate::transient::{Expanded, Leaves, Lowering, MorselCols, Parses, Rows};
 use crate::vector::{Batch, PredKernel, ValKernel};
 
 /// Rough per-entry byte estimates the memory budget charges for operator
@@ -56,64 +58,126 @@ struct Conjunct {
     slots: Vec<usize>,
 }
 
-/// A scan-rooted pipeline — `Scan`, `Project(Scan)` or `GroupBy(Scan)` —
-/// lowered to kernels: the single unit the batch spine executes.
+/// A scan-rooted pipeline lowered to kernels: the single unit the batch
+/// spine executes. Its source is a `Scan` or a `JsonTable(Scan)`; above
+/// the source sits any chain of `Project` / `Filter`, optionally topped by
+/// a `GroupBy`, **composed by substitution** ([`Expr::over`]) into one
+/// predicate and one output list over the source's columns — a
+/// pure-column view `Project` is a renaming, a `Filter` over it a
+/// predicate over the positions underneath. No plan is rewritten: the
+/// operators keep their profile rows and spans ([`FusedScan::below`]).
 struct FusedScan<'q> {
     table: &'q Table,
     /// The filter is a constant that rejects every row (the dead-path
     /// pruning rewrite): no morsel runs.
     empty: bool,
-    /// Filter stages, those over resident vectors only first.
+    /// The scan's own filter: stages over the table's rows, those over
+    /// resident vectors only first.
     conjuncts: Vec<Conjunct>,
+    /// `JsonTable(Scan)` source: the JSON column and the definition the
+    /// rows surviving `conjuncts` are expanded by.
+    expand: Option<(usize, &'q JsonTableDef)>,
+    /// The chain's filter stages, in the same order: over the source's
+    /// rows — the expanded rows, or without an expansion the table's.
+    chain_conjuncts: Vec<Conjunct>,
     outs: Vec<ScanCol>,
     /// Transient columns the outputs read.
     out_slots: Vec<usize>,
     leaves: Leaves,
+    /// The plan operators fused below the pipeline's root, top-down; the
+    /// last is the `Scan` (empty when the root is the scan itself).
+    below: Vec<&'q Query>,
 }
 
-/// What a fused scan hands its consumer.
-enum Emit<'e> {
-    /// One datum per expression: a fused `Project` / `GroupBy` never
-    /// sees a column it did not ask for.
-    Values(Vec<&'e Expr>),
-    /// Whole scan rows, JSON cells left binary, for the row evaluator.
-    /// Only the columns the consumer's expressions read are filled
-    /// (`None`: every one); the rest are NULL placeholders.
-    Rows(Option<&'e [&'e Expr]>),
+/// Rows a fused pipeline's stages put out, per morsel or summed.
+#[derive(Clone, Copy, Default)]
+struct StageRows {
+    /// Table rows past the scan's own filter: what the `Scan` emits.
+    scanned: usize,
+    /// Rows of the expansion (`scanned`, without one).
+    expanded: usize,
+    /// Rows past every stage: what the pipeline emits.
+    kept: usize,
 }
 
 impl<'q> FusedScan<'q> {
-    /// Lower a scan of `table` under `filter` emitting `emit`. `Err` is
-    /// the rendering of the expression no kernel expresses.
+    /// Lower the pipeline `chain` — operators top-down from the root to
+    /// the `Scan` of `table` under `filter` — for a consumer that reads
+    /// `reads` of the root's output. `Err` is the rendering of the
+    /// expression no kernel expresses.
     fn lower(
         table: &'q Table,
         filter: Option<&Expr>,
-        emit: Emit<'_>,
+        expand: Option<(usize, &'q JsonTableDef)>,
+        chain: &[&'q Query],
+        reads: Option<&[&Expr]>,
     ) -> Result<FusedScan<'q>, String> {
         let mut lw = Lowering::new(table);
+        let stages = |lw: &mut Lowering<'_>, pred: &Expr| {
+            let stage = |c: &Expr| {
+                let kernel = c.compile_predicate(lw)?;
+                Ok(Conjunct { kernel, slots: lw.take_touched() })
+            };
+            pred.conjuncts().into_iter().map(stage).collect::<Result<Vec<Conjunct>, String>>()
+        };
         let (mut empty, mut conjuncts) = (false, Vec::new());
         match filter {
             Some(Expr::Lit(d)) => empty = *d != Datum::Bool(true),
-            Some(pred) => {
-                for c in pred.conjuncts() {
-                    let kernel = c.compile_predicate(&mut lw)?;
-                    conjuncts.push(Conjunct { kernel, slots: lw.take_touched() });
-                }
-                // stable: resident-only stages narrow the selection
-                // before any document is opened
-                conjuncts.sort_by_key(|c| !c.slots.is_empty());
-            }
+            Some(pred) => conjuncts = stages(&mut lw, pred)?,
             None => {}
         }
+        // the scan's filter runs below the `JsonTable`, over the table's
+        // rows; everything lowered from here on reads the source's
+        if let Some((_, def)) = expand {
+            lw.expanding(def);
+        }
+        // compose the consumers bottom-up: `cols` is what the operator
+        // below hands up, over the source's columns (`None`: those)
+        let source = 1 + usize::from(expand.is_some());
+        let (mut cols, mut values): (Option<Vec<Expr>>, Option<Vec<Expr>>) = (None, None);
+        let mut chain_conjuncts = Vec::new();
+        for op in chain[..chain.len() - source].iter().rev() {
+            let over = |e: &Expr| cols.as_ref().map_or_else(|| Ok(e.clone()), |cols| e.over(cols));
+            match op {
+                Query::Project { exprs, .. } => {
+                    cols = Some(exprs.iter().map(|(_, e)| over(e)).collect::<Result<_, _>>()?)
+                }
+                Query::Filter { pred, .. } => {
+                    chain_conjuncts.extend(stages(&mut lw, &over(pred)?)?)
+                }
+                Query::GroupBy { keys, aggs, .. } => {
+                    values = Some(group_reads(keys, aggs).map(over).collect::<Result<_, _>>()?)
+                }
+                _ => unreachable!("lower_scan admits Project, Filter and a top GroupBy"),
+            }
+        }
+        // stable: resident-only stages narrow the selection before any
+        // document is opened
+        conjuncts.sort_by_key(|c| !c.slots.is_empty());
+        chain_conjuncts.sort_by_key(|c| !c.slots.is_empty());
+        // a projection's columns nobody reads are not computed
+        let values = values.or_else(|| {
+            let mut cols = cols?;
+            if let Some(reads) = reads {
+                let mut used = vec![false; cols.len()];
+                reads.iter().for_each(|e| e.mark_cols(&mut used));
+                let unread = cols.iter_mut().zip(used).filter(|(_, used)| !used);
+                unread.for_each(|(e, _)| *e = Expr::Lit(Datum::Null));
+            }
+            Some(cols)
+        });
         let width = table.schema.width();
-        let outs: Vec<ScanCol> = match emit {
-            Emit::Values(exprs) => exprs
+        let outs: Vec<ScanCol> = match values {
+            Some(exprs) => exprs
                 .iter()
                 .map(|e| e.compile_value(&mut lw).map(ScanCol::Val))
                 .collect::<Result<_, _>>()?,
-            Emit::Rows(reads) => {
-                let used = reads.map(|r| table.demand(r.iter().copied()));
-                (0..width + table.virtual_columns.len())
+            // the source's own rows, JSON cells left binary, for the row
+            // evaluator: only the columns it reads are filled
+            None => {
+                let extra = expand.map_or(0, |(_, def)| def.width());
+                let used = reads.map(|r| table.demand(r.iter().copied(), extra));
+                (0..table.scan_width() + extra)
                     .map(|c| match used.as_ref().is_none_or(|u| u[c]) {
                         true if c < width => Ok(ScanCol::Cell(c)),
                         true => Expr::Col(c).compile_value(&mut lw).map(ScanCol::Val),
@@ -123,7 +187,83 @@ impl<'q> FusedScan<'q> {
             }
         };
         let out_slots = lw.take_touched();
-        Ok(FusedScan { table, empty, conjuncts, outs, out_slots, leaves: lw.leaves })
+        let (leaves, below) = (lw.leaves, chain[1..].to_vec());
+        Ok(FusedScan {
+            table,
+            empty,
+            conjuncts,
+            expand,
+            chain_conjuncts,
+            outs,
+            out_slots,
+            leaves,
+            below,
+        })
+    }
+
+    /// Run the filter stages `conjuncts` over the rows `batch` selects of
+    /// one row space: each extracts the transient columns it reads for the
+    /// rows still selected, then narrows the selection.
+    fn stages(
+        &self,
+        conjuncts: &[Conjunct],
+        rows: &Rows<'_>,
+        cols: &mut MorselCols<'_>,
+        mut batch: Batch,
+        scratch: &mut EvalScratch,
+    ) -> Result<Batch, StoreError> {
+        for c in conjuncts {
+            if batch.is_empty() {
+                break;
+            }
+            cols.extract(rows, &self.leaves, &c.slots, &batch.sel, scratch)?;
+            let kernel_start = Instant::now();
+            batch = batch.filter(&c.kernel, cols);
+            fsdm_obs::histogram!(fsdm_obs::catalog::IMC_KERNEL_NS)
+                .record(kernel_start.elapsed().as_nanos() as u64);
+        }
+        Ok(batch)
+    }
+
+    /// Gather every output column for the rows `batch` still selects —
+    /// the late materialization point.
+    fn gather(
+        &self,
+        rows: &Rows<'_>,
+        cols: &mut MorselCols<'_>,
+        batch: &Batch,
+        scratch: &mut EvalScratch,
+    ) -> Result<Vec<Vec<Cell>>, StoreError> {
+        fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_ROWS).record(batch.len() as u64);
+        let mut out: Vec<Vec<Cell>> = self.outs.iter().map(|_| Vec::new()).collect();
+        // nothing selected: no output column is extracted or gathered
+        if !batch.is_empty() {
+            cols.extract(rows, &self.leaves, &self.out_slots, &batch.sel, scratch)?;
+            for (col, out) in self.outs.iter().zip(&mut out) {
+                *out = match col {
+                    ScanCol::Cell(c) => batch.sel.iter().map(|i| rows.cell(i, *c)).collect(),
+                    ScanCol::Val(v) => batch.gather(v, cols)?.into_iter().map(Cell::D).collect(),
+                };
+            }
+        }
+        Ok(out)
+    }
+
+    /// The annotation of `op`, an operator of this pipeline: the
+    /// transient columns the pipeline runs on (reported on its root), the
+    /// column demand of the expansion (on the `JsonTable`).
+    fn note(&self, op: &Query, root: bool) -> String {
+        let mut notes = Vec::new();
+        if root && !self.leaves.note().is_empty() {
+            notes.push(self.leaves.note());
+        }
+        if let (Query::JsonTable { def, .. }, Some(_)) = (op, self.expand) {
+            let names = def.column_names();
+            let demanded: Vec<&str> =
+                self.leaves.table_cols().into_iter().map(|c| names[c].as_str()).collect();
+            notes.push(format!("expand=[{}] of {}", demanded.join(", "), names.len()));
+        }
+        notes.join("  ")
     }
 }
 
@@ -596,7 +736,7 @@ impl Database {
             return self.exec_inner(plan, lowered, reads, &mut None, ctx, &mut stats);
         };
         let mut child_sink = Some(Vec::new());
-        let (mode, note) = mode_note(lowered.as_ref());
+        let (mode, note) = mode_note(lowered.as_ref(), plan);
         let (names, rows) =
             self.exec_inner(plan, lowered, reads, &mut child_sink, ctx, &mut stats)?;
         sink.push(OpProfile {
@@ -626,10 +766,10 @@ impl Database {
         // the batch spine: a scan-rooted pipeline that lowers to kernels
         // never builds a whole scan row. Everything below this line is
         // the row evaluator — the operators that consume rows by nature
-        // (join, sort, window, JSON_TABLE, non-scan filter/project), and
-        // the oracle for scans that did not lower or with the spine off,
-        // which reads resident vectors wherever its expressions spell out
-        // a virtual column: vectors only ever help, on either evaluator.
+        // (join, sort, window), and the oracle for pipelines that did not
+        // lower or with the spine off, which reads resident vectors
+        // wherever its expressions spell out a virtual column: vectors
+        // only ever help, on either evaluator.
         let rewritten = match lowered {
             Some(Ok(fused)) => return self.run_fused(plan, &fused, prof, ctx, stats),
             Some(Err(_)) => self.reading_resident(plan),
@@ -644,7 +784,7 @@ impl Database {
                     .ok_or_else(|| StoreError::new(format!("no table {table}")))?;
                 let names = t.scan_column_names();
                 // what is read of a row: by the consumer, and by the filter
-                let used = reads.map(|r| t.demand(r.iter().copied().chain(filter)));
+                let used = reads.map(|r| t.demand(r.iter().copied().chain(filter), 0));
                 // materialize + filter per-morsel; morsel-order
                 // concatenation keeps row order identical to a serial scan
                 let chunks = run_morsels(ctx, t.rows.len(), stats, |range, scratch| {
@@ -673,7 +813,8 @@ impl Database {
                 self.exec(plan, prof, ctx)
             }
             Query::Filter { input, pred } => {
-                let (names, rows) = self.exec(input, prof, ctx)?;
+                let reads = input_reads(plan, reads);
+                let (names, rows) = self.exec_for(input, reads.as_deref(), prof, ctx)?;
                 // parallel predicate evaluation into per-morsel boolean
                 // masks; the move-filter over owned rows stays serial
                 let masks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
@@ -688,8 +829,8 @@ impl Database {
                 Ok((names, out))
             }
             Query::Project { input, exprs } => {
-                let reads: Vec<&Expr> = exprs.iter().map(|(_, e)| e).collect();
-                let (_, rows) = self.exec_for(input, Some(&reads), prof, ctx)?;
+                let reads = input_reads(plan, reads);
+                let (_, rows) = self.exec_for(input, reads.as_deref(), prof, ctx)?;
                 let names = exprs.iter().map(|(n, _)| n.clone()).collect();
                 let chunks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
                     let mut out = Vec::with_capacity(range.len());
@@ -708,15 +849,16 @@ impl Database {
                 let (mut names, rows) = self.exec(input, prof, ctx)?;
                 names.extend(def.column_names());
                 let width = def.width();
-                // one cursor per worker, held across all the documents that
-                // worker expands: compiled paths and their §4.2.1 look-back
-                // caches persist exactly as the old whole-scan cursor did
+                // the row API of the one expansion routine, reached with
+                // the spine off (the identity oracle) or when the pipeline
+                // did not lower; one cursor per worker, held across all the
+                // documents that worker expands
                 let chunks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
                     fsdm_fault::fire(FP_EXEC_JSONTABLE_ROW).map_err(fault_err)?;
                     let mut out = Vec::new();
                     for r in &rows[range.start..range.end] {
                         let jt_rows = match r.get(*json_col) {
-                            Some(Cell::J(j)) => j.json_table_rows_with(scratch.cursor(def)),
+                            Some(Cell::J(j)) => j.open().table_rows(scratch.cursor(def)),
                             _ => Vec::new(),
                         };
                         if jt_rows.is_empty() {
@@ -789,8 +931,8 @@ impl Database {
                 Ok((names, chunks.into_iter().flatten().collect()))
             }
             Query::GroupBy { input, keys, aggs } => {
-                let reads: Vec<&Expr> = group_reads(keys, aggs).collect();
-                let (_, rows) = self.exec_for(input, Some(&reads), prof, ctx)?;
+                let reads = input_reads(plan, reads);
+                let (_, rows) = self.exec_for(input, reads.as_deref(), prof, ctx)?;
                 group_by(rows, keys, aggs, ctx, stats)
             }
             Query::Sort { input, keys } => {
@@ -851,10 +993,12 @@ impl Database {
         }
     }
 
-    /// **The single mode decision.** `None` when `plan` is not a
-    /// scan-rooted pipeline (`Scan`, or a `Project` / `GroupBy` directly
-    /// over one); otherwise the pipeline lowered to kernels, or the
-    /// rendering of the expression that keeps it on the row evaluator.
+    /// **The single mode decision.** `None` when `plan` is not the root of
+    /// a scan-rooted pipeline — a chain of `Project` / `Filter`, optionally
+    /// topped by a `GroupBy`, down to a `Scan` or a `JsonTable(Scan)`;
+    /// otherwise the pipeline lowered to kernels for a consumer reading
+    /// `reads` of it, or the rendering of the expression that keeps `plan`
+    /// on the row evaluator (its input is then asked on its own).
     /// The executor runs what this returns and reports it ([`mode_note`]);
     /// [`Database::plan_mode`] and [`Database::explain_modes`] ask here
     /// too, so report and execution cannot disagree.
@@ -863,29 +1007,33 @@ impl Database {
         plan: &'q Query,
         reads: Option<&[&Expr]>,
     ) -> Option<Result<FusedScan<'q>, String>> {
-        let (scan, emit) = match plan {
-            // `reads`: what a row-evaluator consumer makes of the rows
-            Query::Scan { .. } => (plan, Emit::Rows(reads)),
-            Query::Project { input, exprs } => {
-                (&**input, Emit::Values(exprs.iter().map(|(_, e)| e).collect()))
+        let mut chain = vec![plan];
+        let (expand, table, filter) = loop {
+            match chain[chain.len() - 1] {
+                Query::GroupBy { input, .. } if chain.len() == 1 => chain.push(input),
+                Query::Project { input, .. } | Query::Filter { input, .. } => chain.push(input),
+                Query::JsonTable { input, json_col, def } => match &**input {
+                    Query::Scan { table, filter } => {
+                        chain.push(input);
+                        break (Some((*json_col, def)), table, filter);
+                    }
+                    _ => return None,
+                },
+                Query::Scan { table, filter } => break (None, table, filter),
+                _ => return None,
             }
-            Query::GroupBy { input, keys, aggs } => {
-                (&**input, Emit::Values(group_reads(keys, aggs).collect()))
-            }
-            _ => return None,
         };
-        let Query::Scan { table, filter } = scan else { return None };
         let table = self.tables.get(table)?;
         if !self.columnar {
             return Some(Err("the batch spine is switched off".to_string()));
         }
-        Some(FusedScan::lower(table, filter.as_ref(), emit))
+        Some(FusedScan::lower(table, filter.as_ref(), expand, &chain, reads))
     }
 
     /// **The single fused-scan entry.** Runs the lowered pipeline and
-    /// hands its output to the consumer: rows for a `Scan` or `Project`,
-    /// per-morsel group partials (built straight from the gathered
-    /// columns, no row in between) for a `GroupBy`.
+    /// hands its output to the consumer: rows — or, for a `GroupBy`,
+    /// per-morsel group partials built straight from the gathered columns,
+    /// no row in between.
     fn run_fused(
         &self,
         plan: &Query,
@@ -894,32 +1042,32 @@ impl Database {
         ctx: &ExecContext,
         stats: &mut ParStats,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
-        // a fused consumer's scan is an operator of the plan all the same:
-        // it keeps its span and its profile row
-        let scan_node = match plan {
-            Query::Project { input, .. } | Query::GroupBy { input, .. } => Some(&**input),
-            _ => None,
-        };
-        let scan_span = scan_node.map(|scan| {
-            let mut span = trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
-            span.record_args(|| op_label(scan));
-            span
-        });
-        let scan_start = Instant::now();
+        // a fused operator is an operator of the plan all the same: each
+        // keeps its span and its profile row
+        let mut spans: Vec<_> = fused
+            .below
+            .iter()
+            .map(|op| {
+                let mut span = trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
+                span.record_args(|| op_label(op));
+                span
+            })
+            .collect();
+        let start = Instant::now();
         let mut scan_stats = ParStats::default();
-        let (names, rows, scanned) = match plan {
+        let (rows, stage_rows) = match plan {
             Query::GroupBy { keys, aggs, .. } => {
-                let partials = self.scan_batches(fused, ctx, &mut scan_stats, |n, mut cols| {
-                    // the scan emitted [keys…, aggregate arguments…]
+                let finish = |n, mut cols: Vec<Vec<Cell>>| {
+                    // the pipeline emitted [keys…, aggregate arguments…]
                     let mut gathered = cols.split_off(keys.len()).into_iter();
                     let args = aggs.iter().map(|a| a.arg.as_ref().and_then(|_| gathered.next()));
                     GroupPartial::new(ctx, n, cols, args.collect())
-                })?;
-                let scanned = partials.iter().map(|p| p.rows).sum();
-                (group_names(keys, aggs), merge_groups(partials, keys.len(), aggs), scanned)
+                };
+                let (partials, rows) = self.scan_batches(fused, ctx, &mut scan_stats, finish)?;
+                (merge_groups(partials, keys.len(), aggs), rows)
             }
             _ => {
-                let chunks = self.scan_batches(fused, ctx, &mut scan_stats, |n, cols| {
+                let finish = |n, cols: Vec<Vec<Cell>>| {
                     // transpose, moving each cell exactly once: the first
                     // and only point rows exist in the pipeline
                     let mut rows: Vec<Row> =
@@ -930,85 +1078,107 @@ impl Database {
                         }
                     }
                     Ok(rows)
-                })?;
-                let rows: Vec<Row> = chunks.into_iter().flatten().collect();
-                let names = match plan {
-                    Query::Project { exprs, .. } => exprs.iter().map(|(n, _)| n.clone()).collect(),
-                    _ => fused.table.scan_column_names(),
                 };
-                let scanned = rows.len();
-                (names, rows, scanned)
+                let (chunks, rows) = self.scan_batches(fused, ctx, &mut scan_stats, finish)?;
+                (chunks.into_iter().flatten().collect(), rows)
             }
         };
-        drop(scan_span);
-        match (scan_node, prof) {
-            (Some(scan), Some(sink)) => sink.push(OpProfile {
-                op: op_label(scan),
-                rows_out: scanned,
-                elapsed_ns: scan_start.elapsed().as_nanos() as u64,
-                workers: scan_stats.workers.max(1),
-                morsels: scan_stats.morsels,
-                mode: "columnar",
-                note: String::new(),
-                children: Vec::new(),
-            }),
-            (Some(_), None) => {}
-            (None, _) => *stats = scan_stats, // the scan is the operator itself
+        while spans.pop().is_some() {} // innermost first
+        if fused.below.is_empty() {
+            *stats = scan_stats; // the scan is the operator itself
+        } else if let Some(sink) = prof {
+            let elapsed_ns = start.elapsed().as_nanos() as u64;
+            let (mut child, mut rows_out) = (None, 0);
+            for op in fused.below.iter().rev() {
+                rows_out = match op {
+                    Query::Scan { .. } => stage_rows.scanned,
+                    Query::JsonTable { .. } => stage_rows.expanded,
+                    Query::Filter { .. } => stage_rows.kept,
+                    _ => rows_out,
+                };
+                // the one `run_morsels` call is booked on the scan
+                let ran = child.is_none();
+                child = Some(OpProfile {
+                    op: op_label(op),
+                    rows_out,
+                    elapsed_ns,
+                    workers: if ran { scan_stats.workers.max(1) } else { 1 },
+                    morsels: if ran { scan_stats.morsels } else { 0 },
+                    mode: "columnar",
+                    note: fused.note(op, false),
+                    children: child.into_iter().collect(),
+                });
+            }
+            sink.extend(child);
         }
-        Ok((names, rows))
+        Ok((self.plan_columns(plan)?, rows))
     }
 
-    /// The per-morsel body of the fused scan: filter stages narrow the
+    /// The per-morsel body of the fused pipeline: filter stages narrow the
     /// selection (each extracting the transient columns it reads for the
-    /// rows still selected), then every output column is gathered for the
-    /// surviving ids only — late materialization — and `finish` turns
-    /// the `n` selected rows' columns into the consumer's unit of work.
+    /// rows still selected) — over the table's rows and then, for a
+    /// `JsonTable(Scan)` source, over the expansion of the survivors —
+    /// then every output column is gathered for the surviving rows only —
+    /// late materialization — and `finish` turns the `n` selected rows'
+    /// columns into the consumer's unit of work.
     fn scan_batches<T: Send>(
         &self,
         fused: &FusedScan<'_>,
         ctx: &ExecContext,
         stats: &mut ParStats,
         finish: impl Fn(usize, Vec<Vec<Cell>>) -> Result<T, StoreError> + Sync,
-    ) -> Result<Vec<T>, StoreError> {
+    ) -> Result<(Vec<T>, StageRows), StoreError> {
         let t = fused.table;
+        let slots = fused.leaves.len();
         let total = if fused.empty { 0 } else { t.rows.len() };
-        run_morsels(ctx, total, stats, |range, scratch| {
+        let chunks = run_morsels(ctx, total, stats, |range, scratch| {
             fsdm_fault::fire(FP_EXEC_MORSEL).map_err(fault_err)?;
             let start = Instant::now();
-            let mut cols = MorselCols::new(range, fused.leaves.len(), &ctx.governor);
-            let mut batch = Batch::all(range);
-            for c in &fused.conjuncts {
-                if batch.is_empty() {
-                    break;
+            let mut cols = MorselCols::new(range, slots, &ctx.governor);
+            let table = Rows::Table(t);
+            let (own, chain) = (&fused.conjuncts, &fused.chain_conjuncts);
+            let batch = fused.stages(own, &table, &mut cols, Batch::all(range), scratch)?;
+            let mut rows = StageRows { scanned: batch.len(), ..StageRows::default() };
+            let out = match fused.expand {
+                None => {
+                    let batch = fused.stages(chain, &table, &mut cols, batch, scratch)?;
+                    (rows.expanded, rows.kept) = (rows.scanned, batch.len());
+                    fused.gather(&table, &mut cols, &batch, scratch)?
                 }
-                cols.extract(t, &fused.leaves, &c.slots, &batch.sel, scratch)?;
-                let kernel_start = Instant::now();
-                batch = batch.filter(&c.kernel, &cols);
-                fsdm_obs::histogram!(fsdm_obs::catalog::IMC_KERNEL_NS)
-                    .record(kernel_start.elapsed().as_nanos() as u64);
-            }
-            fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_ROWS).record(batch.len() as u64);
-            let mut out: Vec<Vec<Cell>> = fused.outs.iter().map(|_| Vec::new()).collect();
-            // nothing selected: no output column is extracted or gathered
-            if !batch.is_empty() {
-                cols.extract(t, &fused.leaves, &fused.out_slots, &batch.sel, scratch)?;
-                for (col, out) in fused.outs.iter().zip(&mut out) {
-                    *out = match col {
-                        ScanCol::Cell(c) => batch.sel.iter().map(|i| t.scan_cell(i, *c)).collect(),
-                        ScanCol::Val(v) => {
-                            batch.gather(v, &cols)?.into_iter().map(Cell::D).collect()
-                        }
-                    };
+                Some((json_col, def)) => {
+                    drop(cols); // expanded: the documents' own columns are dead
+                    fsdm_fault::fire(FP_EXEC_JSONTABLE_ROW).map_err(fault_err)?;
+                    let parses = Parses::new(batch.len());
+                    let (expanded, mut cols) = Expanded::new(
+                        t,
+                        json_col,
+                        &batch.sel,
+                        &parses,
+                        &fused.leaves,
+                        scratch.cursor(def),
+                        &ctx.governor,
+                    )?;
+                    let all = Batch::all(RowRange { start: 0, end: expanded.len() });
+                    rows.expanded = all.len();
+                    let expanded = Rows::Expanded(&expanded);
+                    let batch = fused.stages(chain, &expanded, &mut cols, all, scratch)?;
+                    rows.kept = batch.len();
+                    fused.gather(&expanded, &mut cols, &batch, scratch)?
                 }
-            }
-            drop(cols); // gathered: the morsel's transient columns are dead
-            let done = finish(batch.len(), out)?;
-            fsdm_obs::counter!(fsdm_obs::catalog::EXEC_LATE_MATERIALIZE_ROWS)
-                .add(batch.len() as u64);
+            };
+            let done = finish(rows.kept, out)?;
+            fsdm_obs::counter!(fsdm_obs::catalog::EXEC_LATE_MATERIALIZE_ROWS).add(rows.kept as u64);
             fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_NS)
                 .record(start.elapsed().as_nanos() as u64);
-            Ok(done)
-        })
+            Ok((done, rows))
+        })?;
+        let mut total = StageRows::default();
+        for (_, rows) in &chunks {
+            total.scanned += rows.scanned;
+            total.expanded += rows.expanded;
+            total.kept += rows.kept;
+        }
+        Ok((chunks.into_iter().map(|(done, _)| done).collect(), total))
     }
 
     /// A scan-rooted operator that stays on the row evaluator, with its
@@ -1051,17 +1221,17 @@ impl Database {
     /// spine, `"row"` otherwise. Backed by the same lowering the executor
     /// runs, so the report matches the execution.
     pub fn plan_mode(&self, plan: &Query) -> &'static str {
-        mode_note(self.lower_scan(plan, None).as_ref()).0
+        mode_note(self.lower_scan(plan, None).as_ref(), plan).0
     }
 
     /// [`Query::render`] of an (already optimized) plan with the
     /// executor's pipeline selection appended to every line:
     /// `… mode=columnar|row`, then the operator's annotation (see
-    /// [`OpProfile::note`]). The scan feeding a fused columnar operator
-    /// is part of that pipeline and annotates columnar as well.
+    /// [`OpProfile::note`]). The operators a columnar operator fuses below
+    /// itself are part of that pipeline and annotate columnar as well.
     pub fn explain_modes(&self, plan: &Query) -> String {
         let mut modes = Vec::new();
-        self.collect_modes(plan, false, &mut modes);
+        self.collect_modes(plan, None, &mut modes);
         let rendered = plan.render();
         let lines = rendered.lines().zip(modes).map(|(line, (mode, note))| {
             let gap = if note.is_empty() { "" } else { "  " };
@@ -1070,15 +1240,21 @@ impl Database {
         lines.collect()
     }
 
-    /// Pre-order mode walk mirroring [`Query::render`]'s line order.
-    /// `fused` marks the scan absorbed by a fused consumer.
-    fn collect_modes(&self, plan: &Query, fused: bool, out: &mut Vec<(&'static str, String)>) {
-        let (mode, note) = match fused {
-            true => ("columnar", String::new()),
-            false => mode_note(self.lower_scan(plan, None).as_ref()),
-        };
-        let fuse_child = mode == "columnar" && !matches!(plan, Query::Scan { .. });
-        out.push((mode, note));
+    /// Pre-order mode walk mirroring [`Query::render`]'s line order, with
+    /// the column demand `reads` each operator would be run under.
+    fn collect_modes(
+        &self,
+        plan: &Query,
+        reads: Option<&[&Expr]>,
+        out: &mut Vec<(&'static str, String)>,
+    ) {
+        let lowered = self.lower_scan(plan, reads);
+        out.push(mode_note(lowered.as_ref(), plan));
+        if let Some(Ok(fused)) = &lowered {
+            out.extend(fused.below.iter().map(|op| ("columnar", fused.note(op, false))));
+            return;
+        }
+        let reads = input_reads(plan, reads);
         match plan {
             Query::Filter { input, .. }
             | Query::Project { input, .. }
@@ -1087,25 +1263,40 @@ impl Database {
             | Query::Sort { input, .. }
             | Query::Window { input, .. }
             | Query::Limit { input, .. }
-            | Query::Sample { input, .. } => self.collect_modes(input, fuse_child, out),
+            | Query::Sample { input, .. } => self.collect_modes(input, reads.as_deref(), out),
             Query::HashJoin { left, right, .. } => {
-                self.collect_modes(left, false, out);
-                self.collect_modes(right, false, out);
+                self.collect_modes(left, None, out);
+                self.collect_modes(right, None, out);
             }
             Query::Scan { .. } | Query::ViewScan { .. } => {}
         }
     }
 }
 
-/// Mode of an operator plus its annotation, from its mode decision
-/// ([`Database::lower_scan`]): the transient columns a fused pipeline runs
-/// on (reported on its root), or — for a scan-rooted operator on the row
-/// evaluator — the expression that forced it.
-fn mode_note(lowered: Option<&Result<FusedScan<'_>, String>>) -> (&'static str, String) {
+/// Mode of the operator `plan` plus its annotation, from its mode decision
+/// ([`Database::lower_scan`]): what a fused pipeline runs on
+/// ([`FusedScan::note`]), or — for the root of a scan-rooted pipeline on
+/// the row evaluator — the expression that forced it.
+fn mode_note(
+    lowered: Option<&Result<FusedScan<'_>, String>>,
+    plan: &Query,
+) -> (&'static str, String) {
     match lowered {
-        Some(Ok(fused)) => ("columnar", fused.leaves.note()),
+        Some(Ok(fused)) => ("columnar", fused.note(plan, true)),
         Some(Err(why)) => ("row", format!("fallback={why}")),
         None => ("row", String::new()),
+    }
+}
+
+/// What `plan`, on the row evaluator under a consumer reading `reads` of
+/// it, reads of its input's columns (`None`: all of every row).
+fn input_reads<'q>(plan: &'q Query, reads: Option<&[&'q Expr]>) -> Option<Vec<&'q Expr>> {
+    match plan {
+        Query::Project { exprs, .. } => Some(exprs.iter().map(|(_, e)| e).collect()),
+        Query::GroupBy { keys, aggs, .. } => Some(group_reads(keys, aggs).collect()),
+        // a filter hands its input's rows on
+        Query::Filter { pred, .. } => reads.map(|r| r.iter().copied().chain([pred]).collect()),
+        _ => None,
     }
 }
 
@@ -1683,6 +1874,20 @@ mod tests {
         );
         let rendered = profile.render();
         assert!(rendered.contains("JsonTable  rows=6"), "{rendered}");
+        // fused or not, an operator reports what it handed up: the scan
+        // under a chain's filter its own rows, not the filter's survivors
+        let cc = Expr::json_value(1, parse_path("$.costcenter").unwrap(), SqlType::Varchar2(4));
+        let q = Query::scan("po")
+            .project(vec![("did", Expr::Col(0)), ("cc", cc)])
+            .filter(Expr::cmp(Expr::Col(1), CmpOp::Eq, Expr::Lit(Datum::from("A"))));
+        let mut db = db;
+        for columnar in [true, false] {
+            db.set_columnar(columnar);
+            let (_, profile) = db.execute_profiled(&q).unwrap();
+            let rows: Vec<(&str, usize)> =
+                profile.ops().iter().map(|o| (o.op.as_str(), o.rows_out)).collect();
+            assert_eq!(rows, [("Filter", 2), ("Project", 3), ("Scan(po)", 3)], "{columnar}");
+        }
     }
 
     #[test]
@@ -1750,13 +1955,15 @@ mod tests {
         let filter = &fused.conjuncts[0];
         let all = crate::vector::SelVec::All(range);
         let mut scratch = EvalScratch::new();
-        cols.extract(fused.table, &fused.leaves, &filter.slots, &all, &mut scratch).unwrap();
+        cols.extract(&Rows::Table(fused.table), &fused.leaves, &filter.slots, &all, &mut scratch)
+            .unwrap();
         assert_eq!(filter.kernel.eval(range, &cols), crate::vector::Mask::AllFalse);
         // end to end: only the morsel with survivors extracts the
         // projected column next to the filter column — an empty selection
         // extracts nothing — and every morsel hands its charge back
         let ctx = db.exec_context(false);
-        let sizes = db.scan_batches(&fused, &ctx, &mut ParStats::default(), |n, _| Ok(n)).unwrap();
+        let (sizes, _) =
+            db.scan_batches(&fused, &ctx, &mut ParStats::default(), |n, _| Ok(n)).unwrap();
         assert_eq!(sizes, vec![0, 0, 4]);
         assert_eq!(ctx.governor.mem_highwater(), 2 * 4 * 32, "one morsel, two columns");
         assert_eq!(db.execute(&plan).unwrap().rows.len(), 4);
@@ -1785,6 +1992,87 @@ mod tests {
             assert_eq!(db.execute(&plan).unwrap(), fused);
             db.set_columnar(true);
         }
+    }
+
+    /// The chain above a source composes into one predicate and one output
+    /// list, so the source extracts what the statement reads and no more:
+    /// a `sum(quantity * unitprice) … group by costcenter` over a
+    /// nine-column master/detail view (T7's shape) reads 3 of 9, a
+    /// `count(*) … where reference = ?` over a five-expression `po_mv`
+    /// (T1's) reads one path — and every plan operator keeps its row.
+    #[test]
+    fn fused_chains_extract_only_what_the_statement_reads() {
+        use crate::expr::ArithOp;
+        use fsdm_sqljson::json_table::NestedDef;
+        let mut db = sample_db(JsonStorage::Oson);
+        let value =
+            |name: &str, path: &str, ty| ColumnDef::value(name, ty, parse_path(path).unwrap());
+        let (text, number) = (SqlType::Varchar2(32), SqlType::Number);
+        let def = JsonTableDef {
+            row_path: parse_path("$").unwrap(),
+            columns: vec![
+                value("reference", "$.reference", text),
+                value("requestor", "$.requestor", text),
+                value("costcenter", "$.costcenter", text),
+                value("instructions", "$.instructions", text),
+            ],
+            nested: vec![NestedDef {
+                path: parse_path("$.items[*]").unwrap(),
+                columns: vec![
+                    value("itemno", "$.itemno", number),
+                    value("partno", "$.partno", text),
+                    value("description", "$.name", text),
+                    value("quantity", "$.quantity", number),
+                    value("unitprice", "$.price", number),
+                ],
+                nested: vec![],
+            }],
+        };
+        // did, then the JSON_TABLE outputs; the raw jdoc column stays hidden
+        let mut exprs = vec![("did".to_string(), Expr::Col(0))];
+        exprs.extend(def.column_names().into_iter().zip((2..).map(Expr::Col)));
+        let table = Query::JsonTable { input: Box::new(Query::scan("po")), json_col: 1, def };
+        let dmdv = Query::Project { input: Box::new(table), exprs };
+        let revenue = Expr::Arith(Box::new(Expr::Col(8)), ArithOp::Mul, Box::new(Expr::Col(9)));
+        let t7 = dmdv
+            .group_by(vec![("k0", Expr::Col(3))], vec![AggSpec::of("a0", AggFun::Sum, revenue)]);
+        let explain = db.explain_modes(&t7);
+        let want =
+            "JsonTable(col#1, '$')  mode=columnar  expand=[costcenter, quantity, unitprice] of 9";
+        assert!(explain.contains(want), "{explain}");
+        assert!(!explain.contains("mode=row") && !explain.contains("transient="), "{explain}");
+        let (fused, profile) = db.execute_profiled(&t7).unwrap();
+        let rows: Vec<_> =
+            profile.ops().iter().map(|o| (o.op.as_str(), o.rows_out, o.mode)).collect();
+        let columnar = |op, rows| (op, rows, "columnar");
+        let want = [
+            columnar("GroupBy", 2),
+            columnar("Project", 6),
+            columnar("JsonTable", 6),
+            columnar("Scan(po)", 3),
+        ];
+        assert_eq!(rows, want);
+
+        let path = |p: &str| Expr::json_value(1, parse_path(p).unwrap(), SqlType::Varchar2(32));
+        let mv = Query::scan("po").project(vec![
+            ("did", Expr::Col(0)),
+            ("reference", path("$.reference")),
+            ("requestor", path("$.requestor")),
+            ("costcenter", path("$.costcenter")),
+            ("podate", path("$.podate")),
+        ]);
+        let t1 = mv
+            .filter(Expr::cmp(Expr::Col(1), CmpOp::Eq, Expr::Lit(Datum::from("R-1"))))
+            .group_by(vec![], vec![AggSpec::count_star("n")]);
+        let explain = db.explain_modes(&t1);
+        let want = "mode=columnar  transient=[JSON_VALUE(col#1, '$.reference' RET varchar2(32))]\n";
+        assert!(explain.contains(want) && !explain.contains("mode=row"), "{explain}");
+        let counted = db.execute(&t1).unwrap();
+        assert_eq!(counted.rows, vec![vec![Datum::from(1i64)]]);
+
+        db.set_columnar(false);
+        assert_eq!(db.execute(&t7).unwrap(), fused, "T7's shape on the row evaluator");
+        assert_eq!(db.execute(&t1).unwrap(), counted, "T1's shape on the row evaluator");
     }
 
     #[test]
@@ -1847,6 +2135,83 @@ mod tests {
         for columnar in [true, false] {
             db.set_columnar(columnar);
             assert_eq!(db.execute(&plans[0]).unwrap().rows.len(), 12, "columnar={columnar}");
+        }
+    }
+
+    #[test]
+    fn json_table_pipelines_read_resident_vectors_on_either_side_of_the_expansion() {
+        let cc = || Expr::json_value(1, parse_path("$.costcenter").unwrap(), SqlType::Varchar2(4));
+        let is_a = |e: Expr| Expr::cmp(e, CmpOp::Eq, Expr::Lit(Datum::from("A")));
+        let from_1 = || Expr::cmp(Expr::Col(0), CmpOp::Ge, Expr::Lit(Datum::from(1i64)));
+        let items =
+            |scan: Query| Query::JsonTable { input: Box::new(scan), json_col: 1, def: items_def() };
+        // scan columns: did, jdoc, po$cc; then name, price, quantity
+        let out = |q: Query| q.project(vec![("did", Expr::Col(0)), ("name", Expr::Col(3))]);
+        let plans = [
+            // below the expansion, over the table's rows: the vector of a
+            // virtual column by reference and by its spelled-out
+            // definition, the normalized vector of a base column
+            out(items(Query::scan_where("po", is_a(Expr::Col(2))))),
+            out(items(Query::scan_where("po", is_a(cc())))),
+            out(items(Query::scan_where("po", from_1()))),
+            // above it, over expanded rows: through each row's parent —
+            // and a base column is gathered off the heap, never from its
+            // normalized vector, filter on it or not
+            out(items(Query::scan("po")).filter(is_a(Expr::Col(2)))),
+            out(items(Query::scan("po")).filter(is_a(cc()))),
+            out(items(Query::scan("po")).filter(from_1())),
+            items(Query::scan("po")).project(vec![("cc", Expr::Col(2)), ("name", Expr::Col(3))]),
+        ];
+        for storage in [JsonStorage::Text, JsonStorage::Bson, JsonStorage::Oson] {
+            let mut db = sample_db(storage);
+            let t = db.table_mut("po").unwrap();
+            t.add_virtual_column("po$cc", cc());
+            t.populate_vc_imc(&["did", "po$cc"]).unwrap();
+            for plan in &plans {
+                let fused = db.lower_scan(plan, None).expect("a pipeline").expect("lowers");
+                let paths = (0..fused.leaves.len()).filter_map(|s| fused.leaves.path(s));
+                assert_eq!(paths.count(), 0, "`$.costcenter` is never evaluated");
+                db.set_columnar(false);
+                let row = db.execute(plan).unwrap();
+                db.set_columnar(true);
+                let columnar = db.execute(plan).unwrap();
+                // `Debug` too: 1 and 1.0 are equal numbers, not equal bytes
+                assert_eq!(format!("{columnar:?}"), format!("{row:?}"), "{storage:?} {plan:?}");
+                assert_eq!(columnar, row);
+                assert!(!columnar.rows.is_empty());
+            }
+            // a vector that disagrees with the documents proves it is read
+            let zs = vec![Datum::from("Z"); 3];
+            let t = db.table_mut("po").unwrap();
+            t.imc.vectors.insert(2, Arc::new(crate::imc::ColumnVector::from_datums(&zs)));
+            assert!(db.execute(&plans[3]).unwrap().rows.is_empty());
+            let all = db.execute(&plans[6]).unwrap();
+            assert_eq!(all.rows.len(), 6);
+            assert!(all.rows.iter().all(|r| r[0] == Datum::from("Z")));
+            // … and one for a base column, that over expanded rows it is not
+            let nines = vec![Datum::from(9i64); 3];
+            let t = db.table_mut("po").unwrap();
+            t.imc.vectors.insert(0, Arc::new(crate::imc::ColumnVector::from_datums(&nines)));
+            let dids: Vec<Datum> =
+                db.execute(&plans[5]).unwrap().rows.into_iter().map(|mut r| r.remove(0)).collect();
+            assert_eq!(dids, [1i64, 2, 2, 2].map(Datum::from));
+        }
+    }
+
+    #[test]
+    fn an_expansion_is_billed_for_the_text_documents_it_holds_parsed() {
+        let count =
+            Query::JsonTable { input: Box::new(Query::scan("po")), json_col: 1, def: items_def() }
+                .group_by(vec![], vec![AggSpec::count_star("n")]);
+        // no column demanded: six parent offsets over OSON, which is walked
+        // in place; the three ~150-byte text documents on top of them
+        for (storage, fits) in [(JsonStorage::Oson, true), (JsonStorage::Text, false)] {
+            let mut db = sample_db(storage);
+            db.set_mem_limit(Some(1024));
+            match db.execute(&count) {
+                Ok(r) => assert!(fits && r.rows == [[Datum::from(6i64)]], "{storage:?}"),
+                Err(e) => assert!(!fits && e.kind == ErrorKind::BudgetExceeded, "{storage:?} {e}"),
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! operators carry only their compiled [`JsonPath`] (behind an `Arc`, so
 //! clones share it). All mutable evaluation state — the per-path
 //! [`PathEvaluator`] cursors with their §4.2.1 look-back caches, and the
-//! JSON_TABLE cursors — lives in an [`EvalScratch`] that each executor
+//! JSON_TABLE cursor — lives in an [`EvalScratch`] that each executor
 //! worker owns and passes by `&mut`. That split is what lets one plan tree
 //! be shared across morsel workers (see [`crate::parallel`]).
 
@@ -23,23 +23,24 @@ use crate::vector::{Col, PredKernel, StrTest, Tri, ValKernel};
 
 /// Per-worker evaluation state. The fused scan addresses its path
 /// evaluators by dense transient-column slot; the row evaluator (the
-/// identity-test oracle) and JSON_TABLE look theirs up by address. Either
-/// way the look-back field-id caches persist across the rows a worker
-/// processes — exactly the state the expression tree itself used to hold
-/// in `RefCell`s before the executor went parallel.
+/// identity-test oracle) looks its own up by address. Either way the
+/// look-back field-id caches persist across the rows a worker processes —
+/// exactly the state the expression tree itself used to hold in
+/// `RefCell`s before the executor went parallel.
 #[derive(Default)]
 pub struct EvalScratch {
     /// One evaluator per transient path column of the fused scan this
-    /// scratch serves, indexed by slot (`None` for heap columns). A
-    /// scratch lives for one `run_morsels` call, hence one registry.
+    /// scratch serves, indexed by slot (`None` for the others). A scratch
+    /// lives for one `run_morsels` call, hence one registry.
     slots: Vec<Option<PathEvaluator>>,
     /// Row evaluator only: one evaluator per distinct compiled path
     /// (keyed by `Arc` address: expression clones share the path, hence
     /// the evaluator).
     evaluators: HashMap<usize, PathEvaluator>,
-    /// One cursor per JSON_TABLE definition (keyed by address; the
-    /// definition outlives the execution it is scanned by).
-    cursors: HashMap<usize, JsonTableCursor>,
+    /// The cursor of the one JSON_TABLE that `run_morsels` call expands —
+    /// its row, nested and column path evaluators, warm across documents
+    /// and morsels — with the address of the definition it was built for.
+    cursor: Option<(usize, JsonTableCursor)>,
 }
 
 impl EvalScratch {
@@ -48,14 +49,19 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// The slot-indexed evaluators for `leaves`, built on first use.
-    pub(crate) fn slot_evaluators(&mut self, leaves: &Leaves) -> &mut [Option<PathEvaluator>] {
+    /// Everything a transient-column extraction evaluates with: the
+    /// slot-indexed evaluators for `leaves`, built on first use, and the
+    /// JSON_TABLE cursor once [`EvalScratch::cursor`] has built it.
+    pub(crate) fn spine(
+        &mut self,
+        leaves: &Leaves,
+    ) -> (&mut [Option<PathEvaluator>], Option<&mut JsonTableCursor>) {
         if self.slots.is_empty() {
             self.slots = (0..leaves.len())
                 .map(|s| leaves.path(s).map(|p| PathEvaluator::new(p.clone())))
                 .collect();
         }
-        &mut self.slots
+        (&mut self.slots, self.cursor.as_mut().map(|(_, cursor)| cursor))
     }
 
     /// The row evaluator's reusable evaluator for `path`, created on
@@ -66,11 +72,16 @@ impl EvalScratch {
             .or_insert_with(|| PathEvaluator::new((**path).clone()))
     }
 
-    /// The reusable JSON_TABLE cursor for `def`, created on first use.
+    /// The reusable JSON_TABLE cursor for `def`, created on first use. A
+    /// scratch serves one `run_morsels` call, which expands one JSON_TABLE,
+    /// so every call names the same `def`; one that did not would get a
+    /// cursor of its own, never another definition's paths.
     pub(crate) fn cursor(&mut self, def: &JsonTableDef) -> &mut JsonTableCursor {
-        self.cursors
-            .entry(def as *const JsonTableDef as usize)
-            .or_insert_with(|| JsonTableCursor::new(def))
+        let of = std::ptr::from_ref(def) as usize;
+        if !matches!(&self.cursor, Some((built_for, _)) if *built_for == of) {
+            self.cursor = Some((of, JsonTableCursor::new(def)));
+        }
+        &mut self.cursor.as_mut().expect("built above").1
     }
 }
 
@@ -403,6 +414,32 @@ impl Expr {
         }
     }
 
+    /// This expression over an input whose columns are themselves the
+    /// expressions `cols` over a source: every column reference replaced
+    /// by what it stands for — how a chain of `Project` / `Filter` /
+    /// `GroupBy` composes into one predicate and one output list over its
+    /// source. `Err` renders a SQL/JSON operator: above a projection its
+    /// operand is a computed value, which only the row evaluator judges.
+    pub(crate) fn over(&self, cols: &[Expr]) -> Result<Expr, String> {
+        let sub = |e: &Expr| e.over(cols).map(Box::new);
+        Ok(match self {
+            Expr::Col(i) => cols.get(*i).cloned().ok_or_else(|| format!("{self:?}"))?,
+            Expr::Lit(_) => self.clone(),
+            Expr::Cmp(a, op, b) => Expr::Cmp(sub(a)?, *op, sub(b)?),
+            Expr::And(a, b) => Expr::And(sub(a)?, sub(b)?),
+            Expr::Or(a, b) => Expr::Or(sub(a)?, sub(b)?),
+            Expr::Not(a) => Expr::Not(sub(a)?),
+            Expr::IsNull(a) => Expr::IsNull(sub(a)?),
+            Expr::InList(a, list) => Expr::InList(sub(a)?, list.clone()),
+            Expr::Like(a, pat) => Expr::Like(sub(a)?, pat.clone()),
+            Expr::Arith(a, op, b) => Expr::Arith(sub(a)?, *op, sub(b)?),
+            Expr::Fun(f, args) => {
+                Expr::Fun(*f, args.iter().map(|a| a.over(cols)).collect::<Result<_, _>>()?)
+            }
+            Expr::JsonValue { .. } | Expr::JsonExists { .. } => return Err(format!("{self:?}")),
+        })
+    }
+
     /// Lower this scan predicate to a kernel. A leaf binds a resident
     /// vector when one covers its column — or materializes its very
     /// expression as a virtual column — and registers a transient column
@@ -422,7 +459,7 @@ impl Expr {
             _ => not_lowered(),
         };
         if let Some(v) = lw.materialized(self) {
-            return truth(Lowering::resident(v));
+            return truth(lw.resident(self, v));
         }
         match self {
             Expr::And(a, b) => Ok(PredKernel::And(
@@ -496,21 +533,22 @@ impl Expr {
     /// must not, so base columns are copied off the heap as transient
     /// columns instead.
     pub(crate) fn compile_value(&self, lw: &mut Lowering<'_>) -> Result<ValKernel, String> {
-        if let Some(v) = lw.materialized(self) {
-            return Ok(ValKernel::Col(v));
-        }
-        match self {
-            Expr::Lit(d) => Ok(ValKernel::Lit(d.clone())),
-            Expr::Arith(a, op, b) => Ok(ValKernel::Arith {
-                l: Box::new(a.compile_value(lw)?),
-                op: *op,
-                r: Box::new(b.compile_value(lw)?),
-            }),
-            _ => Ok(match lw.bind(self, true)?.0 {
-                Col::Resident(v) => ValKernel::Col(v),
-                Col::Transient(slot) => ValKernel::Transient(slot),
-            }),
-        }
+        let col = match (lw.materialized(self), self) {
+            (Some(v), _) => lw.resident(self, v).0,
+            (None, Expr::Lit(d)) => return Ok(ValKernel::Lit(d.clone())),
+            (None, Expr::Arith(a, op, b)) => {
+                return Ok(ValKernel::Arith {
+                    l: Box::new(a.compile_value(lw)?),
+                    op: *op,
+                    r: Box::new(b.compile_value(lw)?),
+                })
+            }
+            (None, _) => lw.bind(self, true)?.0,
+        };
+        Ok(match col {
+            Col::Resident(v) => ValKernel::Col(v),
+            Col::Transient(slot) => ValKernel::Transient(slot),
+        })
     }
 }
 

@@ -108,27 +108,35 @@ impl JsonCell {
         self.open().json_exists(ev)
     }
 
-    /// Run a JSON_TABLE definition against this cell (one-shot; hot loops
-    /// should use [`JsonCell::json_table_rows_with`] and share a cursor).
+    /// Run a JSON_TABLE definition against this cell: every row, every
+    /// column (one-shot — the executor expands through the batch spine,
+    /// holding one cursor per worker).
     pub fn json_table_rows(&self, def: &JsonTableDef) -> Vec<Vec<Datum>> {
-        let mut cursor = JsonTableCursor::new(def);
-        self.json_table_rows_with(&mut cursor)
-    }
-
-    /// Run JSON_TABLE with a caller-owned cursor, so compiled paths and
-    /// their field-id look-back caches persist across documents.
-    pub fn json_table_rows_with(&self, cursor: &mut JsonTableCursor) -> Vec<Vec<Datum>> {
-        match self.open() {
-            OpenDoc::Text(s) => match fsdm_json::parse(s) {
-                Ok(v) => cursor.rows(&ValueDom::new(&v)),
-                Err(_) => Vec::new(),
-            },
-            OpenDoc::Bson(doc) => cursor.rows(&doc),
-            OpenDoc::Oson(doc) => cursor.rows(&doc),
-            OpenDoc::Invalid => Vec::new(),
-        }
+        self.open().table_rows(&mut JsonTableCursor::new(def))
     }
 }
+
+/// A document opened as the [`fsdm_json::JsonDom`] JSON_TABLE walks.
+pub(crate) enum Dom<'a> {
+    /// Parsed JSON text.
+    Value(ValueDom<'a>),
+    /// A BSON buffer.
+    Bson(fsdm_bson::BsonDoc<'a>),
+    /// An OSON instance.
+    Oson(fsdm_oson::OsonDoc<'a>),
+}
+
+/// Evaluate `$body` with `$d` bound to the `&impl JsonDom` in a `&Dom`.
+macro_rules! with_dom {
+    ($dom:expr, $d:ident => $body:expr) => {
+        match $dom {
+            $crate::jsonaccess::Dom::Value($d) => $body,
+            $crate::jsonaccess::Dom::Bson($d) => $body,
+            $crate::jsonaccess::Dom::Oson($d) => $body,
+        }
+    };
+}
+pub(crate) use with_dom;
 
 /// One stored document opened for evaluation. The fused scan opens each
 /// row once and runs every path of the statement against it; the row
@@ -172,6 +180,38 @@ impl<'a> OpenDoc<'a> {
             OpenDoc::Bson(doc) => ev.exists(doc),
             OpenDoc::Oson(doc) => ev.exists(doc),
             OpenDoc::Invalid => false,
+        }
+    }
+
+    /// The parse a text document needs before it can be walked as a DOM;
+    /// `None` for the binary formats (and for text that does not parse).
+    pub(crate) fn parse_text(&self) -> Option<JsonValue> {
+        match self {
+            OpenDoc::Text(s) => fsdm_json::parse(s).ok(),
+            _ => None,
+        }
+    }
+
+    /// This document as a DOM, `parsed` being its [`OpenDoc::parse_text`];
+    /// `None` when there is no valid document.
+    pub(crate) fn into_dom(self, parsed: Option<&'a JsonValue>) -> Option<Dom<'a>> {
+        match self {
+            OpenDoc::Text(_) => parsed.map(|v| Dom::Value(ValueDom::new(v))),
+            OpenDoc::Bson(doc) => Some(Dom::Bson(doc)),
+            OpenDoc::Oson(doc) => Some(Dom::Oson(doc)),
+            OpenDoc::Invalid => None,
+        }
+    }
+
+    /// Every JSON_TABLE row of this document, through a caller-owned
+    /// cursor (compiled paths and look-back caches persist across
+    /// documents): the row API, which the row evaluator's `JsonTable`
+    /// operator runs on.
+    pub(crate) fn table_rows(self, cursor: &mut JsonTableCursor) -> Vec<Vec<Datum>> {
+        let parsed = self.parse_text();
+        match self.into_dom(parsed.as_ref()) {
+            Some(dom) => with_dom!(&dom, d => cursor.rows(d)),
+            None => Vec::new(),
         }
     }
 }

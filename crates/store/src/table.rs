@@ -363,6 +363,11 @@ impl Table {
         self.virtual_columns.push(VirtualColumn { name: name.into(), expr });
     }
 
+    /// Number of columns a scan puts out (base + virtual).
+    pub fn scan_width(&self) -> usize {
+        self.schema.width() + self.virtual_columns.len()
+    }
+
     /// Output column names of a scan (base + virtual).
     pub fn scan_column_names(&self) -> Vec<String> {
         self.schema

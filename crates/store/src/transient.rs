@@ -17,19 +17,28 @@
 //! warm from row to row). Rows outside the selection keep a NULL slot
 //! that no kernel result is ever read from, because every stage
 //! intersects its mask with the selection it was extracted for.
+//!
+//! A pipeline whose source is `JsonTable(Scan)` has a second row space:
+//! the surviving documents of a morsel are expanded ([`Expanded`]) into
+//! one row per (master node, detail node, …), each remembering its parent
+//! document and the context node of every definition block on its path.
+//! Transient columns over that space are extracted the same way, stage by
+//! stage, for the expanded rows still selected — a JSON_TABLE column from
+//! its block's context node, anything of the scan's from the parent.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use fsdm_fault::catalog::FP_EXPR_EVAL;
-use fsdm_json::JsonNumber;
+use fsdm_json::{JsonNumber, JsonValue};
+use fsdm_sqljson::json_table::{ColKind as TableColKind, ColumnDef, Ctx, JsonTableCursor};
 use fsdm_sqljson::path::JsonPath;
-use fsdm_sqljson::{Datum, SqlType};
+use fsdm_sqljson::{Datum, JsonTableDef, PathEvaluator, SqlType};
 
 use crate::expr::{EvalScratch, Expr};
 use crate::govern::{fault_err, QueryGovernor};
 use crate::imc::ColumnVector;
-use crate::jsonaccess::OpenDoc;
+use crate::jsonaccess::{with_dom, Dom, OpenDoc};
 use crate::parallel::RowRange;
 use crate::schema::ColType;
 use crate::table::{StoreError, Table};
@@ -38,6 +47,10 @@ use crate::vector::{Col, SelVec};
 /// Bytes the memory budget charges per extracted slot (the width of an
 /// `Option<JsonNumber>` or `Option<String>` header).
 const BUDGET_BYTES_PER_SLOT: u64 = 32;
+/// Bytes the memory budget charges per byte of a text document held
+/// parsed for a morsel visit (the value tree plus its DOM index; coarse,
+/// but monotone in the real footprint).
+const BUDGET_PARSE_BYTES_PER_TEXT_BYTE: u64 = 4;
 
 /// The slot type of a column, resident or transient: decides which
 /// kernels can bind it.
@@ -61,6 +74,11 @@ pub(crate) enum LeafSource {
     /// A base column off the heap, as `Expr::Col` yields it: a scalar
     /// cell's datum, a JSON cell's text.
     Heap { col: usize },
+    /// Column `col` (by position) of the JSON_TABLE the pipeline expands.
+    JsonTable { col: usize },
+    /// A resident vector, read through the parent of an expanded row (a
+    /// kernel over expanded rows cannot index it by row id).
+    Resident(Arc<ColumnVector>),
 }
 
 #[derive(Debug)]
@@ -96,29 +114,48 @@ impl Leaves {
         self.entries.len()
     }
 
-    /// `transient=[…]` annotation naming every leaf, empty without any.
+    /// `transient=[…]` annotation naming every leaf extracted from the
+    /// table (JSON_TABLE columns are reported on their own operator),
+    /// empty without any.
     pub(crate) fn note(&self) -> String {
-        if self.entries.is_empty() {
+        let scan = |l: &&Leaf| !matches!(l.source, LeafSource::JsonTable { .. });
+        let keys: Vec<&str> = self.entries.iter().filter(scan).map(|l| l.key.as_str()).collect();
+        if keys.is_empty() {
             return String::new();
         }
-        let keys: Vec<&str> = self.entries.iter().map(|l| l.key.as_str()).collect();
         format!("transient=[{}]", keys.join(", "))
     }
 
-    /// The compiled path of a path leaf (`None` for heap leaves).
+    /// The JSON_TABLE columns among the leaves, by position, ascending:
+    /// the expansion's column demand.
+    pub(crate) fn table_cols(&self) -> Vec<usize> {
+        let col = |l: &Leaf| match l.source {
+            LeafSource::JsonTable { col } => Some(col),
+            _ => None,
+        };
+        let mut cols: Vec<usize> = self.entries.iter().filter_map(col).collect();
+        cols.sort_unstable();
+        cols
+    }
+
+    /// The compiled path of a path leaf (`None` for the others).
     pub(crate) fn path(&self, slot: usize) -> Option<&JsonPath> {
         match &self.entries[slot].source {
             LeafSource::Value { path, .. } | LeafSource::Exists { path, .. } => Some(path),
-            LeafSource::Heap { .. } => None,
+            _ => None,
         }
     }
 }
 
 /// The state one scan-rooted pipeline is lowered against: the table
-/// (schema, virtual-column definitions, resident vectors) and the
-/// transient columns registered so far.
+/// (schema, virtual-column definitions, resident vectors), the columns of
+/// the JSON_TABLE it expands, if any (they follow the scan's, as in
+/// `JsonTable`'s output), and the transient columns registered so far.
 pub(crate) struct Lowering<'a> {
     table: &'a Table,
+    /// `Some`: kernels run over the rows of an expansion with these
+    /// columns (see [`Lowering::expanding`]).
+    expand: Option<Vec<&'a ColumnDef>>,
     /// The transient columns the lowered kernels read, by slot.
     pub(crate) leaves: Leaves,
     /// Slots bound since the last [`Lowering::take_touched`].
@@ -131,10 +168,20 @@ pub(crate) struct Lowering<'a> {
 }
 
 impl<'a> Lowering<'a> {
-    /// Start lowering expressions over `table`'s scan schema.
+    /// Start lowering expressions over `table`'s scan schema: kernels run
+    /// over the table's rows until [`Lowering::expanding`].
     pub(crate) fn new(table: &'a Table) -> Lowering<'a> {
-        let limit = table.schema.width() + table.virtual_columns.len();
-        Lowering { table, leaves: Leaves::default(), touched: Vec::new(), limit }
+        let limit = table.scan_width();
+        Lowering { table, expand: None, leaves: Leaves::default(), touched: Vec::new(), limit }
+    }
+
+    /// From here on kernels run over the rows of `def`'s expansion, whose
+    /// columns follow the scan's. What was lowered before — the scan's own
+    /// filter, which runs below the `JsonTable` — keeps reading the table.
+    pub(crate) fn expanding(&mut self, def: &'a JsonTableDef) {
+        let columns = def.flat_columns();
+        self.limit = self.table.scan_width() + columns.len();
+        self.expand = Some(columns);
     }
 
     /// The transient slots bound since the last call, each once: what
@@ -156,14 +203,19 @@ impl<'a> Lowering<'a> {
         e.resident_vc(self.table).map(|(_, v)| v.clone())
     }
 
-    /// A resident vector as the column a kernel leaf reads.
-    pub(crate) fn resident(v: Arc<ColumnVector>) -> (Col, ColKind) {
+    /// The resident vector `v` of `e` as the column a kernel leaf reads:
+    /// itself over the table's rows, a transient copy through the parent
+    /// over expanded rows.
+    pub(crate) fn resident(&mut self, e: &Expr, v: Arc<ColumnVector>) -> (Col, ColKind) {
         let kind = match &*v {
             ColumnVector::Numbers(_) => ColKind::Nums,
             ColumnVector::Strings { .. } => ColKind::Strs,
             ColumnVector::Bools(_) => ColKind::Bools,
         };
-        (Col::Resident(v), kind)
+        match self.expand {
+            None => (Col::Resident(v), kind),
+            Some(_) => self.transient(e, LeafSource::Resident(v), kind),
+        }
     }
 
     fn transient(&mut self, e: &Expr, source: LeafSource, kind: ColKind) -> (Col, ColKind) {
@@ -180,19 +232,40 @@ impl<'a> Lowering<'a> {
     /// may select a JSON column as text.
     pub(crate) fn bind(&mut self, e: &Expr, as_value: bool) -> Result<(Col, ColKind), String> {
         let not_lowered = || Err(format!("{e:?}"));
-        let resident = |v| Ok(Self::resident(v));
         if let Some(v) = self.materialized(e) {
-            return resident(v);
+            return Ok(self.resident(e, v));
         }
         let table = self.table;
         let width = table.schema.width();
         let json_col = |col: usize| {
             table.schema.columns.get(col).is_some_and(|c| matches!(c.ty, ColType::Json(_)))
         };
+        let returning = |ty: SqlType| match ty {
+            SqlType::Number => Some(ColKind::Nums),
+            SqlType::Varchar2(_) => Some(ColKind::Strs),
+            SqlType::Boolean => Some(ColKind::Bools),
+            // pass-through values have no single slot type
+            SqlType::Any => None,
+        };
         match e {
             Expr::Col(i) if *i >= self.limit => not_lowered(),
+            Expr::Col(i) if *i >= table.scan_width() => {
+                let col = *i - table.scan_width();
+                let def = self.expand.as_ref().and_then(|defs| defs.get(col));
+                let kind = match def.map(|d| (d.kind, d.ty)) {
+                    Some((TableColKind::Value, ty)) => returning(ty),
+                    Some((TableColKind::Exists | TableColKind::Ordinality, _)) => {
+                        Some(ColKind::Nums)
+                    }
+                    None => None,
+                };
+                match kind {
+                    Some(kind) => Ok(self.transient(e, LeafSource::JsonTable { col }, kind)),
+                    None => not_lowered(),
+                }
+            }
             Expr::Col(i) if *i >= width => match self.vector(*i) {
-                Some(v) => resident(v),
+                Some(v) => Ok(self.resident(e, v)),
                 // no usable vector: lower the defining expression
                 None => {
                     let outer = std::mem::replace(&mut self.limit, *i);
@@ -201,8 +274,11 @@ impl<'a> Lowering<'a> {
                     bound
                 }
             },
-            Expr::Col(i) => match self.vector(*i).filter(|_| !as_value) {
-                Some(v) => resident(v),
+            // a base column's vector is normalized: predicates over the
+            // table's rows only (over expanded rows the heap leaf a gather
+            // of the same column registers must not turn out to be it)
+            Expr::Col(i) => match self.vector(*i).filter(|_| !as_value && self.expand.is_none()) {
+                Some(v) => Ok(self.resident(e, v)),
                 None => {
                     let kind = match table.schema.columns[*i].ty {
                         ColType::Number => ColKind::Nums,
@@ -216,13 +292,7 @@ impl<'a> Lowering<'a> {
                 }
             },
             Expr::JsonValue { col, path, ty } if json_col(*col) => {
-                let kind = match ty {
-                    SqlType::Number => ColKind::Nums,
-                    SqlType::Varchar2(_) => ColKind::Strs,
-                    SqlType::Boolean => ColKind::Bools,
-                    // pass-through values have no single slot type
-                    SqlType::Any => return not_lowered(),
-                };
+                let Some(kind) = returning(*ty) else { return not_lowered() };
                 Ok(self.transient(
                     e,
                     LeafSource::Value { col: *col, path: path.clone(), ty: *ty },
@@ -277,6 +347,15 @@ impl TransientVec {
         Ok(())
     }
 
+    /// Store at `to` what is stored at `from`.
+    fn repeat(&mut self, from: usize, to: usize) {
+        match self {
+            TransientVec::Nums(v) => v[to] = v[from],
+            TransientVec::Strs(v) => v[to] = v[from].clone(),
+            TransientVec::Bools(v) => v[to] = v[from],
+        }
+    }
+
     /// The slot at `off` as an owned datum.
     pub fn datum(&self, off: usize) -> Datum {
         match self {
@@ -292,6 +371,126 @@ impl TransientVec {
             TransientVec::Nums(v) => v[off].is_none(),
             TransientVec::Strs(v) => v[off].is_none(),
             TransientVec::Bools(v) => v[off].is_none(),
+        }
+    }
+}
+
+/// One morsel's JSON_TABLE expansion: the row space the pipeline's stages
+/// run over once its source is `JsonTable(Scan)`. Holds no column value —
+/// only where each expanded row came from, so that a column is extracted
+/// when a stage asks for it, for the rows still selected then.
+pub(crate) struct Expanded<'t> {
+    table: &'t Table,
+    /// The expanded documents, each opened once for the morsel visit:
+    /// row id, and its DOM (`None`: no JSON document to walk).
+    docs: Vec<(usize, Option<Dom<'t>>)>,
+    /// Per expanded row, its document's index in `docs`.
+    parent: Vec<u32>,
+    /// Per definition block, each expanded row's context in it; left
+    /// empty for a block no demanded column sits in.
+    ctx: Vec<Vec<Ctx>>,
+}
+
+/// The parses of one morsel's text documents, each filled at most once —
+/// so a document is parsed once per morsel visit, whatever the number of
+/// stages that read it. Owned by the caller of [`Expanded::new`], because a
+/// DOM over a parse borrows it.
+pub(crate) struct Parses(Vec<OnceLock<JsonValue>>);
+
+impl Parses {
+    /// Room for the parses of `docs` documents.
+    pub(crate) fn new(docs: usize) -> Parses {
+        Parses((0..docs).map(|_| OnceLock::new()).collect())
+    }
+}
+
+impl<'t> Expanded<'t> {
+    /// Expand the rows of `sel` (the scan's column `json_col`), in order:
+    /// one expanded row per output row of `cursor` — and one, all
+    /// JSON_TABLE columns NULL, for a row whose document yields none (the
+    /// lateral join is outer). Each document is opened here, once for the
+    /// morsel visit, its parse — if it is text — kept in `parses`.
+    ///
+    /// Returns the expansion with the (still empty) transient columns over
+    /// its rows, which are billed, document by document, for what the
+    /// expansion itself holds.
+    pub(crate) fn new<'g>(
+        table: &'t Table,
+        json_col: usize,
+        sel: &SelVec,
+        parses: &'t Parses,
+        leaves: &Leaves,
+        cursor: &mut JsonTableCursor,
+        governor: &'g QueryGovernor,
+    ) -> Result<(Expanded<'t>, MorselCols<'g>), StoreError> {
+        let mut cols = MorselCols::new(RowRange { start: 0, end: 0 }, leaves.len(), governor);
+        let off_path = vec![Ctx::NONE; cursor.blocks()];
+        let mut stored = vec![false; cursor.blocks()];
+        leaves.table_cols().iter().for_each(|c| stored[cursor.block_of(*c)] = true);
+        let row_bytes = std::mem::size_of::<u32>()
+            + stored.iter().filter(|s| **s).count() * std::mem::size_of::<Ctx>();
+        let mut ctx: Vec<Vec<Ctx>> = vec![Vec::new(); cursor.blocks()];
+        let mut parent: Vec<u32> = Vec::new();
+        let mut push = |k: u32, path: &[Ctx]| {
+            parent.push(k);
+            for ((col, c), stored) in ctx.iter_mut().zip(path).zip(&stored) {
+                if *stored {
+                    col.push(*c);
+                }
+            }
+        };
+        debug_assert_eq!(parses.0.len(), sel.len(), "one parse slot per document");
+        let mut docs = Vec::with_capacity(sel.len());
+        for ((k, i), parse) in (0u32..).zip(sel.iter()).zip(&parses.0) {
+            let doc = table.open_doc(i, json_col);
+            let parsed = doc.as_ref().and_then(OpenDoc::parse_text);
+            let parsed = parsed.map(|v| parse.get_or_init(|| v));
+            let parse_bytes = match &doc {
+                Some(OpenDoc::Text(s)) => s.len() as u64 * BUDGET_PARSE_BYTES_PER_TEXT_BYTE,
+                _ => 0,
+            };
+            let dom = doc.and_then(|d| d.into_dom(parsed));
+            let mut rows = 0;
+            if let Some(dom) = &dom {
+                let mut row = |path: &[Ctx]| {
+                    push(k, path);
+                    rows += 1;
+                };
+                with_dom!(dom, d => cursor.expand(d, &mut row));
+            }
+            if rows == 0 {
+                push(k, &off_path);
+                rows = 1;
+            }
+            governor.check_rows(&mut cols.checked, rows)?;
+            cols.charge(parse_bytes + (rows * row_bytes) as u64)?;
+            docs.push((i, dom));
+        }
+        cols.range.end = parent.len();
+        Ok((Expanded { table, docs, parent, ctx }, cols))
+    }
+
+    /// Number of expanded rows.
+    pub(crate) fn len(&self) -> usize {
+        self.parent.len()
+    }
+}
+
+/// The row space a stage runs over, and what its columns come from.
+pub(crate) enum Rows<'a> {
+    /// The table's rows, by row id.
+    Table(&'a Table),
+    /// A morsel's expanded rows, by position.
+    Expanded(&'a Expanded<'a>),
+}
+
+impl Rows<'_> {
+    /// The scan cell of base column `col` for row `i` (an expanded row
+    /// has its parent's).
+    pub(crate) fn cell(&self, i: usize, col: usize) -> crate::table::Cell {
+        match self {
+            Rows::Table(t) => t.scan_cell(i, col),
+            Rows::Expanded(x) => x.table.scan_cell(x.docs[x.parent[i] as usize].0, col),
         }
     }
 }
@@ -332,11 +531,21 @@ impl<'g> MorselCols<'g> {
         self.vecs[slot].as_ref().expect("a stage extracts its slots before its kernels run")
     }
 
+    /// Charge `bytes` held for the life of this morsel to the budget.
+    pub(crate) fn charge(&mut self, bytes: u64) -> Result<(), StoreError> {
+        // booked before the charge: a refused charge is released too
+        self.charged += bytes;
+        self.governor.charge(bytes)
+    }
+
     /// Extract the not yet extracted columns among `slots` for the rows
-    /// of `sel`, one pass over the rows, one opened document per row.
+    /// of `sel`, one pass over the rows, one opened document per table
+    /// row. Over expanded rows a value is computed once per run of rows
+    /// it is the same for: a master-level column once per master node,
+    /// anything of the parent's once per document.
     pub(crate) fn extract(
         &mut self,
-        table: &Table,
+        rows: &Rows<'_>,
         leaves: &Leaves,
         slots: &[usize],
         sel: &SelVec,
@@ -353,30 +562,16 @@ impl<'g> MorselCols<'g> {
         }
         fsdm_fault::fire(FP_EXPR_EVAL).map_err(fault_err)?;
         let start = Instant::now();
-        let bytes = pending.len() as u64 * self.range.len() as u64 * BUDGET_BYTES_PER_SLOT;
-        // booked before the charge: a refused charge is released too
-        self.charged += bytes;
-        self.governor.charge(bytes)?;
+        self.charge(pending.len() as u64 * self.range.len() as u64 * BUDGET_BYTES_PER_SLOT)?;
         for &s in &pending {
             self.vecs[s] = Some(TransientVec::nulls(leaves.entries[s].kind, self.range.len()));
         }
-        let evaluators = scratch.slot_evaluators(leaves);
-        for i in sel.iter() {
-            self.governor.check_rows(&mut self.checked, 1)?;
-            let mut doc = None;
-            for &s in &pending {
-                let value = match &leaves.entries[s].source {
-                    LeafSource::Heap { col } => table.scan_cell(i, *col).into_datum(),
-                    source @ (LeafSource::Value { col, .. } | LeafSource::Exists { col, .. }) => {
-                        let doc = shared_doc(&mut doc, table, i, *col)?;
-                        let ev = evaluators[s].as_mut().expect("path leaves own an evaluator");
-                        match source {
-                            LeafSource::Value { ty, .. } => doc.json_value(ev, *ty),
-                            _ => Datum::Bool(doc.json_exists(ev)),
-                        }
-                    }
-                };
-                self.vecs[s].as_mut().expect("allocated above").set(i - self.range.start, value)?;
+        let (evaluators, cursor) = scratch.spine(leaves);
+        match rows {
+            Rows::Table(table) => self.fill(&pending, leaves, sel, evaluators, table)?,
+            Rows::Expanded(x) => {
+                let cursor = cursor.expect("the expansion built the cursor");
+                self.fill_expanded(&pending, leaves, sel, evaluators, x, cursor)?
             }
         }
         fsdm_obs::counter!(fsdm_obs::catalog::EXEC_TRANSIENT_COLS).add(pending.len() as u64);
@@ -386,23 +581,136 @@ impl<'g> MorselCols<'g> {
             .record(start.elapsed().as_nanos() as u64);
         Ok(())
     }
+
+    /// [`MorselCols::extract`] over the table's rows: one opened document
+    /// per row, shared by the row's pending paths.
+    fn fill(
+        &mut self,
+        pending: &[usize],
+        leaves: &Leaves,
+        sel: &SelVec,
+        evaluators: &mut [Option<PathEvaluator>],
+        table: &Table,
+    ) -> Result<(), StoreError> {
+        // the hot loop of every statement over a collection, kept as it
+        // was before expanded rows existed: what only they need
+        // ([`scan_value`]'s other sources, its run bookkeeping) stays out
+        for i in sel.iter() {
+            self.governor.check_rows(&mut self.checked, 1)?;
+            let mut doc: Option<(usize, OpenDoc<'_>)> = None;
+            for &s in pending {
+                let value = match &leaves.entries[s].source {
+                    LeafSource::Heap { col } => table.scan_cell(i, *col).into_datum(),
+                    source @ (LeafSource::Value { col, .. } | LeafSource::Exists { col, .. }) => {
+                        if !matches!(&doc, Some((c, _)) if c == col) {
+                            let opened = table.open_doc(i, *col).ok_or_else(|| {
+                                StoreError::new("SQL/JSON operator on non-JSON column")
+                            })?;
+                            doc = Some((*col, opened));
+                        }
+                        let doc = &doc.as_ref().expect("opened above").1;
+                        let ev = evaluators[s].as_mut().expect("path leaves own an evaluator");
+                        match source {
+                            LeafSource::Value { ty, .. } => doc.json_value(ev, *ty),
+                            _ => Datum::Bool(doc.json_exists(ev)),
+                        }
+                    }
+                    LeafSource::JsonTable { .. } | LeafSource::Resident(_) => {
+                        return Err(StoreError::new("a leaf of expanded rows in a table scan"))
+                    }
+                };
+                self.vecs[s].as_mut().expect("allocated above").set(i - self.range.start, value)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`MorselCols::extract`] over expanded rows: a JSON_TABLE column
+    /// from its block's context node in the parent's open DOM, anything of
+    /// the scan's from the parent's table row.
+    fn fill_expanded(
+        &mut self,
+        pending: &[usize],
+        leaves: &Leaves,
+        sel: &SelVec,
+        evaluators: &mut [Option<PathEvaluator>],
+        x: &Expanded<'_>,
+        cursor: &mut JsonTableCursor,
+    ) -> Result<(), StoreError> {
+        // per pending slot: the JSON_TABLE column it is with that column's
+        // block; the run of rows its last computed value holds for, and
+        // where that value sits
+        let table_col = |s: &usize| match leaves.entries[*s].source {
+            LeafSource::JsonTable { col } => Some((col, cursor.block_of(col))),
+            _ => None,
+        };
+        let table_cols: Vec<Option<(usize, usize)>> = pending.iter().map(table_col).collect();
+        let mut last: Vec<Option<((usize, Ctx), usize)>> = vec![None; pending.len()];
+        let (mut doc, mut doc_of) = (None, usize::MAX);
+        for i in sel.iter() {
+            self.governor.check_rows(&mut self.checked, 1)?;
+            let (k, off) = (x.parent[i] as usize, i - self.range.start);
+            let (row, dom) = &x.docs[k];
+            if doc_of != k {
+                (doc, doc_of) = (None, k);
+            }
+            for ((&s, jt), last) in pending.iter().zip(&table_cols).zip(&mut last) {
+                let slot = self.vecs[s].as_mut().expect("allocated above");
+                // equal for two expanded rows, equal value: one context for
+                // a JSON_TABLE column, one parent for anything of the scan's
+                let run = (k, jt.map_or(Ctx::NONE, |(_, b)| x.ctx[b][i]));
+                if let Some((_, from)) = last.filter(|(of, _)| *of == run) {
+                    slot.repeat(from, off);
+                    continue;
+                }
+                *last = Some((run, off));
+                let value = match (jt, dom) {
+                    (Some((col, _)), Some(dom)) => with_dom!(dom, d => cursor.cell(d, *col, run.1)),
+                    (Some(_), None) => Datum::Null,
+                    (None, _) => {
+                        let source = &leaves.entries[s].source;
+                        scan_value(x.table, *row, source, &mut doc, evaluators[s].as_mut())?
+                    }
+                };
+                slot.set(off, value)?;
+            }
+        }
+        Ok(())
+    }
 }
 
-/// The document at `(row, col)`: opened by the first path of the row that
-/// needs it, shared by the rest.
-fn shared_doc<'d, 't>(
-    doc: &'d mut Option<(usize, OpenDoc<'t>)>,
+/// The value, for an expanded row, of a leaf of the table's own — anything
+/// but a JSON_TABLE column — at its parent's table row `row`. `doc` is the document of that row open at
+/// a column (the caller clears it between rows): opened by the first path
+/// that needs it, shared by the rest.
+fn scan_value<'t>(
     table: &'t Table,
     row: usize,
-    col: usize,
-) -> Result<&'d OpenDoc<'t>, StoreError> {
-    if !matches!(doc, Some((c, _)) if *c == col) {
-        let opened = table
-            .open_doc(row, col)
-            .ok_or_else(|| StoreError::new("SQL/JSON operator on non-JSON column"))?;
-        *doc = Some((col, opened));
-    }
-    Ok(&doc.as_ref().expect("opened above").1)
+    source: &LeafSource,
+    doc: &mut Option<(usize, OpenDoc<'t>)>,
+    ev: Option<&mut PathEvaluator>,
+) -> Result<Datum, StoreError> {
+    Ok(match source {
+        LeafSource::Heap { col } => table.scan_cell(row, *col).into_datum(),
+        LeafSource::Value { col, .. } | LeafSource::Exists { col, .. } => {
+            if !matches!(doc, Some((c, _)) if c == col) {
+                let opened = table
+                    .open_doc(row, *col)
+                    .ok_or_else(|| StoreError::new("SQL/JSON operator on non-JSON column"))?;
+                *doc = Some((*col, opened));
+            }
+            let doc = &doc.as_ref().expect("opened above").1;
+            let ev = ev.expect("path leaves own an evaluator");
+            match source {
+                LeafSource::Value { ty, .. } => doc.json_value(ev, *ty),
+                _ => Datum::Bool(doc.json_exists(ev)),
+            }
+        }
+        LeafSource::Resident(v) => v.slot(row).to_datum(),
+        LeafSource::JsonTable { .. } => {
+            return Err(StoreError::new("JSON_TABLE column outside an expansion"))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -450,10 +758,11 @@ mod tests {
         let gov = QueryGovernor::unlimited();
         let mut cols = MorselCols::new(range, leaves.len(), &gov);
         let mut scratch = EvalScratch::new();
-        cols.extract(&t, &leaves, &[a, b], &SelVec::All(range), &mut scratch).unwrap();
+        cols.extract(&Rows::Table(&t), &leaves, &[a, b], &SelVec::All(range), &mut scratch)
+            .unwrap();
         assert_eq!(cols.vec(0).datum(7), Datum::from(7i64));
         // one evaluator saw all ten documents: nine look-back hits
-        let ev = scratch.slot_evaluators(&leaves)[0].as_ref().unwrap();
+        let ev = scratch.spine(&leaves).0[0].as_ref().unwrap();
         assert_eq!((ev.lookback_hits, ev.lookback_misses), (9, 1));
     }
 
@@ -469,17 +778,18 @@ mod tests {
         let mut cols = MorselCols::new(range, leaves.len(), &gov);
         let mut scratch = EvalScratch::new();
         let sel = SelVec::Ids(vec![5, 7]);
-        cols.extract(&t, &leaves, &[slot, base], &sel, &mut scratch).unwrap();
+        cols.extract(&Rows::Table(&t), &leaves, &[slot, base], &sel, &mut scratch).unwrap();
         assert_eq!(cols.vec(slot).datum(1), Datum::from("row5"));
         assert_eq!(cols.vec(base).datum(3), Datum::from(7i64));
         assert!(cols.vec(slot).is_null(0), "row 4 was not selected, so never opened");
         // a later stage over a narrower selection reuses the vectors
         let ev_hits = |s: &mut EvalScratch| {
-            let ev = s.slot_evaluators(&leaves)[slot].as_ref().unwrap();
+            let ev = s.spine(&leaves).0[slot].as_ref().unwrap();
             ev.lookback_hits + ev.lookback_misses
         };
         let before = ev_hits(&mut scratch);
-        cols.extract(&t, &leaves, &[slot], &SelVec::Ids(vec![7]), &mut scratch).unwrap();
+        cols.extract(&Rows::Table(&t), &leaves, &[slot], &SelVec::Ids(vec![7]), &mut scratch)
+            .unwrap();
         assert_eq!(ev_hits(&mut scratch), before, "no second evaluation");
     }
 
@@ -495,13 +805,13 @@ mod tests {
         for start in [0, 4] {
             let range = RowRange { start, end: start + 4 };
             let mut cols = MorselCols::new(range, 1, &gov);
-            cols.extract(&t, &leaves, &[slot], &SelVec::All(range), &mut scratch)
+            cols.extract(&Rows::Table(&t), &leaves, &[slot], &SelVec::All(range), &mut scratch)
                 .expect("the previous morsel's charge was released with it");
         }
         assert_eq!(gov.mem_highwater(), 128, "one morsel live at a time");
         let range = RowRange { start: 0, end: 8 };
         let err = MorselCols::new(range, 1, &gov)
-            .extract(&t, &leaves, &[slot], &SelVec::All(range), &mut scratch)
+            .extract(&Rows::Table(&t), &leaves, &[slot], &SelVec::All(range), &mut scratch)
             .unwrap_err();
         assert_eq!(err.kind, crate::table::ErrorKind::BudgetExceeded);
     }

@@ -19,7 +19,10 @@
 use fsdm::fault::{catalog, FailMode, FailScope};
 use fsdm::sqljson::Datum;
 use fsdm::store::{CancelReason, ErrorKind, Query, QueryResult};
-use fsdm_bench::setup::{add_nobench_columnar_vcs, nobench_db, nobench_q11_plan, nobench_q5_bind};
+use fsdm_bench::setup::{
+    add_nobench_columnar_vcs, bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db,
+    olap_queries, StorageMethod,
+};
 
 const DEGREES: [usize; 2] = [1, 4];
 
@@ -200,6 +203,77 @@ fn a_q4_shaped_statement_is_governed_on_the_transient_path() {
         let err = session.db.execute(&plan).expect_err("an injected gather fault surfaces");
         assert_eq!(err.kind, ErrorKind::Generic, "degree {degree}: {err}");
         assert!(err.message.contains(catalog::FP_VECTOR_BATCH), "degree {degree}: {err}");
+        fsdm::fault::reset();
+
+        let rerun = session.db.execute(&plan).expect("the database survives every kill");
+        assert_eq!(rerun, baseline, "degree {degree}: post-kill rerun diverged");
+    }
+}
+
+/// `JSON_TABLE` on the spine is governed like the fused scan under it.
+/// T9 — every line item of every order through `po_item_dmdv`, seven
+/// columns — dies with the same typed error at degree 1 and 4 under a
+/// budget smaller than one morsel's expanded columns (while a budget that
+/// covers the morsels in flight, a quarter of what the whole expansion
+/// holds, lets it through), under a deadline that passes while a morsel is
+/// being expanded, and under a fault injected into the expansion or the
+/// gathers above it; afterwards the same database answers with the same
+/// bytes.
+#[test]
+fn a_full_expansion_is_governed_on_the_spine() {
+    fsdm::fault::silence_failpoint_panics();
+    let scope = FailScope::disarmed();
+    let n = 1000;
+    let mut session = olap_db(StorageMethod::Oson, n);
+    let t9 = &olap_queries(n)[8];
+    let binds: Vec<Datum> = t9.binds.iter().map(|b| bind_datum(b)).collect();
+    let plan = session.plan(&t9.sql, &binds).unwrap();
+    let explain =
+        session.db.explain_modes(&fsdm::store::optimizer::optimize(&session.db, plan.clone()));
+    assert!(explain.contains("JsonTable(col#1, '$.purchaseOrder')  mode=columnar"), "{explain}");
+    let baseline = session.db.execute(&plan).expect("ungoverned baseline runs");
+    assert!(baseline.rows.len() > fsdm::store::ROWS_PER_CHECK, "one morsel spans a row check");
+    for degree in DEGREES {
+        session.db.set_parallelism(degree);
+
+        // a 64-document morsel expands to ~320 rows: 36 bytes of parent
+        // and context each, then 32 per row for each of seven columns
+        session.db.set_morsel_rows(64);
+        session.set_mem_limit(Some(32 * 1024));
+        let err = session.db.execute(&plan).expect_err("a 32 KiB budget kills the expansion");
+        assert_eq!(err.kind, ErrorKind::BudgetExceeded, "degree {degree}");
+        assert_eq!(err.message, "memory budget exceeded (limit 32768 bytes)", "degree {degree}");
+        // billed per morsel in flight (~22 KiB each at 16 documents), not
+        // for the ~1.2 MiB the whole expansion would hold
+        session.db.set_morsel_rows(16);
+        session.set_mem_limit(Some(128 * 1024));
+        let governed = session.db.execute(&plan).expect("the morsels in flight fit 128 KiB");
+        assert_eq!(governed, baseline, "degree {degree}: budgeted run diverged");
+        session.set_mem_limit(None);
+
+        // one morsel: the deadline passes inside it, after the boundary
+        // checkpoint, and the per-row checks of the expansion see it
+        session.db.set_morsel_rows(4096);
+        session.set_statement_timeout(Some(20));
+        scope.also(catalog::FP_EXEC_JSONTABLE_ROW, FailMode::Delay(60));
+        let err = session.db.execute(&plan).expect_err("the deadline passes mid-expansion");
+        assert_eq!(err.kind, ErrorKind::DeadlineExceeded, "degree {degree}");
+        assert_eq!(err.message, "statement deadline exceeded (timeout 20 ms)", "degree {degree}");
+        fsdm::fault::reset();
+        session.set_statement_timeout(None);
+
+        // the expansion fires `exec.jsontable.row` once per morsel, the
+        // gathers above it `vector.batch`
+        for point in [catalog::FP_EXEC_JSONTABLE_ROW, catalog::FP_VECTOR_BATCH] {
+            scope.also(point, FailMode::Error);
+            let err = session.db.execute(&plan).expect_err("an injected fault surfaces");
+            assert_eq!(err.kind, ErrorKind::Generic, "degree {degree}: {err}");
+            assert!(err.message.contains(point), "degree {degree}: {err}");
+            fsdm::fault::reset();
+        }
+        scope.also(catalog::FP_EXEC_JSONTABLE_ROW, FailMode::Panic);
+        let err = session.db.execute(&plan).expect_err("an armed panic surfaces as an error");
+        assert_eq!(err.kind, ErrorKind::WorkerPanic { morsel: 0 }, "degree {degree}: {err}");
         fsdm::fault::reset();
 
         let rerun = session.db.execute(&plan).expect("the database survives every kill");

@@ -62,11 +62,16 @@ fn nobench_columnar_identical_to_row_at_every_degree() {
     session.db.set_columnar(true);
 }
 
+/// T1–T9 through `po_mv` and `po_item_dmdv` — `JSON_TABLE` with the
+/// view's consumers fused on top — return byte-identical rows in identical
+/// order with the spine on and off, at degree 1 and 4, over text, BSON and
+/// OSON storage alike (and, separately, over the relational decomposition).
 #[test]
 fn olap_columnar_identical_to_row_at_every_degree() {
     let n = 300;
     let queries = olap_queries(n);
-    for method in [StorageMethod::Oson, StorageMethod::Rel] {
+    let mut across_storages = None;
+    for method in StorageMethod::ALL {
         let mut session = olap_db(method, n);
         session.db.set_morsel_rows(32);
         let mut baseline = None;
@@ -90,6 +95,12 @@ fn olap_columnar_identical_to_row_at_every_degree() {
                         method.label()
                     ),
                 }
+            }
+        }
+        if method != StorageMethod::Rel {
+            match &across_storages {
+                None => across_storages = baseline,
+                Some(first) => assert_eq!(&baseline.unwrap(), first, "{}", method.label()),
             }
         }
     }
