@@ -381,7 +381,18 @@ fn fig8(n: usize) {
 
 fn fig9(n: usize) {
     println!("\n== Figure 9: transient DataGuide aggregation vs persistent index, {n} docs ==");
-    for c in run_transient_vs_persistent(n) {
+    let cells = run_transient_vs_persistent(n);
+    for c in &cells {
         println!("{:<28} {:>10}", c.label, ms(c.time));
+    }
+    // the last two cells: the 99 % aggregate and the index build; the
+    // gauge is set by that bulk build (later puts do not refresh it)
+    if let [.., transient, persistent] = cells.as_slice() {
+        println!(
+            "persistent / transient 99% = {:.2}x; index.bytes as built = {}; host available_parallelism {}",
+            persistent.time.as_secs_f64() / transient.time.as_secs_f64(),
+            fsdm_obs::gauge!(fsdm_obs::catalog::INDEX_BYTES).get(),
+            std::thread::available_parallelism().map_or(1, usize::from),
+        );
     }
 }

@@ -141,7 +141,7 @@ impl FsdmDatabase {
     /// The collection's persistent DataGuide (§3.2) — the continuously
     /// maintained soft schema.
     pub fn dataguide(&self, collection: &str) -> Option<&DataGuide> {
-        self.session.db.table(collection).map(|t| &t.dataguide)
+        self.session.db.table(collection).map(|t| &*t.dataguide)
     }
 
     /// The DataGuide in hierarchical JSON form (`getDataGuide()` of
@@ -520,6 +520,26 @@ mod tests {
         assert!(delta.counter("store.insert.guide_fast_path") >= 4);
         assert!(delta.counter("store.exec.queries") >= 1);
         assert!(delta.counter("sqljson.eval.paths") >= 5);
+    }
+
+    #[test]
+    fn a_traced_put_shows_its_four_stages() {
+        use fsdm_obs::catalog::{
+            SPAN_INGEST_ENCODE, SPAN_INGEST_GUIDE, SPAN_INGEST_PARSE, SPAN_INGEST_POSTINGS,
+        };
+        let mut db = FsdmDatabase::new();
+        db.create_collection("c", CollectionOptions::default()).unwrap();
+        db.create_search_index("c").unwrap();
+        let session = fsdm_obs::trace::TraceSession::begin();
+        db.put("c", r#"{"a":[1,"two"]}"#).unwrap();
+        assert!(db.put("c", "{oops").is_err());
+        let trace = session.finish();
+        trace.validate().unwrap();
+        // the rejected put got as far as the parse
+        assert_eq!(trace.count(SPAN_INGEST_PARSE), 2);
+        for stage in [SPAN_INGEST_ENCODE, SPAN_INGEST_GUIDE, SPAN_INGEST_POSTINGS] {
+            assert_eq!(trace.count(stage), 1, "{stage}");
+        }
     }
 
     #[test]

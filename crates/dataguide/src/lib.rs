@@ -28,6 +28,9 @@ pub mod signature;
 pub mod views;
 
 pub use agg::DataGuideAgg;
+/// How `$DG` renders one field step of a path (`.name`, or `."a name"`):
+/// the search index that hosts `$DG` renders its paths by the same rule.
+pub use fsdm_sqljson::path::path_step_text;
 pub use guide::{DataGuide, DgRow, GuideNode, ScalarKind};
-pub use signature::structure_signature;
+pub use signature::{structure_signature, GuideMaintainer};
 pub use views::{add_vc, create_view_on_path, ColumnOverride, ViewDef, VirtualColumnDef};

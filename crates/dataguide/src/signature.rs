@@ -9,7 +9,12 @@
 //! already seen means the instance cannot add rows to `$DG`, so the guide
 //! walk is skipped entirely.
 
+use std::collections::HashSet;
+use std::ops::Deref;
+
 use fsdm_json::JsonValue;
+
+use crate::guide::DataGuide;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -21,6 +26,43 @@ pub fn structure_signature(doc: &JsonValue) -> u64 {
     let mut h = FNV_OFFSET;
     walk(doc, &mut h);
     h
+}
+
+/// A persistent DataGuide kept current document by document through the
+/// signature fast path: a structure seen before only counts toward
+/// `doc_count`, a new one is walked into the guide. Reads as the guide it
+/// maintains; the guide changes through [`GuideMaintainer::observe`] only,
+/// so "signature seen" always implies "structure merged".
+#[derive(Debug, Default)]
+pub struct GuideMaintainer {
+    guide: DataGuide,
+    seen: HashSet<u64>,
+    /// Documents whose guide walk the fast path skipped.
+    pub fast_path_hits: u64,
+}
+
+impl GuideMaintainer {
+    /// Count one document whose [`structure_signature`] is `signature`.
+    /// Returns `true` when the fast path applied (no `$DG` work done).
+    pub fn observe(&mut self, doc: &JsonValue, signature: u64) -> bool {
+        if self.seen.insert(signature) {
+            self.guide.add_document(doc);
+            false
+        } else {
+            // the instance still counts toward frequency statistics
+            self.guide.doc_count += 1;
+            self.fast_path_hits += 1;
+            true
+        }
+    }
+}
+
+impl Deref for GuideMaintainer {
+    type Target = DataGuide;
+
+    fn deref(&self) -> &DataGuide {
+        &self.guide
+    }
 }
 
 fn mix_bytes(h: &mut u64, bytes: &[u8]) {
@@ -115,9 +157,71 @@ mod tests {
     }
 
     #[test]
+    fn arrays_of_many_shapes_dedup_in_any_order() {
+        let shapes = r#"1,"s",true,null,{"a":1},{"b":1},[1],[[1]]"#;
+        let reversed = r#"[[1]],[1],{"b":2},{"a":2},null,false,"t",2"#;
+        assert_eq!(sig(&format!("[{shapes}]")), sig(&format!("[{reversed},{shapes}]")));
+        assert_ne!(sig(&format!("[{shapes}]")), sig(&format!("[{shapes},{{\"c\":1}}]")));
+    }
+
+    #[test]
     fn nesting_shape_matters() {
         assert_ne!(sig(r#"{"a":{"b":1}}"#), sig(r#"{"a":[{"b":1}]}"#));
         assert_ne!(sig(r#"{"a":[1]}"#), sig(r#"{"a":[[1]]}"#));
+    }
+
+    const KEYS: [&str; 16] = [
+        "a",
+        "b",
+        "d",
+        "e",
+        "g",
+        "id",
+        "tag",
+        "qty",
+        "name",
+        "num",
+        "str1",
+        "str2",
+        "bool",
+        "dyn1",
+        "nested_obj",
+        "foreign id",
+    ];
+    const SCALARS: [&str; 4] = ["\"s\"", "1", "true", "null"];
+
+    #[test]
+    fn swapping_the_types_of_two_fields_changes_the_signature() {
+        for (i, k1) in KEYS.iter().enumerate() {
+            for k2 in &KEYS[i + 1..] {
+                for (j, t1) in SCALARS.iter().enumerate() {
+                    for t2 in &SCALARS[j + 1..] {
+                        let one = format!(r#"{{"{k1}":{t1},"{k2}":{t2}}}"#);
+                        let other = format!(r#"{{"{k1}":{t2},"{k2}":{t1}}}"#);
+                        assert_ne!(sig(&one), sig(&other), "{one} vs {other}");
+                        // the same swap between the elements of an array
+                        let one = format!(r#"[{{"{k1}":{t1}}},{{"{k2}":{t2}}}]"#);
+                        let other = format!(r#"[{{"{k1}":{t2}}},{{"{k2}":{t1}}}]"#);
+                        assert_ne!(sig(&one), sig(&other), "{one} vs {other}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_maintained_guide_equals_a_full_one_when_fields_swap_types() {
+        let mut maintained = GuideMaintainer::default();
+        let mut full = DataGuide::new();
+        for (k1, k2) in KEYS.iter().zip(&KEYS[1..]) {
+            for (t1, t2) in [("\"s\"", "1"), ("1", "\"s\""), ("null", "1"), ("1", "null")] {
+                let doc = parse(&format!(r#"{{"{k1}":{t1},"{k2}":{t2}}}"#)).unwrap();
+                maintained.observe(&doc, structure_signature(&doc));
+                full.add_document(&doc);
+            }
+        }
+        assert_eq!(maintained.rows(), full.rows());
+        assert_eq!(maintained.doc_count, full.doc_count);
     }
 
     #[test]

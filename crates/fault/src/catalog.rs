@@ -24,6 +24,8 @@ pub const FP_EXEC_MORSEL: &str = "exec.morsel";
 pub const FP_EXEC_SORT_PERMUTE: &str = "exec.sort.permute";
 /// Row-predicate evaluation (`Expr::matches_with`), once per row.
 pub const FP_EXPR_EVAL: &str = "expr.eval";
+/// `Table::insert`, once per row, before any table state changes.
+pub const FP_INGEST_PUT: &str = "ingest.put";
 /// Vectorized columnar gather (`Batch::gather`), once per batch.
 pub const FP_VECTOR_BATCH: &str = "vector.batch";
 
@@ -35,6 +37,7 @@ pub const ALL: &[&str] = &[
     FP_EXEC_MORSEL,
     FP_EXEC_SORT_PERMUTE,
     FP_EXPR_EVAL,
+    FP_INGEST_PUT,
     FP_VECTOR_BATCH,
 ];
 

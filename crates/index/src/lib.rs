@@ -16,7 +16,7 @@
 
 pub mod inverted;
 
-pub use inverted::{DocId, PathPostings, SearchIndex};
+pub use inverted::{DocId, SearchIndex};
 
 #[cfg(test)]
 mod tests {

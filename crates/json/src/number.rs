@@ -188,9 +188,10 @@ impl OraNum {
         while rev[lead_zeros] == 0 {
             lead_zeros += 1;
         }
-        let digits: Vec<u8> = rev[lead_zeros..n].iter().rev().copied().collect();
+        let digits = &mut rev[lead_zeros..n];
+        digits.reverse();
         let exp = n as i32 - 1;
-        Self::from_parts(negative, exp, &digits).expect("i64 always in range")
+        Self::from_parts(negative, exp, digits).expect("i64 always in range")
     }
 
     /// Encode an `f64`. Returns `None` for NaN or infinities.

@@ -111,18 +111,40 @@ pub const IMC_TRANSIENT_EXTRACT_NS: &str = "imc.transient.extract.ns";
 
 // --- index --------------------------------------------------------------
 
+/// Payload bytes of the search index last built in bulk: paths, term
+/// dictionaries and postings (gauge). Set by `create_search_index` only:
+/// puts into an indexed collection do not refresh it — read
+/// `SearchIndex::size_bytes()` for a live figure.
+pub const INDEX_BYTES: &str = "index.bytes";
 /// Documents added to the inverted index (counter).
 pub const INDEX_INSERT_DOCS: &str = "index.insert.docs";
 /// One inverted-index probe; args carry the probe kind (span).
 pub const SPAN_INDEX_LOOKUP: &str = "index.lookup";
 /// Path-existence index probes (counter).
 pub const INDEX_LOOKUP_PATH: &str = "index.lookup.path";
+/// Exact typed (path, scalar) index probes (counter).
+pub const INDEX_LOOKUP_SCALAR: &str = "index.lookup.scalar";
 /// Full-text keyword probes (counter).
 pub const INDEX_LOOKUP_TEXT: &str = "index.lookup.text";
 /// (path, value) index probes (counter).
 pub const INDEX_LOOKUP_VALUE: &str = "index.lookup.value";
 /// Postings appended across all insertions (counter).
 pub const INDEX_POSTINGS_ADDED: &str = "index.postings.added";
+
+// --- ingest -------------------------------------------------------------
+
+/// OSON/BSON encoding of one validated document in `Table::insert`
+/// (span).
+pub const SPAN_INGEST_ENCODE: &str = "ingest.encode";
+/// Structure signature plus the table's `$DG` maintenance in
+/// `Table::insert` (span).
+pub const SPAN_INGEST_GUIDE: &str = "ingest.guide";
+/// IS JSON validation — the parse — of one document in `Table::insert`
+/// (span).
+pub const SPAN_INGEST_PARSE: &str = "ingest.parse";
+/// Search-index maintenance (the posting walk and the index's `$DG`) in
+/// `Table::insert` (span).
+pub const SPAN_INGEST_POSTINGS: &str = "ingest.postings";
 
 // --- oson ---------------------------------------------------------------
 
@@ -251,12 +273,18 @@ pub const ALL: &[&str] = &[
     GOVERN_WORKER_PANIC,
     IMC_KERNEL_NS,
     IMC_TRANSIENT_EXTRACT_NS,
+    INDEX_BYTES,
     INDEX_INSERT_DOCS,
     SPAN_INDEX_LOOKUP,
     INDEX_LOOKUP_PATH,
+    INDEX_LOOKUP_SCALAR,
     INDEX_LOOKUP_TEXT,
     INDEX_LOOKUP_VALUE,
     INDEX_POSTINGS_ADDED,
+    SPAN_INGEST_ENCODE,
+    SPAN_INGEST_GUIDE,
+    SPAN_INGEST_PARSE,
+    SPAN_INGEST_POSTINGS,
     SPAN_OSON_DECODE,
     OSON_DECODE_DOCS,
     OSON_DICT_LOOKUPS,
@@ -305,6 +333,10 @@ pub const SPANS: &[&str] = &[
     SPAN_EXEC_PIPELINE,
     SPAN_EXEC_WORKER,
     SPAN_INDEX_LOOKUP,
+    SPAN_INGEST_ENCODE,
+    SPAN_INGEST_GUIDE,
+    SPAN_INGEST_PARSE,
+    SPAN_INGEST_POSTINGS,
     SPAN_OSON_DECODE,
     SPAN_OSON_GET_FIELD,
     SPAN_SQLJSON_EVAL,

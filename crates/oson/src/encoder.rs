@@ -1,12 +1,17 @@
 //! OSON encoder: [`JsonValue`] → three-segment binary instance.
 //!
-//! The encoder makes two passes at most: it first serializes with wide
-//! (4-byte) offsets, and if every segment fits comfortably in 16 bits it
-//! re-serializes in the compact 2-byte-offset mode. Small documents —
-//! the common case in the paper's customer collections — therefore pay
-//! only two bytes per node reference.
+//! One [`Encoder`] serves a run of documents: it interns every field name
+//! it meets (name, hash) once and keeps its segment buffers, so encoding
+//! a document whose names it has seen allocates the output and nothing
+//! else. Each document is walked twice: once to collect its names — the
+//! field ids are their ranks by (hash, name) — and once to serialize,
+//! with compact 2-byte offsets. The wide (4-byte) layout differs from the
+//! compact one by exactly two bytes per offset written, so whether a
+//! document needs it is decided by arithmetic, and only such documents
+//! are serialized again.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fsdm_json::{field_hash, JsonValue};
 
@@ -39,43 +44,20 @@ pub fn encode(v: &JsonValue) -> Result<Vec<u8>> {
 
 /// Encode with explicit options.
 pub fn encode_with(v: &JsonValue, opts: EncoderOptions) -> Result<Vec<u8>> {
-    let dict = Dictionary::build(v)?;
-    // Pass 1: wide mode.
-    let wide = Layout { wide_offsets: true, wide_ids: dict.names.len() > 256 };
-    let (tree_w, values_w, root_w) = write_segments(v, &dict, wide, opts)?;
-    let names_len = dict.names_blob.len();
-    let fits_small = dict.names.len() <= 255
-        && names_len < 0xFFF0
-        && tree_w.len() < 0xFFF0
-        && values_w.len() < 0xFFF0;
-    let (layout, tree, values, root) = if fits_small {
-        let small = Layout { wide_offsets: false, wide_ids: false };
-        let (t, va, r) = write_segments(v, &dict, small, opts)?;
-        (small, t, va, r)
-    } else {
-        (wide, tree_w, values_w, root_w)
-    };
-    let out = assemble(&dict, layout, &tree, &values, root);
-    // the deep structural verifier must accept everything we emit; in
-    // debug builds every encode proves it
-    debug_assert!(
-        crate::doc::OsonDoc::new(&out).and_then(|d| d.validate()).is_ok(),
-        "encoder produced an OSON document the verifier rejects"
-    );
-    // per-segment byte accounting (§4 / Table 11); the enabled() guard
-    // also skips the SegmentStats header re-parse in no-op mode
-    if fsdm_obs::enabled() {
-        if let Ok(s) = crate::stats::SegmentStats::of(&out) {
-            fsdm_obs::counter!(fsdm_obs::catalog::OSON_ENCODE_DOCS).inc();
-            fsdm_obs::histogram!(fsdm_obs::catalog::OSON_ENCODE_BYTES).record(out.len() as u64);
-            fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_DICTIONARY_BYTES)
-                .add(s.dictionary as u64);
-            fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_TREE_BYTES).add(s.tree as u64);
-            fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_VALUES_BYTES).add(s.values as u64);
-        }
-    }
-    Ok(out)
+    Encoder::new().encode_with(v, opts)
 }
+
+/// A segment this long or longer forces the wide layout.
+const NARROW_LIMIT: usize = 0xFFF0;
+
+/// Names an [`Encoder`] keeps interned before it starts over, so a
+/// collection of ever-new field names cannot grow it without bound.
+const MAX_INTERNED: usize = 1 << 16;
+
+/// What a first use reserves: room for the names and the segments of a
+/// typical small document.
+const SMALL_DOC_NAMES: usize = 32;
+const SMALL_DOC_SEGMENT: usize = 256;
 
 /// Offset/id width configuration for one encode.
 #[derive(Debug, Clone, Copy)]
@@ -93,11 +75,12 @@ impl Layout {
         }
     }
 
+    /// In the narrow layout `v` may not fit: the width decision is made
+    /// after the pass, and an overflowing narrow pass is discarded.
     fn push_off(&self, buf: &mut Vec<u8>, v: u32) {
         if self.wide_offsets {
             buf.extend_from_slice(&v.to_le_bytes());
         } else {
-            debug_assert!(v <= u16::MAX as u32);
             buf.extend_from_slice(&(v as u16).to_le_bytes());
         }
     }
@@ -112,206 +95,312 @@ impl Layout {
     }
 }
 
-/// The field-id-name dictionary under construction: distinct names, their
-/// hashes, sorted by hash (ties broken by name for determinism); the
-/// ordinal after sorting is the field id.
-struct Dictionary {
-    /// (hash, name) sorted by (hash, name).
-    names: Vec<(u32, String)>,
-    /// name → field id.
-    ids: HashMap<String, u32>,
-    /// concatenated UTF-8 names.
-    names_blob: Vec<u8>,
-    /// (offset, len) of each name within `names_blob`, parallel to `names`.
-    name_spans: Vec<(u32, u16)>,
+/// A field name the encoder has met.
+#[derive(Debug)]
+struct Name {
+    text: Arc<str>,
+    hash: u32,
+    /// The last document (by [`Encoder::epoch`]) that used the name.
+    stamp: u64,
+    /// Its field id in that document.
+    id: u32,
 }
 
-impl Dictionary {
-    fn build(root: &JsonValue) -> Result<Self> {
-        let mut set: HashMap<String, u32> = HashMap::new();
-        collect_names(root, &mut set)?;
-        let mut names: Vec<(u32, String)> = set.into_iter().map(|(n, h)| (h, n)).collect();
-        names.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        if names.len() > u16::MAX as usize {
+/// A reusable OSON encoder; see the module documentation.
+#[derive(Debug, Default)]
+pub struct Encoder {
+    /// Every name met → its position in `names`.
+    interned: HashMap<Arc<str>, u32>,
+    names: Vec<Name>,
+    /// Documents encoded so far.
+    epoch: u64,
+    /// The current document's distinct names (positions in `names`); once
+    /// collected, sorted by (hash, name), so the index is the field id.
+    dictionary: Vec<u32>,
+    /// The name of every object member, in walk order.
+    members: Vec<u32>,
+    /// How far into `members` the serialization has read.
+    cursor: usize,
+    tree: Vec<u8>,
+    values: Vec<u8>,
+    /// Offsets written into `tree` so far: what the wide layout adds two
+    /// bytes each to.
+    offsets: usize,
+    /// (field id, offset) of the children of every container being
+    /// written, innermost last.
+    kids: Vec<(u32, u32)>,
+}
+
+impl Encoder {
+    /// An encoder that has seen nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Encode with default options.
+    pub fn encode(&mut self, v: &JsonValue) -> Result<Vec<u8>> {
+        self.encode_with(v, EncoderOptions::default())
+    }
+
+    /// Encode with explicit options.
+    pub fn encode_with(&mut self, v: &JsonValue, opts: EncoderOptions) -> Result<Vec<u8>> {
+        if self.names.len() > MAX_INTERNED {
+            self.interned.clear();
+            self.names.clear();
+        }
+        self.epoch += 1;
+        self.dictionary.clear();
+        self.members.clear();
+        // a first use skips the doubling steps a small document would
+        // walk every buffer through; afterwards these cost nothing
+        if self.names.is_empty() {
+            self.interned.reserve(SMALL_DOC_NAMES);
+            self.names.reserve(SMALL_DOC_NAMES);
+        }
+        self.dictionary.reserve(SMALL_DOC_NAMES);
+        self.members.reserve(SMALL_DOC_NAMES);
+        self.collect_names(v)?;
+        let nfields = self.dictionary.len();
+        if nfields > u16::MAX as usize {
             return Err(OsonError::limit("too many distinct field names (max 65535)"));
         }
-        let mut ids = HashMap::with_capacity(names.len());
-        let mut names_blob = Vec::new();
-        let mut name_spans = Vec::with_capacity(names.len());
-        for (id, (_, name)) in names.iter().enumerate() {
-            ids.insert(name.clone(), id as u32);
-            let off = names_blob.len() as u32;
-            names_blob.extend_from_slice(name.as_bytes());
-            name_spans.push((off, name.len() as u16));
+        let names = &mut self.names;
+        self.dictionary.sort_unstable_by(|&a, &b| {
+            let (a, b) = (&names[a as usize], &names[b as usize]);
+            a.hash.cmp(&b.hash).then_with(|| a.text.cmp(&b.text))
+        });
+        let (mut names_len, mut longest) = (0, 0);
+        for (id, &n) in self.dictionary.iter().enumerate() {
+            let name = &mut names[n as usize];
+            name.id = id as u32;
+            names_len += name.text.len();
+            longest = longest.max(name.text.len());
         }
-        Ok(Dictionary { names, ids, names_blob, name_spans })
-    }
-}
 
-fn collect_names(v: &JsonValue, set: &mut HashMap<String, u32>) -> Result<()> {
-    match v {
-        JsonValue::Object(o) => {
-            for (k, c) in o.iter() {
-                if k.len() > u16::MAX as usize {
-                    return Err(OsonError::limit("field name longer than 65535 bytes"));
+        // the narrow header holds a name length in one byte
+        let narrow = nfields <= 255 && names_len < NARROW_LIMIT && longest <= u8::MAX as usize;
+        let small = Layout { wide_offsets: false, wide_ids: false };
+        let wide = Layout { wide_offsets: true, wide_ids: nfields > 256 };
+        let (layout, root) = match narrow.then(|| self.write_segments(v, small, opts)).flatten() {
+            Some(root) => (small, root),
+            None => (wide, self.write_segments(v, wide, opts).expect("wide offsets always fit")),
+        };
+        let out = self.assemble(layout, names_len, root);
+        // the deep structural verifier must accept everything we emit; in
+        // debug builds every encode proves it
+        debug_assert!(
+            crate::doc::OsonDoc::new(&out).and_then(|d| d.validate()).is_ok(),
+            "encoder produced an OSON document the verifier rejects"
+        );
+        // per-segment byte accounting (§4 / Table 11)
+        let entry = 4 + layout.off_w() + if layout.wide_offsets { 2 } else { 1 };
+        fsdm_obs::counter!(fsdm_obs::catalog::OSON_ENCODE_DOCS).inc();
+        fsdm_obs::histogram!(fsdm_obs::catalog::OSON_ENCODE_BYTES).record(out.len() as u64);
+        fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_DICTIONARY_BYTES)
+            .add((nfields * entry + names_len) as u64);
+        fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_TREE_BYTES).add(self.tree.len() as u64);
+        fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_VALUES_BYTES)
+            .add(self.values.len() as u64);
+        Ok(out)
+    }
+
+    /// Fill `dictionary` and `members` from the document, interning names
+    /// not met before.
+    fn collect_names(&mut self, v: &JsonValue) -> Result<()> {
+        match v {
+            JsonValue::Object(o) => {
+                for (k, c) in o.iter() {
+                    if k.len() > u16::MAX as usize {
+                        return Err(OsonError::limit("field name longer than 65535 bytes"));
+                    }
+                    let n = match self.interned.get(k) {
+                        Some(&n) => n,
+                        None => {
+                            let n = self.names.len() as u32;
+                            let text: Arc<str> = Arc::from(k);
+                            let hash = field_hash(k);
+                            self.names.push(Name { text: text.clone(), hash, stamp: 0, id: 0 });
+                            self.interned.insert(text, n);
+                            n
+                        }
+                    };
+                    let name = &mut self.names[n as usize];
+                    if name.stamp != self.epoch {
+                        name.stamp = self.epoch;
+                        self.dictionary.push(n);
+                    }
+                    self.members.push(n);
+                    self.collect_names(c)?;
                 }
-                set.entry(k.to_string()).or_insert_with(|| field_hash(k));
-                collect_names(c, set)?;
             }
-        }
-        JsonValue::Array(a) => {
-            for c in a {
-                collect_names(c, set)?;
+            JsonValue::Array(a) => {
+                for c in a {
+                    self.collect_names(c)?;
+                }
             }
+            _ => {}
         }
-        _ => {}
+        Ok(())
     }
-    Ok(())
-}
 
-/// Post-order serialization of the tree and value segments. Children are
-/// written before their parent so the parent can embed their offsets.
-fn write_segments(
-    root: &JsonValue,
-    dict: &Dictionary,
-    layout: Layout,
-    opts: EncoderOptions,
-) -> Result<(Vec<u8>, Vec<u8>, u32)> {
-    let mut tree = Vec::with_capacity(256);
-    let mut values = Vec::with_capacity(256);
-    let root_off = write_node(root, dict, layout, opts, &mut tree, &mut values)?;
-    Ok((tree, values, root_off))
-}
+    /// Serialize the tree and value segments; returns the root's offset,
+    /// or `None` when the narrow layout turns out too small.
+    fn write_segments(
+        &mut self,
+        root: &JsonValue,
+        layout: Layout,
+        opts: EncoderOptions,
+    ) -> Option<u32> {
+        self.tree.clear();
+        self.values.clear();
+        self.kids.clear();
+        self.tree.reserve(SMALL_DOC_SEGMENT);
+        self.values.reserve(SMALL_DOC_SEGMENT);
+        self.kids.reserve(SMALL_DOC_NAMES);
+        self.cursor = 0;
+        self.offsets = 0;
+        self.write_node(root, layout, opts)
+    }
 
-fn write_node(
-    v: &JsonValue,
-    dict: &Dictionary,
-    layout: Layout,
-    opts: EncoderOptions,
-    tree: &mut Vec<u8>,
-    values: &mut Vec<u8>,
-) -> Result<u32> {
-    match v {
-        JsonValue::Null => {
-            let off = tree.len() as u32;
-            tree.push(NodeTag::Null as u8);
-            Ok(off)
+    /// Post-order serialization: children are written before their parent
+    /// so the parent can embed their offsets.
+    fn write_node(&mut self, v: &JsonValue, layout: Layout, opts: EncoderOptions) -> Option<u32> {
+        let first = self.kids.len();
+        match v {
+            JsonValue::Array(a) => {
+                for c in a {
+                    let off = self.write_node(c, layout, opts)?;
+                    self.kids.push((0, off));
+                }
+            }
+            JsonValue::Object(o) => {
+                for (_, c) in o.iter() {
+                    let id = self.names[self.members[self.cursor] as usize].id;
+                    self.cursor += 1;
+                    let off = self.write_node(c, layout, opts)?;
+                    self.kids.push((id, off));
+                }
+                // sorted by field id to enable binary search in the reader;
+                // offsets ascend in document order, so duplicate keys keep
+                // that order among themselves
+                self.kids[first..].sort_unstable();
+            }
+            _ => {}
         }
-        JsonValue::Bool(b) => {
-            let off = tree.len() as u32;
-            tree.push(if *b { NodeTag::True as u8 } else { NodeTag::False as u8 });
-            Ok(off)
-        }
-        JsonValue::String(s) => {
-            let voff = values.len() as u32;
-            write_varint(values, s.len() as u64);
-            values.extend_from_slice(s.as_bytes());
-            let off = tree.len() as u32;
-            tree.push(NodeTag::Str as u8);
-            layout.push_off(tree, voff);
-            Ok(off)
-        }
-        JsonValue::Number(n) => {
-            // numbers are inlined in the tree node (no value-segment
-            // indirection): a scalar read is one jump, and number-dense
-            // documents become tree-segment-dominated, matching Table 11's
-            // SensorData profile
-            let off = tree.len() as u32;
-            match opts.number_mode {
-                NumberMode::OraNum => match n.to_oranum() {
+        let off = self.tree.len() as u32;
+        match v {
+            JsonValue::Null => self.tree.push(NodeTag::Null as u8),
+            JsonValue::Bool(true) => self.tree.push(NodeTag::True as u8),
+            JsonValue::Bool(false) => self.tree.push(NodeTag::False as u8),
+            JsonValue::String(s) => {
+                let voff = self.values.len() as u32;
+                write_varint(&mut self.values, s.len() as u64);
+                self.values.extend_from_slice(s.as_bytes());
+                self.tree.push(NodeTag::Str as u8);
+                layout.push_off(&mut self.tree, voff);
+                self.offsets += 1;
+            }
+            JsonValue::Number(n) => {
+                // numbers are inlined in the tree node (no value-segment
+                // indirection): a scalar read is one jump, and number-dense
+                // documents become tree-segment-dominated, matching Table 11's
+                // SensorData profile
+                let ora = match opts.number_mode {
+                    NumberMode::OraNum => n.to_oranum(),
+                    NumberMode::Double => None,
+                };
+                match ora {
                     Some(d) => {
                         let b = d.as_bytes();
-                        tree.push(NodeTag::NumOra as u8);
-                        tree.push(b.len() as u8);
-                        tree.extend_from_slice(b);
+                        self.tree.push(NodeTag::NumOra as u8);
+                        self.tree.push(b.len() as u8);
+                        self.tree.extend_from_slice(b);
                     }
-                    // out of NUMBER range: fall back to double
+                    // double mode, or out of NUMBER range
                     None => {
-                        tree.push(NodeTag::NumDouble as u8);
-                        tree.extend_from_slice(&n.to_f64().to_le_bytes());
+                        self.tree.push(NodeTag::NumDouble as u8);
+                        self.tree.extend_from_slice(&n.to_f64().to_le_bytes());
                     }
-                },
-                NumberMode::Double => {
-                    tree.push(NodeTag::NumDouble as u8);
-                    tree.extend_from_slice(&n.to_f64().to_le_bytes());
                 }
             }
-            Ok(off)
+            JsonValue::Array(a) => {
+                self.tree.push(NodeTag::Array as u8);
+                write_varint(&mut self.tree, a.len() as u64);
+                self.push_kid_offsets(first, layout);
+            }
+            JsonValue::Object(o) => {
+                self.tree.push(NodeTag::Object as u8);
+                write_varint(&mut self.tree, o.len() as u64);
+                for &(id, _) in &self.kids[first..] {
+                    layout.push_id(&mut self.tree, id);
+                }
+                self.push_kid_offsets(first, layout);
+            }
         }
-        JsonValue::Array(a) => {
-            let mut kid_offs = Vec::with_capacity(a.len());
-            for c in a {
-                kid_offs.push(write_node(c, dict, layout, opts, tree, values)?);
-            }
-            let off = tree.len() as u32;
-            tree.push(NodeTag::Array as u8);
-            write_varint(tree, a.len() as u64);
-            for k in kid_offs {
-                layout.push_off(tree, k);
-            }
-            Ok(off)
-        }
-        JsonValue::Object(o) => {
-            let mut kids: Vec<(u32, u32)> = Vec::with_capacity(o.len());
-            for (k, c) in o.iter() {
-                let id = *dict.ids.get(k).expect("name collected");
-                let coff = write_node(c, dict, layout, opts, tree, values)?;
-                kids.push((id, coff));
-            }
-            // sorted by field id to enable binary search in the reader —
-            // stable so duplicate keys keep document order among themselves
-            kids.sort_by_key(|(id, _)| *id);
-            let off = tree.len() as u32;
-            tree.push(NodeTag::Object as u8);
-            write_varint(tree, kids.len() as u64);
-            for (id, _) in &kids {
-                layout.push_id(tree, *id);
-            }
-            for (_, coff) in &kids {
-                layout.push_off(tree, *coff);
-            }
-            Ok(off)
-        }
+        // A document is narrow while its wide tree — two bytes more per
+        // offset — and its value segment both stay below the limit; a
+        // narrow pass that has outgrown that stops here.
+        let fits = layout.wide_offsets
+            || (self.tree.len() + 2 * self.offsets < NARROW_LIMIT
+                && self.values.len() < NARROW_LIMIT);
+        fits.then_some(off)
     }
-}
 
-/// Glue header + dictionary + tree + values into the final buffer.
-fn assemble(dict: &Dictionary, layout: Layout, tree: &[u8], values: &[u8], root: u32) -> Vec<u8> {
-    let w = layout.off_w();
-    let nlen_w = if layout.wide_offsets { 2 } else { 1 }; // name_len width
-    let entry = 4 + w + nlen_w;
-    let cap =
-        8 + 4 * w + dict.names.len() * entry + dict.names_blob.len() + tree.len() + values.len();
-    let mut out = Vec::with_capacity(cap);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    let mut flags = 0u8;
-    if layout.wide_offsets {
-        flags |= FLAG_WIDE_OFFSETS;
-    }
-    if layout.wide_ids {
-        flags |= FLAG_WIDE_FIELD_IDS;
-    }
-    out.push(flags);
-    out.extend_from_slice(&(dict.names.len() as u16).to_le_bytes());
-    layout.push_off(&mut out, root);
-    layout.push_off(&mut out, dict.names_blob.len() as u32);
-    layout.push_off(&mut out, tree.len() as u32);
-    layout.push_off(&mut out, values.len() as u32);
-    for (i, (hash, _)) in dict.names.iter().enumerate() {
-        out.extend_from_slice(&hash.to_le_bytes());
-        let (noff, nlen) = dict.name_spans[i];
-        layout.push_off(&mut out, noff);
-        if layout.wide_offsets {
-            out.extend_from_slice(&nlen.to_le_bytes());
-        } else {
-            out.push(nlen as u8);
+    /// Write the offsets of `kids[first..]` and pop them.
+    fn push_kid_offsets(&mut self, first: usize, layout: Layout) {
+        for &(_, off) in &self.kids[first..] {
+            layout.push_off(&mut self.tree, off);
         }
+        self.offsets += self.kids.len() - first;
+        self.kids.truncate(first);
     }
-    out.extend_from_slice(&dict.names_blob);
-    out.extend_from_slice(tree);
-    out.extend_from_slice(values);
-    out
+
+    /// Glue header + dictionary + tree + values into the final buffer.
+    fn assemble(&self, layout: Layout, names_len: usize, root: u32) -> Vec<u8> {
+        let w = layout.off_w();
+        let nlen_w = if layout.wide_offsets { 2 } else { 1 }; // name_len width
+        let nfields = self.dictionary.len();
+        let cap = 8
+            + 4 * w
+            + nfields * (4 + w + nlen_w)
+            + names_len
+            + self.tree.len()
+            + self.values.len();
+        let mut out = Vec::with_capacity(cap);
+        out.extend_from_slice(&MAGIC);
+        out.push(VERSION);
+        let mut flags = 0u8;
+        if layout.wide_offsets {
+            flags |= FLAG_WIDE_OFFSETS;
+        }
+        if layout.wide_ids {
+            flags |= FLAG_WIDE_FIELD_IDS;
+        }
+        out.push(flags);
+        out.extend_from_slice(&(nfields as u16).to_le_bytes());
+        layout.push_off(&mut out, root);
+        layout.push_off(&mut out, names_len as u32);
+        layout.push_off(&mut out, self.tree.len() as u32);
+        layout.push_off(&mut out, self.values.len() as u32);
+        let names = self.dictionary.iter().map(|&n| &self.names[n as usize]);
+        let mut noff = 0u32;
+        for name in names.clone() {
+            out.extend_from_slice(&name.hash.to_le_bytes());
+            layout.push_off(&mut out, noff);
+            if layout.wide_offsets {
+                out.extend_from_slice(&(name.text.len() as u16).to_le_bytes());
+            } else {
+                out.push(name.text.len() as u8);
+            }
+            noff += name.text.len() as u32;
+        }
+        for name in names {
+            out.extend_from_slice(name.text.as_bytes());
+        }
+        out.extend_from_slice(&self.tree);
+        out.extend_from_slice(&self.values);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -366,5 +455,92 @@ mod tests {
         let big: String = format!(r#"{{"k":"{}"}}"#, "x".repeat(70_000));
         let b = encode(&parse(&big).unwrap()).unwrap();
         assert_ne!(b[5] & FLAG_WIDE_OFFSETS, 0);
+    }
+
+    fn object_of(n: usize, prefix: &str) -> JsonValue {
+        let mut o = fsdm_json::Object::new();
+        for i in 0..n {
+            o.push(format!("{prefix}{i}"), JsonValue::Null);
+        }
+        JsonValue::Object(o)
+    }
+
+    /// An array whose wide tree segment is exactly `wide_tree` bytes:
+    /// nulls cost 1 + 4 and zeros 3 + 4 of them, the array node 3.
+    fn array_with_wide_tree(wide_tree: usize) -> JsonValue {
+        let rest = wide_tree - 3;
+        let zeros = (0..5).find(|z| (rest - 7 * z).is_multiple_of(5)).unwrap();
+        let mut items = vec![JsonValue::Null; (rest - 7 * zeros) / 5];
+        items.extend((0..zeros).map(|_| JsonValue::from(0i64)));
+        JsonValue::Array(items)
+    }
+
+    /// Flags bytes recorded from the two-pass encoder this one replaced,
+    /// which serialized wide first and tested those lengths.
+    #[test]
+    fn width_decision_at_the_boundaries() {
+        let flags = |v: &JsonValue| encode(v).unwrap()[5];
+        // value segment 0xFFEF / 0xFFF0 / 0xFFF1 (3-byte varint + string)
+        for (len, want) in [(65_516, 0), (65_517, FLAG_WIDE_OFFSETS), (65_518, FLAG_WIDE_OFFSETS)] {
+            let v = JsonValue::object([("k", "x".repeat(len).into())]);
+            assert_eq!(flags(&v), want, "string of {len}");
+        }
+        for (tree, want) in [(0xFFEF, 0), (0xFFF0, FLAG_WIDE_OFFSETS), (0xFFF1, FLAG_WIDE_OFFSETS)]
+        {
+            let v = array_with_wide_tree(tree);
+            let bytes = encode(&v).unwrap();
+            assert_eq!(bytes[5], want, "wide tree of {tree:#x}");
+            let stats = crate::SegmentStats::of(&bytes).unwrap();
+            let narrowed = if want == 0 { 2 * v.as_array().unwrap().len() } else { 0 };
+            assert_eq!(stats.tree, tree - narrowed);
+        }
+        for (names, want) in
+            [(255, 0), (256, FLAG_WIDE_OFFSETS), (257, FLAG_WIDE_OFFSETS | FLAG_WIDE_FIELD_IDS)]
+        {
+            assert_eq!(flags(&object_of(names, "f")), want, "{names} names");
+        }
+    }
+
+    #[test]
+    fn a_name_too_long_for_the_narrow_header_goes_wide() {
+        for (len, want) in [(255, 0), (256, FLAG_WIDE_OFFSETS)] {
+            let v = JsonValue::object([("pad", JsonValue::Null)]);
+            let mut o = v.as_object().unwrap().clone();
+            o.push("n".repeat(len), JsonValue::from(1i64));
+            let v = JsonValue::Object(o);
+            let bytes = encode(&v).unwrap();
+            assert_eq!(bytes[5], want, "name of {len} bytes");
+            assert_eq!(crate::decode(&bytes).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn a_reused_encoder_equals_fresh_ones() {
+        let small_a = parse(r#"{"a":1,"b":{"c":[true,null,"x"],"a":"again"},"a":2}"#).unwrap();
+        let small_b = parse(r#"{"z":{"b":[{"q":1},{"q":2,"a":3}]},"c":"y"}"#).unwrap();
+        let wide = JsonValue::object([("a", "x".repeat(70_000).into()), ("w", 1i64.into())]);
+        let many_names = object_of(300, "b");
+        let mut encoder = Encoder::new();
+        for v in [&small_a, &small_b, &small_a, &wide, &small_b, &many_names, &small_a] {
+            assert_eq!(encoder.encode(v).unwrap(), encode(v).unwrap());
+        }
+        let double = EncoderOptions { number_mode: NumberMode::Double };
+        assert_eq!(
+            encoder.encode_with(&small_a, double).unwrap(),
+            encode_with(&small_a, double).unwrap()
+        );
+    }
+
+    #[test]
+    fn an_encoder_forgets_names_rather_than_grow_without_bound() {
+        let small = parse(r#"{"b7":1,"other":2}"#).unwrap();
+        let mut encoder = Encoder::new();
+        for prefix in ["a", "b"] {
+            let v = object_of(40_000, prefix);
+            assert_eq!(encoder.encode(&v).unwrap(), encode(&v).unwrap());
+        }
+        assert!(encoder.names.len() > MAX_INTERNED);
+        assert_eq!(encoder.encode(&small).unwrap(), encode(&small).unwrap());
+        assert_eq!(encoder.names.len(), 2);
     }
 }

@@ -34,7 +34,7 @@ pub mod update;
 mod wire;
 
 pub use doc::OsonDoc;
-pub use encoder::{encode, encode_with, EncoderOptions, NumberMode};
+pub use encoder::{encode, encode_with, Encoder, EncoderOptions, NumberMode};
 pub use set::{OsonSet, OsonSetBuilder, SetDictionary, SetDoc};
 pub use stats::SegmentStats;
 pub use update::{update_scalar, UpdateOutcome};

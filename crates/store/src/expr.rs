@@ -766,7 +766,9 @@ mod tests {
         vec![
             Cell::D(Datum::from(1i64)),
             Cell::D(Datum::from("REF-2021-77")),
-            Cell::J(JsonCell::encode(&doc, JsonStorage::Oson).unwrap()),
+            Cell::J(
+                JsonCell::encode(&doc, JsonStorage::Oson, &mut fsdm_oson::Encoder::new()).unwrap(),
+            ),
             Cell::D(Datum::Null),
         ]
     }

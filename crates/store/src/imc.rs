@@ -198,8 +198,10 @@ impl Table {
                 Some(Cell::J(JsonCell::Oson(b))) => cache.push(Some(b.clone())),
                 Some(Cell::J(j)) => {
                     let doc = j.decode()?;
-                    let bytes =
-                        fsdm_oson::encode(&doc).map_err(|e| StoreError::new(e.to_string()))?;
+                    let bytes = self
+                        .oson_encoder
+                        .encode(&doc)
+                        .map_err(|e| StoreError::new(e.to_string()))?;
                     cache.push(Some(Arc::new(bytes)));
                 }
                 _ => cache.push(None),

@@ -39,15 +39,20 @@ pub enum JsonCell {
 }
 
 impl JsonCell {
-    /// Encode a document for the given storage.
-    pub fn encode(doc: &JsonValue, storage: JsonStorage) -> Result<JsonCell, StoreError> {
+    /// Encode a document for the given storage; `oson` is the OSON
+    /// encoder the caller keeps across documents.
+    pub fn encode(
+        doc: &JsonValue,
+        storage: JsonStorage,
+        oson: &mut fsdm_oson::Encoder,
+    ) -> Result<JsonCell, StoreError> {
         Ok(match storage {
             JsonStorage::Text => JsonCell::Text(fsdm_json::to_string(doc).into()),
             JsonStorage::Bson => JsonCell::Bson(std::sync::Arc::new(
                 fsdm_bson::encode(doc).map_err(|e| StoreError::new(e.to_string()))?,
             )),
             JsonStorage::Oson => JsonCell::Oson(std::sync::Arc::new(
-                fsdm_oson::encode(doc).map_err(|e| StoreError::new(e.to_string()))?,
+                oson.encode(doc).map_err(|e| StoreError::new(e.to_string()))?,
             )),
         })
     }
@@ -237,11 +242,10 @@ mod tests {
 
     fn cells() -> Vec<JsonCell> {
         let v = parse(DOC).unwrap();
-        vec![
-            JsonCell::encode(&v, JsonStorage::Text).unwrap(),
-            JsonCell::encode(&v, JsonStorage::Bson).unwrap(),
-            JsonCell::encode(&v, JsonStorage::Oson).unwrap(),
-        ]
+        let oson = &mut fsdm_oson::Encoder::new();
+        [JsonStorage::Text, JsonStorage::Bson, JsonStorage::Oson]
+            .map(|storage| JsonCell::encode(&v, storage, oson).unwrap())
+            .to_vec()
     }
 
     #[test]

@@ -4,9 +4,15 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use fsdm_dataguide::{structure_signature, DataGuide};
+use fsdm_dataguide::{structure_signature, GuideMaintainer};
+use fsdm_fault::catalog::FP_INGEST_PUT;
 use fsdm_index::SearchIndex;
 use fsdm_json::JsonValue;
+use fsdm_obs::catalog::{
+    INDEX_BYTES, SPAN_INGEST_ENCODE, SPAN_INGEST_GUIDE, SPAN_INGEST_PARSE, SPAN_INGEST_POSTINGS,
+    STORE_INSERT_GUIDE_FAST_PATH,
+};
+use fsdm_obs::trace::span;
 use fsdm_sqljson::Datum;
 
 use crate::expr::Expr;
@@ -166,19 +172,17 @@ pub struct Table {
     /// Virtual columns appended after base columns in scan output.
     pub virtual_columns: Vec<VirtualColumn>,
     /// Persistent DataGuide (maintained when a JSON column has
-    /// `IsJsonWithDataGuide`).
-    pub dataguide: DataGuide,
-    /// Structure signatures seen (the §3.2.1 fast path).
-    seen_signatures: std::collections::HashSet<u64>,
-    /// Count of inserts whose DataGuide work was skipped by the signature
-    /// fast path.
-    pub guide_fast_path_hits: u64,
+    /// `IsJsonWithDataGuide`), kept through the §3.2.1 signature fast path.
+    pub dataguide: GuideMaintainer,
     /// Optional full search index (JSON search index of §3.2).
     pub search_index: Option<SearchIndex>,
     /// Equality indexes: column position → value → row ids.
     pub key_indexes: HashMap<usize, HashMap<Datum, Vec<usize>>>,
     /// In-memory store (§5.2).
     pub imc: ImcStore,
+    /// The OSON encoder of every row written or cached: field names are
+    /// interned once per table, segment buffers reused from row to row.
+    pub(crate) oson_encoder: fsdm_oson::Encoder,
 }
 
 impl Table {
@@ -188,12 +192,11 @@ impl Table {
             schema,
             rows: Vec::new(),
             virtual_columns: Vec::new(),
-            dataguide: DataGuide::new(),
-            seen_signatures: Default::default(),
-            guide_fast_path_hits: 0,
+            dataguide: GuideMaintainer::default(),
             search_index: None,
             key_indexes: HashMap::new(),
             imc: ImcStore::default(),
+            oson_encoder: fsdm_oson::Encoder::new(),
         }
     }
 
@@ -233,8 +236,9 @@ impl Table {
 
     /// Insert a row. JSON columns go through the §3.2.1 pipeline:
     /// validation per the column's [`ConstraintMode`], then DataGuide /
-    /// search-index maintenance.
+    /// search-index maintenance. A rejected row changes nothing.
     pub fn insert(&mut self, values: Vec<InsertValue>) -> Result<usize, StoreError> {
+        fsdm_fault::fire(FP_INGEST_PUT).map_err(crate::govern::fault_err)?;
         if values.len() != self.schema.width() {
             return Err(StoreError::new(format!(
                 "expected {} values, got {}",
@@ -246,34 +250,34 @@ impl Table {
         let mut guide_docs: Vec<JsonValue> = Vec::new();
         for (spec, value) in self.schema.columns.iter().zip(values) {
             match (&spec.ty, value) {
+                // no IS JSON check: bytes stored as-is; only valid for
+                // text storage (binary formats require a parse by
+                // construction)
+                (ColType::Json(JsonStorage::Text), InsertValue::Json(text))
+                    if spec.constraint == ConstraintMode::None =>
+                {
+                    row.push(Cell::J(JsonCell::raw_text(text)));
+                }
                 (ColType::Json(storage), InsertValue::Json(text)) => {
-                    match spec.constraint {
-                        ConstraintMode::None => {
-                            // no IS JSON check: bytes stored as-is; only
-                            // valid for text storage (binary formats
-                            // require a parse by construction)
-                            match storage {
-                                JsonStorage::Text => {
-                                    row.push(Cell::J(JsonCell::raw_text(text)));
-                                }
-                                _ => {
-                                    let doc = fsdm_json::parse(&text)
-                                        .map_err(|e| StoreError::new(e.to_string()))?;
-                                    row.push(Cell::J(JsonCell::encode(&doc, *storage)?));
-                                }
-                            }
+                    let doc = {
+                        let _span = span(SPAN_INGEST_PARSE);
+                        fsdm_json::parse(&text).map_err(|e| match spec.constraint {
+                            ConstraintMode::None => StoreError::new(e.to_string()),
+                            _ => StoreError::new(format!("IS JSON violated: {e}")),
+                        })?
+                    };
+                    let cell = {
+                        let _span = span(SPAN_INGEST_ENCODE);
+                        match storage {
+                            // text storage keeps the application's bytes (the
+                            // paper stores minified text as received)
+                            JsonStorage::Text => JsonCell::Text(text.into()),
+                            binary => JsonCell::encode(&doc, *binary, &mut self.oson_encoder)?,
                         }
-                        ConstraintMode::IsJson => {
-                            let doc = fsdm_json::parse(&text)
-                                .map_err(|e| StoreError::new(format!("IS JSON violated: {e}")))?;
-                            row.push(Cell::J(encode_preferring_text(&doc, text, *storage)?));
-                        }
-                        ConstraintMode::IsJsonWithDataGuide => {
-                            let doc = fsdm_json::parse(&text)
-                                .map_err(|e| StoreError::new(format!("IS JSON violated: {e}")))?;
-                            row.push(Cell::J(encode_preferring_text(&doc, text, *storage)?));
-                            guide_docs.push(doc);
-                        }
+                    };
+                    row.push(Cell::J(cell));
+                    if spec.constraint == ConstraintMode::IsJsonWithDataGuide {
+                        guide_docs.push(doc);
                     }
                 }
                 (ColType::Json(_), InsertValue::Datum(_)) => {
@@ -297,25 +301,27 @@ impl Table {
                 }
             }
         }
+        // every check has passed: from here on the row goes in
         let row_id = self.rows.len();
-        // maintain key indexes
         for (col, index) in self.key_indexes.iter_mut() {
             if let Some(Cell::D(d)) = row.get(*col) {
                 index.entry(d.clone()).or_default().push(row_id);
             }
         }
-        // DataGuide maintenance with the structure-signature fast path
+        // one structure signature per document serves the table's $DG and
+        // the search index's
         for doc in &guide_docs {
-            let sig = structure_signature(doc);
-            if self.seen_signatures.insert(sig) {
-                self.dataguide.add_document(doc);
-            } else {
-                self.dataguide.doc_count += 1;
-                self.guide_fast_path_hits += 1;
-                fsdm_obs::counter!(fsdm_obs::catalog::STORE_INSERT_GUIDE_FAST_PATH).inc();
-            }
+            let signature = {
+                let _span = span(SPAN_INGEST_GUIDE);
+                let signature = structure_signature(doc);
+                if self.dataguide.observe(doc, signature) {
+                    fsdm_obs::counter!(STORE_INSERT_GUIDE_FAST_PATH).inc();
+                }
+                signature
+            };
             if let Some(ix) = &mut self.search_index {
-                ix.insert(row_id as u64, doc);
+                let _span = span(SPAN_INGEST_POSTINGS);
+                ix.insert_signed(row_id as u64, doc, signature);
             }
         }
         self.rows.push(row);
@@ -347,6 +353,7 @@ impl Table {
             .iter()
             .position(|c| matches!(c.ty, ColType::Json(_)))
             .ok_or_else(|| StoreError::new("no JSON column to index"))?;
+        // row ids ascend, so every posting list is born sorted
         let mut ix = SearchIndex::new();
         for (i, row) in self.rows.iter().enumerate() {
             if let Some(Cell::J(j)) = row.get(col) {
@@ -354,6 +361,7 @@ impl Table {
                 ix.insert(i as u64, &doc);
             }
         }
+        fsdm_obs::gauge!(INDEX_BYTES).set(ix.size_bytes() as i64);
         self.search_index = Some(ix);
         Ok(())
     }
@@ -386,19 +394,6 @@ impl Table {
                 .position(|v| v.name == name)
                 .map(|i| self.schema.width() + i)
         })
-    }
-}
-
-/// For text storage keep the application's original bytes (the paper
-/// stores minified text as received); binary storages re-encode.
-fn encode_preferring_text(
-    doc: &JsonValue,
-    original: String,
-    storage: JsonStorage,
-) -> Result<JsonCell, StoreError> {
-    match storage {
-        JsonStorage::Text => Ok(JsonCell::Text(original.into())),
-        other => JsonCell::encode(doc, other),
     }
 }
 
@@ -439,7 +434,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(t.dataguide.doc_count, 50);
-        assert_eq!(t.guide_fast_path_hits, 49);
+        assert_eq!(t.dataguide.fast_path_hits, 49);
         // heterogeneous doc grows the guide
         t.insert(vec![99i64.into(), InsertValue::Json(r#"{"a":1,"new_field":true}"#.into())])
             .unwrap();
@@ -490,6 +485,49 @@ mod tests {
         t.create_search_index().unwrap();
         let ix = t.search_index.as_ref().unwrap();
         assert_eq!(ix.docs_with_value("$.tag", "blue"), vec![1]);
+    }
+
+    #[test]
+    fn a_rejected_put_changes_nothing() {
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                ColumnSpec::new("k", ColType::Number),
+                ColumnSpec::json("a", JsonStorage::Oson, ConstraintMode::IsJsonWithDataGuide),
+                ColumnSpec::json("b", JsonStorage::Text, ConstraintMode::IsJson),
+            ],
+        ));
+        t.create_key_index("k").unwrap();
+        t.create_search_index().unwrap();
+        let json = |text: &str| InsertValue::Json(text.into());
+        t.insert(vec![1i64.into(), json(r#"{"tag":"red fox","n":1}"#), json("{}")]).unwrap();
+
+        let state = |t: &Table| {
+            let ix = t.search_index.as_ref().unwrap();
+            (
+                (t.len(), t.dataguide.rows(), t.dataguide.doc_count, t.key_indexes[&0].len()),
+                (ix.path_count(), ix.dataguide().rows(), ix.dataguide().doc_count),
+                (ix.docs_with_path("$.tag"), ix.docs_with_value("$.n", "1")),
+                (ix.docs_text_contains("$.tag", "fox"), ix.docs_with_path("$.fresh")),
+            )
+        };
+        let before = state(&t);
+        // rejected by IS JSON on the first JSON column
+        let err = t.insert(vec![2i64.into(), json("{oops"), json("{}")]).unwrap_err();
+        assert!(err.message.contains("IS JSON"), "{err}");
+        // rejected on the second, after the first parsed and encoded: its
+        // new path and terms must not have reached the guide or the index
+        let fresh = json(r#"{"tag":"arctic fox","fresh":true,"n":1}"#);
+        let err = t.insert(vec![2i64.into(), fresh.clone(), json("[1,")]).unwrap_err();
+        assert!(err.message.contains("IS JSON"), "{err}");
+        assert!(t.insert(vec![2i64.into(), fresh.clone()]).is_err(), "a value short");
+        assert_eq!(state(&t), before);
+
+        assert_eq!(t.insert(vec![2i64.into(), fresh, json("[1]")]).unwrap(), 1);
+        let ix = t.search_index.as_ref().unwrap();
+        assert_eq!(ix.docs_text_contains("$.tag", "fox"), vec![0, 1]);
+        assert_eq!(ix.docs_with_path("$.fresh"), vec![1]);
+        assert_eq!(ix.dataguide().rows(), t.dataguide.rows(), "one signature, two equal guides");
     }
 
     #[test]

@@ -52,3 +52,30 @@ fn all_collections_verify() {
         }
     }
 }
+
+/// FNV-1a over the concatenated OSON bytes of a corpus.
+fn oson_fingerprint(docs: impl Iterator<Item = fsdm::json::JsonValue>) -> (u64, usize) {
+    let mut encoder = fsdm::oson::Encoder::new();
+    let (mut hash, mut total) = (0xcbf29ce484222325u64, 0);
+    for d in docs {
+        let bytes = encoder.encode(&d).unwrap();
+        assert_eq!(bytes, fsdm::oson::encode(&d).unwrap(), "a reused encoder equals a fresh one");
+        total += bytes.len();
+        for b in bytes {
+            hash = (hash ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+    (hash, total)
+}
+
+/// The OSON bytes of two workload corpora, pinned from the encoder as it
+/// stood before it became one-pass: stored collections must not change.
+#[test]
+fn oson_bytes_of_the_workload_corpora_are_pinned() {
+    let mut rng = rng_for("nobench-golden", 42);
+    let nobench = oson_fingerprint((0..2000).map(|i| nobench::doc(&mut rng, i)));
+    assert_eq!(nobench, (0x8aebc3dba101ed60, 1_259_301));
+    let mut rng = rng_for("po-golden", 42);
+    let po = oson_fingerprint(olap::corpus(&mut rng, 500).into_iter());
+    assert_eq!(po, (0xb6227f1b81569a03, 465_839));
+}

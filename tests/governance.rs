@@ -339,11 +339,41 @@ fn a_disarmed_run_never_consults_the_failpoint_registry() {
         session.execute_with(sql, binds).expect("disarmed query runs");
     }
     session.db.execute(&q11).expect("disarmed Q11 runs");
+    // the write side too: loading the corpus above fired `ingest.put`
+    // once per row, and so does every put
+    let mut db = fsdm::FsdmDatabase::new();
+    db.create_collection("c", fsdm::CollectionOptions::default()).unwrap();
+    db.create_search_index("c").unwrap();
+    db.put("c", r#"{"a":[1,"two"]}"#).expect("disarmed put runs");
     assert_eq!(
         fsdm::fault::total_hits(),
         0,
         "the whole workload must stay on the one-relaxed-load fast path"
     );
+}
+
+/// A fault injected into a `put` is a typed error that leaves the
+/// collection exactly as it was; disarmed, the same `put` goes in.
+#[test]
+fn an_injected_put_failure_leaves_the_collection_unchanged() {
+    let scope = FailScope::disarmed();
+    let mut db = fsdm::FsdmDatabase::new();
+    db.create_collection("c", fsdm::CollectionOptions::default()).unwrap();
+    db.create_search_index("c").unwrap();
+    db.put("c", r#"{"tag":"red fox"}"#).unwrap();
+    let rows = db.dataguide("c").unwrap().rows();
+
+    scope.also(catalog::FP_INGEST_PUT, FailMode::Error);
+    let err = db.put("c", r#"{"tag":"arctic fox","fresh":true}"#).expect_err("armed put fails");
+    assert!(err.to_string().contains("failpoint `ingest.put` injected error"), "{err}");
+    assert_eq!(fsdm::fault::point_hits(catalog::FP_INGEST_PUT), Some(1));
+    fsdm::fault::reset();
+
+    assert_eq!(db.count("c"), 1);
+    assert_eq!(db.dataguide("c").unwrap().rows(), rows);
+    assert_eq!(db.text_contains("c", "$.tag", "fox").unwrap(), vec![0]);
+    assert_eq!(db.put("c", r#"{"tag":"arctic fox","fresh":true}"#).unwrap(), 1);
+    assert_eq!(db.text_contains("c", "$.tag", "fox").unwrap(), vec![0, 1]);
 }
 
 /// A reduced chaos sweep as a tier-1 gate: every seeded fault schedule
