@@ -12,62 +12,74 @@
 //! repro fig7 [--scale N]    # insertion constraint modes (Figure 7)
 //! repro fig8                # homogeneous vs heterogeneous (Figure 8)
 //! repro fig9 [--scale N]    # transient vs persistent DataGuide (Figure 9)
+//! repro ablations           # design choices on vs off (§6.3, §4.2.1, §7)
 //! ```
 //!
 //! Absolute numbers depend on the host; what must match the paper is the
-//! *shape* — who wins, by roughly what factor (see EXPERIMENTS.md).
+//! *shape* — who wins, by roughly what factor (see EXPERIMENTS.md). Every
+//! run starts with one line naming the host's `available_parallelism`,
+//! the executor degree and the scale, so a captured record carries them.
 //!
-//! `--threads N` pins the parallel executor's degree for every
-//! experiment (equivalent to running with `FSDM_THREADS=N`); without it
-//! the degree defaults to the machine's available parallelism.
+//! The command comes first; without one (or with a flag first) it is
+//! `all`. Flags:
 //!
-//! Every run finishes by printing the engine-wide metrics snapshot
-//! (`oson.*`, `sqljson.*`, `dataguide.*`, `index.*`, `store.*` — see
-//! README's Observability section) and writing it as JSON to
-//! `repro-metrics.json` for offline diffing. Pass `--no-metrics` to skip
-//! both.
+//! * `--scale N` — document count for every experiment of the run, in
+//!   place of each experiment's default.
+//! * `--threads N` — pins the parallel executor's degree for every
+//!   experiment (equivalent to running with `FSDM_THREADS=N`); without
+//!   it the degree defaults to the machine's available parallelism.
+//!   `repro fig5 --threads 1` against `--threads 2` is the thread-scaling
+//!   record.
+//! * `--no-metrics` — every run finishes by printing the engine-wide
+//!   metrics snapshot (`oson.*`, `sqljson.*`, `dataguide.*`, `index.*`,
+//!   `store.*` — see README's Observability section) and writing it as
+//!   JSON to `repro-metrics.json` for offline diffing; this skips both.
 //!
-//! `--timeout-ms N` arms a statement deadline for every query of the
-//! run (a statement that runs past it dies with a typed deadline
-//! error); `FSDM_FAILPOINTS=name=mode;...` arms cataloged failpoints
-//! for the whole run — see README's Query governance section.
+//! A malformed value, an unknown flag or an unknown command exits 2.
 //!
-//! `--trace FILE` (optionally with `--slow-log FILE`) switches to the
-//! tracing demo instead of the experiments: it runs the full NOBENCH set
-//! (Q1–Q11, default `--scale 500`) under an armed trace session per
-//! query, validates every span tree, and writes one merged Chrome
-//! trace-event JSON to FILE — load it in Perfetto (ui.perfetto.dev) or
-//! `chrome://tracing`. `--slow-log FILE` additionally arms the
-//! slow-query ring log for the same run and dumps it as JSON. Both
-//! files are re-parsed before the run is declared good; any malformed
-//! trace exits non-zero.
+//! The engine's own environment applies to the run: `FSDM_TIMEOUT_MS=N`
+//! arms a statement deadline for every query (a statement that runs past
+//! it dies with a typed deadline error) and
+//! `FSDM_FAILPOINTS=name=mode;...` arms cataloged failpoints — see
+//! README's Query governance section.
 
 use fsdm_bench::experiments::*;
 use fsdm_bench::ms;
 use fsdm_bench::setup::StorageMethod;
 
+/// Report a usage error and exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("repro: {msg}; see the module docs");
+    std::process::exit(2);
+}
+
+/// The count following `flag`; a missing or malformed value is a usage
+/// error that quotes the offending text.
+fn flag_value(flag: &str, value: Option<&String>) -> usize {
+    let Some(text) = value else { usage(&format!("{flag} expects a value")) };
+    text.parse().unwrap_or_else(|_| usage(&format!("{flag} expects a number, got `{text}`")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut scale, mut threads, mut metrics) = (None, None, true);
+    let mut cmd = "all";
+    let mut rest = args.iter().enumerate();
+    while let Some((i, arg)) = rest.next() {
+        match arg.as_str() {
+            "--scale" => scale = Some(flag_value(arg, rest.next().map(|(_, v)| v))),
+            "--threads" => threads = Some(flag_value(arg, rest.next().map(|(_, v)| v))),
+            "--no-metrics" => metrics = false,
+            flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
+            first if i == 0 => cmd = first,
+            extra => usage(&format!("unexpected argument `{extra}`")),
+        }
+    }
     // --threads N pins the executor degree for every experiment in this
     // run. It must happen before any query executes: the process-wide
     // default is resolved once, from FSDM_THREADS, on first use.
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-    {
+    if let Some(n) = threads {
         std::env::set_var("FSDM_THREADS", n.to_string());
-    }
-    // --timeout-ms N arms a statement deadline for every query of this
-    // run; same resolve-once discipline as --threads
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--timeout-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        std::env::set_var("FSDM_TIMEOUT_MS", n.to_string());
     }
     match fsdm_fault::init_from_env() {
         Ok(0) => {}
@@ -82,166 +94,43 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let cmd = match args.first().map(|s| s.as_str()) {
-        // a leading flag means "everything, with options"
-        Some(s) if s.starts_with("--") => "all",
-        Some(s) => s,
-        None => "all",
-    };
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok());
-    let flag = |name: &str| {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(|s| s.as_str())
-    };
-    let (trace_path, slow_path) = (flag("--trace"), flag("--slow-log"));
-    if trace_path.is_some() || slow_path.is_some() {
-        // the tracing demo replaces the experiment run: tracing the full
-        // default-scale evaluation would produce gigabytes of spans
-        run_trace_demo(scale.unwrap_or(500), trace_path, slow_path);
-        return;
-    }
     let reps = 3;
-    match cmd {
-        "table10" => table10(scale.unwrap_or(300)),
-        "table11" => table11(scale.unwrap_or(300)),
-        "table12" => table12(scale.unwrap_or(300)),
-        "fig3" => fig3_fig4(scale.unwrap_or(20_000), reps, true, false),
-        "fig4" => fig3_fig4(scale.unwrap_or(20_000), 1, false, true),
-        "fig5" => fig5_fig6(scale.unwrap_or(20_000), reps, true, false),
-        "fig6" => fig5_fig6(scale.unwrap_or(20_000), reps, false, true),
-        "fig7" => fig7(scale.unwrap_or(10_000)),
-        "fig8" => fig8(scale.unwrap_or(10_000)),
-        "fig9" => fig9(scale.unwrap_or(50_000)),
-        "all" => {
-            let s = scale;
-            table10(s.unwrap_or(300));
-            table11(s.unwrap_or(300));
-            table12(s.unwrap_or(300));
-            fig3_fig4(s.unwrap_or(20_000), reps, true, true);
-            fig5_fig6(s.unwrap_or(20_000), reps, true, true);
-            fig7(s.unwrap_or(10_000));
-            fig8(s.unwrap_or(10_000));
-            fig9(s.unwrap_or(50_000));
-        }
-        other => {
-            eprintln!("unknown command {other}; see the module docs");
-            std::process::exit(2);
-        }
-    }
-    if !args.iter().any(|a| a == "--no-metrics") {
-        dump_metrics();
-    }
-}
-
-/// `repro --trace FILE [--slow-log FILE]`: trace the NOBENCH set query
-/// by query, validate every span tree, and persist the merged Chrome
-/// trace (plus the slow-query ring dump when asked).
-fn run_trace_demo(scale: usize, trace_path: Option<&str>, slow_path: Option<&str>) {
-    use fsdm_bench::setup::{nobench_db, nobench_q11_plan, nobench_q5_bind};
-    use fsdm_obs::catalog::{SPAN_EXEC_MORSEL, SPAN_EXEC_OP};
-    use fsdm_obs::trace::Trace;
-
-    let fail = |msg: &str| -> ! {
-        eprintln!("TRACE DEMO FAIL: {msg}");
-        std::process::exit(1);
+    // resolved before anything is printed, so an unknown command leaves
+    // no half-written record
+    let run: &dyn Fn() = match cmd {
+        "table10" => &|| table10(scale.unwrap_or(300)),
+        "table11" => &|| table11(scale.unwrap_or(300)),
+        "table12" => &|| table12(scale.unwrap_or(300)),
+        "fig3" => &|| fig3_fig4(scale.unwrap_or(20_000), reps, true, false),
+        "fig4" => &|| fig3_fig4(scale.unwrap_or(20_000), 1, false, true),
+        "fig5" => &|| fig5_fig6(scale.unwrap_or(20_000), reps, true, false),
+        "fig6" => &|| fig5_fig6(scale.unwrap_or(20_000), reps, false, true),
+        "fig7" => &|| fig7(scale.unwrap_or(10_000)),
+        "fig8" => &|| fig8(scale.unwrap_or(10_000)),
+        "fig9" => &|| fig9(scale.unwrap_or(50_000)),
+        "ablations" => &|| ablations(scale.unwrap_or(2_000), reps),
+        "all" => &|| {
+            table10(scale.unwrap_or(300));
+            table11(scale.unwrap_or(300));
+            table12(scale.unwrap_or(300));
+            fig3_fig4(scale.unwrap_or(20_000), reps, true, true);
+            fig5_fig6(scale.unwrap_or(20_000), reps, true, true);
+            fig7(scale.unwrap_or(10_000));
+            fig8(scale.unwrap_or(10_000));
+            fig9(scale.unwrap_or(50_000));
+            ablations(scale.unwrap_or(2_000), reps);
+        },
+        other => usage(&format!("unknown command `{other}`")),
     };
-
-    println!("== repro --trace: NOBENCH Q1-Q11 under the span recorder (n = {scale}) ==");
-    let mut session = nobench_db(scale);
-    if slow_path.is_some() {
-        // threshold 0: every traced query qualifies, so the ring shows
-        // the demo's slowest survivors
-        session.db.set_slow_log(0, 16);
-    }
-
-    // trace each query in its own session, then splice the sessions
-    // one after another onto a single timeline (span ids are globally
-    // unique, so the merged tree stays well-formed)
-    let mut merged = Trace { spans: Vec::new(), dropped: 0 };
-    let mut cursor_ns = 0u64;
-    println!("{:<6} {:>8} {:>8} {:>10} {:>9}", "query", "rows", "spans", "morsels", "ops");
-    for q in 1..=11 {
-        let (rows, profile, trace) = if q == 11 {
-            let plan = nobench_q11_plan(scale, false);
-            let (result, profile, trace) = session
-                .db
-                .execute_traced(&plan)
-                .unwrap_or_else(|e| fail(&format!("Q11 failed: {e}")));
-            (result.rows.len(), Some(profile), trace)
-        } else {
-            let sql = fsdm_workloads::nobench::query_sql(q, scale);
-            let binds = if q == 5 { vec![nobench_q5_bind(scale)] } else { vec![] };
-            let (result, profile, trace) = session
-                .trace_with(&sql, &binds)
-                .unwrap_or_else(|e| fail(&format!("Q{q} failed: {e}")));
-            (result.rows.len(), profile, trace)
-        };
-        if let Err(e) = trace.validate() {
-            fail(&format!("Q{q} produced a malformed trace: {e}"));
-        }
-        let profile = profile.unwrap_or_else(|| fail(&format!("Q{q} returned no profile")));
-        let ops = profile.ops().len();
-        if trace.count(SPAN_EXEC_OP) < ops {
-            fail(&format!(
-                "Q{q}: {} exec.op spans for {ops} profiled operators",
-                trace.count(SPAN_EXEC_OP)
-            ));
-        }
-        if trace.count(SPAN_EXEC_MORSEL) != profile.total_morsels() {
-            fail(&format!(
-                "Q{q}: {} morsel spans vs {} profiled morsels",
-                trace.count(SPAN_EXEC_MORSEL),
-                profile.total_morsels()
-            ));
-        }
-        println!(
-            "Q{:<5} {:>8} {:>8} {:>10} {:>9}",
-            q,
-            rows,
-            trace.spans.len(),
-            profile.total_morsels(),
-            ops
-        );
-        let span_end = trace.spans.iter().map(|s| s.end_ns).max().unwrap_or(0);
-        merged.dropped += trace.dropped;
-        merged.spans.extend(trace.spans.into_iter().map(|mut s| {
-            s.start_ns += cursor_ns;
-            s.end_ns += cursor_ns;
-            s
-        }));
-        cursor_ns += span_end + 1_000; // 1 µs gap between queries on the timeline
-    }
-
-    if let Err(e) = merged.validate() {
-        fail(&format!("merged trace is malformed: {e}"));
-    }
-    if let Some(path) = trace_path {
-        let json = merged.to_chrome_json();
-        if let Err(e) = std::fs::write(path, &json) {
-            fail(&format!("could not write {path}: {e}"));
-        }
-        if let Err(e) = fsdm_json::parse(&json) {
-            fail(&format!("{path} is not valid JSON: {e}"));
-        }
-        println!(
-            "trace ok: {} spans ({} dropped) written to {path} — open in Perfetto",
-            merged.spans.len(),
-            merged.dropped
-        );
-    }
-    if let Some(path) = slow_path {
-        let json = session.db.slow_log_json();
-        if let Err(e) = std::fs::write(path, &json) {
-            fail(&format!("could not write {path}: {e}"));
-        }
-        if let Err(e) = fsdm_json::parse(&json) {
-            fail(&format!("{path} is not valid JSON: {e}"));
-        }
-        let captured = session.db.slow_log().entries().len();
-        println!("slow-log ok: {captured} ring entries written to {path}");
+    println!(
+        "host available_parallelism = {}, executor degree = {}, scale = {}",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        fsdm_store::parallel::default_degree(),
+        scale.map_or("default".to_string(), |n| n.to_string()),
+    );
+    run();
+    if metrics {
+        dump_metrics();
     }
 }
 
@@ -389,10 +278,25 @@ fn fig9(n: usize) {
     // gauge is set by that bulk build (later puts do not refresh it)
     if let [.., transient, persistent] = cells.as_slice() {
         println!(
-            "persistent / transient 99% = {:.2}x; index.bytes as built = {}; host available_parallelism {}",
+            "persistent / transient 99% = {:.2}x; index.bytes as built = {}",
             persistent.time.as_secs_f64() / transient.time.as_secs_f64(),
             fsdm_obs::gauge!(fsdm_obs::catalog::INDEX_BYTES).get(),
-            std::thread::available_parallelism().map_or(1, usize::from),
+        );
+    }
+}
+
+fn ablations(n: usize, reps: usize) {
+    println!("\n== Ablations: design choices on vs off, {n} purchaseOrder docs ==");
+    println!("{:<44} {:>6} {:>12} {:>12} {:>8}", "mechanism", "unit", "on", "off", "off/on");
+    for r in run_ablations(n, reps) {
+        let digits = if r.unit == "bytes" { 0 } else { 3 };
+        println!(
+            "{:<44} {:>6} {:>12.digits$} {:>12.digits$} {:>7.2}x",
+            r.label,
+            r.unit,
+            r.on,
+            r.off,
+            r.off / r.on
         );
     }
 }

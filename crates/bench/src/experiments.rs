@@ -5,15 +5,15 @@ use std::time::Duration;
 use fsdm_dataguide::views::create_view_on_path;
 use fsdm_dataguide::DataGuide;
 use fsdm_json::{JsonValue, ValueDom};
-use fsdm_oson::SegmentStats;
-use fsdm_sqljson::Datum;
+use fsdm_oson::{OsonDoc, OsonSetBuilder, SegmentStats};
+use fsdm_sqljson::{parse_path, Datum, PathEvaluator};
 use fsdm_store::table::InsertValue;
 use fsdm_store::{ColType, ColumnSpec, ConstraintMode, JsonStorage, Table, TableSchema};
 use fsdm_workloads::{generate, nobench, rng_for, Collection};
 
 use crate::setup::{
-    add_nobench_vcs, bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db,
-    olap_queries, storage_size, StorageMethod,
+    add_nobench_vcs, bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_corpus,
+    olap_db, olap_queries, storage_size, StorageMethod,
 };
 use crate::time_best;
 
@@ -388,6 +388,89 @@ pub fn run_transient_vs_persistent(n: usize) -> Vec<AggCell> {
     out
 }
 
+/// One design-choice ablation: the same work with the mechanism on and
+/// with it off.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// The mechanism, with the paper section that describes it.
+    pub label: &'static str,
+    /// Unit of `on` and `off`.
+    pub unit: &'static str,
+    /// Cost with the mechanism.
+    pub on: f64,
+    /// Cost without it.
+    pub off: f64,
+}
+
+/// The design-choice ablations EXPERIMENTS.md quotes, over `n`
+/// purchaseOrders: the §6.3 `JSON_EXISTS` pushdown, the §4.2.1 field-id
+/// look-back cache, and the §7 set encoding's memory.
+pub fn run_ablations(n: usize, reps: usize) -> Vec<AblationRow> {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+
+    // a selective DMDV filter, planned once, run with and without the
+    // optimizer's rewrite
+    let session = olap_db(StorageMethod::Oson, n);
+    let sql = "select count(*) from po_item_dmdv where partno = 'no-such-part'";
+    let plan = session.plan(sql, &[]).expect("ablation query plans");
+    let optimized = fsdm_store::optimizer::optimize(&session.db, plan.clone());
+    let run_plan = |p: &fsdm_store::Query| {
+        let run = || {
+            session.db.execute_unoptimized(p).expect("ablation query executes");
+        };
+        ms(time_best(run, 1, reps))
+    };
+    let pushdown = AblationRow {
+        label: "§6.3 JSON_EXISTS pushdown",
+        unit: "ms",
+        on: run_plan(&optimized),
+        off: run_plan(&plan),
+    };
+
+    // one path over every document: an evaluator shared across documents
+    // resolves field ids from its look-back cache, a fresh one per
+    // document resolves them again
+    let docs = olap_corpus(n);
+    let encoded: Vec<Vec<u8>> = docs.iter().map(|d| fsdm_oson::encode(d).unwrap()).collect();
+    let path = parse_path("$.purchaseOrder.items[*].unitprice").unwrap();
+    let mut shared = PathEvaluator::new(path.clone());
+    let mut scan = |fresh: bool| {
+        let pass = || {
+            for bytes in &encoded {
+                let doc = OsonDoc::new(bytes).unwrap();
+                let hits = if fresh {
+                    PathEvaluator::new(path.clone()).evaluate(&doc).len()
+                } else {
+                    shared.evaluate(&doc).len()
+                };
+                std::hint::black_box(hits);
+            }
+        };
+        ms(time_best(pass, 1, reps))
+    };
+    let lookback = AblationRow {
+        label: "§4.2.1 look-back cache (shared evaluator)",
+        unit: "ms",
+        on: scan(false),
+        off: scan(true),
+    };
+
+    // one dictionary for the whole set against one per instance
+    let per_instance: usize = encoded.iter().map(Vec::len).sum();
+    let mut builder = OsonSetBuilder::new();
+    for d in docs {
+        builder.add(d);
+    }
+    let set = builder.finalize().expect("set encodes");
+    let set_encoding = AblationRow {
+        label: "§7 set encoding (shared dictionary)",
+        unit: "bytes",
+        on: set.heap_size() as f64,
+        off: per_instance as f64,
+    };
+    vec![pushdown, lookback, set_encoding]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,5 +550,14 @@ mod tests {
     fn transient_vs_persistent_runs() {
         let cells = run_transient_vs_persistent(400);
         assert_eq!(cells.len(), 5);
+    }
+
+    #[test]
+    fn ablations_run_small() {
+        let rows = run_ablations(60, 1);
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|r| r.on > 0.0 && r.off > 0.0), "{rows:?}");
+        // the shared dictionary must be the smaller encoding
+        assert!(rows[2].on < rows[2].off, "{:?}", rows[2]);
     }
 }

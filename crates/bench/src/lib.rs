@@ -1,14 +1,10 @@
-//! Shared harness for the `repro` binary and the criterion benches: corpus
-//! setup for each experiment, view registration per storage method, and
-//! the experiment runners that regenerate the paper's tables and figures.
+//! Shared harness for the `repro` binary and the workspace's tests:
+//! corpus setup for each experiment, view registration per storage
+//! method, and the experiment runners that regenerate the paper's tables
+//! and figures.
 
-pub mod chaos;
-pub mod concurrency;
 pub mod experiments;
-pub mod governov;
-pub mod imc;
 pub mod setup;
-pub mod traceov;
 
 use std::time::{Duration, Instant};
 

@@ -429,6 +429,20 @@ pub fn nobench_q11_plan(n: usize, vc: bool) -> Query {
     }
 }
 
+/// Plan the full NOBENCH query set against an existing session: Q1–Q10
+/// through the SQL front end (Q5 with its bind) plus the Q11 plan.
+pub fn nobench_plans(session: &Session, n: usize) -> Vec<(String, Query)> {
+    let mut plans = Vec::new();
+    for q in 1..=10 {
+        let sql = nobench::query_sql(q, n);
+        let binds = if q == 5 { vec![nobench_q5_bind(n)] } else { vec![] };
+        let plan = session.plan(&sql, &binds).expect("NOBENCH query plans");
+        plans.push((format!("Q{q}"), plan));
+    }
+    plans.push(("Q11".to_string(), nobench_q11_plan(n, false)));
+    plans
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

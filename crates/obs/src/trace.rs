@@ -14,7 +14,7 @@
 //! Tracing is **off by default**. While off, every entry point is a
 //! single relaxed atomic load — cheap enough to leave in the hottest
 //! decode loops (the same contract as the metrics layer's disable flag,
-//! asserted by `bench trace-overhead`). A [`TraceSession`] arms the
+//! asserted by `tests/disarmed_overhead.rs`). A [`TraceSession`] arms the
 //! collector; spans then append to **per-thread buffers** (no lock on
 //! the record path; buffers flush into the shared sink in chunks, on an
 //! explicit [`flush_local`] — executor workers flush before they return,

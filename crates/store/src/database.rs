@@ -317,8 +317,8 @@ impl Database {
 
     /// Enable or disable the batch spine (on by default). With it off,
     /// every operator runs on the scratch-based row evaluator, which is
-    /// kept as the oracle of the identity tests and the `bench imc`
-    /// comparison. Results are byte-identical either way.
+    /// kept as the oracle of the identity tests. Results are
+    /// byte-identical either way.
     pub fn set_columnar(&mut self, on: bool) {
         self.columnar = on;
     }

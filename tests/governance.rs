@@ -375,26 +375,3 @@ fn an_injected_put_failure_leaves_the_collection_unchanged() {
     assert_eq!(db.put("c", r#"{"tag":"arctic fox","fresh":true}"#).unwrap(), 1);
     assert_eq!(db.text_contains("c", "$.tag", "fox").unwrap(), vec![0, 1]);
 }
-
-/// A reduced chaos sweep as a tier-1 gate: every seeded fault schedule
-/// over both workloads must classify as baseline-identical or typed
-/// error, with a byte-identical clean rerun (`chaos::run` serializes
-/// itself on the failpoint scope lock).
-#[test]
-fn chaos_smoke_finds_no_contract_violations() {
-    use fsdm_bench::chaos::{run, ChaosConfig};
-    fsdm::fault::silence_failpoint_panics();
-    let cfg =
-        ChaosConfig { scale: 160, olap_scale: 80, schedules: 24, seed: 3, watchdog_ms: 30_000 };
-    let report = run(&cfg);
-    assert_eq!(report.outcomes.len(), 24);
-    let violations = report.violations();
-    assert!(
-        violations.is_empty(),
-        "chaos violations: {:?}",
-        violations
-            .iter()
-            .map(|o| format!("{} {}={}: {}", o.query, o.point, o.mode, o.detail))
-            .collect::<Vec<_>>()
-    );
-}

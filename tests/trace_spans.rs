@@ -89,6 +89,7 @@ fn nobench_traces_are_well_formed_at_every_degree() {
     let n = 400;
     let mut session = nobench_db(n);
     session.db.set_morsel_rows(64); // force multi-morsel scans at small scale
+    session.db.set_slow_log(0, 16); // threshold 0: every traced statement qualifies
     let q11 = nobench_q11_plan(n, false);
     for degree in DEGREES {
         session.set_parallelism(degree);
@@ -120,6 +121,15 @@ fn nobench_traces_are_well_formed_at_every_degree() {
                 "degree {degree} ran the whole NOBENCH set without a single worker span"
             );
         }
+    }
+    // the ring's dump nests an operator profile and a trace summary in
+    // every entry; the in-repo parser must accept all of it
+    let slow = fsdm::json::parse(&session.db.slow_log_json()).expect("slow-log JSON re-parses");
+    let entries = slow.get("entries").and_then(|e| e.as_array()).expect("an entries array");
+    assert!(!entries.is_empty(), "threshold 0 must capture the traced statements");
+    for e in entries {
+        assert!(e.get("profile").is_some_and(|p| p.as_object().is_some()), "entry profile");
+        assert!(e.get("trace").is_some_and(|t| t.as_str().is_some()), "entry trace summary");
     }
 }
 
