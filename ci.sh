@@ -37,6 +37,9 @@ echo "== committed benchmark (fmt, clippy, unit tests, smoke run with the oracle
 # change that breaks its build or its text-storage oracle fails here
 benchmark/check.sh
 
+echo "== rustdoc (a doc link to a name that no longer exists fails) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline -q
+
 echo "== rustfmt =="
 cargo fmt --all --check
 

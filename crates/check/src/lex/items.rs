@@ -1,4 +1,4 @@
-//! A lightweight Rust item/block parser on top of [`super::scan`].
+//! A lightweight Rust item/block parser on top of [`mod@super::scan`].
 //!
 //! This is deliberately **not** a grammar-complete parser: it recovers
 //! exactly the item structure the repo's analyzers need — which lines

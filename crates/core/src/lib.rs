@@ -86,8 +86,12 @@ impl FsdmDatabase {
         &mut self.session.db
     }
 
-    /// Create a JSON collection: a table `(did number, jdoc json)`.
+    /// Create a JSON collection: a table `(did number, jdoc json)`. A name
+    /// already taken is an error and leaves the existing table alone.
     pub fn create_collection(&mut self, name: &str, opts: CollectionOptions) -> Result<()> {
+        if self.session.db.table(name).is_some() {
+            return Err(SqlError::new(format!("collection {name} already exists")));
+        }
         let mode = match (opts.validate, opts.dataguide) {
             (_, true) => ConstraintMode::IsJsonWithDataGuide,
             (true, false) => ConstraintMode::IsJson,
@@ -239,29 +243,26 @@ impl FsdmDatabase {
         self.session.execute_with(sql, binds)
     }
 
-    /// Run SQL while profiling the executor: for a SELECT the result
-    /// comes back with an `EXPLAIN ANALYZE`-style
-    /// [`fsdm_store::QueryProfile`] (per-operator output rows and
-    /// inclusive wall time); DDL/DML return `None` for the profile.
-    pub fn profile_sql(
+    /// Run SQL and return the statement's report with the rows: for a
+    /// SELECT a [`fsdm_store::QueryProfile`] — degree, optimize and
+    /// execute time, memory high-water, every operator with its output
+    /// rows, inclusive wall time and pipeline mode, the prepare-time
+    /// findings — and, with `trace`, the full span tree of the execution
+    /// (see [`fsdm_obs::trace`]; export with
+    /// [`fsdm_obs::trace::Trace::to_chrome_json`] for Perfetto or
+    /// `to_collapsed` for flamegraph.pl). DDL/DML report `None`.
+    pub fn report_sql(
         &mut self,
         sql: &str,
+        binds: &[Datum],
+        trace: bool,
     ) -> Result<(QueryResult, Option<fsdm_store::QueryProfile>)> {
-        self.session.profile(sql)
-    }
-
-    /// Run SQL under an armed trace session (see [`fsdm_obs::trace`]):
-    /// the rows come back with the full span tree of the execution —
-    /// operators, workers, morsels, path evaluations, index probes.
-    /// Export with [`fsdm_obs::trace::Trace::to_chrome_json`] (Perfetto)
-    /// or `to_collapsed` (flamegraph.pl).
-    pub fn trace_sql(&mut self, sql: &str) -> Result<(QueryResult, fsdm_obs::trace::Trace)> {
-        self.session.trace_sql(sql)
+        self.session.report(sql, binds, trace)
     }
 
     /// Arm the slow-query ring log (see [`fsdm_store::SlowLog`]): keep
     /// the last `cap` queries at or over `threshold_ns`, each captured
-    /// with its SQL text, elapsed time, degree, and query profile.
+    /// with its SQL text, elapsed time, degree, and report.
     /// `cap = 0` disarms.
     pub fn set_slow_log(&mut self, threshold_ns: u64, cap: usize) {
         self.session.db.set_slow_log(threshold_ns, cap);
@@ -481,14 +482,18 @@ mod tests {
     }
 
     #[test]
-    fn profile_sql_reports_operator_tree() {
+    fn report_sql_reports_operator_tree() {
         let mut db = seeded();
         db.infer_relational_schema("po").unwrap();
-        let (r, profile) =
-            db.profile_sql("select count(*) from po_dmdv where \"jdoc$price\" > 100").unwrap();
+        db.set_slow_log(0, 4);
+        let sql = "select count(*) from po_dmdv where \"jdoc$price\" > 100";
+        let (r, report) = db.report_sql(sql, &[], false).unwrap();
         assert_eq!(r.rows[0][0], Datum::from(2i64));
-        let p = profile.expect("SELECT yields a profile");
-        assert!(p.elapsed_ns() > 0);
+        let p = report.expect("SELECT yields a report");
+        assert!(p.elapsed_ns() > 0 && p.trace.is_none());
+        assert_eq!((p.source.as_str(), p.degree), (sql, db.engine().parallelism()));
+        // untraced, the ring names the statement by its SQL text all the same
+        assert_eq!(db.engine().slow_log().entries()[0].source, sql);
         // the DMDV view expands to a JSON_TABLE pipeline over the scan;
         // the profile mirrors the *optimized* plan, where the §6.3
         // pushdown pre-filters the scan to the 2 qualifying documents
@@ -497,8 +502,21 @@ mod tests {
         assert_eq!(p.find("Filter").unwrap().rows_out, 2, "items with price > 100");
         assert_eq!(p.find("GroupBy").unwrap().rows_out, 1);
         // DDL does not run through the volcano executor
-        let (_, none) = db.profile_sql("create table x (a number)").unwrap();
+        let (_, none) = db.report_sql("create table x (a number)", &[], false).unwrap();
         assert!(none.is_none());
+        // asked for, the span tree comes back inside the report
+        let (_, traced) = db.report_sql(sql, &[], true).unwrap();
+        let trace = traced.and_then(|p| p.trace).expect("traced, so kept");
+        trace.validate().unwrap();
+        assert!(trace.count(fsdm_obs::catalog::SPAN_STORE_QUERY) >= 1);
+    }
+
+    #[test]
+    fn creating_a_collection_twice_is_refused() {
+        let mut db = seeded();
+        let err = db.create_collection("po", CollectionOptions::default()).unwrap_err();
+        assert_eq!(err.message, "collection po already exists");
+        assert_eq!(db.count("po"), 3, "the first collection keeps its documents");
     }
 
     #[test]
@@ -509,9 +527,12 @@ mod tests {
         for i in 0..5 {
             db.put("m", &format!(r#"{{"a":{i},"b":"x"}}"#)).unwrap();
         }
-        db.sql("select count(*) from m where json_value(jdoc, '$.a' returning number) >= 0")
-            .unwrap();
+        let sql = "select count(*) from m where json_value(jdoc, '$.a' returning number) >= 0";
+        let report = db.report_sql(sql, &[], false).unwrap().1.expect("a SELECT");
         let delta = db.metrics_snapshot().diff(&before);
+        // whole-statement wall, optimize included, whichever door ran it
+        let exec_ns = delta.histograms["store.exec.ns"].sum;
+        assert!(exec_ns >= report.optimize_ns + report.elapsed_ns(), "{exec_ns}: {report:?}");
         // OSON encodes on insert; the DataGuide takes the signature fast
         // path for 4 of the 5 identically-shaped docs; the query runs
         // through the instrumented executor and path evaluator.

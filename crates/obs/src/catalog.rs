@@ -219,9 +219,11 @@ pub const SQLJSON_LOOKBACK_MISS: &str = "sqljson.lookback.miss";
 
 // --- store --------------------------------------------------------------
 
-/// End-to-end query execution time in nanoseconds (histogram).
+/// Whole-statement wall time of a completed statement in nanoseconds,
+/// optimize included, from the plan's arrival to the statement exit
+/// (histogram).
 pub const STORE_EXEC_NS: &str = "store.exec.ns";
-/// SQL queries executed (counter).
+/// Statements completed (counter).
 pub const STORE_EXEC_QUERIES: &str = "store.exec.queries";
 /// Inserts that took the unchanged-DataGuide fast path (counter).
 pub const STORE_INSERT_GUIDE_FAST_PATH: &str = "store.insert.guide_fast_path";

@@ -1,13 +1,13 @@
 //! Structured tracing: span trees across threads, with Chrome-trace and
 //! collapsed-stack (flamegraph) export.
 //!
-//! A [`Span`] is one timed region of work — an executor operator, a
-//! morsel, one SQL/JSON path evaluation — carrying a catalog-checked
-//! name (see [`crate::catalog::SPANS`]), a lane id for the recording
-//! thread, its parent span, and monotonic start/end nanoseconds. Spans
-//! are created through the RAII [`span`]/[`span_args`]/
-//! [`span_with_parent`] entry points and recorded when their
-//! [`SpanGuard`] drops.
+//! A span ([`SpanRecord`]) is one timed region of work — an executor
+//! operator, a morsel, one SQL/JSON path evaluation — carrying a
+//! catalog-checked name (see [`crate::catalog::SPANS`]), a lane id for
+//! the recording thread, its parent span, and monotonic start/end
+//! nanoseconds. Spans are created through the RAII [`span`]/
+//! [`span_args`]/[`span_with_parent`] entry points and recorded when
+//! their [`SpanGuard`] drops.
 //!
 //! # Recording model
 //!

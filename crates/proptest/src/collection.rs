@@ -12,7 +12,7 @@ pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, size }
 }
 
-/// Result of [`vec`].
+/// Result of [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -12,8 +12,8 @@
 //!
 //! Findings surface in three places: [`Session::analyze`] (the lint
 //! binary's entry point), [`Session::explain`] (diagnostics + the plan
-//! before and after optimization), and the [`QueryProfile`] returned by
-//! [`Session::profile`].
+//! before and after optimization), and the statement report
+//! ([`fsdm_store::QueryProfile`]) returned by [`Session::report`].
 
 use std::collections::BTreeSet;
 
@@ -23,7 +23,7 @@ use fsdm_store::{ColType, Database, Expr, JsonStorage, Table};
 
 use crate::ast::{FromSource, JtColumn, Select, SelectItem, SqlExpr, Statement};
 use crate::parser::parse_sql;
-use crate::planner::Session;
+use crate::planner::{dataguide_agg_target, Session};
 use crate::{Result, SqlError};
 
 impl Session {
@@ -33,9 +33,14 @@ impl Session {
     /// paths over guide-less columns, produce no findings. Path text that
     /// fails to parse is an error here too — it could never execute.
     pub fn analyze(&self, sql: &str) -> Result<Vec<Diagnostic>> {
-        match parse_sql(sql)? {
-            Statement::Select(sel) => analyze_select(&self.db, &sel),
-            Statement::CreateView { select, .. } => analyze_select(&self.db, &select),
+        self.analyze_statement(&parse_sql(sql)?)
+    }
+
+    fn analyze_statement(&self, stmt: &Statement) -> Result<Vec<Diagnostic>> {
+        match stmt {
+            Statement::Select(sel) | Statement::CreateView { select: sel, .. } => {
+                analyze_select(&self.db, sel)
+            }
             _ => Ok(Vec::new()),
         }
     }
@@ -44,7 +49,8 @@ impl Session {
     /// and after optimization, so the §6.3 pushdown and the (opt-in)
     /// dead-path pruning rewrite are both visible.
     pub fn explain(&self, sql: &str, binds: &[Datum]) -> Result<String> {
-        let diags = self.analyze(sql)?;
+        let stmt = parse_sql(sql)?;
+        let diags = self.analyze_statement(&stmt)?;
         let mut out = String::new();
         if diags.is_empty() {
             out.push_str("diagnostics: none\n");
@@ -56,8 +62,16 @@ impl Session {
                 out.push('\n');
             }
         }
-        match self.plan(sql, binds) {
-            Ok(plan) => {
+        // DDL/DML and the session-driven JSON_DATAGUIDEAGG never produce a
+        // volcano plan; the diagnostics alone are the output
+        let plan = match &stmt {
+            Statement::Select(sel) if dataguide_agg_target(sel).is_none() => {
+                Some(self.plan_select(sel, binds))
+            }
+            _ => None,
+        };
+        match plan {
+            Some(Ok(plan)) => {
                 push_tree(&mut out, "plan:", &plan.render());
                 let optimized = fsdm_store::optimizer::optimize(&self.db, plan.clone());
                 // annotated with the executor's pipeline selection:
@@ -80,9 +94,8 @@ impl Session {
                     }
                 }
             }
-            // DDL/DML and the session-driven JSON_DATAGUIDEAGG never
-            // produce a volcano plan; the diagnostics alone are the output
-            Err(_) => out.push_str("plan: (statement does not plan to the query algebra)\n"),
+            Some(Err(e)) => out.push_str(&format!("plan: error: {}\n", e.message)),
+            None => out.push_str("plan: (statement does not plan to the query algebra)\n"),
         }
         Ok(out)
     }
@@ -382,12 +395,12 @@ mod tests {
     fn profile_attaches_diagnostics() {
         let mut s = session();
         let (_, profile) =
-            s.profile("select did from po where json_exists(jdoc, '$.persno')").unwrap();
-        let p = profile.expect("SELECT profiles");
+            s.report("select did from po where json_exists(jdoc, '$.persno')", &[], false).unwrap();
+        let p = profile.expect("SELECT reports");
         assert!(codes(&p.diagnostics).contains(&Code::UnknownPath.id()), "{:?}", p.diagnostics);
         assert!(p.render().contains(Code::UnknownPath.id()), "{}", p.render());
         // a clean statement carries no findings
-        let (_, profile) = s.profile("select did from po").unwrap();
+        let (_, profile) = s.report("select did from po", &[], false).unwrap();
         assert!(profile.unwrap().diagnostics.is_empty());
     }
 

@@ -3,13 +3,12 @@
 use fsdm_dataguide::agg::GuideFormat;
 use fsdm_dataguide::DataGuideAgg;
 use fsdm_json::JsonNumber;
-use fsdm_obs::trace::{Trace, TraceSession};
 use fsdm_sqljson::json_table::{ColumnDef, JsonTableDef, NestedDef};
 use fsdm_sqljson::{parse_path, Datum, SqlType};
 use fsdm_store::table::InsertValue;
 use fsdm_store::{
     AggFun, CmpOp, ColType, ColumnSpec, ConstraintMode, Database, Expr, JsonStorage, Query,
-    QueryProfile, QueryResult, ScalarFun, SortKey, Table, TableSchema, WindowFun,
+    QueryProfile, QueryResult, Run, ScalarFun, SortKey, Table, TableSchema, WindowFun,
 };
 
 use crate::ast::*;
@@ -80,7 +79,12 @@ impl Session {
         // cancellation (user or governance) must not leak into this one
         self.db.cancel_token().reset();
         match parse_sql(sql)? {
-            Statement::Select(sel) => self.run_select(sql, &sel, binds),
+            // JSON_DATAGUIDEAGG is the one aggregate the plan algebra does
+            // not model; the session drives it directly (§3.4)
+            Statement::Select(sel) => match dataguide_agg_target(&sel) {
+                Some(agg_col) => self.run_dataguide_agg(&sel, &agg_col, binds),
+                None => Ok(self.run_select(sql, &sel, binds, false)?.1),
+            },
             Statement::CreateTable { name, columns } => {
                 self.create_table(&name, &columns)?;
                 Ok(empty_result("created"))
@@ -100,77 +104,33 @@ impl Session {
         }
     }
 
-    /// Parse and execute one statement while profiling the executor.
-    ///
-    /// For a SELECT this returns the result together with the
-    /// `EXPLAIN ANALYZE`-style [`QueryProfile`] (per-operator output rows
-    /// and inclusive wall time). DDL/DML and the session-driven
-    /// `JSON_DATAGUIDEAGG` path do not run through the volcano executor,
-    /// so they execute normally and return `None` for the profile.
-    pub fn profile(&mut self, sql: &str) -> Result<(QueryResult, Option<QueryProfile>)> {
-        self.profile_with(sql, &[])
-    }
-
-    /// [`Session::profile`] with positional `?` bind values.
-    pub fn profile_with(
+    /// Parse and execute one statement (positional `?` binds) and return
+    /// its report with the rows: the [`QueryProfile`] of
+    /// [`Database::run`] with the prepare-time findings (FA path lint + PK
+    /// plan typecheck) attached, and — with `trace` — the span tree of the
+    /// execution (tracing is process-global, so concurrent traced
+    /// statements queue up). DDL/DML and the session-driven
+    /// `JSON_DATAGUIDEAGG` do not run through the executor: they execute
+    /// normally and report `None`.
+    pub fn report(
         &mut self,
         sql: &str,
         binds: &[Datum],
+        trace: bool,
     ) -> Result<(QueryResult, Option<QueryProfile>)> {
         self.db.cancel_token().reset();
         if let Statement::Select(sel) = parse_sql(sql)? {
             if dataguide_agg_target(&sel).is_none() {
-                let plan = self.plan_select(&sel, binds)?;
-                let (result, mut profile) = self.db.execute_profiled(&plan)?;
-                // attach the prepare-time findings (FA path lint + PK plan
-                // typecheck); analysis is advisory, so its errors never
-                // fail an executable statement
-                profile.diagnostics =
+                let (plan, result, mut report) = self.run_select(sql, &sel, binds, trace)?;
+                // analysis is advisory, so its errors never fail an
+                // executable statement
+                report.diagnostics =
                     crate::analyze::analyze_select(&self.db, &sel).unwrap_or_default();
-                profile.diagnostics.extend(self.typecheck_plan(&plan).diagnostics);
-                return Ok((result, Some(profile)));
+                report.diagnostics.extend(self.typecheck_plan(&plan).diagnostics);
+                return Ok((result, Some(report)));
             }
         }
         Ok((self.execute_with(sql, binds)?, None))
-    }
-
-    /// Parse and execute one statement under an armed trace session (see
-    /// [`fsdm_obs::trace`]), returning the rows together with the span
-    /// tree of the execution: operators, workers, morsels, path
-    /// evaluations, OSON decodes, index probes. Tracing is process-global
-    /// and serialized, so concurrent `trace_sql` calls queue up.
-    pub fn trace_sql(&mut self, sql: &str) -> Result<(QueryResult, Trace)> {
-        let (result, _, trace) = self.trace_with(sql, &[])?;
-        Ok((result, trace))
-    }
-
-    /// [`Session::trace_sql`] with positional `?` bind values, also
-    /// returning the [`QueryProfile`] when the statement ran through the
-    /// volcano executor (see [`Session::profile_with`] for when it does
-    /// not).
-    pub fn trace_with(
-        &mut self,
-        sql: &str,
-        binds: &[Datum],
-    ) -> Result<(QueryResult, Option<QueryProfile>, Trace)> {
-        self.db.cancel_token().reset();
-        if let Statement::Select(sel) = parse_sql(sql)? {
-            if dataguide_agg_target(&sel).is_none() {
-                let plan = self.plan_select(&sel, binds)?;
-                let (result, mut profile, trace) =
-                    self.db.execute_traced_sourced(&plan, Some(sql))?;
-                profile.diagnostics =
-                    crate::analyze::analyze_select(&self.db, &sel).unwrap_or_default();
-                profile.diagnostics.extend(self.typecheck_plan(&plan).diagnostics);
-                return Ok((result, Some(profile), trace));
-            }
-        }
-        // statements outside the volcano executor (DDL/DML, the
-        // dataguide-agg path) still trace whatever spans they touch
-        let session = TraceSession::begin();
-        let out = self.execute_with(sql, binds);
-        let trace = session.finish();
-        Ok((out?, None, trace))
     }
 
     /// Plan (without executing) a SELECT — used to register views and by
@@ -182,16 +142,19 @@ impl Session {
         }
     }
 
-    fn run_select(&self, sql: &str, sel: &Select, binds: &[Datum]) -> Result<QueryResult> {
-        // JSON_DATAGUIDEAGG is the one aggregate the plan algebra does not
-        // model; the session drives it directly (§3.4)
-        if let Some(agg_col) = dataguide_agg_target(sel) {
-            return self.run_dataguide_agg(sel, &agg_col, binds);
-        }
+    /// Plan a SELECT and run it under its SQL text, which names the
+    /// statement in its report and in the slow-query ring.
+    fn run_select(
+        &self,
+        sql: &str,
+        sel: &Select,
+        binds: &[Datum],
+        trace: bool,
+    ) -> Result<(Query, QueryResult, QueryProfile)> {
         let plan = self.plan_select(sel, binds)?;
-        // the SQL text rides along so slow-query-log entries name the
-        // statement rather than the plan root
-        Ok(self.db.execute_sourced(&plan, Some(sql))?)
+        let (result, report) =
+            self.db.run(&plan, &Run { source: Some(sql), trace, ..Run::default() })?;
+        Ok((plan, result, report))
     }
 
     fn create_table(&mut self, name: &str, columns: &[CreateColumn]) -> Result<()> {
@@ -390,7 +353,7 @@ impl Session {
         Ok(scope)
     }
 
-    fn plan_select(&self, sel: &Select, binds: &[Datum]) -> Result<Query> {
+    pub(crate) fn plan_select(&self, sel: &Select, binds: &[Datum]) -> Result<Query> {
         let mut scope = self.base_scope(sel, binds)?;
         let mut residual: Option<Expr> = None;
         // resolve a pending comma join using the WHERE clause
@@ -1059,7 +1022,7 @@ fn display_name(e: &SqlExpr, position: usize) -> String {
     }
 }
 
-fn dataguide_agg_target(sel: &Select) -> Option<SqlExpr> {
+pub(crate) fn dataguide_agg_target(sel: &Select) -> Option<SqlExpr> {
     match sel.items.as_slice() {
         [SelectItem::Expr(SqlExpr::DataGuideAgg(col), _)] => Some((**col).clone()),
         _ => None,

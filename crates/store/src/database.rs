@@ -267,6 +267,26 @@ impl<'q> FusedScan<'q> {
     }
 }
 
+/// How [`Database::run`] runs a statement: the three distinctions a
+/// caller can select.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// The SQL text the plan came from: names the statement in its report
+    /// and in the slow-query ring (`None`: the plan root's label does).
+    pub source: Option<&'a str>,
+    /// Run the plan through the optimizer first.
+    pub optimize: bool,
+    /// Run under a [`TraceSession`] and keep the span tree in the report.
+    pub trace: bool,
+}
+
+impl Default for Run<'_> {
+    /// No SQL text, optimized, untraced.
+    fn default() -> Self {
+        Run { source: None, optimize: true, trace: false }
+    }
+}
+
 /// An embedded database instance.
 pub struct Database {
     tables: HashMap<String, Table>,
@@ -391,7 +411,7 @@ impl Database {
     }
 
     /// The execution context every operator of one query shares.
-    fn exec_context(&self, profile: bool) -> ExecContext {
+    fn exec_context(&self) -> ExecContext {
         // a caught worker panic leaves a peer-panic cancellation behind;
         // it is transient by design — clear it so the database stays
         // usable through `&self` surfaces (a pending *user* cancel is
@@ -400,7 +420,6 @@ impl Database {
         ExecContext {
             degree: self.parallelism(),
             morsel_rows: if self.morsel_rows == 0 { DEFAULT_MORSEL_ROWS } else { self.morsel_rows },
-            profile,
             governor: Arc::new(QueryGovernor::for_statement(
                 Arc::clone(&self.cancel),
                 self.statement_timeout_ms,
@@ -496,119 +515,93 @@ impl Database {
         })
     }
 
-    /// Execute a plan to a materialized result. Plans are first run
-    /// through the optimizer (notably the §6.3 JSON_EXISTS predicate
-    /// pushdown into JSON_TABLE pipelines).
-    pub fn execute(&self, plan: &Query) -> Result<QueryResult, StoreError> {
-        self.execute_sourced(plan, None)
-    }
-
-    /// [`Database::execute`] with the originating SQL text attached, so
-    /// slow-query-log entries name the statement instead of the plan
-    /// root. While the slow log is armed, execution runs through the
-    /// profiled path so captured entries carry a full operator tree.
-    pub fn execute_sourced(
+    /// Run one statement: **the one statement body.** Optimizes `plan`
+    /// (unless `how` says not to), executes it under a fresh governor and
+    /// returns the materialized result with the statement's report — the
+    /// executor always keeps it. Every statement leaves through the same
+    /// exit: the memory high-water gauge, the governance-kill counters,
+    /// `store.exec.queries` / `store.exec.ns` and the slow-query ring (a
+    /// killed statement enters it threshold-exempt, with its reason) are
+    /// fed here and nowhere else.
+    pub fn run(
         &self,
         plan: &Query,
-        source: Option<&str>,
-    ) -> Result<QueryResult, StoreError> {
-        if self.slow_log.armed() {
-            let (result, profile) = self.execute_profiled_inner(plan, source)?;
-            self.log_slow(source, plan, &profile, None);
-            return Ok(result);
-        }
-        let optimized = crate::optimizer::optimize(self, plan.clone());
-        self.execute_unoptimized(&optimized)
-    }
-
-    /// Execute a plan exactly as given (no rewrites) — used by tests and
-    /// by the ablation benchmark that measures the pushdown's effect.
-    pub fn execute_unoptimized(&self, plan: &Query) -> Result<QueryResult, StoreError> {
+        how: &Run<'_>,
+    ) -> Result<(QueryResult, QueryProfile), StoreError> {
+        // sessions are process-global: concurrent traced statements
+        // serialize here, before the clock starts
+        let session = how.trace.then(TraceSession::begin);
         let start = Instant::now();
-        let ctx = self.exec_context(false);
+        let optimized = how.optimize.then(|| crate::optimizer::optimize(self, plan.clone()));
+        let optimize_ns = start.elapsed().as_nanos() as u64;
+        let ctx = self.exec_context();
         fsdm_obs::gauge!(fsdm_obs::catalog::EXEC_DEGREE).set(ctx.degree as i64);
         let mut root_span = trace::span(fsdm_obs::catalog::SPAN_STORE_QUERY);
         root_span.record_args(|| op_label(plan));
-        let out = self.exec(plan, &mut None, &ctx);
+        let mut ops = Vec::new();
+        let out = self.exec(optimized.as_ref().unwrap_or(plan), &mut ops, &ctx);
         drop(root_span);
-        self.finish_statement(&ctx, None, plan, out.as_ref().err(), start);
-        let (columns, rows) = out?;
+        let trace = session.map(TraceSession::finish);
+
+        let elapsed_ns = start.elapsed().as_nanos() as u64;
+        let mem_highwater = ctx.governor.mem_highwater();
+        fsdm_obs::gauge!(fsdm_obs::catalog::EXEC_MEM_HIGHWATER).set(mem_highwater as i64);
+        let source = how.source.map_or_else(|| op_label(plan), str::to_string);
+        let (columns, rows) = match out {
+            Ok(out) => out,
+            Err(e) => {
+                if let Some(reason) = count_kill(e.kind) {
+                    self.slow_log.record_killed(&source, elapsed_ns, ctx.degree, reason);
+                }
+                return Err(e);
+            }
+        };
         fsdm_obs::counter!(fsdm_obs::catalog::STORE_EXEC_QUERIES).inc();
-        fsdm_obs::histogram!(fsdm_obs::catalog::STORE_EXEC_NS)
-            .record(start.elapsed().as_nanos() as u64);
-        Ok(materialize(columns, rows))
+        fsdm_obs::histogram!(fsdm_obs::catalog::STORE_EXEC_NS).record(elapsed_ns);
+        let mut report = QueryProfile {
+            source,
+            degree: ctx.degree,
+            optimize_ns,
+            mem_highwater,
+            root: ops.pop().expect("the executor reports its root operator"),
+            trace: None,
+            diagnostics: Vec::new(),
+        };
+        // the ring keeps the report with the trace reduced to its summary
+        let summary = trace.as_ref().map(Trace::summary);
+        self.slow_log.record(&report.source, elapsed_ns, ctx.degree, Some(&report), summary);
+        report.trace = trace;
+        Ok((materialize(columns, rows), report))
     }
 
-    /// Execute a plan (optimized, like [`Database::execute`]) while
-    /// recording per-operator output cardinality and inclusive wall time.
-    /// Returns the result together with an `EXPLAIN ANALYZE`-style
-    /// [`QueryProfile`] mirroring the *optimized* plan shape.
+    /// [`Database::run`] with [`Run::default`] (optimized — notably the
+    /// §6.3 JSON_EXISTS pushdown into JSON_TABLE pipelines — untraced, no
+    /// SQL text), result only.
+    pub fn execute(&self, plan: &Query) -> Result<QueryResult, StoreError> {
+        self.run(plan, &Run::default()).map(|(result, _)| result)
+    }
+
+    /// [`Database::run`] with `Run { optimize: false, .. }`, result only:
+    /// the plan exactly as given — used by tests and by the ablation that
+    /// measures the pushdown's effect.
+    pub fn execute_unoptimized(&self, plan: &Query) -> Result<QueryResult, StoreError> {
+        self.run(plan, &Run { optimize: false, ..Run::default() }).map(|(result, _)| result)
+    }
+
+    /// [`Database::run`] with [`Run::default`], result and report (which
+    /// mirrors the *optimized* plan shape).
     pub fn execute_profiled(
         &self,
         plan: &Query,
     ) -> Result<(QueryResult, QueryProfile), StoreError> {
-        let (result, profile) = self.execute_profiled_inner(plan, None)?;
-        self.log_slow(None, plan, &profile, None);
-        Ok((result, profile))
+        self.run(plan, &Run::default())
     }
 
-    /// The profiled execution core, shared by the profiled, traced and
-    /// slow-log-armed surfaces; no slow-log side effects of its own.
-    fn execute_profiled_inner(
-        &self,
-        plan: &Query,
-        source: Option<&str>,
-    ) -> Result<(QueryResult, QueryProfile), StoreError> {
-        let start = Instant::now();
-        let optimized = crate::optimizer::optimize(self, plan.clone());
-        let ctx = self.exec_context(true);
-        fsdm_obs::gauge!(fsdm_obs::catalog::EXEC_DEGREE).set(ctx.degree as i64);
-        let mut root_span = trace::span(fsdm_obs::catalog::SPAN_STORE_QUERY);
-        root_span.record_args(|| op_label(plan));
-        let mut sink = Some(Vec::new());
-        let out = self.exec(&optimized, &mut sink, &ctx);
-        drop(root_span);
-        self.finish_statement(&ctx, source, plan, out.as_ref().err(), start);
-        let (columns, rows) = out?;
-        let root =
-            sink.and_then(|mut ops| ops.pop()).expect("profiled execution yields a root operator");
-        fsdm_obs::counter!(fsdm_obs::catalog::STORE_EXEC_QUERIES).inc();
-        fsdm_obs::histogram!(fsdm_obs::catalog::STORE_EXEC_NS).record(root.elapsed_ns);
-        Ok((materialize(columns, rows), QueryProfile::new(root)))
-    }
-
-    /// Execute a plan under an armed [`TraceSession`]: runs the profiled
-    /// path with span capture and returns the result, the operator
-    /// profile, and the finished span tree. Sessions are process-global,
-    /// so concurrent traced executions serialize.
-    pub fn execute_traced(
-        &self,
-        plan: &Query,
-    ) -> Result<(QueryResult, QueryProfile, Trace), StoreError> {
-        self.execute_traced_sourced(plan, None)
-    }
-
-    /// [`Database::execute_traced`] with the originating SQL text
-    /// attached for slow-query-log entries, which also capture the trace
-    /// summary.
-    pub fn execute_traced_sourced(
-        &self,
-        plan: &Query,
-        source: Option<&str>,
-    ) -> Result<(QueryResult, QueryProfile, Trace), StoreError> {
-        let session = TraceSession::begin();
-        let out = self.execute_profiled_inner(plan, source);
-        let trace = session.finish();
-        let (result, profile) = out?;
-        self.log_slow(source, plan, &profile, Some(trace.summary()));
-        Ok((result, profile, trace))
-    }
-
-    /// Arm the slow-query ring log: queries whose wall time reaches
+    /// Arm the slow-query ring log: statements whose wall time reaches
     /// `threshold_ns` (0 captures everything) are kept in a ring of the
-    /// last `cap` entries, each with its SQL text (when known via the
-    /// `*_sourced` surfaces), operator profile, and trace summary. A
-    /// `cap` of 0 disarms. Re-arming clears previous contents.
+    /// last `cap` entries, each with its SQL text ([`Run::source`], else
+    /// the plan root's label), its report and its trace summary. A `cap`
+    /// of 0 disarms. Re-arming clears previous contents.
     pub fn set_slow_log(&self, threshold_ns: u64, cap: usize) {
         self.slow_log.arm(threshold_ns, cap);
     }
@@ -623,89 +616,12 @@ impl Database {
         self.slow_log.to_json()
     }
 
-    /// Statement-exit governance bookkeeping, run on success *and*
-    /// failure: publishes the memory high-water gauge, counts governance
-    /// kills by reason, and lands killed statements in the slow-query
-    /// ring (threshold-exempt) so a dump shows *why* they died.
-    fn finish_statement(
-        &self,
-        ctx: &ExecContext,
-        source: Option<&str>,
-        plan: &Query,
-        err: Option<&StoreError>,
-        started: Instant,
-    ) {
-        fsdm_obs::gauge!(fsdm_obs::catalog::EXEC_MEM_HIGHWATER)
-            .set(ctx.governor.mem_highwater() as i64);
-        let reason = match err.map(|e| e.kind) {
-            Some(ErrorKind::Cancelled(r)) => {
-                fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_CANCELLED).inc();
-                Some(r.label())
-            }
-            Some(ErrorKind::DeadlineExceeded) => {
-                fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_DEADLINE_EXCEEDED).inc();
-                Some("deadline")
-            }
-            Some(ErrorKind::BudgetExceeded) => {
-                fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_BUDGET_EXCEEDED).inc();
-                Some("budget")
-            }
-            // worker panics are counted at the catch site in `run_morsels`
-            Some(ErrorKind::WorkerPanic { .. } | ErrorKind::Generic) | None => None,
-        };
-        let Some(reason) = reason else { return };
-        if !self.slow_log.armed() {
-            return;
-        }
-        let label;
-        let source = match source {
-            Some(s) => s,
-            None => {
-                label = op_label(plan);
-                &label
-            }
-        };
-        self.slow_log.record_killed(
-            source,
-            started.elapsed().as_nanos() as u64,
-            self.parallelism(),
-            reason,
-        );
-    }
-
-    fn log_slow(
-        &self,
-        source: Option<&str>,
-        plan: &Query,
-        profile: &QueryProfile,
-        trace_summary: Option<String>,
-    ) {
-        if !self.slow_log.armed() {
-            return;
-        }
-        let label;
-        let source = match source {
-            Some(s) => s,
-            None => {
-                label = op_label(plan);
-                &label
-            }
-        };
-        self.slow_log.record(
-            source,
-            profile.elapsed_ns(),
-            self.parallelism(),
-            Some(profile),
-            trace_summary,
-        );
-    }
-
     /// Recursive entry point of the volcano executor: [`Database::exec_for`]
     /// on behalf of a consumer that reads every column.
     fn exec(
         &self,
         plan: &Query,
-        prof: &mut Option<Vec<OpProfile>>,
+        prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
         self.exec_for(plan, None, prof, ctx)
@@ -713,17 +629,15 @@ impl Database {
 
     /// Run `plan` for a row-evaluator consumer whose expressions are
     /// `reads` (`None`: all of every row is read) — column demand, which a
-    /// `Scan` honours by leaving the columns nobody reads NULL.
-    /// When `prof` carries a sink, the operator's output row count and
-    /// inclusive elapsed time are measured and pushed into it (children
-    /// collected via a fresh sink passed down to
-    /// [`Database::exec_inner`]); with `None` the executor runs with zero
-    /// profiling overhead.
+    /// `Scan` honours by leaving the columns nobody reads NULL. The
+    /// operator's output row count and inclusive elapsed time are pushed
+    /// into `prof`, its children collected in a sink of their own: a cost
+    /// per operator, never per row or morsel.
     fn exec_for(
         &self,
         plan: &Query,
         reads: Option<&[&Expr]>,
-        prof: &mut Option<Vec<OpProfile>>,
+        prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
         let mut op_span = trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
@@ -732,14 +646,11 @@ impl Database {
         let start = Instant::now();
         // the lowering that is reported is the lowering that runs
         let lowered = self.lower_scan(plan, reads);
-        let Some(sink) = prof else {
-            return self.exec_inner(plan, lowered, reads, &mut None, ctx, &mut stats);
-        };
-        let mut child_sink = Some(Vec::new());
+        let mut children = Vec::new();
         let (mode, note) = mode_note(lowered.as_ref(), plan);
         let (names, rows) =
-            self.exec_inner(plan, lowered, reads, &mut child_sink, ctx, &mut stats)?;
-        sink.push(OpProfile {
+            self.exec_inner(plan, lowered, reads, &mut children, ctx, &mut stats)?;
+        prof.push(OpProfile {
             op: op_label(plan),
             rows_out: rows.len(),
             elapsed_ns: start.elapsed().as_nanos() as u64,
@@ -747,7 +658,7 @@ impl Database {
             morsels: stats.morsels,
             mode,
             note,
-            children: child_sink.unwrap_or_default(),
+            children,
         });
         Ok((names, rows))
     }
@@ -759,7 +670,7 @@ impl Database {
         plan: &Query,
         lowered: Option<Result<FusedScan<'_>, String>>,
         reads: Option<&[&Expr]>,
-        prof: &mut Option<Vec<OpProfile>>,
+        prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
         stats: &mut ParStats,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
@@ -1000,8 +911,8 @@ impl Database {
     /// `reads` of it, or the rendering of the expression that keeps `plan`
     /// on the row evaluator (its input is then asked on its own).
     /// The executor runs what this returns and reports it ([`mode_note`]);
-    /// [`Database::plan_mode`] and [`Database::explain_modes`] ask here
-    /// too, so report and execution cannot disagree.
+    /// [`Database::explain_modes`] asks here too, so report and execution
+    /// cannot disagree.
     fn lower_scan<'q>(
         &'q self,
         plan: &'q Query,
@@ -1038,7 +949,7 @@ impl Database {
         &self,
         plan: &Query,
         fused: &FusedScan<'_>,
-        prof: &mut Option<Vec<OpProfile>>,
+        prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
         stats: &mut ParStats,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
@@ -1086,7 +997,7 @@ impl Database {
         while spans.pop().is_some() {} // innermost first
         if fused.below.is_empty() {
             *stats = scan_stats; // the scan is the operator itself
-        } else if let Some(sink) = prof {
+        } else {
             let elapsed_ns = start.elapsed().as_nanos() as u64;
             let (mut child, mut rows_out) = (None, 0);
             for op in fused.below.iter().rev() {
@@ -1109,7 +1020,7 @@ impl Database {
                     children: child.into_iter().collect(),
                 });
             }
-            sink.extend(child);
+            prof.extend(child);
         }
         Ok((self.plan_columns(plan)?, rows))
     }
@@ -1214,14 +1125,6 @@ impl Database {
             },
             _ => return None,
         })
-    }
-
-    /// The pipeline the executor selects for the root operator of an
-    /// (already optimized) plan: `"columnar"` when it runs on the batch
-    /// spine, `"row"` otherwise. Backed by the same lowering the executor
-    /// runs, so the report matches the execution.
-    pub fn plan_mode(&self, plan: &Query) -> &'static str {
-        mode_note(self.lower_scan(plan, None).as_ref(), plan).0
     }
 
     /// [`Query::render`] of an (already optimized) plan with the
@@ -1462,6 +1365,27 @@ fn merge_groups(partials: Vec<GroupPartial>, nkeys: usize, aggs: &[AggSpec]) -> 
             key.into_iter().chain(accs.into_iter().map(Acc::finish)).map(Cell::D).collect()
         })
         .collect()
+}
+
+/// Count a governance kill by reason; `None` for an error that is not
+/// one.
+fn count_kill(kind: ErrorKind) -> Option<&'static str> {
+    match kind {
+        ErrorKind::Cancelled(r) => {
+            fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_CANCELLED).inc();
+            Some(r.label())
+        }
+        ErrorKind::DeadlineExceeded => {
+            fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_DEADLINE_EXCEEDED).inc();
+            Some("deadline")
+        }
+        ErrorKind::BudgetExceeded => {
+            fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_BUDGET_EXCEEDED).inc();
+            Some("budget")
+        }
+        // worker panics are counted at the catch site in `run_morsels`
+        ErrorKind::WorkerPanic { .. } | ErrorKind::Generic => None,
+    }
 }
 
 /// Convert executor rows (which may still hold binary JSON cells) into the
@@ -1950,7 +1874,7 @@ mod tests {
         assert_eq!(fused.leaves.len(), 2);
         // a path absent from every row of a morsel collapses its mask
         let range = crate::parallel::RowRange { start: 0, end: 4 };
-        let ctx = db.exec_context(false);
+        let ctx = db.exec_context();
         let mut cols = MorselCols::new(range, fused.leaves.len(), &ctx.governor);
         let filter = &fused.conjuncts[0];
         let all = crate::vector::SelVec::All(range);
@@ -1961,7 +1885,7 @@ mod tests {
         // end to end: only the morsel with survivors extracts the
         // projected column next to the filter column — an empty selection
         // extracts nothing — and every morsel hands its charge back
-        let ctx = db.exec_context(false);
+        let ctx = db.exec_context();
         let (sizes, _) =
             db.scan_batches(&fused, &ctx, &mut ParStats::default(), |n, _| Ok(n)).unwrap();
         assert_eq!(sizes, vec![0, 0, 4]);
@@ -1985,11 +1909,12 @@ mod tests {
                     vec![AggSpec::count_star("n"), AggSpec::of("m", AggFun::Max, v())],
                 );
         for plan in [keyed, keyless] {
-            assert_eq!(db.plan_mode(&plan), "columnar");
-            let fused = db.execute(&plan).unwrap();
+            let (fused, report) = db.execute_profiled(&plan).unwrap();
+            assert_eq!(report.root.mode, "columnar");
             db.set_columnar(false);
-            assert_eq!(db.plan_mode(&plan), "row");
-            assert_eq!(db.execute(&plan).unwrap(), fused);
+            let (oracle, report) = db.execute_profiled(&plan).unwrap();
+            assert_eq!(report.root.mode, "row");
+            assert_eq!(oracle, fused);
             db.set_columnar(true);
         }
     }
@@ -2119,12 +2044,12 @@ mod tests {
         let reads = abs(Expr::Col(2));
         for columnar in [true, false] {
             db.set_columnar(columnar);
-            let ctx = db.exec_context(false);
+            let ctx = db.exec_context();
             let (_, rows) =
-                db.exec_for(&Query::scan("t"), Some(&[&reads]), &mut None, &ctx).unwrap();
+                db.exec_for(&Query::scan("t"), Some(&[&reads]), &mut Vec::new(), &ctx).unwrap();
             let null = |c: &Cell| matches!(c, Cell::D(Datum::Null));
             assert!(rows.iter().all(|r| r.len() == 4 && !null(&r[2]) && null(&r[3])));
-            let (_, rows) = db.exec(&Query::scan("t"), &mut None, &ctx).unwrap();
+            let (_, rows) = db.exec(&Query::scan("t"), &mut Vec::new(), &ctx).unwrap();
             assert!(!null(&rows[11][3]), "a consumer that reads everything gets everything");
         }
         // swap in a vector that disagrees with the documents: the rows

@@ -37,7 +37,7 @@ pub mod transient;
 pub mod typecheck;
 pub mod vector;
 
-pub use database::Database;
+pub use database::{Database, Run};
 pub use expr::{AggFun, CmpOp, EvalScratch, Expr, ScalarFun};
 pub use govern::{CancelHandle, CancelToken, QueryGovernor, ROWS_PER_CHECK};
 pub use imc::{ColumnVector, ImcStore, VectorSlot};

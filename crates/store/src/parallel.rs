@@ -64,8 +64,6 @@ pub struct ExecContext {
     pub degree: usize,
     /// Target rows per morsel.
     pub morsel_rows: usize,
-    /// Whether this execution records a [`crate::QueryProfile`].
-    pub profile: bool,
     /// The statement's governance bundle (cancel token, deadline, memory
     /// budget), shared by every worker of every pipeline.
     pub governor: Arc<QueryGovernor>,
@@ -78,7 +76,6 @@ impl ExecContext {
         ExecContext {
             degree: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            profile: false,
             governor: Arc::new(QueryGovernor::unlimited()),
         }
     }
@@ -427,12 +424,7 @@ mod tests {
     use super::*;
 
     fn ctx(degree: usize, morsel_rows: usize) -> ExecContext {
-        ExecContext {
-            degree,
-            morsel_rows,
-            profile: false,
-            governor: Arc::new(QueryGovernor::unlimited()),
-        }
+        ExecContext { degree, morsel_rows, governor: Arc::new(QueryGovernor::unlimited()) }
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! `EXPLAIN ANALYZE`-style query profiles.
+//! The statement report: what the engine decided for one statement and
+//! what it cost.
 //!
-//! When a plan is executed through [`crate::Database::execute_profiled`],
-//! every operator in the volcano tree reports its output cardinality and
-//! inclusive wall time. The result is a [`QueryProfile`] mirroring the
-//! plan shape, suitable for spotting where rows explode (JSON_TABLE
-//! un-nesting) or where time goes (path evaluation vs. join vs. sort).
+//! The executor always keeps it ([`crate::Database::run`]): every
+//! operator of the plan reports its output cardinality, its inclusive wall
+//! time, the pipeline it ran on and why, and the statement adds its
+//! degree, optimize time, memory high-water, trace and prepare-time
+//! findings. The result is a [`QueryProfile`] mirroring the plan shape,
+//! suitable for spotting where rows explode (JSON_TABLE un-nesting) or
+//! where time goes (path evaluation vs. join vs. sort).
 
 use std::fmt::Write as _;
 
 use fsdm_analyze::Diagnostic;
+use fsdm_json::ser::write_escaped;
+use fsdm_obs::trace::Trace;
 
 /// One operator's measurements. `elapsed_ns` is *inclusive* of children,
 /// matching the "actual time" convention of `EXPLAIN ANALYZE`.
@@ -41,25 +46,34 @@ pub struct OpProfile {
     pub children: Vec<OpProfile>,
 }
 
-/// Profile of one executed query: the operator tree rooted at the plan's
-/// top operator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The report of one executed statement: a header of per-statement
+/// facts over the operator tree rooted at the plan's top operator.
+#[derive(Debug, Clone)]
 pub struct QueryProfile {
-    /// The root operator (its `elapsed_ns` is the whole query's time).
+    /// The SQL text, or the plan root's label when the statement bypassed
+    /// the SQL layer.
+    pub source: String,
+    /// Parallel degree the statement ran with.
+    pub degree: usize,
+    /// Time spent in the optimizer, in nanoseconds (0 when it was skipped).
+    pub optimize_ns: u64,
+    /// High-water mark of the bytes this statement's operators charged to
+    /// its own governor (limit or no limit).
+    pub mem_highwater: u64,
+    /// The root operator (its `elapsed_ns` is the execute time).
     pub root: OpProfile,
+    /// The span tree, when the statement ran traced.
+    pub trace: Option<Trace>,
     /// Prepare-time semantic findings (`fsdm-analyze` FA path codes and
-    /// `typecheck` PK plan codes) for the statement this profile
+    /// `typecheck` PK plan codes) for the statement this report
     /// measures. Empty when the executing surface has no analyzer hook
     /// (plan-level execution) or found nothing.
     pub diagnostics: Vec<Diagnostic>,
 }
 
 impl QueryProfile {
-    /// Wrap a measured operator tree with no diagnostics attached.
-    pub fn new(root: OpProfile) -> QueryProfile {
-        QueryProfile { root, diagnostics: Vec::new() }
-    }
-    /// Total inclusive wall time of the query in nanoseconds.
+    /// Inclusive wall time of the execution (optimize excluded) in
+    /// nanoseconds.
     pub fn elapsed_ns(&self) -> u64 {
         self.root.elapsed_ns
     }
@@ -95,37 +109,21 @@ impl QueryProfile {
         self.ops().iter().map(|o| o.morsels).sum()
     }
 
-    /// Hand-rolled JSON rendering of the operator tree (plus diagnostics
-    /// as rendered strings), for slow-query-log dumps and tooling.
+    /// Hand-rolled JSON rendering of the report — the trace as its
+    /// summary string, the diagnostics as rendered strings — for
+    /// slow-query-log dumps and tooling.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn walk(op: &OpProfile, out: &mut String) {
+            out.push_str("{\"op\":");
+            write_escaped(&op.op, out);
             let _ = write!(
                 out,
-                "{{\"op\":\"{}\",\"rows_out\":{},\"elapsed_ns\":{},\"workers\":{},\
-                 \"morsels\":{},\"mode\":\"{}\",\"note\":\"{}\",\"children\":[",
-                esc(&op.op),
-                op.rows_out,
-                op.elapsed_ns,
-                op.workers,
-                op.morsels,
-                op.mode,
-                esc(&op.note)
+                ",\"rows_out\":{},\"elapsed_ns\":{},\"workers\":{},\"morsels\":{},\
+                 \"mode\":\"{}\",\"note\":",
+                op.rows_out, op.elapsed_ns, op.workers, op.morsels, op.mode
             );
+            write_escaped(&op.note, out);
+            out.push_str(",\"children\":[");
             for (i, c) in op.children.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -134,56 +132,77 @@ impl QueryProfile {
             }
             out.push_str("]}");
         }
-        let mut out = String::from("{\"root\":");
+        let mut out = String::from("{\"source\":");
+        write_escaped(&self.source, &mut out);
+        let _ = write!(
+            out,
+            ",\"degree\":{},\"optimize_ns\":{},\"mem_highwater\":{},\"root\":",
+            self.degree, self.optimize_ns, self.mem_highwater
+        );
         walk(&self.root, &mut out);
+        out.push_str(",\"trace\":");
+        match &self.trace {
+            Some(t) => write_escaped(&t.summary(), &mut out),
+            None => out.push_str("null"),
+        }
         out.push_str(",\"diagnostics\":[");
         for (i, d) in self.diagnostics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", esc(&d.to_string()));
+            write_escaped(&d.to_string(), &mut out);
         }
         out.push_str("]}");
         out
     }
 
-    /// Indented plan-tree rendering:
+    /// The header line, the indented plan tree, then the trace summary
+    /// and the diagnostics when there are any:
     ///
     /// ```text
-    /// Project  rows=2  time=0.41ms
-    ///   Filter  rows=2  time=0.38ms
-    ///     Scan(po)  rows=3  time=0.29ms
+    /// degree=1  optimize=0.01ms  execute=0.41ms  mem_highwater=0B  source=select …
+    /// Project  rows=2  time=0.41ms  mode=row
+    ///   Filter  rows=2  time=0.38ms  mode=row
+    ///     Scan(po,filtered)  rows=3  time=0.29ms  mode=columnar  transient=[…]
     /// ```
     pub fn render(&self) -> String {
         fn walk(op: &OpProfile, depth: usize, out: &mut String) {
             // the parallel annotation appears only when the operator
-            // actually ran on more than one worker, so serial plans render
-            // exactly as before
+            // actually ran on more than one worker
             let par = if op.workers > 1 {
                 format!("  workers={}  morsels={}", op.workers, op.morsels)
             } else {
                 String::new()
             };
-            // like the parallel annotation, the pipeline mode and its
-            // note only show when they depart from the default, so plain
-            // row plans render exactly as before
-            let mode = if op.mode == "columnar" { "  mode=columnar" } else { "" };
-            let note = if op.note.is_empty() { String::new() } else { format!("  {}", op.note) };
+            // the decision taken, as `Database::explain_modes` prints it
+            let gap = if op.note.is_empty() { "" } else { "  " };
             let _ = writeln!(
                 out,
-                "{:indent$}{}  rows={}  time={:.2}ms{par}{mode}{note}",
+                "{:indent$}{}  rows={}  time={:.2}ms{par}  mode={}{gap}{}",
                 "",
                 op.op,
                 op.rows_out,
                 op.elapsed_ns as f64 / 1e6,
+                op.mode,
+                op.note,
                 indent = depth * 2
             );
             for c in &op.children {
                 walk(c, depth + 1, out);
             }
         }
-        let mut out = String::new();
+        let mut out = format!(
+            "degree={}  optimize={:.2}ms  execute={:.2}ms  mem_highwater={}B  source={}\n",
+            self.degree,
+            self.optimize_ns as f64 / 1e6,
+            self.root.elapsed_ns as f64 / 1e6,
+            self.mem_highwater,
+            self.source
+        );
         walk(&self.root, 0, &mut out);
+        if let Some(t) = &self.trace {
+            let _ = writeln!(out, "trace: {}", t.summary());
+        }
         if !self.diagnostics.is_empty() {
             out.push_str("diagnostics:\n");
             for d in &self.diagnostics {
@@ -201,7 +220,7 @@ mod tests {
     use super::*;
 
     fn sample() -> QueryProfile {
-        QueryProfile::new(OpProfile {
+        let root = OpProfile {
             op: "Project".into(),
             rows_out: 2,
             elapsed_ns: 2_000_000,
@@ -219,7 +238,16 @@ mod tests {
                 note: String::new(),
                 children: vec![],
             }],
-        })
+        };
+        QueryProfile {
+            source: "select \"did\"\tfrom po".into(),
+            degree: 4,
+            optimize_ns: 250_000,
+            mem_highwater: 96,
+            root,
+            trace: None,
+            diagnostics: Vec::new(),
+        }
     }
 
     #[test]
@@ -229,10 +257,7 @@ mod tests {
         p.root.morsels = 16;
         let text = p.render();
         assert!(text.contains("Project  rows=2  time=2.00ms  workers=4  morsels=16"), "{text}");
-        assert!(
-            text.contains("\n  Scan(po)  rows=3  time=1.50ms\n"),
-            "serial child unchanged: {text}"
-        );
+        assert!(text.contains("\n  Scan(po)  rows=3  time=1.50ms  mode=row\n"), "serial: {text}");
     }
 
     #[test]
@@ -241,7 +266,7 @@ mod tests {
         p.root.mode = "columnar";
         let text = p.render();
         assert!(text.contains("Project  rows=2  time=2.00ms  mode=columnar"), "{text}");
-        assert!(text.contains("\n  Scan(po)  rows=3  time=1.50ms\n"), "row child plain: {text}");
+        assert!(text.contains("\n  Scan(po)  rows=3  time=1.50ms  mode=row\n"), "{text}");
         assert!(p.to_json().contains("\"mode\":\"columnar\""), "{}", p.to_json());
     }
 
@@ -253,7 +278,7 @@ mod tests {
         p.root.children[0].note = "fallback=col#0 LIKE \"x%\"".into();
         let text = p.render();
         assert!(text.contains("mode=columnar  transient=[JSON_EXISTS(col#1, '$.a')]"), "{text}");
-        assert!(text.contains("Scan(po)  rows=3  time=1.50ms  fallback=col#0 LIKE"), "{text}");
+        assert!(text.contains("Scan(po)  rows=3  time=1.50ms  mode=row  fallback=col#0"), "{text}");
         fsdm_json::parse(&p.to_json()).expect("notes are escaped into valid JSON");
     }
 
@@ -265,6 +290,24 @@ mod tests {
         let ops: Vec<&str> = p.ops().iter().map(|o| o.op.as_str()).collect();
         assert_eq!(ops, vec!["Project", "Scan(po)"]);
         assert_eq!(p.elapsed_ns(), 2_000_000);
+    }
+
+    #[test]
+    fn the_header_line_carries_the_statement_facts() {
+        let mut p = sample();
+        let header = "degree=4  optimize=0.25ms  execute=2.00ms  mem_highwater=96B  \
+                      source=select \"did\"\tfrom po\nProject";
+        assert!(p.render().starts_with(header), "{}", p.render());
+        assert!(!p.render().contains("trace:"), "untraced, no trace line");
+        p.trace = Some(Trace::default());
+        assert!(p.render().contains("\ntrace: spans=0 dropped=0 names[]\n"), "{}", p.render());
+        let json = fsdm_json::parse(&p.to_json()).expect("the report re-parses");
+        assert_eq!(json.get("source").and_then(|s| s.as_str()), Some(p.source.as_str()));
+        assert_eq!(json.get("degree").and_then(|d| d.as_i64()), Some(4));
+        assert_eq!(json.get("optimize_ns").and_then(|d| d.as_i64()), Some(250_000));
+        assert_eq!(json.get("mem_highwater").and_then(|d| d.as_i64()), Some(96));
+        assert_eq!(json.get("trace").and_then(|t| t.as_str()), Some("spans=0 dropped=0 names[]"));
+        assert!(json.get("root").is_some_and(|r| r.get("children").is_some()));
     }
 
     #[test]

@@ -3,18 +3,19 @@
 //!
 //! The log is owned by [`crate::Database`] and disarmed by default — an
 //! unarmed log costs one relaxed atomic load per query. When armed (see
-//! [`crate::Database::set_slow_log`]), every query executed through the
-//! `Database`/`Session` surfaces is timed, and entries over the threshold
-//! are pushed into the ring: SQL text (when the surface knows it),
-//! the [`QueryProfile`] operator tree, and the trace summary when the
-//! query ran under an armed trace session. The ring holds the last `cap`
-//! entries; older ones are evicted and counted
-//! (`slowlog.evicted`). Dump the ring as JSON with
-//! [`crate::Database::slow_log_json`] or `repro --slow-log`.
+//! [`crate::Database::set_slow_log`]), every statement offers itself at
+//! the one statement exit of [`crate::Database::run`], and entries over
+//! the threshold are pushed into the ring: SQL text (when the caller
+//! passed it), the statement's report ([`QueryProfile`]), and the trace
+//! summary when the statement ran traced. The ring holds the last `cap`
+//! entries; older ones are evicted and counted (`slowlog.evicted`). Dump
+//! the ring as JSON with [`crate::Database::slow_log_json`].
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
+
+use fsdm_json::ser::write_escaped;
 
 use crate::profile::QueryProfile;
 
@@ -30,10 +31,11 @@ pub struct SlowEntry {
     pub elapsed_ns: u64,
     /// Parallel degree the query ran with.
     pub threads: usize,
-    /// Operator tree, when the execution was profiled.
+    /// The statement's report (without its span tree); `None` for a
+    /// killed statement.
     pub profile: Option<QueryProfile>,
     /// Trace summary (`spans=… dropped=… names[…]`), when the query ran
-    /// under an armed trace session.
+    /// traced.
     pub trace_summary: Option<String>,
     /// Governance kill reason (`"user"`, `"deadline"`, `"budget"`) when
     /// the query was cancelled rather than finishing; `None` for queries
@@ -184,14 +186,9 @@ impl SlowLog {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"source\":\"{}\",\"elapsed_ns\":{},\"threads\":{}",
-                e.seq,
-                esc(&e.source),
-                e.elapsed_ns,
-                e.threads
-            );
+            let _ = write!(out, "{{\"seq\":{},\"source\":", e.seq);
+            write_escaped(&e.source, &mut out);
+            let _ = write!(out, ",\"elapsed_ns\":{},\"threads\":{}", e.elapsed_ns, e.threads);
             match &e.profile {
                 Some(p) => {
                     let _ = write!(out, ",\"profile\":{}", p.to_json());
@@ -200,7 +197,8 @@ impl SlowLog {
             }
             match &e.trace_summary {
                 Some(t) => {
-                    let _ = write!(out, ",\"trace\":\"{}\"", esc(t));
+                    out.push_str(",\"trace\":");
+                    write_escaped(t, &mut out);
                 }
                 None => out.push_str(",\"trace\":null"),
             }
@@ -227,22 +225,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         fsdm_obs::counter!(fsdm_obs::catalog::SLOWLOG_POISONED).inc();
         poisoned.into_inner()
     })
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

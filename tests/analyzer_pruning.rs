@@ -59,6 +59,15 @@ fn explain_shows_the_diagnostic_and_the_rewrite() {
     let explain_off = session.explain(sql, &[]).unwrap();
     assert!(!explain_off.contains("filter=false"), "{explain_off}");
     assert!(explain_off.contains("FA001"), "diagnostics do not depend on the flag: {explain_off}");
+    // a SELECT the planner rejects says why; only a statement that is no
+    // plan at all (DDL, JSON_DATAGUIDEAGG) says so
+    let unknown = session.explain("select nosuch from nobench", &[]).unwrap();
+    assert!(unknown.contains("plan: error: "), "{unknown}");
+    assert!(unknown.contains("nosuch"), "the planner's message is kept: {unknown}");
+    for not_a_plan in ["create table t (a number)", "select json_dataguideagg(jdoc) from nobench"] {
+        let explain = session.explain(not_a_plan, &[]).unwrap();
+        assert!(explain.contains("plan: (statement does not plan"), "{not_a_plan}: {explain}");
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! its scope. A tiny morsel size keeps the oracle busy even at small n.
 
 use fsdm::sqljson::Datum;
-use fsdm::store::Query;
+use fsdm::store::{Query, QueryResult, Run};
 use fsdm_bench::setup::{
     bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db, olap_queries, StorageMethod,
 };
@@ -22,9 +22,11 @@ const SESSIONS: usize = 4;
 /// real fan-out.
 const DEGREES: [usize; 2] = [1, 4];
 
-/// Run every plan once on `db`, in order.
-fn run_all(db: &fsdm::store::Database, plans: &[Query]) -> Vec<fsdm::store::QueryResult> {
-    plans.iter().map(|p| db.execute(p).unwrap()).collect()
+/// Run every plan once on `db`, in order: the results, and the memory
+/// high-water each statement's report carries.
+fn run_all(db: &fsdm::store::Database, plans: &[Query]) -> (Vec<QueryResult>, Vec<u64>) {
+    let reports = plans.iter().map(|p| db.run(p, &Run::default()).unwrap());
+    reports.map(|(result, report)| (result, report.mem_highwater)).unzip()
 }
 
 #[test]
@@ -45,7 +47,8 @@ fn concurrent_nobench_sessions_match_serial_baseline() {
     plans.push(nobench_q11_plan(n, false));
 
     session.set_parallelism(1);
-    let baseline = run_all(&session.db, &plans);
+    let (baseline, serial_mem) = run_all(&session.db, &plans);
+    assert!(serial_mem.iter().any(|&bytes| bytes > 0), "some statement charges its governor");
 
     for degree in DEGREES {
         session.set_parallelism(degree);
@@ -54,11 +57,17 @@ fn concurrent_nobench_sessions_match_serial_baseline() {
             let workers: Vec<_> =
                 (0..SESSIONS).map(|_| scope.spawn(|| run_all(db, &plans))).collect();
             for (tid, worker) in workers.into_iter().enumerate() {
-                let results = worker.join().expect("session thread panicked");
+                let (results, mem) = worker.join().expect("session thread panicked");
                 assert_eq!(
                     results, baseline,
                     "session {tid} at degree {degree} diverged from serial"
                 );
+                // a statement's high-water is its own: what it charged
+                // alone, however many sessions run beside it (the shared
+                // `exec.mem.highwater` gauge holds only the last writer's)
+                if degree == 1 {
+                    assert_eq!(mem, serial_mem, "session {tid} saw another session's memory");
+                }
             }
         });
     }
@@ -81,7 +90,7 @@ fn concurrent_olap_sessions_match_serial_baseline() {
             .collect();
 
         session.set_parallelism(1);
-        let baseline = run_all(&session.db, &plans);
+        let (baseline, _) = run_all(&session.db, &plans);
 
         for degree in DEGREES {
             session.set_parallelism(degree);
@@ -90,7 +99,7 @@ fn concurrent_olap_sessions_match_serial_baseline() {
                 let workers: Vec<_> =
                     (0..SESSIONS).map(|_| scope.spawn(|| run_all(db, &plans))).collect();
                 for (tid, worker) in workers.into_iter().enumerate() {
-                    let results = worker.join().expect("session thread panicked");
+                    let (results, _) = worker.join().expect("session thread panicked");
                     assert_eq!(
                         results,
                         baseline,

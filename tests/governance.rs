@@ -18,7 +18,7 @@
 
 use fsdm::fault::{catalog, FailMode, FailScope};
 use fsdm::sqljson::Datum;
-use fsdm::store::{CancelReason, ErrorKind, Query, QueryResult};
+use fsdm::store::{CancelReason, ErrorKind, Query, QueryResult, Run};
 use fsdm_bench::setup::{
     add_nobench_columnar_vcs, bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db,
     olap_queries, StorageMethod,
@@ -189,8 +189,11 @@ fn a_q4_shaped_statement_is_governed_on_the_transient_path() {
         // back) pass under 4 KiB at either degree
         session.db.set_morsel_rows(16);
         session.set_mem_limit(Some(4 * 1024));
-        let governed = session.db.execute(&plan).expect("live transient memory fits 4 KiB");
+        let (governed, report) =
+            session.db.run(&plan, &Run::default()).expect("live transient memory fits 4 KiB");
         assert_eq!(governed, baseline, "degree {degree}: budgeted run diverged");
+        assert!((1..=4096).contains(&report.mem_highwater), "{}", report.render());
+        assert_eq!(report.degree, degree);
         session.db.set_morsel_rows(64);
         session.set_mem_limit(None);
 

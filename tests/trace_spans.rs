@@ -13,15 +13,18 @@ use fsdm::obs::catalog::{
     SPAN_STORE_QUERY,
 };
 use fsdm::obs::trace::Trace;
-use fsdm::store::QueryProfile;
+use fsdm::store::{QueryProfile, Run};
 use fsdm_bench::setup::{
     bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db, olap_queries, StorageMethod,
 };
 
 const DEGREES: [usize; 2] = [1, 4];
 
-/// The per-trace contract every workload query must satisfy.
-fn check_trace(label: &str, degree: usize, trace: &Trace, profile: &QueryProfile) {
+/// The per-trace contract every workload query must satisfy; the trace
+/// is the one the statement's report carries. Returns its worker spans.
+fn check_trace(label: &str, degree: usize, profile: &QueryProfile) -> usize {
+    let trace = profile.trace.as_ref().unwrap_or_else(|| panic!("{label}: traced, no trace"));
+    assert_eq!(profile.degree, degree, "{label}");
     trace.validate().unwrap_or_else(|e| panic!("{label} at degree {degree}: {e}"));
     assert!(
         trace.count(SPAN_STORE_QUERY) >= 1,
@@ -54,6 +57,7 @@ fn check_trace(label: &str, degree: usize, trace: &Trace, profile: &QueryProfile
         );
     }
     check_exports(label, degree, trace);
+    trace.count(SPAN_EXEC_WORKER)
 }
 
 /// Both exporters must produce output the in-repo parsers accept.
@@ -91,30 +95,33 @@ fn nobench_traces_are_well_formed_at_every_degree() {
     session.db.set_morsel_rows(64); // force multi-morsel scans at small scale
     session.db.set_slow_log(0, 16); // threshold 0: every traced statement qualifies
     let q11 = nobench_q11_plan(n, false);
+    let mut sources = Vec::new();
     for degree in DEGREES {
         session.set_parallelism(degree);
         let mut worker_spans = 0;
         for q in 1..=10 {
             let sql = fsdm::workloads::nobench::query_sql(q, n);
             let binds = if q == 5 { vec![nobench_q5_bind(n)] } else { vec![] };
-            let (_, profile, trace) = session.trace_with(&sql, &binds).unwrap();
-            let profile = profile.unwrap_or_else(|| panic!("Q{q}: no profile from trace_with"));
-            check_trace(&format!("Q{q}"), degree, &trace, &profile);
-            worker_spans += trace.count(SPAN_EXEC_WORKER);
+            let (_, report) = session.report(&sql, &binds, true).unwrap();
+            let report = report.unwrap_or_else(|| panic!("Q{q}: a SELECT without a report"));
+            worker_spans += check_trace(&format!("Q{q}"), degree, &report);
+            sources.push(sql);
             if q == 8 {
                 // Q1–Q7 rewrite to materialized DMDV column reads (no
                 // per-row path evaluation — the trace honestly shows
                 // none); Q8's array predicate cannot, so it must walk
                 // paths through the engine
                 assert!(
-                    trace.count(SPAN_SQLJSON_EVAL) > 0,
+                    report.trace.is_some_and(|t| t.count(SPAN_SQLJSON_EVAL) > 0),
                     "Q8 evaluates paths but recorded no sqljson.eval spans"
                 );
             }
         }
-        let (_, profile, trace) = session.db.execute_traced(&q11).unwrap();
-        check_trace("Q11", degree, &trace, &profile);
-        worker_spans += trace.count(SPAN_EXEC_WORKER);
+        // the plan exactly as given goes through the same statement exit
+        let as_given = Run { optimize: false, trace: true, ..Run::default() };
+        let (_, report) = session.db.run(&q11, &as_given).unwrap();
+        worker_spans += check_trace("Q11", degree, &report);
+        sources.push(report.source);
         if degree > 1 {
             assert!(
                 worker_spans > 0,
@@ -122,13 +129,20 @@ fn nobench_traces_are_well_formed_at_every_degree() {
             );
         }
     }
-    // the ring's dump nests an operator profile and a trace summary in
-    // every entry; the in-repo parser must accept all of it
+    // the ring's dump nests the statement's report and its trace summary
+    // in every entry; the in-repo parser must accept all of it
     let slow = fsdm::json::parse(&session.db.slow_log_json()).expect("slow-log JSON re-parses");
     let entries = slow.get("entries").and_then(|e| e.as_array()).expect("an entries array");
-    assert!(!entries.is_empty(), "threshold 0 must capture the traced statements");
-    for e in entries {
-        assert!(e.get("profile").is_some_and(|p| p.as_object().is_some()), "entry profile");
+    // every statement entered the ring, whichever way it was run, under
+    // its SQL text (Q11, a hand-built plan, under its root's label)
+    let ring_sources: Vec<_> =
+        entries.iter().map(|e| e.get("source").and_then(|s| s.as_str()).unwrap()).collect();
+    assert_eq!(ring_sources, sources[sources.len() - 16..], "the ring holds the last 16");
+    assert_eq!(ring_sources[15], "GroupBy");
+    for (e, source) in entries.iter().zip(&ring_sources) {
+        let report = e.get("profile").expect("entry report");
+        assert_eq!(report.get("source").and_then(|s| s.as_str()), Some(*source));
+        assert!(report.get("root").is_some_and(|r| r.as_object().is_some()), "operator tree");
         assert!(e.get("trace").is_some_and(|t| t.as_str().is_some()), "entry trace summary");
     }
 }
@@ -145,10 +159,9 @@ fn olap_traces_are_well_formed_at_every_degree() {
             for (i, q) in queries.iter().enumerate() {
                 let binds: Vec<_> = q.binds.iter().map(|b| bind_datum(b)).collect();
                 let label = format!("{} OLAP Q{}", method.label(), i + 1);
-                let (_, profile, trace) = session.trace_with(&q.sql, &binds).unwrap();
-                let profile =
-                    profile.unwrap_or_else(|| panic!("{label}: no profile from trace_with"));
-                check_trace(&label, degree, &trace, &profile);
+                let (_, report) = session.report(&q.sql, &binds, true).unwrap();
+                let report = report.unwrap_or_else(|| panic!("{label}: a SELECT without a report"));
+                check_trace(&label, degree, &report);
             }
         }
     }

@@ -13,8 +13,8 @@
 use fsdm::sql::Session;
 use fsdm::sqljson::Datum;
 use fsdm::store::{
-    Cell, ColType, ColumnSpec, ConstraintMode, InsertValue, JsonStorage, QueryResult, Table,
-    TableSchema,
+    Cell, ColType, ColumnSpec, ConstraintMode, Database, InsertValue, JsonStorage, QueryResult,
+    Run, Table, TableSchema,
 };
 use fsdm_bench::setup::{
     add_nobench_columnar_vcs, bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db,
@@ -313,10 +313,10 @@ fn explain_marks_scan_rooted_operators_columnar() {
         assert!(!text.contains("mode=row"), "Q{q}:\n{text}");
 
         let plan = session.plan(&sql, &[]).unwrap();
-        let optimized = optimize(&session.db, plan);
-        assert_eq!(session.db.plan_mode(&optimized), "columnar", "Q{q}");
+        let mode = |db: &Database| db.run(&plan, &Run::default()).unwrap().1.root.mode;
+        assert_eq!(mode(&session.db), "columnar", "Q{q}");
         session.db.set_columnar(false);
-        assert_eq!(session.db.plan_mode(&optimized), "row", "Q{q} with the spine off");
+        assert_eq!(mode(&session.db), "row", "Q{q} with the spine off");
         session.db.set_columnar(true);
     }
     // a path no vector covers becomes a transient column, by name
