@@ -12,6 +12,11 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release) =="
 cargo build --release
 
+echo "== examples run (each exits 0) =="
+for e in quickstart purchase_orders schema_discovery nobench_analytics; do
+    cargo run --release --offline -q --example "$e" >/dev/null
+done
+
 echo "== tests (tier-1: root package, serial executor) =="
 FSDM_THREADS=1 cargo test -q
 

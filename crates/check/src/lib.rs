@@ -12,6 +12,9 @@
 //! | `workload`    | FA001–FA007 | workload JSON paths vs. DataGuide ([`workload`]) |
 //! | `plan`        | PK001–PK006 | workload plans + optimizer rewrites ([`workload`]) |
 //!
+//! `workload` and `plan` are two readings of one walk: each statement is
+//! planned and checked once, and a series keeps its codes.
+//!
 //! The codes live in the `fsdm_analyze::Code` registry. A source finding
 //! can be suppressed with an annotation on the same line or the line
 //! above:

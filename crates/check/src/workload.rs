@@ -2,27 +2,27 @@
 //! and the `plan` type-check over the paper's two workloads.
 //!
 //! Each workload's database is rebuilt with DataGuide maintenance on
-//! (the benchmark tables skip it) and is shared by both passes.
-//! `workload` runs every query the paper issues through the semantic
-//! analyzer (FA codes); the OLAP queries go through views, so the JSON
-//! paths buried in the view definitions are linted against the `po`
-//! guide as well. `plan` plans every query and puts it through
-//! `Session::typecheck` — plan-level schema/type inference plus the
-//! optimizer translation validator (PK codes); NoBench Q11 and the OLAP
-//! view bodies have no SQL text of their own, so their plans are checked
-//! directly.
+//! (the benchmark tables skip it). Every statement the paper issues is
+//! planned and walked **once**, by `Session::typecheck_plan`: one
+//! `Inference` carries the findings of both series, and the series a
+//! run asked for select from it by code — `workload` the FA codes (each
+//! SQL/JSON path the plan evaluates against the DataGuide of the table
+//! it probes), `plan` the PK codes (schema/type inference plus the
+//! optimizer translation validator). A statement's findings include
+//! those of the view bodies it runs; NoBench Q11 and the `po_mv` /
+//! `po_item_dmdv` view bodies have no SQL text of their own, so their
+//! plans are checked directly, each under its own label.
 
-use fsdm_analyze::{analyze_path, AnalyzerConfig, Diagnostic};
+use fsdm_analyze::Diagnostic;
 use fsdm_bench::setup::{
     add_nobench_vcs, bind_datum, nobench_guided_db, nobench_q11_plan, nobench_q5_bind,
-    olap_guided_db, olap_queries, po_dmdv_def,
+    olap_guided_db, olap_queries,
 };
 use fsdm_sql::{Session, SqlError};
-use fsdm_sqljson::parse_path;
 use fsdm_store::Query;
 use fsdm_workloads::nobench;
 
-use crate::{Finding, Report, PLAN, WORKLOAD};
+use crate::{Finding, Report, WORKLOAD};
 
 /// Statement findings under one label, counted as one checked item.
 pub fn record(report: &mut Report, label: &str, diagnostics: Vec<Diagnostic>) {
@@ -32,63 +32,53 @@ pub fn record(report: &mut Report, label: &str, diagnostics: Vec<Diagnostic>) {
     }
 }
 
-/// Run the passes named by `series` ([`WORKLOAD`], [`PLAN`]) over
-/// `workload` (`nobench`, `olap` or `both`) at corpus scale `n`,
-/// building each guided database once.
+/// Check `plan` once and record, under `label`, the findings whose code
+/// belongs to one of `series` ([`WORKLOAD`], [`crate::PLAN`]).
+fn check(report: &mut Report, session: &Session, label: &str, plan: &Query, series: &[&str]) {
+    let mut found = session.typecheck_plan(plan).diagnostics;
+    found.retain(|d| series.iter().any(|s| d.code.id().starts_with(s)));
+    record(report, label, found);
+}
+
+/// Run the passes named by `series` over `workload` (`nobench`, `olap`
+/// or `both`) at corpus scale `n`: NoBench Q1–Q10 (SQL) and Q11
+/// (plan-level, both the json_value and virtual-column join variants),
+/// the Table 13 OLAP SQL, then the `po_mv` / `po_item_dmdv` view bodies
+/// themselves (every OLAP query goes through them, so a defect inside a
+/// view also surfaces once under its own label). A statement that does
+/// not plan is an error: it could never execute.
 pub fn check_workloads(workload: &str, n: usize, series: &[&str]) -> Result<Report, SqlError> {
-    let (lint, plans) = (series.contains(&WORKLOAD), series.contains(&PLAN));
     let mut report = Report::default();
     if workload != "olap" {
         let mut session = nobench_guided_db(n);
-        if lint {
-            lint_nobench(&session, n, &mut report)?;
+        for q in 1..=10 {
+            let binds = if q == 5 { vec![nobench_q5_bind(n)] } else { Vec::new() };
+            let plan = session.plan(&nobench::query_sql(q, n), &binds)?;
+            check(&mut report, &session, &format!("nobench:Q{q}"), &plan, series);
         }
-        if plans {
-            // after the lint (FA007 reports what is *not* materialized):
-            // the VC variant of Q11 needs the nb$ virtual columns
-            add_nobench_vcs(&mut session);
-            plan_nobench(&session, n, &mut report)?;
+        // after Q1–Q10 (FA007 reports what is *not* materialized): the VC
+        // variant of Q11 needs the nb$ virtual columns
+        add_nobench_vcs(&mut session);
+        for (suffix, vc) in [("", false), ("vc", true)] {
+            let label = format!("nobench:Q11{suffix}");
+            check(&mut report, &session, &label, &nobench_q11_plan(n, vc), series);
         }
     }
     if workload != "nobench" {
         let session = olap_guided_db(n);
-        if lint {
-            lint_olap(&session, n, &mut report)?;
+        for q in olap_queries(n) {
+            let binds: Vec<_> = q.binds.iter().map(|s| bind_datum(s)).collect();
+            let plan = session.plan(&q.sql, &binds)?;
+            check(&mut report, &session, &format!("olap:Q{}", q.id), &plan, series);
         }
-        if plans {
-            plan_olap(&session, n, &mut report)?;
+        for view in ["po_mv", "po_item_dmdv"] {
+            check(&mut report, &session, &format!("view:{view}"), &Query::view(view), series);
         }
     }
     Ok(report)
 }
 
-/// Lint the NOBENCH Q1–Q10 SQL against a guide built from the same
-/// deterministic corpus the benchmarks load.
-fn lint_nobench(session: &Session, n: usize, report: &mut Report) -> Result<(), SqlError> {
-    for q in 1..=10 {
-        record(report, &format!("nobench:Q{q}"), session.analyze(&nobench::query_sql(q, n))?);
-    }
-    Ok(())
-}
-
-/// Lint the Table 13 OLAP SQL, then the JSON paths inside the `po_mv` /
-/// `po_item_dmdv` view definitions (the queries themselves only touch
-/// views, so the paths are where the guide has something to say).
-fn lint_olap(session: &Session, n: usize, report: &mut Report) -> Result<(), SqlError> {
-    for q in olap_queries(n) {
-        record(report, &format!("olap:Q{}", q.id), session.analyze(&q.sql)?);
-    }
-    let Some(t) = session.db.table("po") else { return Ok(()) };
-    let cfg = AnalyzerConfig::default();
-    for (label, text) in view_paths() {
-        let path =
-            parse_path(&text).map_err(|e| SqlError::new(format!("bad view path '{text}': {e}")))?;
-        record(report, &label, analyze_path(&t.dataguide, &path, &cfg));
-    }
-    Ok(())
-}
-
-/// Lint `;`-separated SQL statements against a workload's database
+/// Lint `;`-separated SELECT statements against a workload's database
 /// (the `--sql FILE` mode). Line comments (`--`) are stripped.
 pub fn lint_sql_text(session: &Session, source: &str) -> Result<Report, SqlError> {
     let stripped: String = source
@@ -98,71 +88,16 @@ pub fn lint_sql_text(session: &Session, source: &str) -> Result<Report, SqlError
         .join("\n");
     let mut report = Report::default();
     for (i, stmt) in stripped.split(';').map(str::trim).filter(|s| !s.is_empty()).enumerate() {
-        record(&mut report, &format!("sql:{}", i + 1), session.analyze(stmt)?);
+        let plan = session.plan(stmt, &[])?;
+        check(&mut report, session, &format!("sql:{}", i + 1), &plan, &[WORKLOAD]);
     }
     Ok(report)
-}
-
-/// Every JSON path a generated view evaluates, with the nested-column
-/// paths composed onto their row paths.
-fn view_paths() -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for f in ["reference", "requestor", "costcenter", "podate"] {
-        out.push((format!("view:po_mv.{f}"), format!("$.purchaseOrder.{f}")));
-    }
-    let def = po_dmdv_def();
-    let row = def.row_path.text();
-    for c in &def.columns {
-        out.push((format!("view:po_item_dmdv.{}", c.name), compose(row, c.path.text())));
-    }
-    for nd in &def.nested {
-        let nrow = compose(row, nd.path.text());
-        for c in &nd.columns {
-            out.push((format!("view:po_item_dmdv.{}", c.name), compose(&nrow, c.path.text())));
-        }
-    }
-    out
-}
-
-/// `$.purchaseOrder` + `$.items[*]` → `$.purchaseOrder.items[*]`.
-fn compose(row: &str, sub: &str) -> String {
-    format!("{}{}", row, sub.strip_prefix('$').unwrap_or(sub))
-}
-
-/// Type-check NoBench Q1–Q10 (SQL) and Q11 (plan-level, both the
-/// json_value and virtual-column join variants).
-fn plan_nobench(session: &Session, n: usize, report: &mut Report) -> Result<(), SqlError> {
-    for q in 1..=10 {
-        let binds = if q == 5 { vec![nobench_q5_bind(n)] } else { Vec::new() };
-        let inf = session.typecheck_with(&nobench::query_sql(q, n), &binds)?;
-        record(report, &format!("nobench:Q{q}"), inf.diagnostics);
-    }
-    for (suffix, vc) in [("", false), ("vc", true)] {
-        let inf = session.typecheck_plan(&nobench_q11_plan(n, vc));
-        record(report, &format!("nobench:Q11{suffix}"), inf.diagnostics);
-    }
-    Ok(())
-}
-
-/// Type-check the Table 13 OLAP SQL, then the `po_mv` / `po_item_dmdv`
-/// view bodies themselves (every query goes through them, so a type
-/// defect inside a view surfaces once, under its own label).
-fn plan_olap(session: &Session, n: usize, report: &mut Report) -> Result<(), SqlError> {
-    for q in olap_queries(n) {
-        let binds: Vec<_> = q.binds.iter().map(|s| bind_datum(s)).collect();
-        let inf = session.typecheck_with(&q.sql, &binds)?;
-        record(report, &format!("olap:Q{}", q.id), inf.diagnostics);
-    }
-    for view in ["po_mv", "po_item_dmdv"] {
-        let inf = session.typecheck_plan(&Query::view(view));
-        record(report, &format!("view:{view}"), inf.diagnostics);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PLAN;
     use fsdm_analyze::Code;
 
     fn sites(report: &Report) -> Vec<&str> {
@@ -172,7 +107,7 @@ mod tests {
     #[test]
     fn nobench_lint_is_error_free_and_sees_sparse_paths() {
         let report = check_workloads("nobench", 300, &[WORKLOAD]).unwrap();
-        assert_eq!(report.checked, 10);
+        assert_eq!(report.checked, 12, "Q1-Q10 and both Q11 variants");
         assert_eq!(report.errors(), 0, "{}", report.render_text());
         // the sparse_XXX paths sit at ~1% frequency: FA005 warnings
         assert!(report.warnings() > 0, "{}", report.render_text());
@@ -183,11 +118,19 @@ mod tests {
     fn olap_lint_is_error_free_and_covers_view_paths() {
         let report = check_workloads("olap", 200, &[WORKLOAD]).unwrap();
         assert_eq!(report.errors(), 0, "{}", report.render_text());
-        assert!(sites(&report).contains(&"view:po_mv.reference"), "{}", report.render_text());
-        let labels: Vec<String> = view_paths().into_iter().map(|(label, _)| label).collect();
-        assert!(labels.contains(&"view:po_item_dmdv.partno".to_string()), "{labels:?}");
-        let partno = view_paths().into_iter().find(|(l, _)| l == "view:po_item_dmdv.partno");
-        assert_eq!(partno.unwrap().1, "$.purchaseOrder.items[*].partno");
+        // the view bodies' paths are linted under the views' own labels,
+        // JSON_TABLE columns composed onto their row path ...
+        let under = |site: &str, path: &str| {
+            report.findings.iter().any(|f| f.site == site && f.diagnostic.path == path)
+        };
+        assert!(under("view:po_mv", "$.purchaseOrder.reference"), "{}", report.render_text());
+        assert!(
+            under("view:po_item_dmdv", "$.purchaseOrder.costcenter"),
+            "{}",
+            report.render_text()
+        );
+        // ... and every statement carries the findings of the views it runs
+        assert!(sites(&report).contains(&"olap:Q1"), "{}", report.render_text());
     }
 
     #[test]
@@ -202,6 +145,8 @@ mod tests {
         let unknown = report.findings.iter().find(|f| f.diagnostic.code == Code::UnknownPath);
         assert_eq!(unknown.map(|f| f.site.as_str()), Some("sql:1"));
         assert!(report.render_json().contains("\"errors\": 1"));
+        // a statement that does not plan could never execute: an error
+        assert!(lint_sql_text(&session, "select nosuch from nobench").is_err());
     }
 
     #[test]
@@ -213,11 +158,14 @@ mod tests {
     }
 
     #[test]
-    fn both_passes_share_one_database_without_changing_the_lint() {
+    fn one_walk_serves_both_series() {
         let lint = check_workloads("both", 120, &[WORKLOAD]).unwrap();
         let plans = check_workloads("both", 120, &[PLAN]).unwrap();
         let both = check_workloads("both", 120, &[WORKLOAD, PLAN]).unwrap();
-        assert_eq!(both.checked, lint.checked + plans.checked);
+        // each statement is planned and walked once, whatever is asked of it
+        assert_eq!((lint.checked, plans.checked, both.checked), (23, 23, 23));
+        assert!(lint.findings.iter().all(|f| f.diagnostic.code.id().starts_with(WORKLOAD)));
+        assert!(plans.findings.iter().all(|f| f.diagnostic.code.id().starts_with(PLAN)));
         let mut separate: Vec<Finding> = lint.findings;
         separate.extend(plans.findings);
         let key = |f: &Finding| (f.site.clone(), f.diagnostic.code);

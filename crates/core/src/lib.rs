@@ -178,19 +178,19 @@ impl FsdmDatabase {
         // virtual columns
         let vcs = add_vc(&guide, json_col_name, 0);
         let table = self.session.db.table_mut(collection).expect("checked");
-        let base_width = table.schema.width();
-        let existing = table.virtual_columns.len();
         for vc in &vcs {
             if table.scan_col_index(&vc.name).is_none() {
                 let path = parse_path(&vc.path).map_err(|e| SqlError::new(e.message))?;
                 table.add_virtual_column(&vc.name, Expr::json_value(json_col, path, vc.ty));
             }
         }
-        let _ = existing;
-        // <name>_mv: did + the virtual columns
+        // <name>_mv: did + the virtual columns, each wherever it sits — one
+        // an earlier inference registered keeps its place, a new one is
+        // appended after it
         let mut mv_exprs: Vec<(String, Expr)> = vec![("did".to_string(), Expr::Col(0))];
-        for (i, vc) in vcs.iter().enumerate() {
-            mv_exprs.push((vc.name.clone(), Expr::Col(base_width + i)));
+        for vc in &vcs {
+            let col = table.scan_col_index(&vc.name).expect("registered above");
+            mv_exprs.push((vc.name.clone(), Expr::Col(col)));
         }
         let mv_plan = Query::Project { input: Box::new(Query::scan(collection)), exprs: mv_exprs };
         self.session.db.create_view(format!("{collection}_mv"), mv_plan);
@@ -247,7 +247,8 @@ impl FsdmDatabase {
     /// SELECT a [`fsdm_store::QueryProfile`] — degree, optimize and
     /// execute time, memory high-water, every operator with its output
     /// rows, inclusive wall time and pipeline mode, the prepare-time
-    /// findings — and, with `trace`, the full span tree of the execution
+    /// findings (path lint and plan typecheck, view bodies included) —
+    /// and, with `trace`, the full span tree of the execution
     /// (see [`fsdm_obs::trace`]; export with
     /// [`fsdm_obs::trace::Trace::to_chrome_json`] for Perfetto or
     /// `to_collapsed` for flamegraph.pl). DDL/DML report `None`.
@@ -509,6 +510,28 @@ mod tests {
         let trace = traced.and_then(|p| p.trace).expect("traced, so kept");
         trace.validate().unwrap();
         assert!(trace.count(fsdm_obs::catalog::SPAN_STORE_QUERY) >= 1);
+    }
+
+    /// Documents that arrive after the first inference bring new singleton
+    /// scalars: the second inference appends their virtual columns after
+    /// the existing ones, and `<name>_mv` must find each by name.
+    #[test]
+    fn a_second_inference_keeps_mv_columns_on_their_values() {
+        let mut db = FsdmDatabase::new();
+        db.create_collection("c", CollectionOptions::default()).unwrap();
+        db.put("c", r#"{"a":"A1","b":"B1"}"#).unwrap();
+        db.infer_relational_schema("c").unwrap();
+        db.put("c", r#"{"a":"A2","aa":"AA2","b":"B2"}"#).unwrap();
+        db.infer_relational_schema("c").unwrap();
+        let mv = db.sql("select * from c_mv").unwrap();
+        assert_eq!(mv.columns, ["did", "jdoc$a", "jdoc$aa", "jdoc$b"]);
+        let row = |did: i64, a: &str, aa: Datum, b: &str| {
+            vec![Datum::from(did), Datum::from(a), aa, Datum::from(b)]
+        };
+        assert_eq!(
+            mv.rows,
+            [row(0, "A1", Datum::Null, "B1"), row(1, "A2", Datum::from("AA2"), "B2")]
+        );
     }
 
     #[test]

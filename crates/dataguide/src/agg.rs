@@ -4,9 +4,10 @@
 //! Implemented with the classic user-defined-aggregation shape from the
 //! ORDBMS lineage the paper cites: `initialize` / `iterate` / `merge`
 //! (for parallel partials) / `terminate`. The relational engine drives it
-//! over any row set — including sampled or filtered subsets (Table 9's Q1
-//! through Q3) — and the result is a single JSON document in flat or
-//! hierarchical form.
+//! — it is the state of `fsdm-store`'s `AggFun::DataGuide` accumulator,
+//! fed by a `GroupBy` like any aggregate — over any row set, including
+//! sampled, filtered or grouped subsets (Table 9's Q1 through Q3), and
+//! the result is a single JSON document in flat or hierarchical form.
 
 use fsdm_json::JsonValue;
 

@@ -27,8 +27,6 @@ pub const ANALYZE_PATHS_CHECKED: &str = "analyze.paths.checked";
 /// Scans rewritten to empty because a JSON predicate is provably dead
 /// (counter).
 pub const ANALYZE_PRUNE_DEAD_PREDICATES: &str = "analyze.prune.dead_predicates";
-/// SQL statements run through the prepare-time analysis hook (counter).
-pub const ANALYZE_STMTS_ANALYZED: &str = "analyze.stmts.analyzed";
 
 // --- dataguide ----------------------------------------------------------
 
@@ -249,7 +247,6 @@ pub const ALL: &[&str] = &[
     ANALYZE_DIAG_WARNINGS,
     ANALYZE_PATHS_CHECKED,
     ANALYZE_PRUNE_DEAD_PREDICATES,
-    ANALYZE_STMTS_ANALYZED,
     DATAGUIDE_INSERT_CHANGED,
     DATAGUIDE_INSERT_UNCHANGED,
     DATAGUIDE_PATHS,

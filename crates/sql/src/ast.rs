@@ -44,8 +44,6 @@ pub enum SqlExpr {
         /// OVER (ORDER BY …).
         order: Vec<OrderItem>,
     },
-    /// `JSON_DATAGUIDEAGG(col)` — the §3.4 aggregate.
-    DataGuideAgg(Box<SqlExpr>),
 }
 
 /// Parsed SQL type name.

@@ -9,14 +9,19 @@
 //! * `SELECT` with expressions, `WHERE`, `GROUP BY`, `ORDER BY` (including
 //!   ordinals), `FETCH FIRST n ROWS ONLY` / `LIMIT`;
 //! * scalar functions `SUBSTR`, `INSTR`, `UPPER`, `LOWER`, `LENGTH`,
-//!   `NVL`, `ABS`; aggregates `COUNT/SUM/AVG/MIN/MAX`; `LAG(…) OVER
-//!   (ORDER BY …)`;
+//!   `NVL`, `ABS`; aggregates `COUNT/SUM/AVG/MIN/MAX` and
+//!   `JSON_DATAGUIDEAGG` (§3.4); `LAG(…) OVER (ORDER BY …)`;
 //! * the SQL/JSON operators `JSON_VALUE(col, 'path' [RETURNING type])`
 //!   and `JSON_EXISTS(col, 'path')`;
 //! * `FROM table, JSON_TABLE(col, 'path' COLUMNS …) jt` laterals with
 //!   `NESTED PATH`;
 //! * two-table joins (`FROM a, b WHERE a.x = b.y`), views, `CREATE
-//!   TABLE`, `INSERT INTO … VALUES`, and `SELECT JSON_DATAGUIDEAGG(col)`.
+//!   TABLE`, `INSERT INTO … VALUES`.
+//!
+//! The planner is the only reader of the SQL AST: every SELECT becomes a
+//! `fsdm-store` plan, and execution, EXPLAIN, the statement report and
+//! the prepare-time checks (path lint and plan typecheck) all work on
+//! that plan.
 
 pub mod analyze;
 pub mod ast;

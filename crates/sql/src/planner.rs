@@ -1,7 +1,5 @@
 //! Planner: SQL AST → `fsdm-store` query plans, plus DDL/DML execution.
 
-use fsdm_dataguide::agg::GuideFormat;
-use fsdm_dataguide::DataGuideAgg;
 use fsdm_json::JsonNumber;
 use fsdm_sqljson::json_table::{ColumnDef, JsonTableDef, NestedDef};
 use fsdm_sqljson::{parse_path, Datum, SqlType};
@@ -79,12 +77,7 @@ impl Session {
         // cancellation (user or governance) must not leak into this one
         self.db.cancel_token().reset();
         match parse_sql(sql)? {
-            // JSON_DATAGUIDEAGG is the one aggregate the plan algebra does
-            // not model; the session drives it directly (§3.4)
-            Statement::Select(sel) => match dataguide_agg_target(&sel) {
-                Some(agg_col) => self.run_dataguide_agg(&sel, &agg_col, binds),
-                None => Ok(self.run_select(sql, &sel, binds, false)?.1),
-            },
+            Statement::Select(sel) => Ok(self.run_select(sql, &sel, binds, false)?.1),
             Statement::CreateTable { name, columns } => {
                 self.create_table(&name, &columns)?;
                 Ok(empty_result("created"))
@@ -106,12 +99,12 @@ impl Session {
 
     /// Parse and execute one statement (positional `?` binds) and return
     /// its report with the rows: the [`QueryProfile`] of
-    /// [`Database::run`] with the prepare-time findings (FA path lint + PK
-    /// plan typecheck) attached, and — with `trace` — the span tree of the
-    /// execution (tracing is process-global, so concurrent traced
-    /// statements queue up). DDL/DML and the session-driven
-    /// `JSON_DATAGUIDEAGG` do not run through the executor: they execute
-    /// normally and report `None`.
+    /// [`Database::run`] with the prepare-time findings
+    /// ([`Session::typecheck_plan`]: FA path lint and PK plan typecheck,
+    /// view bodies included) attached, and — with `trace` — the span tree
+    /// of the execution (tracing is process-global, so concurrent traced
+    /// statements queue up). Every SELECT reports; DDL/DML do not run
+    /// through the executor: they execute normally and report `None`.
     pub fn report(
         &mut self,
         sql: &str,
@@ -119,18 +112,12 @@ impl Session {
         trace: bool,
     ) -> Result<(QueryResult, Option<QueryProfile>)> {
         self.db.cancel_token().reset();
-        if let Statement::Select(sel) = parse_sql(sql)? {
-            if dataguide_agg_target(&sel).is_none() {
-                let (plan, result, mut report) = self.run_select(sql, &sel, binds, trace)?;
-                // analysis is advisory, so its errors never fail an
-                // executable statement
-                report.diagnostics =
-                    crate::analyze::analyze_select(&self.db, &sel).unwrap_or_default();
-                report.diagnostics.extend(self.typecheck_plan(&plan).diagnostics);
-                return Ok((result, Some(report)));
-            }
-        }
-        Ok((self.execute_with(sql, binds)?, None))
+        let Statement::Select(sel) = parse_sql(sql)? else {
+            return Ok((self.execute_with(sql, binds)?, None));
+        };
+        let (plan, result, mut report) = self.run_select(sql, &sel, binds, trace)?;
+        report.diagnostics = self.typecheck_plan(&plan).diagnostics;
+        Ok((result, Some(report)))
     }
 
     /// Plan (without executing) a SELECT — used to register views and by
@@ -229,64 +216,6 @@ impl Session {
             table.insert(vals).map_err(SqlError::from)?;
         }
         Ok(n)
-    }
-
-    fn run_dataguide_agg(
-        &self,
-        sel: &Select,
-        col: &SqlExpr,
-        binds: &[Datum],
-    ) -> Result<QueryResult> {
-        // base plan: scan (+ sample/filter), projecting the JSON column as
-        // text and any group keys
-        let scope = self.base_scope(sel, binds)?;
-        let col_expr = scope.translate(col)?;
-        let mut plan = scope.plan.clone();
-        if let Some(w) = &sel.where_clause {
-            plan = plan.filter(scope.translate(w)?);
-        }
-        if let Some(pct) = sel.sample_pct {
-            plan = Query::Sample { input: Box::new(plan), pct };
-        }
-        let mut exprs: Vec<(String, Expr)> = vec![("doc".to_string(), col_expr)];
-        for (i, g) in sel.group_by.iter().enumerate() {
-            exprs.push((format!("k{i}"), scope.translate(g)?));
-        }
-        let plan = Query::Project { input: Box::new(plan), exprs };
-        let res = self.db.execute(&plan)?;
-        // group and aggregate
-        let mut groups: Vec<(Vec<Datum>, DataGuideAgg)> = Vec::new();
-        for row in &res.rows {
-            let key: Vec<Datum> = row[1..].to_vec();
-            let slot = match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, agg)) => agg,
-                None => {
-                    groups.push((key, DataGuideAgg::new(GuideFormat::Flat)));
-                    &mut groups.last_mut().unwrap().1
-                }
-            };
-            if let Datum::Str(text) = &row[0] {
-                if let Ok(doc) = fsdm_json::parse(text) {
-                    slot.iterate(&doc);
-                }
-            }
-        }
-        if groups.is_empty() {
-            groups.push((Vec::new(), DataGuideAgg::new(GuideFormat::Flat)));
-        }
-        let mut columns = vec!["json_dataguideagg".to_string()];
-        for i in 0..sel.group_by.len() {
-            columns.push(format!("k{i}"));
-        }
-        let rows = groups
-            .into_iter()
-            .map(|(key, agg)| {
-                let mut row = vec![Datum::Str(fsdm_json::to_string(&agg.terminate()))];
-                row.extend(key);
-                row
-            })
-            .collect();
-        Ok(QueryResult { columns, rows })
     }
 
     /// Resolve the FROM clause into a base plan plus a naming scope.
@@ -509,7 +438,10 @@ impl Session {
                 SqlExpr::CountStar => AggSpec::count_star(&name),
                 SqlExpr::Call(f, args) => {
                     let fun = agg_fun(f).expect("collected aggregates only");
-                    AggSpec::of(&name, fun, scope.translate(&args[0])?)
+                    let arg = args
+                        .first()
+                        .ok_or_else(|| SqlError::new(format!("{f} needs an argument")))?;
+                    AggSpec::of(&name, fun, scope.translate(arg)?)
                 }
                 _ => unreachable!(),
             };
@@ -781,11 +713,6 @@ impl Scope {
                     .ok_or_else(|| SqlError::new("LAG outside SELECT list"))?;
                 Expr::Col(*idx)
             }
-            SqlExpr::DataGuideAgg(_) => {
-                return Err(SqlError::new(
-                    "JSON_DATAGUIDEAGG must be the only select item (optionally with GROUP BY)",
-                ))
-            }
         })
     }
 }
@@ -914,6 +841,7 @@ fn agg_fun(name: &str) -> Option<AggFun> {
         "AVG" => AggFun::Avg,
         "MIN" => AggFun::Min,
         "MAX" => AggFun::Max,
+        "JSON_DATAGUIDEAGG" => AggFun::DataGuide,
         _ => return None,
     })
 }
@@ -1019,13 +947,6 @@ fn display_name(e: &SqlExpr, position: usize) -> String {
         SqlExpr::JsonValue(..) => "json_value".to_string(),
         SqlExpr::JsonExists(..) => "json_exists".to_string(),
         _ => format!("col{}", position + 1),
-    }
-}
-
-pub(crate) fn dataguide_agg_target(sel: &Select) -> Option<SqlExpr> {
-    match sel.items.as_slice() {
-        [SelectItem::Expr(SqlExpr::DataGuideAgg(col), _)] => Some((**col).clone()),
-        _ => None,
     }
 }
 

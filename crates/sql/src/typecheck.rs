@@ -1,11 +1,12 @@
-//! Statement-level plan type checking: the SQL front end of
+//! Statement-level plan checking: the SQL front end of
 //! `fsdm_store::typecheck`.
 //!
-//! The inference and translation-validation passes live in
+//! The inference, the path lint and the translation validator live in
 //! `fsdm_store::typecheck`; this module plans the SQL text and runs
-//! [`check_plan`] over the result, so callers get the PK001–PK006
-//! findings for a statement the same way [`Session::analyze`] gives the
-//! FA path findings. Every call feeds the `planck.*` metrics.
+//! [`check_plan`] over the result, so callers get one [`Inference`] per
+//! statement: the PK001–PK006 type findings and the FA001–FA007 findings
+//! of every SQL/JSON path the plan evaluates, view bodies included.
+//! Every call feeds the `planck.*` metrics.
 
 use std::time::Instant;
 
@@ -16,12 +17,14 @@ use crate::planner::Session;
 use crate::Result;
 
 impl Session {
-    /// Type-check one SELECT: plan it, infer the output schema
-    /// (column names, scalar types, nullability), and validate the
-    /// optimizer's rewrite of the plan — schema equivalence, preserved
-    /// determinism and parallel-safety class, idempotence. Statements
-    /// that do not plan to the query algebra are an error here, like
-    /// [`Session::plan`].
+    /// Check one SELECT: plan it, infer the output schema (column names,
+    /// scalar types, nullability), lint every SQL/JSON path against the
+    /// DataGuide of the table it probes, and validate the optimizer's
+    /// rewrite of the plan — schema equivalence, preserved determinism
+    /// and parallel-safety class, idempotence. A statement that does not
+    /// plan (DDL, an unknown column, a missing bind, unparsable path
+    /// text) is an error here, like [`Session::plan`]: it could never
+    /// execute.
     pub fn typecheck(&self, sql: &str) -> Result<Inference> {
         self.typecheck_with(sql, &[])
     }

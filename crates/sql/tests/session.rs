@@ -182,18 +182,73 @@ fn comma_join_master_detail() {
     assert_eq!(r.rows[1], vec![Datum::from("B"), Datum::from(30i64)]);
 }
 
+/// `JSON_DATAGUIDEAGG` is an aggregate of the plan algebra: it plans,
+/// reports, explains, composes with keys, `SAMPLE`, `WHERE` and views
+/// like `COUNT` does.
 #[test]
 fn dataguide_agg_statement() {
     let mut s = seeded_session();
-    let r = s.execute("select json_dataguideagg(jdoc) from po").unwrap();
-    assert_eq!(r.rows.len(), 1);
+    let plain = "select json_dataguideagg(jdoc) from po";
+    let r = s.execute(plain).unwrap();
+    assert_eq!((r.columns.as_slice(), r.rows.len()), (&["json_dataguideagg".to_string()][..], 1));
     let guide_text = r.rows[0][0].to_text();
     let guide = fsdm_json::parse(&guide_text).unwrap();
     let rows = guide.as_array().unwrap();
     assert!(rows.iter().any(|g| g.get("o:path").unwrap().as_str() == Some("$.items.partno")));
-    // sampled variant still produces a guide
-    let r2 = s.execute("select json_dataguideagg(jdoc) from po sample (50)").unwrap();
+    // the (path, type) rows of the guide the table maintains per insert
+    // (whose statistics differ by design: a structure it has seen before
+    // takes the signature fast path)
+    let path_types = |guide: &fsdm_json::JsonValue| -> Vec<(String, String)> {
+        let text =
+            |row: &fsdm_json::JsonValue, k| row.get(k).unwrap().as_str().unwrap().to_string();
+        guide.as_array().unwrap().iter().map(|r| (text(r, "o:path"), text(r, "type"))).collect()
+    };
+    let maintained = &s.db.table("po").unwrap().dataguide;
+    let maintained = fsdm_dataguide::hierarchical::to_flat_json(maintained);
+    assert_eq!(path_types(&guide), path_types(&maintained));
+
+    // a plan, a report on the batch spine, both plans in EXPLAIN
+    assert!(s.plan(plain, &[]).unwrap().render().starts_with("Project"));
+    let (_, report) = s.report(plain, &[], false).unwrap();
+    let group = report.expect("every SELECT reports");
+    let group = group.find("GroupBy").expect("an aggregate of the plan");
+    assert_eq!((group.mode, group.rows_out), ("columnar", 1));
+    let explain = s.explain(plain, &[]).unwrap();
+    assert!(explain.contains("plan:") && explain.contains("optimized:"), "{explain}");
+
+    // the select list is what comes back: keys only when selected
+    let by_key = "from po group by json_value(jdoc, '$.costcenter')";
+    let r = s.execute(&format!("select json_dataguideagg(jdoc) {by_key}")).unwrap();
+    assert_eq!((r.columns.len(), r.rows.len()), (1, 2));
+    let keyed =
+        format!("select json_dataguideagg(jdoc), json_value(jdoc, '$.costcenter') {by_key}");
+    let r = s.execute(&keyed).unwrap();
+    assert_eq!(r.rows.iter().map(|row| row[1].to_text()).collect::<Vec<_>>(), ["A1", "B2"]);
+    let (_, report) = s.report(&keyed, &[], false).unwrap();
+    assert_eq!(report.unwrap().find("GroupBy").unwrap().mode, "columnar");
+
+    // SAMPLE applies to the table, WHERE to the sample — as in every other
+    // SELECT: the aggregate sees what `count(*)` counts
+    let sampled = "from po sample (50) where did >= 2";
+    let counted = s.execute(&format!("select count(*) {sampled}")).unwrap().rows[0][0].clone();
+    let (r2, report) =
+        s.report(&format!("select json_dataguideagg(jdoc) {sampled}"), &[], false).unwrap();
     assert_eq!(r2.rows.len(), 1);
+    let report = report.unwrap();
+    assert_eq!(report.find("GroupBy").unwrap().mode, "row", "Sample is no scan-rooted chain");
+    assert_eq!(Datum::from(report.find("Filter").unwrap().rows_out as i64), counted);
+
+    // a view over it executes
+    s.execute("create view g as select json_dataguideagg(jdoc) from po").unwrap();
+    assert_eq!(s.execute("select * from g").unwrap().rows[0][0].to_text(), guide_text);
+
+    // over a number it can never see a document, and the check says so
+    let inf = s.typecheck("select json_dataguideagg(did) from po").unwrap();
+    assert_eq!(inf.errors(), 1, "{:?}", inf.diagnostics);
+    assert_eq!(
+        s.execute("select json_dataguideagg(did) from po").unwrap().rows[0][0].to_text(),
+        "[]"
+    );
 }
 
 #[test]
@@ -231,4 +286,7 @@ fn errors_are_reported() {
     assert!(s.execute("select nope from po").is_err());
     assert!(s.execute("select * from missing_table").is_err());
     assert!(s.execute("select did from po where json_value(did, '$.x') = 1").is_err());
+    // an aggregate without its argument is an error, not a panic
+    assert!(s.execute("select json_dataguideagg() from po").is_err());
+    assert!(s.execute("select sum() from po").is_err());
 }

@@ -12,16 +12,15 @@
 //!   sibling's rows appear with every other sibling's columns NULL, never
 //!   as a cross product.
 //!
-//! Execution is exposed through the row-source shape of §5.1
-//! (`start()`, `fetch_next_batch()`, `close()`), as a built-in SQL
-//! iterator would be.
+//! Execution goes through a [`JsonTableCursor`]: one expansion routine
+//! that reports rows as block contexts, and column evaluation on demand.
 
 use fsdm_json::{JsonDom, NodeRef};
 
 use crate::datum::{Datum, SqlType};
 use crate::engine::PathEvaluator;
 use crate::ops::{json_value_at, OnError};
-use crate::path::JsonPath;
+use crate::path::{parse_path, JsonPath};
 
 /// Column kinds of a JSON_TABLE definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +60,7 @@ impl ColumnDef {
 
     /// FOR ORDINALITY column.
     pub fn ordinality(name: impl Into<String>) -> Self {
-        let path = crate::path::parse_path("$").expect("static path");
+        let path = parse_path("$").expect("static path");
         ColumnDef { name: name.into(), ty: SqlType::Number, path, kind: ColKind::Ordinality }
     }
 }
@@ -122,9 +121,32 @@ impl JsonTableDef {
         JsonTableCursor::new(self).rows(dom)
     }
 
-    /// Open a row-source cursor over one document (§5.1's start()).
-    pub fn start<D: JsonDom>(&self, dom: &D) -> JsonTableExec {
-        JsonTableExec { rows: self.rows(dom), pos: 0, closed: false }
+    /// Every path this definition evaluates, as a path from the document
+    /// root: the row path, then each block's `PATH` / `EXISTS PATH`
+    /// columns and NESTED PATHs composed onto their block's row path —
+    /// `$.items[*]` + `$.partno` → `$.items[*].partno`. A mode keyword on
+    /// a sub-path is dropped (the row path's mode governs evaluation).
+    /// What static analysis checks against a DataGuide.
+    pub fn document_paths(&self) -> Vec<JsonPath> {
+        fn walk(row: &JsonPath, cols: &[ColumnDef], nested: &[NestedDef], out: &mut Vec<JsonPath>) {
+            // both halves parsed on their own; a composition that does not
+            // (an item method in the middle) names no document path
+            let onto_row = |sub: &JsonPath| {
+                let (_, steps) = sub.text().split_once('$')?;
+                parse_path(&format!("{}{steps}", row.text().trim_end())).ok()
+            };
+            let read = cols.iter().filter(|c| c.kind != ColKind::Ordinality);
+            out.extend(read.filter_map(|c| onto_row(&c.path)));
+            for n in nested {
+                if let Some(path) = onto_row(&n.path) {
+                    out.push(path.clone());
+                    walk(&path, &n.columns, &n.nested, out);
+                }
+            }
+        }
+        let mut out = vec![self.row_path.clone()];
+        walk(&self.row_path, &self.columns, &self.nested, &mut out);
+        out
     }
 }
 
@@ -306,34 +328,6 @@ fn node_outputs(outs: Vec<crate::engine::PathOutput>) -> Vec<NodeRef> {
             crate::engine::PathOutput::Computed(_) => None,
         })
         .collect()
-}
-
-/// The open row source: `fetch_next_batch()` until empty, then `close()`.
-pub struct JsonTableExec {
-    rows: Vec<Vec<Datum>>,
-    pos: usize,
-    closed: bool,
-}
-
-impl JsonTableExec {
-    /// Fetch up to `n` rows; an empty slice signals end of data.
-    pub fn fetch_next_batch(&mut self, n: usize) -> &[Vec<Datum>] {
-        assert!(!self.closed, "fetch after close");
-        let start = self.pos;
-        let end = (self.pos + n).min(self.rows.len());
-        self.pos = end;
-        &self.rows[start..end]
-    }
-
-    /// Rows remaining.
-    pub fn remaining(&self) -> usize {
-        self.rows.len() - self.pos
-    }
-
-    /// Close the row source.
-    pub fn close(&mut self) {
-        self.closed = true;
-    }
 }
 
 #[cfg(test)]
@@ -607,16 +601,31 @@ mod tests {
     }
 
     #[test]
-    fn row_source_batching() {
-        let v = parse(DOC).unwrap();
-        let dom = ValueDom::new(&v);
-        let def = table8_def();
-        let mut exec = def.start(&dom);
-        assert_eq!(exec.remaining(), 5);
-        assert_eq!(exec.fetch_next_batch(2).len(), 2);
-        assert_eq!(exec.fetch_next_batch(10).len(), 3);
-        assert!(exec.fetch_next_batch(10).is_empty());
-        exec.close();
+    fn document_paths_compose_through_nested_blocks() {
+        let texts = |def: &JsonTableDef| -> Vec<String> {
+            def.document_paths().iter().map(|p| p.text().to_string()).collect()
+        };
+        assert_eq!(
+            texts(&deep_def()),
+            [
+                "$.o[*]",
+                "$.o[*].id",
+                "$.o[*].a[*]",
+                "$.o[*].a[*].x",
+                "$.o[*].a[*].b",
+                "$.o[*].a[*].b[*]",
+                "$.o[*].a[*].b[*].y",
+                "$.o[*].c[*]",
+                "$.o[*].c[*].z",
+            ]
+        );
+        // a sub-path's mode keyword is dropped, the row path's kept
+        let def = JsonTableDef {
+            row_path: p("strict $.items[*]"),
+            columns: vec![ColumnDef::value("n", SqlType::Number, p("lax $.n"))],
+            nested: vec![],
+        };
+        assert_eq!(texts(&def), ["strict $.items[*]", "strict $.items[*].n"]);
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub mod streaming;
 
 pub use datum::{Datum, SqlType};
 pub use engine::{PathEvaluator, PathOutput};
-pub use json_table::{ColumnDef, JsonTableCursor, JsonTableDef, JsonTableExec, NestedDef};
+pub use json_table::{ColumnDef, JsonTableCursor, JsonTableDef, NestedDef};
 pub use ops::{json_exists, json_query, json_value, OnError, WrapperMode};
 pub use path::{parse_path, JsonPath, PathError, Predicate, Span, Step};

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use fsdm_dataguide::agg::{DataGuideAgg, GuideFormat};
 use fsdm_sqljson::{Datum, JsonTableDef};
 
 use fsdm_fault::catalog::{
@@ -291,7 +292,6 @@ impl Default for Run<'_> {
 pub struct Database {
     tables: HashMap<String, Table>,
     views: HashMap<String, Query>,
-    prune_dead_json_predicates: bool,
     /// Configured parallel degree; 0 means "resolve the process default"
     /// (`FSDM_THREADS`, else `available_parallelism`).
     parallelism: usize,
@@ -315,7 +315,6 @@ impl Default for Database {
         Database {
             tables: HashMap::new(),
             views: HashMap::new(),
-            prune_dead_json_predicates: false,
             parallelism: 0,
             morsel_rows: 0,
             slow_log: SlowLog::default(),
@@ -426,20 +425,6 @@ impl Database {
                 self.mem_limit,
             )),
         }
-    }
-
-    /// Opt into the analyzer/optimizer handshake: scans whose filter
-    /// contains a JSON predicate over a path the table's DataGuide proves
-    /// empty (`fsdm_analyze::path_provably_empty`) are rewritten to
-    /// constant-false scans. Off by default; results are identical either
-    /// way, only the plan changes.
-    pub fn set_dead_path_pruning(&mut self, on: bool) {
-        self.prune_dead_json_predicates = on;
-    }
-
-    /// Whether dead-JSON-path pruning is enabled.
-    pub fn dead_path_pruning(&self) -> bool {
-        self.prune_dead_json_predicates
     }
 
     /// Register a table. If a table with the same name already exists it
@@ -1473,6 +1458,7 @@ enum Acc {
     Avg { total: f64, n: u64 },
     Min(Option<Datum>),
     Max(Option<Datum>),
+    DataGuide(Box<DataGuideAgg>),
 }
 
 impl Acc {
@@ -1484,6 +1470,7 @@ impl Acc {
             AggFun::Avg => Acc::Avg { total: 0.0, n: 0 },
             AggFun::Min => Acc::Min(None),
             AggFun::Max => Acc::Max(None),
+            AggFun::DataGuide => Acc::DataGuide(Box::new(DataGuideAgg::new(GuideFormat::Flat))),
         }
     }
 
@@ -1525,6 +1512,15 @@ impl Acc {
                     }
                 }
             }
+            // the argument is the document as text; text that does not
+            // parse (and any non-text value) contributes nothing
+            Acc::DataGuide(agg) => {
+                if let Some(Datum::Str(text)) = &arg {
+                    if let Ok(doc) = fsdm_json::parse(text) {
+                        agg.iterate(&doc);
+                    }
+                }
+            }
         }
     }
 
@@ -1546,6 +1542,7 @@ impl Acc {
                 }
             }
             Acc::Min(d) | Acc::Max(d) => d.unwrap_or(Datum::Null),
+            Acc::DataGuide(agg) => Datum::Str(fsdm_json::to_string(&agg.terminate())),
         }
     }
 }

@@ -151,6 +151,9 @@ pub enum AggFun {
     Min,
     /// `MAX(expr)`.
     Max,
+    /// `JSON_DATAGUIDEAGG(json)`: the transient DataGuide (§3.4) of the
+    /// documents the argument yields as text, rendered flat.
+    DataGuide,
 }
 
 /// A row expression tree.

@@ -9,12 +9,12 @@
 //! rewrite never changes results — any document admitted by the exists
 //! probe still has its rows checked exactly.
 //!
-//! The second rewrite is the `fsdm-analyze` handshake (opt-in via
-//! [`Database::set_dead_path_pruning`]): a scan-filter conjunct probing a
-//! JSON path the table's DataGuide proves empty can never accept a row —
-//! `JSON_EXISTS` is false everywhere, and a comparison over `JSON_VALUE`
-//! only ever sees SQL NULL — so the scan collapses to a constant-false
-//! scan the executor answers without touching a single row.
+//! The second rewrite is the `fsdm-analyze` handshake: a scan-filter
+//! conjunct probing a JSON path the table's DataGuide proves empty can
+//! never accept a row — `JSON_EXISTS` is false everywhere, and a
+//! comparison over `JSON_VALUE` only ever sees SQL NULL — so the scan
+//! collapses to a constant-false scan the executor answers without
+//! touching a single row.
 
 use fsdm_sqljson::json_table::{ColKind, ColumnDef, JsonTableDef, NestedDef};
 use fsdm_sqljson::parse_path;
@@ -68,11 +68,7 @@ fn optimize_inner(db: &Database, plan: Query) -> Query {
         },
         other => other,
     };
-    if db.dead_path_pruning() {
-        prune_dead_scan(db, plan)
-    } else {
-        plan
-    }
+    prune_dead_scan(db, plan)
 }
 
 /// The analyzer handshake: rewrite `Scan{filter}` to a constant-false
@@ -529,19 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn dead_json_exists_prunes_only_when_opted_in() {
+    fn dead_json_exists_prunes() {
         let dead =
             || Query::scan("po").filter(Expr::json_exists(1, parse_path("$.persno").unwrap()));
-        let mut db = guided_db();
-        // off by default: the filter merges into the scan but stays live
-        let plan = optimize(&db, dead());
-        match &plan {
-            Query::Scan { filter: Some(f), .. } => {
-                assert!(format!("{f:?}").contains("JSON_EXISTS"), "{f:?}");
-            }
-            other => panic!("expected merged scan, got {other:?}"),
-        }
-        db.set_dead_path_pruning(true);
+        let db = guided_db();
         let plan = optimize(&db, dead());
         assert!(
             matches!(&plan, Query::Scan { filter: Some(Expr::Lit(Datum::Bool(false))), .. }),
@@ -555,8 +542,7 @@ mod tests {
 
     #[test]
     fn dead_json_value_comparison_prunes() {
-        let mut db = guided_db();
-        db.set_dead_path_pruning(true);
+        let db = guided_db();
         let dead = Query::scan("po").filter(Expr::cmp(
             Expr::json_value(1, parse_path("$.persno").unwrap(), SqlType::Number),
             CmpOp::Eq,
@@ -571,8 +557,7 @@ mod tests {
 
     #[test]
     fn live_paths_and_unguided_tables_never_prune() {
-        let mut db = guided_db();
-        db.set_dead_path_pruning(true);
+        let db = guided_db();
         // live path: the guide has seen `price`
         let live = Query::scan("po").filter(Expr::json_exists(1, parse_path("$.price").unwrap()));
         match optimize(&db, live) {
@@ -582,8 +567,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // unguided table (plain IS JSON): no proof available, no rewrite
-        let mut db = po_db();
-        db.set_dead_path_pruning(true);
+        let db = po_db();
         let dead = Query::scan("po").filter(Expr::json_exists(1, parse_path("$.zz").unwrap()));
         match optimize(&db, dead) {
             Query::Scan { filter: Some(f), .. } => {

@@ -19,15 +19,23 @@
 //! morsel-merge discipline [`crate::parallel::run_morsels`] needs — is
 //! preserved. `optimize` enforces it with a `debug_assert!` on every
 //! rewrite; [`check_plan`] exposes the same verdict as diagnostics.
+//!
+//! [`check_plan`]'s walk is also the FA path lint: every JSON column of
+//! every schema knows the table it is scanned from ([`ColInfo::origin`]),
+//! and each SQL/JSON path the plan evaluates over one is checked against
+//! that table's DataGuide — inside view bodies as anywhere else.
 
-use fsdm_analyze::{Code, Diagnostic};
+use fsdm_analyze::{analyze_path, normalized_field_path, AnalyzerConfig, Code, Diagnostic};
 use fsdm_sqljson::json_table::{ColumnDef, NestedDef};
+use fsdm_sqljson::path::JsonPath;
 use fsdm_sqljson::{Datum, Span, SqlType};
 
 use crate::database::Database;
 use crate::expr::{AggFun, Expr, ScalarFun};
+use crate::jsonaccess::JsonStorage;
 use crate::query::{Query, SortKey, WindowFun};
 use crate::schema::ColType;
+use crate::table::Table;
 
 /// The scalar-type lattice of the inference pass. `Null` is the bottom
 /// (an expression that is always SQL NULL), `Any` the top (a value the
@@ -123,6 +131,16 @@ pub struct ColInfo {
     /// May this column materialize SQL NULL? Never under-approximated:
     /// `false` is a proof the executor cannot produce NULL here.
     pub nullable: bool,
+    /// For a JSON document column, the table and base column it is
+    /// scanned from: whose DataGuide describes the documents it holds.
+    pub origin: Option<(String, usize)>,
+}
+
+impl ColInfo {
+    /// A computed column: no stored documents behind it.
+    fn new(name: &str, ty: ScalarType, nullable: bool) -> ColInfo {
+        ColInfo { name: name.to_string(), ty, nullable, origin: None }
+    }
 }
 
 /// The inferred output schema of a plan node.
@@ -192,9 +210,57 @@ impl Inference {
 /// fails: unresolvable references produce `PK001` findings and an
 /// `Any`-typed placeholder instead of an error.
 pub fn infer(db: &Database, plan: &Query) -> Inference {
-    let mut diags = Vec::new();
-    let schema = infer_plan(db, plan, &mut diags);
-    Inference { schema, diagnostics: diags }
+    walk(db, plan, false)
+}
+
+fn walk(db: &Database, plan: &Query, lint: bool) -> Inference {
+    let mut sink = Sink { diags: Vec::new(), guides: lint.then_some(db) };
+    let schema = infer_plan(db, plan, &mut sink);
+    Inference { schema, diagnostics: sink.diags }
+}
+
+/// Where one walk of a plan puts its findings. With `guides` set —
+/// [`check_plan`]'s walk of the plan as given, and no other — every
+/// SQL/JSON path the plan evaluates is also put through
+/// [`fsdm_analyze::analyze_path`] against the DataGuide of the table its
+/// JSON column is scanned from (the FA codes).
+struct Sink<'a> {
+    diags: Vec<Diagnostic>,
+    guides: Option<&'a Database>,
+}
+
+impl Sink<'_> {
+    fn push(&mut self, d: Diagnostic) {
+        self.diags.push(d);
+    }
+
+    /// The FA path lint of `paths()`, the document paths the plan
+    /// evaluates over the JSON column `col`. A column with no origin (or
+    /// no DataGuide behind it) has nothing to be checked against.
+    fn lint(&mut self, col: &ColInfo, paths: impl FnOnce() -> Vec<JsonPath>) {
+        let (Some(db), Some((table, base))) = (self.guides, &col.origin) else { return };
+        let Some(t) = db.table(table) else { return };
+        let config = config_for(t, *base);
+        for path in paths() {
+            self.diags.extend(analyze_path(&t.dataguide, &path, &config));
+        }
+    }
+}
+
+/// The analyzer configuration a table implies: TEXT storage enables the
+/// streamability check, and virtual columns over this JSON column
+/// suppress FA007 for their (already materialized) paths.
+fn config_for(table: &Table, col: usize) -> AnalyzerConfig {
+    let text_storage = matches!(table.schema.columns[col].ty, ColType::Json(JsonStorage::Text));
+    let materialized = table.virtual_columns.iter().filter_map(|vc| match &vc.expr {
+        Expr::JsonValue { col: c, path, .. } if *c == col => normalized_field_path(path),
+        _ => None,
+    });
+    AnalyzerConfig {
+        text_storage,
+        materialized_vc_paths: materialized.collect(),
+        ..Default::default()
+    }
 }
 
 /// This node's parallel-execution class (children not considered).
@@ -326,11 +392,12 @@ pub fn rewrite_violations(db: &Database, before: &Query, after: &Query) -> Vec<S
     out
 }
 
-/// The full static gate over one plan: inference findings, then the
-/// translation validator and the idempotence check run against the
+/// The full static gate over one plan: inference findings and the FA
+/// lint of every SQL/JSON path the plan (views included) evaluates, then
+/// the translation validator and the idempotence check run against the
 /// optimizer's actual output, reported as `PK006` findings.
 pub fn check_plan(db: &Database, plan: &Query) -> Inference {
-    let mut inf = infer(db, plan);
+    let mut inf = walk(db, plan, true);
     let optimized = crate::optimizer::optimize(db, plan.clone());
     for v in rewrite_violations(db, plan, &optimized) {
         inf.diagnostics.push(node_diag(Code::RewriteDivergence, plan, v));
@@ -375,7 +442,7 @@ impl ExprType {
     }
 }
 
-fn infer_plan(db: &Database, plan: &Query, diags: &mut Vec<Diagnostic>) -> PlanSchema {
+fn infer_plan(db: &Database, plan: &Query, diags: &mut Sink<'_>) -> PlanSchema {
     match plan {
         Query::Scan { table, filter } => {
             let Some(t) = db.table(table) else {
@@ -390,17 +457,19 @@ fn infer_plan(db: &Database, plan: &Query, diags: &mut Vec<Diagnostic>) -> PlanS
                 .schema
                 .columns
                 .iter()
-                .map(|c| ColInfo {
-                    name: c.name.clone(),
-                    ty: ScalarType::of_col_type(&c.ty),
-                    nullable: true,
-                })
+                .map(|c| ColInfo::new(&c.name, ScalarType::of_col_type(&c.ty), true))
                 .collect();
-            // virtual columns are expressions over the base row only
+            // virtual columns are expressions over the base row only —
+            // with no origin yet: their definitions are not linted
             let base = PlanSchema { cols: cols.clone() };
             for vc in &t.virtual_columns {
                 let et = infer_expr(&vc.expr, &base, plan, diags);
-                cols.push(ColInfo { name: vc.name.clone(), ty: et.ty, nullable: et.nullable });
+                cols.push(ColInfo::new(&vc.name, et.ty, et.nullable));
+            }
+            for (i, c) in cols.iter_mut().enumerate() {
+                if c.ty == ScalarType::Json {
+                    c.origin = Some((table.clone(), i));
+                }
             }
             let schema = PlanSchema { cols };
             if let Some(pred) = filter {
@@ -429,14 +498,14 @@ fn infer_plan(db: &Database, plan: &Query, diags: &mut Vec<Diagnostic>) -> PlanS
             let mut cols = Vec::with_capacity(exprs.len());
             for (name, e) in exprs {
                 let et = infer_expr(e, &input_schema, plan, diags);
-                cols.push(ColInfo { name: name.clone(), ty: et.ty, nullable: et.nullable });
+                cols.push(ColInfo::new(name, et.ty, et.nullable));
             }
             check_duplicates(&cols, plan, diags);
             PlanSchema { cols }
         }
         Query::JsonTable { input, json_col, def } => {
             let mut schema = infer_plan(db, input, diags);
-            check_json_col(*json_col, &schema, plan, diags);
+            check_json_col(*json_col, || def.document_paths(), &schema, plan, diags);
             // outer semantics: every JSON_TABLE column is NULL-padded
             // when the document yields no rows, so all are nullable
             collect_jt_cols(&def.columns, &def.nested, &mut schema.cols);
@@ -469,7 +538,7 @@ fn infer_plan(db: &Database, plan: &Query, diags: &mut Vec<Diagnostic>) -> PlanS
             let mut cols = Vec::with_capacity(keys.len() + aggs.len());
             for (name, e) in keys {
                 let et = infer_expr(e, &input_schema, plan, diags);
-                cols.push(ColInfo { name: name.clone(), ty: et.ty, nullable: et.nullable });
+                cols.push(ColInfo::new(name, et.ty, et.nullable));
             }
             for spec in aggs {
                 cols.push(infer_agg(spec, keys.is_empty(), &input_schema, plan, diags));
@@ -502,7 +571,7 @@ fn infer_plan(db: &Database, plan: &Query, diags: &mut Vec<Diagnostic>) -> PlanS
                     format!("window column `{name}` duplicates an input column"),
                 ));
             }
-            schema.cols.push(ColInfo { name: name.clone(), ty, nullable });
+            schema.cols.push(ColInfo::new(name, ty, nullable));
             schema
         }
         Query::Limit { input, .. } | Query::Sample { input, .. } => infer_plan(db, input, diags),
@@ -514,7 +583,7 @@ fn join_key(
     key: usize,
     which: &str,
     node: &Query,
-    diags: &mut Vec<Diagnostic>,
+    diags: &mut Sink<'_>,
 ) -> Option<ScalarType> {
     match side.cols.get(key) {
         Some(c) => {
@@ -548,7 +617,7 @@ fn infer_agg(
     global: bool,
     input: &PlanSchema,
     node: &Query,
-    diags: &mut Vec<Diagnostic>,
+    diags: &mut Sink<'_>,
 ) -> ColInfo {
     let arg = match (&spec.arg, spec.fun) {
         (None, AggFun::CountStar) => None,
@@ -584,11 +653,21 @@ fn infer_agg(
             let a = arg.unwrap_or_else(ExprType::any);
             (a.ty, global || a.nullable)
         }
+        AggFun::DataGuide => {
+            // a JSON column reads as its text; a number or a boolean is
+            // never a document
+            if let Some(a) = arg.filter(|a| !matches!(a.ty, ScalarType::Str | ScalarType::Any)) {
+                let what = format!("`{}`: no {} is a JSON document", spec.name, a.ty.label());
+                diags.push(node_diag(Code::PlanTypeMismatch, node, what));
+            }
+            // the guide of no documents is the empty array, never NULL
+            (ScalarType::Str, false)
+        }
     };
-    ColInfo { name: spec.name.clone(), ty, nullable }
+    ColInfo::new(&spec.name, ty, nullable)
 }
 
-fn check_duplicates(cols: &[ColInfo], node: &Query, diags: &mut Vec<Diagnostic>) {
+fn check_duplicates(cols: &[ColInfo], node: &Query, diags: &mut Sink<'_>) {
     for (i, c) in cols.iter().enumerate() {
         if cols.iter().take(i).any(|e| e.name == c.name) {
             diags.push(node_diag(
@@ -605,7 +684,7 @@ fn check_order_keys(
     schema: &PlanSchema,
     what: &str,
     node: &Query,
-    diags: &mut Vec<Diagnostic>,
+    diags: &mut Sink<'_>,
 ) {
     if keys.is_empty() {
         diags.push(node_diag(
@@ -637,24 +716,30 @@ fn check_order_keys(
     }
 }
 
-fn check_json_col(json_col: usize, input: &PlanSchema, node: &Query, diags: &mut Vec<Diagnostic>) {
-    match input.cols.get(json_col) {
+/// The column a SQL/JSON operator or a `JSON_TABLE` reads must be a JSON
+/// column; `paths()`, the document paths the plan evaluates over one that
+/// is, are what the FA lint checks against its DataGuide.
+fn check_json_col(
+    col: usize,
+    paths: impl FnOnce() -> Vec<JsonPath>,
+    input: &PlanSchema,
+    node: &Query,
+    diags: &mut Sink<'_>,
+) {
+    match input.cols.get(col) {
         None => diags.push(node_diag(
             Code::UnknownColumn,
             node,
-            format!(
-                "JSON column #{json_col} is outside the input schema (width {})",
-                input.width()
-            ),
+            format!("JSON column #{col} is outside the input schema (width {})", input.width()),
         )),
         Some(c) if c.ty != ScalarType::Json && c.ty != ScalarType::Any => {
             diags.push(node_diag(
                 Code::PlanTypeMismatch,
                 node,
-                format!("column `{}` ({}) is not a JSON column", c.name, c.ty.label()),
+                format!("SQL/JSON operand `{}` ({}) is not a JSON column", c.name, c.ty.label()),
             ));
         }
-        Some(_) => {}
+        Some(c) => diags.lint(c, paths),
     }
 }
 
@@ -663,11 +748,7 @@ fn check_json_col(json_col: usize, input: &PlanSchema, node: &Query, diags: &mut
 /// first, then nested blocks, depth-first).
 fn collect_jt_cols(cols: &[ColumnDef], nested: &[NestedDef], out: &mut Vec<ColInfo>) {
     for c in cols {
-        out.push(ColInfo {
-            name: c.name.clone(),
-            ty: ScalarType::of_sql_type(c.ty),
-            nullable: true,
-        });
+        out.push(ColInfo::new(&c.name, ScalarType::of_sql_type(c.ty), true));
     }
     for n in nested {
         collect_jt_cols(&n.columns, &n.nested, out);
@@ -676,7 +757,7 @@ fn collect_jt_cols(cols: &[ColumnDef], nested: &[NestedDef], out: &mut Vec<ColIn
 
 /// A predicate position (Scan filter / Filter): anything statically
 /// non-boolean can never accept a row.
-fn check_predicate(pred: &Expr, schema: &PlanSchema, node: &Query, diags: &mut Vec<Diagnostic>) {
+fn check_predicate(pred: &Expr, schema: &PlanSchema, node: &Query, diags: &mut Sink<'_>) {
     let et = infer_expr(pred, schema, node, diags);
     if !matches!(et.ty, ScalarType::Bool | ScalarType::Null | ScalarType::Any) {
         diags.push(node_diag(
@@ -696,7 +777,7 @@ fn fun_arity(fun: ScalarFun) -> (usize, usize) {
     }
 }
 
-fn infer_expr(e: &Expr, input: &PlanSchema, node: &Query, diags: &mut Vec<Diagnostic>) -> ExprType {
+fn infer_expr(e: &Expr, input: &PlanSchema, node: &Query, diags: &mut Sink<'_>) -> ExprType {
     match e {
         Expr::Col(i) => match input.cols.get(*i) {
             Some(c) => {
@@ -832,40 +913,18 @@ fn infer_expr(e: &Expr, input: &PlanSchema, node: &Query, diags: &mut Vec<Diagno
                 }
             }
         }
-        Expr::JsonValue { col, ty, .. } => {
-            check_expr_json_col(*col, input, node, diags);
+        Expr::JsonValue { col, path, ty } => {
+            check_json_col(*col, || vec![(**path).clone()], input, node, diags);
             ExprType::new(ScalarType::of_sql_type(*ty), true)
         }
-        Expr::JsonExists { col, .. } => {
-            check_expr_json_col(*col, input, node, diags);
+        Expr::JsonExists { col, path } => {
+            check_json_col(*col, || vec![(**path).clone()], input, node, diags);
             ExprType::new(ScalarType::Bool, false)
         }
     }
 }
 
-fn check_expr_json_col(col: usize, input: &PlanSchema, node: &Query, diags: &mut Vec<Diagnostic>) {
-    match input.cols.get(col) {
-        None => diags.push(node_diag(
-            Code::UnknownColumn,
-            node,
-            format!("col#{col} is outside the input schema (width {})", input.width()),
-        )),
-        Some(c) if c.ty != ScalarType::Json && c.ty != ScalarType::Any => {
-            diags.push(node_diag(
-                Code::PlanTypeMismatch,
-                node,
-                format!(
-                    "SQL/JSON operator over `{}` ({}), which is not a JSON column",
-                    c.name,
-                    c.ty.label()
-                ),
-            ));
-        }
-        Some(_) => {}
-    }
-}
-
-fn check_boolean_operand(ty: ScalarType, what: &str, node: &Query, diags: &mut Vec<Diagnostic>) {
+fn check_boolean_operand(ty: ScalarType, what: &str, node: &Query, diags: &mut Sink<'_>) {
     if matches!(ty, ScalarType::Int | ScalarType::Float | ScalarType::Str | ScalarType::Json) {
         diags.push(node_diag(
             Code::PlanTypeMismatch,

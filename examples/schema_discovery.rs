@@ -39,7 +39,10 @@ fn main() {
 
     // transient DataGuides per group, straight from SQL (§3.4, Table 9 Q2)
     let r = db
-        .sql("select json_dataguideagg(jdoc) from events group by json_value(jdoc, '$.kind')")
+        .sql(
+            "select json_dataguideagg(jdoc), json_value(jdoc, '$.kind') from events \
+             group by json_value(jdoc, '$.kind')",
+        )
         .unwrap();
     println!("== one transient DataGuide per event kind ==");
     for row in &r.rows {

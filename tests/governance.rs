@@ -26,6 +26,9 @@ use fsdm_bench::setup::{
 
 const DEGREES: [usize; 2] = [1, 4];
 
+/// The transient DataGuide of the whole collection: `GroupBy(Scan)`.
+const GUIDE: &str = "select json_dataguideagg(jdoc) from nobench";
+
 /// NoBench Q1–Q10 as (sql, binds) plus the Q11 plan.
 fn workload(n: usize) -> (Vec<(String, Vec<Datum>)>, Query) {
     let sqls = (1..=10)
@@ -101,22 +104,24 @@ fn a_pre_cancelled_handle_is_a_deterministic_cancel_error() {
     let _scope = FailScope::disarmed();
     let n = 300;
     let mut session = nobench_db(n);
-    let plan = session.plan(&fsdm::workloads::nobench::query_sql(2, n), &[]).unwrap();
     let handle = session.cancel_handle();
-    for degree in DEGREES {
-        session.db.set_parallelism(degree);
-        assert!(handle.cancel(), "first cancel wins");
-        assert!(handle.is_cancelled());
-        // `Database::execute` honors a pending cross-thread cancel; the
-        // session's `&mut` entry points reset it at statement entry
-        let err = session.db.execute(&plan).expect_err("a cancelled token must kill the statement");
-        assert_eq!(err.kind, ErrorKind::Cancelled(CancelReason::User), "degree {degree}");
-        assert_eq!(err.message, "statement cancelled (user)", "degree {degree}");
-        // a fresh statement through the session resets the token
-        session
-            .execute_with(&fsdm::workloads::nobench::query_sql(2, n), &[])
-            .expect("the next session statement runs clean");
-        assert!(!handle.is_cancelled(), "statement entry resets the token");
+    // Q2, and the transient DataGuide: an aggregate like any other
+    for sql in [&fsdm::workloads::nobench::query_sql(2, n), GUIDE] {
+        let plan = session.plan(sql, &[]).unwrap();
+        for degree in DEGREES {
+            session.db.set_parallelism(degree);
+            assert!(handle.cancel(), "first cancel wins");
+            assert!(handle.is_cancelled());
+            // `Database::execute` honors a pending cross-thread cancel; the
+            // session's `&mut` entry points reset it at statement entry
+            let err =
+                session.db.execute(&plan).expect_err("a cancelled token must kill the statement");
+            assert_eq!(err.kind, ErrorKind::Cancelled(CancelReason::User), "degree {degree}");
+            assert_eq!(err.message, "statement cancelled (user)", "degree {degree}");
+            // a fresh statement through the session resets the token
+            session.execute_with(sql, &[]).expect("the next session statement runs clean");
+            assert!(!handle.is_cancelled(), "statement entry resets the token");
+        }
     }
 }
 
@@ -125,20 +130,23 @@ fn a_tiny_memory_budget_is_a_deterministic_budget_error() {
     let _scope = FailScope::disarmed();
     let n = 300;
     let mut session = nobench_db(n);
-    session.set_mem_limit(Some(1024));
     // an unfiltered group-by: the first morsel partial alone charges
     // (1 key + 1 agg) x 32 bytes x 300 rows ≈ 19 KiB against the budget
     let sql = "select json_value(jdoc, '$.thousandth' returning number) t, count(*) \
                from nobench group by json_value(jdoc, '$.thousandth' returning number)";
-    let plan = session.plan(sql, &[]).unwrap();
-    for degree in DEGREES {
-        session.db.set_parallelism(degree);
-        let err = session.db.execute(&plan).expect_err("a 1 KiB budget must kill the group-by");
-        assert_eq!(err.kind, ErrorKind::BudgetExceeded, "degree {degree}");
-        assert_eq!(err.message, "memory budget exceeded (limit 1024 bytes)", "degree {degree}");
+    // the transient DataGuide gathers every document as text on top
+    for sql in [sql, GUIDE] {
+        session.set_mem_limit(Some(1024));
+        let plan = session.plan(sql, &[]).unwrap();
+        for degree in DEGREES {
+            session.db.set_parallelism(degree);
+            let err = session.db.execute(&plan).expect_err("a 1 KiB budget must kill the group-by");
+            assert_eq!(err.kind, ErrorKind::BudgetExceeded, "degree {degree}");
+            assert_eq!(err.message, "memory budget exceeded (limit 1024 bytes)", "degree {degree}");
+        }
+        session.set_mem_limit(None);
+        session.db.execute(&plan).expect("clearing the budget revives the session");
     }
-    session.set_mem_limit(None);
-    session.db.execute(&plan).expect("clearing the budget revives the session");
 }
 
 /// The fused scan is governed like every other pipeline. A Q4-shaped

@@ -39,6 +39,14 @@ fn nobench_results_identical_at_every_degree() {
             (sql, binds)
         })
         .collect();
+    // the transient DataGuide: keyless, sampled, and one guide per key
+    for guide in [
+        "from nobench",
+        "from nobench sample (50)",
+        ", json_value(jdoc, '$.bool') from nobench group by json_value(jdoc, '$.bool')",
+    ] {
+        queries.push((format!("select json_dataguideagg(jdoc) {guide}"), vec![]));
+    }
     queries.push((String::new(), vec![])); // placeholder slot for Q11 below
     let q11 = nobench_q11_plan(n, false);
 

@@ -154,12 +154,24 @@ const FALLBACKS: [&str; 3] = [
      group by substr(json_value(jdoc, '$.str1'), 1, 1)",
 ];
 
+/// The transient DataGuide as an aggregate of the plan: keyless on the
+/// spine, over a `SAMPLE` (which keeps it on the row evaluator), and one
+/// guide per key. The accumulation replays in row order, so the guide's
+/// text is the same at every degree — and, the documents being the same,
+/// over every storage.
+const GUIDES: [&str; 3] = [
+    "select json_dataguideagg(jdoc) from nobench",
+    "select json_dataguideagg(jdoc) from nobench sample (50)",
+    "select json_dataguideagg(jdoc), json_value(jdoc, '$.bool') from nobench \
+     group by json_value(jdoc, '$.bool')",
+];
+
 /// The statements `nobench.path` watches — every one reads a path with
 /// no vector — are byte-identical across spine on/off × degree {1,4} ×
 /// {no IMC, OSON-IMC, OSON-IMC + `nbq$*` vectors} × storage {text, BSON,
 /// OSON}: transient columns extract from IMC bytes or stored cells alike.
 /// So are the [`FALLBACKS`], whose row evaluator rereads the document
-/// without vectors and reads the vectors with them.
+/// without vectors and reads the vectors with them, and the [`GUIDES`].
 #[test]
 fn path_queries_identical_across_imc_states_and_storages() {
     let n = 400;
@@ -184,7 +196,7 @@ fn path_queries_identical_across_imc_states_and_storages() {
         out.push(session.db.execute(&q11).unwrap());
         // no kernel expresses SUBSTR / UPPER: filter, projection and group
         // key stay on the row evaluator, which reads the same vectors
-        out.extend(FALLBACKS.iter().map(|sql| session.execute(sql).unwrap()));
+        out.extend(FALLBACKS.iter().chain(&GUIDES).map(|sql| session.execute(sql).unwrap()));
         out
     };
     let mut expected: Option<Vec<QueryResult>> = None;
