@@ -25,8 +25,8 @@ pub struct AnalyzerConfig {
     /// FA005 (and are excluded from FA007). Mirrors the `add_vc`
     /// `min_frequency_pct` argument.
     pub vc_frequency_pct: i64,
-    /// The column is stored as JSON text, so unstreamable paths (FA006)
-    /// fall back to DOM evaluation.
+    /// The column is stored as JSON text, so a path with steps past its
+    /// streamable prefix (FA006) parses each item the prefix selects.
     pub text_storage: bool,
     /// Normalized texts of paths already materialized as virtual
     /// columns (suppresses FA007).
@@ -220,17 +220,24 @@ pub fn analyze_path(guide: &DataGuide, path: &JsonPath, cfg: &AnalyzerConfig) ->
             );
         }
     }
-    if cfg.text_storage && !path.is_streamable() {
+    let streamed = path.streamable_prefix();
+    if cfg.text_storage && streamed < path.steps.len() {
+        let prefix = path.prefix_text(streamed);
+        let what =
+            if streamed == 0 { "the whole document".to_string() } else { format!("`{prefix}`") };
         diags.push(
             Diagnostic::new(
                 Code::UnstreamablePath,
-                whole,
+                path.step_span(streamed),
                 text,
-                "path is not streamable; TEXT storage falls back to DOM evaluation".to_string(),
+                format!(
+                    "TEXT storage streams `{prefix}` only: each item it selects ({what}) is \
+                     captured and parsed to evaluate the rest"
+                ),
             )
             .with_help(
-                "only plain field steps and absolute array indexes stream (paper §5.1) — \
-                 or store the collection as OSON",
+                "field steps, `.*`, `[*]` and ascending absolute indexes stream (paper §5.1); \
+                 a filter, an item method or `last` needs a DOM — or store the collection as OSON",
             ),
         );
     }

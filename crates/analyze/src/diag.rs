@@ -83,8 +83,8 @@ codes! {
     /// The path occurs in fewer documents than the `add_vc` frequency
     /// threshold.
     LowFrequencyPath = "FA005", "low-frequency-path", Warning;
-    /// The path fails `JsonPath::is_streamable`, so TEXT storage falls
-    /// back to DOM evaluation.
+    /// The path has steps past `JsonPath::streamable_prefix`, so TEXT
+    /// storage captures each item the prefix selects and parses it.
     UnstreamablePath = "FA006", "unstreamable-path", Info;
     /// A singleton-scalar path eligible for `add_vc` that is not
     /// materialized as a virtual column.

@@ -14,7 +14,7 @@
 //! | FA003 | dead-predicate     | filter constant-folds to true/false (warning)    |
 //! | FA004 | missing-array-step | array step shape hazards, lax and strict (warn)  |
 //! | FA005 | low-frequency-path | below the `add_vc` threshold (warning)           |
-//! | FA006 | unstreamable-path  | TEXT storage falls back to DOM (info)            |
+//! | FA006 | unstreamable-path  | TEXT storage parses what a prefix selects (info) |
 //! | FA007 | vc-candidate       | `add_vc`-eligible but not materialized (info)    |
 //!
 //! FA001 doubles as the optimizer's proof obligation: when
@@ -163,13 +163,26 @@ mod tests {
     fn fa006_unstreamable_positive_and_negative() {
         let cfg = AnalyzerConfig { text_storage: true, ..Default::default() };
         let g = guide();
-        let d = analyze_path(&g, &parse_path("$.items[*]?(@.qty > 1)").unwrap(), &cfg);
-        assert!(codes(&d).contains(&"FA006"), "{d:?}");
-        let d = analyze_path(&g, &parse_path("$.items[last]").unwrap(), &cfg);
-        assert!(codes(&d).contains(&"FA006"), "last needs the array length: {d:?}");
-        // negative: streamable path, or binary storage
-        let d = analyze_path(&g, &parse_path("$.items[0].sku").unwrap(), &cfg);
-        assert!(!codes(&d).contains(&"FA006"), "{d:?}");
+        let fa006 = |path: &str| {
+            let d = analyze_path(&g, &parse_path(path).unwrap(), &cfg);
+            d.into_iter().find(|x| x.code == Code::UnstreamablePath)
+        };
+        // the span is the first step past the streamed prefix, and the
+        // message names the prefix that is captured and parsed
+        let text = "$.items[*]?(@.qty > 1)";
+        let d = fa006(text).expect("a filter needs a DOM");
+        assert_eq!(d.span.slice(text), "?(@.qty > 1)");
+        assert!(d.message.contains("`$.items[*]`"), "{}", d.message);
+        assert!(!d.message.contains("falls back"), "{}", d.message);
+        let text = "$.items[last]";
+        let d = fa006(text).expect("last needs the array length");
+        assert_eq!(d.span.slice(text), "[last]");
+        assert!(d.message.contains("`$.items`"), "{}", d.message);
+        let d = fa006("$?(@.price > 1)").expect("a filter on the root");
+        assert!(d.message.contains("the whole document"), "{}", d.message);
+        // negative: streamable paths, or binary storage
+        assert!(fa006("$.items[0].sku").is_none());
+        assert!(fa006("$.items.*").is_none());
         let d = run("$.items[*]?(@.qty > 1)");
         assert!(!codes(&d).contains(&"FA006"), "not text storage: {d:?}");
     }

@@ -26,6 +26,9 @@ use crate::Finding;
 
 /// Files whose non-test code must be free of panicking constructs.
 const HOT_PATH_FILES: &[&str] = &[
+    // they scan stored text no constraint checked, on every text query
+    "crates/json/src/events.rs",
+    "crates/json/src/parse.rs",
     "crates/oson/src/wire.rs",
     "crates/oson/src/doc.rs",
     "crates/oson/src/update.rs",

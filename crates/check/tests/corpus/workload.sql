@@ -10,6 +10,7 @@ select did from nobench where json_exists(jdoc, '$.nested_arr[*]?(1 == 2)');
 select did from nobench where json_exists(jdoc, '$.num[*]');
 -- FA005 low-frequency-path
 select json_value(jdoc, '$.sparse_017') from nobench;
--- FA006 unstreamable-path (a filter on TEXT storage), FA007 vc-candidate
+-- FA006 unstreamable-path (a filter on TEXT storage: `$.nested_arr` streams,
+-- each array it selects is parsed for the filter), FA007 vc-candidate
 select did from nobench where json_exists(jdoc, '$.nested_arr[*]?(@ == "x")');
 select json_value(jdoc, '$.str1') from nobench;

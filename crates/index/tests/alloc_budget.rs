@@ -4,7 +4,8 @@
 //! document, not per posting.
 //!
 //! Its own test binary: the counting allocator below replaces the global
-//! one, and is the only `unsafe` in the workspace.
+//! one. It and its twin in `crates/sqljson/tests/alloc_budget.rs` are the
+//! only `unsafe` in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

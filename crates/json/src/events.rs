@@ -3,16 +3,82 @@
 //! §5.1 of the paper: "we developed a JSON path engine that operates in a
 //! streaming fashion, using a series of events produced by the JSON text
 //! parser". This module produces that event stream; the streaming path
-//! engine in `fsdm-sqljson` consumes it to evaluate simple paths without
+//! engine in `fsdm-sqljson` consumes it to evaluate paths without
 //! materializing a DOM.
+//!
+//! Events borrow from the text: a key or a string is its raw slice plus
+//! an "escaped" flag ([`RawStr`]), a number its checked literal
+//! ([`RawNum`]); each is validated as it is scanned and decoded only by
+//! a consumer that keeps it. A consumer that needs nothing inside a
+//! container calls [`EventParser::skip_value`] (or
+//! [`EventParser::parse_value`] when it needs the whole of it) right after
+//! the container's start event, and no event inside it is produced.
+
+use std::borrow::Cow;
 
 use crate::error::{JsonError, Result};
 use crate::number::JsonNumber;
-use crate::parse::Parser;
+use crate::parse::{unescape, Parser, MAX_DEPTH};
+use crate::value::JsonValue;
 
-/// One parse event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+/// A string token: its raw text between the quotes, already checked
+/// (control characters, escapes, surrogate pairs, UTF-8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawStr<'a> {
+    raw: &'a str,
+    escaped: bool,
+}
+
+impl<'a> RawStr<'a> {
+    /// The text between the quotes, escapes undecoded.
+    pub fn raw(&self) -> &'a str {
+        self.raw
+    }
+
+    /// True when the raw text holds an escape sequence.
+    pub fn is_escaped(&self) -> bool {
+        self.escaped
+    }
+
+    /// The decoded string: borrowed unless it holds an escape.
+    pub fn decode(&self) -> Result<Cow<'a, str>> {
+        if self.escaped {
+            unescape(self.raw).map(Cow::Owned)
+        } else {
+            Ok(Cow::Borrowed(self.raw))
+        }
+    }
+
+    /// True when the decoded string is `s`: a byte comparison unless the
+    /// token holds an escape.
+    pub fn is(&self, s: &str) -> bool {
+        if self.escaped {
+            self.decode().is_ok_and(|d| d == s)
+        } else {
+            self.raw == s
+        }
+    }
+}
+
+/// A number token: its literal, syntax already checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawNum<'a>(&'a str);
+
+impl<'a> RawNum<'a> {
+    /// The literal as written.
+    pub fn literal(&self) -> &'a str {
+        self.0
+    }
+
+    /// The number (a checked literal always converts).
+    pub fn to_number(&self) -> Result<JsonNumber> {
+        JsonNumber::from_literal(self.0)
+    }
+}
+
+/// One parse event, borrowing from the text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Event<'a> {
     /// `{`
     StartObject,
     /// `}`
@@ -22,21 +88,32 @@ pub enum Event {
     /// `]`
     EndArray,
     /// An object member key (always followed by the member's value events).
-    Key(String),
+    Key(RawStr<'a>),
     /// String scalar.
-    String(String),
+    String(RawStr<'a>),
     /// Number scalar.
-    Number(JsonNumber),
+    Number(RawNum<'a>),
     /// Boolean scalar.
     Bool(bool),
     /// Null scalar.
     Null,
 }
 
-impl Event {
+impl Event<'_> {
     /// True for the scalar-value events.
     pub fn is_scalar(&self) -> bool {
         matches!(self, Event::String(_) | Event::Number(_) | Event::Bool(_) | Event::Null)
+    }
+
+    /// A scalar event as an owned value (`None` for the others).
+    pub fn to_value(&self) -> Result<Option<JsonValue>> {
+        Ok(Some(match self {
+            Event::String(s) => JsonValue::String(s.decode()?.into_owned()),
+            Event::Number(n) => JsonValue::Number(n.to_number()?),
+            Event::Bool(b) => JsonValue::Bool(*b),
+            Event::Null => JsonValue::Null,
+            _ => return Ok(None),
+        }))
     }
 }
 
@@ -56,28 +133,61 @@ enum Pending {
     Done,
 }
 
+/// The reusable buffers of an [`EventParser`] — its container stack and
+/// [`EventParser::skip_value`]'s depth stack. Handed from one document's
+/// parser to the next ([`EventParser::with_stacks`] /
+/// [`EventParser::into_stacks`]), they make a steady-state scan
+/// allocation-free.
+#[derive(Debug, Default)]
+pub struct Stacks {
+    frames: Vec<Frame>,
+    skip: Vec<bool>,
+}
+
 /// Pull-based streaming parser: call [`EventParser::next_event`] until it
-/// returns `Ok(None)`.
+/// returns `Ok(None)`. Enforces [`MAX_DEPTH`] as the DOM parser does.
 pub struct EventParser<'a> {
     p: Parser<'a>,
-    stack: Vec<Frame>,
+    stacks: Stacks,
     state: Pending,
+    /// Byte offset of the first byte of the last value event's value.
+    start: usize,
+    /// The last event opened a container (what [`EventParser::skip_value`]
+    /// and [`EventParser::parse_value`] consume).
+    opened: bool,
 }
 
 impl<'a> EventParser<'a> {
     /// Stream events from a JSON text.
     pub fn new(text: &'a str) -> Self {
-        Self::from_bytes(text.as_bytes())
+        Self::with_stacks(text, Stacks::default())
     }
 
-    /// Stream events from UTF-8 bytes.
+    /// Stream events from bytes, which must be UTF-8 for the stream to
+    /// be well-formed.
     pub fn from_bytes(bytes: &'a [u8]) -> Self {
-        EventParser { p: Parser::new(bytes), stack: Vec::new(), state: Pending::Value }
+        Self::over(Parser::new(bytes), Stacks::default())
+    }
+
+    /// Stream events from a JSON text, reusing an earlier parser's
+    /// buffers.
+    pub fn with_stacks(text: &'a str, stacks: Stacks) -> Self {
+        Self::over(Parser::from_text(text), stacks)
+    }
+
+    fn over(p: Parser<'a>, mut stacks: Stacks) -> Self {
+        stacks.frames.clear();
+        EventParser { p, stacks, state: Pending::Value, start: 0, opened: false }
+    }
+
+    /// Give the buffers back, for the next document's parser.
+    pub fn into_stacks(self) -> Stacks {
+        self.stacks
     }
 
     /// Current nesting depth (containers currently open).
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.stacks.frames.len()
     }
 
     /// Byte offset of the parse cursor.
@@ -85,45 +195,52 @@ impl<'a> EventParser<'a> {
         self.p.pos
     }
 
+    /// Byte offset where the last value event's value begins (for a
+    /// container: its opening bracket; it ends at [`EventParser::offset`]
+    /// after the matching end event).
+    pub fn value_start(&self) -> usize {
+        self.start
+    }
+
     /// Produce the next event, `Ok(None)` at end of a well-formed document.
-    pub fn next_event(&mut self) -> Result<Option<Event>> {
+    pub fn next_event(&mut self) -> Result<Option<Event<'a>>> {
+        self.opened = false;
         loop {
             self.p.skip_ws();
             match self.state {
                 Pending::Done => {
-                    self.p.skip_ws();
                     if self.p.pos != self.p.input.len() {
                         return Err(JsonError::at("trailing characters", self.p.pos));
                     }
                     return Ok(None);
                 }
                 Pending::Value => return self.parse_value_event().map(Some),
-                Pending::KeyOrEnd => match self.p.input.get(self.p.pos) {
+                Pending::KeyOrEnd => match self.p.peek() {
                     Some(b'}') => {
                         self.p.pos += 1;
                         self.pop_container();
                         return Ok(Some(Event::EndObject));
                     }
                     Some(b'"') => {
-                        let key = self.p.parse_string()?;
+                        let (raw, escaped) = self.p.scan_string()?;
                         self.p.skip_ws();
-                        if self.p.input.get(self.p.pos) != Some(&b':') {
+                        if self.p.peek() != Some(b':') {
                             return Err(JsonError::at("expected ':'", self.p.pos));
                         }
                         self.p.pos += 1;
-                        if let Some(Frame::Object(seen)) = self.stack.last_mut() {
+                        if let Some(Frame::Object(seen)) = self.stacks.frames.last_mut() {
                             *seen = true;
                         }
                         self.state = Pending::Value;
-                        return Ok(Some(Event::Key(key)));
+                        return Ok(Some(Event::Key(RawStr { raw, escaped })));
                     }
                     _ => return Err(JsonError::at("expected key or '}'", self.p.pos)),
                 },
-                Pending::CommaOrEnd => match (self.stack.last(), self.p.input.get(self.p.pos)) {
+                Pending::CommaOrEnd => match (self.stacks.frames.last(), self.p.peek()) {
                     (Some(Frame::Object(_)), Some(b',')) => {
                         self.p.pos += 1;
                         self.p.skip_ws();
-                        if self.p.input.get(self.p.pos) != Some(&b'"') {
+                        if self.p.peek() != Some(b'"') {
                             return Err(JsonError::at("expected key after ','", self.p.pos));
                         }
                         self.state = Pending::KeyOrEnd;
@@ -148,81 +265,138 @@ impl<'a> EventParser<'a> {
         }
     }
 
-    fn pop_container(&mut self) {
-        self.stack.pop();
-        self.state = if self.stack.is_empty() { Pending::Done } else { Pending::CommaOrEnd };
+    /// Consume the value at hand — the container whose start event was
+    /// just returned, or the value due next (a member's, after its key)
+    /// — producing none of its events but checking everything they would
+    /// have checked (the depth limit included). A no-op anywhere else.
+    pub fn skip_value(&mut self) -> Result<()> {
+        let due = self.state == Pending::Value
+            && self.stacks.frames.last().is_some_and(|f| matches!(f, Frame::Object(_)));
+        if self.rewind() || due {
+            let depth = self.depth();
+            self.p.skip_value(depth, &mut self.stacks.skip)?;
+            self.after_value();
+        }
+        Ok(())
     }
 
-    fn parse_value_event(&mut self) -> Result<Event> {
-        match self.p.input.get(self.p.pos).copied() {
-            Some(b'{') => {
+    /// Consume the rest of the innermost open container, through its
+    /// end — whose event is then not produced — checking everything its
+    /// events would have checked. Valid just past a value of the
+    /// container (a member's or an element's); returns false, consuming
+    /// nothing, anywhere else.
+    pub fn skip_rest(&mut self) -> Result<bool> {
+        let Some(&frame) = self.stacks.frames.last() else { return Ok(false) };
+        if self.state != Pending::CommaOrEnd {
+            return Ok(false);
+        }
+        let depth = self.depth() - 1;
+        let object = matches!(frame, Frame::Object(_));
+        self.p.skip_rest(depth, object, &mut self.stacks.skip)?;
+        self.pop_container();
+        Ok(true)
+    }
+
+    /// Parse the container whose start event was just returned into a
+    /// value, producing none of its events. `None` after any other event.
+    pub fn parse_value(&mut self) -> Result<Option<JsonValue>> {
+        if !self.rewind() {
+            return Ok(None);
+        }
+        let depth = self.depth();
+        let v = self.p.parse_value(depth)?;
+        self.after_value();
+        Ok(Some(v))
+    }
+
+    /// Back to the opening bracket of the container just started, its
+    /// frame popped; false when the last event started no container.
+    fn rewind(&mut self) -> bool {
+        if !std::mem::take(&mut self.opened) {
+            return false;
+        }
+        self.stacks.frames.pop();
+        self.p.pos = self.start;
+        true
+    }
+
+    fn pop_container(&mut self) {
+        self.stacks.frames.pop();
+        self.state =
+            if self.stacks.frames.is_empty() { Pending::Done } else { Pending::CommaOrEnd };
+    }
+
+    fn parse_value_event(&mut self) -> Result<Event<'a>> {
+        if self.p.peek() == Some(b']') && self.stacks.frames.last() == Some(&Frame::Array(false)) {
+            // empty array close
+            self.p.pos += 1;
+            self.pop_container();
+            return Ok(Event::EndArray);
+        }
+        // the DOM parser's limit: no value below MAX_DEPTH open containers
+        if self.depth() > MAX_DEPTH {
+            return Err(JsonError::at("maximum nesting depth exceeded", self.p.pos));
+        }
+        self.start = self.p.pos;
+        let event = match self.p.peek() {
+            Some(open @ (b'{' | b'[')) => {
                 self.p.pos += 1;
-                self.stack.push(Frame::Object(false));
-                self.p.skip_ws();
-                self.state = Pending::KeyOrEnd;
-                Ok(Event::StartObject)
-            }
-            Some(b'[') => {
-                self.p.pos += 1;
-                self.stack.push(Frame::Array(false));
-                self.p.skip_ws();
-                if self.p.input.get(self.p.pos) == Some(&b']') {
-                    // defer the ']' to the next call via CommaOrEnd? No:
-                    // emit StartArray now; the empty-close is handled by a
-                    // special state where the next value position sees ']'.
-                    self.state = Pending::Value;
-                } else {
-                    self.state = Pending::Value;
+                if let Some(Frame::Array(seen)) = self.stacks.frames.last_mut() {
+                    *seen = true;
                 }
-                Ok(Event::StartArray)
-            }
-            Some(b']') if matches!(self.stack.last(), Some(Frame::Array(false))) => {
-                // empty array close
-                self.p.pos += 1;
-                self.pop_container();
-                Ok(Event::EndArray)
+                let (frame, state, event) = if open == b'{' {
+                    (Frame::Object(false), Pending::KeyOrEnd, Event::StartObject)
+                } else {
+                    (Frame::Array(false), Pending::Value, Event::StartArray)
+                };
+                self.stacks.frames.push(frame);
+                self.state = state;
+                self.opened = true;
+                return Ok(event);
             }
             Some(b'"') => {
-                let s = self.p.parse_string()?;
-                self.after_scalar();
-                Ok(Event::String(s))
+                let (raw, escaped) = self.p.scan_string()?;
+                Event::String(RawStr { raw, escaped })
             }
             Some(b't') => {
                 self.expect_kw(b"true")?;
-                self.after_scalar();
-                Ok(Event::Bool(true))
+                Event::Bool(true)
             }
             Some(b'f') => {
                 self.expect_kw(b"false")?;
-                self.after_scalar();
-                Ok(Event::Bool(false))
+                Event::Bool(false)
             }
             Some(b'n') => {
                 self.expect_kw(b"null")?;
-                self.after_scalar();
-                Ok(Event::Null)
+                Event::Null
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let n = self.p.parse_number()?;
-                self.after_scalar();
-                Ok(Event::Number(n))
+                Event::Number(RawNum(self.p.scan_number()?))
             }
             Some(c) => {
-                Err(JsonError::at(format!("unexpected character {:?}", c as char), self.p.pos))
+                return Err(JsonError::at(
+                    format!("unexpected character {:?}", c as char),
+                    self.p.pos,
+                ))
             }
-            None => Err(JsonError::at("unexpected end of input", self.p.pos)),
-        }
+            None => return Err(JsonError::at("unexpected end of input", self.p.pos)),
+        };
+        self.after_value();
+        Ok(event)
     }
 
-    fn after_scalar(&mut self) {
-        if let Some(Frame::Array(seen)) = self.stack.last_mut() {
+    /// State after a complete value: a scalar, or a container consumed
+    /// whole.
+    fn after_value(&mut self) {
+        if let Some(Frame::Array(seen)) = self.stacks.frames.last_mut() {
             *seen = true;
         }
-        self.state = if self.stack.is_empty() { Pending::Done } else { Pending::CommaOrEnd };
+        self.state =
+            if self.stacks.frames.is_empty() { Pending::Done } else { Pending::CommaOrEnd };
     }
 
     fn expect_kw(&mut self, kw: &[u8]) -> Result<()> {
-        if self.p.input[self.p.pos..].starts_with(kw) {
+        if self.p.input.get(self.p.pos..).is_some_and(|rest| rest.starts_with(kw)) {
             self.p.pos += kw.len();
             Ok(())
         } else {
@@ -230,8 +404,8 @@ impl<'a> EventParser<'a> {
         }
     }
 
-    /// Drain all remaining events (testing / DOM-building convenience).
-    pub fn collect_events(mut self) -> Result<Vec<Event>> {
+    /// Drain all remaining events (testing convenience).
+    pub fn collect_events(mut self) -> Result<Vec<Event<'a>>> {
         let mut out = Vec::new();
         while let Some(e) = self.next_event()? {
             out.push(e);
@@ -244,15 +418,37 @@ impl<'a> EventParser<'a> {
 mod tests {
     use super::*;
 
-    fn events(s: &str) -> Vec<Event> {
+    fn events(s: &str) -> Vec<Event<'_>> {
         EventParser::new(s).collect_events().unwrap()
+    }
+
+    fn string(e: &Event<'_>) -> Option<String> {
+        match e {
+            Event::Key(s) | Event::String(s) => Some(s.decode().unwrap().into_owned()),
+            _ => None,
+        }
     }
 
     #[test]
     fn scalar_document() {
-        assert_eq!(events("42"), vec![Event::Number(JsonNumber::Int(42))]);
-        assert_eq!(events("\"x\""), vec![Event::String("x".into())]);
+        assert_eq!(events("42"), vec![Event::Number(RawNum("42"))]);
+        assert_eq!(events("\"x\"").iter().map(string).collect::<Vec<_>>(), [Some("x".into())]);
         assert_eq!(events("null"), vec![Event::Null]);
+    }
+
+    #[test]
+    fn tokens_borrow_and_decode_on_demand() {
+        let evs = events(r#"{"a\u00e9":"q\"q","b":-1.5e3}"#);
+        let Event::Key(k) = evs[1] else { panic!("{evs:?}") };
+        assert!(k.is_escaped());
+        assert_eq!(k.raw(), r"a\u00e9");
+        assert!(k.is("aé") && !k.is(r"a\u00e9"));
+        assert_eq!(string(&evs[2]).as_deref(), Some("q\"q"));
+        let Event::Key(b) = evs[3] else { panic!("{evs:?}") };
+        assert!(!b.is_escaped() && b.is("b"));
+        let Event::Number(n) = evs[4] else { panic!("{evs:?}") };
+        assert_eq!(n.literal(), "-1.5e3");
+        assert_eq!(n.to_number().unwrap().to_f64(), -1500.0);
     }
 
     #[test]
@@ -274,19 +470,14 @@ mod tests {
 
     #[test]
     fn object_members() {
+        let evs = events(r#"{"a":1,"b":[true,null]}"#);
+        assert_eq!(evs.len(), 9);
+        assert_eq!(string(&evs[1]).as_deref(), Some("a"));
+        assert_eq!(evs[2], Event::Number(RawNum("1")));
+        assert_eq!(string(&evs[3]).as_deref(), Some("b"));
         assert_eq!(
-            events(r#"{"a":1,"b":[true,null]}"#),
-            vec![
-                Event::StartObject,
-                Event::Key("a".into()),
-                Event::Number(JsonNumber::Int(1)),
-                Event::Key("b".into()),
-                Event::StartArray,
-                Event::Bool(true),
-                Event::Null,
-                Event::EndArray,
-                Event::EndObject,
-            ]
+            evs[4..],
+            [Event::StartArray, Event::Bool(true), Event::Null, Event::EndArray, Event::EndObject]
         );
     }
 
@@ -302,7 +493,7 @@ mod tests {
         let keys: Vec<_> = evs
             .iter()
             .filter_map(|e| match e {
-                Event::Key(k) => Some(k.as_str()),
+                Event::Key(k) => Some(k.raw()),
                 _ => None,
             })
             .collect();
@@ -311,7 +502,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_streams() {
-        for bad in ["{", "[1,", "{\"a\"}", "{\"a\":1,}", "[1]extra", "{,}"] {
+        for bad in ["{", "[1,", "{\"a\"}", "{\"a\":1,}", "[1]extra", "{,}", "[\"\\x\"]", "[01]"] {
             assert!(EventParser::new(bad).collect_events().is_err(), "should reject {bad:?}");
         }
     }
@@ -325,5 +516,61 @@ mod tests {
         }
         assert_eq!(max, 3);
         assert_eq!(p.depth(), 0);
+    }
+
+    /// Drain `text`, skipping (or parsing) every container at `depth`.
+    fn drain(text: &str, depth: usize, parse: bool) -> Result<Vec<JsonValue>> {
+        let mut p = EventParser::new(text);
+        let mut parsed = Vec::new();
+        while let Some(e) = p.next_event()? {
+            if matches!(e, Event::StartObject | Event::StartArray) && p.depth() == depth {
+                if parse {
+                    parsed.extend(p.parse_value()?);
+                } else {
+                    p.skip_value()?;
+                }
+            }
+        }
+        Ok(parsed)
+    }
+
+    #[test]
+    fn skipping_and_parsing_a_container_resume_the_stream() {
+        let doc = r#"{"a":{"x":[1,{"y":"z"}]},"b":[[],{}],"c":true}"#;
+        assert!(drain(doc, 2, false).is_ok());
+        let parsed = drain(doc, 2, true).unwrap();
+        assert_eq!(
+            parsed,
+            [crate::parse(r#"{"x":[1,{"y":"z"}]}"#).unwrap(), crate::parse("[[],{}]").unwrap()]
+        );
+        // the root itself
+        assert_eq!(drain(doc, 1, true).unwrap(), [crate::parse(doc).unwrap()]);
+        // a skipped subtree is still checked
+        for bad in [
+            r#"{"a":{"x":[1,}]}}"#,
+            r#"{"a":{"x":"\ud800"}}"#,
+            r#"{"a":[1 2]}"#,
+            r#"{"a":{"x":01}}"#,
+            r#"{"a":[nul]}"#,
+            r#"{"a":{"x" 1}}"#,
+            r#"{"a":[}"#,
+            r#"{"a":[1]]"#,
+        ] {
+            assert!(drain(bad, 2, false).is_err(), "skip must reject {bad:?}");
+            assert!(drain(bad, 2, true).is_err(), "parse must reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn the_depth_limit_holds_for_events_and_skips() {
+        let nest = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        // the scalar sits under n arrays and the root object
+        for (n, ok) in [(MAX_DEPTH - 1, true), (MAX_DEPTH, false), (MAX_DEPTH + 80, false)] {
+            let doc = format!(r#"{{"a":1,"d":{}}}"#, nest(n));
+            assert_eq!(crate::parse(&doc).is_ok(), ok, "parse, depth {n}");
+            assert_eq!(EventParser::new(&doc).collect_events().is_ok(), ok, "events, depth {n}");
+            assert_eq!(drain(&doc, 1, false).is_ok(), ok, "skip, depth {n}");
+            assert_eq!(drain(&doc, 2, false).is_ok(), ok, "skip below the root, depth {n}");
+        }
     }
 }

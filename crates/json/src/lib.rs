@@ -19,7 +19,7 @@ pub mod value;
 
 pub use dom::{field_hash, FieldId, JsonDom, NodeKind, NodeRef, ScalarRef, ValueDom};
 pub use error::{JsonError, Result};
-pub use events::{Event, EventParser};
+pub use events::{Event, EventParser, RawNum, RawStr, Stacks};
 pub use number::{JsonNumber, OraNum};
 pub use parse::{parse, parse_bytes, Parser};
 pub use ser::{to_string, to_string_pretty};

@@ -14,12 +14,15 @@ pub const MAX_DEPTH: usize = 512;
 
 /// Parse a complete JSON document from a string slice.
 pub fn parse(text: &str) -> Result<JsonValue> {
-    parse_bytes(text.as_bytes())
+    finish(Parser::from_text(text))
 }
 
 /// Parse a complete JSON document from UTF-8 bytes.
 pub fn parse_bytes(bytes: &[u8]) -> Result<JsonValue> {
-    let mut p = Parser::new(bytes);
+    finish(Parser::new(bytes))
+}
+
+fn finish(mut p: Parser<'_>) -> Result<JsonValue> {
     let v = p.parse_value(0)?;
     p.skip_ws();
     if p.pos != p.input.len() {
@@ -32,13 +35,21 @@ pub fn parse_bytes(bytes: &[u8]) -> Result<JsonValue> {
 /// primitives.
 pub struct Parser<'a> {
     pub(crate) input: &'a [u8],
+    /// `input` as the `str` it is known to be, if it is: string tokens
+    /// then need no UTF-8 check of their own.
+    text: Option<&'a str>,
     pub(crate) pos: usize,
 }
 
 impl<'a> Parser<'a> {
     /// New parser over raw input bytes.
     pub fn new(input: &'a [u8]) -> Self {
-        Parser { input, pos: 0 }
+        Parser { input, text: None, pos: 0 }
+    }
+
+    /// New parser over a text.
+    pub fn from_text(text: &'a str) -> Self {
+        Parser { input: text.as_bytes(), text: Some(text), pos: 0 }
     }
 
     pub(crate) fn skip_ws(&mut self) {
@@ -50,11 +61,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.input.get(self.pos).copied()
     }
 
-    fn expect(&mut self, c: u8) -> Result<()> {
+    fn require(&mut self, c: u8) -> Result<()> {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
@@ -88,15 +99,115 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => {
                 Ok(JsonValue::Number(self.parse_number()?))
             }
-            Some(c) => {
-                Err(JsonError::at(format!("unexpected character {:?}", c as char), self.pos))
-            }
+            Some(c) => Err(unexpected(c, self.pos)),
             None => Err(JsonError::at("unexpected end of input", self.pos)),
         }
     }
 
+    /// Consume one JSON value at nesting `depth` without building it,
+    /// checking everything [`Parser::parse_value`] checks (the depth
+    /// limit included). `stack` is the caller's reusable depth stack
+    /// (`true` for an object): skipping allocates nothing once it has
+    /// grown to the deepest subtree seen.
+    pub(crate) fn skip_value(&mut self, depth: usize, stack: &mut Vec<bool>) -> Result<()> {
+        stack.clear();
+        self.skip(depth, stack, false)
+    }
+
+    /// Consume the rest of an open container at nesting `depth`, through
+    /// its closing bracket, the cursor just past one of its values;
+    /// checked as [`Parser::skip_value`] checks.
+    pub(crate) fn skip_rest(
+        &mut self,
+        depth: usize,
+        object: bool,
+        stack: &mut Vec<bool>,
+    ) -> Result<()> {
+        stack.clear();
+        stack.push(object);
+        self.skip(depth, stack, true)
+    }
+
+    /// The skipping loop: values and the containers on `stack` (the
+    /// outermost at `depth`), starting at a value, or just past one.
+    fn skip(&mut self, depth: usize, stack: &mut Vec<bool>, mut ended: bool) -> Result<()> {
+        loop {
+            if std::mem::take(&mut ended) {
+                // a value ended here: close containers until one continues
+                loop {
+                    let Some(&object) = stack.last() else { return Ok(()) };
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => {
+                            self.pos += 1;
+                            if object {
+                                self.skip_ws();
+                                self.skip_member_key()?;
+                            }
+                            break;
+                        }
+                        Some(b'}') if object => {
+                            self.pos += 1;
+                            stack.pop();
+                        }
+                        Some(b']') if !object => {
+                            self.pos += 1;
+                            stack.pop();
+                        }
+                        _ => {
+                            let what =
+                                if object { "expected ',' or '}'" } else { "expected ',' or ']'" };
+                            return Err(JsonError::at(what, self.pos));
+                        }
+                    }
+                }
+            }
+            // a value starts here
+            if depth + stack.len() > MAX_DEPTH {
+                return Err(JsonError::at("maximum nesting depth exceeded", self.pos));
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(open @ (b'{' | b'[')) => {
+                    self.pos += 1;
+                    self.skip_ws();
+                    let object = open == b'{';
+                    let close = if object { b'}' } else { b']' };
+                    if self.peek() == Some(close) {
+                        self.pos += 1;
+                    } else {
+                        stack.push(object);
+                        if object {
+                            self.skip_member_key()?;
+                        }
+                        continue;
+                    }
+                }
+                Some(b'"') => {
+                    self.scan_string()?;
+                }
+                Some(b't') => self.keyword(b"true")?,
+                Some(b'f') => self.keyword(b"false")?,
+                Some(b'n') => self.keyword(b"null")?,
+                Some(c) if c == b'-' || c.is_ascii_digit() => {
+                    self.scan_number()?;
+                }
+                Some(c) => return Err(unexpected(c, self.pos)),
+                None => return Err(JsonError::at("unexpected end of input", self.pos)),
+            }
+            ended = true;
+        }
+    }
+
+    /// A member's key and its `:` (the value is the caller's).
+    fn skip_member_key(&mut self) -> Result<()> {
+        self.scan_string()?;
+        self.skip_ws();
+        self.require(b':')
+    }
+
     fn keyword(&mut self, kw: &[u8]) -> Result<()> {
-        if self.input[self.pos..].starts_with(kw) {
+        if self.input.get(self.pos..).is_some_and(|rest| rest.starts_with(kw)) {
             self.pos += kw.len();
             Ok(())
         } else {
@@ -105,7 +216,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_object(&mut self, depth: usize) -> Result<JsonValue> {
-        self.expect(b'{')?;
+        self.require(b'{')?;
         let mut obj = Object::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -116,7 +227,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.require(b':')?;
             let val = self.parse_value(depth + 1)?;
             obj.push(key, val);
             self.skip_ws();
@@ -132,7 +243,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_array(&mut self, depth: usize) -> Result<JsonValue> {
-        self.expect(b'[')?;
+        self.require(b'[')?;
         let mut arr = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -156,102 +267,100 @@ impl<'a> Parser<'a> {
 
     /// Parse a quoted string at the current position.
     pub(crate) fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
+        let (raw, escaped) = self.scan_string()?;
+        if escaped {
+            unescape(raw)
+        } else {
+            Ok(raw.to_string())
+        }
+    }
+
+    /// Scan a quoted string at the current position without decoding it:
+    /// its raw text between the quotes, and whether that holds an escape.
+    /// Checks everything decoding would — control characters, escapes,
+    /// surrogate pairs, UTF-8 — so [`unescape`] of the result cannot fail.
+    pub(crate) fn scan_string(&mut self) -> Result<(&'a str, bool)> {
+        self.require(b'"')?;
         let start = self.pos;
-        // Fast path: scan for a string without escapes.
-        while let Some(&c) = self.input.get(self.pos) {
-            match c {
-                b'"' => {
-                    let s = std::str::from_utf8(&self.input[start..self.pos])
-                        .map_err(|_| JsonError::at("invalid UTF-8 in string", start))?;
-                    self.pos += 1;
-                    return Ok(s.to_string());
-                }
-                b'\\' => break,
-                0x00..=0x1F => return Err(JsonError::at("unescaped control character", self.pos)),
-                _ => self.pos += 1,
-            }
-        }
-        // Slow path: escapes present.
-        let mut out = Vec::with_capacity(self.pos - start + 16);
-        out.extend_from_slice(&self.input[start..self.pos]);
+        let mut escaped = false;
         loop {
-            match self.input.get(self.pos) {
+            // to the next byte that is not plain string content
+            let rest = self.input.get(self.pos..).unwrap_or_default();
+            self.pos += special_byte(rest).unwrap_or(rest.len());
+            match self.peek() {
                 None => return Err(JsonError::at("unterminated string", self.pos)),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return String::from_utf8(out)
-                        .map_err(|_| JsonError::at("invalid UTF-8 in string", start));
-                }
+                Some(b'"') => break,
                 Some(b'\\') => {
+                    escaped = true;
                     self.pos += 1;
-                    let esc = self
-                        .input
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| JsonError::at("unterminated escape", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'b' => out.push(0x08),
-                        b'f' => out.push(0x0C),
-                        b'n' => out.push(b'\n'),
-                        b'r' => out.push(b'\r'),
-                        b't' => out.push(b'\t'),
-                        b'u' => {
-                            let cp = self.parse_hex4()?;
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                // high surrogate: require a following \uXXXX low surrogate
-                                if self.input.get(self.pos) == Some(&b'\\')
-                                    && self.input.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let low = self.parse_hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(JsonError::at(
-                                            "invalid low surrogate",
-                                            self.pos,
-                                        ));
-                                    }
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(c).ok_or_else(|| {
-                                        JsonError::at("bad surrogate pair", self.pos)
-                                    })?
-                                } else {
-                                    return Err(JsonError::at("lone high surrogate", self.pos));
-                                }
-                            } else if (0xDC00..0xE000).contains(&cp) {
-                                return Err(JsonError::at("lone low surrogate", self.pos));
-                            } else {
-                                char::from_u32(cp)
-                                    .ok_or_else(|| JsonError::at("bad code point", self.pos))?
-                            };
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                        }
-                        _ => return Err(JsonError::at("invalid escape", self.pos - 1)),
-                    }
+                    self.escape()?;
                 }
-                Some(&c) if c < 0x20 => {
-                    return Err(JsonError::at("unescaped control character", self.pos))
-                }
-                Some(&c) => {
-                    out.push(c);
-                    self.pos += 1;
-                }
+                Some(_) => return Err(JsonError::at("unescaped control character", self.pos)),
             }
         }
+        let raw = self.str_at(start, "invalid UTF-8 in string")?;
+        self.pos += 1;
+        Ok((raw, escaped))
+    }
+
+    /// The input from `start` to the cursor as a `str`: sliced from the
+    /// text when the input is one, else checked.
+    fn str_at(&self, start: usize, what: &str) -> Result<&'a str> {
+        let raw = match self.text {
+            // both ends sit at ASCII delimiters, hence at char boundaries
+            Some(text) => text.get(start..self.pos),
+            None => self.input.get(start..self.pos).and_then(|b| std::str::from_utf8(b).ok()),
+        };
+        raw.ok_or_else(|| JsonError::at(what, start))
+    }
+
+    /// The character an escape stands for, the cursor just past its
+    /// backslash.
+    fn escape(&mut self) -> Result<char> {
+        let esc = self.peek().ok_or_else(|| JsonError::at("unterminated escape", self.pos))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let cp = self.parse_hex4()?;
+                if (0xD800..0xDC00).contains(&cp) {
+                    // high surrogate: require a following \uXXXX low surrogate
+                    if self.input.get(self.pos..self.pos + 2) != Some(b"\\u".as_slice()) {
+                        return Err(JsonError::at("lone high surrogate", self.pos));
+                    }
+                    self.pos += 2;
+                    let low = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(JsonError::at("invalid low surrogate", self.pos));
+                    }
+                    let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(c)
+                        .ok_or_else(|| JsonError::at("bad surrogate pair", self.pos))?
+                } else if (0xDC00..0xE000).contains(&cp) {
+                    return Err(JsonError::at("lone low surrogate", self.pos));
+                } else {
+                    char::from_u32(cp).ok_or_else(|| JsonError::at("bad code point", self.pos))?
+                }
+            }
+            _ => return Err(JsonError::at("invalid escape", self.pos - 1)),
+        })
     }
 
     fn parse_hex4(&mut self) -> Result<u32> {
         let end = self.pos + 4;
-        if end > self.input.len() {
-            return Err(JsonError::at("truncated \\u escape", self.pos));
-        }
+        let digits = self
+            .input
+            .get(self.pos..end)
+            .ok_or_else(|| JsonError::at("truncated \\u escape", self.pos))?;
         let mut v = 0u32;
-        for &c in &self.input[self.pos..end] {
+        for &c in digits {
             let d = match c {
                 b'0'..=b'9' => c - b'0',
                 b'a'..=b'f' => c - b'a' + 10,
@@ -267,17 +376,22 @@ impl<'a> Parser<'a> {
     /// Parse a numeric literal at the current position.
     pub(crate) fn parse_number(&mut self) -> Result<JsonNumber> {
         let start = self.pos;
+        let lit = self.scan_number()?;
+        JsonNumber::from_literal(lit).map_err(|e| JsonError::at(e.message, start))
+    }
+
+    /// Scan a numeric literal at the current position, checking its
+    /// syntax: the literal, which [`JsonNumber::from_literal`] converts
+    /// without failing.
+    pub(crate) fn scan_number(&mut self) -> Result<&'a str> {
+        let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         // integer part
         match self.peek() {
             Some(b'0') => self.pos += 1,
-            Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
+            Some(c) if c.is_ascii_digit() => self.skip_digits(),
             _ => return Err(JsonError::at("invalid number", self.pos)),
         }
         // fraction
@@ -286,9 +400,7 @@ impl<'a> Parser<'a> {
             if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 return Err(JsonError::at("digit required after '.'", self.pos));
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
         // exponent
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -299,13 +411,66 @@ impl<'a> Parser<'a> {
             if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 return Err(JsonError::at("digit required in exponent", self.pos));
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
-        let lit = std::str::from_utf8(&self.input[start..self.pos]).unwrap();
-        JsonNumber::from_literal(lit).map_err(|e| JsonError::at(e.message, start))
+        // ASCII by construction
+        self.str_at(start, "invalid number")
     }
+
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+    }
+}
+
+/// Offset of the first `"`, `\\` or control character in `bytes`, eight
+/// bytes at a time: in a word, the lowest byte flagged by any of the
+/// three zero/less-than tests is exact (a false flag only ever sits above
+/// a true one, where a borrow carried it).
+fn special_byte(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let zero = |v: u64| v.wrapping_sub(ONES) & !v;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let x = u64::from_le_bytes(word);
+        let quote = zero(x ^ (ONES * u64::from(b'"')));
+        let backslash = zero(x ^ (ONES * u64::from(b'\\')));
+        let control = x.wrapping_sub(ONES * 0x20) & !x;
+        let found = (quote | backslash | control) & HIGHS;
+        if found != 0 {
+            return Some(offset + (found.trailing_zeros() / 8) as usize);
+        }
+        offset += 8;
+    }
+    let rest = chunks.remainder().iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+    rest.map(|i| offset + i)
+}
+
+/// Decode the raw text of a string [`Parser::scan_string`] accepted.
+pub(crate) fn unescape(raw: &str) -> Result<String> {
+    let mut p = Parser::new(raw.as_bytes());
+    let mut out = String::with_capacity(raw.len());
+    let mut run = 0;
+    while let Some(c) = p.peek() {
+        p.pos += 1;
+        if c == b'\\' {
+            // escapes are ASCII, so both ends of a run are char boundaries
+            out.push_str(raw.get(run..p.pos - 1).unwrap_or_default());
+            out.push(p.escape()?);
+            run = p.pos;
+        }
+    }
+    out.push_str(raw.get(run..).unwrap_or_default());
+    Ok(out)
+}
+
+fn unexpected(c: u8, pos: usize) -> JsonError {
+    JsonError::at(format!("unexpected character {:?}", c as char), pos)
 }
 
 #[cfg(test)]
@@ -393,6 +558,29 @@ mod tests {
         let v = parse(r#"{"k":1,"k":2}"#).unwrap();
         assert_eq!(v.as_object().unwrap().len(), 2);
         assert_eq!(v.get("k").unwrap().as_i64(), Some(1));
+    }
+
+    #[test]
+    fn special_bytes_are_found_word_at_a_time() {
+        let naive = |b: &[u8]| b.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+        let mut cases: Vec<Vec<u8>> = vec![b"".to_vec(), b"plain text, no end".to_vec()];
+        for special in [b'"', b'\\', 0x00, 0x1F] {
+            for at in 0..20 {
+                for fill in [b'a', 0xC3, 0x7F, 0x20, 0x80, 0xFF, 0x21] {
+                    let mut v = vec![fill; 20];
+                    v[at] = special;
+                    cases.push(v.clone());
+                    // a second special above the first
+                    if at + 3 < 20 {
+                        v[at + 3] = b'"';
+                        cases.push(v);
+                    }
+                }
+            }
+        }
+        for c in &cases {
+            assert_eq!(special_byte(c), naive(c), "{c:?}");
+        }
     }
 
     #[test]

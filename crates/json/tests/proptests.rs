@@ -1,5 +1,7 @@
 //! Property-based tests for the JSON substrate: text round-tripping,
-//! OraNum order preservation, and parser/event-stream agreement.
+//! OraNum order preservation, and parser/event-stream agreement — the
+//! events, `skip_value` and `parse_value` accept exactly what the DOM
+//! parser accepts.
 
 use fsdm_json::{parse, to_string, Event, EventParser, JsonNumber, JsonValue, Object, OraNum};
 use proptest::prelude::*;
@@ -32,8 +34,50 @@ fn arb_json() -> impl Strategy<Value = JsonValue> {
     })
 }
 
+/// The verdicts of the three ways to scan `bytes` whole: drain the
+/// events; skip the root container after its start event; parse it.
+fn scanner_verdicts(bytes: &[u8]) -> [bool; 3] {
+    let drained = EventParser::from_bytes(bytes).collect_events().is_ok();
+    let whole = |parse: bool| {
+        let mut ev = EventParser::from_bytes(bytes);
+        let first = ev.next_event()?;
+        if matches!(first, Some(Event::StartObject | Event::StartArray)) {
+            if parse {
+                ev.parse_value()?;
+            } else {
+                ev.skip_value()?;
+            }
+        }
+        while ev.next_event()?.is_some() {}
+        Ok::<(), fsdm_json::JsonError>(())
+    };
+    [drained, whole(false).is_ok(), whole(true).is_ok()]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Damaged documents: every scanner gives the DOM parser's verdict.
+    #[test]
+    fn scanners_agree_with_the_dom_parser(
+        v in arb_json(),
+        cut in 0.0f64..1.0,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let text = to_string(&v);
+        let bytes = text.as_bytes();
+        let end = ((bytes.len() as f64) * cut) as usize;
+        let mut flipped = bytes.to_vec();
+        let i = at % flipped.len().max(1);
+        if let Some(b) = flipped.get_mut(i) {
+            *b = byte;
+        }
+        for input in [bytes, &bytes[..end], &flipped[..]] {
+            let ok = fsdm_json::parse_bytes(input).is_ok();
+            prop_assert_eq!(scanner_verdicts(input), [ok; 3], "{:?}", String::from_utf8_lossy(input));
+        }
+    }
 
     /// serialize → parse is the identity on the value model.
     #[test]
@@ -116,16 +160,11 @@ proptest! {
         prop_assert_eq!(OraNum::from_bytes(n.as_bytes()).unwrap(), n);
     }
 
-    /// Parser never panics on arbitrary input bytes.
+    /// Parser and scanners never panic on arbitrary input bytes, and
+    /// agree on it.
     #[test]
     fn parser_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = fsdm_json::parse_bytes(&bytes);
-        let mut ev = EventParser::from_bytes(&bytes);
-        for _ in 0..10_000 {
-            match ev.next_event() {
-                Ok(Some(_)) => {}
-                _ => break,
-            }
-        }
+        let ok = fsdm_json::parse_bytes(&bytes).is_ok();
+        prop_assert_eq!(scanner_verdicts(&bytes), [ok; 3]);
     }
 }

@@ -141,7 +141,13 @@ mod tests {
         let s = session();
         let sql = "select did from pt where json_exists(jdoc, '$.items[*]?(@.quantity > 1)')";
         let d = check(&s, sql);
-        assert!(codes(&d).contains(&Code::UnstreamablePath.id()), "{d:?}");
+        let fa006 = d.iter().find(|x| x.code == Code::UnstreamablePath).expect("unstreamable");
+        // it points at the filter, and names the prefix that streams
+        assert_eq!(fa006.span.slice(&fa006.path), "?(@.quantity > 1)", "{fa006:?}");
+        assert!(fa006.message.contains("`$.items[*]`"), "{fa006:?}");
+        // a streamable path over text is clean of it
+        let d = check(&s, "select did from pt where json_exists(jdoc, '$.items[*].quantity')");
+        assert!(!codes(&d).contains(&Code::UnstreamablePath.id()), "{d:?}");
         // same query against the OSON table: no FA006
         let sql = "select did from po where json_exists(jdoc, '$.items[*]?(@.quantity > 1)')";
         let d = check(&s, sql);

@@ -290,3 +290,39 @@ fn errors_are_reported() {
     assert!(s.execute("select json_dataguideagg() from po").is_err());
     assert!(s.execute("select sum() from po").is_err());
 }
+
+/// A `ConstraintMode::None` text column holds whatever was inserted. A
+/// document nested deeper than `MAX_DEPTH` fails to scan whatever the
+/// path — a streamed `$.a` as much as a filtered `$.a?(@ > 0)`, which
+/// parses — so both are NULL, and only an exists path decided before the
+/// failure (at its first match) is true. Row evaluator and batch spine
+/// agree, and nothing panics.
+#[test]
+fn a_document_deeper_than_max_depth_fails_every_path_alike() {
+    let mut s = Session::new();
+    s.execute("create table raw (id number, j json store as text without validation)").unwrap();
+    let deep = format!(r#"{{"a":1,"d":{}{}}}"#, "[".repeat(600), "]".repeat(600));
+    for (id, doc) in [(1, r#"{"a":1,"d":[[]]}"#.to_string()), (2, deep), (3, "{\"a\":1,".into())] {
+        s.execute_with("insert into raw values (?, ?)", &[Datum::from(id as i64), Datum::Str(doc)])
+            .unwrap();
+    }
+    let values = "select id, json_value(j, '$.a' returning number), \
+                  json_value(j, '$.a?(@ > 0)' returning number) from raw order by id";
+    let filtered = "select id from raw where json_exists(j, '$.a?(@ > 0)') order by id";
+    let streamed = "select id from raw where json_exists(j, '$.a') order by id";
+    for columnar in [true, false] {
+        s.db.set_columnar(columnar);
+        let r = s.execute(values).unwrap();
+        let one = Datum::from(1i64);
+        assert_eq!(r.rows[0], [Datum::from(1i64), one.clone(), one], "columnar={columnar}");
+        for row in &r.rows[1..] {
+            assert_eq!(row[1..], [Datum::Null, Datum::Null], "columnar={columnar}: {row:?}");
+        }
+        let mut ids = |sql: &str| -> Vec<Datum> {
+            s.execute(sql).unwrap().rows.into_iter().map(|r| r[0].clone()).collect()
+        };
+        assert_eq!(ids(filtered), [Datum::from(1i64)], "columnar={columnar}");
+        let all = [1i64, 2, 3].map(Datum::from);
+        assert_eq!(ids(streamed), all, "columnar={columnar}: decided at the match");
+    }
+}

@@ -9,9 +9,10 @@
 //!   tree, a serialized OSON instance (jump navigation), or a BSON buffer
 //!   (skip navigation). It carries the cross-instance field-id look-back
 //!   cache.
-//! * [`streaming`] — the streaming engine over text parse events, used for
-//!   simple paths on textual storage; complex operators fall back to a
-//!   DOM, exactly the trade-off §5.1 describes.
+//! * [`streaming`] — the streaming engine over text parse events: one
+//!   pass per document answers a set of paths, streaming each path's
+//!   simple prefix and parsing only the items a filter, item method or
+//!   `last` needs — the trade-off §5.1 describes.
 //! * [`ops`] — `JSON_VALUE`, `JSON_QUERY`, `JSON_EXISTS` with RETURNING
 //!   types and ON ERROR semantics.
 //! * [`json_table`] — the `JSON_TABLE()` virtual-table row source with

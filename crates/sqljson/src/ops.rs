@@ -73,38 +73,55 @@ pub fn json_value_at<D: JsonDom>(
     on_error: OnError,
 ) -> Result<Datum, OpsError> {
     let outs = ev.evaluate_from(dom, start);
+    value_rule(outs.len(), || outs.first().and_then(|o| output_datum(dom, o)), ty, on_error)
+}
+
+/// `JSON_VALUE`'s rule, whichever engine selected the items: of `count`
+/// items, exactly one scalar — `first` computes the first item's, `None`
+/// for a container — coerced to `ty`; no item is NULL (ON EMPTY), anything
+/// else an error handled per `on_error`.
+#[inline]
+pub(crate) fn value_rule(
+    count: usize,
+    first: impl FnOnce() -> Option<Datum>,
+    ty: SqlType,
+    on_error: OnError,
+) -> Result<Datum, OpsError> {
     let fail = |m: &str| -> Result<Datum, OpsError> {
         match on_error {
             OnError::Null => Ok(Datum::Null),
             OnError::Error => Err(err(m)),
         }
     };
-    match outs.as_slice() {
-        [] => Ok(Datum::Null), // ON EMPTY default
-        [single] => {
-            let scalar: Option<Datum> = match single {
-                // straight from the leaf: a string is copied once, into
-                // the datum, not through an intermediate `JsonValue`
-                PathOutput::Node(n) => match dom.kind(*n) {
-                    NodeKind::Scalar => Some(match dom.scalar(*n) {
-                        ScalarRef::Str(s) => Datum::Str(s.to_string()),
-                        ScalarRef::Num(x) => Datum::Num(x),
-                        ScalarRef::Bool(b) => Datum::Bool(b),
-                        ScalarRef::Null => Datum::Null,
-                    }),
-                    _ => None,
-                },
-                PathOutput::Computed(v) => Datum::from_json_scalar(v),
-            };
-            match scalar {
-                None => fail("JSON_VALUE selected a non-scalar"),
-                Some(d) => match d.coerce(ty) {
-                    Some(c) => Ok(c),
-                    None => fail("RETURNING type conversion failed"),
-                },
-            }
-        }
+    match count {
+        0 => Ok(Datum::Null), // ON EMPTY default
+        1 => match first() {
+            None => fail("JSON_VALUE selected a non-scalar"),
+            Some(d) => match d.coerce(ty) {
+                Some(c) => Ok(c),
+                None => fail("RETURNING type conversion failed"),
+            },
+        },
         _ => fail("JSON_VALUE matched more than one item"),
+    }
+}
+
+/// The scalar one path output is, `None` for a container.
+#[inline]
+pub(crate) fn output_datum<D: JsonDom>(dom: &D, out: &PathOutput) -> Option<Datum> {
+    match out {
+        // straight from the leaf: a string is copied once, into the
+        // datum, not through an intermediate `JsonValue`
+        PathOutput::Node(n) => match dom.kind(*n) {
+            NodeKind::Scalar => Some(match dom.scalar(*n) {
+                ScalarRef::Str(s) => Datum::Str(s.to_string()),
+                ScalarRef::Num(x) => Datum::Num(x),
+                ScalarRef::Bool(b) => Datum::Bool(b),
+                ScalarRef::Null => Datum::Null,
+            }),
+            _ => None,
+        },
+        PathOutput::Computed(v) => Datum::from_json_scalar(v),
     }
 }
 

@@ -312,22 +312,48 @@ impl JsonPath {
         self.step_spans.get(i).copied().unwrap_or_default()
     }
 
-    /// True when every step is a plain field/array step — the class the
-    /// streaming engine can evaluate without building a DOM (§5.1).
-    /// `last`-relative selectors need the array length up front, so they
-    /// are excluded.
-    pub fn is_streamable(&self) -> bool {
-        self.steps.iter().all(|s| match s {
-            Step::Field { .. } | Step::ArrayWildcard => true,
-            Step::Array(sels) => sels.iter().all(|x| {
-                matches!(
-                    x,
-                    ArraySel::Index(IndexExpr::At(_))
-                        | ArraySel::Range(IndexExpr::At(_), IndexExpr::At(_))
-                )
-            }),
-            _ => false,
-        })
+    /// How many leading steps the streaming engine answers over text
+    /// events (§5.1): field steps, `.*`, `[*]` and array selectors of
+    /// absolute indexes in ascending, disjoint order — each of which
+    /// yields document order. The first filter, item method, `last`
+    /// selector or out-of-order selector list ends the prefix; the rest
+    /// of the path runs on the DOM of each item the prefix selects.
+    pub fn streamable_prefix(&self) -> usize {
+        self.steps.iter().position(|s| !streams(s)).unwrap_or(self.steps.len())
+    }
+
+    /// Steps `from..` as a path of their own, in this path's mode: the
+    /// suffix a streamed prefix hands to the DOM engine.
+    pub fn suffix(&self, from: usize) -> JsonPath {
+        let from = from.min(self.steps.len());
+        let start = self.step_span(from).start;
+        let mode = if self.mode == Mode::Strict { "strict " } else { "" };
+        let rest =
+            if from < self.steps.len() { self.text.get(start..).unwrap_or_default() } else { "" };
+        let text = format!("{mode}${rest}");
+        // spans move with the text: `start` becomes the byte after `$`
+        let base = text.len() - rest.len();
+        let rebase = |sp: &Span| Span::new(sp.start - start + base, sp.end - start + base);
+        JsonPath {
+            mode: self.mode,
+            steps: self.steps.get(from..).unwrap_or_default().to_vec(),
+            step_spans: self
+                .step_spans
+                .get(from..)
+                .unwrap_or_default()
+                .iter()
+                .map(rebase)
+                .collect(),
+            text,
+        }
+    }
+
+    /// The source text of steps `..to` (`$` for none): how diagnostics
+    /// name a streamed prefix.
+    pub fn prefix_text(&self, to: usize) -> String {
+        let end = if to == 0 { 0 } else { self.step_span(to - 1).end };
+        let start = self.step_span(0).start;
+        format!("${}", self.text.get(start..end.max(start)).unwrap_or_default())
     }
 
     /// Field names referenced by top-level steps, in order (used by the
@@ -346,6 +372,27 @@ impl JsonPath {
 impl fmt::Display for JsonPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.text)
+    }
+}
+
+/// Whether one step streams (see [`JsonPath::streamable_prefix`]).
+fn streams(step: &Step) -> bool {
+    match step {
+        Step::Field { .. } | Step::FieldWildcard | Step::ArrayWildcard => true,
+        Step::Array(sels) => {
+            let mut next = 0; // the lowest index the next selector may start at
+            sels.iter().all(|s| {
+                let (lo, hi) = match *s {
+                    ArraySel::Index(IndexExpr::At(i)) => (i, i),
+                    ArraySel::Range(IndexExpr::At(a), IndexExpr::At(b)) => (a, b),
+                    _ => return false,
+                };
+                let ok = lo >= next && lo <= hi;
+                next = hi.saturating_add(1);
+                ok
+            })
+        }
+        Step::Filter(_) | Step::Method(_) => false,
     }
 }
 
@@ -770,7 +817,40 @@ mod tests {
         assert_eq!(p.steps.len(), 2);
         assert!(matches!(&p.steps[0], Step::Field { name, hash }
             if name == "purchaseOrder" && *hash == field_hash("purchaseOrder")));
-        assert!(p.is_streamable());
+        assert_eq!(p.streamable_prefix(), 2);
+    }
+
+    #[test]
+    fn the_streamable_prefix_ends_at_the_first_step_needing_a_dom() {
+        let prefix = |t: &str| parse_path(t).unwrap().streamable_prefix();
+        assert_eq!(prefix("$.a.*[*][0, 2 to 3].b"), 5);
+        assert_eq!(prefix("$"), 0);
+        assert_eq!(prefix("$?(@.a > 1).b"), 0);
+        assert_eq!(prefix("$.a.size()"), 1);
+        assert_eq!(prefix("$.a[last].b"), 1);
+        assert_eq!(prefix("$.a[1 to last]"), 1);
+        // selectors out of order or overlapping repeat or reorder items
+        assert_eq!(prefix("$.a[2, 0]"), 1);
+        assert_eq!(prefix("$.a[0 to 2, 1]"), 1);
+        assert_eq!(prefix("$.a[0, 0]"), 1);
+        assert_eq!(prefix("$.a[3 to 1]"), 1);
+    }
+
+    #[test]
+    fn a_suffix_is_a_path_of_its_own() {
+        let text = "strict $.items[*]?(@.price > 1).size()";
+        let p = parse_path(text).unwrap();
+        assert_eq!(p.prefix_text(2), "$.items[*]");
+        assert_eq!(p.prefix_text(0), "$");
+        let s = p.suffix(2);
+        assert_eq!(s.text(), "strict $?(@.price > 1).size()");
+        assert_eq!(s.mode, Mode::Strict);
+        assert_eq!(s.steps, p.steps[2..]);
+        assert_eq!(s.step_span(0).slice(s.text()), "?(@.price > 1)");
+        assert_eq!(s.step_span(1).slice(s.text()), ".size()");
+        assert_eq!(parse_path(s.text()).unwrap().steps, s.steps);
+        assert_eq!(p.suffix(4).text(), "strict $");
+        assert!(p.suffix(9).steps.is_empty());
     }
 
     #[test]
@@ -811,7 +891,7 @@ mod tests {
             }
             other => panic!("expected filter, got {other:?}"),
         }
-        assert!(!p.is_streamable());
+        assert_eq!(p.streamable_prefix(), 2, "the filter ends the prefix");
     }
 
     #[test]

@@ -1,353 +1,531 @@
 //! The streaming path engine over text parse events (§5.1).
 //!
-//! For *simple* paths — chains of field steps, array index selectors and
-//! array wildcards — SQL/JSON operators on textual JSON are evaluated in
-//! one pass over the event stream without materializing a DOM. Complex
-//! operators (filters, `last`, item methods, JSON_TABLE) "require the
-//! engine to memorize event sequences, in effect partially or completely
-//! negating the benefit of avoiding DOM construction" — those fall back to
-//! parsing the document into a DOM and running the [`crate::engine`]
-//! evaluator, exactly the trade-off the paper describes.
+//! A [`TextPass`] answers a set of paths over one JSON text in a single
+//! scan of its events, building no DOM for what it streams. Each path is
+//! split at [`JsonPath::streamable_prefix`]: the prefix — field steps,
+//! `.*`, `[*]`, ascending absolute selectors — is tracked as live
+//! positions over the event stream; the rest (a filter, an item method,
+//! `last`) "requires the engine to memorize event sequences", so each item
+//! the prefix selects is captured by its byte extent, parsed, and handed
+//! to the DOM [`PathEvaluator`] with `$` bound to it. That is sound
+//! because a filter's operands are `@`-relative paths or literals, never
+//! the document root. A path with an empty prefix captures the root: one
+//! parse per document, shared by every such path of the pass.
+//!
+//! Semantics are the DOM engine's: a field step takes the **first**
+//! member of its name, as `Object::get`, OSON and BSON do; `lax` wraps a
+//! non-array for an array step and unwraps one array level for a field
+//! step; `strict` does neither. A subtree no live position can reach is
+//! consumed with [`EventParser::skip_value`], which validates it without
+//! producing events.
+//!
+//! Verdicts on text that fails to scan (possible in a `ConstraintMode::None`
+//! column): a value path is NULL; an exists path whose prefix is the whole
+//! path is decided at its first match, so one that matched before the
+//! failure is true; a path with a suffix is decided at the end of the
+//! document, as the full parse it replaces. The scan stops early only once
+//! every path of the pass is a decided exists path.
 
-use fsdm_json::{Event, EventParser, JsonError, JsonValue, Object, ValueDom};
+use std::borrow::Cow;
 
-use crate::engine::PathEvaluator;
-use crate::path::{ArraySel, IndexExpr, JsonPath, Step};
+use fsdm_json::{Event, EventParser, JsonDom, JsonError, JsonValue, Stacks, ValueDom};
 
-/// Evaluate a path over JSON text. Uses the streaming engine when the path
-/// is streamable; otherwise parses a DOM and runs the DOM engine.
+use crate::datum::{Datum, SqlType};
+use crate::engine::{PathEvaluator, PathOutput};
+use crate::ops::{output_datum, value_rule, OnError};
+use crate::path::{ArraySel, IndexExpr, JsonPath, Mode, Step};
+
+/// Evaluate a path over JSON text: every item it selects, materialized.
+/// A one-path [`TextPass`].
 pub fn eval_text(text: &str, path: &JsonPath) -> Result<Vec<JsonValue>, JsonError> {
-    if path.is_streamable() {
-        stream_values(text, path)
-    } else {
-        let v = fsdm_json::parse(text)?;
-        let dom = ValueDom::new(&v);
-        let mut ev = PathEvaluator::new(path.clone());
-        Ok(ev.evaluate_values(&dom))
-    }
+    let mut pass = TextPass::new([(Cow::Borrowed(path), Want::Items)]);
+    pass.run(text)?;
+    Ok(pass.take_items(0))
 }
 
-/// Existence test over JSON text, short-circuiting on the first match when
-/// streaming applies.
+/// Existence test over JSON text, a one-path [`TextPass`]: true as soon
+/// as a streamed match is seen, even if the text fails to scan later.
 pub fn exists_text(text: &str, path: &JsonPath) -> Result<bool, JsonError> {
-    if path.is_streamable() {
-        stream_exists(text, path)
-    } else {
-        let v = fsdm_json::parse(text)?;
-        let dom = ValueDom::new(&v);
-        let mut ev = PathEvaluator::new(path.clone());
-        Ok(ev.exists(&dom))
+    let mut pass = TextPass::new([(Cow::Borrowed(path), Want::Exists)]);
+    let scanned = pass.run(text);
+    match pass.take(0) {
+        Datum::Bool(true) => Ok(true),
+        _ => scanned.map(|()| false),
     }
 }
 
-/// Streaming evaluation of a streamable path, materializing every match.
-pub fn stream_values(text: &str, path: &JsonPath) -> Result<Vec<JsonValue>, JsonError> {
-    debug_assert!(path.is_streamable());
-    let mut m = Matcher::new(path, false);
-    m.run(text)?;
-    Ok(m.results)
+/// What one path of a pass answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Want {
+    /// Every selected item, materialized ([`TextPass::take_items`]).
+    Items,
+    /// `JSON_VALUE … RETURNING ty NULL ON ERROR` ([`TextPass::take`]).
+    Value(SqlType),
+    /// `JSON_EXISTS`, as a boolean datum ([`TextPass::take`]).
+    Exists,
 }
 
-/// Streaming existence test: stops at the first match.
-pub fn stream_exists(text: &str, path: &JsonPath) -> Result<bool, JsonError> {
-    debug_assert!(path.is_streamable());
-    let mut m = Matcher::new(path, true);
-    m.run(text)?;
-    Ok(m.found)
+/// A set of paths compiled for one text pass per document. Build it once
+/// (per statement and worker), then [`TextPass::run`] it over each
+/// document and read the answers: its buffers are reused, so a steady
+/// state allocates only for the strings it keeps.
+pub struct TextPass<'p> {
+    paths: Vec<PassPath<'p>>,
+    scan: Scan,
 }
 
-/// A pending step index plus whether it was already carried through one
-/// lax array unwrap. Lax mode unwraps a single array level per field step
-/// (ISO SQL/JSON; matching the DOM engine), so a field step that already
-/// crossed into an array's elements must not cross into a nested array.
-type Pos = (usize, bool);
-
-/// Positions are indices into `path.steps`; a value holding position
-/// `len(steps)` is a match.
-struct Matcher<'p> {
-    steps: &'p [Step],
-    exists_only: bool,
-    results: Vec<JsonValue>,
+struct PassPath<'p> {
+    path: Cow<'p, JsonPath>,
+    /// `path.steps[..split]` stream.
+    split: usize,
+    /// The DOM evaluator of `path.steps[split..]`, if any.
+    suffix: Option<PathEvaluator>,
+    want: Want,
+    /// This document's `JSON_VALUE` items — the prefix's matches without
+    /// a suffix, the suffix's outputs with one — and the first one's
+    /// scalar (`None`: a container).
+    count: usize,
+    first: Option<Datum>,
+    /// An exists answer: a streamed match, or a non-empty suffix output.
     found: bool,
-    /// Stack frame per open container.
-    frames: Vec<Frame>,
-    /// In-flight capture builders (rarely more than one).
-    builders: Vec<Builder>,
+    /// Arena slots of this document's prefix matches, for a path that
+    /// keeps them (`Items`, or any with a suffix).
+    items: Vec<usize>,
+    /// The answer once the document is done.
+    answer: Datum,
+    /// The `Items` answer once the document is done.
+    values: Vec<JsonValue>,
 }
 
+/// A live position: path `path` has consumed `step` steps at the value
+/// about to start. `unwrapped`: the value is an element of an array the
+/// field step at `step` reached through (lax), so it applies to the value
+/// only if it is an object.
+#[derive(Debug, Clone, Copy)]
+struct Pos {
+    path: usize,
+    step: usize,
+    unwrapped: bool,
+}
+
+/// What an open container passes to its children: step `step` of path
+/// `path` applied to them.
+#[derive(Debug, Clone, Copy)]
+struct Rule {
+    path: usize,
+    step: usize,
+    kind: RuleKind,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RuleKind {
+    /// The first member the field step names (`used` once taken).
+    Member { used: bool },
+    /// Every member (`.*`).
+    Members,
+    /// The elements the array step selects.
+    Elements,
+    /// Lax: the field step (or `.*`) applied to object elements, one
+    /// array level only.
+    Unwrap,
+}
+
+/// An open container with rules: `rules[from..]` are its.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
-    /// True for arrays (drives element indexing), false for objects.
-    is_array: bool,
-    /// Positions applicable to values directly inside this container.
-    /// For objects these are filtered per key at each `Key` event.
-    positions: Vec<Pos>,
-    /// Positions for the *next* value inside an object (set by `Key`).
-    value_positions: Vec<Pos>,
-    /// Next element index (arrays).
-    next_index: usize,
+    from: usize,
+    array: bool,
+    /// The next element's index (arrays).
+    index: usize,
 }
 
-impl<'p> Matcher<'p> {
-    fn new(path: &'p JsonPath, exists_only: bool) -> Self {
-        Matcher {
-            steps: &path.steps,
-            exists_only,
-            results: Vec::new(),
-            found: false,
-            frames: Vec::new(),
-            builders: Vec::new(),
-        }
+/// A matched container walked by events, because some other path has
+/// rules inside it: parsed from `start` once it closes at `depth`.
+#[derive(Debug, Clone, Copy)]
+struct Capture {
+    slot: usize,
+    start: usize,
+    depth: usize,
+}
+
+/// The buffers of a pass, cleared per document and reused.
+#[derive(Default)]
+struct Scan {
+    stacks: Stacks,
+    frames: Vec<Frame>,
+    rules: Vec<Rule>,
+    /// Positions of the value about to start.
+    incoming: Vec<Pos>,
+    /// Paths the entering value matched that keep it.
+    hits: Vec<usize>,
+    /// Prefix matches kept for a path, one slot per matched value.
+    arena: Vec<JsonValue>,
+    captures: Vec<Capture>,
+    /// Paths not yet decided; the scan stops when none is left.
+    undecided: usize,
+}
+
+impl<'p> TextPass<'p> {
+    /// Compile `paths` for one pass each document.
+    pub fn new(paths: impl IntoIterator<Item = (Cow<'p, JsonPath>, Want)>) -> TextPass<'p> {
+        let paths = paths
+            .into_iter()
+            .map(|(path, want)| {
+                let split = path.streamable_prefix();
+                let suffix =
+                    (split < path.steps.len()).then(|| PathEvaluator::new(path.suffix(split)));
+                PassPath {
+                    path,
+                    split,
+                    suffix,
+                    want,
+                    count: 0,
+                    first: None,
+                    found: false,
+                    items: Vec::new(),
+                    answer: Datum::Null,
+                    values: Vec::new(),
+                }
+            })
+            .collect();
+        TextPass { paths, scan: Scan::default() }
     }
 
-    fn run(&mut self, text: &str) -> Result<(), JsonError> {
-        let mut parser = EventParser::new(text);
-        // the root value carries position 0
-        let mut pending: Vec<Pos> = vec![(0, false)];
+    /// Answer every path over `text` in one scan. `Err` when the text
+    /// fails to scan; the answers then hold the verdicts the module doc
+    /// gives for that case.
+    pub fn run(&mut self, text: &str) -> Result<(), JsonError> {
+        for p in &mut self.paths {
+            (p.count, p.first) = (0, None);
+            p.found = false;
+            p.items.clear();
+            p.values.clear();
+        }
+        let scan = &mut self.scan;
+        scan.frames.clear();
+        scan.rules.clear();
+        scan.incoming.clear();
+        scan.arena.clear();
+        scan.captures.clear();
+        scan.undecided = self.paths.len();
+        let stacks = std::mem::take(&mut scan.stacks);
+        let mut parser = EventParser::with_stacks(text, stacks);
+        let walked = self.walk(&mut parser, text);
+        self.scan.stacks = parser.into_stacks();
+        if walked.is_ok() {
+            self.run_suffixes();
+        }
+        let shared = self.paths.len() > 1;
+        for p in &mut self.paths {
+            p.settle(walked.is_ok(), &mut self.scan.arena, shared);
+        }
+        walked
+    }
+
+    /// The `Value` / `Exists` answer of path `i` for the last document
+    /// (NULL for an `Items` path).
+    pub fn take(&mut self, i: usize) -> Datum {
+        self.paths.get_mut(i).map_or(Datum::Null, |p| std::mem::replace(&mut p.answer, Datum::Null))
+    }
+
+    /// The `Items` answer of path `i` for the last document (empty when
+    /// it failed to scan).
+    pub fn take_items(&mut self, i: usize) -> Vec<JsonValue> {
+        self.paths.get_mut(i).map(|p| std::mem::take(&mut p.values)).unwrap_or_default()
+    }
+
+    fn walk(&mut self, parser: &mut EventParser<'_>, text: &str) -> Result<(), JsonError> {
+        // the root holds position 0 of every path
+        let root = (0..self.paths.len()).map(|path| Pos { path, step: 0, unwrapped: false });
+        self.scan.incoming.extend(root);
         while let Some(event) = parser.next_event()? {
-            if self.exists_only && self.found {
-                // drain the parser cheaply to validate the document? No —
-                // exists can return immediately; the caller only needed a
-                // verdict on well-formed prefixes.
-                return Ok(());
-            }
             match event {
-                Event::Key(k) => {
-                    // the event parser only emits keys inside an open object
-                    let Some(frame) = self.frames.last_mut() else {
-                        debug_assert!(false, "key event outside any container");
+                Event::Key(key) => {
+                    self.member(|name| key.is(name));
+                    if !self.scan.incoming.is_empty() {
                         continue;
-                    };
-                    let mut next = Vec::new();
-                    for &(p, _) in &frame.positions {
-                        if let Some(Step::Field { name, .. }) = self.steps.get(p) {
-                            if name == &k {
-                                next.push((p + 1, false));
-                            }
-                        }
                     }
-                    frame.value_positions = next;
-                    for b in &mut self.builders {
-                        b.key(k.clone());
+                    // no position reaches the member's value
+                    parser.skip_value()?;
+                }
+                Event::EndObject | Event::EndArray => self.close(parser.offset(), text)?,
+                value => {
+                    self.element();
+                    self.enter(parser, &value)?;
+                    if self.scan.undecided == 0 {
+                        return Ok(());
                     }
                 }
-                Event::StartObject | Event::StartArray => {
-                    let is_array = matches!(event, Event::StartArray);
-                    let positions = self.value_positions(&mut pending, is_array);
-                    // feed the container start to builders already open
-                    // *before* opening a capture rooted at this container
-                    for b in &mut self.builders {
-                        b.start_container(is_array);
-                    }
-                    self.begin_value_captures(&positions, is_array);
-                    // positions that apply to the container's *children*:
-                    let child_positions = if is_array {
-                        let mut cp = Vec::new();
-                        for &(p, unwrapped) in &positions {
-                            match self.steps.get(p) {
-                                Some(Step::ArrayWildcard) | Some(Step::Array(_)) => {
-                                    cp.push((p, unwrapped))
-                                }
-                                // lax implicit unwrap: a field step over an
-                                // array applies to its (object) elements —
-                                // one level only, so a position that already
-                                // crossed an array does not cross another
-                                Some(Step::Field { .. }) if !unwrapped => cp.push((p, true)),
-                                _ => {}
-                            }
-                        }
-                        cp
-                    } else {
-                        positions.clone()
-                    };
-                    self.frames.push(Frame {
-                        is_array,
-                        positions: child_positions,
-                        value_positions: Vec::new(),
-                        next_index: 0,
-                    });
-                }
-                Event::EndObject | Event::EndArray => {
-                    self.frames.pop();
-                    let mut finished = Vec::new();
-                    for (i, b) in self.builders.iter_mut().enumerate() {
-                        if b.end_container() {
-                            finished.push(i);
-                        }
-                    }
-                    // pop finished builders (outermost may finish only after
-                    // inner ones; indices are removed back-to-front)
-                    for &i in finished.iter().rev() {
-                        let b = self.builders.remove(i);
-                        self.results.push(b.into_value());
-                    }
-                }
-                scalar => {
-                    let positions = self.value_positions(&mut pending, false);
-                    let v = scalar_value(&scalar);
-                    let is_match = positions.iter().any(|&(p, _)| p == self.steps.len());
-                    if is_match {
-                        self.found = true;
-                        if !self.exists_only {
-                            self.results.push(v.clone());
-                        }
-                    }
-                    for b in &mut self.builders {
-                        b.scalar(v.clone());
-                    }
-                }
+            }
+            // a value is complete: an object whose every field step has
+            // taken its member can match nothing more
+            while self.spent() && parser.skip_rest()? {
+                self.close(parser.offset(), text)?;
             }
         }
         Ok(())
     }
 
-    /// Positions applicable to the value that is starting now, including
-    /// lax array-wrapping expansion (an array step applied to a non-array
-    /// selects the value itself when index 0 is in the selector).
-    fn value_positions(&mut self, pending: &mut Vec<Pos>, value_is_array: bool) -> Vec<Pos> {
-        let mut positions = match self.frames.last_mut() {
-            None => std::mem::take(pending),
-            Some(f) if f.is_array => {
-                let idx = f.next_index;
-                f.next_index += 1;
-                let mut out = Vec::new();
-                for &(p, unwrapped) in &f.positions {
-                    match self.steps.get(p) {
-                        Some(Step::ArrayWildcard) => out.push((p + 1, false)),
-                        Some(Step::Array(sels)) if sels.iter().any(|s| sel_matches(s, idx)) => {
-                            out.push((p + 1, false))
-                        }
-                        // lax unwrap: the element re-tries the field step
-                        Some(Step::Field { .. }) => out.push((p, unwrapped)),
-                        _ => {}
-                    }
-                }
-                out
-            }
-            Some(f) => std::mem::take(&mut f.value_positions),
-        };
-        if !value_is_array {
-            // lax wrap: array steps treat a non-array as [value]
-            let mut i = 0;
-            while let Some(&(p, _)) = positions.get(i) {
-                let wrap = match self.steps.get(p) {
-                    Some(Step::ArrayWildcard) => true,
-                    Some(Step::Array(sels)) => sels.iter().any(|s| sel_matches(s, 0)),
-                    _ => false,
-                };
-                if wrap && !positions.iter().any(|q| q.0 == p + 1) {
-                    positions.push((p + 1, false));
-                }
-                i += 1;
-            }
-        }
-        positions.sort_unstable();
-        positions.dedup();
-        positions
+    /// True when the innermost open container is an object all of whose
+    /// rules are field steps that have taken their member.
+    fn spent(&self) -> bool {
+        let Scan { frames, rules, .. } = &self.scan;
+        frames.last().is_some_and(|f| {
+            !f.array
+                && rules
+                    .get(f.from..)
+                    .unwrap_or_default()
+                    .iter()
+                    .all(|r| r.kind == RuleKind::Member { used: true })
+        })
     }
 
-    fn begin_value_captures(&mut self, positions: &[Pos], is_array: bool) {
-        if positions.iter().any(|&(p, _)| p == self.steps.len()) {
-            self.found = true;
-            if !self.exists_only {
-                self.builders.push(Builder::new_container(is_array));
+    /// A member key of the innermost object: the positions its value
+    /// holds. `is` compares the key with a field name.
+    fn member(&mut self, is: impl Fn(&str) -> bool) {
+        let Scan { frames, rules, incoming, .. } = &mut self.scan;
+        incoming.clear();
+        let Some(frame) = frames.last() else { return };
+        for rule in rules.get_mut(frame.from..).unwrap_or_default() {
+            let next = Pos { path: rule.path, step: rule.step + 1, unwrapped: false };
+            match rule.kind {
+                RuleKind::Member { used: false } => {
+                    let step = self.paths.get(rule.path).and_then(|p| p.path.steps.get(rule.step));
+                    if matches!(step, Some(Step::Field { name, .. }) if is(name)) {
+                        rule.kind = RuleKind::Member { used: true };
+                        incoming.push(next);
+                    }
+                }
+                RuleKind::Members => incoming.push(next),
+                _ => {}
+            }
+        }
+    }
+
+    /// A value starts in the innermost container: if that is an array,
+    /// the positions its element holds (a member's were set by its key).
+    fn element(&mut self) {
+        let Scan { frames, rules, incoming, .. } = &mut self.scan;
+        let Some(frame) = frames.last_mut().filter(|f| f.array) else { return };
+        incoming.clear();
+        let index = frame.index;
+        frame.index += 1;
+        for rule in rules.get(frame.from..).unwrap_or_default() {
+            let (path, step) = (rule.path, rule.step);
+            match rule.kind {
+                RuleKind::Elements => {
+                    let selects = self.paths.get(path).and_then(|p| p.path.steps.get(step));
+                    if selects.is_some_and(|s| array_step_selects(s, index)) {
+                        incoming.push(Pos { path, step: step + 1, unwrapped: false });
+                    }
+                }
+                RuleKind::Unwrap => incoming.push(Pos { path, step, unwrapped: true }),
+                _ => {}
+            }
+        }
+    }
+
+    /// The value whose first event is `event` starts: apply its
+    /// positions — lax wraps, matches, the rules its children see — then
+    /// skip it, parse it or open it.
+    fn enter(&mut self, parser: &mut EventParser<'_>, event: &Event<'_>) -> Result<(), JsonError> {
+        let container = match event {
+            Event::StartObject => Some(false),
+            Event::StartArray => Some(true),
+            _ => None,
+        };
+        let Scan { rules, incoming, hits, arena, frames, captures, undecided, .. } = &mut self.scan;
+        let from = rules.len();
+        hits.clear();
+        for pos in incoming.drain(..) {
+            let Some(p) = self.paths.get_mut(pos.path) else { continue };
+            let steps = p.path.steps.get(..p.split).unwrap_or_default();
+            let lax = p.path.mode == Mode::Lax;
+            let mut k = pos.step;
+            if lax && container != Some(true) {
+                // lax wrap: an array step treats a non-array as [value]
+                while steps.get(k).is_some_and(wraps) {
+                    k += 1;
+                }
+            }
+            let Some(step) = steps.get(k) else {
+                // the prefix is consumed: a match
+                match (p.want, &p.suffix) {
+                    (Want::Exists, None) => {
+                        if !std::mem::replace(&mut p.found, true) {
+                            *undecided -= 1;
+                        }
+                    }
+                    (Want::Value(_), None) => {
+                        if p.count == 0 && container.is_none() {
+                            p.first = Some(scalar_datum(event)?);
+                        }
+                        p.count += 1;
+                    }
+                    _ => hits.push(pos.path),
+                }
+                continue;
+            };
+            if let Some(kind) =
+                container.and_then(|array| rule_kind(step, array, lax, pos.unwrapped))
+            {
+                rules.push(Rule { path: pos.path, step: k, kind });
+            }
+        }
+        let Some(array) = container else {
+            if !hits.is_empty() {
+                keep(&mut self.paths, hits, arena, event.to_value()?.unwrap_or(JsonValue::Null));
+            }
+            return Ok(());
+        };
+        let (kept, inside) = (!hits.is_empty(), rules.len() > from);
+        match (kept, inside) {
+            (false, false) => parser.skip_value(),
+            (true, false) => {
+                let v = parser.parse_value()?.unwrap_or(JsonValue::Null);
+                keep(&mut self.paths, hits, arena, v);
+                Ok(())
+            }
+            (_, true) => {
+                if kept {
+                    // walked for the paths inside, parsed when it closes
+                    let (slot, start, depth) = (arena.len(), parser.value_start(), frames.len());
+                    captures.push(Capture { slot, start, depth });
+                    keep(&mut self.paths, hits, arena, JsonValue::Null);
+                }
+                frames.push(Frame { from, array, index: 0 });
+                Ok(())
+            }
+        }
+    }
+
+    /// The innermost open container ends at byte `end`.
+    fn close(&mut self, end: usize, text: &str) -> Result<(), JsonError> {
+        let Scan { frames, rules, arena, captures, .. } = &mut self.scan;
+        let Some(frame) = frames.pop() else { return Ok(()) };
+        rules.truncate(frame.from);
+        if let Some(c) = captures.last().copied().filter(|c| c.depth == frames.len()) {
+            captures.pop();
+            let extent = text.get(c.start..end).unwrap_or_default();
+            if let Some(slot) = arena.get_mut(c.slot) {
+                *slot = fsdm_json::parse(extent)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Run each suffix over the prefix matches its path kept.
+    fn run_suffixes(&mut self) {
+        let arena = &self.scan.arena;
+        for p in &mut self.paths {
+            let Some(ev) = p.suffix.as_mut() else { continue };
+            for &slot in &p.items {
+                let Some(item) = arena.get(slot) else { continue };
+                let dom = ValueDom::new(item);
+                let outs = ev.evaluate(&dom);
+                match p.want {
+                    Want::Exists => p.found |= !outs.is_empty(),
+                    Want::Value(_) => {
+                        if let (0, Some(out)) = (p.count, outs.first()) {
+                            p.first = output_datum(&dom, out);
+                        }
+                        p.count += outs.len();
+                    }
+                    Want::Items => p.values.extend(outs.into_iter().map(|o| match o {
+                        PathOutput::Node(n) => dom.materialize(n),
+                        PathOutput::Computed(v) => v,
+                    })),
+                }
             }
         }
     }
 }
 
-fn sel_matches(sel: &ArraySel, idx: usize) -> bool {
-    match sel {
-        ArraySel::Index(IndexExpr::At(i)) => *i == idx,
-        ArraySel::Range(IndexExpr::At(a), IndexExpr::At(b)) => idx >= *a && idx <= *b,
-        // `last` selectors are rejected by is_streamable
+impl PassPath<'_> {
+    /// Fix this document's answer; `scanned`: the text scanned to its
+    /// end. An `Items` path takes its kept matches out of the arena
+    /// unless other paths may share them.
+    fn settle(&mut self, scanned: bool, arena: &mut [JsonValue], shared: bool) {
+        self.answer = match self.want {
+            // a suffix path's `found` comes from the suffix run, which
+            // only a complete scan reaches
+            Want::Exists => Datum::Bool(self.found),
+            Want::Value(ty) if scanned => {
+                value_rule(self.count, || self.first.take(), ty, OnError::Null)
+                    .unwrap_or(Datum::Null)
+            }
+            Want::Value(_) => Datum::Null,
+            Want::Items => {
+                if !scanned {
+                    self.values.clear();
+                } else if self.suffix.is_none() {
+                    for &slot in &self.items {
+                        let Some(v) = arena.get_mut(slot) else { continue };
+                        self.values.push(if shared { v.clone() } else { std::mem::take(v) });
+                    }
+                }
+                Datum::Null
+            }
+        };
+    }
+}
+
+/// Keep the value just matched, in one arena slot shared by every path
+/// in `hits`.
+fn keep(paths: &mut [PassPath<'_>], hits: &[usize], arena: &mut Vec<JsonValue>, v: JsonValue) {
+    let slot = arena.len();
+    arena.push(v);
+    for &h in hits {
+        if let Some(p) = paths.get_mut(h) {
+            p.items.push(slot);
+        }
+    }
+}
+
+/// The rule step `step` puts on the children of a container (`array`:
+/// an array, else an object), if it reaches them.
+fn rule_kind(step: &Step, array: bool, lax: bool, unwrapped: bool) -> Option<RuleKind> {
+    match (step, array) {
+        (Step::Field { .. }, false) => Some(RuleKind::Member { used: false }),
+        (Step::FieldWildcard, false) => Some(RuleKind::Members),
+        (Step::Field { .. } | Step::FieldWildcard, true) if lax && !unwrapped => {
+            Some(RuleKind::Unwrap)
+        }
+        (Step::ArrayWildcard | Step::Array(_), true) => Some(RuleKind::Elements),
+        // an array step over an object, unless it wrapped; `unwrapped`
+        // field steps over a nested array; and, past the prefix, nothing
+        _ => None,
+    }
+}
+
+/// True when a lax array step selects a non-array as its only element.
+fn wraps(step: &Step) -> bool {
+    array_step_selects(step, 0)
+}
+
+/// True when array step `step` selects element `index`.
+fn array_step_selects(step: &Step, index: usize) -> bool {
+    match step {
+        Step::ArrayWildcard => true,
+        Step::Array(sels) => sels.iter().any(|s| match *s {
+            ArraySel::Index(IndexExpr::At(i)) => i == index,
+            ArraySel::Range(IndexExpr::At(a), IndexExpr::At(b)) => (a..=b).contains(&index),
+            // `last` ends the streamable prefix
+            _ => false,
+        }),
         _ => false,
     }
 }
 
-fn scalar_value(e: &Event) -> JsonValue {
-    match e {
-        Event::String(s) => JsonValue::String(s.clone()),
-        Event::Number(n) => JsonValue::Number(*n),
-        Event::Bool(b) => JsonValue::Bool(*b),
-        Event::Null => JsonValue::Null,
-        _ => {
-            // `run` only routes scalar events here
-            debug_assert!(false, "container event in scalar position");
-            JsonValue::Null
-        }
-    }
-}
-
-/// Incremental DOM builder fed by the event stream while a capture is
-/// open. Tracks its own depth; `end_container` returns true when the
-/// captured subtree is complete.
-struct Builder {
-    stack: Vec<JsonValue>,
-    keys: Vec<Option<String>>,
-    pending_key: Option<String>,
-    done: Option<JsonValue>,
-}
-
-impl Builder {
-    fn new_container(is_array: bool) -> Self {
-        let root =
-            if is_array { JsonValue::Array(Vec::new()) } else { JsonValue::Object(Object::new()) };
-        Builder { stack: vec![root], keys: vec![None], pending_key: None, done: None }
-    }
-
-    fn key(&mut self, k: String) {
-        self.pending_key = Some(k);
-    }
-
-    fn start_container(&mut self, is_array: bool) {
-        let v =
-            if is_array { JsonValue::Array(Vec::new()) } else { JsonValue::Object(Object::new()) };
-        self.keys.push(self.pending_key.take());
-        self.stack.push(v);
-    }
-
-    fn scalar(&mut self, v: JsonValue) {
-        let key = self.pending_key.take();
-        self.attach(key, v);
-    }
-
-    /// Returns true when the capture root has closed.
-    fn end_container(&mut self) -> bool {
-        let Some(v) = self.stack.pop() else {
-            // a builder is removed as soon as its root closes, so every
-            // end event delivered here has a matching open container
-            debug_assert!(false, "end event on a finished builder");
-            return true;
-        };
-        let key = self.keys.pop().flatten();
-        if self.stack.is_empty() {
-            self.done = Some(v);
-            true
-        } else {
-            self.attach(key, v);
-            false
-        }
-    }
-
-    fn attach(&mut self, key: Option<String>, v: JsonValue) {
-        match self.stack.last_mut() {
-            Some(JsonValue::Array(a)) => a.push(v),
-            Some(JsonValue::Object(o)) => {
-                if let Some(k) = key {
-                    o.push(k, v);
-                } else {
-                    // the parser emits a key before every object member
-                    debug_assert!(false, "object member without a key");
-                }
-            }
-            _ => debug_assert!(false, "attach without an open container"),
-        }
-    }
-
-    fn into_value(self) -> JsonValue {
-        debug_assert!(self.done.is_some(), "capture root has not closed");
-        self.done.unwrap_or(JsonValue::Null)
-    }
+/// A scalar event as the datum `JSON_VALUE` selects: a string is copied
+/// once, into the datum.
+fn scalar_datum(event: &Event<'_>) -> Result<Datum, JsonError> {
+    Ok(match event {
+        Event::String(s) => Datum::Str(s.decode()?.into_owned()),
+        Event::Number(n) => Datum::Num(n.to_number()?),
+        Event::Bool(b) => Datum::Bool(*b),
+        _ => Datum::Null,
+    })
 }
 
 #[cfg(test)]
@@ -362,9 +540,21 @@ mod tests {
         {"name":"case","price":15,"quantity":10}]}}"#;
 
     fn stream(doc: &str, path: &str) -> Vec<JsonValue> {
-        let p = parse_path(path).unwrap();
-        assert!(p.is_streamable(), "{path} must be streamable");
-        stream_values(doc, &p).unwrap()
+        eval_text(doc, &parse_path(path).unwrap()).unwrap()
+    }
+
+    fn dom(doc: &str, path: &str) -> Vec<JsonValue> {
+        let v = parse(doc).unwrap();
+        PathEvaluator::new(parse_path(path).unwrap()).evaluate_values(&ValueDom::new(&v))
+    }
+
+    /// One pass of `paths` over `doc`: (answers, scan result).
+    fn pass(doc: &str, paths: &[(&str, Want)]) -> (Vec<Datum>, bool) {
+        let compiled: Vec<JsonPath> = paths.iter().map(|(p, _)| parse_path(p).unwrap()).collect();
+        let mut pass =
+            TextPass::new(compiled.iter().zip(paths).map(|(p, (_, w))| (Cow::Borrowed(p), *w)));
+        let ok = pass.run(doc).is_ok();
+        ((0..paths.len()).map(|i| pass.take(i)).collect(), ok)
     }
 
     #[test]
@@ -385,29 +575,52 @@ mod tests {
     }
 
     #[test]
-    fn lax_unwrap_in_stream() {
+    fn lax_unwrap_and_wrap_in_stream() {
         assert_eq!(stream(PO, "$.purchaseOrder.items.name").len(), 3);
-    }
-
-    #[test]
-    fn lax_wrap_in_stream() {
         assert_eq!(stream(PO, "$.purchaseOrder.id[0]"), vec![parse("1").unwrap()]);
         assert_eq!(stream(PO, "$.purchaseOrder.id[*]"), vec![parse("1").unwrap()]);
         assert!(stream(PO, "$.purchaseOrder.id[1]").is_empty());
+        // one array level only
+        assert!(stream(r#"{"a":[[{"b":1}]]}"#, "$.a.b").is_empty());
     }
 
     #[test]
-    fn range_selectors() {
+    fn range_selectors_and_wildcards() {
         assert_eq!(stream(PO, "$.purchaseOrder.items[0 to 1].price").len(), 2);
         assert_eq!(stream(PO, "$.purchaseOrder.items[0,2].price").len(), 2);
+        assert_eq!(stream(PO, "$.purchaseOrder.*").len(), 3);
+        assert_eq!(stream(PO, "$.purchaseOrder.items.*").len(), 9, "lax .* unwraps");
+    }
+
+    #[test]
+    fn a_field_step_takes_the_first_member_of_its_name() {
+        assert_eq!(stream(r#"{"a":1,"a":2}"#, "$.a"), vec![parse("1").unwrap()]);
+        assert_eq!(stream(r#"{"a":1,"a":{"x":2}}"#, "$.a"), vec![parse("1").unwrap()]);
+        assert!(stream(r#"{"a":1,"a":{"x":2}}"#, "$.a.x").is_empty());
+        // a wildcard takes every member, as the DOM engine does
+        assert_eq!(stream(r#"{"a":1,"a":2}"#, "$.*").len(), 2);
+        let (answers, _) = pass(r#"{"a":1,"a":2}"#, &[("$.a", Want::Value(SqlType::Number))]);
+        assert_eq!(answers, [Datum::from(1i64)]);
+    }
+
+    #[test]
+    fn strict_mode_neither_wraps_nor_unwraps() {
+        assert!(stream(r#"{"a":[{"b":1}]}"#, "strict $.a.b").is_empty());
+        assert!(stream(r#"{"a":{"b":1}}"#, "strict $.a[0].b").is_empty());
+        assert!(stream(r#"{"a":5}"#, "strict $.a[*]").is_empty());
+        assert_eq!(stream(r#"{"a":[{"b":1}]}"#, "strict $.a[*].b"), vec![parse("1").unwrap()]);
+        let doc = r#"{"a":[{"b":1}]}"#;
+        assert!(!exists_text(doc, &parse_path("strict $.a.b").unwrap()).unwrap());
     }
 
     #[test]
     fn exists_short_circuits() {
         let p = parse_path("$.purchaseOrder.items[*].price").unwrap();
-        assert!(stream_exists(PO, &p).unwrap());
-        let p2 = parse_path("$.zz").unwrap();
-        assert!(!stream_exists(PO, &p2).unwrap());
+        assert!(exists_text(PO, &p).unwrap());
+        assert!(!exists_text(PO, &parse_path("$.zz").unwrap()).unwrap());
+        // decided at the match: what follows is never scanned
+        assert!(exists_text(r#"{"a":1,"b":"#, &parse_path("$.a").unwrap()).unwrap());
+        assert!(exists_text(r#"{"a":1,"b":"#, &parse_path("$.b").unwrap()).is_err());
     }
 
     #[test]
@@ -419,37 +632,113 @@ mod tests {
             "$.purchaseOrder.items[1 to 2].name",
             "$.purchaseOrder.items.quantity",
             "$.purchaseOrder.id[0]",
+            "$.purchaseOrder.items[*]?(@.price > 100).name",
+            "$.purchaseOrder.items[last].price",
+            "$.purchaseOrder.items.size()",
+            "$?(@.purchaseOrder.id == 1).purchaseOrder.podate",
+            "$.purchaseOrder.items[2, 0].name",
         ];
-        let v = parse(PO).unwrap();
         for p in paths {
-            let jp = parse_path(p).unwrap();
-            let streamed = stream_values(PO, &jp).unwrap();
-            let dom = ValueDom::new(&v);
-            let mut ev = PathEvaluator::new(jp.clone());
-            let via_dom = ev.evaluate_values(&dom);
-            assert_eq!(streamed.len(), via_dom.len(), "{p}");
-            for (a, b) in streamed.iter().zip(&via_dom) {
-                assert!(a.eq_unordered(b), "{p}: {a} vs {b}");
-            }
+            assert_eq!(stream(PO, p), dom(PO, p), "{p}");
         }
     }
 
     #[test]
-    fn eval_text_falls_back_for_filters() {
-        let p = parse_path("$.purchaseOrder.items[*]?(@.price > 100).name").unwrap();
-        assert!(!p.is_streamable());
-        let r = eval_text(PO, &p).unwrap();
-        assert_eq!(r, vec![parse("\"ipad\"").unwrap()]);
-        assert!(exists_text(PO, &p).unwrap());
+    fn nested_capture_regions() {
+        let doc = r#"{"a":[[5],[6]]}"#;
+        assert_eq!(stream(doc, "$.a[*]"), [parse("[5]").unwrap(), parse("[6]").unwrap()]);
     }
 
     #[test]
-    fn nested_capture_regions() {
-        // the array itself and one of its elements both match
-        let doc = r#"{"a":[[5],[6]]}"#;
-        let p = parse_path("$.a[*]").unwrap();
-        let r = stream_values(doc, &p).unwrap();
-        assert_eq!(r.len(), 2);
-        assert_eq!(r[0], parse("[5]").unwrap());
+    fn one_pass_answers_every_path() {
+        let paths = [
+            ("$.purchaseOrder.id", Want::Value(SqlType::Number)),
+            ("$.purchaseOrder.podate", Want::Value(SqlType::Varchar2(16))),
+            ("$.purchaseOrder.items[*].price", Want::Value(SqlType::Number)),
+            ("$.purchaseOrder.items", Want::Value(SqlType::Any)),
+            ("$.purchaseOrder.items[*]?(@.price > 300).name", Want::Value(SqlType::Any)),
+            ("$.purchaseOrder.items[*]?(@.price > 999)", Want::Exists),
+            ("$.purchaseOrder.items.size()", Want::Value(SqlType::Number)),
+            ("$.purchaseOrder.nothing", Want::Exists),
+            ("$.purchaseOrder.items[2]", Want::Exists),
+            // the root captured, and an item walked for the paths inside it
+            ("$?(exists(@.purchaseOrder))", Want::Exists),
+            ("$.purchaseOrder?(@.id == 1).id", Want::Value(SqlType::Number)),
+        ];
+        let (answers, ok) = pass(PO, &paths);
+        assert!(ok);
+        let expected = [
+            Datum::from(1i64),
+            Datum::from("2014-09-08"),
+            Datum::Null, // three items
+            Datum::Null, // a container
+            Datum::from("ipad"),
+            Datum::Bool(false),
+            Datum::from(3i64),
+            Datum::Bool(false),
+            Datum::Bool(true),
+            Datum::Bool(true),
+            Datum::from(1i64),
+        ];
+        assert_eq!(answers, expected);
+    }
+
+    #[test]
+    fn malformed_text_gets_the_one_path_verdicts() {
+        let paths = [
+            ("$.a", Want::Value(SqlType::Number)),
+            ("$.a", Want::Exists),
+            ("$.a?(@ > 0)", Want::Exists),
+            ("$.zz", Want::Exists),
+        ];
+        let (answers, ok) = pass(r#"{"a":1,"b":[1,}"#, &paths);
+        assert!(!ok);
+        assert_eq!(
+            answers,
+            [Datum::Null, Datum::Bool(true), Datum::Bool(false), Datum::Bool(false)]
+        );
+        // deeper than MAX_DEPTH fails the scan, wherever the path points
+        let deep = format!(r#"{{"a":1,"d":{}{}}}"#, "[".repeat(600), "]".repeat(600));
+        let (answers, ok) = pass(&deep, &paths);
+        assert!(!ok);
+        assert_eq!(
+            answers,
+            [Datum::Null, Datum::Bool(true), Datum::Bool(false), Datum::Bool(false)]
+        );
+        assert!(eval_text(&deep, &parse_path("$.a").unwrap()).is_err());
+    }
+
+    #[test]
+    fn the_pass_stops_once_every_exists_path_is_decided() {
+        let paths = [("$.a", Want::Exists), ("$.b[0]", Want::Exists)];
+        let (answers, ok) = pass(r#"{"a":1,"b":[2, garbage"#, &paths);
+        assert!(ok, "never scanned to the garbage");
+        assert_eq!(answers, [Datum::Bool(true), Datum::Bool(true)]);
+        // one undecided path keeps it going
+        let paths = [("$.a", Want::Exists), ("$.c", Want::Exists)];
+        let (answers, ok) = pass(r#"{"a":1,"b":[2, garbage"#, &paths);
+        assert!(!ok);
+        assert_eq!(answers, [Datum::Bool(true), Datum::Bool(false)]);
+    }
+
+    #[test]
+    fn escaped_keys_and_strings_decode_when_kept() {
+        let doc = r#"{"näme":"x\ty","other":"😀"}"#;
+        assert_eq!(stream(doc, "$.\"näme\""), vec![JsonValue::from("x\ty")]);
+        assert_eq!(stream(doc, "$.other"), vec![JsonValue::from("😀")]);
+        let (answers, _) = pass(doc, &[("$.\"näme\"", Want::Value(SqlType::Varchar2(3)))]);
+        assert_eq!(answers, [Datum::from("x\ty")]);
+    }
+
+    #[test]
+    fn a_pass_is_reusable_across_documents() {
+        let jp = parse_path("$.v").unwrap();
+        let mut pass = TextPass::new([(Cow::Borrowed(&jp), Want::Value(SqlType::Number))]);
+        for (doc, want) in
+            [(r#"{"v":1}"#, Datum::from(1i64)), ("{", Datum::Null), ("[]", Datum::Null)]
+        {
+            let _ = pass.run(doc);
+            assert_eq!(pass.take(0), want, "{doc}");
+        }
     }
 }

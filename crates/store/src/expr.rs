@@ -18,21 +18,21 @@ use fsdm_sqljson::{Datum, PathEvaluator, SqlType};
 
 use crate::imc::ColumnVector;
 use crate::table::{Cell, Row, StoreError, Table};
-use crate::transient::{ColKind, Leaves, Lowering};
+use crate::transient::{ColKind, Leaves, Lowering, PathSlots};
 use crate::vector::{Col, PredKernel, StrTest, Tri, ValKernel};
 
 /// Per-worker evaluation state. The fused scan addresses its path
-/// evaluators by dense transient-column slot; the row evaluator (the
-/// identity-test oracle) looks its own up by address. Either way the
-/// look-back field-id caches persist across the rows a worker processes —
-/// exactly the state the expression tree itself used to hold in
-/// `RefCell`s before the executor went parallel.
+/// evaluators and text passes by dense transient-column slot; the row
+/// evaluator (the identity-test oracle) looks its own up by address.
+/// Either way the look-back field-id caches persist across the rows a
+/// worker processes — exactly the state the expression tree itself used
+/// to hold in `RefCell`s before the executor went parallel.
 #[derive(Default)]
 pub struct EvalScratch {
-    /// One evaluator per transient path column of the fused scan this
-    /// scratch serves, indexed by slot (`None` for the others). A scratch
-    /// lives for one `run_morsels` call, hence one registry.
-    slots: Vec<Option<PathEvaluator>>,
+    /// The evaluation state of the transient path columns of the fused
+    /// scan this scratch serves. A scratch lives for one `run_morsels`
+    /// call, hence one registry.
+    paths: PathSlots,
     /// Row evaluator only: one evaluator per distinct compiled path
     /// (keyed by `Arc` address: expression clones share the path, hence
     /// the evaluator).
@@ -49,19 +49,15 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// Everything a transient-column extraction evaluates with: the
-    /// slot-indexed evaluators for `leaves`, built on first use, and the
-    /// JSON_TABLE cursor once [`EvalScratch::cursor`] has built it.
+    /// Everything a transient-column extraction evaluates with: the path
+    /// state for `leaves`, built on first use, and the JSON_TABLE cursor
+    /// once [`EvalScratch::cursor`] has built it.
     pub(crate) fn spine(
         &mut self,
         leaves: &Leaves,
-    ) -> (&mut [Option<PathEvaluator>], Option<&mut JsonTableCursor>) {
-        if self.slots.is_empty() {
-            self.slots = (0..leaves.len())
-                .map(|s| leaves.path(s).map(|p| PathEvaluator::new(p.clone())))
-                .collect();
-        }
-        (&mut self.slots, self.cursor.as_mut().map(|(_, cursor)| cursor))
+    ) -> (&mut PathSlots, Option<&mut JsonTableCursor>) {
+        self.paths.ready(leaves);
+        (&mut self.paths, self.cursor.as_mut().map(|(_, cursor)| cursor))
     }
 
     /// The row evaluator's reusable evaluator for `path`, created on

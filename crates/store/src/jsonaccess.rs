@@ -2,16 +2,19 @@
 //! evaluation.
 //!
 //! This module is where the §6.3 comparison lives: the *same* SQL/JSON
-//! operator runs against a `Text` cell (streaming engine or parse-to-DOM),
+//! operator runs against a `Text` cell (the streaming text pass),
 //! a `Bson` cell (skip navigation), or an `Oson` cell (jump navigation) —
 //! the query layer is storage-agnostic, exactly like the views in the
 //! paper that "hide the underlying physical data storage model
 //! differences".
 
+use std::borrow::Cow;
+
 use fsdm_json::{JsonValue, ValueDom};
 use fsdm_sqljson::json_table::{JsonTableCursor, JsonTableDef};
 use fsdm_sqljson::ops::{json_value, OnError};
-use fsdm_sqljson::{Datum, PathEvaluator, SqlType};
+use fsdm_sqljson::streaming::{TextPass, Want};
+use fsdm_sqljson::{Datum, JsonPath, PathEvaluator, SqlType};
 
 use crate::table::StoreError;
 
@@ -147,7 +150,7 @@ pub(crate) use with_dom;
 /// row once and runs every path of the statement against it; the row
 /// evaluator opens per operator through [`JsonCell::json_value`].
 pub(crate) enum OpenDoc<'a> {
-    /// JSON text: every operator streams (or parses) it again.
+    /// JSON text: every text pass scans it again.
     Text(&'a str),
     /// A BSON buffer past its header check.
     Bson(fsdm_bson::BsonDoc<'a>),
@@ -166,12 +169,7 @@ impl<'a> OpenDoc<'a> {
     /// `JSON_VALUE … RETURNING ty NULL ON ERROR`.
     pub(crate) fn json_value(&self, ev: &mut PathEvaluator, ty: SqlType) -> Datum {
         match self {
-            // §5.1: streaming for simple paths, DOM otherwise — both
-            // pay the text parse
-            OpenDoc::Text(s) => match fsdm_sqljson::streaming::eval_text(s, ev.path()) {
-                Ok(values) => single_scalar(values, ty),
-                Err(_) => Datum::Null,
-            },
+            OpenDoc::Text(s) => text_answer(s, ev.path(), Want::Value(ty)),
             OpenDoc::Bson(doc) => json_value(doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
             OpenDoc::Oson(doc) => json_value(doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
             OpenDoc::Invalid => Datum::Null,
@@ -181,7 +179,7 @@ impl<'a> OpenDoc<'a> {
     /// `JSON_EXISTS`.
     pub(crate) fn json_exists(&self, ev: &mut PathEvaluator) -> bool {
         match self {
-            OpenDoc::Text(s) => fsdm_sqljson::streaming::exists_text(s, ev.path()).unwrap_or(false),
+            OpenDoc::Text(s) => text_answer(s, ev.path(), Want::Exists) == Datum::Bool(true),
             OpenDoc::Bson(doc) => ev.exists(doc),
             OpenDoc::Oson(doc) => ev.exists(doc),
             OpenDoc::Invalid => false,
@@ -221,15 +219,13 @@ impl<'a> OpenDoc<'a> {
     }
 }
 
-/// JSON_VALUE cardinality + coercion over materialized path results.
-fn single_scalar(values: Vec<JsonValue>, ty: SqlType) -> Datum {
-    if values.len() != 1 {
-        return Datum::Null;
-    }
-    match Datum::from_json_scalar(&values[0]) {
-        Some(d) => d.coerce(ty).unwrap_or(Datum::Null),
-        None => Datum::Null,
-    }
+/// One path over JSON text (§5.1): the same [`TextPass`] the fused scan
+/// runs per stage, with one path. Text that fails to scan leaves the
+/// pass's verdict.
+fn text_answer(text: &str, path: &JsonPath, want: Want) -> Datum {
+    let mut pass = TextPass::new([(Cow::Borrowed(path), want)]);
+    let _ = pass.run(text);
+    pass.take(0)
 }
 
 #[cfg(test)]
@@ -241,7 +237,12 @@ mod tests {
     const DOC: &str = r#"{"po":{"id":4,"items":[{"p":10},{"p":20}]}}"#;
 
     fn cells() -> Vec<JsonCell> {
-        let v = parse(DOC).unwrap();
+        cells_of(DOC)
+    }
+
+    /// `doc` in each of the three storages.
+    fn cells_of(doc: &str) -> Vec<JsonCell> {
+        let v = parse(doc).unwrap();
         let oson = &mut fsdm_oson::Encoder::new();
         [JsonStorage::Text, JsonStorage::Bson, JsonStorage::Oson]
             .map(|storage| JsonCell::encode(&v, storage, oson).unwrap())
@@ -253,6 +254,31 @@ mod tests {
         for cell in cells() {
             let mut ev = PathEvaluator::new(parse_path("$.po.id").unwrap());
             assert_eq!(cell.json_value(&mut ev, SqlType::Number), Datum::from(4i64));
+        }
+        // (document, path, JSON_VALUE, JSON_EXISTS): a field step takes
+        // the first member of its name; strict mode neither unwraps an
+        // array for a field step nor wraps a non-array for an array step
+        let one = Datum::from(1i64);
+        let cases = [
+            (r#"{"a":1,"a":2}"#, "$.a", one.clone(), true),
+            (r#"{"a":1,"a":{"x":2}}"#, "$.a", one.clone(), true),
+            (r#"{"a":1,"a":{"x":2}}"#, "$.a.x", Datum::Null, false),
+            (r#"{"a":[{"b":1}]}"#, "strict $.a.b", Datum::Null, false),
+            (r#"{"a":[{"b":1}]}"#, "lax $.a.b", one.clone(), true),
+            (r#"{"a":{"b":1}}"#, "strict $.a[0].b", Datum::Null, false),
+            (r#"{"a":{"b":1}}"#, "lax $.a[0].b", one, true),
+        ];
+        for (doc, path, value, exists) in cases {
+            for cell in cells_of(doc) {
+                let mut ev = PathEvaluator::new(parse_path(path).unwrap());
+                let got = cell.json_value(&mut ev, SqlType::Number);
+                assert_eq!(got, value, "JSON_VALUE {path} over {doc} as {cell:?}");
+                assert_eq!(
+                    cell.json_exists(&mut ev),
+                    exists,
+                    "JSON_EXISTS {path} over {doc} as {cell:?}"
+                );
+            }
         }
     }
 

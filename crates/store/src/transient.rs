@@ -12,11 +12,13 @@
 //! Extraction is **selection-driven and row-major**: a pipeline stage
 //! asks for the slots it is about to read and the rows still selected;
 //! each of those rows is opened once ([`OpenDoc`]) and every pending
-//! path of the stage runs against that one document through its own
-//! slot-indexed [`fsdm_sqljson::PathEvaluator`] (so look-back caches stay
-//! warm from row to row). Rows outside the selection keep a NULL slot
-//! that no kernel result is ever read from, because every stage
-//! intersects its mask with the selection it was extracted for.
+//! path of the stage over that column is answered from that one document
+//! ([`PathSlots`]): a binary document through each slot's own
+//! [`fsdm_sqljson::PathEvaluator`] (so look-back caches stay warm from
+//! row to row), a text document in **one** [`TextPass`] for all of them.
+//! Rows outside the selection keep a NULL slot that no kernel result is
+//! ever read from, because every stage intersects its mask with the
+//! selection it was extracted for.
 //!
 //! A pipeline whose source is `JsonTable(Scan)` has a second row space:
 //! the surviving documents of a morsel are expanded ([`Expanded`]) into
@@ -26,6 +28,7 @@
 //! stage, for the expanded rows still selected — a JSON_TABLE column from
 //! its block's context node, anything of the scan's from the parent.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -33,6 +36,7 @@ use fsdm_fault::catalog::FP_EXPR_EVAL;
 use fsdm_json::{JsonNumber, JsonValue};
 use fsdm_sqljson::json_table::{ColKind as TableColKind, ColumnDef, Ctx, JsonTableCursor};
 use fsdm_sqljson::path::JsonPath;
+use fsdm_sqljson::streaming::{TextPass, Want};
 use fsdm_sqljson::{Datum, JsonTableDef, PathEvaluator, SqlType};
 
 use crate::expr::{EvalScratch, Expr};
@@ -138,12 +142,93 @@ impl Leaves {
         cols
     }
 
-    /// The compiled path of a path leaf (`None` for the others).
-    pub(crate) fn path(&self, slot: usize) -> Option<&JsonPath> {
+    /// The compiled path of a path leaf and what it answers (`None` for
+    /// the others).
+    pub(crate) fn path(&self, slot: usize) -> Option<(&JsonPath, Want)> {
         match &self.entries[slot].source {
-            LeafSource::Value { path, .. } | LeafSource::Exists { path, .. } => Some(path),
+            LeafSource::Value { path, ty, .. } => Some((path, Want::Value(*ty))),
+            LeafSource::Exists { path, .. } => Some((path, Want::Exists)),
             _ => None,
         }
+    }
+
+    /// The path leaves among `slots`, grouped by the JSON column they
+    /// read, in first-seen order: a row answers each group from one open
+    /// document.
+    fn path_groups(&self, slots: &[usize]) -> Vec<(usize, Vec<usize>)> {
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for &s in slots {
+            let (LeafSource::Value { col, .. } | LeafSource::Exists { col, .. }) =
+                self.entries[s].source
+            else {
+                continue;
+            };
+            match groups.iter_mut().find(|(c, _)| *c == col) {
+                Some((_, group)) => group.push(s),
+                None => groups.push((col, vec![s])),
+            }
+        }
+        groups
+    }
+}
+
+/// One worker's evaluation state for a statement's path leaves, built on
+/// first use: a DOM evaluator per slot, for binary documents, and a
+/// [`TextPass`] per group of slots a stage reads together from one text
+/// column — so a stage scans a text document once, whatever the number
+/// of its paths (§5.1).
+#[derive(Default)]
+pub(crate) struct PathSlots {
+    /// One evaluator per slot (`None` for a leaf that is not a path).
+    pub(crate) evaluators: Vec<Option<PathEvaluator>>,
+    /// Text passes, by the slots they answer.
+    passes: Vec<(Vec<usize>, TextPass<'static>)>,
+}
+
+impl PathSlots {
+    /// Build the evaluators for `leaves`, if not yet built.
+    pub(crate) fn ready(&mut self, leaves: &Leaves) {
+        if self.evaluators.is_empty() {
+            self.evaluators = (0..leaves.len())
+                .map(|s| leaves.path(s).map(|(p, _)| PathEvaluator::new(p.clone())))
+                .collect();
+        }
+    }
+
+    /// The value of each path leaf of `group` (all over the column `doc`
+    /// was opened at), handed to `put` with its slot.
+    fn answer(
+        &mut self,
+        doc: &OpenDoc<'_>,
+        leaves: &Leaves,
+        group: &[usize],
+        mut put: impl FnMut(usize, Datum) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        if let OpenDoc::Text(text) = doc {
+            let pass = match self.passes.iter().position(|(g, _)| g == group) {
+                Some(i) => &mut self.passes[i].1,
+                None => {
+                    let paths = group.iter().filter_map(|&s| leaves.path(s));
+                    let pass = TextPass::new(paths.map(|(p, want)| (Cow::Owned(p.clone()), want)));
+                    self.passes.push((group.to_vec(), pass));
+                    &mut self.passes.last_mut().expect("pushed above").1
+                }
+            };
+            // a text that fails to scan leaves the answers its verdicts
+            let _ = pass.run(text);
+            return group.iter().enumerate().try_for_each(|(i, &s)| put(s, pass.take(i)));
+        }
+        for &s in group {
+            let ev = self.evaluators[s].as_mut().expect("path leaves own an evaluator");
+            put(
+                s,
+                match leaves.path(s) {
+                    Some((_, Want::Value(ty))) => doc.json_value(ev, ty),
+                    _ => Datum::Bool(doc.json_exists(ev)),
+                },
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -566,12 +651,12 @@ impl<'g> MorselCols<'g> {
         for &s in &pending {
             self.vecs[s] = Some(TransientVec::nulls(leaves.entries[s].kind, self.range.len()));
         }
-        let (evaluators, cursor) = scratch.spine(leaves);
+        let (paths, cursor) = scratch.spine(leaves);
         match rows {
-            Rows::Table(table) => self.fill(&pending, leaves, sel, evaluators, table)?,
+            Rows::Table(table) => self.fill(&pending, leaves, sel, paths, table)?,
             Rows::Expanded(x) => {
                 let cursor = cursor.expect("the expansion built the cursor");
-                self.fill_expanded(&pending, leaves, sel, evaluators, x, cursor)?
+                self.fill_expanded(&pending, leaves, sel, paths, x, cursor)?
             }
         }
         fsdm_obs::counter!(fsdm_obs::catalog::EXEC_TRANSIENT_COLS).add(pending.len() as u64);
@@ -582,58 +667,57 @@ impl<'g> MorselCols<'g> {
         Ok(())
     }
 
-    /// [`MorselCols::extract`] over the table's rows: one opened document
-    /// per row, shared by the row's pending paths.
+    /// [`MorselCols::extract`] over the table's rows: per row, one opened
+    /// document per column, answering all of the column's pending paths.
     fn fill(
         &mut self,
         pending: &[usize],
         leaves: &Leaves,
         sel: &SelVec,
-        evaluators: &mut [Option<PathEvaluator>],
+        paths: &mut PathSlots,
         table: &Table,
     ) -> Result<(), StoreError> {
-        // the hot loop of every statement over a collection, kept as it
-        // was before expanded rows existed: what only they need
-        // ([`scan_value`]'s other sources, its run bookkeeping) stays out
+        let groups = leaves.path_groups(pending);
+        let mut heap = Vec::new();
+        for &s in pending {
+            match leaves.entries[s].source {
+                LeafSource::Heap { col } => heap.push((s, col)),
+                LeafSource::Value { .. } | LeafSource::Exists { .. } => {}
+                LeafSource::JsonTable { .. } | LeafSource::Resident(_) => {
+                    return Err(StoreError::new("a leaf of expanded rows in a table scan"))
+                }
+            }
+        }
         for i in sel.iter() {
             self.governor.check_rows(&mut self.checked, 1)?;
-            let mut doc: Option<(usize, OpenDoc<'_>)> = None;
-            for &s in pending {
-                let value = match &leaves.entries[s].source {
-                    LeafSource::Heap { col } => table.scan_cell(i, *col).into_datum(),
-                    source @ (LeafSource::Value { col, .. } | LeafSource::Exists { col, .. }) => {
-                        if !matches!(&doc, Some((c, _)) if c == col) {
-                            let opened = table.open_doc(i, *col).ok_or_else(|| {
-                                StoreError::new("SQL/JSON operator on non-JSON column")
-                            })?;
-                            doc = Some((*col, opened));
-                        }
-                        let doc = &doc.as_ref().expect("opened above").1;
-                        let ev = evaluators[s].as_mut().expect("path leaves own an evaluator");
-                        match source {
-                            LeafSource::Value { ty, .. } => doc.json_value(ev, *ty),
-                            _ => Datum::Bool(doc.json_exists(ev)),
-                        }
-                    }
-                    LeafSource::JsonTable { .. } | LeafSource::Resident(_) => {
-                        return Err(StoreError::new("a leaf of expanded rows in a table scan"))
-                    }
-                };
-                self.vecs[s].as_mut().expect("allocated above").set(i - self.range.start, value)?;
+            let off = i - self.range.start;
+            for (col, group) in &groups {
+                let doc = table
+                    .open_doc(i, *col)
+                    .ok_or_else(|| StoreError::new("SQL/JSON operator on non-JSON column"))?;
+                paths.answer(&doc, leaves, group, |s, value| {
+                    self.vecs[s].as_mut().expect("allocated above").set(off, value)
+                })?;
+            }
+            for &(s, col) in &heap {
+                let value = table.scan_cell(i, col).into_datum();
+                self.vecs[s].as_mut().expect("allocated above").set(off, value)?;
             }
         }
         Ok(())
     }
 
     /// [`MorselCols::extract`] over expanded rows: a JSON_TABLE column
-    /// from its block's context node in the parent's open DOM, anything of
-    /// the scan's from the parent's table row.
+    /// from its block's context node in the parent's open DOM, a path of
+    /// the scan's from the parent's table row (its column's paths answered
+    /// together, once per document), anything else of the scan's from
+    /// that row too.
     fn fill_expanded(
         &mut self,
         pending: &[usize],
         leaves: &Leaves,
         sel: &SelVec,
-        evaluators: &mut [Option<PathEvaluator>],
+        paths: &mut PathSlots,
         x: &Expanded<'_>,
         cursor: &mut JsonTableCursor,
     ) -> Result<(), StoreError> {
@@ -646,13 +730,26 @@ impl<'g> MorselCols<'g> {
         };
         let table_cols: Vec<Option<(usize, usize)>> = pending.iter().map(table_col).collect();
         let mut last: Vec<Option<((usize, Ctx), usize)>> = vec![None; pending.len()];
-        let (mut doc, mut doc_of) = (None, usize::MAX);
+        // the scan's path values for the current document, by slot
+        let groups = leaves.path_groups(pending);
+        let mut at_doc = vec![Datum::Null; leaves.len()];
+        let mut doc_of = usize::MAX;
         for i in sel.iter() {
             self.governor.check_rows(&mut self.checked, 1)?;
             let (k, off) = (x.parent[i] as usize, i - self.range.start);
             let (row, dom) = &x.docs[k];
             if doc_of != k {
-                (doc, doc_of) = (None, k);
+                doc_of = k;
+                for (col, group) in &groups {
+                    let doc = x
+                        .table
+                        .open_doc(*row, *col)
+                        .ok_or_else(|| StoreError::new("SQL/JSON operator on non-JSON column"))?;
+                    paths.answer(&doc, leaves, group, |s, value| {
+                        at_doc[s] = value;
+                        Ok(())
+                    })?;
+                }
             }
             for ((&s, jt), last) in pending.iter().zip(&table_cols).zip(&mut last) {
                 let slot = self.vecs[s].as_mut().expect("allocated above");
@@ -664,13 +761,17 @@ impl<'g> MorselCols<'g> {
                     continue;
                 }
                 *last = Some((run, off));
-                let value = match (jt, dom) {
-                    (Some((col, _)), Some(dom)) => with_dom!(dom, d => cursor.cell(d, *col, run.1)),
-                    (Some(_), None) => Datum::Null,
-                    (None, _) => {
-                        let source = &leaves.entries[s].source;
-                        scan_value(x.table, *row, source, &mut doc, evaluators[s].as_mut())?
+                let value = match (jt, dom, &leaves.entries[s].source) {
+                    (Some((col, _)), Some(dom), _) => {
+                        with_dom!(dom, d => cursor.cell(d, *col, run.1))
                     }
+                    (Some(_), None, _) => Datum::Null,
+                    // computed for this document above, read once: the run
+                    // of a scan leaf is the document
+                    (None, _, LeafSource::Value { .. } | LeafSource::Exists { .. }) => {
+                        std::mem::replace(&mut at_doc[s], Datum::Null)
+                    }
+                    (None, _, source) => scan_value(x.table, *row, source)?,
                 };
                 slot.set(off, value)?;
             }
@@ -679,34 +780,16 @@ impl<'g> MorselCols<'g> {
     }
 }
 
-/// The value, for an expanded row, of a leaf of the table's own — anything
-/// but a JSON_TABLE column — at its parent's table row `row`. `doc` is the document of that row open at
-/// a column (the caller clears it between rows): opened by the first path
-/// that needs it, shared by the rest.
-fn scan_value<'t>(
-    table: &'t Table,
-    row: usize,
-    source: &LeafSource,
-    doc: &mut Option<(usize, OpenDoc<'t>)>,
-    ev: Option<&mut PathEvaluator>,
-) -> Result<Datum, StoreError> {
+/// The value, for an expanded row, of a leaf of the table's own that is
+/// no path — a heap cell or a resident vector's slot — at its parent's
+/// table row `row`.
+fn scan_value(table: &Table, row: usize, source: &LeafSource) -> Result<Datum, StoreError> {
     Ok(match source {
         LeafSource::Heap { col } => table.scan_cell(row, *col).into_datum(),
-        LeafSource::Value { col, .. } | LeafSource::Exists { col, .. } => {
-            if !matches!(doc, Some((c, _)) if c == col) {
-                let opened = table
-                    .open_doc(row, *col)
-                    .ok_or_else(|| StoreError::new("SQL/JSON operator on non-JSON column"))?;
-                *doc = Some((*col, opened));
-            }
-            let doc = &doc.as_ref().expect("opened above").1;
-            let ev = ev.expect("path leaves own an evaluator");
-            match source {
-                LeafSource::Value { ty, .. } => doc.json_value(ev, *ty),
-                _ => Datum::Bool(doc.json_exists(ev)),
-            }
-        }
         LeafSource::Resident(v) => v.slot(row).to_datum(),
+        LeafSource::Value { .. } | LeafSource::Exists { .. } => {
+            return Err(StoreError::new("a path leaf outside its document's pass"))
+        }
         LeafSource::JsonTable { .. } => {
             return Err(StoreError::new("JSON_TABLE column outside an expansion"))
         }
@@ -762,7 +845,7 @@ mod tests {
             .unwrap();
         assert_eq!(cols.vec(0).datum(7), Datum::from(7i64));
         // one evaluator saw all ten documents: nine look-back hits
-        let ev = scratch.spine(&leaves).0[0].as_ref().unwrap();
+        let ev = scratch.spine(&leaves).0.evaluators[0].as_ref().unwrap();
         assert_eq!((ev.lookback_hits, ev.lookback_misses), (9, 1));
     }
 
@@ -784,7 +867,7 @@ mod tests {
         assert!(cols.vec(slot).is_null(0), "row 4 was not selected, so never opened");
         // a later stage over a narrower selection reuses the vectors
         let ev_hits = |s: &mut EvalScratch| {
-            let ev = s.spine(&leaves).0[slot].as_ref().unwrap();
+            let ev = s.spine(&leaves).0.evaluators[slot].as_ref().unwrap();
             ev.lookback_hits + ev.lookback_misses
         };
         let before = ev_hits(&mut scratch);
