@@ -29,7 +29,7 @@ FSDM_THREADS=1 cargo test --workspace -q
 echo "== tests (full workspace, 4-way parallel executor) =="
 FSDM_THREADS=4 cargo test --workspace -q
 
-echo "== fsdm-check all (source rules, concurrency, workload lint, plan typecheck) =="
+echo "== fsdm-check all (concurrency, workload lint, plan typecheck) =="
 # exits 1 with its text report on stderr when any error-severity finding remains
 cargo run --release -p fsdm-check -- all
 
@@ -48,7 +48,8 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 echo "== rustfmt =="
 cargo fmt --all --check
 
-echo "== clippy (deny warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
+echo "== clippy (deny warnings; the source lints live in the files they guard) =="
+cargo clippy --workspace --all-targets -- -D warnings \
+    -D clippy::dbg_macro -D clippy::todo -D clippy::allow_attributes_without_reason
 
 echo "CI OK"

@@ -34,7 +34,9 @@ impl Severity {
 macro_rules! codes {
     ($($(#[$doc:meta])* $variant:ident = $id:literal, $slug:literal, $sev:ident;)*) => {
         /// The stable diagnostic codes. Numbering is append-only: codes
-        /// are part of the CI contract and never renumbered.
+        /// are part of the CI contract and never renumbered. SR001–SR015
+        /// and SN008 are retired (their rules moved into lints and types
+        /// the build runs) and are never reused.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         pub enum Code {
             $($(#[$doc])* $variant,)*
@@ -44,15 +46,14 @@ macro_rules! codes {
             /// Every code, in registry order.
             pub const ALL: &'static [Code] = &[$(Code::$variant,)*];
 
-            /// The stable `FAnnn`/`PKnnn`/`SNnnn`/`SRnnn` identifier.
+            /// The stable `FAnnn`/`PKnnn`/`SNnnn` identifier.
             pub fn id(&self) -> &'static str {
                 match self {
                     $(Code::$variant => $id,)*
                 }
             }
 
-            /// Kebab-case name, matching the issue-tracker vocabulary
-            /// and the `fsdm-check: allow(<slug>)` annotations.
+            /// Kebab-case name, matching the issue-tracker vocabulary.
             pub fn slug(&self) -> &'static str {
                 match self {
                     $(Code::$variant => $slug,)*
@@ -132,44 +133,6 @@ codes! {
     /// A thread is spawned outside the morsel executor
     /// (`crates/store/src/parallel.rs`), bypassing the degree control.
     SpawnOutsideExecutor = "SN007", "spawn-outside-executor", Error;
-    /// A failpoint is fired with a name that is not a constant declared
-    /// in `fsdm_fault::catalog` (or the catalog file and its `ALL` slice
-    /// disagree), so the name could never be armed.
-    UndeclaredFailpoint = "SN008", "undeclared-failpoint", Error;
-    /// `unwrap`/`expect`/a panicking macro in a hot-path decode file.
-    NoPanic = "SR001", "no-panic", Error;
-    /// Slice/array indexing in a hot-path decode file.
-    NoIndex = "SR002", "no-index", Error;
-    /// A bare `as` integer cast in wire offset/length arithmetic.
-    NoAsInt = "SR003", "no-as-int", Error;
-    /// `RefCell`/`Cell`/`Rc` in the `Send + Sync` executor crates.
-    NoInteriorMut = "SR004", "no-interior-mut", Error;
-    /// `dbg!` or `todo!` outside test code.
-    NoDebug = "SR005", "no-debug", Error;
-    /// `catch_unwind` outside the morsel executor's panic boundary.
-    PanicIsolation = "SR006", "panic-isolation", Error;
-    /// A string-literal metric name at a `counter!`/`gauge!`/`histogram!`
-    /// call site outside `fsdm-obs`.
-    MetricLiteral = "SR007", "metric-literal", Error;
-    /// A string-literal span name at a `span*` call site outside
-    /// `fsdm-obs`.
-    SpanLiteral = "SR008", "span-name-from-catalog", Error;
-    /// A diagnostic id spelled as a string literal outside this crate.
-    DiagCodeLiteral = "SR009", "diag-code-registry", Error;
-    /// A to-do or fix-me comment marker without an issue reference.
-    Todo = "SR010", "todo", Error;
-    /// A metric constant declared in `fsdm_obs::catalog` but missing
-    /// from its `ALL` inventory.
-    CatalogDrift = "SR011", "catalog", Error;
-    /// A `fsdm-check:` comment that does not parse as
-    /// `allow(<slug>) -- <reason>` or names an unknown slug.
-    BadAllow = "SR012", "bad-allow", Error;
-    /// An allow annotation that suppresses nothing.
-    UnusedAllow = "SR013", "unused-allow", Error;
-    /// An allow annotation in a file where escapes are forbidden.
-    AllowForbidden = "SR014", "allow-forbidden", Error;
-    /// More allow annotations in use than the workspace budget.
-    AllowBudget = "SR015", "allow-budget", Error;
 }
 
 /// One finding of the semantic analyzer.
@@ -314,8 +277,7 @@ mod tests {
             vec![
                 "FA001", "FA002", "FA003", "FA004", "FA005", "FA006", "FA007", "PK001", "PK002",
                 "PK003", "PK004", "PK005", "PK006", "SN001", "SN002", "SN003", "SN004", "SN005",
-                "SN006", "SN007", "SN008", "SR001", "SR002", "SR003", "SR004", "SR005", "SR006",
-                "SR007", "SR008", "SR009", "SR010", "SR011", "SR012", "SR013", "SR014", "SR015",
+                "SN006", "SN007",
             ]
         );
         for c in Code::ALL {
@@ -325,7 +287,6 @@ mod tests {
         assert_eq!(Code::UnknownColumn.severity(), Severity::Error);
         assert_eq!(Code::DoubleLock.severity(), Severity::Error);
         assert_eq!(Code::SpawnOutsideExecutor.severity(), Severity::Error);
-        assert_eq!(Code::NoPanic.severity(), Severity::Error);
         assert!(Severity::Error > Severity::Warning && Severity::Warning > Severity::Info);
     }
 
@@ -334,7 +295,7 @@ mod tests {
         // `Code::ALL` comes out of the same table as the enum, so no
         // variant can escape this check: each series is contiguous
         // from 001 (hence every id unique) and every slug is unique
-        for series in ["FA", "PK", "SN", "SR"] {
+        for series in ["FA", "PK", "SN"] {
             let mut nums: Vec<u32> = Code::ALL
                 .iter()
                 .map(|c| c.id())

@@ -23,7 +23,7 @@
 //! Statement-level collection of embedded paths lives in `fsdm-sql`
 //! (which depends on this crate). The crate also owns the finding shape
 //! every verification pass shares — [`Diagnostic`], the [`Code`] registry
-//! (FA, PK, SN and SR series) and its renderers; the `fsdm-check` binary
+//! (FA, PK and SN series) and its renderers; the `fsdm-check` binary
 //! that runs the passes lives in `crates/check`.
 
 pub mod check;

@@ -11,6 +11,23 @@
 //! the deep verifier that untrusted buffers must pass (and [`decode`]
 //! runs unconditionally) before the bytes are treated as meaningful.
 
+// hot-path decode of untrusted bytes: corrupted input returns `Err`, never
+// a panic, and offset arithmetic never truncates silently (DESIGN.md §8);
+// `forbid`, so no waiver is possible
+#![cfg_attr(
+    not(test),
+    forbid(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::as_conversions
+    )
+)]
+
 use fsdm_json::{JsonDom, JsonNumber, JsonValue, NodeKind, NodeRef, Object, ScalarRef};
 
 use crate::{tag, BsonError, ErrorKind, Result};

@@ -9,20 +9,14 @@ use fsdm_obs::catalog::{self, AtomicDiscipline};
 use fsdm_sqljson::Span;
 
 use crate::facts::{lock_rank, Event, EventKind, FileFacts, FnFacts};
-use crate::rules::declared_names;
 use crate::Finding;
 
-/// The file that owns thread spawning; `spawn` anywhere else is SN007
-/// (and allow annotations are forbidden here entirely).
+/// The file that owns thread spawning; `spawn` anywhere else is SN007.
 pub const EXECUTOR_FILE: &str = "crates/store/src/parallel.rs";
 
 /// The executor's entry point: holding a lock across a call that
 /// reaches it is SN003.
 const EXECUTOR_ENTRY: &str = "run_morsels";
-
-/// The source file declaring the failpoint name catalog; `fire` call
-/// sites elsewhere must pass one of its constants (SN008).
-pub const FAULT_CATALOG_FILE: &str = "crates/fault/src/catalog.rs";
 
 /// A function's position in the workspace fact set.
 type FnRef = (usize, usize);
@@ -145,84 +139,7 @@ pub fn run(files: &[FileFacts]) -> Vec<Finding> {
             walk_fn(&graph, (fi, gi), f, &mut lock_memo, &mut exec_memo, &mut out);
         }
     }
-    check_failpoints(files, &mut out);
     out
-}
-
-/// SN008: failpoint discipline. The fault catalog source must agree
-/// with the compiled `fsdm_fault::catalog::ALL` slice, and every `fire`
-/// call site outside `crates/fault` must pass one of the declared
-/// `FP_*` constants — a string literal or ad-hoc identifier could drift
-/// from the catalog and name a point that can never be armed.
-fn check_failpoints(files: &[FileFacts], out: &mut Vec<Finding>) {
-    let mut declared: Vec<(usize, String, String)> = Vec::new();
-    if let Some(file) = files.iter().find(|f| f.path == FAULT_CATALOG_FILE) {
-        declared = declared_names(file.raw_lines.iter().map(String::as_str));
-        for (i, name, value) in &declared {
-            if !fsdm_fault::catalog::ALL.contains(&value.as_str()) {
-                out.push(finding(
-                    file,
-                    *i,
-                    Span::new(0, line_text(file, *i).len().max(1)),
-                    Code::UndeclaredFailpoint,
-                    format!(
-                        "failpoint constant `{name}` (\"{value}\") is not mirrored in \
-                         `catalog::ALL`, so it can never be armed"
-                    ),
-                    "add the constant to `ALL` in crates/fault/src/catalog.rs",
-                ));
-            }
-        }
-        if declared.len() != fsdm_fault::catalog::ALL.len() {
-            out.push(finding(
-                file,
-                0,
-                Span::new(0, 1),
-                Code::UndeclaredFailpoint,
-                format!(
-                    "the fault catalog declares {} constant(s) but `ALL` lists {}; the \
-                     file and the slice must mirror each other",
-                    declared.len(),
-                    fsdm_fault::catalog::ALL.len()
-                ),
-                "keep `ALL` in declaration order with one entry per constant",
-            ));
-        }
-    }
-    for file in files {
-        if file.path.starts_with("crates/fault/") {
-            continue;
-        }
-        for f in &file.fns {
-            for ev in &f.events {
-                let EventKind::Call { callee, arg_ident, .. } = &ev.kind else { continue };
-                if callee != "fire" {
-                    continue;
-                }
-                let ok = arg_ident
-                    .as_deref()
-                    .is_some_and(|id| declared.iter().any(|(_, name, _)| name == id));
-                if !ok {
-                    out.push(at(
-                        file,
-                        ev,
-                        Code::UndeclaredFailpoint,
-                        format!(
-                            "`{}` fires a failpoint whose name is not a constant from \
-                             `fsdm_fault::catalog` (got {})",
-                            f.qualified,
-                            arg_ident.as_deref().map_or_else(
-                                || "a literal or expression".to_string(),
-                                |id| format!("`{id}`")
-                            )
-                        ),
-                        "pass one of the `FP_*` constants so arming and firing can never \
-                         disagree on the name",
-                    ));
-                }
-            }
-        }
-    }
 }
 
 fn walk_fn(
@@ -460,76 +377,10 @@ fn held_list(held: &[Held]) -> String {
     names.join(" and ")
 }
 
-fn line_text(file: &FileFacts, line: usize) -> &str {
-    file.raw_lines.get(line).map_or("", |s| s.as_str())
-}
-
-/// A finding at `span` of 0-based `line`.
-fn finding(
-    file: &FileFacts,
-    line: usize,
-    span: Span,
-    code: Code,
-    message: String,
-    help: &str,
-) -> Finding {
-    let diagnostic = Diagnostic::new(code, span, line_text(file, line), message).with_help(help);
-    Finding { site: file.path.clone(), line: line + 1, diagnostic }
-}
-
 /// A finding anchored on an event's token.
 fn at(file: &FileFacts, ev: &Event, code: Code, message: String, help: &str) -> Finding {
-    finding(file, ev.line, Span::new(ev.col, ev.col + ev.len), code, message, help)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::facts;
-    use crate::source::Source;
-
-    fn extract(path: &str, text: &str) -> FileFacts {
-        facts::extract(&Source::new(path, text))
-    }
-
-    #[test]
-    fn sn008_requires_catalog_constants_at_fire_sites() {
-        // the real catalog source keeps the file/`ALL` cross-check green
-        let catalog = extract(FAULT_CATALOG_FILE, include_str!("../../fault/src/catalog.rs"));
-        let good = extract(
-            "crates/store/src/database.rs",
-            "fn scan() {\n    fsdm_fault::fire(FP_EXEC_MORSEL).ok();\n}\n",
-        );
-        let bad = extract(
-            "crates/store/src/other.rs",
-            "fn scan() {\n    fsdm_fault::fire(\"exec.morsel\").ok();\n}\n",
-        );
-        let inside =
-            extract("crates/fault/src/lib.rs", "fn f() {\n    fire(\"anything\").ok();\n}\n");
-        let findings = run(&[catalog, good, bad, inside]);
-        let sn008: Vec<&Finding> =
-            findings.iter().filter(|f| f.diagnostic.code == Code::UndeclaredFailpoint).collect();
-        assert_eq!(sn008.len(), 1, "{findings:?}");
-        assert_eq!(sn008[0].site, "crates/store/src/other.rs");
-        assert!(
-            sn008[0].diagnostic.message.contains("fsdm_fault::catalog"),
-            "{:?}",
-            sn008[0].diagnostic
-        );
-    }
-
-    #[test]
-    fn sn008_flags_a_catalog_drifted_from_all() {
-        let drifted = extract(
-            FAULT_CATALOG_FILE,
-            "pub const FP_BOGUS: &str = \"bogus.point\";\npub const ALL: &[&str] = &[FP_BOGUS];\n",
-        );
-        let findings = run(&[drifted]);
-        let sn008: Vec<&Finding> =
-            findings.iter().filter(|f| f.diagnostic.code == Code::UndeclaredFailpoint).collect();
-        // the bogus constant is not in the compiled `ALL`, and the
-        // declared count disagrees with it too
-        assert_eq!(sn008.len(), 2, "{findings:?}");
-        assert!(sn008.iter().all(|f| f.site == FAULT_CATALOG_FILE));
-    }
+    let text = file.raw_lines.get(ev.line).map_or("", String::as_str);
+    let span = Span::new(ev.col, ev.col + ev.len);
+    let diagnostic = Diagnostic::new(code, span, text, message).with_help(help);
+    Finding { site: file.path.clone(), line: ev.line + 1, diagnostic }
 }

@@ -19,7 +19,6 @@
 use fsdm_obs::catalog;
 
 use crate::lex::{line_idents, parse_items, FnItem};
-use crate::rules::NON_INDEX_KEYWORDS;
 use crate::source::Source;
 
 /// Atomic method names; an occurrence only counts as an atomic op when
@@ -63,6 +62,14 @@ const PANIC_MACROS: &[&str] = &[
 /// The observability macros that reach the metrics registry's `inner`
 /// lock; modeled as calls to the registry methods they expand to.
 const METRIC_MACROS: &[&str] = &["counter", "gauge", "histogram"];
+
+/// Keywords that may precede `[` without it being an index expression
+/// (slice patterns, array types after `->`, …).
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "let", "in", "if", "else", "match", "return", "mut", "ref", "as", "move", "static", "const",
+    "dyn", "impl", "for", "while", "loop", "break", "continue", "where", "pub", "fn", "type",
+    "use", "mod", "enum", "struct", "trait", "union", "unsafe", "extern", "box", "await", "yield",
+];
 
 /// Keywords that look like calls when followed by `(`.
 const CALL_KEYWORDS: &[&str] = &[

@@ -73,16 +73,6 @@ pub fn line_idents(masked: &str) -> Vec<(usize, usize, String)> {
     out
 }
 
-/// First non-whitespace character at or after `from`.
-pub fn next_non_ws(masked: &str, from: usize) -> Option<char> {
-    masked.chars().skip(from).find(|c| !c.is_whitespace())
-}
-
-/// Last non-whitespace character strictly before `upto`.
-pub fn prev_non_ws(masked: &str, upto: usize) -> Option<char> {
-    masked.chars().take(upto).filter(|c| !c.is_whitespace()).last()
-}
-
 /// One token of the simplified item-level stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {

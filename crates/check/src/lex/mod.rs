@@ -1,10 +1,9 @@
-//! The syntax layer under the source rules and the concurrency facts:
-//! a comment-, string- and raw-string-aware scanner, and an item parser
-//! that knows which lines belong to which function. Both passes read
-//! sources through it, so they cannot drift in how they classify text.
+//! The syntax layer under the concurrency facts: a comment-, string- and
+//! raw-string-aware scanner, and an item parser that knows which lines
+//! belong to which function.
 
 pub mod items;
 pub mod scan;
 
-pub use items::{line_idents, next_non_ws, parse_items, prev_non_ws, FnItem, Items};
-pub use scan::{scan, Class, Scan};
+pub use items::{line_idents, parse_items, FnItem, Items};
+pub use scan::{scan, Scan};

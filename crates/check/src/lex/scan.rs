@@ -1,10 +1,10 @@
 //! A comment-, string- and raw-string-aware scanner for Rust sources.
 //!
-//! Analysis rules (the `src` token rules, the `concurrency` facts) must
-//! never fire on text inside a comment or a string literal ("unwrap()"
-//! in a doc comment is prose, not a call), so every file is first classified character by character. The scanner
-//! is a small hand-rolled state machine — not a full lexer — that knows
-//! exactly the token shapes that matter for masking:
+//! The `concurrency` facts must never come from text inside a comment
+//! or a string literal ("unwrap()" in a doc comment is prose, not a
+//! call), so every file is first classified character by character.
+//! The scanner is a small hand-rolled state machine — not a full lexer —
+//! that knows exactly the token shapes that matter for masking:
 //!
 //! * line comments (`//`, `///`, `//!`) and nested block comments;
 //! * string literals with escapes, byte strings, and raw strings with an
@@ -31,8 +31,6 @@ pub struct Scan {
     pub lines: Vec<Vec<char>>,
     /// Per-line, per-character classes; parallel to `lines`.
     pub classes: Vec<Vec<Class>>,
-    /// `(line index, text after the "//")` for every line comment.
-    pub comments: Vec<(usize, String)>,
     /// True for lines inside a `#[cfg(test)]` module (attribute line
     /// through closing brace).
     pub test_lines: Vec<bool>,
@@ -79,10 +77,6 @@ impl Sink {
             classes.push(cls);
         }
     }
-
-    fn current_line(&self) -> usize {
-        self.lines.len().saturating_sub(1)
-    }
 }
 
 fn is_ident(ch: char) -> bool {
@@ -93,7 +87,6 @@ fn is_ident(ch: char) -> bool {
 pub fn scan(text: &str) -> Scan {
     let chars: Vec<char> = text.chars().collect();
     let mut out = Sink::new();
-    let mut comments: Vec<(usize, String)> = Vec::new();
     let mut i = 0;
     let mut prev_code: Option<char> = None;
 
@@ -101,20 +94,10 @@ pub fn scan(text: &str) -> Scan {
         let next = chars.get(i + 1).copied();
         match ch {
             '/' if next == Some('/') => {
-                let line = out.current_line();
-                let mut text = String::new();
-                out.push('/', Class::Comment);
-                out.push('/', Class::Comment);
-                i += 2;
-                while let Some(&c) = chars.get(i) {
-                    if c == '\n' {
-                        break;
-                    }
-                    text.push(c);
+                while let Some(&c) = chars.get(i).filter(|&&c| c != '\n') {
                     out.push(c, Class::Comment);
                     i += 1;
                 }
-                comments.push((line, text));
             }
             '/' if next == Some('*') => {
                 out.push('/', Class::Comment);
@@ -178,7 +161,7 @@ pub fn scan(text: &str) -> Scan {
         lines.pop();
         classes.pop();
     }
-    let mut scan = Scan { lines, classes, comments, test_lines: Vec::new() };
+    let mut scan = Scan { lines, classes, test_lines: Vec::new() };
     scan.test_lines = find_test_regions(&scan);
     scan
 }
@@ -390,14 +373,6 @@ mod tests {
         let m = masked_all("let b = b\"bytes\"; let c = b'x';\n");
         assert!(!m[0].contains("bytes"));
         assert!(!m[0].contains('x'));
-    }
-
-    #[test]
-    fn collects_line_comments() {
-        let s = scan("code(); // trailing note\n// full line\n");
-        assert_eq!(s.comments.len(), 2);
-        assert_eq!(s.comments[0], (0, " trailing note".to_string()));
-        assert_eq!(s.comments[1], (1, " full line".to_string()));
     }
 
     #[test]

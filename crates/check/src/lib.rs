@@ -1,48 +1,34 @@
 //! `fsdm-check`: the one verification tool of the workspace.
 //!
-//! Four passes guard the paper's transparency claim — storage format,
-//! access path and execution strategy must not change SQL/JSON
-//! semantics — and all four report through the same [`Finding`] and
-//! [`Report`]:
+//! Three passes guard what no compiler can see — lock and atomic
+//! discipline across the workspace call graph, and the paper's
+//! transparency claim (storage format, access path and execution
+//! strategy must not change SQL/JSON semantics) over the workload — and
+//! all three report through the same [`Finding`] and [`Report`]:
 //!
 //! | subcommand    | codes       | subject                                        |
 //! |---------------|-------------|------------------------------------------------|
-//! | `src`         | SR001–SR015 | token rules over `crates/*/src` ([`rules`])    |
-//! | `concurrency` | SN001–SN008 | lock/atomic/spawn discipline ([`checks`])      |
+//! | `concurrency` | SN001–SN007 | lock/atomic/spawn discipline ([`checks`])      |
 //! | `workload`    | FA001–FA007 | workload JSON paths vs. DataGuide ([`workload`]) |
 //! | `plan`        | PK001–PK006 | workload plans + optimizer rewrites ([`workload`]) |
 //!
 //! `workload` and `plan` are two readings of one walk: each statement is
-//! planned and checked once, and a series keeps its codes.
-//!
-//! The codes live in the `fsdm_analyze::Code` registry. A source finding
-//! can be suppressed with an annotation on the same line or the line
-//! above:
-//!
-//! ```text
-//! // fsdm-check: allow(no-index) -- bounds established by the loop guard
-//! ```
-//!
-//! Allows are budgeted ([`ALLOW_BUDGET`]), forbidden outright in the most
-//! safety-critical files, and an allow that is malformed or suppresses
-//! nothing is itself an error.
+//! planned and checked once, and a series keeps its codes. The codes
+//! live in the `fsdm_analyze::Code` registry. There is no waiver syntax:
+//! source-level rules the type system or clippy can judge live in the
+//! files they guard as lint attributes (waived with `#[expect(lint,
+//! reason = "…")]`), and an SN finding is fixed, not suppressed.
 
 pub mod checks;
 pub mod facts;
 pub mod lex;
-pub mod rules;
 pub mod source;
 pub mod workload;
 
 use fsdm_analyze::{json_str, Diagnostic, Severity};
 
-/// Maximum number of allow annotations tolerated across the repo.
-pub const ALLOW_BUDGET: usize = 10;
-
-/// Code series of the `src` token rules; like the three below, it names
-/// the pass in the `series` argument of the entry points.
-pub const SRC: &str = "SR";
-/// Code series of the `concurrency` analysis.
+/// Code series of the `concurrency` analysis; like the two below, it
+/// names the pass in the `series` argument of the entry points.
 pub const CONCURRENCY: &str = "SN";
 /// Code series of the `workload` path lint.
 pub const WORKLOAD: &str = "FA";
@@ -52,7 +38,7 @@ pub const PLAN: &str = "PK";
 /// One reported problem — the shape every subcommand produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Repo-relative source path (`src`, `concurrency`) or statement
+    /// Repo-relative source path (`concurrency`) or statement
     /// label such as `nobench:Q3` (`workload`, `plan`).
     pub site: String,
     /// 1-based source line; 0 for statement findings.
@@ -67,11 +53,9 @@ pub struct Finding {
 pub struct Report {
     /// Which subcommand produced it.
     pub subcommand: String,
-    /// Findings that survived allow filtering: source findings in
-    /// (site, line) order, statement findings in workload order.
+    /// Source findings in (site, line) order, statement findings in
+    /// workload order.
     pub findings: Vec<Finding>,
-    /// How many allow annotations suppressed a finding.
-    pub allows_used: usize,
     /// How many files, statements and plans were checked.
     pub checked: usize,
 }
@@ -99,7 +83,6 @@ impl Report {
     /// Append another pass's outcome.
     pub fn merge(&mut self, other: Report) {
         self.findings.extend(other.findings);
-        self.allows_used += other.allows_used;
         self.checked += other.checked;
     }
 
@@ -114,19 +97,17 @@ impl Report {
             }
         }
         out.push_str(&format!(
-            "fsdm-check {}: {} checked, {} error(s), {} warning(s), {} info(s), \
-             {}/{ALLOW_BUDGET} allow(s) used\n",
+            "fsdm-check {}: {} checked, {} error(s), {} warning(s), {} info(s)\n",
             self.subcommand,
             self.checked,
             self.errors(),
             self.warnings(),
-            self.infos(),
-            self.allows_used
+            self.infos()
         ));
         out
     }
 
-    /// Machine-readable report, schema `fsdm-check-v1`.
+    /// Machine-readable report, schema `fsdm-check-v2`.
     pub fn render_json(&self) -> String {
         let findings: Vec<String> = self
             .findings
@@ -141,14 +122,13 @@ impl Report {
             })
             .collect();
         format!(
-            "{{\n  \"schema\": \"fsdm-check-v1\",\n  \"tool\": \"fsdm-check\",\n  \
+            "{{\n  \"schema\": \"fsdm-check-v2\",\n  \"tool\": \"fsdm-check\",\n  \
              \"subcommand\": {},\n  \"errors\": {},\n  \"warnings\": {},\n  \"infos\": {},\n  \
-             \"allows_used\": {},\n  \"findings\": [{}\n  ]\n}}\n",
+             \"findings\": [{}\n  ]\n}}\n",
             json_str(&self.subcommand),
             self.errors(),
             self.warnings(),
             self.infos(),
-            self.allows_used,
             findings.join(",")
         )
     }
@@ -170,8 +150,7 @@ mod tests {
     fn reports_merge_count_and_render_one_shape() {
         let mut report = Report { subcommand: "all".to_string(), ..Report::default() };
         report.merge(Report {
-            findings: vec![finding("crates/x/src/lib.rs", 3, Code::NoPanic)],
-            allows_used: 1,
+            findings: vec![finding("crates/x/src/lib.rs", 3, Code::DoubleLock)],
             checked: 2,
             ..Report::default()
         });
@@ -185,15 +164,14 @@ mod tests {
         });
         assert_eq!((report.errors(), report.warnings(), report.infos()), (1, 1, 1));
         let text = report.render_text();
-        let src_line = format!("crates/x/src/lib.rs:3:5: {} error [no-panic]", Code::NoPanic.id());
+        let src_line =
+            format!("crates/x/src/lib.rs:3:5: {} error [double-lock]", Code::DoubleLock.id());
         assert!(text.contains(&src_line), "{text}");
         assert!(text.contains("nobench:Q3: "), "{text}");
-        assert!(
-            text.ends_with("7 checked, 1 error(s), 1 warning(s), 1 info(s), 1/10 allow(s) used\n")
-        );
+        assert!(text.ends_with("7 checked, 1 error(s), 1 warning(s), 1 info(s)\n"), "{text}");
         let json = report.render_json();
         assert!(fsdm_json::parse(&json).is_ok(), "the report must re-parse: {json}");
-        assert!(json.contains("\"schema\": \"fsdm-check-v1\""), "{json}");
+        assert!(json.contains("\"schema\": \"fsdm-check-v2\""), "{json}");
         assert!(json.contains("\"site\": \"crates/x/src/lib.rs\", \"line\": 3"), "{json}");
         assert!(json.contains("let \\\"x\\\" = 1;"), "{json}");
         // an empty report still renders valid JSON

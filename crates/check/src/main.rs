@@ -2,12 +2,11 @@
 //!
 //! ```text
 //! fsdm-check all                               # every pass: the CI gate
-//! fsdm-check src [--root DIR]                  # token rules over crates/*/src
 //! fsdm-check concurrency [--root DIR]          # lock/atomic/spawn discipline
 //! fsdm-check workload [--workload nobench|olap|both] [--scale N]
 //! fsdm-check workload --sql queries.sql        # lint a file of statements
 //! fsdm-check plan [--workload nobench|olap|both] [--scale N]
-//! fsdm-check <subcommand> --json               # schema fsdm-check-v1
+//! fsdm-check <subcommand> --json               # schema fsdm-check-v2
 //! ```
 //!
 //! `--sql` lints the file's `;`-separated statements against the
@@ -24,9 +23,9 @@ use std::process::ExitCode;
 use fsdm_bench::setup::{nobench_guided_db, olap_guided_db};
 use fsdm_check::source::{check_sources, read_sources};
 use fsdm_check::workload::{check_workloads, lint_sql_text};
-use fsdm_check::{Report, CONCURRENCY, PLAN, SRC, WORKLOAD};
+use fsdm_check::{Report, CONCURRENCY, PLAN, WORKLOAD};
 
-const USAGE: &str = "usage: fsdm-check all|src|concurrency|workload|plan [--root DIR] \
+const USAGE: &str = "usage: fsdm-check all|concurrency|workload|plan [--root DIR] \
                      [--workload nobench|olap|both] [--scale N] [--sql FILE] [--json]";
 
 struct Options {
@@ -42,8 +41,7 @@ struct Options {
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let subcommand = args.next().ok_or(USAGE)?;
     let series: &[&str] = match subcommand.as_str() {
-        "all" => &[SRC, CONCURRENCY, WORKLOAD, PLAN],
-        "src" => &[SRC],
+        "all" => &[CONCURRENCY, WORKLOAD, PLAN],
         "concurrency" => &[CONCURRENCY],
         "workload" => &[WORKLOAD],
         "plan" => &[PLAN],
@@ -93,13 +91,13 @@ fn run(opts: &Options) -> Result<Report, String> {
         report.merge(lint_sql_text(&session, &source).map_err(|e| e.to_string())?);
         return Ok(report);
     }
-    if opts.series.contains(&SRC) || opts.series.contains(&CONCURRENCY) {
+    if opts.series.contains(&CONCURRENCY) {
         let sources = read_sources(&opts.root)
             .map_err(|e| format!("cannot read {}/crates: {e}", opts.root.display()))?;
         if sources.is_empty() {
             return Err(format!("no sources found under {}/crates", opts.root.display()));
         }
-        report.merge(check_sources(&sources, opts.series));
+        report.merge(check_sources(&sources));
     }
     if opts.series.contains(&WORKLOAD) || opts.series.contains(&PLAN) {
         report.merge(

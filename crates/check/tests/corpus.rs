@@ -2,20 +2,19 @@
 //! consolidation that produced `fsdm-check`.
 //!
 //! `corpus/crates/*/src` is a fixture tree with one planted violation per
-//! source rule and per concurrency code, `corpus/workload.sql` plants one
-//! finding per FA code, and [`pk_fixtures`] one per PK code.
+//! concurrency code and per retired source rule, `corpus/workload.sql`
+//! plants one finding per FA code, and [`pk_fixtures`] one per PK code.
 //! `corpus/golden.txt` lists the `(slug, file|label, line)` triples the
 //! four replaced tools reported for them at the parent commit; the one
 //! binary must report exactly that list, minus the lines marked
-//! `retired:` (rules the audit deleted, each with the gate that already
-//! enforces it).
+//! `retired:` (rules deleted since, each with the lint, type or test that
+//! enforces it now).
 
 use std::process::Command;
 
 use fsdm_analyze::Code;
-use fsdm_check::source::{check_sources, read_sources};
 use fsdm_check::workload::record;
-use fsdm_check::{Report, CONCURRENCY, SRC};
+use fsdm_check::Report;
 use fsdm_store::schema::{ColumnSpec, ConstraintMode, TableSchema};
 use fsdm_store::table::Table;
 use fsdm_store::typecheck::{check_plan, rewrite_violations};
@@ -120,10 +119,9 @@ fn fsdm_check_reports_exactly_the_parent_captured_golden_list() {
         }
     }
 
-    // src + concurrency over the fixture tree, through the real binary
-    // (exit 1: the corpus is all errors); FA through `workload --sql`
-    let mut actual = run(&["src", "--root", CORPUS], 1);
-    actual.extend(run(&["concurrency", "--root", CORPUS], 1));
+    // concurrency over the fixture tree, through the real binary (exit 1:
+    // the corpus is all errors); FA through `workload --sql`
+    let mut actual = run(&["concurrency", "--root", CORPUS], 1);
     let sql = format!("{CORPUS}/workload.sql");
     actual.extend(run(&["workload", "--workload", "nobench", "--scale", "200", "--sql", &sql], 1));
     // PK through the shared Finding/Report
@@ -145,37 +143,27 @@ fn fsdm_check_reports_exactly_the_parent_captured_golden_list() {
     expected.sort();
     assert_eq!(actual, expected);
 
-    // every surviving code of the four series is planted at least once,
-    // except the allow budget (eleven used allows; `sn_codes` covers it)
-    for code in Code::ALL.iter().filter(|c| **c != Code::AllowBudget) {
+    // every code of the three series is planted at least once
+    for code in Code::ALL {
         assert!(expected.iter().any(|(slug, _, _)| slug == code.slug()), "{code:?} is not planted");
     }
-}
-
-#[test]
-fn both_source_series_in_one_pass_report_the_union() {
-    // `all` runs src + concurrency as one pass over one walk; an allow is
-    // judged once, by the series its rule belongs to
-    let sources = read_sources(std::path::Path::new(CORPUS)).expect("the corpus is readable");
-    let one_pass = check_sources(&sources, &[SRC, CONCURRENCY]);
-    let mut separate = run(&["src", "--root", CORPUS], 1);
-    separate.extend(run(&["concurrency", "--root", CORPUS], 1));
-    let mut union = triples(&one_pass);
-    union.sort();
-    separate.sort();
-    assert_eq!(union, separate);
-    assert_eq!(one_pass.allows_used, 2);
 }
 
 #[test]
 fn exit_codes_follow_the_contract() {
     let bin = env!("CARGO_BIN_EXE_fsdm-check");
     let status = |args: &[&str]| Command::new(bin).args(args).output().expect("runs").status.code();
-    assert_eq!(status(&["src", "--root", concat!(env!("CARGO_MANIFEST_DIR"), "/../..")]), Some(0));
-    assert_eq!(status(&["src", "--root", CORPUS]), Some(1));
+    let workspace = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    assert_eq!(status(&["concurrency", "--root", workspace]), Some(0));
+    assert_eq!(status(&["concurrency", "--root", CORPUS]), Some(1));
     assert_eq!(status(&[]), Some(2), "no subcommand is a usage error");
     assert_eq!(status(&["tidy"]), Some(2), "an unknown subcommand is a usage error");
-    assert_eq!(status(&["src", "--fix"]), Some(2), "an unknown flag is a usage error");
-    assert_eq!(status(&["src", "--root", "/nonexistent"]), Some(2), "an unreadable root is I/O");
+    assert_eq!(status(&["src"]), Some(2), "the retired source pass is unknown");
+    assert_eq!(status(&["concurrency", "--fix"]), Some(2), "an unknown flag is a usage error");
+    assert_eq!(
+        status(&["concurrency", "--root", "/nonexistent"]),
+        Some(2),
+        "an unreadable root is I/O"
+    );
     assert_eq!(status(&["plan", "--sql", "x.sql"]), Some(2), "--sql is workload-only");
 }

@@ -1,6 +1,6 @@
 //! Corpus fixture: a failpoint catalog that drifted from the compiled
-//! `fsdm_fault::catalog::ALL` (SN008, twice: the constant is unknown and
-//! the counts disagree).
+//! `fsdm_fault::catalog::ALL` (retired SN008, twice), which the real
+//! catalog's one `failpoints!` list rules out.
 
 pub const FP_PLANTED: &str = "planted.point";
 

@@ -1,7 +1,7 @@
 //! Corpus fixture: the metric catalog. `PLANTED_MISSING` never reaches
-//! `ALL` (the surviving `catalog` finding); the duplicate value, the
-//! unsorted pair and the stray `ALL` entry are what the catalog's own
-//! unit tests assert since the audit.
+//! `ALL`, which the real catalog's one `catalog!` list rules out; the
+//! duplicate value, the unsorted pair and the stray `ALL` entry are what
+//! the catalog's own unit tests assert since the audit.
 
 pub const ALPHA: &str = "a.alpha";
 pub const BETA: &str = "b.beta";

@@ -1,5 +1,5 @@
-//! Corpus fixture: a hot-path decode file (`no-panic`, `no-index`,
-//! `no-as-int` apply here).
+//! Corpus fixture: a hot-path decode file; `no-panic`, `no-index` and
+//! `no-as-int` are clippy lints at the top of the real file now.
 
 fn planted(v: &[u8], o: Option<u8>, wide: u64) -> usize {
     let first = o.unwrap();

@@ -1,5 +1,5 @@
-//! Corpus fixture: allow annotations are forbidden in the wire decoder,
-//! so the annotation is rejected and the finding it names still fires.
+//! Corpus fixture: the wire decoder, where waivers are forbidden — now by
+//! `forbid(...)` at the top of the real file, not by fsdm-check.
 
 fn planted(v: &[u8]) -> u8 {
     // fsdm-check: allow(no-index) -- not accepted here

@@ -1,5 +1,5 @@
-//! Corpus fixture: an executor-crate file (`no-interior-mut` applies)
-//! that is not the panic boundary (`panic-isolation` applies).
+//! Corpus fixture: retired `no-interior-mut` (a build-time `Send + Sync`
+//! assertion now) and `panic-isolation` (`clippy::disallowed_methods`).
 
 use std::cell::RefCell;
 

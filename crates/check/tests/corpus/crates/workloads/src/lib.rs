@@ -1,6 +1,6 @@
-//! Corpus fixture: a cold file, where only the workspace-wide rules
-//! apply (`no-debug`, `metric-literal`, `span-name-from-catalog`,
-//! `diag-code-registry`, `todo`) plus the allow-annotation findings.
+//! Corpus fixture: plants of retired source rules (`no-debug`,
+//! `metric-literal`, `span-name-from-catalog`, `diag-code-registry`,
+//! `todo`, the allow syntax); golden.txt names each one's gate.
 
 // TODO: planted without an issue reference
 // TODO(#7): tracked, so clean

@@ -37,9 +37,9 @@ impl S {
         *g
     }
 
-    fn sn004_allowed(&self) -> u8 {
-        // fsdm-check: allow(lock-across-panic) -- planted: a used allow
-        let g = self.ring.lock().unwrap();
+    fn sn004_recovered(&self) -> u8 {
+        // the poison-recovering twin: no finding, and no waiver syntax
+        let g = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         *g
     }
 
@@ -70,5 +70,5 @@ fn sn008_undeclared_failpoint() {
     fsdm_fault::fire("planted.point").ok();
 }
 
-// fsdm-check: allow(double-lock) -- planted: suppresses nothing
+// fsdm-check: allow(double-lock) -- retired waiver syntax, now prose
 fn quiet() {}

@@ -4,11 +4,11 @@
 
 use fsdm_analyze::Code;
 use fsdm_check::source::{check_sources, Source};
-use fsdm_check::{Report, ALLOW_BUDGET, CONCURRENCY, SRC};
+use fsdm_check::Report;
 
 fn report_for(files: &[(&str, &str)]) -> Report {
     let sources: Vec<Source> = files.iter().map(|(p, t)| Source::new(p, t)).collect();
-    check_sources(&sources, &[CONCURRENCY])
+    check_sources(&sources)
 }
 
 fn codes_of(report: &Report) -> Vec<Code> {
@@ -329,95 +329,6 @@ pub fn run_morsels() {
 "#;
     let report = report_for(&[("crates/store/src/parallel.rs", src)]);
     assert!(report.findings.is_empty(), "{}", report.render_text());
-}
-
-// --- allow escapes -------------------------------------------------------
-
-#[test]
-fn an_allow_on_the_line_above_suppresses_and_counts() {
-    let src = r#"
-use std::sync::Mutex;
-struct S { ring: Mutex<u8> }
-impl S {
-    fn f(&self) -> u8 {
-        // fsdm-check: allow(lock-across-panic) -- exercised by tests
-        let g = self.ring.lock().unwrap();
-        *g
-    }
-}
-"#;
-    let report = report_for(&[("crates/x/src/lib.rs", src)]);
-    assert!(report.findings.is_empty(), "{}", report.render_text());
-    assert_eq!(report.allows_used, 1);
-    assert_eq!(report.errors(), 0);
-}
-
-#[test]
-fn an_unused_allow_is_an_error() {
-    let src = r#"
-// fsdm-check: allow(double-lock) -- nothing here double-locks
-fn quiet() {}
-"#;
-    let report = report_for(&[("crates/x/src/lib.rs", src)]);
-    assert_eq!(codes_of(&report), vec![Code::UnusedAllow], "{}", report.render_text());
-}
-
-#[test]
-fn allows_are_forbidden_in_the_executor() {
-    let src = r#"
-use std::sync::Mutex;
-struct S { ring: Mutex<u8> }
-impl S {
-    fn helper(&self) -> u8 {
-        // fsdm-check: allow(lock-across-panic) -- not even here
-        let g = self.ring.lock().unwrap();
-        *g
-    }
-}
-pub fn run_morsels() {}
-"#;
-    let report = report_for(&[("crates/store/src/parallel.rs", src)]);
-    // the annotation is rejected and the finding survives
-    assert_eq!(
-        codes_of(&report),
-        vec![Code::AllowForbidden, Code::LockAcrossPanic],
-        "{}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn the_allow_budget_is_enforced() {
-    let one = |name: &str| {
-        format!(
-            "    fn {name}(&self) -> u8 {{\n        \
-             // fsdm-check: allow(lock-across-panic) -- budget test\n        \
-             let g = self.ring.lock().unwrap();\n        *g\n    }}\n"
-        )
-    };
-    let mut src = String::from("use std::sync::Mutex;\nstruct S { ring: Mutex<u8> }\nimpl S {\n");
-    for i in 0..=ALLOW_BUDGET {
-        src.push_str(&one(&format!("f{i}")));
-    }
-    src.push_str("}\n");
-    let report = report_for(&[("crates/x/src/lib.rs", &src)]);
-    assert_eq!(report.allows_used, ALLOW_BUDGET + 1);
-    assert_eq!(codes_of(&report), vec![Code::AllowBudget], "{}", report.render_text());
-}
-
-#[test]
-fn malformed_and_unknown_allows_are_errors() {
-    let src = r#"
-// fsdm-check: allow(not-a-rule) -- typo
-// fsdm-check: allow(double-lock) missing the reason separator
-fn quiet() {}
-"#;
-    // the `src` series owns annotation syntax; on its own the
-    // concurrency pass leaves a comment it cannot read alone
-    assert_eq!(codes(src), vec![]);
-    let sources = [Source::new("crates/x/src/lib.rs", src)];
-    let report = check_sources(&sources, &[SRC, CONCURRENCY]);
-    assert_eq!(codes_of(&report), vec![Code::BadAllow; 2], "{}", report.render_text());
 }
 
 // --- report rendering ----------------------------------------------------

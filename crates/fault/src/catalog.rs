@@ -1,45 +1,62 @@
 //! The failpoint name catalog: every name the workspace may pass to
-//! [`crate::fire`] is declared here as a `pub const`, mirrored in [`ALL`].
+//! [`crate::fire`] is declared here, once, in the `failpoints!` list.
 //!
-//! The same discipline the obs crate applies to metric and span names
-//! applies here: names are dotted `lower_snake_case`, the constants are
-//! declared in ascending name order, and `ALL` lists them in declaration
-//! order. fsdm-check cross-checks this file (diagnostic SN008): a
-//! `fire` call site outside `crates/fault` must pass one of these
-//! constants — a string literal or an undeclared identifier is flagged,
-//! and a constant missing from `ALL` (or a duplicate) is a catalog bug.
-//! Arming (`crate::arm`) rejects names not present in `ALL` at runtime,
-//! so a typo in an `FSDM_FAILPOINTS` schedule fails loudly instead of
-//! silently never firing.
+//! The list declares both the [`Failpoint`] constants and [`ALL`], so a
+//! constant that never reaches `ALL` cannot exist. Only this module
+//! constructs a [`Failpoint`], so `fire` with a string literal or an
+//! undeclared name does not compile. Names are dotted `lower_snake_case`
+//! and the list is in ascending name order (the unit tests below assert
+//! both). Arming ([`crate::arm`]) takes a name from tests or the
+//! `FSDM_FAILPOINTS` schedule and rejects names not in `ALL` at runtime,
+//! so a typo fails loudly instead of silently never firing.
 
-/// Per-partial group-by accumulation inside the morsel closure.
-pub const FP_EXEC_GROUPBY_PARTIAL: &str = "exec.groupby.partial";
-/// Hash-join build side, once per build morsel.
-pub const FP_EXEC_JOIN_BUILD: &str = "exec.join.build";
-/// JSON_TABLE row-buffer production, once per output morsel.
-pub const FP_EXEC_JSONTABLE_ROW: &str = "exec.jsontable.row";
-/// Generic scan/filter morsel body — the highest-traffic point.
-pub const FP_EXEC_MORSEL: &str = "exec.morsel";
-/// Sort permutation apply, once per sort.
-pub const FP_EXEC_SORT_PERMUTE: &str = "exec.sort.permute";
-/// Row-predicate evaluation (`Expr::matches_with`), once per row.
-pub const FP_EXPR_EVAL: &str = "expr.eval";
-/// `Table::insert`, once per row, before any table state changes.
-pub const FP_INGEST_PUT: &str = "ingest.put";
-/// Vectorized columnar gather (`Batch::gather`), once per batch.
-pub const FP_VECTOR_BATCH: &str = "vector.batch";
+use std::fmt;
 
-/// Every declared failpoint name, in declaration (= ascending) order.
-pub const ALL: &[&str] = &[
-    FP_EXEC_GROUPBY_PARTIAL,
-    FP_EXEC_JOIN_BUILD,
-    FP_EXEC_JSONTABLE_ROW,
-    FP_EXEC_MORSEL,
-    FP_EXEC_SORT_PERMUTE,
-    FP_EXPR_EVAL,
-    FP_INGEST_PUT,
-    FP_VECTOR_BATCH,
-];
+/// A declared failpoint name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Failpoint(&'static str);
+
+impl Failpoint {
+    /// The dotted name, as `FSDM_FAILPOINTS` spells it.
+    pub const fn name(self) -> &'static str {
+        self.0
+    }
+}
+
+impl fmt::Display for Failpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+/// Declares each failpoint constant and [`ALL`] from one list.
+macro_rules! failpoints {
+    ($($(#[$doc:meta])* $name:ident = $value:literal;)*) => {
+        $($(#[$doc])* pub const $name: Failpoint = Failpoint($value);)*
+
+        /// Every declared failpoint, in declaration (= ascending) order.
+        pub const ALL: &[Failpoint] = &[$($name,)*];
+    };
+}
+
+failpoints! {
+    /// Per-partial group-by accumulation inside the morsel closure.
+    FP_EXEC_GROUPBY_PARTIAL = "exec.groupby.partial";
+    /// Hash-join build side, once per build morsel.
+    FP_EXEC_JOIN_BUILD = "exec.join.build";
+    /// JSON_TABLE row-buffer production, once per output morsel.
+    FP_EXEC_JSONTABLE_ROW = "exec.jsontable.row";
+    /// Generic scan/filter morsel body — the highest-traffic point.
+    FP_EXEC_MORSEL = "exec.morsel";
+    /// Sort permutation apply, once per sort.
+    FP_EXEC_SORT_PERMUTE = "exec.sort.permute";
+    /// Row-predicate evaluation (`Expr::matches_with`), once per row.
+    FP_EXPR_EVAL = "expr.eval";
+    /// `Table::insert`, once per row, before any table state changes.
+    FP_INGEST_PUT = "ingest.put";
+    /// Vectorized columnar gather (`Batch::gather`), once per batch.
+    FP_VECTOR_BATCH = "vector.batch";
+}
 
 #[cfg(test)]
 mod tests {
@@ -48,8 +65,8 @@ mod tests {
     #[test]
     fn names_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for name in ALL {
-            assert!(seen.insert(name), "duplicate failpoint name {name}");
+        for point in ALL {
+            assert!(seen.insert(point), "duplicate failpoint name {point}");
         }
     }
 
@@ -62,7 +79,8 @@ mod tests {
 
     #[test]
     fn names_follow_the_dotted_convention() {
-        for name in ALL {
+        for point in ALL {
+            let name = point.name();
             let parts: Vec<&str> = name.split('.').collect();
             assert!(parts.len() >= 2, "{name} needs at least two dotted parts");
             for part in parts {

@@ -10,9 +10,11 @@
 //! - **Disarmed cost is one relaxed atomic load.** `fire` reads the global
 //!   `ARMED` flag and returns immediately when nothing is armed; the
 //!   registry mutex is only touched while at least one point is armed.
-//! - **Names come from a catalog.** Every failpoint name is a `pub const`
-//!   in [`catalog`]; [`arm`] rejects undeclared names at runtime and
-//!   fsdm-check (SN008) rejects undeclared `fire` arguments statically.
+//! - **Names come from a catalog.** Every failpoint is a
+//!   [`catalog::Failpoint`] constant and only the catalog constructs one,
+//!   so [`fire`] with an undeclared name does not compile; [`arm`], which
+//!   takes names from tests and the environment, rejects undeclared names
+//!   at runtime.
 //! - **Determinism.** The probability mode draws from the in-workspace
 //!   seeded `rand` stand-in, so a `(point, mode, seed)` triple replays the
 //!   same hit sequence on every run — the chaos harness depends on this.
@@ -37,6 +39,8 @@ use rand::{Rng, SeedableRng};
 
 pub mod catalog;
 
+use catalog::Failpoint;
+
 /// Global fast-path gate: true while at least one point is armed. All
 /// accesses are `Relaxed` (a monotonic flag): the registry mutex, taken by
 /// every writer and by every armed-path reader, provides the ordering that
@@ -48,12 +52,12 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 /// the registry. Tier-1 tests assert this stays zero for a disarmed run.
 static HITS: AtomicU64 = AtomicU64::new(0);
 
-/// The error a fired failpoint injects. Carries the catalog name so the
+/// The error a fired failpoint injects. Carries the failpoint so the
 /// harness can assert *which* point produced a given typed failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultError {
-    /// Catalog name of the failpoint that fired.
-    pub point: &'static str,
+    /// The failpoint that fired.
+    pub point: Failpoint,
 }
 
 impl fmt::Display for FaultError {
@@ -97,37 +101,52 @@ enum Action {
     Sleep(u64),
 }
 
-fn points() -> &'static Mutex<BTreeMap<&'static str, PointState>> {
-    static POINTS: OnceLock<Mutex<BTreeMap<&'static str, PointState>>> = OnceLock::new();
+fn points() -> &'static Mutex<BTreeMap<Failpoint, PointState>> {
+    static POINTS: OnceLock<Mutex<BTreeMap<Failpoint, PointState>>> = OnceLock::new();
     POINTS.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// A panic while a site sleeps or a test unwinds can poison the registry;
 /// the map itself is always consistent (mutations are single assignments),
 /// so recover the guard rather than propagating the poison forever.
-fn lock_points() -> MutexGuard<'static, BTreeMap<&'static str, PointState>> {
+fn lock_points() -> MutexGuard<'static, BTreeMap<Failpoint, PointState>> {
     points().lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Execute the failpoint named `name`. Disarmed cost: one relaxed load.
+/// Execute the failpoint `point`. Disarmed cost: one relaxed load.
 ///
 /// Returns `Ok(())` unless the point is armed in a failing mode, in which
 /// case the typed [`FaultError`] (or a panic, for [`FailMode::Panic`])
 /// is injected exactly as the armed schedule dictates.
+///
+/// ```
+/// assert!(fsdm_fault::fire(fsdm_fault::catalog::FP_EXEC_MORSEL).is_ok());
+/// ```
+///
+/// A name the catalog does not declare is not a [`Failpoint`], so
+/// neither a string literal nor a hand-made one compiles:
+///
+/// ```compile_fail,E0308
+/// let _ = fsdm_fault::fire("exec.morsel");
+/// ```
+///
+/// ```compile_fail,E0603
+/// let _ = fsdm_fault::fire(fsdm_fault::catalog::Failpoint("planted.point"));
+/// ```
 #[inline]
-pub fn fire(name: &'static str) -> Result<(), FaultError> {
+pub fn fire(point: Failpoint) -> Result<(), FaultError> {
     if !ARMED.load(Ordering::Relaxed) {
         return Ok(());
     }
-    fire_armed(name)
+    fire_armed(point)
 }
 
 #[cold]
-fn fire_armed(name: &'static str) -> Result<(), FaultError> {
+fn fire_armed(point: Failpoint) -> Result<(), FaultError> {
     HITS.fetch_add(1, Ordering::Relaxed);
     let action = {
         let mut reg = lock_points();
-        let Some(state) = reg.get_mut(name) else {
+        let Some(state) = reg.get_mut(&point) else {
             return Ok(());
         };
         state.hits += 1;
@@ -155,8 +174,8 @@ fn fire_armed(name: &'static str) -> Result<(), FaultError> {
     };
     match action {
         Action::Proceed => Ok(()),
-        Action::Fail => Err(FaultError { point: name }),
-        Action::Panic => panic!("failpoint `{name}` injected panic"),
+        Action::Fail => Err(FaultError { point }),
+        Action::Panic => panic!("failpoint `{point}` injected panic"),
         Action::Sleep(ms) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
             Ok(())
@@ -164,26 +183,24 @@ fn fire_armed(name: &'static str) -> Result<(), FaultError> {
     }
 }
 
-/// Arm `name` in `mode`. The name must be declared in [`catalog::ALL`];
-/// arming with [`FailMode::Off`] removes the point instead.
+/// Arm the point named `name` in `mode`. The name must be declared in
+/// [`catalog::ALL`]; arming with [`FailMode::Off`] removes the point
+/// instead.
 pub fn arm(name: &str, mode: FailMode) -> Result<(), String> {
-    let Some(&canonical) = catalog::ALL.iter().find(|&&n| n == name) else {
+    let Some(&point) = catalog::ALL.iter().find(|p| p.name() == name) else {
         return Err(format!("unknown failpoint `{name}`; declare it in fault::catalog"));
     };
-    let mut reg = lock_points();
-    if mode == FailMode::Off {
-        reg.remove(canonical);
-    } else {
-        reg.insert(canonical, PointState { mode, hits: 0, rng: None });
-    }
-    ARMED.store(!reg.is_empty(), Ordering::Relaxed);
+    arm_point(point, mode);
     Ok(())
 }
 
-/// Disarm one point (no-op if it was not armed).
-pub fn disarm(name: &str) {
+fn arm_point(point: Failpoint, mode: FailMode) {
     let mut reg = lock_points();
-    reg.remove(name);
+    if mode == FailMode::Off {
+        reg.remove(&point);
+    } else {
+        reg.insert(point, PointState { mode, hits: 0, rng: None });
+    }
     ARMED.store(!reg.is_empty(), Ordering::Relaxed);
 }
 
@@ -202,8 +219,8 @@ pub fn total_hits() -> u64 {
 }
 
 /// Hits recorded against one armed point (None if it is not armed).
-pub fn point_hits(name: &str) -> Option<u64> {
-    lock_points().get(name).map(|s| s.hits)
+pub fn point_hits(point: Failpoint) -> Option<u64> {
+    lock_points().get(&point).map(|s| s.hits)
 }
 
 fn scope_serial() -> &'static Mutex<()> {
@@ -220,14 +237,10 @@ pub struct FailScope {
 
 impl FailScope {
     /// Take the scope lock, reset any leftover state, and arm one point.
-    ///
-    /// # Panics
-    /// Panics if `name` is not declared in [`catalog::ALL`].
-    pub fn new(name: &str, mode: FailMode) -> FailScope {
-        let serial = scope_serial().lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        reset();
-        arm(name, mode).expect("FailScope requires a cataloged failpoint name");
-        FailScope { _serial: serial }
+    pub fn new(point: Failpoint, mode: FailMode) -> FailScope {
+        let scope = FailScope::disarmed();
+        arm_point(point, mode);
+        scope
     }
 
     /// Take the scope lock without arming anything — for tests that need
@@ -239,8 +252,8 @@ impl FailScope {
     }
 
     /// Arm an additional point under the same scope.
-    pub fn also(&self, name: &str, mode: FailMode) {
-        arm(name, mode).expect("FailScope requires a cataloged failpoint name");
+    pub fn also(&self, point: Failpoint, mode: FailMode) {
+        arm_point(point, mode);
     }
 }
 
@@ -386,6 +399,7 @@ mod tests {
     #[test]
     fn panic_mode_panics_with_the_failpoint_payload() {
         let _scope = FailScope::new(catalog::FP_VECTOR_BATCH, FailMode::Panic);
+        #[expect(clippy::disallowed_methods, reason = "the panic mode is what this test observes")]
         let caught = std::panic::catch_unwind(|| fire(catalog::FP_VECTOR_BATCH)).unwrap_err();
         let msg = caught.downcast_ref::<String>().expect("string payload");
         assert_eq!(msg, "failpoint `vector.batch` injected panic");

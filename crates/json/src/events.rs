@@ -14,6 +14,21 @@
 //! [`EventParser::parse_value`] when it needs the whole of it) right after
 //! the container's start event, and no event inside it is produced.
 
+// hot path over stored text no constraint checked: corrupted input returns
+// `Err` or a total fallback, never a panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::borrow::Cow;
 
 use crate::error::{JsonError, Result};

@@ -4,6 +4,21 @@
 //! evaluating SQL/JSON over textual storage pays this parse per document
 //! per query, which is exactly the overhead OSON eliminates.
 
+// hot path over stored text no constraint checked: corrupted input returns
+// `Err` or a total fallback, never a panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::error::{JsonError, Result};
 use crate::number::JsonNumber;
 use crate::value::{JsonValue, Object};

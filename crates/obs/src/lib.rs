@@ -137,7 +137,10 @@ impl Default for Histogram {
 impl Histogram {
     /// New empty histogram.
     pub const fn new() -> Histogram {
-        #[allow(clippy::declare_interior_mutable_const)]
+        #[allow(
+            clippy::declare_interior_mutable_const,
+            reason = "a const initializer copied into each bucket, never shared"
+        )]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         Histogram { buckets: [ZERO; NUM_BUCKETS], count: AtomicU64::new(0), sum: AtomicU64::new(0) }
     }
@@ -472,11 +475,23 @@ impl MetricsSnapshot {
     }
 }
 
-/// Intern a global counter once and cache the handle in a local static:
-/// `obs::counter!("oson.dict.probes").inc()`.
+/// Intern a global counter once and cache the handle in a local static.
+/// The name is a path to a [`catalog`] constant:
+///
+/// ```
+/// fsdm_obs::counter!(fsdm_obs::catalog::OSON_DICT_PROBES).inc();
+/// ```
+///
+/// and nothing else, so a string literal does not match the macro:
+///
+/// ```compile_fail
+/// fsdm_obs::counter!("oson.dict.probes").inc();
+/// ```
+///
+/// [`gauge!`] and [`histogram!`] take their names the same way.
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {{
+    ($name:path) => {{
         static __METRIC: ::std::sync::OnceLock<&'static $crate::Counter> =
             ::std::sync::OnceLock::new();
         *__METRIC.get_or_init(|| $crate::global().counter($name))
@@ -486,7 +501,7 @@ macro_rules! counter {
 /// Intern a global gauge once and cache the handle in a local static.
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr) => {{
+    ($name:path) => {{
         static __METRIC: ::std::sync::OnceLock<&'static $crate::Gauge> =
             ::std::sync::OnceLock::new();
         *__METRIC.get_or_init(|| $crate::global().gauge($name))
@@ -496,7 +511,7 @@ macro_rules! gauge {
 /// Intern a global histogram once and cache the handle in a local static.
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr) => {{
+    ($name:path) => {{
         static __METRIC: ::std::sync::OnceLock<&'static $crate::Histogram> =
             ::std::sync::OnceLock::new();
         *__METRIC.get_or_init(|| $crate::global().histogram($name))

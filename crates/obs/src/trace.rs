@@ -3,7 +3,7 @@
 //!
 //! A span ([`SpanRecord`]) is one timed region of work — an executor
 //! operator, a morsel, one SQL/JSON path evaluation — carrying a
-//! catalog-checked name (see [`crate::catalog::SPANS`]), a lane id for
+//! catalog-declared name (a [`SpanName`]), a lane id for
 //! the recording thread, its parent span, and monotonic start/end
 //! nanoseconds. Spans are created through the RAII [`span`]/
 //! [`span_args`]/[`span_with_parent`] entry points and recorded when
@@ -48,6 +48,8 @@ use std::sync::atomic::{
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
+use crate::catalog::SpanName;
+
 /// Default maximum number of spans one session keeps (≈ 24 MB of
 /// records). Beyond it spans are dropped and counted, never allocated.
 pub const DEFAULT_SPAN_CAP: usize = 1 << 18;
@@ -76,8 +78,8 @@ pub struct SpanRecord {
     pub explicit_parent: bool,
     /// Small dense lane id of the recording thread.
     pub tid: u32,
-    /// Catalog span name (see [`crate::catalog::SPANS`]).
-    pub name: &'static str,
+    /// Catalog span name.
+    pub name: SpanName,
     /// Optional free-form annotation (operator label, look-back stats).
     pub args: Option<Box<str>>,
     /// Start offset in nanoseconds from the trace origin.
@@ -204,7 +206,7 @@ struct ActiveSpan {
     explicit_parent: bool,
     epoch: u64,
     tid: u32,
-    name: &'static str,
+    name: SpanName,
     args: Option<Box<str>>,
     start_ns: u64,
 }
@@ -268,8 +270,19 @@ impl Drop for SpanGuard {
 }
 
 /// Open a span. The parent is the innermost open span on this thread.
+///
+/// ```
+/// let _guard = fsdm_obs::trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
+/// ```
+///
+/// The name is a [`SpanName`], which only the catalog declares, so a
+/// string literal does not compile:
+///
+/// ```compile_fail,E0308
+/// let _guard = fsdm_obs::trace::span("exec.op");
+/// ```
 #[inline]
-pub fn span(name: &'static str) -> SpanGuard {
+pub fn span(name: SpanName) -> SpanGuard {
     if !tracing_enabled() {
         return SpanGuard(None);
     }
@@ -278,7 +291,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 
 /// Open a span annotated up front (the closure runs only when live).
 #[inline]
-pub fn span_args<F: FnOnce() -> String>(name: &'static str, args: F) -> SpanGuard {
+pub fn span_args<F: FnOnce() -> String>(name: SpanName, args: F) -> SpanGuard {
     let mut g = span(name);
     g.record_args(args);
     g
@@ -288,18 +301,14 @@ pub fn span_args<F: FnOnce() -> String>(name: &'static str, args: F) -> SpanGuar
 /// threads (executor workers parent under the pipeline span that spawned
 /// them). `parent` of 0 makes the span a root.
 #[inline]
-pub fn span_with_parent(name: &'static str, parent: u64) -> SpanGuard {
+pub fn span_with_parent(name: SpanName, parent: u64) -> SpanGuard {
     if !tracing_enabled() {
         return SpanGuard(None);
     }
     enter(name, Some(parent))
 }
 
-fn enter(name: &'static str, explicit_parent: Option<u64>) -> SpanGuard {
-    debug_assert!(
-        crate::catalog::SPANS.contains(&name),
-        "span name {name:?} is not registered in fsdm_obs::catalog::SPANS"
-    );
+fn enter(name: SpanName, explicit_parent: Option<u64>) -> SpanGuard {
     let c = collector();
     if c.budget.fetch_sub(1, Relaxed) <= 0 {
         c.dropped.fetch_add(1, Relaxed);
@@ -415,14 +424,13 @@ pub struct Trace {
 
 impl Trace {
     /// Number of spans with the given catalog name.
-    pub fn count(&self, name: &str) -> usize {
+    pub fn count(&self, name: SpanName) -> usize {
         self.spans.iter().filter(|s| s.name == name).count()
     }
 
     /// Structural well-formedness check, the invariant the exporters and
     /// tests rely on:
     ///
-    /// * span names come from the catalog;
     /// * every span is balanced (`end ≥ start`);
     /// * a recorded parent's interval encloses the child's;
     /// * implicit (same-thread-stack) parents are on the child's thread —
@@ -433,9 +441,6 @@ impl Trace {
     pub fn validate(&self) -> Result<(), String> {
         let by_id: BTreeMap<u64, &SpanRecord> = self.spans.iter().map(|s| (s.id, s)).collect();
         for s in &self.spans {
-            if !crate::catalog::SPANS.contains(&s.name) {
-                return Err(format!("span {} has unregistered name {:?}", s.id, s.name));
-            }
             if s.end_ns < s.start_ns {
                 return Err(format!("span {} ({}) is unbalanced: end < start", s.id, s.name));
             }
@@ -465,7 +470,7 @@ impl Trace {
     pub fn summary(&self) -> String {
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
         for s in &self.spans {
-            *counts.entry(s.name).or_default() += 1;
+            *counts.entry(s.name.name()).or_default() += 1;
         }
         let mut out = format!("spans={} dropped={} names[", self.spans.len(), self.dropped);
         for (i, (name, n)) in counts.iter().enumerate() {
@@ -491,7 +496,7 @@ impl Trace {
                 out,
                 "{{\"name\":\"{}\",\"cat\":\"fsdm\",\"ph\":\"X\",\"ts\":{}.{:03},\
                  \"dur\":{}.{:03},\"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}",
-                json_escape(s.name),
+                json_escape(s.name.name()),
                 s.start_ns / 1000,
                 s.start_ns % 1000,
                 (s.end_ns - s.start_ns) / 1000,
@@ -624,6 +629,7 @@ mod tests {
     fn poisoned_sink_does_not_kill_tracing() {
         // poison the shared sink the only way it can happen: a panic
         // unwinding while the flush guard is held
+        #[expect(clippy::disallowed_methods, reason = "poisoning the sink needs an unwind")]
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = collector().sink.lock().unwrap();
             panic!("unwind with the sink held");

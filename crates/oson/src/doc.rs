@@ -19,6 +19,22 @@
 //! structural verifier — after which the neutral-value fallbacks are
 //! unreachable and navigation is exact.
 
+// hot-path decode of untrusted bytes: corrupted input returns `Err`, never
+// a panic, and offset arithmetic never truncates silently (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::as_conversions
+    )
+)]
+
 use std::cell::Cell;
 
 use fsdm_json::{field_hash, FieldId, JsonDom, JsonNumber, NodeKind, NodeRef, OraNum, ScalarRef};

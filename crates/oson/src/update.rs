@@ -12,6 +12,22 @@
 //! writes through is re-derived with checked arithmetic and `get_mut`,
 //! so a caller handing it a corrupted buffer gets an `Err`, not a crash.
 
+// hot-path decode of untrusted bytes: corrupted input returns `Err`, never
+// a panic, and offset arithmetic never truncates silently (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::as_conversions
+    )
+)]
+
 use fsdm_json::{JsonDom, JsonValue, NodeRef};
 
 use crate::doc::OsonDoc;

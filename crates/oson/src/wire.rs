@@ -24,8 +24,25 @@
 //! positions return `None` instead of panicking, and offset/length
 //! arithmetic goes through the widening helpers below rather than bare
 //! `as` casts, so a corrupted buffer can never take down the process.
-//! `fsdm-check` enforces this discipline (rules `no-panic`, `no-index`,
-//! `no-as-int`) for this file and the other decode hot paths.
+//! The lint attribute below enforces this discipline for this file, as
+//! its siblings do for the other decode hot paths.
+
+// hot-path decode of untrusted bytes: corrupted input returns `Err`, never
+// a panic, and offset arithmetic never truncates silently (DESIGN.md §8);
+// `forbid`, so no waiver is possible
+#![cfg_attr(
+    not(test),
+    forbid(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::as_conversions
+    )
+)]
 
 pub const MAGIC: [u8; 4] = *b"OSON";
 pub const VERSION: u8 = 1;

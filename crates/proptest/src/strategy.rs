@@ -163,7 +163,7 @@ impl Strategy for Range<f64> {
 
 macro_rules! tuple_strategy {
     ($(($($n:ident),+))*) => {$(
-        #[allow(non_snake_case)]
+        #[allow(non_snake_case, reason = "the tuple's type parameters name its bindings")]
         impl<$($n: Strategy),+> Strategy for ($($n,)+) {
             type Value = ($($n::Value,)+);
             fn generate(&self, rng: &mut TestRng) -> Self::Value {

@@ -132,7 +132,7 @@ macro_rules! __proptest_impl {
                 let __out: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                     (|| {
                         $body
-                        #[allow(unreachable_code)]
+                        #[allow(unreachable_code, reason = "a body may return early")]
                         Ok(())
                     })();
                 __out

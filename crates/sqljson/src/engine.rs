@@ -9,6 +9,21 @@
 //! resolution (hash binary search + name compare) is skipped entirely —
 //! the "single-row look-back" optimization of §4.2.1.
 
+// hot path over stored text no constraint checked: corrupted input returns
+// `Err` or a total fallback, never a panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use fsdm_json::{FieldId, JsonDom, JsonNumber, JsonValue, NodeKind, NodeRef, ScalarRef};
 
 use crate::path::{ArraySel, CmpOp, IndexExpr, JsonPath, Method, Mode, Operand, Predicate, Step};

@@ -1,5 +1,20 @@
 //! The SQL/JSON operators: `JSON_VALUE`, `JSON_QUERY`, `JSON_EXISTS`.
 
+// hot path over stored text no constraint checked: corrupted input returns
+// `Err` or a total fallback, never a panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use fsdm_json::{JsonDom, JsonValue, NodeKind, ScalarRef};
 
 use crate::datum::{Datum, SqlType};

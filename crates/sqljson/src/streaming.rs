@@ -26,6 +26,21 @@
 //! document, as the full parse it replaces. The scan stops early only once
 //! every path of the pass is a decided exists path.
 
+// hot path over stored text no constraint checked: corrupted input returns
+// `Err` or a total fallback, never a panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::borrow::Cow;
 
 use fsdm_json::{Event, EventParser, JsonDom, JsonError, JsonValue, Stacks, ValueDom};

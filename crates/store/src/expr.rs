@@ -884,10 +884,7 @@ mod tests {
     }
 
     #[test]
-    fn exprs_are_send_sync_and_clones_share_scratch_slots() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Expr>();
-        assert_send_sync::<EvalScratch>();
+    fn clones_share_scratch_slots() {
         let r = row();
         let jv = Expr::json_value(2, parse_path("$.price").unwrap(), SqlType::Number);
         let mut scratch = EvalScratch::new();

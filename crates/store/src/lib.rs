@@ -58,3 +58,16 @@ pub use typecheck::{
 pub use vector::{Batch, Col, Mask, PredKernel, SelVec, StrTest, Tri, ValKernel};
 
 pub use fsdm_sqljson::{Datum, SqlType};
+
+// The morsel executor shares a `Database` — its tables, and the plans and
+// expressions it runs — across scoped worker threads, and each worker
+// owns an `EvalScratch`. A layer that regresses to single-thread interior
+// mutability (`RefCell`, `Cell`, `Rc`) fails to build here.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Database>();
+    send_sync::<Table>();
+    send_sync::<Expr>();
+    send_sync::<Query>();
+    send_sync::<EvalScratch>();
+};

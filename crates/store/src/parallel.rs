@@ -285,6 +285,7 @@ fn run_guarded<T, F>(
 where
     F: Fn(RowRange, &mut EvalScratch) -> Result<T, StoreError> + Sync,
 {
+    #[expect(clippy::disallowed_methods, reason = "the one production panic boundary")]
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut morsel = trace::span(fsdm_obs::catalog::SPAN_EXEC_MORSEL);
         morsel.record_args(|| format!("rows={}..{}", range.start, range.end));
@@ -543,6 +544,7 @@ mod tests {
     mod oracle_violations {
         use super::super::oracle::RaceOracle;
 
+        #[expect(clippy::disallowed_methods, reason = "a violation is a panic by design")]
         fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
             std::panic::catch_unwind(f).is_err()
         }

@@ -56,9 +56,11 @@ pub struct AggSpec {
 }
 
 /// A logical query plan node.
-// plan nodes are built once per query, not per row, so the size skew
-// between variants (JsonTable carries a whole column-def tree) is moot
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "plan nodes are built once per query, not per row, so the size skew between \
+              variants (JsonTable carries a whole column-def tree) is moot"
+)]
 #[derive(Debug, Clone)]
 pub enum Query {
     /// Scan a base table (emits base columns then virtual columns; applies

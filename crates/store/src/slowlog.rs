@@ -268,6 +268,7 @@ mod tests {
         let before = poisoned.get();
         // poison the ring the only way it can happen: a panic unwinding
         // while the guard is held
+        #[expect(clippy::disallowed_methods, reason = "poisoning the ring needs an unwind")]
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = log.ring.lock().unwrap();
             panic!("unwind with the ring held");

@@ -40,7 +40,8 @@
 //! Failpoint arming is process-global; every test here that runs
 //! queries goes through [`run`], which holds the [`FailScope`] lock.
 
-use fsdm::fault::{catalog, FailMode, FailScope};
+use fsdm::fault::catalog::{self, Failpoint};
+use fsdm::fault::{FailMode, FailScope};
 use fsdm::sql::Session;
 use fsdm::sqljson::Datum;
 use fsdm::store::{ErrorKind, Query, QueryResult, StoreError};
@@ -54,7 +55,7 @@ use rand::{Rng, SeedableRng};
 /// closure — always inside `run_morsels`' catch boundary, so an injected
 /// panic is isolated into a typed `WorkerPanic` error. Panic mode is
 /// only ever scheduled against these.
-const PANIC_SAFE: [&str; 4] = [
+const PANIC_SAFE: [Failpoint; 4] = [
     catalog::FP_EXEC_MORSEL,
     catalog::FP_EXEC_JOIN_BUILD,
     catalog::FP_EXEC_GROUPBY_PARTIAL,
@@ -89,7 +90,7 @@ struct Schedule {
     /// Index into the combined query list.
     query: usize,
     degree: usize,
-    point: &'static str,
+    point: Failpoint,
     mode: FailMode,
 }
 

@@ -213,7 +213,7 @@ fn a_q4_shaped_statement_is_governed_on_the_transient_path() {
         scope.also(catalog::FP_VECTOR_BATCH, FailMode::Error);
         let err = session.db.execute(&plan).expect_err("an injected gather fault surfaces");
         assert_eq!(err.kind, ErrorKind::Generic, "degree {degree}: {err}");
-        assert!(err.message.contains(catalog::FP_VECTOR_BATCH), "degree {degree}: {err}");
+        assert!(err.message.contains(catalog::FP_VECTOR_BATCH.name()), "degree {degree}: {err}");
         fsdm::fault::reset();
 
         let rerun = session.db.execute(&plan).expect("the database survives every kill");
@@ -279,7 +279,7 @@ fn a_full_expansion_is_governed_on_the_spine() {
             scope.also(point, FailMode::Error);
             let err = session.db.execute(&plan).expect_err("an injected fault surfaces");
             assert_eq!(err.kind, ErrorKind::Generic, "degree {degree}: {err}");
-            assert!(err.message.contains(point), "degree {degree}: {err}");
+            assert!(err.message.contains(point.name()), "degree {degree}: {err}");
             fsdm::fault::reset();
         }
         scope.also(catalog::FP_EXEC_JSONTABLE_ROW, FailMode::Panic);

@@ -6,24 +6,10 @@
 //! the cross-morsel reassembly actually gets exercised at small scales.
 
 use fsdm::sqljson::Datum;
-use fsdm::store::{Database, Expr, Query, Table};
 use fsdm_bench::setup::{
     add_nobench_columnar_vcs, bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db,
     olap_queries, StorageMethod,
 };
-
-/// `Database` (and everything a plan closes over) must be shareable
-/// across the executor's scoped worker threads. This is the compile-time
-/// acceptance gate for the `RefCell` removal: it fails to build if any
-/// layer regresses to single-thread interior mutability.
-#[test]
-fn database_is_send_sync() {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Database>();
-    assert_send_sync::<Table>();
-    assert_send_sync::<Expr>();
-    assert_send_sync::<Query>();
-}
 
 const DEGREES: [usize; 3] = [1, 2, 8];
 
