@@ -1,13 +1,13 @@
 //! The diagnostics model: stable codes, severities, spans, and the text
-//! and JSON renderers shared by the prepare-time hook, EXPLAIN, and the
-//! `fsdm-check` verification binary.
+//! renderer shared by the prepare-time hook, EXPLAIN and the statement
+//! report.
 
 use std::fmt;
 
 use fsdm_sqljson::Span;
 
-/// How bad a finding is. `Error` findings fail the workload-lint CI
-/// budget; warnings and infos are advisory.
+/// How bad a finding is. `Error` findings fail the workload's zero-error
+/// budget (a tier-1 test); warnings and infos are advisory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Advisory: a tuning or materialization opportunity.
@@ -19,7 +19,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lowercase label used by both renderers.
+    /// Lowercase label the text renderer prints.
     pub fn label(&self) -> &'static str {
         match self {
             Severity::Info => "info",
@@ -36,7 +36,9 @@ macro_rules! codes {
         /// The stable diagnostic codes. Numbering is append-only: codes
         /// are part of the CI contract and never renumbered. SR001–SR015
         /// and SN008 are retired (their rules moved into lints and types
-        /// the build runs) and are never reused.
+        /// the build runs) and are never reused. The SN series is retired
+        /// whole (SN001–SN007 moved into `fsdm_obs::lock`, clippy and
+        /// tier-1 tests) and is never reused either.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         pub enum Code {
             $($(#[$doc])* $variant,)*
@@ -46,7 +48,7 @@ macro_rules! codes {
             /// Every code, in registry order.
             pub const ALL: &'static [Code] = &[$(Code::$variant,)*];
 
-            /// The stable `FAnnn`/`PKnnn`/`SNnnn` identifier.
+            /// The stable `FAnnn`/`PKnnn` identifier.
             pub fn id(&self) -> &'static str {
                 match self {
                     $(Code::$variant => $id,)*
@@ -109,30 +111,6 @@ codes! {
     /// nullability, determinism, or parallel-safety class, or failed the
     /// idempotence check.
     RewriteDivergence = "PK006", "rewrite-divergence", Error;
-    // every concurrency finding is a correctness hazard: there is no
-    // advisory tier for a deadlock or a data race
-    /// A function may acquire a lock it (transitively) already holds —
-    /// a guaranteed deadlock on `std::sync::Mutex`.
-    DoubleLock = "SN001", "double-lock", Error;
-    /// Two locks are acquired against the catalog-declared lock
-    /// hierarchy (higher rank while holding a lower rank).
-    LockOrderInversion = "SN002", "lock-order-inversion", Error;
-    /// A lock guard is live across a call into the morsel executor,
-    /// serializing the parallel pipeline.
-    LockAcrossExecutor = "SN003", "lock-across-executor", Error;
-    /// A lock guard is live across a panic-capable site (`unwrap`,
-    /// `expect`, slice indexing), risking mutex poisoning.
-    LockAcrossPanic = "SN004", "lock-across-panic", Error;
-    /// An atomic operation's `Ordering` violates the catalog-declared
-    /// discipline for that atomic (monotonic counters stay `Relaxed`;
-    /// handshakes need `Acquire`/`Release`).
-    AtomicOrdering = "SN005", "atomic-ordering", Error;
-    /// A scoped-worker closure captures a `&mut` binding that outlives
-    /// the spawn site, aliasing it across workers.
-    MutCaptureAliasing = "SN006", "mut-capture-aliasing", Error;
-    /// A thread is spawned outside the morsel executor
-    /// (`crates/store/src/parallel.rs`), bypassing the degree control.
-    SpawnOutsideExecutor = "SN007", "spawn-outside-executor", Error;
 }
 
 /// One finding of the semantic analyzer.
@@ -177,23 +155,6 @@ impl Diagnostic {
     pub fn snippet(&self) -> &str {
         self.span.slice(&self.path)
     }
-
-    /// One JSON object (the `fsdm-check --json` finding shape).
-    pub fn render_json(&self) -> String {
-        let help = self.help.as_deref().map(|h| format!(", \"help\": {}", json_str(h)));
-        format!(
-            "{{\"code\": {}, \"name\": {}, \"severity\": {}, \"start\": {}, \"end\": {}, \
-             \"path\": {}, \"message\": {}{}}}",
-            json_str(self.code.id()),
-            json_str(self.code.slug()),
-            json_str(self.severity.label()),
-            self.span.start,
-            self.span.end,
-            json_str(&self.path),
-            json_str(&self.message),
-            help.unwrap_or_default()
-        )
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -222,24 +183,6 @@ impl fmt::Display for Diagnostic {
         }
         Ok(())
     }
-}
-
-/// `s` as a quoted, escaped JSON string — the one escaper the
-/// verification tooling renders through.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::from("\"");
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Render a batch of findings as a text report, one finding per
@@ -276,8 +219,7 @@ mod tests {
             ids,
             vec![
                 "FA001", "FA002", "FA003", "FA004", "FA005", "FA006", "FA007", "PK001", "PK002",
-                "PK003", "PK004", "PK005", "PK006", "SN001", "SN002", "SN003", "SN004", "SN005",
-                "SN006", "SN007",
+                "PK003", "PK004", "PK005", "PK006",
             ]
         );
         for c in Code::ALL {
@@ -285,8 +227,6 @@ mod tests {
         }
         assert_eq!(Code::UnknownPath.severity(), Severity::Error);
         assert_eq!(Code::UnknownColumn.severity(), Severity::Error);
-        assert_eq!(Code::DoubleLock.severity(), Severity::Error);
-        assert_eq!(Code::SpawnOutsideExecutor.severity(), Severity::Error);
         assert!(Severity::Error > Severity::Warning && Severity::Warning > Severity::Info);
     }
 
@@ -295,7 +235,7 @@ mod tests {
         // `Code::ALL` comes out of the same table as the enum, so no
         // variant can escape this check: each series is contiguous
         // from 001 (hence every id unique) and every slug is unique
-        for series in ["FA", "PK", "SN"] {
+        for series in ["FA", "PK"] {
             let mut nums: Vec<u32> = Code::ALL
                 .iter()
                 .map(|c| c.id())
@@ -307,6 +247,7 @@ mod tests {
             assert_eq!(nums, expect, "{series} series must be contiguous from 001");
         }
         assert!(Code::ALL.iter().all(|c| c.id().len() == 5), "ids are two letters + three digits");
+        assert!(Code::ALL.iter().all(|c| !c.id().starts_with("SN")), "the SN series is retired");
         let mut slugs: Vec<&str> = Code::ALL.iter().map(|c| c.slug()).collect();
         slugs.sort_unstable();
         slugs.dedup();
@@ -320,18 +261,6 @@ mod tests {
         assert!(text.contains("$.persno"), "{text}");
         assert!(text.contains("near `.persno`"), "{text}");
         assert!(text.contains("help: check the field name"), "{text}");
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_structures() {
-        let mut d = sample();
-        d.message = "odd \"quote\"".to_string();
-        let json = d.render_json();
-        assert!(json.contains("\"code\": \"FA001\""), "{json}");
-        assert!(json.contains("\"severity\": \"error\""), "{json}");
-        assert!(json.contains("odd \\\"quote\\\""), "{json}");
-        assert!(json.contains("\"start\": 1, \"end\": 8"), "{json}");
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -108,7 +108,7 @@ proptest! {
 
     /// The analyzer is total: any corpus and any well-formed path produce
     /// diagnostics without panicking, every span stays inside the path
-    /// text, and both renderers handle every finding.
+    /// text, and the renderer handles every finding.
     #[test]
     fn analyzer_is_total(
         docs in prop::collection::vec(arb_doc(), 0..8),
@@ -125,7 +125,6 @@ proptest! {
                 prop_assert!(d.span.end <= path_text.len(), "{d:?} vs {path_text}");
                 let _ = d.snippet();
                 prop_assert!(!d.to_string().is_empty());
-                prop_assert!(d.render_json().starts_with('{'));
             }
         }
     }

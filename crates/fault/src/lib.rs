@@ -50,6 +50,7 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 
 /// Number of times `fire` got past the disarmed fast path and consulted
 /// the registry. Tier-1 tests assert this stays zero for a disarmed run.
+/// A plain tally: `Relaxed`.
 static HITS: AtomicU64 = AtomicU64::new(0);
 
 /// The error a fired failpoint injects. Carries the failpoint so the
@@ -108,7 +109,12 @@ fn points() -> &'static Mutex<BTreeMap<Failpoint, PointState>> {
 
 /// A panic while a site sleeps or a test unwinds can poison the registry;
 /// the map itself is always consistent (mutations are single assignments),
-/// so recover the guard rather than propagating the poison forever.
+/// so recover the guard rather than propagating the poison forever. The
+/// registry is a leaf lock: nothing else is locked while it is held.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a leaf lock like `fsdm_obs::lock`, which this crate cannot depend on"
+)]
 fn lock_points() -> MutexGuard<'static, BTreeMap<Failpoint, PointState>> {
     points().lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -245,6 +251,10 @@ impl FailScope {
 
     /// Take the scope lock without arming anything — for tests that need
     /// isolation from failpoint tests but run fully disarmed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the scope lock is a serializer: held across a whole test"
+    )]
     pub fn disarmed() -> FailScope {
         let serial = scope_serial().lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         reset();

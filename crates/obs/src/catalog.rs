@@ -281,101 +281,9 @@ catalog! {
     metric TRACE_SPAN_RECORDED = "trace.span.recorded";
 }
 
-/// The declared lock hierarchy: every `Mutex`/`RwLock` in the workspace,
-/// by field or static name, with its rank. A thread may only acquire a
-/// lock of *strictly higher* rank than any lock it already holds;
-/// `fsdm-check` proves this statically (rule SN002) over the
-/// workspace call graph, which makes cyclic waits impossible. Ranks are
-/// spaced by 10 so a new lock can slot between existing ones without
-/// renumbering.
-pub const LOCKS: &[(&str, u32)] = &[
-    // trace.rs: serializes whole trace sessions; outermost by nature
-    ("SESSION_LOCK", 10),
-    // slowlog.rs: the slow-query ring; held while recording one entry
-    ("ring", 20),
-    // trace.rs: the session's span sink; held during per-thread flushes
-    ("sink", 30),
-    // obs lib.rs: the metrics registry map; innermost — `counter!` and
-    // `gauge!` reach it from under the slow-log ring
-    ("inner", 40),
-];
-
-/// Which memory-ordering discipline an atomic follows. `fsdm-check`
-/// checks every atomic operation against the discipline declared for it
-/// in [`ATOMICS`] (rule SN005).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicDiscipline {
-    /// A plain statistic or id/ticket dispenser: no other memory hangs
-    /// off its value, so every operation must stay `Relaxed` — anything
-    /// stronger buys nothing and taxes the hot path.
-    Monotonic,
-    /// A publish/consume handshake: its value gates access to other
-    /// memory, so stores must be `Release`, loads `Acquire`, and
-    /// read-modify-writes `AcqRel` (or `SeqCst`).
-    Handshake,
-}
-
-/// The declared discipline of every atomic in the workspace, by field,
-/// static, or — for the tuple-struct wrappers `Counter`/`Gauge` — type
-/// name. An atomic operation on a name missing from this inventory is
-/// itself a sentinel error, so the registry stays complete.
-pub const ATOMICS: &[(&str, AtomicDiscipline)] = &[
-    // --- handshakes -----------------------------------------------------
-    // obs lib.rs: global metrics on/off gate
-    ("ENABLED", AtomicDiscipline::Handshake),
-    // trace.rs: global tracing on/off gate
-    ("TRACING", AtomicDiscipline::Handshake),
-    // store/parallel.rs race oracle: live-worker count, must be zero
-    // after the scope closes
-    ("active_workers", AtomicDiscipline::Handshake),
-    // store/govern.rs: the cancel token's packed reason word; a nonzero
-    // value publishes the reason to every worker that observes it
-    ("cancel_reason", AtomicDiscipline::Handshake),
-    // store/parallel.rs race oracle: per-morsel claim slots (`claim` is
-    // one element of `claims`, as bound by iteration)
-    ("claim", AtomicDiscipline::Handshake),
-    ("claims", AtomicDiscipline::Handshake),
-    // trace.rs: session generation; stale-epoch buffers must observe
-    // the bump before touching the new session's sink
-    ("epoch", AtomicDiscipline::Handshake),
-    // --- monotonic counters and dispensers ------------------------------
-    // fault lib.rs: the armed fast-path gate; the registry mutex carries
-    // the ordering, the flag only short-circuits the disarmed path
-    ("ARMED", AtomicDiscipline::Monotonic),
-    // obs lib.rs: the Counter/Gauge tuple structs and Histogram fields
-    ("Counter", AtomicDiscipline::Monotonic),
-    ("Gauge", AtomicDiscipline::Monotonic),
-    // fault lib.rs: registry-consultation tally
-    ("HITS", AtomicDiscipline::Monotonic),
-    // one element of `buckets`, as bound by iteration
-    ("bucket", AtomicDiscipline::Monotonic),
-    ("buckets", AtomicDiscipline::Monotonic),
-    // trace.rs: span budget countdown and drop tally
-    ("budget", AtomicDiscipline::Monotonic),
-    ("count", AtomicDiscipline::Monotonic),
-    ("dropped", AtomicDiscipline::Monotonic),
-    // store/govern.rs: the most `used` ever reached (a `fetch_max`)
-    ("high", AtomicDiscipline::Monotonic),
-    // store/parallel.rs race oracle: merge cursor, coordinator-only
-    ("merged", AtomicDiscipline::Monotonic),
-    // store/parallel.rs: the morsel ticket dispenser
-    ("next", AtomicDiscipline::Monotonic),
-    // trace.rs: span/thread id dispensers
-    ("next_id", AtomicDiscipline::Monotonic),
-    ("next_tid", AtomicDiscipline::Monotonic),
-    ("sum", AtomicDiscipline::Monotonic),
-    // slowlog.rs: the slow-query threshold (0 = disabled); the ring it
-    // gates is Mutex-protected, so the load needs no ordering
-    ("threshold_ns", AtomicDiscipline::Monotonic),
-    // store/govern.rs: bytes currently charged against the statement
-    // memory budget (morsel-local buffers are released); a plain tally,
-    // the limit comparison needs no ordering
-    ("used", AtomicDiscipline::Monotonic),
-];
-
 #[cfg(test)]
 mod tests {
-    use super::{ALL, ATOMICS, LOCKS};
+    use super::ALL;
 
     #[test]
     fn names_are_unique() {
@@ -389,39 +297,6 @@ mod tests {
     fn names_are_sorted() {
         for pair in ALL.windows(2) {
             assert!(pair[0] < pair[1], "{} must sort before {}", pair[0], pair[1]);
-        }
-    }
-
-    #[test]
-    fn lock_hierarchy_ranks_are_unique_and_ascending() {
-        for pair in LOCKS.windows(2) {
-            assert!(
-                pair[0].1 < pair[1].1,
-                "lock {} (rank {}) must rank below {} ({})",
-                pair[0].0,
-                pair[0].1,
-                pair[1].0,
-                pair[1].1
-            );
-        }
-        let mut names = std::collections::HashSet::new();
-        for (name, _) in LOCKS {
-            assert!(names.insert(*name), "duplicate lock {name}");
-        }
-    }
-
-    #[test]
-    fn atomic_registry_is_sorted_within_each_discipline() {
-        let mut names = std::collections::HashSet::new();
-        for (name, _) in ATOMICS {
-            assert!(names.insert(*name), "duplicate atomic {name}");
-        }
-        // grouped handshakes-then-monotonic, each group name-sorted, so
-        // a reader can scan the inventory the way the doc comment reads
-        for pair in ATOMICS.windows(2) {
-            if pair[0].1 == pair[1].1 {
-                assert!(pair[0].0 < pair[1].0, "{} before {}", pair[0].0, pair[1].0);
-            }
         }
     }
 

@@ -25,21 +25,32 @@
 //! relaxed atomic load (the check) — benches use this to quantify
 //! instrumentation overhead. Snapshots still work; they simply stop
 //! advancing. The flag is process-global and defaults to enabled.
+//!
+//! # Locks
+//!
+//! [`lock`] is how the workspace takes a mutex: it recovers from
+//! poisoning and, in debug builds, enforces the one lock-order rule (see
+//! its documentation). Root `clippy.toml` disallows `Mutex::lock`
+//! everywhere else.
 
 pub mod catalog;
 pub mod trace;
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{
     AtomicBool, AtomicI64, AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const NUM_BUCKETS: usize = 65;
 
+/// The global metrics on/off gate. A handshake: [`set_enabled`] stores
+/// `Release`, every recording site loads `Acquire`.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enable or disable all metric recording.
@@ -53,7 +64,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Acquire)
 }
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter. Like [`Gauge`] and [`Histogram`]
+/// it is a statistic no other memory hangs off, so every operation on it
+/// is `Relaxed`.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -252,6 +265,86 @@ impl HistogramSnapshot {
     }
 }
 
+thread_local! {
+    /// Leaf guards this thread holds; only debug builds count them.
+    static LEAVES_HELD: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Lock a **leaf** mutex, recovering the guard if an earlier holder
+/// panicked.
+///
+/// Every mutex in the workspace has one of two roles, and they are the
+/// whole lock-order rule:
+///
+/// * a **leaf** guards a short critical section that reaches no other
+///   lock — the metrics registry map, the trace sink, the slow-query
+///   ring, and the failpoint registry (which `fsdm-fault` locks itself,
+///   uncounted). Leaves never nest, so no two leaves can wait on each
+///   other. In debug builds this function counts the leaf guards each
+///   thread holds and panics if it is entered while one is held;
+///   `run_morsels` panics the same way, so no leaf is held while the
+///   executor runs. Every `cargo test` checks every acquisition it
+///   executes.
+/// * a **serializer** — the trace session lock, the failpoint scope
+///   lock, a test's turn lock — is taken first and held across a whole
+///   statement or test by design. A serializer calls `Mutex::lock`
+///   directly, under an `#[expect(clippy::disallowed_methods)]` that
+///   names its role; it is not counted.
+///
+/// Poison recovery is sound because every leaf critical section leaves
+/// its data valid at each step (an interned handle is inserted whole, a
+/// span batch is appended whole, a ring entry is pushed whole), so a
+/// panic under a leaf cannot break a later holder.
+///
+/// ```
+/// let m = std::sync::Mutex::new(1);
+/// *fsdm_obs::lock(&m) += 1;
+/// assert_eq!(*fsdm_obs::lock(&m), 2);
+/// ```
+#[expect(clippy::disallowed_methods, reason = "the one place a leaf mutex is locked")]
+pub fn lock<T>(m: &Mutex<T>) -> LeafGuard<'_, T> {
+    debug_assert_eq!(leaf_locks_held(), 0, "leaf locks never nest");
+    let guard = m.lock().unwrap_or_else(PoisonError::into_inner);
+    #[cfg(debug_assertions)]
+    LEAVES_HELD.with(|n| n.set(n.get() + 1));
+    LeafGuard(guard)
+}
+
+/// Leaf guards this thread holds right now. Only debug builds count;
+/// a release build, which keeps no count, reports 0.
+pub fn leaf_locks_held() -> usize {
+    if cfg!(debug_assertions) {
+        LEAVES_HELD.with(Cell::get)
+    } else {
+        0
+    }
+}
+
+/// The guard [`lock`] returns. A release build compiles it to the bare
+/// `MutexGuard`; a debug build also uncounts the leaf when it drops.
+pub struct LeafGuard<'a, T>(MutexGuard<'a, T>);
+
+impl<T> Deref for LeafGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for LeafGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+#[cfg(debug_assertions)]
+impl<T> Drop for LeafGuard<'_, T> {
+    fn drop(&mut self) {
+        LEAVES_HELD.with(|n| n.set(n.get() - 1));
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, &'static Counter>,
@@ -266,10 +359,9 @@ struct Inner {
 /// can cache them in `OnceLock` statics — that is what the [`counter!`]
 /// family of macros does.
 ///
-/// A panic elsewhere while the lock is held cannot brick the registry:
-/// every guard recovers from poisoning (`PoisonError::into_inner`),
-/// which is sound here because each critical section leaves the maps
-/// consistent — an interned handle is either fully inserted or absent.
+/// The registry map is a leaf lock ([`lock`]): a panic elsewhere while
+/// it is held cannot brick the registry, because an interned handle is
+/// either fully inserted or absent.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
@@ -283,7 +375,7 @@ impl MetricsRegistry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut g = lock(&self.inner);
         if let Some(c) = g.counters.get(name) {
             return c;
         }
@@ -294,7 +386,7 @@ impl MetricsRegistry {
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> &'static Gauge {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut g = lock(&self.inner);
         if let Some(c) = g.gauges.get(name) {
             return c;
         }
@@ -305,7 +397,7 @@ impl MetricsRegistry {
 
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> &'static Histogram {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut g = lock(&self.inner);
         if let Some(c) = g.histograms.get(name) {
             return c;
         }
@@ -316,7 +408,7 @@ impl MetricsRegistry {
 
     /// Point-in-time copy of every metric in this registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let g = lock(&self.inner);
         MetricsSnapshot {
             counters: g.counters.iter().map(|(k, c)| (k.clone(), c.get())).collect(),
             gauges: g.gauges.iter().map(|(k, c)| (k.clone(), c.get())).collect(),
@@ -591,6 +683,7 @@ mod tests {
         let c = r.counter("t.concurrent.count");
         let h = r.histogram("t.concurrent.hist");
         let g = r.gauge("t.concurrent.gauge");
+        #[expect(clippy::disallowed_methods, reason = "concurrent recording is the subject")]
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
@@ -605,6 +698,29 @@ mod tests {
         assert_eq!(c.get(), 80_000);
         assert_eq!(r.snapshot().histograms["t.concurrent.hist"].count, 80_000);
         assert_eq!(r.snapshot().gauge("t.concurrent.gauge"), 80_000);
+    }
+
+    #[test]
+    fn a_poisoned_leaf_lock_yields_its_data() {
+        let m = Mutex::new(7);
+        #[expect(clippy::disallowed_methods, reason = "poisoning the mutex needs an unwind")]
+        let _ = std::panic::catch_unwind(|| {
+            let _guard = lock(&m);
+            panic!("unwind with the guard held");
+        });
+        assert!(m.is_poisoned());
+        assert_eq!(*lock(&m), 7);
+        assert_eq!(leaf_locks_held(), 0, "the unwound guard was uncounted");
+    }
+
+    // the leaf count only exists where it can panic
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "leaf locks never nest")]
+    fn nested_leaf_locks_panic() {
+        let (a, b) = (Mutex::new(()), Mutex::new(()));
+        let _a = lock(&a);
+        let _b = lock(&b);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::sync::atomic::{
     AtomicBool, AtomicI64, AtomicU32, AtomicU64,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::catalog::SpanName;
@@ -57,6 +57,8 @@ pub const DEFAULT_SPAN_CAP: usize = 1 << 18;
 /// Per-thread buffer size that triggers a flush into the shared sink.
 const FLUSH_CHUNK: usize = 256;
 
+/// The global tracing on/off gate. A handshake: sessions store
+/// `Release`, span entry points load `Acquire`.
 static TRACING: AtomicBool = AtomicBool::new(false);
 
 /// Whether a trace session is currently collecting. This is the one
@@ -88,9 +90,12 @@ pub struct SpanRecord {
     pub end_ns: u64,
 }
 
-/// The shared collector state behind all sessions.
+/// The shared collector state behind all sessions. Only `epoch` orders
+/// other memory; the rest are tallies and id dispensers, all `Relaxed`.
 struct Collector {
-    /// Session generation; stale thread-local records are discarded.
+    /// Session generation; stale thread-local records are discarded. A
+    /// handshake: a session bumps it `AcqRel`, and a buffer flushes into
+    /// the sink only after an `Acquire` load sees its own epoch.
     epoch: AtomicU64,
     /// Remaining span budget for the active session (goes negative once
     /// exhausted — the sign is the "dropped" signal).
@@ -101,7 +106,7 @@ struct Collector {
     next_id: AtomicU64,
     /// Next thread lane id.
     next_tid: AtomicU32,
-    /// Flushed records of the active session.
+    /// Flushed records of the active session (a leaf lock).
     sink: Mutex<Vec<SpanRecord>>,
 }
 
@@ -125,10 +130,6 @@ fn origin() -> Instant {
 
 fn now_ns() -> u64 {
     origin().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Per-thread recording state: the open-span stack and the local record
@@ -166,7 +167,7 @@ impl LocalBuf {
         }
         let c = collector();
         if self.epoch == c.epoch.load(Acquire) {
-            lock_ignoring_poison(&c.sink).append(&mut self.buf);
+            crate::lock(&c.sink).append(&mut self.buf);
         } else {
             self.buf.clear();
         }
@@ -344,6 +345,16 @@ fn enter(name: SpanName, explicit_parent: Option<u64>) -> SpanGuard {
 
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
 
+/// Take [`SESSION_LOCK`], recovering it if a session's holder panicked
+/// (the lock guards no data).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "SESSION_LOCK is a serializer: held across a whole traced statement"
+)]
+fn serialize_sessions() -> MutexGuard<'static, ()> {
+    SESSION_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// An armed trace-collection window. Only one session runs at a time
 /// (concurrent `begin` calls block); dropping the session without
 /// [`TraceSession::finish`] disarms tracing and discards the records.
@@ -361,11 +372,11 @@ impl TraceSession {
     /// Arm tracing, keeping at most `cap` spans (further spans are
     /// dropped and counted).
     pub fn with_capacity(cap: usize) -> TraceSession {
-        let serial = lock_ignoring_poison(&SESSION_LOCK);
+        let serial = serialize_sessions();
         let c = collector();
         c.epoch.fetch_add(1, AcqRel);
         c.dropped.store(0, Relaxed);
-        lock_ignoring_poison(&c.sink).clear();
+        crate::lock(&c.sink).clear();
         c.budget.store(i64::try_from(cap.max(1)).unwrap_or(i64::MAX), Relaxed);
         TRACING.store(true, Release);
         TraceSession { _serial: serial, finished: false }
@@ -385,7 +396,7 @@ impl TraceSession {
                 l.flush();
             }
         });
-        let mut spans = std::mem::take(&mut *lock_ignoring_poison(&c.sink));
+        let mut spans = std::mem::take(&mut *crate::lock(&c.sink));
         spans.sort_by_key(|s| (s.start_ns, s.id));
         let t0 = spans.first().map_or(0, |s| s.start_ns);
         for s in &mut spans {
@@ -408,7 +419,7 @@ impl Drop for TraceSession {
             TRACING.store(false, Release);
             let c = collector();
             c.epoch.fetch_add(1, AcqRel);
-            lock_ignoring_poison(&c.sink).clear();
+            crate::lock(&c.sink).clear();
         }
     }
 }
@@ -587,7 +598,7 @@ mod tests {
         // holding the session lock guarantees no session is armed, so
         // this exercises the true disabled path even with other trace
         // tests running concurrently
-        let serial = lock_ignoring_poison(&SESSION_LOCK);
+        let serial = serialize_sessions();
         assert!(!tracing_enabled());
         {
             let mut g = span(catalog::SPAN_STORE_QUERY);
@@ -662,6 +673,7 @@ mod tests {
         {
             let pipeline = span(catalog::SPAN_EXEC_PIPELINE);
             let pid = pipeline.id();
+            #[expect(clippy::disallowed_methods, reason = "a lane change is the subject")]
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let w = span_with_parent(catalog::SPAN_EXEC_WORKER, pid);

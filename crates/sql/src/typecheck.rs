@@ -68,6 +68,14 @@ mod tests {
     /// turns so the exact-delta assertion below sees only its own call.
     static TYPECHECKS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "TYPECHECKS is a serializer: a test holds its turn for its whole body"
+    )]
+    fn turn() -> std::sync::MutexGuard<'static, ()> {
+        TYPECHECKS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn session() -> Session {
         let mut s = Session::new();
         s.execute("CREATE TABLE po (did NUMBER, jdoc JSON)").unwrap();
@@ -77,7 +85,7 @@ mod tests {
 
     #[test]
     fn typecheck_infers_statement_schema() {
-        let _turn = TYPECHECKS.lock().unwrap_or_else(|e| e.into_inner());
+        let _turn = turn();
         let s = session();
         let inf = s.typecheck("SELECT did FROM po WHERE did > 0").unwrap();
         assert!(inf.diagnostics.is_empty(), "{:?}", inf.diagnostics);
@@ -86,7 +94,7 @@ mod tests {
 
     #[test]
     fn typecheck_flags_null_comparison() {
-        let _turn = TYPECHECKS.lock().unwrap_or_else(|e| e.into_inner());
+        let _turn = turn();
         let s = session();
         let inf = s.typecheck("SELECT did FROM po WHERE did = NULL").unwrap();
         assert_eq!(inf.diagnostics.len(), 1);
@@ -96,7 +104,7 @@ mod tests {
 
     #[test]
     fn typecheck_counts_into_the_planck_metrics() {
-        let _turn = TYPECHECKS.lock().unwrap_or_else(|e| e.into_inner());
+        let _turn = turn();
         let s = session();
         let snap = |name: &str| fsdm_obs::snapshot().counters.get(name).copied().unwrap_or(0);
         let before = snap(fsdm_obs::catalog::PLANCK_CHECKS);
@@ -106,7 +114,7 @@ mod tests {
 
     #[test]
     fn non_planning_statements_error() {
-        let _turn = TYPECHECKS.lock().unwrap_or_else(|e| e.into_inner());
+        let _turn = turn();
         let s = session();
         assert!(s.typecheck("CREATE TABLE x (a NUMBER)").is_err());
     }

@@ -11,10 +11,9 @@
 //! the caller can match on, never an abort.
 //!
 //! The cancel token is a single atomic word holding the packed
-//! [`CancelReason`] (0 = live). It is a publish/consume handshake
-//! (declared `Handshake` in the obs `ATOMICS` registry): the first
-//! `cancel` wins via compare-exchange, and workers observe it with
-//! `Acquire` loads. Deadlines deliberately do *not* write the token —
+//! [`CancelReason`] (0 = live). It is a publish/consume handshake: the
+//! first `cancel` wins via an `AcqRel` compare-exchange, and workers
+//! observe it with `Acquire` loads. Deadlines deliberately do *not* write the token —
 //! each checkpoint compares its own clock against the shared deadline, so
 //! an expired statement can never leave a stale cancellation behind for
 //! the session's next statement.
@@ -139,6 +138,8 @@ impl CancelHandle {
 /// Per-statement memory accounting: `used` is what the statement holds
 /// right now (operator state is charged and kept; a morsel's transient
 /// columns are released with the morsel), `high` the most it ever held.
+/// Both are plain tallies, `Relaxed`: the limit comparison needs no
+/// ordering.
 #[derive(Debug, Default)]
 struct MemBudget {
     limit: Option<u64>,

@@ -144,6 +144,10 @@ where
     T: Send,
     F: Fn(RowRange, &mut EvalScratch) -> Result<T, StoreError> + Sync,
 {
+    // the coordinator waits for its workers, so a leaf held here would
+    // deadlock any worker that takes it (see `fsdm_obs::lock`);
+    // serializers are outermost by design
+    debug_assert_eq!(fsdm_obs::leaf_locks_held(), 0, "run_morsels entered under a leaf lock");
     let ranges: Vec<RowRange> = morsels(total, ctx.morsel_rows).collect();
     let workers = ctx.degree.min(ranges.len()).max(1);
     stats.workers = stats.workers.max(workers);
@@ -164,8 +168,11 @@ where
         return Ok(out);
     }
     let pipeline_id = pipeline.id();
+    // the morsel ticket dispenser: each index is handed out once by
+    // `fetch_add` and publishes nothing else, so `Relaxed`
     let next = AtomicUsize::new(0);
     let sentry = oracle::RaceOracle::new(ranges.len());
+    #[expect(clippy::disallowed_methods, reason = "the one production spawn site")]
     let per_worker: Vec<Vec<(usize, Result<T, StoreError>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -528,6 +535,16 @@ mod tests {
         let err = run_morsels(&c, 100, &mut stats, |_, _| Ok(())).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Cancelled(CancelReason::User));
         assert_eq!(err.message, "statement cancelled (user)");
+    }
+
+    // the leaf count only exists where it can panic
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "run_morsels entered under a leaf lock")]
+    fn run_morsels_under_a_leaf_lock_panics() {
+        let ring = std::sync::Mutex::new(());
+        let _held = fsdm_obs::lock(&ring);
+        let _ = run_morsels(&ctx(4, 10), 100, &mut ParStats::default(), |r, _| Ok(r.start));
     }
 
     #[test]

@@ -55,8 +55,10 @@ struct Ring {
 /// atomic load.
 #[derive(Debug, Default)]
 pub struct SlowLog {
-    /// Threshold in nanoseconds; 0 means disarmed.
+    /// Threshold in nanoseconds; 0 means disarmed. `Relaxed`: the ring it
+    /// gates is mutex-protected, so the load needs no ordering.
     threshold_ns: AtomicU64,
+    /// A leaf lock ([`fsdm_obs::lock`]): no metric is bumped under it.
     ring: Mutex<Ring>,
 }
 
@@ -69,13 +71,14 @@ impl SlowLog {
     /// Arm with a threshold (`0` captures every query) and ring capacity,
     /// clearing any previous contents. A capacity of 0 disarms.
     pub fn arm(&self, threshold_ns: u64, cap: usize) {
-        let mut ring = lock(&self.ring);
-        ring.cap = cap;
-        ring.entries.clear();
-        ring.next_seq = 0;
-        // threshold 0 must still arm, so the flag value is threshold+1
-        let flag = if cap == 0 { 0 } else { threshold_ns.saturating_add(1) };
-        self.threshold_ns.store(flag, Relaxed);
+        self.with_ring(|ring| {
+            ring.cap = cap;
+            ring.entries.clear();
+            ring.next_seq = 0;
+            // threshold 0 must still arm, so the flag value is threshold+1
+            let flag = if cap == 0 { 0 } else { threshold_ns.saturating_add(1) };
+            self.threshold_ns.store(flag, Relaxed);
+        });
         fsdm_obs::gauge!(fsdm_obs::catalog::SLOWLOG_ENTRIES).set(0);
     }
 
@@ -141,31 +144,37 @@ impl SlowLog {
         trace_summary: Option<String>,
         cancel_reason: Option<&'static str>,
     ) {
-        let mut ring = lock(&self.ring);
-        if ring.cap == 0 {
-            return;
-        }
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.entries.len() == ring.cap {
-            ring.entries.remove(0);
+        let pushed = self.with_ring(|ring| {
+            if ring.cap == 0 {
+                return None;
+            }
+            let seq = ring.next_seq;
+            ring.next_seq += 1;
+            let evicted = ring.entries.len() == ring.cap;
+            if evicted {
+                ring.entries.remove(0);
+            }
+            ring.entries.push(SlowEntry {
+                seq,
+                source: source.to_string(),
+                elapsed_ns,
+                threads,
+                profile: profile.cloned(),
+                trace_summary,
+                cancel_reason,
+            });
+            Some((evicted, ring.entries.len()))
+        });
+        let Some((evicted, len)) = pushed else { return };
+        if evicted {
             fsdm_obs::counter!(fsdm_obs::catalog::SLOWLOG_EVICTED).inc();
         }
-        ring.entries.push(SlowEntry {
-            seq,
-            source: source.to_string(),
-            elapsed_ns,
-            threads,
-            profile: profile.cloned(),
-            trace_summary,
-            cancel_reason,
-        });
-        fsdm_obs::gauge!(fsdm_obs::catalog::SLOWLOG_ENTRIES).set(ring.entries.len() as i64);
+        fsdm_obs::gauge!(fsdm_obs::catalog::SLOWLOG_ENTRIES).set(len as i64);
     }
 
     /// Snapshot of the ring's current entries, oldest first.
     pub fn entries(&self) -> Vec<SlowEntry> {
-        lock(&self.ring).entries.clone()
+        self.with_ring(|ring| ring.entries.clone())
     }
 
     /// Dump the ring as a JSON document:
@@ -173,58 +182,66 @@ impl SlowLog {
     /// counts every recorded entry including evicted ones.
     pub fn to_json(&self) -> String {
         let threshold = self.threshold_ns();
-        let ring = lock(&self.ring);
-        let mut out = String::from("{\"threshold_ns\":");
-        match threshold {
-            Some(t) => {
-                let _ = write!(out, "{t}");
-            }
-            None => out.push_str("null"),
+        self.with_ring(|ring| ring_json(ring, threshold))
+    }
+
+    /// Run `f` on the ring under its lock. A query that panicked
+    /// mid-record leaves at worst a consistent-but-stale ring (every write
+    /// touches one entry at a time), and losing the slow log would be a
+    /// poor trade for one panicked query, so a poisoned ring is used as
+    /// is. Such recoveries are counted (`slowlog.poisoned`) once the
+    /// guard is released, so an unstable workload is visible in the
+    /// metrics.
+    fn with_ring<R>(&self, f: impl FnOnce(&mut Ring) -> R) -> R {
+        let poisoned = self.ring.is_poisoned();
+        let out = f(&mut fsdm_obs::lock(&self.ring));
+        if poisoned {
+            fsdm_obs::counter!(fsdm_obs::catalog::SLOWLOG_POISONED).inc();
         }
-        let _ = write!(out, ",\"captured\":{},\"entries\":[", ring.next_seq);
-        for (i, e) in ring.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"seq\":{},\"source\":", e.seq);
-            write_escaped(&e.source, &mut out);
-            let _ = write!(out, ",\"elapsed_ns\":{},\"threads\":{}", e.elapsed_ns, e.threads);
-            match &e.profile {
-                Some(p) => {
-                    let _ = write!(out, ",\"profile\":{}", p.to_json());
-                }
-                None => out.push_str(",\"profile\":null"),
-            }
-            match &e.trace_summary {
-                Some(t) => {
-                    out.push_str(",\"trace\":");
-                    write_escaped(t, &mut out);
-                }
-                None => out.push_str(",\"trace\":null"),
-            }
-            match e.cancel_reason {
-                Some(r) => {
-                    let _ = write!(out, ",\"cancel_reason\":\"{r}\"");
-                }
-                None => out.push_str(",\"cancel_reason\":null"),
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
         out
     }
 }
 
-/// Acquire the ring, recovering from poisoning: a query that panicked
-/// mid-record leaves at worst a consistent-but-stale ring (every write
-/// below touches one entry at a time), and losing the slow log would be
-/// a poor trade for one panicked query. Recoveries are counted so an
-/// unstable workload is visible in the metrics.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| {
-        fsdm_obs::counter!(fsdm_obs::catalog::SLOWLOG_POISONED).inc();
-        poisoned.into_inner()
-    })
+/// The ring as the JSON document [`SlowLog::to_json`] returns.
+fn ring_json(ring: &Ring, threshold: Option<u64>) -> String {
+    let mut out = String::from("{\"threshold_ns\":");
+    match threshold {
+        Some(t) => {
+            let _ = write!(out, "{t}");
+        }
+        None => out.push_str("null"),
+    }
+    let _ = write!(out, ",\"captured\":{},\"entries\":[", ring.next_seq);
+    for (i, e) in ring.entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"seq\":{},\"source\":", e.seq);
+        write_escaped(&e.source, &mut out);
+        let _ = write!(out, ",\"elapsed_ns\":{},\"threads\":{}", e.elapsed_ns, e.threads);
+        match &e.profile {
+            Some(p) => {
+                let _ = write!(out, ",\"profile\":{}", p.to_json());
+            }
+            None => out.push_str(",\"profile\":null"),
+        }
+        match &e.trace_summary {
+            Some(t) => {
+                out.push_str(",\"trace\":");
+                write_escaped(t, &mut out);
+            }
+            None => out.push_str(",\"trace\":null"),
+        }
+        match e.cancel_reason {
+            Some(r) => {
+                let _ = write!(out, ",\"cancel_reason\":\"{r}\"");
+            }
+            None => out.push_str(",\"cancel_reason\":null"),
+        }
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
 }
 
 #[cfg(test)]

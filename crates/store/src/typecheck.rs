@@ -1,5 +1,5 @@
 //! Plan-level type/schema inference and the optimizer translation
-//! validator — the core of `fsdm-check plan`.
+//! validator.
 //!
 //! [`infer`] walks a [`Query`] plan bottom-up and computes each
 //! operator's output schema: column names, scalar types, and

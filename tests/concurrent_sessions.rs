@@ -53,6 +53,7 @@ fn concurrent_nobench_sessions_match_serial_baseline() {
     for degree in DEGREES {
         session.set_parallelism(degree);
         let db = &session.db;
+        #[expect(clippy::disallowed_methods, reason = "concurrent sessions are the subject")]
         std::thread::scope(|scope| {
             let workers: Vec<_> =
                 (0..SESSIONS).map(|_| scope.spawn(|| run_all(db, &plans))).collect();
@@ -95,6 +96,7 @@ fn concurrent_olap_sessions_match_serial_baseline() {
         for degree in DEGREES {
             session.set_parallelism(degree);
             let db = &session.db;
+            #[expect(clippy::disallowed_methods, reason = "concurrent sessions are the subject")]
             std::thread::scope(|scope| {
                 let workers: Vec<_> =
                     (0..SESSIONS).map(|_| scope.spawn(|| run_all(db, &plans))).collect();

@@ -7,8 +7,10 @@
 //! then drives the optimizer contract: every rewrite is translation-valid
 //! (schema-equivalent, checked again here on top of `optimize()`'s own
 //! `debug_assert!`) and `optimize` is idempotent, on generated plans and
-//! on every workload query.
+//! on every workload query — each of which also meets the zero-error
+//! budget of the FA path lint and the PK type-check.
 
+use fsdm_analyze::{render_text, Code, Diagnostic};
 use fsdm_bench::setup::{
     add_nobench_vcs, bind_datum, nobench_guided_db, nobench_q11_plan, nobench_q5_bind,
     olap_guided_db, olap_queries,
@@ -340,12 +342,17 @@ proptest! {
     }
 }
 
-/// Satellite check pinned as a plain test: `optimize` is idempotent and
-/// translation-valid on every workload query — NoBench Q1–Q11 (both Q11
-/// variants) and OLAP Table-13 plus the registered view plans.
+/// `optimize` is idempotent and translation-valid on every workload
+/// query — NoBench Q1–Q11 (both Q11 variants) and OLAP Table-13 plus the
+/// registered view plans — and each of those 23 plans, walked once by
+/// `Session::typecheck_plan`, has no error-severity FA or PK finding: a
+/// workload path no document has (FA001) or an ill-typed plan fails here.
+/// The corpora are large enough that FA001 means a real defect: NoBench
+/// documents 11, 22 and 55 carry the sparse clusters Q3, Q4 and Q9 name,
+/// and every purchase order holds every path the OLAP set reads.
 #[test]
 fn workload_queries_optimize_idempotently() {
-    let mut plans: Vec<(String, &'static Database, Query)> = Vec::new();
+    let mut plans: Vec<(String, &'static fsdm_sql::Session, Query)> = Vec::new();
 
     static NB: OnceLock<fsdm_sql::Session> = OnceLock::new();
     let nb = NB.get_or_init(|| {
@@ -356,24 +363,29 @@ fn workload_queries_optimize_idempotently() {
     for q in 1..=10 {
         let sql = nobench::query_sql(q, N);
         let binds = if q == 5 { vec![nobench_q5_bind(N)] } else { vec![] };
-        plans.push((format!("nobench:Q{q}"), &nb.db, nb.plan(&sql, &binds).unwrap()));
+        plans.push((format!("nobench:Q{q}"), nb, nb.plan(&sql, &binds).unwrap()));
     }
     for vc in [false, true] {
-        plans.push((format!("nobench:Q11(vc={vc})"), &nb.db, nobench_q11_plan(N, vc)));
+        plans.push((format!("nobench:Q11(vc={vc})"), nb, nobench_q11_plan(N, vc)));
     }
 
     static OLAP: OnceLock<fsdm_sql::Session> = OnceLock::new();
     let olap = OLAP.get_or_init(|| olap_guided_db(60));
     for q in olap_queries(60) {
         let binds: Vec<Datum> = q.binds.iter().map(|b| bind_datum(b)).collect();
-        plans.push((format!("olap:Q{}", q.id), &olap.db, olap.plan(&q.sql, &binds).unwrap()));
+        plans.push((format!("olap:Q{}", q.id), olap, olap.plan(&q.sql, &binds).unwrap()));
     }
     for view in ["po_mv", "po_item_dmdv"] {
-        plans.push((format!("view:{view}"), &olap.db, Query::view(view)));
+        plans.push((format!("view:{view}"), olap, Query::view(view)));
     }
 
-    assert!(plans.len() >= 23, "workload sweep lost queries: {}", plans.len());
-    for (label, db, plan) in plans {
+    assert_eq!(plans.len(), 23, "workload sweep lost queries");
+    let mut findings: Vec<(String, Diagnostic)> = Vec::new();
+    for (label, session, plan) in plans {
+        let inf = session.typecheck_plan(&plan);
+        assert_eq!(inf.errors(), 0, "{label}:\n{}", render_text(&inf.diagnostics));
+        findings.extend(inf.diagnostics.into_iter().map(|d| (label.clone(), d)));
+        let db = &session.db;
         let once = optimize(db, plan.clone());
         let violations = rewrite_violations(db, &plan, &once);
         assert!(violations.is_empty(), "{label}: {violations:?}");
@@ -384,4 +396,16 @@ fn workload_queries_optimize_idempotently() {
             "{label}: optimize re-fired on its own output"
         );
     }
+    // the advisory findings the lint exists for: NoBench's sparse paths
+    // sit at ~1 % frequency (FA005), and each view body's paths are
+    // linted under the view's own label, JSON_TABLE columns composed
+    // onto their row path
+    let reported =
+        |label: &str, path: &str| findings.iter().any(|(l, d)| l == label && d.path == path);
+    assert!(
+        findings.iter().any(|(l, d)| l.starts_with("nobench:") && d.code == Code::LowFrequencyPath),
+        "no FA005 on the NoBench sparse paths"
+    );
+    assert!(reported("view:po_mv", "$.purchaseOrder.reference"));
+    assert!(reported("view:po_item_dmdv", "$.purchaseOrder.costcenter"));
 }
