@@ -443,6 +443,96 @@ pub fn nobench_plans(session: &Session, n: usize) -> Vec<(String, Query)> {
     plans
 }
 
+/// The operators of a report rooted at `op` that are part of a
+/// scan-rooted chain — `Project` / `Filter` down to a `Scan` or a
+/// `JsonTable(Scan)`, under at most a `GroupBy` — and yet report
+/// `mode=row`. With the batch spine on there are none.
+pub fn scan_rooted_row_operators(op: &fsdm_store::OpProfile) -> Vec<String> {
+    fn chain(op: &fsdm_store::OpProfile) -> bool {
+        let child = op.children.first();
+        match op.op.as_str() {
+            "Project" | "Filter" => child.is_some_and(chain),
+            "JsonTable" => child.is_some_and(|c| c.op.starts_with("Scan(")),
+            label => label.starts_with("Scan("),
+        }
+    }
+    let rooted = chain(op) || (op.op == "GroupBy" && op.children.first().is_some_and(chain));
+    let own = (rooted && op.mode == "row").then(|| op.op.clone());
+    own.into_iter().chain(op.children.iter().flat_map(scan_rooted_row_operators)).collect()
+}
+
+/// The views [`rowwise_plans`] reads: one passes `jdoc` through, one
+/// computes a column from it.
+const ROWWISE_VIEWS: [&str; 2] = [
+    "create view nb_docs as select did, jdoc from nobench",
+    "create view nb_upper as select did, upper(jdoc) ujdoc from nobench",
+];
+
+/// One NOBENCH statement per kind of expression no kernel expresses, each
+/// lowered row-wise inside its pipeline: every scalar function in WHERE,
+/// in SELECT and in GROUP BY (keys and aggregate arguments),
+/// column-vs-column comparisons (unknown on most rows, which a filter
+/// rejects), `JSON_EXISTS` as a value, `LIKE` over a number, and a
+/// SQL/JSON operator over a view's computed column (no row reaches it in
+/// R7; every row errs in R8, as on the row evaluator) — then one through a
+/// view's renaming (R9), which binds a path.
+const ROWWISE_SQL: [&str; 9] = [
+    "select did from nobench where json_value(jdoc, '$.num' returning number) < 300 \
+     and substr(json_value(jdoc, '$.str1'), 1, 1) < 'q' \
+     and instr(json_value(jdoc, '$.str1'), 'zz') = 0 \
+     and upper(json_value(jdoc, '$.str2')) <> 'X' and lower(json_value(jdoc, '$.str2')) <> 'x' \
+     and length(json_value(jdoc, '$.nested_obj.str')) > 1 \
+     and concat(json_value(jdoc, '$.str1'), json_value(jdoc, '$.str2')) like '%' \
+     and abs(json_value(jdoc, '$.num' returning number) - 100) > 10 \
+     and nvl(json_value(jdoc, '$.sparse_110'), 'none') = 'none'",
+    "select did, substr(json_value(jdoc, '$.str1'), 2, 3), instr(json_value(jdoc, '$.str2'), 'a'), \
+     upper(json_value(jdoc, '$.nested_obj.str')), lower(json_value(jdoc, '$.str1')), \
+     length(json_value(jdoc, '$.str2')), json_value(jdoc, '$.str1') || '-' || json_value(jdoc, '$.dyn2'), \
+     abs(json_value(jdoc, '$.dyn1' returning number) - 250), \
+     nvl(json_value(jdoc, '$.sparse_110'), json_value(jdoc, '$.str1')) \
+     from nobench where json_value(jdoc, '$.num' returning number) between 100 and 140",
+    "select length(json_value(jdoc, '$.str1')), upper(substr(json_value(jdoc, '$.str2'), 1, 1)), \
+     count(*), max(lower(json_value(jdoc, '$.str1'))), \
+     sum(abs(json_value(jdoc, '$.num' returning number) - 200)), \
+     min(nvl(json_value(jdoc, '$.sparse_110'), concat('n', json_value(jdoc, '$.str2')))), \
+     max(instr(json_value(jdoc, '$.str1'), 'e')) from nobench \
+     group by length(json_value(jdoc, '$.str1')), upper(substr(json_value(jdoc, '$.str2'), 1, 1))",
+    "select did from nobench where did = json_value(jdoc, '$.dyn1' returning number) \
+     and json_value(jdoc, '$.thousandth' returning number) \
+     < json_value(jdoc, '$.nested_obj.num' returning number) \
+     and (json_value(jdoc, '$.sparse_110') <> json_value(jdoc, '$.str2') or did < 100)",
+    "select json_exists(jdoc, '$.sparse_110'), not json_exists(jdoc, '$.sparse_220'), count(*) \
+     from nobench group by json_exists(jdoc, '$.sparse_110'), not json_exists(jdoc, '$.sparse_220')",
+    "select did from nobench where json_value(jdoc, '$.num' returning number) like '1%'",
+    "select did, json_value(ujdoc, '$.STR1') from nb_upper where did < 0",
+    "select json_value(ujdoc, '$.STR1') from nb_upper where did < 40",
+    "select did, json_value(jdoc, '$.str1') from nb_docs \
+     where json_value(jdoc, '$.num' returning number) < 50",
+];
+
+/// The row-wise corpus R1–R10 over the NOBENCH table of `session`, as
+/// labelled plans: the statements above, once their views exist, and R10,
+/// `RETURNING any` (which only a plan spells) as a filter and as outputs.
+pub fn rowwise_plans(session: &mut Session) -> Vec<(String, Query)> {
+    for view in ROWWISE_VIEWS {
+        session.execute(view).expect("row-wise corpus view");
+    }
+    let mut plans: Vec<(String, Query)> = ROWWISE_SQL
+        .iter()
+        .enumerate()
+        .map(|(i, sql)| (format!("R{}", i + 1), session.plan(sql, &[]).expect("row-wise plan")))
+        .collect();
+    let any = |path: &str| Expr::json_value(1, parse_path(path).unwrap(), SqlType::Any);
+    let below = Expr::cmp(any("$.dyn1"), fsdm_store::CmpOp::Lt, Expr::Lit(Datum::from(200i64)));
+    let plan = Query::scan_where("nobench", below).project(vec![
+        ("did", Expr::Col(0)),
+        ("dyn1", any("$.dyn1")),
+        ("arr", any("$.nested_arr")),
+    ]);
+    plans.push((format!("R{}", plans.len() + 1), plan));
+    plans
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,33 +18,9 @@ use fsdm_json::{field_hash, JsonValue};
 use crate::wire::{write_varint, NodeTag, FLAG_WIDE_FIELD_IDS, FLAG_WIDE_OFFSETS, MAGIC, VERSION};
 use crate::{OsonError, Result};
 
-/// How JSON numbers are encoded in the leaf-scalar-value segment (§4.2.3:
-/// "By default, OSON uses the Oracle binary number format … JSON numbers
-/// can also be encoded using IEEE double-precision format").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NumberMode {
-    /// Oracle NUMBER encoding — exact decimals, SQL-native (default).
-    #[default]
-    OraNum,
-    /// IEEE 754 double precision (8 bytes, lossy for decimals).
-    Double,
-}
-
-/// Encoder configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EncoderOptions {
-    /// Scalar number representation.
-    pub number_mode: NumberMode,
-}
-
-/// Encode with default options.
+/// Encode one document with a fresh [`Encoder`].
 pub fn encode(v: &JsonValue) -> Result<Vec<u8>> {
-    encode_with(v, EncoderOptions::default())
-}
-
-/// Encode with explicit options.
-pub fn encode_with(v: &JsonValue, opts: EncoderOptions) -> Result<Vec<u8>> {
-    Encoder::new().encode_with(v, opts)
+    Encoder::new().encode(v)
 }
 
 /// A segment this long or longer forces the wide layout.
@@ -137,13 +113,9 @@ impl Encoder {
         Self::default()
     }
 
-    /// Encode with default options.
+    /// Encode one document. Numbers are Oracle NUMBERs (§4.2.3), exact
+    /// decimals; one beyond NUMBER's range is an IEEE double.
     pub fn encode(&mut self, v: &JsonValue) -> Result<Vec<u8>> {
-        self.encode_with(v, EncoderOptions::default())
-    }
-
-    /// Encode with explicit options.
-    pub fn encode_with(&mut self, v: &JsonValue, opts: EncoderOptions) -> Result<Vec<u8>> {
         if self.names.len() > MAX_INTERNED {
             self.interned.clear();
             self.names.clear();
@@ -181,9 +153,9 @@ impl Encoder {
         let narrow = nfields <= 255 && names_len < NARROW_LIMIT && longest <= u8::MAX as usize;
         let small = Layout { wide_offsets: false, wide_ids: false };
         let wide = Layout { wide_offsets: true, wide_ids: nfields > 256 };
-        let (layout, root) = match narrow.then(|| self.write_segments(v, small, opts)).flatten() {
+        let (layout, root) = match narrow.then(|| self.write_segments(v, small)).flatten() {
             Some(root) => (small, root),
-            None => (wide, self.write_segments(v, wide, opts).expect("wide offsets always fit")),
+            None => (wide, self.write_segments(v, wide).expect("wide offsets always fit")),
         };
         let out = self.assemble(layout, names_len, root);
         // the deep structural verifier must accept everything we emit; in
@@ -245,12 +217,7 @@ impl Encoder {
 
     /// Serialize the tree and value segments; returns the root's offset,
     /// or `None` when the narrow layout turns out too small.
-    fn write_segments(
-        &mut self,
-        root: &JsonValue,
-        layout: Layout,
-        opts: EncoderOptions,
-    ) -> Option<u32> {
+    fn write_segments(&mut self, root: &JsonValue, layout: Layout) -> Option<u32> {
         self.tree.clear();
         self.values.clear();
         self.kids.clear();
@@ -259,17 +226,17 @@ impl Encoder {
         self.kids.reserve(SMALL_DOC_NAMES);
         self.cursor = 0;
         self.offsets = 0;
-        self.write_node(root, layout, opts)
+        self.write_node(root, layout)
     }
 
     /// Post-order serialization: children are written before their parent
     /// so the parent can embed their offsets.
-    fn write_node(&mut self, v: &JsonValue, layout: Layout, opts: EncoderOptions) -> Option<u32> {
+    fn write_node(&mut self, v: &JsonValue, layout: Layout) -> Option<u32> {
         let first = self.kids.len();
         match v {
             JsonValue::Array(a) => {
                 for c in a {
-                    let off = self.write_node(c, layout, opts)?;
+                    let off = self.write_node(c, layout)?;
                     self.kids.push((0, off));
                 }
             }
@@ -277,7 +244,7 @@ impl Encoder {
                 for (_, c) in o.iter() {
                     let id = self.names[self.members[self.cursor] as usize].id;
                     self.cursor += 1;
-                    let off = self.write_node(c, layout, opts)?;
+                    let off = self.write_node(c, layout)?;
                     self.kids.push((id, off));
                 }
                 // sorted by field id to enable binary search in the reader;
@@ -305,18 +272,14 @@ impl Encoder {
                 // indirection): a scalar read is one jump, and number-dense
                 // documents become tree-segment-dominated, matching Table 11's
                 // SensorData profile
-                let ora = match opts.number_mode {
-                    NumberMode::OraNum => n.to_oranum(),
-                    NumberMode::Double => None,
-                };
-                match ora {
+                match n.to_oranum() {
                     Some(d) => {
                         let b = d.as_bytes();
                         self.tree.push(NodeTag::NumOra as u8);
                         self.tree.push(b.len() as u8);
                         self.tree.extend_from_slice(b);
                     }
-                    // double mode, or out of NUMBER range
+                    // out of NUMBER range
                     None => {
                         self.tree.push(NodeTag::NumDouble as u8);
                         self.tree.extend_from_slice(&n.to_f64().to_le_bytes());
@@ -441,13 +404,16 @@ mod tests {
     }
 
     #[test]
-    fn double_mode_uses_eight_byte_values() {
-        let v = parse(r#"{"n":1.5}"#).unwrap();
-        let ora = encode(&v).unwrap();
-        let dbl = encode_with(&v, EncoderOptions { number_mode: NumberMode::Double }).unwrap();
-        // value segment: OraNum for 1.5 is len-prefixed 3 bytes (4 total);
-        // the double is always 8
-        assert!(dbl.len() >= ora.len());
+    fn a_number_beyond_oracle_number_range_is_an_ieee_double() {
+        // NUMBER's exponent stops near 1e126: beyond it the node is the
+        // tag and eight bytes of double (within it: the tag, a length and
+        // the NUMBER's bytes), and either decodes to the same number
+        for (text, tree) in [("1e200", 1 + 8), ("-1e200", 1 + 8), ("1.5", 1 + 1 + 3)] {
+            let v = parse(text).unwrap();
+            let bytes = encode(&v).unwrap();
+            assert_eq!(crate::SegmentStats::of(&bytes).unwrap().tree, tree, "{text}");
+            assert_eq!(crate::decode(&bytes).unwrap(), v, "{text}");
+        }
     }
 
     #[test]
@@ -524,11 +490,6 @@ mod tests {
         for v in [&small_a, &small_b, &small_a, &wide, &small_b, &many_names, &small_a] {
             assert_eq!(encoder.encode(v).unwrap(), encode(v).unwrap());
         }
-        let double = EncoderOptions { number_mode: NumberMode::Double };
-        assert_eq!(
-            encoder.encode_with(&small_a, double).unwrap(),
-            encode_with(&small_a, double).unwrap()
-        );
     }
 
     #[test]

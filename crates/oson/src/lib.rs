@@ -15,9 +15,9 @@
 //!    is a binary search over small integers. An array node stores child
 //!    offsets positionally, so the N-th element is one indexed read.
 //! 3. **Leaf-scalar-value segment** — concatenated scalar bytes. Numbers
-//!    use the Oracle NUMBER encoding ([`fsdm_json::OraNum`]) by default so
-//!    values cross into SQL without conversion (design criterion 3), with
-//!    an IEEE-double alternative.
+//!    use the Oracle NUMBER encoding ([`fsdm_json::OraNum`]) so values
+//!    cross into SQL without conversion (design criterion 3); a number
+//!    beyond NUMBER's range is an IEEE double.
 //!
 //! [`OsonDoc`] implements [`fsdm_json::JsonDom`] *directly over the
 //! serialized bytes* — the "DOM read operations against the serialized
@@ -34,7 +34,7 @@ pub mod update;
 mod wire;
 
 pub use doc::OsonDoc;
-pub use encoder::{encode, encode_with, Encoder, EncoderOptions, NumberMode};
+pub use encoder::{encode, Encoder};
 pub use set::{OsonSet, OsonSetBuilder, SetDictionary, SetDoc};
 pub use stats::SegmentStats;
 pub use update::{update_scalar, UpdateOutcome};

@@ -251,6 +251,38 @@ fn dataguide_agg_statement() {
     );
 }
 
+/// A view that passes a JSON column through hands on the documents
+/// themselves: a SQL/JSON operator over the view's column and a JSON_TABLE
+/// joined to the view read them on the batch spine and on the row
+/// evaluator alike, and the type check sees a JSON column.
+#[test]
+fn a_json_column_projected_through_a_view_stays_json() {
+    let mut s = Session::new();
+    s.execute("create table t (did number, jdoc json)").unwrap();
+    s.execute(
+        r#"insert into t values (1, '{"a":1,"items":[{"p":"x"},{"p":"y"}]}'), (2, '{"a":2.5}')"#,
+    )
+    .unwrap();
+    s.execute("create view v as select did, jdoc from t").unwrap();
+    let value = "select json_value(jdoc, '$.a' returning number) from v";
+    let table = "select v.did, jt.p from v, \
+                 json_table(jdoc, '$.items[*]' columns (p varchar2(8) path '$.p')) jt";
+    for sql in [value, table] {
+        let inf = s.typecheck(sql).unwrap();
+        assert_eq!(inf.errors(), 0, "{sql}: {:?}", inf.diagnostics);
+    }
+    let render = |r: fsdm_store::QueryResult| -> Vec<String> {
+        let line = |row: Vec<Datum>| row.iter().map(Datum::to_text).collect::<Vec<_>>().join("|");
+        r.rows.into_iter().map(line).collect()
+    };
+    for columnar in [true, false] {
+        s.db.set_columnar(columnar);
+        assert_eq!(render(s.execute(value).unwrap()), ["1", "2.5"], "columnar={columnar}");
+        let rows = render(s.execute(table).unwrap());
+        assert_eq!(rows, ["1|x", "1|y", "2|"], "columnar={columnar}");
+    }
+}
+
 #[test]
 fn insert_validation_via_sql() {
     let mut s = Session::new();

@@ -8,6 +8,7 @@
 //! morsel-index order, so results are byte-identical at every degree —
 //! and `degree = 1` executes strictly serially on the calling thread.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,8 +56,17 @@ enum ScanCol {
 /// it reads: a pipeline stage, so that a column is only extracted for the
 /// rows the earlier stages kept.
 struct Conjunct {
-    kernel: PredKernel,
+    test: Test,
     slots: Vec<usize>,
+}
+
+/// How a stage decides which rows it keeps.
+enum Test {
+    /// A predicate kernel's mask.
+    Kernel(PredKernel),
+    /// Row by row, for the rows still selected: what no predicate kernel
+    /// expresses, kept where it is `TRUE`.
+    Row(ValKernel),
 }
 
 /// A scan-rooted pipeline lowered to kernels: the single unit the batch
@@ -73,7 +83,7 @@ struct FusedScan<'q> {
     /// pruning rewrite): no morsel runs.
     empty: bool,
     /// The scan's own filter: stages over the table's rows, those over
-    /// resident vectors only first.
+    /// resident vectors only first, row-wise ones last.
     conjuncts: Vec<Conjunct>,
     /// `JsonTable(Scan)` source: the JSON column and the definition the
     /// rows surviving `conjuncts` are expanded by.
@@ -85,6 +95,8 @@ struct FusedScan<'q> {
     /// Transient columns the outputs read.
     out_slots: Vec<usize>,
     leaves: Leaves,
+    /// The expressions lowered row-wise, rendered.
+    rowwise: Vec<String>,
     /// The plan operators fused below the pipeline's root, top-down; the
     /// last is the `Scan` (empty when the root is the scan itself).
     below: Vec<&'q Query>,
@@ -103,28 +115,30 @@ struct StageRows {
 
 impl<'q> FusedScan<'q> {
     /// Lower the pipeline `chain` — operators top-down from the root to
-    /// the `Scan` of `table` under `filter` — for a consumer that reads
-    /// `reads` of the root's output. `Err` is the rendering of the
-    /// expression no kernel expresses.
+    /// the `Scan` of `table` under `filter`. Total: a conjunct no
+    /// predicate kernel expresses becomes a row-wise stage, an output no
+    /// value kernel expresses a [`ValKernel::Row`].
     fn lower(
         table: &'q Table,
         filter: Option<&Expr>,
         expand: Option<(usize, &'q JsonTableDef)>,
         chain: &[&'q Query],
-        reads: Option<&[&Expr]>,
-    ) -> Result<FusedScan<'q>, String> {
+    ) -> FusedScan<'q> {
         let mut lw = Lowering::new(table);
         let stages = |lw: &mut Lowering<'_>, pred: &Expr| {
             let stage = |c: &Expr| {
-                let kernel = c.compile_predicate(lw)?;
-                Ok(Conjunct { kernel, slots: lw.take_touched() })
+                let test = match lw.attempt(|lw| c.compile_predicate(lw)) {
+                    Some(kernel) => Test::Kernel(kernel),
+                    None => Test::Row(c.compile_value(lw)),
+                };
+                Conjunct { test, slots: lw.take_touched() }
             };
-            pred.conjuncts().into_iter().map(stage).collect::<Result<Vec<Conjunct>, String>>()
+            pred.conjuncts().into_iter().map(stage).collect::<Vec<Conjunct>>()
         };
         let (mut empty, mut conjuncts) = (false, Vec::new());
         match filter {
             Some(Expr::Lit(d)) => empty = *d != Datum::Bool(true),
-            Some(pred) => conjuncts = stages(&mut lw, pred)?,
+            Some(pred) => conjuncts = stages(&mut lw, pred),
             None => {}
         }
         // the scan's filter runs below the `JsonTable`, over the table's
@@ -138,58 +152,48 @@ impl<'q> FusedScan<'q> {
         let (mut cols, mut values): (Option<Vec<Expr>>, Option<Vec<Expr>>) = (None, None);
         let mut chain_conjuncts = Vec::new();
         for op in chain[..chain.len() - source].iter().rev() {
-            let over = |e: &Expr| cols.as_ref().map_or_else(|| Ok(e.clone()), |cols| e.over(cols));
+            let over = |lw: &mut Lowering<'_>, e: &Expr| match &cols {
+                Some(cols) => e.over(cols, lw),
+                None => e.clone(),
+            };
             match op {
                 Query::Project { exprs, .. } => {
-                    cols = Some(exprs.iter().map(|(_, e)| over(e)).collect::<Result<_, _>>()?)
+                    cols = Some(exprs.iter().map(|(_, e)| over(&mut lw, e)).collect())
                 }
                 Query::Filter { pred, .. } => {
-                    chain_conjuncts.extend(stages(&mut lw, &over(pred)?)?)
+                    let pred = over(&mut lw, pred);
+                    chain_conjuncts.extend(stages(&mut lw, &pred))
                 }
                 Query::GroupBy { keys, aggs, .. } => {
-                    values = Some(group_reads(keys, aggs).map(over).collect::<Result<_, _>>()?)
+                    values = Some(group_reads(keys, aggs).map(|e| over(&mut lw, e)).collect())
                 }
                 _ => unreachable!("lower_scan admits Project, Filter and a top GroupBy"),
             }
         }
         // stable: resident-only stages narrow the selection before any
-        // document is opened
-        conjuncts.sort_by_key(|c| !c.slots.is_empty());
-        chain_conjuncts.sort_by_key(|c| !c.slots.is_empty());
-        // a projection's columns nobody reads are not computed
-        let values = values.or_else(|| {
-            let mut cols = cols?;
-            if let Some(reads) = reads {
-                let mut used = vec![false; cols.len()];
-                reads.iter().for_each(|e| e.mark_cols(&mut used));
-                let unread = cols.iter_mut().zip(used).filter(|(_, used)| !used);
-                unread.for_each(|(e, _)| *e = Expr::Lit(Datum::Null));
-            }
-            Some(cols)
-        });
-        let width = table.schema.width();
-        let outs: Vec<ScanCol> = match values {
-            Some(exprs) => exprs
-                .iter()
-                .map(|e| e.compile_value(&mut lw).map(ScanCol::Val))
-                .collect::<Result<_, _>>()?,
-            // the source's own rows, JSON cells left binary, for the row
-            // evaluator: only the columns it reads are filled
+        // document is opened, and a row-wise stage runs over what the
+        // kernels kept
+        let order = |c: &Conjunct| (matches!(c.test, Test::Row(_)), !c.slots.is_empty());
+        conjuncts.sort_by_key(order);
+        chain_conjuncts.sort_by_key(order);
+        let outs = match values {
+            // a group-by's keys and arguments are values, gathered per morsel
+            Some(values) => values.iter().map(|e| ScanCol::Val(e.compile_value(&mut lw))).collect(),
+            // rows: without a projection, the source's own columns; a base
+            // column hands its stored cell on, so a JSON document stays one
             None => {
-                let extra = expand.map_or(0, |(_, def)| def.width());
-                let used = reads.map(|r| table.demand(r.iter().copied(), extra));
-                (0..table.scan_width() + extra)
-                    .map(|c| match used.as_ref().is_none_or(|u| u[c]) {
-                        true if c < width => Ok(ScanCol::Cell(c)),
-                        true => Expr::Col(c).compile_value(&mut lw).map(ScanCol::Val),
-                        false => Ok(ScanCol::Val(ValKernel::Lit(Datum::Null))),
-                    })
-                    .collect::<Result<_, _>>()?
+                let source = table.scan_width() + expand.map_or(0, |(_, def)| def.width());
+                let cols = cols.unwrap_or_else(|| (0..source).map(Expr::Col).collect());
+                let out = |e: &Expr| match e {
+                    Expr::Col(c) if *c < table.schema.width() => ScanCol::Cell(*c),
+                    e => ScanCol::Val(e.compile_value(&mut lw)),
+                };
+                cols.iter().map(out).collect()
             }
         };
         let out_slots = lw.take_touched();
-        let (leaves, below) = (lw.leaves, chain[1..].to_vec());
-        Ok(FusedScan {
+        let (leaves, rowwise, below) = (lw.leaves, lw.rowwise, chain[1..].to_vec());
+        FusedScan {
             table,
             empty,
             conjuncts,
@@ -198,8 +202,9 @@ impl<'q> FusedScan<'q> {
             outs,
             out_slots,
             leaves,
+            rowwise,
             below,
-        })
+        }
     }
 
     /// Run the filter stages `conjuncts` over the rows `batch` selects of
@@ -219,7 +224,10 @@ impl<'q> FusedScan<'q> {
             }
             cols.extract(rows, &self.leaves, &c.slots, &batch.sel, scratch)?;
             let kernel_start = Instant::now();
-            batch = batch.filter(&c.kernel, cols);
+            batch = match &c.test {
+                Test::Kernel(kernel) => batch.filter(kernel, cols),
+                Test::Row(value) => batch.keep(value, cols)?,
+            };
             fsdm_obs::histogram!(fsdm_obs::catalog::IMC_KERNEL_NS)
                 .record(kernel_start.elapsed().as_nanos() as u64);
         }
@@ -251,12 +259,16 @@ impl<'q> FusedScan<'q> {
     }
 
     /// The annotation of `op`, an operator of this pipeline: the
-    /// transient columns the pipeline runs on (reported on its root), the
-    /// column demand of the expansion (on the `JsonTable`).
+    /// transient columns the pipeline runs on and the expressions it
+    /// evaluates row-wise (reported on its root), the column demand of the
+    /// expansion (on the `JsonTable`).
     fn note(&self, op: &Query, root: bool) -> String {
         let mut notes = Vec::new();
         if root && !self.leaves.note().is_empty() {
             notes.push(self.leaves.note());
+        }
+        if root && !self.rowwise.is_empty() {
+            notes.push(format!("rowwise=[{}]", self.rowwise.join(", ")));
         }
         if let (Query::JsonTable { def, .. }, Some(_)) = (op, self.expand) {
             let names = def.column_names();
@@ -601,27 +613,15 @@ impl Database {
         self.slow_log.to_json()
     }
 
-    /// Recursive entry point of the volcano executor: [`Database::exec_for`]
-    /// on behalf of a consumer that reads every column.
+    /// Recursive entry point of the volcano executor: run `plan` on the
+    /// batch spine when it roots a scan-rooted pipeline
+    /// ([`Database::lower_scan`], **the single mode decision**), else on
+    /// the row evaluator. The operator's output row count and inclusive
+    /// elapsed time are pushed into `prof`, its children collected in a
+    /// sink of their own: a cost per operator, never per row or morsel.
     fn exec(
         &self,
         plan: &Query,
-        prof: &mut Vec<OpProfile>,
-        ctx: &ExecContext,
-    ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
-        self.exec_for(plan, None, prof, ctx)
-    }
-
-    /// Run `plan` for a row-evaluator consumer whose expressions are
-    /// `reads` (`None`: all of every row is read) — column demand, which a
-    /// `Scan` honours by leaving the columns nobody reads NULL. The
-    /// operator's output row count and inclusive elapsed time are pushed
-    /// into `prof`, its children collected in a sink of their own: a cost
-    /// per operator, never per row or morsel.
-    fn exec_for(
-        &self,
-        plan: &Query,
-        reads: Option<&[&Expr]>,
         prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
@@ -629,12 +629,15 @@ impl Database {
         op_span.record_args(|| op_label(plan));
         let mut stats = ParStats::default();
         let start = Instant::now();
-        // the lowering that is reported is the lowering that runs
-        let lowered = self.lower_scan(plan, reads);
         let mut children = Vec::new();
-        let (mode, note) = mode_note(lowered.as_ref(), plan);
-        let (names, rows) =
-            self.exec_inner(plan, lowered, reads, &mut children, ctx, &mut stats)?;
+        // the lowering that is reported is the lowering that runs
+        let (mode, note, (names, rows)) = match self.lower_scan(plan) {
+            Some(fused) => {
+                let out = self.run_fused(plan, &fused, &mut children, ctx, &mut stats)?;
+                ("columnar", fused.note(plan, true), out)
+            }
+            None => ("row", String::new(), self.exec_row(plan, &mut children, ctx, &mut stats)?),
+        };
         prof.push(OpProfile {
             op: op_label(plan),
             rows_out: rows.len(),
@@ -648,30 +651,17 @@ impl Database {
         Ok((names, rows))
     }
 
-    /// Run one operator. `lowered` is **the single mode decision** for
-    /// `plan` ([`Database::lower_scan`]), made once by the caller.
-    fn exec_inner(
+    /// Run one operator on the row evaluator: the operators that consume
+    /// rows by nature (join, sort, window, limit, sample) and what sits
+    /// above them — and, with the spine off, every operator, as the
+    /// oracle of the identity tests.
+    fn exec_row(
         &self,
         plan: &Query,
-        lowered: Option<Result<FusedScan<'_>, String>>,
-        reads: Option<&[&Expr]>,
         prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
         stats: &mut ParStats,
     ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
-        // the batch spine: a scan-rooted pipeline that lowers to kernels
-        // never builds a whole scan row. Everything below this line is
-        // the row evaluator — the operators that consume rows by nature
-        // (join, sort, window), and the oracle for pipelines that did not
-        // lower or with the spine off, which reads resident vectors
-        // wherever its expressions spell out a virtual column: vectors
-        // only ever help, on either evaluator.
-        let rewritten = match lowered {
-            Some(Ok(fused)) => return self.run_fused(plan, &fused, prof, ctx, stats),
-            Some(Err(_)) => self.reading_resident(plan),
-            None => None,
-        };
-        let plan = rewritten.as_ref().unwrap_or(plan);
         match plan {
             Query::Scan { table, filter } => {
                 let t = self
@@ -679,8 +669,6 @@ impl Database {
                     .get(table)
                     .ok_or_else(|| StoreError::new(format!("no table {table}")))?;
                 let names = t.scan_column_names();
-                // what is read of a row: by the consumer, and by the filter
-                let used = reads.map(|r| t.demand(r.iter().copied().chain(filter), 0));
                 // materialize + filter per-morsel; morsel-order
                 // concatenation keeps row order identical to a serial scan
                 let chunks = run_morsels(ctx, t.rows.len(), stats, |range, scratch| {
@@ -689,7 +677,7 @@ impl Database {
                     let mut acc = 0;
                     for i in range.start..range.end {
                         ctx.governor.check_rows(&mut acc, 1)?;
-                        let r = scan_row(t, i, used.as_deref(), scratch)?;
+                        let r = scan_row(t, i, scratch)?;
                         if let Some(pred) = filter {
                             if !pred.matches_with(&r, scratch)? {
                                 continue;
@@ -709,8 +697,7 @@ impl Database {
                 self.exec(plan, prof, ctx)
             }
             Query::Filter { input, pred } => {
-                let reads = input_reads(plan, reads);
-                let (names, rows) = self.exec_for(input, reads.as_deref(), prof, ctx)?;
+                let (names, rows) = self.exec(input, prof, ctx)?;
                 // parallel predicate evaluation into per-morsel boolean
                 // masks; the move-filter over owned rows stays serial
                 let masks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
@@ -725,15 +712,19 @@ impl Database {
                 Ok((names, out))
             }
             Query::Project { input, exprs } => {
-                let reads = input_reads(plan, reads);
-                let (_, rows) = self.exec_for(input, reads.as_deref(), prof, ctx)?;
+                let (_, rows) = self.exec(input, prof, ctx)?;
                 let names = exprs.iter().map(|(n, _)| n.clone()).collect();
                 let chunks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
                     let mut out = Vec::with_capacity(range.len());
                     for r in &rows[range.start..range.end] {
                         let mut o = Vec::with_capacity(exprs.len());
                         for (_, e) in exprs {
-                            o.push(Cell::D(e.eval_with(r, scratch)?));
+                            // a bare column hands its cell on: a JSON
+                            // document stays one
+                            o.push(match e {
+                                Expr::Col(i) if *i < r.len() => r[*i].clone(),
+                                e => Cell::D(e.eval_with(r, scratch)?),
+                            });
                         }
                         out.push(o);
                     }
@@ -792,9 +783,9 @@ impl Database {
                     let mut m: HashMap<Datum, Vec<usize>> = HashMap::new();
                     let mut entries = 0u64;
                     for (off, r) in lrows[range.start..range.end].iter().enumerate() {
-                        if let Some(Cell::D(d)) = r.get(*left_key) {
+                        if let Some(d) = join_key(r, *left_key) {
                             if !d.is_null() {
-                                m.entry(d.clone()).or_default().push(range.start + off);
+                                m.entry(d.into_owned()).or_default().push(range.start + off);
                                 entries += 1;
                             }
                         }
@@ -812,8 +803,8 @@ impl Database {
                 let chunks = run_morsels(ctx, rrows.len(), stats, |range, _| {
                     let mut out = Vec::new();
                     for r in &rrows[range.start..range.end] {
-                        if let Some(Cell::D(d)) = r.get(*right_key) {
-                            if let Some(matches) = build.get(d) {
+                        if let Some(d) = join_key(r, *right_key) {
+                            if let Some(matches) = build.get(&*d) {
                                 for &li in matches {
                                     let mut combined = lrows[li].clone();
                                     combined.extend(r.iter().cloned());
@@ -827,8 +818,7 @@ impl Database {
                 Ok((names, chunks.into_iter().flatten().collect()))
             }
             Query::GroupBy { input, keys, aggs } => {
-                let reads = input_reads(plan, reads);
-                let (_, rows) = self.exec_for(input, reads.as_deref(), prof, ctx)?;
+                let (_, rows) = self.exec(input, prof, ctx)?;
                 group_by(rows, keys, aggs, ctx, stats)
             }
             Query::Sort { input, keys } => {
@@ -889,20 +879,17 @@ impl Database {
         }
     }
 
-    /// **The single mode decision.** `None` when `plan` is not the root of
-    /// a scan-rooted pipeline — a chain of `Project` / `Filter`, optionally
-    /// topped by a `GroupBy`, down to a `Scan` or a `JsonTable(Scan)`;
-    /// otherwise the pipeline lowered to kernels for a consumer reading
-    /// `reads` of it, or the rendering of the expression that keeps `plan`
-    /// on the row evaluator (its input is then asked on its own).
-    /// The executor runs what this returns and reports it ([`mode_note`]);
+    /// **The single mode decision**, from plan shape alone: the pipeline
+    /// `plan` roots — a chain of `Project` / `Filter`, optionally topped
+    /// by a `GroupBy`, down to a `Scan` or a `JsonTable(Scan)` — lowered
+    /// to kernels; `None` when `plan` roots none, or with the spine off.
+    /// The executor runs what this returns and reports it;
     /// [`Database::explain_modes`] asks here too, so report and execution
     /// cannot disagree.
-    fn lower_scan<'q>(
-        &'q self,
-        plan: &'q Query,
-        reads: Option<&[&Expr]>,
-    ) -> Option<Result<FusedScan<'q>, String>> {
+    fn lower_scan<'q>(&'q self, plan: &'q Query) -> Option<FusedScan<'q>> {
+        if !self.columnar {
+            return None;
+        }
         let mut chain = vec![plan];
         let (expand, table, filter) = loop {
             match chain[chain.len() - 1] {
@@ -920,10 +907,7 @@ impl Database {
             }
         };
         let table = self.tables.get(table)?;
-        if !self.columnar {
-            return Some(Err("the batch spine is switched off".to_string()));
-        }
-        Some(FusedScan::lower(table, filter.as_ref(), expand, &chain, reads))
+        Some(FusedScan::lower(table, filter.as_ref(), expand, &chain))
     }
 
     /// **The single fused-scan entry.** Runs the lowered pipeline and
@@ -1077,41 +1061,6 @@ impl Database {
         Ok((chunks.into_iter().map(|(done, _)| done).collect(), total))
     }
 
-    /// A scan-rooted operator that stays on the row evaluator, with its
-    /// own expressions (a scan's filter, a projection's or group-by's
-    /// expressions over the scan's columns) rewritten by
-    /// [`Expr::reading_resident`]; `None` when the table has no resident
-    /// virtual column. The child scan is an operator of its own and is
-    /// rewritten when it runs.
-    fn reading_resident(&self, plan: &Query) -> Option<Query> {
-        let scan = match plan {
-            Query::Project { input, .. } | Query::GroupBy { input, .. } => input,
-            scan => scan,
-        };
-        let Query::Scan { table, .. } = scan else { return None };
-        let t = self.tables.get(table)?;
-        t.resident_vcs().next()?;
-        let sub = |e: &Expr| e.reading_resident(t);
-        let named = |es: &[(String, Expr)]| es.iter().map(|(n, e)| (n.clone(), sub(e))).collect();
-        Some(match plan {
-            Query::Scan { table, filter } => {
-                Query::Scan { table: table.clone(), filter: filter.as_ref().map(sub) }
-            }
-            Query::Project { input, exprs } => {
-                Query::Project { input: input.clone(), exprs: named(exprs) }
-            }
-            Query::GroupBy { input, keys, aggs } => Query::GroupBy {
-                input: input.clone(),
-                keys: named(keys),
-                aggs: aggs
-                    .iter()
-                    .map(|a| AggSpec { arg: a.arg.as_ref().map(sub), ..a.clone() })
-                    .collect(),
-            },
-            _ => return None,
-        })
-    }
-
     /// [`Query::render`] of an (already optimized) plan with the
     /// executor's pipeline selection appended to every line:
     /// `… mode=columnar|row`, then the operator's annotation (see
@@ -1119,7 +1068,7 @@ impl Database {
     /// itself are part of that pipeline and annotate columnar as well.
     pub fn explain_modes(&self, plan: &Query) -> String {
         let mut modes = Vec::new();
-        self.collect_modes(plan, None, &mut modes);
+        self.collect_modes(plan, &mut modes);
         let rendered = plan.render();
         let lines = rendered.lines().zip(modes).map(|(line, (mode, note))| {
             let gap = if note.is_empty() { "" } else { "  " };
@@ -1128,21 +1077,14 @@ impl Database {
         lines.collect()
     }
 
-    /// Pre-order mode walk mirroring [`Query::render`]'s line order, with
-    /// the column demand `reads` each operator would be run under.
-    fn collect_modes(
-        &self,
-        plan: &Query,
-        reads: Option<&[&Expr]>,
-        out: &mut Vec<(&'static str, String)>,
-    ) {
-        let lowered = self.lower_scan(plan, reads);
-        out.push(mode_note(lowered.as_ref(), plan));
-        if let Some(Ok(fused)) = &lowered {
+    /// Pre-order mode walk mirroring [`Query::render`]'s line order.
+    fn collect_modes(&self, plan: &Query, out: &mut Vec<(&'static str, String)>) {
+        if let Some(fused) = self.lower_scan(plan) {
+            out.push(("columnar", fused.note(plan, true)));
             out.extend(fused.below.iter().map(|op| ("columnar", fused.note(op, false))));
             return;
         }
-        let reads = input_reads(plan, reads);
+        out.push(("row", String::new()));
         match plan {
             Query::Filter { input, .. }
             | Query::Project { input, .. }
@@ -1151,69 +1093,30 @@ impl Database {
             | Query::Sort { input, .. }
             | Query::Window { input, .. }
             | Query::Limit { input, .. }
-            | Query::Sample { input, .. } => self.collect_modes(input, reads.as_deref(), out),
+            | Query::Sample { input, .. } => self.collect_modes(input, out),
             Query::HashJoin { left, right, .. } => {
-                self.collect_modes(left, None, out);
-                self.collect_modes(right, None, out);
+                self.collect_modes(left, out);
+                self.collect_modes(right, out);
             }
             Query::Scan { .. } | Query::ViewScan { .. } => {}
         }
     }
 }
 
-/// Mode of the operator `plan` plus its annotation, from its mode decision
-/// ([`Database::lower_scan`]): what a fused pipeline runs on
-/// ([`FusedScan::note`]), or — for the root of a scan-rooted pipeline on
-/// the row evaluator — the expression that forced it.
-fn mode_note(
-    lowered: Option<&Result<FusedScan<'_>, String>>,
-    plan: &Query,
-) -> (&'static str, String) {
-    match lowered {
-        Some(Ok(fused)) => ("columnar", fused.note(plan, true)),
-        Some(Err(why)) => ("row", format!("fallback={why}")),
-        None => ("row", String::new()),
-    }
-}
-
-/// What `plan`, on the row evaluator under a consumer reading `reads` of
-/// it, reads of its input's columns (`None`: all of every row).
-fn input_reads<'q>(plan: &'q Query, reads: Option<&[&'q Expr]>) -> Option<Vec<&'q Expr>> {
-    match plan {
-        Query::Project { exprs, .. } => Some(exprs.iter().map(|(_, e)| e).collect()),
-        Query::GroupBy { keys, aggs, .. } => Some(group_reads(keys, aggs).collect()),
-        // a filter hands its input's rows on
-        Query::Filter { pred, .. } => reads.map(|r| r.iter().copied().chain([pred]).collect()),
-        _ => None,
-    }
-}
-
 /// The row evaluator's scan row: §5.2.2 transparent rewrite (substitute
 /// cached OSON bytes for text cells when the IMC is populated), then
 /// every virtual column — from its IMC vector when materialized, computed
-/// on the fly otherwise. With `used` (column demand, see
-/// [`Table::demand`]) the columns nobody reads are NULL placeholders.
-fn scan_row(
-    t: &Table,
-    i: usize,
-    used: Option<&[bool]>,
-    scratch: &mut EvalScratch,
-) -> Result<Row, StoreError> {
-    let width = t.schema.width();
-    let ncols = width + t.virtual_columns.len();
-    let mut r: Row = Vec::with_capacity(ncols);
-    for col in 0..ncols {
-        let cell = match col.checked_sub(width) {
-            _ if used.is_some_and(|u| !u[col]) => Cell::D(Datum::Null),
-            None => t.scan_cell(i, col),
-            Some(vi) => Cell::D(match t.vector(col) {
-                // borrow the slot first so string cells clone straight out
-                // of the dictionary without an intermediate owned Datum
-                Some(vector) => vector.slot(i).to_datum(),
-                None => t.virtual_columns[vi].expr.eval_with(&r, scratch)?,
-            }),
+/// on the fly otherwise.
+fn scan_row(t: &Table, i: usize, scratch: &mut EvalScratch) -> Result<Row, StoreError> {
+    let mut r = t.imc_row(i);
+    for vc in &t.virtual_columns {
+        let value = match t.vector(r.len()) {
+            // borrow the slot first so string cells clone straight out
+            // of the dictionary without an intermediate owned Datum
+            Some(vector) => vector.slot(i).to_datum(),
+            None => vc.expr.eval_with(&r, scratch)?,
         };
-        r.push(cell);
+        r.push(Cell::D(value));
     }
     Ok(r)
 }
@@ -1281,6 +1184,15 @@ fn group_reads<'q>(
 /// Output column names of a group-by: keys, then aggregates.
 fn group_names(keys: &[(String, Expr)], aggs: &[AggSpec]) -> Vec<String> {
     keys.iter().map(|(n, _)| n.clone()).chain(aggs.iter().map(|a| a.name.clone())).collect()
+}
+
+/// A join key as the row evaluator reads a column: a JSON document as
+/// its text.
+fn join_key(r: &Row, col: usize) -> Option<Cow<'_, Datum>> {
+    Some(match r.get(col)? {
+        Cell::D(d) => Cow::Borrowed(d),
+        Cell::J(j) => Cow::Owned(Datum::Str(j.decode_to_text())),
+    })
 }
 
 /// The row evaluator's group-by: keys and aggregate arguments are
@@ -1866,7 +1778,7 @@ mod tests {
         let late = Expr::json_exists(1, parse_path("$.late").unwrap());
         let v = Expr::json_value(1, parse_path("$.v").unwrap(), SqlType::Number);
         let plan = Query::scan_where("t", late).project(vec![("v", v)]);
-        let fused = db.lower_scan(&plan, None).expect("scan-rooted").expect("lowers");
+        let fused = db.lower_scan(&plan).expect("scan-rooted");
         assert_eq!(fused.outs.len(), 1, "the consumer gets the demanded column, no more");
         assert_eq!(fused.leaves.len(), 2);
         // a path absent from every row of a morsel collapses its mask
@@ -1874,11 +1786,12 @@ mod tests {
         let ctx = db.exec_context();
         let mut cols = MorselCols::new(range, fused.leaves.len(), &ctx.governor);
         let filter = &fused.conjuncts[0];
+        let Test::Kernel(kernel) = &filter.test else { panic!("JSON_EXISTS is a kernel") };
         let all = crate::vector::SelVec::All(range);
         let mut scratch = EvalScratch::new();
         cols.extract(&Rows::Table(fused.table), &fused.leaves, &filter.slots, &all, &mut scratch)
             .unwrap();
-        assert_eq!(filter.kernel.eval(range, &cols), crate::vector::Mask::AllFalse);
+        assert_eq!(kernel.eval(range, &cols), crate::vector::Mask::AllFalse);
         // end to end: only the morsel with survivors extracts the
         // projected column next to the filter column — an empty selection
         // extracts nothing — and every morsel hands its charge back
@@ -1997,17 +1910,21 @@ mod tests {
         assert_eq!(db.execute(&t1).unwrap(), counted, "T1's shape on the row evaluator");
     }
 
+    /// What no kernel expresses runs row-wise inside the pipeline, over
+    /// leaves that read resident vectors: `abs(json_value(jdoc, '$.v'))`
+    /// with `t$v` resident evaluates no path, as a filter, an output and a
+    /// group key alike. A planted vector that disagrees with the documents
+    /// proves who reads what: the spine reads it, the oracle computes from
+    /// the documents.
     #[test]
-    fn the_row_evaluator_reads_resident_vectors_too() {
+    fn row_wise_stages_read_resident_vectors() {
         use crate::expr::ScalarFun;
         let mut db = sparse_db();
         let v = || Expr::json_value(1, parse_path("$.v").unwrap(), SqlType::Number);
         let abs = |e: Expr| Expr::Fun(ScalarFun::Abs, vec![e]);
-        // no kernel expresses ABS: filter, projection and group key all
-        // keep their operator on the row evaluator
         let is_seven = Expr::cmp(abs(v()), CmpOp::Eq, Expr::Lit(Datum::from(7i64)));
         let plans = [
-            Query::scan_where("t", is_seven).project(vec![("id", Expr::Col(0))]),
+            Query::scan_where("t", is_seven.clone()).project(vec![("id", Expr::Col(0))]),
             Query::scan("t").project(vec![("a", abs(v()))]),
             Query::scan("t").group_by(vec![("a", abs(v()))], vec![AggSpec::count_star("n")]),
         ];
@@ -2016,48 +1933,22 @@ mod tests {
         let t = db.table_mut("t").unwrap();
         t.add_virtual_column("t$v", v());
         t.populate_vc_imc(&["t$v"]).unwrap();
-        for (plan, before) in plans.iter().zip(&before) {
-            assert!(matches!(db.lower_scan(plan, None), Some(Err(why)) if why.contains("Abs[")));
-            // the operator that holds the expression rewrites it
-            let holder = match plan {
-                Query::Project { input, .. } if format!("{input:?}").contains("Abs[") => input,
-                other => other,
-            };
-            let rewritten = db.reading_resident(holder).expect("a vector is resident");
-            let rendered = format!("{rewritten:?}");
-            assert!(
-                rendered.contains("Abs[col#2]") && !rendered.contains("JSON_VALUE"),
-                "{rendered}"
-            );
+        let rowwise = [is_seven, abs(v()), abs(v())];
+        for ((plan, before), rowwise) in plans.iter().zip(&before).zip(&rowwise) {
+            let fused = db.lower_scan(plan).expect("every chain lowers");
+            assert_eq!(fused.rowwise, [format!("{rowwise:?}")]);
+            assert!((0..fused.leaves.len()).all(|s| fused.leaves.path(s).is_none()), "no path");
             assert_eq!(&db.execute(plan).unwrap(), before, "vectors never change results");
         }
-        // column demand: the scan under such a projection gathers the
-        // virtual column it reads and leaves the one nobody reads NULL,
-        // fused (the bare scan lowers) or not
-        let late = Expr::json_value(1, parse_path("$.late").unwrap(), SqlType::Varchar2(4));
-        let t = db.table_mut("t").unwrap();
-        t.add_virtual_column("t$late", late);
-        t.populate_vc_imc(&["t$late"]).unwrap();
-        let reads = abs(Expr::Col(2));
-        for columnar in [true, false] {
-            db.set_columnar(columnar);
-            let ctx = db.exec_context();
-            let (_, rows) =
-                db.exec_for(&Query::scan("t"), Some(&[&reads]), &mut Vec::new(), &ctx).unwrap();
-            let null = |c: &Cell| matches!(c, Cell::D(Datum::Null));
-            assert!(rows.iter().all(|r| r.len() == 4 && !null(&r[2]) && null(&r[3])));
-            let (_, rows) = db.exec(&Query::scan("t"), &mut Vec::new(), &ctx).unwrap();
-            assert!(!null(&rows[11][3]), "a consumer that reads everything gets everything");
-        }
-        // swap in a vector that disagrees with the documents: the rows
-        // coming back prove the vector is what was read
+        let explain = db.explain_modes(&plans[0]);
+        assert!(explain.contains("mode=columnar  rowwise=[(Abs[JSON_VALUE("), "{explain}");
+        assert!(!explain.contains("mode=row"), "{explain}");
         let sevens = vec![Datum::from(7i64); 12];
         let t = db.table_mut("t").unwrap();
         t.imc.vectors.insert(2, Arc::new(crate::imc::ColumnVector::from_datums(&sevens)));
-        for columnar in [true, false] {
-            db.set_columnar(columnar);
-            assert_eq!(db.execute(&plans[0]).unwrap().rows.len(), 12, "columnar={columnar}");
-        }
+        assert_eq!(db.execute(&plans[0]).unwrap().rows.len(), 12, "the spine reads the vector");
+        db.set_columnar(false);
+        assert_eq!(db.execute(&plans[0]).unwrap(), before[0], "the oracle reads the documents");
     }
 
     #[test]
@@ -2090,7 +1981,7 @@ mod tests {
             t.add_virtual_column("po$cc", cc());
             t.populate_vc_imc(&["did", "po$cc"]).unwrap();
             for plan in &plans {
-                let fused = db.lower_scan(plan, None).expect("a pipeline").expect("lowers");
+                let fused = db.lower_scan(plan).expect("a pipeline");
                 let paths = (0..fused.leaves.len()).filter_map(|s| fused.leaves.path(s));
                 assert_eq!(paths.count(), 0, "`$.costcenter` is never evaluated");
                 db.set_columnar(false);

@@ -348,26 +348,6 @@ impl Expr {
         out
     }
 
-    /// Mark in `used` every input column this expression reads.
-    pub(crate) fn mark_cols(&self, used: &mut [bool]) {
-        match self {
-            Expr::Col(col) | Expr::JsonValue { col, .. } | Expr::JsonExists { col, .. } => {
-                if let Some(u) = used.get_mut(*col) {
-                    *u = true;
-                }
-            }
-            Expr::Lit(_) => {}
-            Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) | Expr::Arith(a, _, b) => {
-                a.mark_cols(used);
-                b.mark_cols(used);
-            }
-            Expr::Not(a) | Expr::IsNull(a) | Expr::InList(a, _) | Expr::Like(a, _) => {
-                a.mark_cols(used)
-            }
-            Expr::Fun(_, args) => args.iter().for_each(|a| a.mark_cols(used)),
-        }
-    }
-
     /// The resident vector materializing a virtual column of `table` that
     /// is defined by exactly this expression (by `Debug` rendering, the
     /// structural equality the optimizer's dedupe uses), with that
@@ -385,18 +365,10 @@ impl Expr {
         vcs.find(|(def, ..)| *def == key).map(|(_, col, v)| (col, v))
     }
 
-    /// This expression with every sub-expression that spells out a
-    /// resident virtual column's definition replaced by a reference to
-    /// that column, which the row evaluator's scan fills from the vector:
-    /// an operator that stays on the row evaluator reads resident vectors
-    /// all the same. Never changes the value — the scan schema types a
-    /// virtual column by its defining expression — and is idempotent
-    /// (`Col` matches no definition).
-    pub(crate) fn reading_resident(&self, table: &Table) -> Expr {
-        if let Some((col, _)) = self.resident_vc(table) {
-            return Expr::Col(col);
-        }
-        let sub = |e: &Expr| Box::new(e.reading_resident(table));
+    /// This node with every operand replaced by `f` of it (a column, a
+    /// literal or a SQL/JSON operator is cloned).
+    fn map(&self, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
+        let mut sub = |e: &Expr| Box::new(f(e));
         match self {
             Expr::Cmp(a, op, b) => Expr::Cmp(sub(a), *op, sub(b)),
             Expr::And(a, b) => Expr::And(sub(a), sub(b)),
@@ -406,9 +378,7 @@ impl Expr {
             Expr::InList(a, list) => Expr::InList(sub(a), list.clone()),
             Expr::Like(a, pat) => Expr::Like(sub(a), pat.clone()),
             Expr::Arith(a, op, b) => Expr::Arith(sub(a), *op, sub(b)),
-            Expr::Fun(f, args) => {
-                Expr::Fun(*f, args.iter().map(|a| a.reading_resident(table)).collect())
-            }
+            Expr::Fun(fun, args) => Expr::Fun(*fun, args.iter().map(|a| *sub(a)).collect()),
             leaf => leaf.clone(),
         }
     }
@@ -417,137 +387,158 @@ impl Expr {
     /// expressions `cols` over a source: every column reference replaced
     /// by what it stands for — how a chain of `Project` / `Filter` /
     /// `GroupBy` composes into one predicate and one output list over its
-    /// source. `Err` renders a SQL/JSON operator: above a projection its
-    /// operand is a computed value, which only the row evaluator judges.
-    pub(crate) fn over(&self, cols: &[Expr]) -> Result<Expr, String> {
-        let sub = |e: &Expr| e.over(cols).map(Box::new);
-        Ok(match self {
-            Expr::Col(i) => cols.get(*i).cloned().ok_or_else(|| format!("{self:?}"))?,
-            Expr::Lit(_) => self.clone(),
-            Expr::Cmp(a, op, b) => Expr::Cmp(sub(a)?, *op, sub(b)?),
-            Expr::And(a, b) => Expr::And(sub(a)?, sub(b)?),
-            Expr::Or(a, b) => Expr::Or(sub(a)?, sub(b)?),
-            Expr::Not(a) => Expr::Not(sub(a)?),
-            Expr::IsNull(a) => Expr::IsNull(sub(a)?),
-            Expr::InList(a, list) => Expr::InList(sub(a)?, list.clone()),
-            Expr::Like(a, pat) => Expr::Like(sub(a)?, pat.clone()),
-            Expr::Arith(a, op, b) => Expr::Arith(sub(a)?, *op, sub(b)?),
-            Expr::Fun(f, args) => {
-                Expr::Fun(*f, args.iter().map(|a| a.over(cols)).collect::<Result<_, _>>()?)
+    /// source. A SQL/JSON operator composes through a renaming; over a
+    /// computed value it reads a column `lw` computes, which no kernel
+    /// binds, so it is lowered row-wise over that value — as the row
+    /// evaluator judges it.
+    pub(crate) fn over(&self, cols: &[Expr], lw: &mut Lowering<'_>) -> Expr {
+        match self {
+            // no such column: the row evaluator's error
+            Expr::Col(i) => cols.get(*i).cloned().unwrap_or(Expr::Col(usize::MAX)),
+            Expr::JsonValue { col, path, ty } => {
+                Expr::JsonValue { col: lw.operand(cols, *col), path: path.clone(), ty: *ty }
             }
-            Expr::JsonValue { .. } | Expr::JsonExists { .. } => return Err(format!("{self:?}")),
-        })
+            Expr::JsonExists { col, path } => {
+                Expr::JsonExists { col: lw.operand(cols, *col), path: path.clone() }
+            }
+            other => other.map(|e| e.over(cols, lw)),
+        }
     }
 
     /// Lower this scan predicate to a kernel. A leaf binds a resident
     /// vector when one covers its column — or materializes its very
     /// expression as a virtual column — and registers a transient column
-    /// with `lw` otherwise. `Err` carries the rendering of the
-    /// sub-expression no kernel expresses exactly; the scan then runs on
-    /// the row evaluator, which remains the semantic reference.
+    /// with `lw` otherwise. `None` when no kernel expresses it exactly; the
+    /// caller then lowers it row-wise ([`Expr::compile_value`]), under
+    /// [`Lowering::attempt`] so the failed kernel leaves nothing bound.
     ///
     /// The lowering assumes vector null-ness mirrors datum null-ness,
     /// which holds for typed base columns, VC vectors and transient
     /// columns alike.
-    pub(crate) fn compile_predicate(&self, lw: &mut Lowering<'_>) -> Result<PredKernel, String> {
-        let not_lowered = || Err(format!("{self:?}"));
+    pub(crate) fn compile_predicate(&self, lw: &mut Lowering<'_>) -> Option<PredKernel> {
         // a boolean column — bare, JSON_EXISTS, or a virtual column that
         // materializes this very predicate — used as the filter
         let truth = |bound: (Col, ColKind)| match bound {
-            (col, ColKind::Bools) => Ok(PredKernel::Truth { col }),
-            _ => not_lowered(),
+            (col, ColKind::Bools) => Some(PredKernel::Truth { col }),
+            _ => None,
         };
         if let Some(v) = lw.materialized(self) {
             return truth(lw.resident(self, v));
         }
         match self {
-            Expr::And(a, b) => Ok(PredKernel::And(
+            Expr::And(a, b) => Some(PredKernel::And(
                 Box::new(a.compile_predicate(lw)?),
                 Box::new(b.compile_predicate(lw)?),
             )),
-            Expr::Or(a, b) => Ok(PredKernel::Or(
+            Expr::Or(a, b) => Some(PredKernel::Or(
                 Box::new(a.compile_predicate(lw)?),
                 Box::new(b.compile_predicate(lw)?),
             )),
-            Expr::Not(a) => Ok(PredKernel::Not(Box::new(a.compile_predicate(lw)?))),
+            Expr::Not(a) => Some(PredKernel::Not(Box::new(a.compile_predicate(lw)?))),
             Expr::Cmp(a, op, b) => {
                 let (col, op, lit) = match (&**a, &**b) {
                     (col, Expr::Lit(d)) => (col, *op, d),
                     (Expr::Lit(d), col) => (col, flip_cmp(*op), d),
-                    _ => return not_lowered(),
+                    _ => return None,
                 };
                 let (col, kind) = lw.bind(col, false)?;
-                compile_cmp(col, kind, op, lit).map_or_else(not_lowered, Ok)
+                compile_cmp(col, kind, op, lit)
             }
-            Expr::IsNull(a) => Ok(PredKernel::IsNull { col: lw.bind(a, false)?.0 }),
-            Expr::InList(a, list) => {
-                let (col, kind) = lw.bind(a, false)?;
-                Ok(match kind {
-                    // non-coercible list entries can never match a Num
-                    // operand (`sql_cmp` returns unknown → IN's
-                    // `unwrap_or(false)`), so they drop out of the
-                    // compiled list entirely
-                    ColKind::Nums => PredKernel::NumIn {
-                        col,
-                        list: list.iter().filter_map(|d| d.as_num()).collect(),
-                    },
-                    ColKind::Strs => str_kernel(col, StrTest::In(list.as_slice().into())),
-                    // bool IN reduces to equality kernels (nulls stay unknown)
-                    ColKind::Bools => {
-                        let eq = |b: bool| PredKernel::BoolCmp {
-                            col: col.clone(),
-                            op: CmpOp::Eq,
-                            lit: b,
-                        };
-                        let with_true = list.contains(&Datum::Bool(true));
-                        let with_false = list.contains(&Datum::Bool(false));
-                        match (with_true, with_false) {
-                            (true, true) => PredKernel::Or(Box::new(eq(true)), Box::new(eq(false))),
-                            (true, false) => eq(true),
-                            (false, true) => eq(false),
-                            // nothing can match: false for non-null,
-                            // unknown for null
-                            (false, false) => {
-                                PredKernel::And(Box::new(eq(true)), Box::new(eq(false)))
-                            }
-                        }
-                    }
-                })
-            }
+            Expr::IsNull(a) => Some(PredKernel::IsNull { col: lw.bind(a, false)?.0 }),
+            Expr::InList(a, list) => match lw.bind(a, false)? {
+                // non-coercible list entries can never match a Num operand
+                // (`sql_cmp` returns unknown → IN's `unwrap_or(false)`), so
+                // they drop out of the compiled list entirely
+                (col, ColKind::Nums) => Some(PredKernel::NumIn {
+                    col,
+                    list: list.iter().filter_map(|d| d.as_num()).collect(),
+                }),
+                (col, ColKind::Strs) => Some(str_kernel(col, StrTest::In(list.as_slice().into()))),
+                _ => None,
+            },
             Expr::Like(a, pat) => match lw.bind(a, false)? {
-                (col, ColKind::Strs) => Ok(str_kernel(col, StrTest::Like(pat.clone()))),
-                _ => not_lowered(),
+                (col, ColKind::Strs) => Some(str_kernel(col, StrTest::Like(pat.clone()))),
+                _ => None,
             },
             _ => truth(lw.bind(self, false)?),
         }
     }
 
-    /// Lower a projection / group key / aggregate-argument expression to
-    /// a gather kernel. Only *virtual* columns are read from resident
-    /// vectors: VC vectors hold exactly the datums the defining
-    /// expression produced, whereas base-column vectors normalize values
-    /// (`from_datums` folds numbers to `f64`), which would break
-    /// byte-identity with the row path on materialized output. Predicates
-    /// tolerate that normalization (comparisons are value-based); gathers
-    /// must not, so base columns are copied off the heap as transient
-    /// columns instead.
-    pub(crate) fn compile_value(&self, lw: &mut Lowering<'_>) -> Result<ValKernel, String> {
+    /// Lower a projection / group key / aggregate-argument expression — or
+    /// a filter conjunct no predicate kernel expresses — to a gather
+    /// kernel. Total: what no kernel expresses becomes a
+    /// [`ValKernel::Row`], its largest sub-expressions that do lower its
+    /// leaves.
+    pub(crate) fn compile_value(&self, lw: &mut Lowering<'_>) -> ValKernel {
+        if let Some(kernel) = lw.attempt(|lw| self.value_kernel(lw)) {
+            return kernel;
+        }
+        let rendered = format!("{self:?}");
+        if !lw.rowwise.contains(&rendered) {
+            lw.rowwise.push(rendered);
+        }
+        let mut leaves = Vec::new();
+        let expr = self.rowwise(lw, &mut leaves);
+        ValKernel::Row { expr, leaves }
+    }
+
+    /// This expression as a gather kernel, if one expresses it. Only
+    /// *virtual* columns are read from resident vectors: VC vectors hold
+    /// exactly the datums the defining expression produced, whereas
+    /// base-column vectors normalize values (`from_datums` folds numbers
+    /// to `f64`), which would break byte-identity with the row path on
+    /// materialized output. Predicates tolerate that normalization
+    /// (comparisons are value-based); gathers must not, so base columns
+    /// are copied off the heap as transient columns instead.
+    fn value_kernel(&self, lw: &mut Lowering<'_>) -> Option<ValKernel> {
         let col = match (lw.materialized(self), self) {
             (Some(v), _) => lw.resident(self, v).0,
-            (None, Expr::Lit(d)) => return Ok(ValKernel::Lit(d.clone())),
+            (None, Expr::Lit(d)) => return Some(ValKernel::Lit(d.clone())),
             (None, Expr::Arith(a, op, b)) => {
-                return Ok(ValKernel::Arith {
-                    l: Box::new(a.compile_value(lw)?),
+                return Some(ValKernel::Arith {
+                    l: Box::new(a.value_kernel(lw)?),
                     op: *op,
-                    r: Box::new(b.compile_value(lw)?),
+                    r: Box::new(b.value_kernel(lw)?),
                 })
             }
             (None, _) => lw.bind(self, true)?.0,
         };
-        Ok(match col {
+        Some(match col {
             Col::Resident(v) => ValKernel::Col(v),
             Col::Transient(slot) => ValKernel::Transient(slot),
         })
+    }
+
+    /// This expression with its largest sub-expressions that lower pushed
+    /// onto `leaves`, each replaced by `Col(k)` of its position there: the
+    /// remainder the row evaluator runs over a row of the leaves' values.
+    fn rowwise(&self, lw: &mut Lowering<'_>, leaves: &mut Vec<ValKernel>) -> Expr {
+        let kernel = match self {
+            Expr::Lit(_) => return self.clone(),
+            _ => lw.attempt(|lw| self.value_kernel(lw)),
+        };
+        let mut leaf = |kernel: ValKernel| {
+            leaves.push(kernel);
+            leaves.len() - 1
+        };
+        match (kernel, self) {
+            (Some(kernel), _) => Expr::Col(leaf(kernel)),
+            // the operand of a SQL/JSON operator no leaf binds is the value
+            // the row evaluator's operator would see: not a document
+            (None, Expr::JsonValue { col, path, ty }) => {
+                Expr::JsonValue { col: leaf(lw.column(*col)), path: path.clone(), ty: *ty }
+            }
+            (None, Expr::JsonExists { col, path }) => {
+                Expr::JsonExists { col: leaf(lw.column(*col)), path: path.clone() }
+            }
+            // a virtual column whose definition binds no leaf is that
+            // definition; any other column is one the input does not have
+            (None, Expr::Col(i)) => {
+                let def = lw.defining(*i, |lw, def| def.rowwise(lw, leaves));
+                def.unwrap_or(Expr::Col(usize::MAX))
+            }
+            (None, other) => other.map(|e| e.rowwise(lw, leaves)),
+        }
     }
 }
 
@@ -698,7 +689,7 @@ fn eval_fun(
             } else if pos == 0 {
                 0
             } else {
-                chars.len().saturating_sub((-pos) as usize)
+                chars.len().saturating_sub(pos.unsigned_abs() as usize)
             };
             let len = match vals.get(2) {
                 None => chars.len().saturating_sub(start),
@@ -849,6 +840,9 @@ mod tests {
         assert_eq!(sub(2, Some(3)), Datum::from("bcd"));
         assert_eq!(sub(-2, None), Datum::from("ef"));
         assert_eq!(sub(0, Some(2)), Datum::from("ab"));
+        // a position past either end: the whole string, or nothing
+        assert_eq!(sub(i64::MIN, None), Datum::from("abcdef"));
+        assert_eq!(sub(i64::MAX, None), Datum::from(""));
     }
 
     #[test]

@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use fsdm_sqljson::Datum;
 
-use crate::expr::Expr;
 use crate::jsonaccess::{JsonCell, OpenDoc};
 use crate::table::{Cell, StoreError, Table};
 
@@ -262,27 +261,6 @@ impl Table {
     pub(crate) fn resident_vcs(&self) -> impl Iterator<Item = (&str, usize, &Arc<ColumnVector>)> {
         let defs = self.imc.vc_defs.iter();
         defs.filter_map(|(def, col)| Some((def.as_str(), *col, self.vector(*col)?)))
-    }
-
-    /// Column demand of a row-evaluator consumer: which scan columns —
-    /// and which of the `extra` columns a `JsonTable` appends to them —
-    /// the expressions `reads` touch, plus, for a demanded virtual column
-    /// that has to be computed, what its definition touches (definitions
-    /// see earlier columns only, hence the descending sweep).
-    pub(crate) fn demand<'e>(
-        &self,
-        reads: impl Iterator<Item = &'e Expr>,
-        extra: usize,
-    ) -> Vec<bool> {
-        let width = self.schema.width();
-        let mut used = vec![false; self.scan_width() + extra];
-        reads.for_each(|e| e.mark_cols(&mut used));
-        for col in (width..self.scan_width()).rev() {
-            if used[col] && self.vector(col).is_none() {
-                self.virtual_columns[col - width].expr.mark_cols(&mut used);
-            }
-        }
-        used
     }
 
     /// The OSON-IMC bytes shadowing `(row_id, col)`, when that column is

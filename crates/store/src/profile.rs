@@ -36,11 +36,12 @@ pub struct OpProfile {
     /// resident and transient columns), `"row"` for the scratch-based
     /// row evaluator.
     pub mode: &'static str,
-    /// Why, in the operator's own terms: `transient=[…]` names the path
-    /// and heap columns a columnar operator extracted per morsel (absent
-    /// when it read resident vectors only); `fallback=…` is the
-    /// expression that kept a scan-rooted operator on the row evaluator.
-    /// Empty for operators that consume rows by nature.
+    /// Why, in the operator's own terms: on a pipeline's root,
+    /// `transient=[…]` names the path and heap columns it extracted per
+    /// morsel (absent when it read resident vectors only) and
+    /// `rowwise=[…]` the expressions no kernel expresses, evaluated row by
+    /// row inside it; `expand=[…] of n` on a fused `JsonTable`. Empty on
+    /// the row evaluator.
     pub note: String,
     /// Child operators in plan order.
     pub children: Vec<OpProfile>,
@@ -161,9 +162,9 @@ impl QueryProfile {
     ///
     /// ```text
     /// degree=1  optimize=0.01ms  execute=0.41ms  mem_highwater=0B  source=select …
-    /// Project  rows=2  time=0.41ms  mode=row
-    ///   Filter  rows=2  time=0.38ms  mode=row
-    ///     Scan(po,filtered)  rows=3  time=0.29ms  mode=columnar  transient=[…]
+    /// Sort  rows=2  time=0.41ms  mode=row
+    ///   Project  rows=2  time=0.38ms  mode=columnar  transient=[…]  rowwise=[…]
+    ///     Scan(po,filtered)  rows=3  time=0.37ms  mode=columnar
     /// ```
     pub fn render(&self) -> String {
         fn walk(op: &OpProfile, depth: usize, out: &mut String) {
@@ -274,11 +275,10 @@ mod tests {
     fn render_appends_the_operator_note() {
         let mut p = sample();
         p.root.mode = "columnar";
-        p.root.note = "transient=[JSON_EXISTS(col#1, '$.a')]".into();
-        p.root.children[0].note = "fallback=col#0 LIKE \"x%\"".into();
+        p.root.note = "transient=[JSON_EXISTS(col#1, '$.a')]  rowwise=[col#0 LIKE \"x%\"]".into();
         let text = p.render();
         assert!(text.contains("mode=columnar  transient=[JSON_EXISTS(col#1, '$.a')]"), "{text}");
-        assert!(text.contains("Scan(po)  rows=3  time=1.50ms  mode=row  fallback=col#0"), "{text}");
+        assert!(text.contains("  rowwise=[col#0 LIKE \"x%\"]\n"), "{text}");
         fsdm_json::parse(&p.to_json()).expect("notes are escaped into valid JSON");
     }
 

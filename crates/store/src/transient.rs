@@ -46,7 +46,7 @@ use crate::jsonaccess::{with_dom, Dom, OpenDoc};
 use crate::parallel::RowRange;
 use crate::schema::ColType;
 use crate::table::{StoreError, Table};
-use crate::vector::{Col, SelVec};
+use crate::vector::{Col, SelVec, ValKernel};
 
 /// Bytes the memory budget charges per extracted slot (the width of an
 /// `Option<JsonNumber>` or `Option<String>` header).
@@ -66,6 +66,9 @@ pub enum ColKind {
     Strs,
     /// Booleans (`JSON_EXISTS`, `RETURNING boolean`, BOOLEAN columns).
     Bools,
+    /// Any datum (`RETURNING any`): read back whole, bound by no
+    /// comparison kernel.
+    Any,
 }
 
 /// What a transient column is extracted from.
@@ -235,7 +238,8 @@ impl PathSlots {
 /// The state one scan-rooted pipeline is lowered against: the table
 /// (schema, virtual-column definitions, resident vectors), the columns of
 /// the JSON_TABLE it expands, if any (they follow the scan's, as in
-/// `JsonTable`'s output), and the transient columns registered so far.
+/// `JsonTable`'s output), the values of the chain a SQL/JSON operator
+/// reads, and the transient columns registered so far.
 pub(crate) struct Lowering<'a> {
     table: &'a Table,
     /// `Some`: kernels run over the rows of an expansion with these
@@ -245,19 +249,65 @@ pub(crate) struct Lowering<'a> {
     pub(crate) leaves: Leaves,
     /// Slots bound since the last [`Lowering::take_touched`].
     touched: Vec<usize>,
-    /// Column references must stay below this index: the scan's width at
-    /// the top level; inside a virtual column's definition, that column's
-    /// own index (definitions see earlier columns only, as in the row
-    /// evaluator, which also rules out cycles).
+    /// Column references must stay below this index: the source's width
+    /// at the top level; inside a virtual column's definition, that
+    /// column's own index (definitions see earlier columns only, as in the
+    /// row evaluator, which also rules out cycles).
     limit: usize,
+    /// Values the chain computes that a SQL/JSON operator reads: the
+    /// `k`-th is column `limit + k` (see [`Lowering::operand`]).
+    computed: Vec<Expr>,
+    /// The expressions lowered row-wise, rendered: `rowwise=[…]`.
+    pub(crate) rowwise: Vec<String>,
 }
 
 impl<'a> Lowering<'a> {
     /// Start lowering expressions over `table`'s scan schema: kernels run
     /// over the table's rows until [`Lowering::expanding`].
     pub(crate) fn new(table: &'a Table) -> Lowering<'a> {
-        let limit = table.scan_width();
-        Lowering { table, expand: None, leaves: Leaves::default(), touched: Vec::new(), limit }
+        Lowering {
+            table,
+            expand: None,
+            leaves: Leaves::default(),
+            touched: Vec::new(),
+            limit: table.scan_width(),
+            computed: Vec::new(),
+            rowwise: Vec::new(),
+        }
+    }
+
+    /// Run `lower`, forgetting every leaf it bound if it fails: a kernel
+    /// that did not come about reads nothing.
+    pub(crate) fn attempt<T>(&mut self, lower: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let (leaves, touched) = (self.leaves.entries.len(), self.touched.len());
+        let lowered = lower(self);
+        if lowered.is_none() {
+            self.leaves.entries.truncate(leaves);
+            self.touched.truncate(touched);
+        }
+        lowered
+    }
+
+    /// The column a SQL/JSON operator over column `col` of `cols` reads
+    /// once composed over the source: the source column a renaming names,
+    /// else a column computing the value (`usize::MAX` when there is no
+    /// such column: the row evaluator's error).
+    pub(crate) fn operand(&mut self, cols: &[Expr], col: usize) -> usize {
+        match cols.get(col) {
+            Some(Expr::Col(c)) => *c,
+            Some(value) => {
+                self.computed.push(value.clone());
+                self.limit + self.computed.len() - 1
+            }
+            None => usize::MAX,
+        }
+    }
+
+    /// The value kernel of column `col` of the rows the kernels run over,
+    /// a source column or a computed one.
+    pub(crate) fn column(&mut self, col: usize) -> ValKernel {
+        let computed = col.checked_sub(self.limit).and_then(|k| self.computed.get(k)).cloned();
+        computed.unwrap_or(Expr::Col(col)).compile_value(self)
     }
 
     /// From here on kernels run over the rows of `def`'s expansion, whose
@@ -311,59 +361,58 @@ impl<'a> Lowering<'a> {
         (Col::Transient(slot), kind)
     }
 
+    /// `lower` run on the definition of virtual column `col`, in the scope
+    /// that definition sees (the columns before it); `None` when `col` is
+    /// no virtual column of this scope.
+    pub(crate) fn defining<T>(
+        &mut self,
+        col: usize,
+        lower: impl FnOnce(&mut Self, &Expr) -> T,
+    ) -> Option<T> {
+        let table = self.table;
+        let def = &table.virtual_columns.get(col.checked_sub(table.schema.width())?)?.expr;
+        if col >= self.limit {
+            return None;
+        }
+        let outer = std::mem::replace(&mut self.limit, col);
+        let lowered = lower(self, def);
+        self.limit = outer;
+        Some(lowered)
+    }
+
     /// Bind `e` — a column reference or a SQL/JSON operator over a JSON
     /// base column — as the column a kernel leaf reads. `as_value` marks
     /// a gather: it may not read a normalized base-column vector, and it
     /// may select a JSON column as text.
-    pub(crate) fn bind(&mut self, e: &Expr, as_value: bool) -> Result<(Col, ColKind), String> {
-        let not_lowered = || Err(format!("{e:?}"));
+    pub(crate) fn bind(&mut self, e: &Expr, as_value: bool) -> Option<(Col, ColKind)> {
         if let Some(v) = self.materialized(e) {
-            return Ok(self.resident(e, v));
+            return Some(self.resident(e, v));
         }
         let table = self.table;
         let width = table.schema.width();
         let json_col = |col: usize| {
             table.schema.columns.get(col).is_some_and(|c| matches!(c.ty, ColType::Json(_)))
         };
-        let returning = |ty: SqlType| match ty {
-            SqlType::Number => Some(ColKind::Nums),
-            SqlType::Varchar2(_) => Some(ColKind::Strs),
-            SqlType::Boolean => Some(ColKind::Bools),
-            // pass-through values have no single slot type
-            SqlType::Any => None,
-        };
         match e {
-            Expr::Col(i) if *i >= self.limit => not_lowered(),
+            Expr::Col(i) if *i >= self.limit => None,
             Expr::Col(i) if *i >= table.scan_width() => {
                 let col = *i - table.scan_width();
-                let def = self.expand.as_ref().and_then(|defs| defs.get(col));
-                let kind = match def.map(|d| (d.kind, d.ty)) {
-                    Some((TableColKind::Value, ty)) => returning(ty),
-                    Some((TableColKind::Exists | TableColKind::Ordinality, _)) => {
-                        Some(ColKind::Nums)
-                    }
-                    None => None,
+                let kind = match self.expand.as_ref()?.get(col).map(|d| (d.kind, d.ty))? {
+                    (TableColKind::Value, ty) => returning(ty),
+                    (TableColKind::Exists | TableColKind::Ordinality, _) => ColKind::Nums,
                 };
-                match kind {
-                    Some(kind) => Ok(self.transient(e, LeafSource::JsonTable { col }, kind)),
-                    None => not_lowered(),
-                }
+                Some(self.transient(e, LeafSource::JsonTable { col }, kind))
             }
             Expr::Col(i) if *i >= width => match self.vector(*i) {
-                Some(v) => Ok(self.resident(e, v)),
+                Some(v) => Some(self.resident(e, v)),
                 // no usable vector: lower the defining expression
-                None => {
-                    let outer = std::mem::replace(&mut self.limit, *i);
-                    let bound = self.bind(&table.virtual_columns[*i - width].expr, as_value);
-                    self.limit = outer;
-                    bound
-                }
+                None => self.defining(*i, |lw, def| lw.bind(def, as_value)).flatten(),
             },
             // a base column's vector is normalized: predicates over the
             // table's rows only (over expanded rows the heap leaf a gather
             // of the same column registers must not turn out to be it)
             Expr::Col(i) => match self.vector(*i).filter(|_| !as_value && self.expand.is_none()) {
-                Some(v) => Ok(self.resident(e, v)),
+                Some(v) => Some(self.resident(e, v)),
                 None => {
                     let kind = match table.schema.columns[*i].ty {
                         ColType::Number => ColKind::Nums,
@@ -371,25 +420,31 @@ impl<'a> Lowering<'a> {
                         ColType::Boolean => ColKind::Bools,
                         // a JSON column is selected as text, never compared
                         ColType::Json(_) if as_value => ColKind::Strs,
-                        ColType::Json(_) => return not_lowered(),
+                        ColType::Json(_) => return None,
                     };
-                    Ok(self.transient(e, LeafSource::Heap { col: *i }, kind))
+                    Some(self.transient(e, LeafSource::Heap { col: *i }, kind))
                 }
             },
             Expr::JsonValue { col, path, ty } if json_col(*col) => {
-                let Some(kind) = returning(*ty) else { return not_lowered() };
-                Ok(self.transient(
-                    e,
-                    LeafSource::Value { col: *col, path: path.clone(), ty: *ty },
-                    kind,
-                ))
+                let source = LeafSource::Value { col: *col, path: path.clone(), ty: *ty };
+                Some(self.transient(e, source, returning(*ty)))
             }
             Expr::JsonExists { col, path } if json_col(*col) => {
                 let source = LeafSource::Exists { col: *col, path: path.clone() };
-                Ok(self.transient(e, source, ColKind::Bools))
+                Some(self.transient(e, source, ColKind::Bools))
             }
-            _ => not_lowered(),
+            _ => None,
         }
+    }
+}
+
+/// The slot type of a `RETURNING` clause.
+fn returning(ty: SqlType) -> ColKind {
+    match ty {
+        SqlType::Number => ColKind::Nums,
+        SqlType::Varchar2(_) => ColKind::Strs,
+        SqlType::Boolean => ColKind::Bools,
+        SqlType::Any => ColKind::Any,
     }
 }
 
@@ -404,6 +459,8 @@ pub enum TransientVec {
     Strs(Vec<Option<String>>),
     /// Boolean slots.
     Bools(Vec<Option<bool>>),
+    /// Slots of any type (`Datum::Null` for NULL).
+    Any(Vec<Datum>),
 }
 
 impl TransientVec {
@@ -412,6 +469,7 @@ impl TransientVec {
             ColKind::Nums => TransientVec::Nums(vec![None; len]),
             ColKind::Strs => TransientVec::Strs(vec![None; len]),
             ColKind::Bools => TransientVec::Bools(vec![None; len]),
+            ColKind::Any => TransientVec::Any(vec![Datum::Null; len]),
         }
     }
 
@@ -423,6 +481,7 @@ impl TransientVec {
             (TransientVec::Nums(v), Datum::Num(n)) => v[off] = Some(n),
             (TransientVec::Strs(v), Datum::Str(s)) => v[off] = Some(s),
             (TransientVec::Bools(v), Datum::Bool(b)) => v[off] = Some(b),
+            (TransientVec::Any(v), d) => v[off] = d,
             (_, other) => {
                 return Err(StoreError::new(format!(
                     "transient column: value {other} does not fit the column's type"
@@ -438,6 +497,7 @@ impl TransientVec {
             TransientVec::Nums(v) => v[to] = v[from],
             TransientVec::Strs(v) => v[to] = v[from].clone(),
             TransientVec::Bools(v) => v[to] = v[from],
+            TransientVec::Any(v) => v[to] = v[from].clone(),
         }
     }
 
@@ -447,6 +507,7 @@ impl TransientVec {
             TransientVec::Nums(v) => v[off].map_or(Datum::Null, Datum::Num),
             TransientVec::Strs(v) => v[off].clone().map_or(Datum::Null, Datum::Str),
             TransientVec::Bools(v) => v[off].map_or(Datum::Null, Datum::Bool),
+            TransientVec::Any(v) => v[off].clone(),
         }
     }
 
@@ -456,6 +517,7 @@ impl TransientVec {
             TransientVec::Nums(v) => v[off].is_none(),
             TransientVec::Strs(v) => v[off].is_none(),
             TransientVec::Bools(v) => v[off].is_none(),
+            TransientVec::Any(v) => v[off].is_null(),
         }
     }
 }

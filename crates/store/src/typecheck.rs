@@ -497,8 +497,18 @@ fn infer_plan(db: &Database, plan: &Query, diags: &mut Sink<'_>) -> PlanSchema {
             let input_schema = infer_plan(db, input, diags);
             let mut cols = Vec::with_capacity(exprs.len());
             for (name, e) in exprs {
-                let et = infer_expr(e, &input_schema, plan, diags);
-                cols.push(ColInfo::new(name, et.ty, et.nullable));
+                // a bare column hands its cell on: a JSON document stays one
+                let json = match e {
+                    Expr::Col(i) => input_schema.cols.get(*i).filter(|c| c.ty == ScalarType::Json),
+                    _ => None,
+                };
+                cols.push(match json {
+                    Some(c) => ColInfo { name: name.clone(), ..c.clone() },
+                    None => {
+                        let et = infer_expr(e, &input_schema, plan, diags);
+                        ColInfo::new(name, et.ty, et.nullable)
+                    }
+                });
             }
             check_duplicates(&cols, plan, diags);
             PlanSchema { cols }
@@ -586,18 +596,9 @@ fn join_key(
     diags: &mut Sink<'_>,
 ) -> Option<ScalarType> {
     match side.cols.get(key) {
-        Some(c) => {
-            if c.ty == ScalarType::Json {
-                // the build/probe loops only accept scalar cells: a JSON
-                // cell key never enters the hash table
-                diags.push(node_diag(
-                    Code::PlanTypeMismatch,
-                    node,
-                    format!("{which} join key `{}` is a JSON column and never matches", c.name),
-                ));
-            }
-            Some(c.ty)
-        }
+        // a JSON document is keyed by its text
+        Some(c) if c.ty == ScalarType::Json => Some(ScalarType::Str),
+        Some(c) => Some(c.ty),
         None => {
             diags.push(node_diag(
                 Code::UnknownColumn,

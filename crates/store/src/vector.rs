@@ -23,19 +23,20 @@
 //!
 //! Compilation from [`crate::expr::Expr`] lives in `expr.rs`
 //! ([`crate::expr::Expr::compile_predicate`] /
-//! [`crate::expr::Expr::compile_value`]); a scan whose expressions the
-//! compiler cannot lower runs on the scratch-based row evaluator, which
-//! remains the semantic reference.
+//! [`crate::expr::Expr::compile_value`]). What no kernel expresses is
+//! still lowered: [`ValKernel::Row`] gathers the largest sub-expressions
+//! that do lower and runs the row evaluator's own `eval` over them, once
+//! per selected row.
 
 use std::sync::Arc;
 
 use fsdm_json::JsonNumber;
 use fsdm_sqljson::Datum;
 
-use crate::expr::{ArithOp, CmpOp};
+use crate::expr::{ArithOp, CmpOp, Expr};
 use crate::imc::ColumnVector;
 use crate::parallel::RowRange;
-use crate::table::StoreError;
+use crate::table::{Cell, Row, StoreError};
 use crate::transient::{MorselCols, TransientVec};
 
 /// SQL three-valued truth for one row of a predicate.
@@ -228,6 +229,14 @@ impl Batch {
             ),
         };
         Batch { range: self.range, sel }
+    }
+
+    /// Keep the selected rows for which a value kernel yields `TRUE` —
+    /// the row evaluator's `matches`: FALSE and NULL reject alike.
+    pub fn keep(self, kernel: &ValKernel, cols: &MorselCols) -> Result<Batch, StoreError> {
+        let verdicts = self.gather(kernel, cols)?;
+        let kept = self.sel.iter().zip(verdicts).filter(|(_, v)| *v == Datum::Bool(true));
+        Ok(Batch { range: self.range, sel: SelVec::Ids(kept.map(|(i, _)| i).collect()) })
     }
 
     /// Gather a value kernel's output for the selected rows (the late
@@ -515,6 +524,15 @@ pub enum ValKernel {
         /// Right operand.
         r: Box<ValKernel>,
     },
+    /// An expression no kernel expresses: its `leaves` are gathered, then
+    /// `expr` — the remainder, reading leaf `k` as `Col(k)` — runs on the
+    /// row evaluator once per selected row.
+    Row {
+        /// The expression over the leaves.
+        expr: Expr,
+        /// The largest sub-expressions that lower to kernels.
+        leaves: Vec<ValKernel>,
+    },
 }
 
 impl ValKernel {
@@ -533,6 +551,19 @@ impl ValKernel {
                 xs.into_iter()
                     .zip(ys)
                     .map(|(x, y)| crate::expr::arith_datums(&x, *op, &y))
+                    .collect()
+            }
+            ValKernel::Row { expr, leaves } => {
+                let leaves = leaves.iter().map(|l| l.gather(batch, cols).map(Vec::into_iter));
+                let mut leaves: Vec<_> = leaves.collect::<Result<_, _>>()?;
+                // one row buffer, refilled from the leaves for every row
+                let mut row: Row = Vec::with_capacity(leaves.len());
+                (0..sel.len())
+                    .map(|_| {
+                        row.clear();
+                        row.extend(leaves.iter_mut().filter_map(Iterator::next).map(Cell::D));
+                        expr.eval(&row)
+                    })
                     .collect()
             }
         }

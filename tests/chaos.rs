@@ -7,10 +7,12 @@
 //! hang, never a wrong answer. These tests prove the contract by
 //! enumeration: they draw seeded schedules, each arming one cataloged
 //! failpoint in one mode against one query of the combined workload
-//! (NoBench Q1–Q11 plus the §6.3 OLAP Table 13 set) at degree 1 or 4,
-//! and classify every run. Two shapes: [`TIER1`] runs with the tier-1
-//! suite, [`ACCEPTANCE`] is `#[ignore]`d and run once by `ci.sh` in
-//! release (`cargo test --release --test chaos -- --ignored`).
+//! (NoBench Q1–Q11, the row-wise corpus R1–R10 and the §6.3 OLAP Table
+//! 13 set) at degree 1 or 4, and classify every run (a statement that
+//! errs disarmed has that error as its baseline). Two shapes: [`TIER1`]
+//! runs with the tier-1 suite, [`ACCEPTANCE`] is `#[ignore]`d and run
+//! once by `ci.sh` in release (`cargo test --release --test chaos --
+//! --ignored`).
 //!
 //! Determinism boundaries, stated precisely:
 //!
@@ -46,7 +48,7 @@ use fsdm::sql::Session;
 use fsdm::sqljson::Datum;
 use fsdm::store::{ErrorKind, Query, QueryResult, StoreError};
 use fsdm_bench::setup::{
-    bind_datum, nobench_db, nobench_plans, olap_db, olap_queries, StorageMethod,
+    bind_datum, nobench_db, nobench_plans, olap_db, olap_queries, rowwise_plans, StorageMethod,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,14 +182,16 @@ fn plan_schedules(seed: u64, count: usize, queries: usize) -> Vec<Schedule> {
         .collect()
 }
 
-/// The combined workload: NoBench Q1–Q11 over a text-storage corpus and
-/// the Table 13 OLAP set over an OSON corpus, as `(label, session
-/// index, plan)` triples plus the two owning sessions.
+/// The combined workload: NoBench Q1–Q11 and the row-wise corpus over a
+/// text-storage corpus and the Table 13 OLAP set over an OSON corpus, as
+/// `(label, session index, plan)` triples plus the two owning sessions.
 fn build_workload(shape: &Shape) -> (Vec<Session>, Vec<(String, usize, Query)>) {
     let mut nb = nobench_db(shape.scale);
     nb.set_statement_timeout(Some(WATCHDOG_MS));
+    let mut plans = nobench_plans(&nb, shape.scale);
+    plans.extend(rowwise_plans(&mut nb));
     let mut queries: Vec<(String, usize, Query)> =
-        nobench_plans(&nb, shape.scale).into_iter().map(|(label, plan)| (label, 0, plan)).collect();
+        plans.into_iter().map(|(label, plan)| (label, 0, plan)).collect();
     let mut ol = olap_db(StorageMethod::Oson, shape.olap_scale);
     ol.set_statement_timeout(Some(WATCHDOG_MS));
     for q in olap_queries(shape.olap_scale) {
@@ -198,10 +202,16 @@ fn build_workload(shape: &Shape) -> (Vec<Session>, Vec<(String, usize, Query)>) 
     (vec![nb, ol], queries)
 }
 
+/// What a run returned, rendered: the rows, or the error a statement that
+/// errs disarmed (the row-wise corpus has one) errs with.
+fn outcome(run: &Result<QueryResult, StoreError>) -> String {
+    format!("{:?}", run.as_ref().map_err(|e| &e.message))
+}
+
 /// Classify one armed run against its baseline.
 fn classify(run: Result<QueryResult, StoreError>, baseline: &str) -> Verdict {
-    match run {
-        Ok(r) if format!("{r:?}") == baseline => Verdict::Identical,
+    match &run {
+        Ok(_) if outcome(&run) == baseline => Verdict::Identical,
         Ok(_) => Verdict::Violation("armed run diverged from the disarmed baseline".to_string()),
         Err(e) if e.kind == ErrorKind::DeadlineExceeded => {
             Verdict::Violation(format!("watchdog deadline tripped: {e}"))
@@ -228,12 +238,11 @@ fn run(shape: &Shape) -> Report {
         .iter()
         .map(|(label, s, plan)| {
             sessions[*s].db.set_parallelism(1);
-            let r = sessions[*s].db.execute(plan).expect("disarmed baseline executes");
-            let bytes = format!("{r:?}");
+            let bytes = outcome(&sessions[*s].db.execute(plan));
             for &d in &DEGREES[1..] {
                 sessions[*s].db.set_parallelism(d);
-                let rd = sessions[*s].db.execute(plan).expect("disarmed baseline executes");
-                assert_eq!(format!("{rd:?}"), bytes, "{label}: disarmed degree {d} diverged");
+                let rd = outcome(&sessions[*s].db.execute(plan));
+                assert_eq!(rd, bytes, "{label}: disarmed degree {d} diverged");
             }
             bytes
         })
@@ -250,7 +259,7 @@ fn run(shape: &Shape) -> Report {
             fsdm::fault::reset();
             // post-fault residue check: a clean rerun must be byte-identical
             let verdict = match sessions[*s].db.execute(plan) {
-                Ok(r) if format!("{r:?}") == *baseline => classify(armed, baseline),
+                rerun if outcome(&rerun) == *baseline => classify(armed, baseline),
                 Ok(_) => Verdict::Violation(
                     "post-fault clean rerun diverged from the baseline".to_string(),
                 ),
@@ -305,8 +314,37 @@ fn a_disarmed_run_produces_clean_baselines() {
     // no schedule: workload construction and the cross-degree baseline
     // identity assertions alone, nothing armed
     let report = run(&Shape { schedules: 0, ..TIER1 });
-    assert_eq!(report.queries, 20, "Q1-Q11 plus T13-1..9");
+    assert_eq!(report.queries, 30, "Q1-Q11, R1-R10 plus T13-1..9");
     assert!(report.outcomes.is_empty());
+}
+
+/// A fault inside a row-wise stage — its gather's failpoint, or the memory
+/// budget its leaf is extracted under — ends as a typed error at every
+/// degree, and the clean rerun is the baseline.
+#[test]
+fn faults_inside_a_row_wise_stage_are_typed_errors() {
+    fsdm::fault::silence_failpoint_panics();
+    let scope = FailScope::disarmed();
+    let mut nb = nobench_db(TIER1.scale);
+    // R6, `LIKE` over a number: one stage, row-wise, whose gather is the
+    // statement's only `vector.batch` and whose leaf its only charge
+    let (label, plan) = rowwise_plans(&mut nb).swap_remove(5);
+    let explain = nb.db.explain_modes(&plan);
+    assert!(explain.contains("rowwise=[") && !explain.contains("mode=row"), "{explain}");
+    let baseline = outcome(&nb.db.execute(&plan));
+    for degree in DEGREES {
+        nb.db.set_parallelism(degree);
+        scope.also(catalog::FP_VECTOR_BATCH, FailMode::Error);
+        let armed = nb.db.execute(&plan);
+        assert!(fsdm::fault::point_hits(catalog::FP_VECTOR_BATCH) > Some(0), "{label}");
+        assert_eq!(classify(armed, &baseline), Verdict::TypedError, "{label} at {degree}");
+        fsdm::fault::reset();
+        nb.db.set_mem_limit(Some(64));
+        let err = nb.db.execute(&plan).expect_err("a 64-byte budget");
+        assert_eq!(err.kind, ErrorKind::BudgetExceeded, "{label} at {degree}: {err}");
+        nb.db.set_mem_limit(None);
+        assert_eq!(outcome(&nb.db.execute(&plan)), baseline, "{label} at {degree}");
+    }
 }
 
 /// The tier-1 gate: every seeded fault schedule over both workloads must

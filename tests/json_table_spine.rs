@@ -82,7 +82,7 @@ fn json_table_corner_cases_match_the_row_evaluator() {
         format!("select did, n, p from t, {DEEP} where q > 100"),
         format!("select count(*) from t, {DEEP}"),
         format!("select m, sum(q), count(*) from t, {DEEP} group by m"),
-        // a consumer no kernel expresses: rows come back demand-pruned
+        // a consumer no kernel expresses: row-wise, inside the pipeline
         format!("select upper(n), v from t, {DEEP} where substr(m, 1, 1) <> 'B'"),
     ];
     let mut expected: Option<Vec<QueryResult>> = None;
@@ -164,6 +164,6 @@ fn json_table_corner_cases_match_the_row_evaluator() {
     let explain = session.explain(&statements[6], &[]).unwrap();
     assert!(explain.contains("mode=columnar  expand=[] of 10"), "{explain}");
     let explain = session.explain(&statements[8], &[]).unwrap();
-    assert!(explain.contains("mode=row  fallback=Substr[col#2"), "{explain}");
+    assert!(explain.contains("mode=columnar  rowwise=[(Substr[col#2"), "{explain}");
     assert!(explain.contains("mode=columnar  expand=[m, v, n] of 10"), "{explain}");
 }

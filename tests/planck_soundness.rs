@@ -13,13 +13,13 @@
 use fsdm_analyze::{render_text, Code, Diagnostic};
 use fsdm_bench::setup::{
     add_nobench_vcs, bind_datum, nobench_guided_db, nobench_q11_plan, nobench_q5_bind,
-    olap_guided_db, olap_queries,
+    olap_guided_db, olap_queries, scan_rooted_row_operators,
 };
 use fsdm_store::expr::ArithOp;
 use fsdm_store::optimizer::optimize;
 use fsdm_store::query::{AggSpec, SortKey, WindowFun};
 use fsdm_store::typecheck::{infer, rewrite_violations};
-use fsdm_store::{AggFun, CmpOp, Database, Datum, Expr, Query};
+use fsdm_store::{AggFun, CmpOp, Database, Datum, Expr, Query, Run};
 use fsdm_workloads::nobench;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -347,6 +347,8 @@ proptest! {
 /// registered view plans — and each of those 23 plans, walked once by
 /// `Session::typecheck_plan`, has no error-severity FA or PK finding: a
 /// workload path no document has (FA001) or an ill-typed plan fails here.
+/// Executed, none reports an operator of a scan-rooted chain on the row
+/// evaluator.
 /// The corpora are large enough that FA001 means a real defect: NoBench
 /// documents 11, 22 and 55 carry the sparse clusters Q3, Q4 and Q9 name,
 /// and every purchase order holds every path the OLAP set reads.
@@ -395,6 +397,10 @@ fn workload_queries_optimize_idempotently() {
             format!("{twice:?}"),
             "{label}: optimize re-fired on its own output"
         );
+        // with the spine on, every operator of a scan-rooted chain runs on it
+        let (_, report) = db.run(&plan, &Run::default()).expect("workload plan executes");
+        let stray = scan_rooted_row_operators(&report.root);
+        assert!(stray.is_empty(), "{label}: {stray:?} on the row evaluator\n{}", report.render());
     }
     // the advisory findings the lint exists for: NoBench's sparse paths
     // sit at ~1 % frequency (FA005), and each view body's paths are
