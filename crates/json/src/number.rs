@@ -32,6 +32,20 @@ pub const MAX_MANTISSA: usize = 20;
 
 const MAX_ENCODED: usize = MAX_MANTISSA + 2; // exponent byte + terminator
 
+/// The base-100 digits of a decoded [`OraNum`].
+struct Digits {
+    buf: [u8; MAX_ENCODED],
+    len: usize,
+}
+
+impl std::ops::Deref for Digits {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
 /// Oracle NUMBER–style decimal. Stored directly in its encoded wire form;
 /// ordering is a plain byte comparison.
 #[derive(Clone, Copy)]
@@ -139,23 +153,25 @@ impl OraNum {
         Ok(OraNum { bytes, len: len as u8 })
     }
 
-    /// Decode into (negative, base-100 exponent, base-100 digits).
-    /// Returns `None` for zero.
-    fn parts(&self) -> Option<(bool, i32, Vec<u8>)> {
+    /// Decode into (negative, base-100 exponent, base-100 digits), the
+    /// digits in a buffer on the stack. Returns `None` for zero.
+    fn parts(&self) -> Option<(bool, i32, Digits)> {
         let b = self.as_bytes();
         if b[0] == 0x80 {
             return None;
         }
-        if b[0] > 0x80 {
-            let exp = b[0] as i32 - 0xC1;
-            let digits = b[1..].iter().map(|&d| d - 1).collect();
-            Some((false, exp, digits))
-        } else {
-            let exp = 0x3E_i32 - b[0] as i32;
+        let neg = b[0] < 0x80;
+        let (exp, mant) = if neg {
             let mant = if *b.last().unwrap() == 102 { &b[1..b.len() - 1] } else { &b[1..] };
-            let digits = mant.iter().map(|&d| 101 - d).collect();
-            Some((true, exp, digits))
+            (0x3E_i32 - b[0] as i32, mant)
+        } else {
+            (b[0] as i32 - 0xC1, &b[1..])
+        };
+        let mut digits = Digits { buf: [0; MAX_ENCODED], len: mant.len() };
+        for (d, &m) in digits.buf.iter_mut().zip(mant) {
+            *d = if neg { 101 - m } else { m - 1 };
         }
+        Some((neg, exp, digits))
     }
 
     /// True iff this encodes zero.
@@ -304,7 +320,7 @@ impl OraNum {
             None => 0.0,
             Some((neg, exp, digits)) => {
                 let mut m = 0.0f64;
-                for &d in &digits {
+                for &d in digits.iter() {
                     m = m * 100.0 + d as f64;
                 }
                 // dividing by a positive power is exact where multiplying

@@ -358,3 +358,30 @@ fn a_document_deeper_than_max_depth_fails_every_path_alike() {
         assert_eq!(ids(streamed), all, "columnar={columnar}: decided at the match");
     }
 }
+
+/// Lax mode unwraps an array operand of a filter comparison, one level
+/// deep, whether the documents are stored as text or as OSON; strict mode
+/// does not.
+#[test]
+fn a_lax_filter_comparison_unwraps_an_array_operand() {
+    let docs = [r#"{"a":[1,2]}"#, r#"{"a":1}"#, r#"{"a":[[1]]}"#, r#"{"a":[3]}"#];
+    for storage in ["text", "oson"] {
+        let mut s = Session::new();
+        s.execute(&format!("create table t (id number, jdoc json store as {storage})")).unwrap();
+        for (id, doc) in (1i64..).zip(docs) {
+            s.execute_with("insert into t values (?, ?)", &[Datum::from(id), Datum::from(doc)])
+                .unwrap();
+        }
+        for columnar in [true, false] {
+            s.db.set_columnar(columnar);
+            let mut count = |path: &str| -> Datum {
+                let sql = format!("select count(*) from t where json_exists(jdoc, '{path}')");
+                s.execute(&sql).unwrap().rows[0][0].clone()
+            };
+            let at = format!("{storage}, columnar={columnar}");
+            assert_eq!(count("$?(@.a == 1)"), Datum::from(2i64), "{at}");
+            assert_eq!(count("lax $?(@.a > 2)"), Datum::from(1i64), "{at}");
+            assert_eq!(count("strict $?(@.a == 1)"), Datum::from(1i64), "{at}");
+        }
+    }
+}

@@ -62,6 +62,10 @@ pub struct PathEvaluator {
     /// Count of field resolutions that had to consult the instance
     /// dictionary (cache empty, stale, or the field absent).
     pub lookback_misses: u64,
+    /// The nodes the current step reads; after a walk, its matches.
+    cur: Vec<NodeRef>,
+    /// The nodes the current step writes, swapped into `cur` after it.
+    next: Vec<NodeRef>,
 }
 
 impl PathEvaluator {
@@ -73,6 +77,8 @@ impl PathEvaluator {
             lookback: vec![LookBack::Empty; nfields],
             lookback_hits: 0,
             lookback_misses: 0,
+            cur: Vec::new(),
+            next: Vec::new(),
         }
     }
 
@@ -89,57 +95,9 @@ impl PathEvaluator {
     /// Evaluate with `$` bound to an arbitrary context node (JSON_TABLE
     /// nested paths are evaluated relative to their parent row node).
     pub fn evaluate_from<D: JsonDom>(&mut self, dom: &D, start: NodeRef) -> Vec<PathOutput> {
-        let mode = self.path.mode;
-        let mut current: Vec<NodeRef> = vec![start];
-        let mut field_idx = 0usize;
-        let steps = std::mem::take(&mut self.path.steps);
-        let mut computed: Option<Vec<PathOutput>> = None;
-        fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_PATHS).inc();
-        let mut eval_span = fsdm_obs::trace::span(fsdm_obs::catalog::SPAN_SQLJSON_EVAL);
-        let (hits0, misses0) = (self.lookback_hits, self.lookback_misses);
-        for step in &steps {
-            fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_NODES_VISITED)
-                .add(current.len() as u64);
-            match step {
-                Step::Field { name, hash } => {
-                    let slot = field_idx;
-                    field_idx += 1;
-                    current = self.apply_field(dom, &current, name, *hash, slot, mode);
-                }
-                Step::FieldWildcard => {
-                    current = apply_field_wildcard(dom, &current, mode);
-                }
-                Step::ArrayWildcard => {
-                    current = apply_array_wildcard(dom, &current, mode);
-                }
-                Step::Array(sels) => {
-                    current = apply_array_sel(dom, &current, sels, mode);
-                }
-                Step::Filter(pred) => {
-                    current = apply_filter(dom, &current, pred, mode);
-                }
-                Step::Method(m) => {
-                    computed = Some(
-                        current
-                            .iter()
-                            .filter_map(|&n| apply_method(dom, n, *m))
-                            .map(PathOutput::Computed)
-                            .collect(),
-                    );
-                }
-            }
-            if current.is_empty() && computed.is_none() {
-                break;
-            }
-        }
-        self.path.steps = steps;
-        if eval_span.is_recording() {
-            let (hits, misses) = (self.lookback_hits - hits0, self.lookback_misses - misses0);
-            eval_span.record_args(|| format!("lookback hit={hits} miss={misses}"));
-        }
-        match computed {
-            Some(c) => c,
-            None => current.into_iter().map(PathOutput::Node).collect(),
+        match self.walk(dom, start) {
+            Some(computed) => computed,
+            None => self.cur.iter().copied().map(PathOutput::Node).collect(),
         }
     }
 
@@ -156,89 +114,151 @@ impl PathEvaluator {
 
     /// True when the path matches at least one item in the document.
     pub fn exists<D: JsonDom>(&mut self, dom: &D) -> bool {
-        !self.evaluate(dom).is_empty()
+        self.count_first(dom, dom.root()).0 > 0
     }
 
-    /// Field step with look-back-cached id resolution.
-    fn apply_field<D: JsonDom>(
+    /// How many items the path selects with `$` bound to `start`, and the
+    /// first of them — what `JSON_VALUE` needs, without collecting the
+    /// items.
+    pub fn count_first<D: JsonDom>(
         &mut self,
         dom: &D,
-        nodes: &[NodeRef],
-        name: &str,
-        hash: u32,
-        slot: usize,
-        mode: Mode,
-    ) -> Vec<NodeRef> {
-        // Resolve the instance field id once per field step per document,
-        // reusing the previous document's id when this instance's
-        // dictionary validates it (the §4.2.1 single-row look-back).
-        let cached = self.lookback.get(slot).copied().unwrap_or(LookBack::Empty);
-        let resolved: Option<Option<FieldId>> = if dom.has_field_ids() {
-            match cached {
-                LookBack::Id(id) if dom.verify_field_id(id, name, hash) => {
-                    self.lookback_hits += 1;
-                    fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_HIT).inc();
-                    Some(Some(id))
+        start: NodeRef,
+    ) -> (usize, Option<PathOutput>) {
+        match self.walk(dom, start) {
+            Some(computed) => (computed.len(), computed.into_iter().next()),
+            None => (self.cur.len(), self.cur.first().copied().map(PathOutput::Node)),
+        }
+    }
+
+    /// Run every step from `start`, each reading `cur` and writing `next`,
+    /// leaving the matched nodes in `cur`; `Some` holds the values a final
+    /// item method computed instead. No step stops at a first match, so
+    /// the counts a walk reports are those of the whole path.
+    fn walk<D: JsonDom>(&mut self, dom: &D, start: NodeRef) -> Option<Vec<PathOutput>> {
+        let mode = self.path.mode;
+        let steps = std::mem::take(&mut self.path.steps);
+        let (mut cur, mut next) = (std::mem::take(&mut self.cur), std::mem::take(&mut self.next));
+        cur.clear();
+        cur.push(start);
+        let mut field_idx = 0usize;
+        let mut computed = None;
+        fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_PATHS).inc();
+        let mut eval_span = fsdm_obs::trace::span(fsdm_obs::catalog::SPAN_SQLJSON_EVAL);
+        let (hits0, misses0) = (self.lookback_hits, self.lookback_misses);
+        for step in &steps {
+            fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_NODES_VISITED).add(cur.len() as u64);
+            next.clear();
+            match step {
+                Step::Field { name, hash } => {
+                    let id = self.resolve_field(dom, field_idx, name, *hash);
+                    field_idx += 1;
+                    apply_field(dom, &cur, name, *hash, id, mode, &mut next);
                 }
-                _ => {
-                    let id = dom.field_id(name, hash);
-                    self.lookback_misses += 1;
-                    fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_MISS).inc();
-                    if let Some(entry) = self.lookback.get_mut(slot) {
-                        *entry = match id {
-                            Some(i) => LookBack::Id(i),
-                            None => {
-                                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_ABSENT)
-                                    .inc();
-                                LookBack::Absent
-                            }
-                        };
-                    }
-                    Some(id)
+                Step::FieldWildcard => apply_field_wildcard(dom, &cur, mode, &mut next),
+                Step::ArrayWildcard => apply_array_wildcard(dom, &cur, mode, &mut next),
+                Step::Array(sels) => apply_array_sel(dom, &cur, sels, mode, &mut next),
+                Step::Filter(pred) => apply_filter(dom, &cur, pred, mode, &mut next),
+                Step::Method(m) => {
+                    // the final step: `cur` keeps the nodes it was applied to
+                    computed = Some(apply_methods(dom, &cur, *m));
+                    break;
                 }
             }
-        } else {
-            None // no instance dictionary: fall back to by-name lookup
-        };
-        let mut out = Vec::with_capacity(nodes.len());
-        for &n in nodes {
-            match dom.kind(n) {
-                NodeKind::Object => {
-                    let child = match resolved {
-                        Some(Some(id)) => dom.get_field_by_id(n, id),
-                        Some(None) => None,
-                        None => dom.get_field(n, name, hash),
-                    };
-                    if let Some(c) = child {
-                        out.push(c);
-                    }
-                }
-                NodeKind::Array if mode == Mode::Lax => {
-                    // lax implicit unwrap: apply the field step to object
-                    // elements one level down
-                    for i in 0..dom.array_len(n) {
-                        let e = dom.array_element(n, i);
-                        if dom.kind(e) == NodeKind::Object {
-                            let child = match resolved {
-                                Some(Some(id)) => dom.get_field_by_id(e, id),
-                                Some(None) => None,
-                                None => dom.get_field(e, name, hash),
-                            };
-                            if let Some(c) = child {
-                                out.push(c);
-                            }
-                        }
-                    }
-                }
-                _ => {}
+            std::mem::swap(&mut cur, &mut next);
+            if cur.is_empty() {
+                break;
             }
         }
-        out
+        self.path.steps = steps;
+        (self.cur, self.next) = (cur, next);
+        if eval_span.is_recording() {
+            let (hits, misses) = (self.lookback_hits - hits0, self.lookback_misses - misses0);
+            eval_span.record_args(|| format!("lookback hit={hits} miss={misses}"));
+        }
+        computed
+    }
+
+    /// Resolve the instance field id of field step `slot` once per
+    /// document, reusing the previous document's id when this instance's
+    /// dictionary validates it (the §4.2.1 single-row look-back). `None`:
+    /// the instance has no dictionary, look the name up per object.
+    fn resolve_field<D: JsonDom>(
+        &mut self,
+        dom: &D,
+        slot: usize,
+        name: &str,
+        hash: u32,
+    ) -> Option<Option<FieldId>> {
+        if !dom.has_field_ids() {
+            return None;
+        }
+        match self.lookback.get(slot).copied().unwrap_or(LookBack::Empty) {
+            LookBack::Id(id) if dom.verify_field_id(id, name, hash) => {
+                self.lookback_hits += 1;
+                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_HIT).inc();
+                Some(Some(id))
+            }
+            _ => {
+                let id = dom.field_id(name, hash);
+                self.lookback_misses += 1;
+                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_MISS).inc();
+                if let Some(entry) = self.lookback.get_mut(slot) {
+                    *entry = match id {
+                        Some(i) => LookBack::Id(i),
+                        None => {
+                            fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_ABSENT).inc();
+                            LookBack::Absent
+                        }
+                    };
+                }
+                Some(id)
+            }
+        }
     }
 }
 
-fn apply_field_wildcard<D: JsonDom>(dom: &D, nodes: &[NodeRef], mode: Mode) -> Vec<NodeRef> {
-    let mut out = Vec::new();
+/// Field step into `out`: `id` is the instance field id the name resolved
+/// to (`Some(None)`: absent from the instance), `None` to look the name up
+/// in each object.
+fn apply_field<D: JsonDom>(
+    dom: &D,
+    nodes: &[NodeRef],
+    name: &str,
+    hash: u32,
+    id: Option<Option<FieldId>>,
+    mode: Mode,
+    out: &mut Vec<NodeRef>,
+) {
+    let child = |n: NodeRef| match id {
+        Some(Some(id)) => dom.get_field_by_id(n, id),
+        Some(None) => None,
+        None => dom.get_field(n, name, hash),
+    };
+    for &n in nodes {
+        match dom.kind(n) {
+            NodeKind::Object => out.extend(child(n)),
+            NodeKind::Array if mode == Mode::Lax => {
+                // lax implicit unwrap: apply the field step to object
+                // elements one level down
+                for i in 0..dom.array_len(n) {
+                    let e = dom.array_element(n, i);
+                    if dom.kind(e) == NodeKind::Object {
+                        out.extend(child(e));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+fn apply_field_wildcard<D: JsonDom>(
+    dom: &D,
+    nodes: &[NodeRef],
+    mode: Mode,
+    out: &mut Vec<NodeRef>,
+) {
     let push_children = |n: NodeRef, out: &mut Vec<NodeRef>| {
         for i in 0..dom.object_len(n) {
             out.push(dom.object_entry(n, i).1);
@@ -246,23 +266,26 @@ fn apply_field_wildcard<D: JsonDom>(dom: &D, nodes: &[NodeRef], mode: Mode) -> V
     };
     for &n in nodes {
         match dom.kind(n) {
-            NodeKind::Object => push_children(n, &mut out),
+            NodeKind::Object => push_children(n, out),
             NodeKind::Array if mode == Mode::Lax => {
                 for i in 0..dom.array_len(n) {
                     let e = dom.array_element(n, i);
                     if dom.kind(e) == NodeKind::Object {
-                        push_children(e, &mut out);
+                        push_children(e, out);
                     }
                 }
             }
             _ => {}
         }
     }
-    out
 }
 
-fn apply_array_wildcard<D: JsonDom>(dom: &D, nodes: &[NodeRef], mode: Mode) -> Vec<NodeRef> {
-    let mut out = Vec::new();
+fn apply_array_wildcard<D: JsonDom>(
+    dom: &D,
+    nodes: &[NodeRef],
+    mode: Mode,
+    out: &mut Vec<NodeRef>,
+) {
     for &n in nodes {
         match dom.kind(n) {
             NodeKind::Array => {
@@ -275,7 +298,6 @@ fn apply_array_wildcard<D: JsonDom>(dom: &D, nodes: &[NodeRef], mode: Mode) -> V
             _ => {}
         }
     }
-    out
 }
 
 fn apply_array_sel<D: JsonDom>(
@@ -283,8 +305,8 @@ fn apply_array_sel<D: JsonDom>(
     nodes: &[NodeRef],
     sels: &[ArraySel],
     mode: Mode,
-) -> Vec<NodeRef> {
-    let mut out = Vec::new();
+    out: &mut Vec<NodeRef>,
+) {
     for &n in nodes {
         let is_array = dom.kind(n) == NodeKind::Array;
         if !is_array && mode != Mode::Lax {
@@ -323,7 +345,6 @@ fn apply_array_sel<D: JsonDom>(
             }
         }
     }
-    out
 }
 
 fn apply_filter<D: JsonDom>(
@@ -331,139 +352,163 @@ fn apply_filter<D: JsonDom>(
     nodes: &[NodeRef],
     pred: &Predicate,
     mode: Mode,
-) -> Vec<NodeRef> {
-    let mut out = Vec::new();
+    out: &mut Vec<NodeRef>,
+) {
     for &n in nodes {
         // lax: filters over an array apply to its elements
         if mode == Mode::Lax && dom.kind(n) == NodeKind::Array {
             for i in 0..dom.array_len(n) {
                 let e = dom.array_element(n, i);
-                if eval_pred(dom, e, pred) {
+                if eval_pred(dom, e, pred, mode) {
                     out.push(e);
                 }
             }
-        } else if eval_pred(dom, n, pred) {
+        } else if eval_pred(dom, n, pred, mode) {
             out.push(n);
         }
     }
-    out
 }
 
-/// Evaluate a relative (`@`) path without look-back caching (filter paths
-/// are usually one or two steps; their per-document resolution cost is the
-/// hash binary search, which is already cheap).
+/// A final item method applied to each node.
+fn apply_methods<D: JsonDom>(dom: &D, nodes: &[NodeRef], m: Method) -> Vec<PathOutput> {
+    nodes.iter().filter_map(|&n| apply_method(dom, n, m)).map(PathOutput::Computed).collect()
+}
+
+/// Evaluate a relative (`@`) path, collecting what it selects. It runs
+/// lax whatever the mode of the path it sits in, and without look-back
+/// caching: filter paths are usually one or two steps, and the hash binary
+/// search that resolves their names per document is already cheap.
 fn eval_rel_path<D: JsonDom>(dom: &D, ctx: NodeRef, steps: &[Step]) -> Vec<PathOutput> {
-    let mut current = vec![ctx];
+    let (mut cur, mut next) = (vec![ctx], Vec::new());
     for step in steps {
+        next.clear();
         match step {
             Step::Field { name, hash } => {
-                let mut next = Vec::new();
-                for &n in &current {
-                    match dom.kind(n) {
-                        NodeKind::Object => {
-                            if let Some(c) = dom.get_field(n, name, *hash) {
-                                next.push(c);
-                            }
-                        }
-                        NodeKind::Array => {
-                            for i in 0..dom.array_len(n) {
-                                let e = dom.array_element(n, i);
-                                if dom.kind(e) == NodeKind::Object {
-                                    if let Some(c) = dom.get_field(e, name, *hash) {
-                                        next.push(c);
-                                    }
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                current = next;
+                apply_field(dom, &cur, name, *hash, None, Mode::Lax, &mut next)
             }
-            Step::FieldWildcard => current = apply_field_wildcard(dom, &current, Mode::Lax),
-            Step::ArrayWildcard => current = apply_array_wildcard(dom, &current, Mode::Lax),
-            Step::Array(sels) => current = apply_array_sel(dom, &current, sels, Mode::Lax),
-            Step::Filter(p) => current = apply_filter(dom, &current, p, Mode::Lax),
-            Step::Method(m) => {
-                return current
-                    .iter()
-                    .filter_map(|&n| apply_method(dom, n, *m))
-                    .map(PathOutput::Computed)
-                    .collect()
-            }
+            Step::FieldWildcard => apply_field_wildcard(dom, &cur, Mode::Lax, &mut next),
+            Step::ArrayWildcard => apply_array_wildcard(dom, &cur, Mode::Lax, &mut next),
+            Step::Array(sels) => apply_array_sel(dom, &cur, sels, Mode::Lax, &mut next),
+            Step::Filter(p) => apply_filter(dom, &cur, p, Mode::Lax, &mut next),
+            Step::Method(m) => return apply_methods(dom, &cur, *m),
         }
-        if current.is_empty() {
+        std::mem::swap(&mut cur, &mut next);
+        if cur.is_empty() {
             break;
         }
     }
-    current.into_iter().map(PathOutput::Node).collect()
+    cur.into_iter().map(PathOutput::Node).collect()
 }
 
-fn eval_pred<D: JsonDom>(dom: &D, ctx: NodeRef, pred: &Predicate) -> bool {
+fn eval_pred<D: JsonDom>(dom: &D, ctx: NodeRef, pred: &Predicate, mode: Mode) -> bool {
     match pred {
-        Predicate::And(a, b) => eval_pred(dom, ctx, a) && eval_pred(dom, ctx, b),
-        Predicate::Or(a, b) => eval_pred(dom, ctx, a) || eval_pred(dom, ctx, b),
-        Predicate::Not(p) => !eval_pred(dom, ctx, p),
+        Predicate::And(a, b) => eval_pred(dom, ctx, a, mode) && eval_pred(dom, ctx, b, mode),
+        Predicate::Or(a, b) => eval_pred(dom, ctx, a, mode) || eval_pred(dom, ctx, b, mode),
+        Predicate::Not(p) => !eval_pred(dom, ctx, p, mode),
         Predicate::Exists(steps) => !eval_rel_path(dom, ctx, steps).is_empty(),
         Predicate::Cmp(lhs, op, rhs) => {
-            let lv = operand_scalars(dom, ctx, lhs);
-            let rv = operand_scalars(dom, ctx, rhs);
+            // both operands are bound before any pair is compared, so a
+            // relative path is walked once per test whatever it finds
+            let (lhs, rhs) = (Bound::new(dom, ctx, lhs), Bound::new(dom, ctx, rhs));
             // SQL/JSON existential comparison: true if any pair satisfies
-            lv.iter().any(|a| rv.iter().any(|b| cmp_values(a, *op, b)))
-        }
-    }
-}
-
-/// Scalar values an operand denotes for the given context item.
-fn operand_scalars<D: JsonDom>(dom: &D, ctx: NodeRef, op: &Operand) -> Vec<JsonValue> {
-    match op {
-        Operand::Lit(v) => vec![v.clone()],
-        Operand::Path(steps) => eval_rel_path(dom, ctx, steps)
-            .into_iter()
-            .filter_map(|o| match o {
-                PathOutput::Node(n) => match dom.kind(n) {
-                    NodeKind::Scalar => Some(dom.scalar(n).to_value()),
-                    // lax: unwrap an array of scalars for comparison
-                    NodeKind::Array => None,
-                    NodeKind::Object => None,
-                },
-                PathOutput::Computed(v) => Some(v),
+            lhs.each_scalar(dom, mode, &mut |a| {
+                rhs.each_scalar(dom, mode, &mut |b| cmp_scalars(&a, *op, &b))
             })
-            .collect(),
+        }
     }
 }
 
-fn cmp_values(a: &JsonValue, op: CmpOp, b: &JsonValue) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::StartsWith => match (a, b) {
-            (JsonValue::String(x), JsonValue::String(y)) => x.starts_with(y.as_str()),
-            _ => false,
-        },
-        CmpOp::HasSubstring => match (a, b) {
-            (JsonValue::String(x), JsonValue::String(y)) => x.contains(y.as_str()),
-            _ => false,
-        },
-        _ => {
-            let ord = match (a, b) {
-                (JsonValue::Number(x), JsonValue::Number(y)) => Some(x.total_cmp(y)),
-                (JsonValue::String(x), JsonValue::String(y)) => Some(x.cmp(y)),
-                (JsonValue::Bool(x), JsonValue::Bool(y)) => Some(x.cmp(y)),
-                (JsonValue::Null, JsonValue::Null) => Some(Equal),
-                _ => None,
-            };
-            match (ord, op) {
-                (None, CmpOp::Ne) => false, // type mismatch is not "not equal", it is unknown
-                (None, _) => false,
-                (Some(o), CmpOp::Eq) => o == Equal,
-                (Some(o), CmpOp::Ne) => o != Equal,
-                (Some(o), CmpOp::Lt) => o == Less,
-                (Some(o), CmpOp::Le) => o != Greater,
-                (Some(o), CmpOp::Gt) => o == Greater,
-                (Some(o), CmpOp::Ge) => o != Less,
-                _ => false,
-            }
+/// A comparison operand bound to one context item.
+enum Bound<'p> {
+    /// A literal of the path.
+    Lit(&'p JsonValue),
+    /// `@` itself: the context item, read in place.
+    Item(NodeRef),
+    /// What a relative path selected.
+    Items(Vec<PathOutput>),
+}
+
+impl<'p> Bound<'p> {
+    fn new<D: JsonDom>(dom: &D, ctx: NodeRef, op: &'p Operand) -> Self {
+        match op {
+            Operand::Lit(v) => Bound::Lit(v),
+            Operand::Path(steps) if steps.is_empty() => Bound::Item(ctx),
+            Operand::Path(steps) => Bound::Items(eval_rel_path(dom, ctx, steps)),
         }
+    }
+
+    /// Offer each scalar the operand denotes to `f`, borrowed, until `f`
+    /// accepts one; whether it did.
+    fn each_scalar<D: JsonDom>(
+        &self,
+        dom: &D,
+        mode: Mode,
+        f: &mut impl FnMut(ScalarRef<'_>) -> bool,
+    ) -> bool {
+        match self {
+            Bound::Lit(v) => value_scalar(v).is_some_and(f),
+            Bound::Item(n) => node_scalars(dom, *n, mode, f),
+            Bound::Items(items) => items.iter().any(|o| match o {
+                PathOutput::Node(n) => node_scalars(dom, *n, mode, f),
+                PathOutput::Computed(v) => value_scalar(v).is_some_and(&mut *f),
+            }),
+        }
+    }
+}
+
+/// The scalars node `n` offers a comparison: itself, or — lax mode only —
+/// the scalar elements of an array, one level deep. An object offers none.
+fn node_scalars<D: JsonDom>(
+    dom: &D,
+    n: NodeRef,
+    mode: Mode,
+    f: &mut impl FnMut(ScalarRef<'_>) -> bool,
+) -> bool {
+    match dom.kind(n) {
+        NodeKind::Scalar => f(dom.scalar(n)),
+        NodeKind::Array if mode == Mode::Lax => (0..dom.array_len(n)).any(|i| {
+            let e = dom.array_element(n, i);
+            dom.kind(e) == NodeKind::Scalar && f(dom.scalar(e))
+        }),
+        _ => false,
+    }
+}
+
+/// A scalar value viewed as a [`ScalarRef`]; `None` for a container.
+fn value_scalar(v: &JsonValue) -> Option<ScalarRef<'_>> {
+    match v {
+        JsonValue::String(s) => Some(ScalarRef::Str(s)),
+        JsonValue::Number(x) => Some(ScalarRef::Num(*x)),
+        JsonValue::Bool(b) => Some(ScalarRef::Bool(*b)),
+        JsonValue::Null => Some(ScalarRef::Null),
+        JsonValue::Array(_) | JsonValue::Object(_) => None,
+    }
+}
+
+/// One comparison of two scalars. Numbers order by value, strings by
+/// bytes, booleans false before true, and null equals null; `starts with`
+/// and `has substring` take two strings. Scalars of two types compare
+/// false under every operator, `!=` included: the answer is unknown.
+fn cmp_scalars(a: &ScalarRef<'_>, op: CmpOp, b: &ScalarRef<'_>) -> bool {
+    use std::cmp::Ordering::*;
+    let ord = match (a, op, b) {
+        (ScalarRef::Str(x), CmpOp::StartsWith, ScalarRef::Str(y)) => return x.starts_with(y),
+        (ScalarRef::Str(x), CmpOp::HasSubstring, ScalarRef::Str(y)) => return x.contains(y),
+        (_, CmpOp::StartsWith | CmpOp::HasSubstring, _) => return false,
+        (ScalarRef::Str(x), _, ScalarRef::Str(y)) => x.cmp(y),
+        (ScalarRef::Num(x), _, ScalarRef::Num(y)) => x.total_cmp(y),
+        (ScalarRef::Bool(x), _, ScalarRef::Bool(y)) => x.cmp(y),
+        (ScalarRef::Null, _, ScalarRef::Null) => Equal,
+        _ => return false,
+    };
+    match op {
+        CmpOp::Eq => ord == Equal,
+        CmpOp::Ne => ord != Equal,
+        CmpOp::Lt => ord == Less,
+        CmpOp::Le => ord != Greater,
+        CmpOp::Gt => ord == Greater,
+        CmpOp::Ge => ord != Less,
+        CmpOp::StartsWith | CmpOp::HasSubstring => false,
     }
 }
 
@@ -645,6 +690,54 @@ mod tests {
         assert_eq!(eval(PO, "$.purchaseOrder?(@.podate == '2014-09-08').id").len(), 1);
         assert_eq!(eval(PO, "$.purchaseOrder?(@.id >= 1).id").len(), 1);
         assert!(eval(PO, "$.purchaseOrder?(@.id == '1').id").is_empty(), "no cross-type eq");
+    }
+
+    /// How many items `path` selects from `doc` over the in-memory DOM,
+    /// OSON and BSON; the three must agree.
+    fn count_everywhere(doc: &str, path: &str) -> usize {
+        let v = parse(doc).unwrap();
+        let (oson, bson) = (fsdm_oson::encode(&v).unwrap(), fsdm_bson::encode(&v).unwrap());
+        let jp = parse_path(path).unwrap();
+        let counts = [
+            PathEvaluator::new(jp.clone()).evaluate(&ValueDom::new(&v)).len(),
+            PathEvaluator::new(jp.clone()).evaluate(&fsdm_oson::OsonDoc::new(&oson).unwrap()).len(),
+            PathEvaluator::new(jp).evaluate(&fsdm_bson::BsonDoc::new(&bson).unwrap()).len(),
+        ];
+        assert!(counts.iter().all(|&c| c == counts[0]), "{path} over {doc}: {counts:?}");
+        counts[0]
+    }
+
+    #[test]
+    fn lax_comparison_unwraps_an_array_operand() {
+        let doc = r#"{"a":[1,2],"b":{"c":[3,"x",[4]]},"s":["ab","cd"]}"#;
+        for mode in ["", "lax "] {
+            assert_eq!(count_everywhere(doc, &format!("{mode}$?(@.a == 1)")), 1);
+            assert_eq!(count_everywhere(doc, &format!("{mode}$.b?(@.c > 2)")), 1);
+            assert_eq!(count_everywhere(doc, &format!("{mode}$?(@.s starts with \"c\")")), 1);
+            // one level deep: the nested [4] offers no scalar
+            assert_eq!(count_everywhere(doc, &format!("{mode}$.b?(@.c == 4)")), 0);
+            assert_eq!(count_everywhere(doc, &format!("{mode}$?(@.a == 3)")), 0);
+        }
+        assert_eq!(count_everywhere(r#"{"a":{"b":[3]}}"#, "$.a?(@.b > 2)"), 1);
+    }
+
+    #[test]
+    fn strict_comparison_does_not_unwrap_an_array_operand() {
+        let doc = r#"{"a":[1,2],"b":1}"#;
+        assert_eq!(count_everywhere(doc, "strict $?(@.a == 1)"), 0);
+        assert_eq!(count_everywhere(doc, "strict $?(@.b == 1)"), 1);
+    }
+
+    #[test]
+    fn count_first_and_exists_answer_as_evaluate_does() {
+        let v = parse(PO).unwrap();
+        let dom = ValueDom::new(&v);
+        for p in ["$.purchaseOrder.items[*].price", "$.nothing", "$.purchaseOrder.items.size()"] {
+            let mut ev = PathEvaluator::new(parse_path(p).unwrap());
+            let all = ev.evaluate(&dom);
+            assert_eq!(ev.count_first(&dom, dom.root()), (all.len(), all.first().cloned()), "{p}");
+            assert_eq!(ev.exists(&dom), !all.is_empty(), "{p}");
+        }
     }
 
     #[test]

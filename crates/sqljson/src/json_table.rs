@@ -311,9 +311,7 @@ impl ColCursor {
         }
         match self.kind {
             ColKind::Ordinality => Datum::from(i64::from(ctx.ord)),
-            ColKind::Exists => {
-                Datum::from(i64::from(!self.ev.evaluate_from(dom, ctx.node).is_empty()))
-            }
+            ColKind::Exists => Datum::from(i64::from(self.ev.count_first(dom, ctx.node).0 > 0)),
             // JSON_VALUE semantics, NULL ON ERROR
             ColKind::Value => json_value_at(dom, ctx.node, &mut self.ev, self.ty, OnError::Null)
                 .unwrap_or(Datum::Null),

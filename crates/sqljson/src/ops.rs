@@ -87,8 +87,8 @@ pub fn json_value_at<D: JsonDom>(
     ty: SqlType,
     on_error: OnError,
 ) -> Result<Datum, OpsError> {
-    let outs = ev.evaluate_from(dom, start);
-    value_rule(outs.len(), || outs.first().and_then(|o| output_datum(dom, o)), ty, on_error)
+    let (count, first) = ev.count_first(dom, start);
+    value_rule(count, || first.and_then(|o| output_datum(dom, &o)), ty, on_error)
 }
 
 /// `JSON_VALUE`'s rule, whichever engine selected the items: of `count`

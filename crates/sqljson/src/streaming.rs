@@ -46,7 +46,7 @@ use std::borrow::Cow;
 use fsdm_json::{Event, EventParser, JsonDom, JsonError, JsonValue, Stacks, ValueDom};
 
 use crate::datum::{Datum, SqlType};
-use crate::engine::{PathEvaluator, PathOutput};
+use crate::engine::PathEvaluator;
 use crate::ops::{output_datum, value_rule, OnError};
 use crate::path::{ArraySel, IndexExpr, JsonPath, Mode, Step};
 
@@ -437,19 +437,16 @@ impl<'p> TextPass<'p> {
             for &slot in &p.items {
                 let Some(item) = arena.get(slot) else { continue };
                 let dom = ValueDom::new(item);
-                let outs = ev.evaluate(&dom);
                 match p.want {
-                    Want::Exists => p.found |= !outs.is_empty(),
+                    Want::Exists => p.found |= ev.exists(&dom),
                     Want::Value(_) => {
-                        if let (0, Some(out)) = (p.count, outs.first()) {
-                            p.first = output_datum(&dom, out);
+                        let (count, first) = ev.count_first(&dom, dom.root());
+                        if let (0, Some(out)) = (p.count, first) {
+                            p.first = output_datum(&dom, &out);
                         }
-                        p.count += outs.len();
+                        p.count += count;
                     }
-                    Want::Items => p.values.extend(outs.into_iter().map(|o| match o {
-                        PathOutput::Node(n) => dom.materialize(n),
-                        PathOutput::Computed(v) => v,
-                    })),
+                    Want::Items => p.values.extend(ev.evaluate_values(&dom)),
                 }
             }
         }

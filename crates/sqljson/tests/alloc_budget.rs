@@ -1,10 +1,12 @@
-//! The steady-state allocation budget of the text pass, as a
-//! deterministic gate: once its buffers have grown to a collection's
-//! shape, one pass over a document allocates only for the strings it
-//! keeps — no key, skipped value or position costs an allocation.
+//! The steady-state allocation budgets of the two path engines, as
+//! deterministic gates: once its buffers have grown to a collection's
+//! shape, one text pass over a document allocates only for the strings it
+//! keeps — no key, skipped value or position costs an allocation — and
+//! the DOM engine allocates nothing at all over OSON or BSON.
 //!
 //! Its own test binary: the counting allocator below replaces the global
-//! one. It and its twin in `crates/index/tests/alloc_budget.rs` are the
+//! one. The count is per thread, so the tests here do not see each
+//! other. It and its twin in `crates/index/tests/alloc_budget.rs` are the
 //! only `unsafe` in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -12,8 +14,10 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt::Write as _;
 
+use fsdm_json::JsonDom;
+use fsdm_sqljson::ops::{json_exists, json_value, OnError};
 use fsdm_sqljson::streaming::{TextPass, Want};
-use fsdm_sqljson::{parse_path, Datum, SqlType};
+use fsdm_sqljson::{parse_path, Datum, PathEvaluator, SqlType};
 
 thread_local! {
     /// Allocations and reallocations made by this thread.
@@ -103,7 +107,6 @@ fn nobench(state: &mut u64, i: usize) -> String {
 const WARM_UP: usize = 200;
 const MEASURED: usize = 1000;
 
-/// One test, so nothing else in this binary allocates beside it.
 #[test]
 fn a_pass_allocates_once_per_kept_string() {
     let mut state = 42;
@@ -135,5 +138,63 @@ fn a_pass_allocates_once_per_kept_string() {
     assert!(
         passing <= kept_strings as u64,
         "{passing} allocations for {MEASURED} passes keeping {kept_strings} strings"
+    );
+}
+
+/// NOBENCH Q8's two filters and two scalar `JSON_VALUE`s, each through
+/// its own evaluator, over every document `open` makes of an encoding.
+fn dom_engine_allocations<'a, D: JsonDom>(
+    encoded: &'a [Vec<u8>],
+    open: impl Fn(&'a [u8]) -> D,
+) -> u64 {
+    let mut filters = ["$.nested_arr?(@ == \"notpresent\")", "$.nested_arr?(@ starts with \"a\")"]
+        .map(|p| PathEvaluator::new(parse_path(p).unwrap()));
+    let mut values =
+        ["$.num", "$.nested_obj.num"].map(|p| PathEvaluator::new(parse_path(p).unwrap()));
+    let mut run = |bytes: &'a [u8]| -> (bool, bool, Datum, Datum) {
+        let dom = open(bytes);
+        let [absent, starts] = &mut filters;
+        let [num, nested] = &mut values;
+        (
+            json_exists(&dom, absent),
+            json_exists(&dom, starts),
+            json_value(&dom, num, SqlType::Number, OnError::Null).unwrap(),
+            json_value(&dom, nested, SqlType::Number, OnError::Null).unwrap(),
+        )
+    };
+    let (warm_up, measured) = encoded.split_at(WARM_UP);
+    for bytes in warm_up {
+        run(bytes);
+    }
+    let mut starts_with_a = 0;
+    let allocations = allocations_of(|| {
+        for (i, bytes) in measured.iter().enumerate() {
+            let (absent, starts, num, nested) = run(bytes);
+            assert!(!absent);
+            assert_eq!(num, Datum::from((WARM_UP + i) as i64));
+            assert!(matches!(nested, Datum::Num(_)));
+            starts_with_a += usize::from(starts);
+        }
+    });
+    assert!(starts_with_a > 0, "some nested_arr holds a word starting with a");
+    allocations
+}
+
+#[test]
+fn the_dom_engine_allocates_nothing_per_document() {
+    let mut state = 42;
+    let docs: Vec<fsdm_json::JsonValue> = (0..WARM_UP + MEASURED)
+        .map(|i| fsdm_json::parse(&nobench(&mut state, i)).unwrap())
+        .collect();
+    let oson: Vec<Vec<u8>> = docs.iter().map(|d| fsdm_oson::encode(d).unwrap()).collect();
+    let bson: Vec<Vec<u8>> = docs.iter().map(|d| fsdm_bson::encode(d).unwrap()).collect();
+    let over_oson = dom_engine_allocations(&oson, |b| fsdm_oson::OsonDoc::new(b).unwrap());
+    let over_bson = dom_engine_allocations(&bson, |b| fsdm_bson::BsonDoc::new(b).unwrap());
+    let per_doc = |n: u64| n as f64 / MEASURED as f64;
+    assert!(
+        over_oson == 0 && over_bson == 0,
+        "{} allocations per document over OSON, {} over BSON ({MEASURED} documents, four paths)",
+        per_doc(over_oson),
+        per_doc(over_bson)
     );
 }

@@ -1,11 +1,11 @@
 //! Property-based tests for the SQL/JSON layer: text-pass/DOM engine
 //! agreement (one path and several per pass, duplicate keys, strict
-//! mode, suffixes, malformed text), OSON/BSON backend agreement, and
-//! parser totality.
+//! mode, suffixes, malformed text), OSON/BSON backend agreement, the
+//! DOM engine's narrow answers, and parser totality.
 
 use std::borrow::Cow;
 
-use fsdm_json::{JsonNumber, JsonValue, Object, ValueDom};
+use fsdm_json::{JsonDom, JsonNumber, JsonValue, Object, ValueDom};
 use fsdm_sqljson::ops::{json_value, OnError};
 use fsdm_sqljson::streaming::{self, TextPass, Want};
 use fsdm_sqljson::{parse_path, Datum, JsonPath, PathEvaluator, SqlType};
@@ -44,7 +44,9 @@ fn arb_doc() -> impl Strategy<Value = JsonValue> {
 }
 
 /// Paths over the same vocabulary: a streamable body, optionally in
-/// strict mode, optionally ending in a step that needs a DOM.
+/// strict mode, optionally ending in a step that needs a DOM — among them
+/// filters whose comparisons meet array operands, mismatched types, item
+/// methods and boolean connectives.
 fn arb_streamable_path() -> impl Strategy<Value = String> {
     let step = prop_oneof![
         Just(".a".to_string()),
@@ -64,6 +66,13 @@ fn arb_streamable_path() -> impl Strategy<Value = String> {
         Just(""),
         Just(""),
         Just("?(@.price >= 0)"),
+        Just("?(@ == \"ab\")"),
+        Just("?(@ starts with \"a\")"),
+        Just("?(@.name != 3)"),
+        Just("?(@.a == null)"),
+        Just("?(exists(@.b) && !(@.price < 0))"),
+        Just("?(@.size() >= 2)"),
+        Just("?(@.items == 1)"),
         Just(".size()"),
         Just("[last]"),
     ];
@@ -91,6 +100,15 @@ fn dom_answer(doc: &JsonValue, jp: &JsonPath, want: Want) -> (Datum, Vec<JsonVal
             (json_value(&dom, &mut ev, ty, OnError::Null).unwrap_or(Datum::Null), Vec::new())
         }
     }
+}
+
+/// `exists` and `count_first` over `dom` answer as `evaluate_from` does.
+fn narrow_answers_hold<D: JsonDom>(dom: &D, jp: &JsonPath) -> Result<(), TestCaseError> {
+    let mut ev = PathEvaluator::new(jp.clone());
+    let all = ev.evaluate_from(dom, dom.root());
+    prop_assert_eq!(ev.count_first(dom, dom.root()), (all.len(), all.first().cloned()), "{}", jp);
+    prop_assert_eq!(ev.exists(dom), !all.is_empty(), "{}", jp);
+    Ok(())
 }
 
 /// One pass of `paths` over `text`: each path's answer, and whether the
@@ -232,6 +250,21 @@ proptest! {
             let mut e2 = PathEvaluator::new(jp.clone());
             let got_b = e2.evaluate_values(&bd);
             prop_assert_eq!(expected.len(), got_b.len(), "bson {}", p);
+        }
+    }
+
+    /// The narrow answers are the full one's: `exists` is "some item",
+    /// `count_first` the item count and the first item, on every backend.
+    #[test]
+    fn narrow_answers_agree_with_evaluate(doc in arb_doc(), path in arb_streamable_path()) {
+        let jp = parse_path(&path).unwrap();
+        narrow_answers_hold(&ValueDom::new(&doc), &jp)?;
+        let oson = fsdm_oson::encode(&doc).unwrap();
+        narrow_answers_hold(&fsdm_oson::OsonDoc::new(&oson).unwrap(), &jp)?;
+        // only object-rooted docs encode to BSON
+        if doc.is_object() {
+            let bson = fsdm_bson::encode(&doc).unwrap();
+            narrow_answers_hold(&fsdm_bson::BsonDoc::new(&bson).unwrap(), &jp)?;
         }
     }
 
