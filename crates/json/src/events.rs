@@ -576,6 +576,30 @@ mod tests {
         }
     }
 
+    /// A literal beyond the `f64` range is the same error at the same
+    /// offset whether it is parsed, streamed or skipped; the largest double
+    /// and an underflowing literal are numbers.
+    #[test]
+    fn a_number_beyond_the_f64_range_fails_every_reader_alike() {
+        let out_of_range =
+            |offset| crate::error::JsonError::at(crate::number::OUT_OF_RANGE, offset);
+        for (doc, offset) in [
+            (r#"{"a":1e400}"#, 5),
+            (r#"{"a":{"b":[-1e400]}}"#, 11),
+            (r#"{"a":{"b":[2e308]}}"#, 11),
+            (&format!(r#"{{"a":[{}]}}"#, "9".repeat(400)), 6),
+        ] {
+            assert_eq!(crate::parse(doc), Err(out_of_range(offset)), "parse {doc}");
+            let streamed = EventParser::new(doc).collect_events();
+            assert_eq!(streamed, Err(out_of_range(offset)), "events {doc}");
+            assert_eq!(drain(doc, 2, false), Err(out_of_range(offset)), "skip {doc}");
+        }
+        for doc in [r#"{"a":[1.7976931348623157e308]}"#, r#"{"a":[-1e-400]}"#, "[1e+308]"] {
+            assert!(crate::parse(doc).is_ok(), "{doc}");
+            assert!(drain(doc, 2, false).is_ok(), "{doc}");
+        }
+    }
+
     #[test]
     fn the_depth_limit_holds_for_events_and_skips() {
         let nest = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));

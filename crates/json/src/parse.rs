@@ -20,7 +20,7 @@
 )]
 
 use crate::error::{JsonError, Result};
-use crate::number::JsonNumber;
+use crate::number::{JsonNumber, OUT_OF_RANGE};
 use crate::value::{JsonValue, Object};
 
 /// Maximum nesting depth accepted (guards against stack exhaustion on
@@ -396,19 +396,23 @@ impl<'a> Parser<'a> {
     }
 
     /// Scan a numeric literal at the current position, checking its
-    /// syntax: the literal, which [`JsonNumber::from_literal`] converts
-    /// without failing.
+    /// syntax and its range: the literal, which [`JsonNumber::from_literal`]
+    /// converts without failing. A magnitude beyond the `f64` range has no
+    /// JSON number to become, and is an error at the literal's offset.
     pub(crate) fn scan_number(&mut self) -> Result<&'a str> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         // integer part
+        let int_start = self.pos;
         match self.peek() {
             Some(b'0') => self.pos += 1,
             Some(c) if c.is_ascii_digit() => self.skip_digits(),
             _ => return Err(JsonError::at("invalid number", self.pos)),
         }
+        let int_digits = self.pos - int_start;
+        let mut exponent = false;
         // fraction
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -427,9 +431,15 @@ impl<'a> Parser<'a> {
                 return Err(JsonError::at("digit required in exponent", self.pos));
             }
             self.skip_digits();
+            exponent = true;
         }
         // ASCII by construction
-        self.str_at(start, "invalid number")
+        let lit = self.str_at(start, "invalid number")?;
+        // below 10^308 without an exponent: inside the range by its length
+        if (exponent || int_digits > 308) && !lit.parse::<f64>().is_ok_and(f64::is_finite) {
+            return Err(JsonError::at(OUT_OF_RANGE, start));
+        }
+        Ok(lit)
     }
 
     fn skip_digits(&mut self) {

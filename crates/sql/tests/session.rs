@@ -385,3 +385,39 @@ fn a_lax_filter_comparison_unwraps_an_array_operand() {
         }
     }
 }
+
+/// A number literal beyond the `f64` range is no JSON number: inserting a
+/// document holding one is refused over text, OSON and BSON storage alike,
+/// and what is stored reads back as valid JSON. Arithmetic whose result
+/// leaves the range is a "numeric overflow" error in both executors.
+#[test]
+fn a_number_beyond_the_f64_range_is_refused() {
+    let big = r#"{"a":1.7976931348623157e308,"b":1e300}"#;
+    for storage in ["text", "oson", "bson"] {
+        let mut s = Session::new();
+        s.execute(&format!("create table t (id number, jdoc json store as {storage})")).unwrap();
+        for doc in [r#"{"a":1e400}"#, r#"{"a":-1e400}"#, r#"{"a":[1,{"b":2e308}]}"#] {
+            let insert = s.execute_with(
+                "insert into t values (?, ?)",
+                &[Datum::from(1i64), Datum::from(doc)],
+            );
+            let err = insert.expect_err(doc).to_string();
+            assert!(err.contains("out of range"), "{storage}: {doc}: {err}");
+        }
+        s.execute_with("insert into t values (?, ?)", &[Datum::from(2i64), Datum::from(big)])
+            .unwrap();
+        let rows = s.execute("select jdoc from t").unwrap().rows;
+        assert_eq!(rows.len(), 1, "{storage}");
+        let text = rows[0][0].to_text();
+        assert!(fsdm_json::parse(&text).is_ok(), "{storage}: {text} is no JSON");
+        for columnar in [true, false] {
+            s.db.set_columnar(columnar);
+            let at = format!("{storage}, columnar={columnar}");
+            let value = "json_value(jdoc, '$.b' returning number)";
+            let fits = s.execute(&format!("select {value} * 1000 from t")).unwrap();
+            assert_eq!(fits.rows[0][0].as_num().map(|n| n.to_f64()), Some(1e303), "{at}");
+            let err = s.execute(&format!("select {value} * {value} from t")).unwrap_err();
+            assert!(err.to_string().contains("numeric overflow"), "{at}: {err}");
+        }
+    }
+}

@@ -3,11 +3,17 @@
 //! in-memory DOM, a serialized OSON instance, or a BSON buffer.
 //!
 //! The evaluator is a stateful cursor: it owns the compiled path and a
-//! per-field-step **look-back cache** of `(dictionary fingerprint → field
-//! id)` mappings. When a collection is structurally homogeneous,
-//! consecutive OSON instances share a dictionary fingerprint, and field-id
-//! resolution (hash binary search + name compare) is skipped entirely —
-//! the "single-row look-back" optimization of §4.2.1.
+//! **field-id table** holding every name the path reads — its own field
+//! steps and its filters' operands — each with the id it resolved to in
+//! the previous document. A name resolves at most once per document: the
+//! previous id is kept when this instance's dictionary validates it in
+//! O(1) (the "single-row look-back" optimization of §4.2.1), else it is
+//! searched for (hash binary search + name compare).
+//!
+//! Members are read through one **member chain**: leading `.name` steps
+//! are followed hop by hop in place while each hop lands on an object;
+//! the general step loop takes over where a step is not a member or a hop
+//! meets an array.
 
 // hot path over stored text no constraint checked: corrupted input returns
 // `Err` or a total fallback, never a panic (DESIGN.md §8)
@@ -38,30 +44,75 @@ pub enum PathOutput {
     Computed(JsonValue),
 }
 
-/// Per-field-step look-back cache entry: the id the name resolved to in
-/// the previous document (validated per instance in O(1)).
-#[derive(Debug, Clone, Copy)]
-enum LookBack {
-    /// Nothing cached yet.
-    Empty,
-    /// Resolved to this id last time.
-    Id(FieldId),
-    /// Name was absent from the previous instance's dictionary.
-    Absent,
+/// One name of the path in the [`FieldIds`] table.
+struct NameId {
+    name: String,
+    hash: u32,
+    /// What the name resolved to when it was last resolved: the id, or
+    /// `None` when that instance's dictionary lacked it.
+    last: Option<FieldId>,
+    /// The walk `last` was resolved in (0: never).
+    walk: u64,
+}
+
+/// The evaluator's field-id table: every distinct name the path has read
+/// — its field steps and its filter operands, at any depth — keyed by
+/// `(hash, name)`. A name enters on its first resolution.
+#[derive(Default)]
+struct FieldIds {
+    names: Vec<NameId>,
+    /// Bumped by each walk; one walk reads one document.
+    walk: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl FieldIds {
+    /// The instance field id of `name` in the current walk's document,
+    /// resolved once per walk: the first time, the previous document's id
+    /// is kept when this instance's dictionary validates it (the §4.2.1
+    /// single-row look-back), else the dictionary is searched; later in
+    /// the walk the answer is reused unchecked. `Some(None)`: absent from
+    /// the instance; `None`: the instance has no dictionary, look the name
+    /// up per object.
+    fn resolve<D: JsonDom>(&mut self, dom: &D, name: &str, hash: u32) -> Option<Option<FieldId>> {
+        if !dom.has_field_ids() {
+            return None;
+        }
+        let at = match self.names.iter().position(|e| e.hash == hash && e.name == name) {
+            Some(at) => at,
+            None => {
+                self.names.push(NameId { name: name.to_string(), hash, last: None, walk: 0 });
+                self.names.len() - 1
+            }
+        };
+        let Some(entry) = self.names.get_mut(at) else { return Some(dom.field_id(name, hash)) };
+        if entry.walk == self.walk {
+            return Some(entry.last);
+        }
+        entry.walk = self.walk;
+        match entry.last {
+            Some(id) if dom.verify_field_id(id, name, hash) => {
+                self.hits += 1;
+                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_HIT).inc();
+            }
+            _ => {
+                entry.last = dom.field_id(name, hash);
+                self.misses += 1;
+                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_MISS).inc();
+                if entry.last.is_none() {
+                    fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_ABSENT).inc();
+                }
+            }
+        }
+        Some(entry.last)
+    }
 }
 
 /// A reusable evaluation cursor for one compiled path.
 pub struct PathEvaluator {
     path: JsonPath,
-    /// One slot per top-level `Step::Field`, indexed by position among the
-    /// field steps.
-    lookback: Vec<LookBack>,
-    /// Count of field resolutions skipped thanks to the look-back cache
-    /// (observability for tests/benches).
-    pub lookback_hits: u64,
-    /// Count of field resolutions that had to consult the instance
-    /// dictionary (cache empty, stale, or the field absent).
-    pub lookback_misses: u64,
+    ids: FieldIds,
     /// The nodes the current step reads; after a walk, its matches.
     cur: Vec<NodeRef>,
     /// The nodes the current step writes, swapped into `cur` after it.
@@ -71,20 +122,24 @@ pub struct PathEvaluator {
 impl PathEvaluator {
     /// Build a cursor for a compiled path.
     pub fn new(path: JsonPath) -> Self {
-        let nfields = path.steps.iter().filter(|s| matches!(s, Step::Field { .. })).count();
-        PathEvaluator {
-            path,
-            lookback: vec![LookBack::Empty; nfields],
-            lookback_hits: 0,
-            lookback_misses: 0,
-            cur: Vec::new(),
-            next: Vec::new(),
-        }
+        PathEvaluator { path, ids: FieldIds::default(), cur: Vec::new(), next: Vec::new() }
     }
 
     /// The compiled path.
     pub fn path(&self) -> &JsonPath {
         &self.path
+    }
+
+    /// Field-name resolutions that reused the previous document's id
+    /// (observability for tests and benches).
+    pub fn lookback_hits(&self) -> u64 {
+        self.ids.hits
+    }
+
+    /// Field-name resolutions that had to search the instance dictionary
+    /// (first document, a stale id, or the name absent).
+    pub fn lookback_misses(&self) -> u64 {
+        self.ids.misses
     }
 
     /// Evaluate against one document, producing all matching items.
@@ -131,91 +186,121 @@ impl PathEvaluator {
         }
     }
 
-    /// Run every step from `start`, each reading `cur` and writing `next`,
-    /// leaving the matched nodes in `cur`; `Some` holds the values a final
-    /// item method computed instead. No step stops at a first match, so
-    /// the counts a walk reports are those of the whole path.
+    /// Run the path from `start`, leaving the matched nodes in `cur`;
+    /// `Some` holds the values a final item method computed instead. The
+    /// member chain reads the leading `.name` steps; the step loop runs
+    /// the rest, each step reading `cur` and writing `next`. No step stops
+    /// at a first match, so the counts a walk reports are those of the
+    /// whole path.
     fn walk<D: JsonDom>(&mut self, dom: &D, start: NodeRef) -> Option<Vec<PathOutput>> {
-        let mode = self.path.mode;
-        let steps = std::mem::take(&mut self.path.steps);
-        let (mut cur, mut next) = (std::mem::take(&mut self.cur), std::mem::take(&mut self.next));
-        cur.clear();
-        cur.push(start);
-        let mut field_idx = 0usize;
-        let mut computed = None;
+        let PathEvaluator { path, ids, cur, next } = self;
+        ids.walk += 1;
         fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_PATHS).inc();
         let mut eval_span = fsdm_obs::trace::span(fsdm_obs::catalog::SPAN_SQLJSON_EVAL);
-        let (hits0, misses0) = (self.lookback_hits, self.lookback_misses);
-        for step in &steps {
-            fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_NODES_VISITED).add(cur.len() as u64);
-            next.clear();
-            match step {
-                Step::Field { name, hash } => {
-                    let id = self.resolve_field(dom, field_idx, name, *hash);
-                    field_idx += 1;
-                    apply_field(dom, &cur, name, *hash, id, mode, &mut next);
-                }
-                Step::FieldWildcard => apply_field_wildcard(dom, &cur, mode, &mut next),
-                Step::ArrayWildcard => apply_array_wildcard(dom, &cur, mode, &mut next),
-                Step::Array(sels) => apply_array_sel(dom, &cur, sels, mode, &mut next),
-                Step::Filter(pred) => apply_filter(dom, &cur, pred, mode, &mut next),
-                Step::Method(m) => {
-                    // the final step: `cur` keeps the nodes it was applied to
-                    computed = Some(apply_methods(dom, &cur, *m));
-                    break;
-                }
+        let (hits0, misses0) = (ids.hits, ids.misses);
+        let visited = |n: usize| {
+            if n > 0 {
+                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_NODES_VISITED).add(n as u64);
             }
-            std::mem::swap(&mut cur, &mut next);
-            if cur.is_empty() {
-                break;
+        };
+        cur.clear();
+        let computed = match member_chain(dom, start, &path.steps, ids) {
+            Chain::Done(found, hops) => {
+                // one node visited per hop, as the step loop counts them
+                visited(hops);
+                cur.extend(found);
+                None
             }
-        }
-        self.path.steps = steps;
-        (self.cur, self.next) = (cur, next);
+            Chain::Handoff(node, from) => {
+                visited(from);
+                cur.push(node);
+                let rest = path.steps.get(from..).unwrap_or_default();
+                run_steps(dom, rest, path.mode, ids, cur, next, visited)
+            }
+        };
         if eval_span.is_recording() {
-            let (hits, misses) = (self.lookback_hits - hits0, self.lookback_misses - misses0);
+            let (hits, misses) = (ids.hits - hits0, ids.misses - misses0);
             eval_span.record_args(|| format!("lookback hit={hits} miss={misses}"));
         }
         computed
     }
+}
 
-    /// Resolve the instance field id of field step `slot` once per
-    /// document, reusing the previous document's id when this instance's
-    /// dictionary validates it (the §4.2.1 single-row look-back). `None`:
-    /// the instance has no dictionary, look the name up per object.
-    fn resolve_field<D: JsonDom>(
-        &mut self,
-        dom: &D,
-        slot: usize,
-        name: &str,
-        hash: u32,
-    ) -> Option<Option<FieldId>> {
-        if !dom.has_field_ids() {
-            return None;
+/// The step loop: run `steps` in `mode` over the nodes in `cur`, each
+/// step reading `cur` and writing `next`, leaving the matches in `cur`;
+/// `Some` holds the values a final item method computed instead. No step
+/// stops at a first match. `visited` is told how many nodes each step
+/// reads.
+fn run_steps<D: JsonDom>(
+    dom: &D,
+    steps: &[Step],
+    mode: Mode,
+    ids: &mut FieldIds,
+    cur: &mut Vec<NodeRef>,
+    next: &mut Vec<NodeRef>,
+    visited: impl Fn(usize),
+) -> Option<Vec<PathOutput>> {
+    for step in steps {
+        visited(cur.len());
+        next.clear();
+        match step {
+            Step::Field { name, hash } => {
+                let id = ids.resolve(dom, name, *hash);
+                apply_field(dom, cur, name, *hash, id, mode, next);
+            }
+            Step::FieldWildcard => apply_field_wildcard(dom, cur, mode, next),
+            Step::ArrayWildcard => apply_array_wildcard(dom, cur, mode, next),
+            Step::Array(sels) => apply_array_sel(dom, cur, sels, mode, next),
+            Step::Filter(pred) => apply_filter(dom, cur, pred, mode, ids, next),
+            // the final step: `cur` keeps the nodes it was applied to
+            Step::Method(m) => return Some(apply_methods(dom, cur, *m)),
         }
-        match self.lookback.get(slot).copied().unwrap_or(LookBack::Empty) {
-            LookBack::Id(id) if dom.verify_field_id(id, name, hash) => {
-                self.lookback_hits += 1;
-                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_HIT).inc();
-                Some(Some(id))
-            }
-            _ => {
-                let id = dom.field_id(name, hash);
-                self.lookback_misses += 1;
-                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_MISS).inc();
-                if let Some(entry) = self.lookback.get_mut(slot) {
-                    *entry = match id {
-                        Some(i) => LookBack::Id(i),
-                        None => {
-                            fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_ABSENT).inc();
-                            LookBack::Absent
-                        }
-                    };
-                }
-                Some(id)
-            }
+        std::mem::swap(cur, next);
+        if cur.is_empty() {
+            break;
         }
     }
+    None
+}
+
+/// Where a member chain stopped.
+enum Chain {
+    /// It ran its course: the node the last hop reached (`None` when a
+    /// member was missing or a hop met a scalar), and the hops attempted.
+    Done(Option<NodeRef>, usize),
+    /// Step `from` starts on this node and is not a hop the chain takes —
+    /// it is no `.name` step, or the node is an array: the general code
+    /// runs the steps from there.
+    Handoff(NodeRef, usize),
+}
+
+/// **The member chain**: follow the leading `.name` steps from `ctx` in
+/// place, object to child by field id — the first member of a name, as
+/// [`JsonDom::get_field_by_id`] returns it — with each name resolved
+/// through `ids`. Up to the hand-off, the step loops would hold exactly
+/// the one node the chain holds, so handing the remaining steps over from
+/// that node changes neither the answer nor a count.
+fn member_chain<D: JsonDom>(dom: &D, ctx: NodeRef, steps: &[Step], ids: &mut FieldIds) -> Chain {
+    let mut node = ctx;
+    for (i, step) in steps.iter().enumerate() {
+        let Step::Field { name, hash } = step else { return Chain::Handoff(node, i) };
+        let id = ids.resolve(dom, name, *hash);
+        match dom.kind(node) {
+            NodeKind::Object => {}
+            NodeKind::Array => return Chain::Handoff(node, i),
+            NodeKind::Scalar => return Chain::Done(None, i + 1),
+        }
+        let child = match id {
+            Some(Some(id)) => dom.get_field_by_id(node, id),
+            Some(None) => None,
+            None => dom.get_field(node, name, *hash),
+        };
+        match child {
+            Some(c) => node = c,
+            None => return Chain::Done(None, i + 1),
+        }
+    }
+    Chain::Done(Some(node), steps.len())
 }
 
 /// Field step into `out`: `id` is the instance field id the name resolved
@@ -352,6 +437,7 @@ fn apply_filter<D: JsonDom>(
     nodes: &[NodeRef],
     pred: &Predicate,
     mode: Mode,
+    ids: &mut FieldIds,
     out: &mut Vec<NodeRef>,
 ) {
     for &n in nodes {
@@ -359,11 +445,11 @@ fn apply_filter<D: JsonDom>(
         if mode == Mode::Lax && dom.kind(n) == NodeKind::Array {
             for i in 0..dom.array_len(n) {
                 let e = dom.array_element(n, i);
-                if eval_pred(dom, e, pred, mode) {
+                if eval_pred(dom, e, pred, mode, ids) {
                     out.push(e);
                 }
             }
-        } else if eval_pred(dom, n, pred, mode) {
+        } else if eval_pred(dom, n, pred, mode, ids) {
             out.push(n);
         }
     }
@@ -374,42 +460,42 @@ fn apply_methods<D: JsonDom>(dom: &D, nodes: &[NodeRef], m: Method) -> Vec<PathO
     nodes.iter().filter_map(|&n| apply_method(dom, n, m)).map(PathOutput::Computed).collect()
 }
 
-/// Evaluate a relative (`@`) path, collecting what it selects. It runs
-/// lax whatever the mode of the path it sits in, and without look-back
-/// caching: filter paths are usually one or two steps, and the hash binary
-/// search that resolves their names per document is already cheap.
-fn eval_rel_path<D: JsonDom>(dom: &D, ctx: NodeRef, steps: &[Step]) -> Vec<PathOutput> {
+/// Evaluate the steps of a relative (`@`) path a member chain handed
+/// over, from the node it handed them over at, collecting what they
+/// select. It runs lax whatever the mode of the path it sits in, and its
+/// names resolve through the evaluator's table like the path's own:
+/// once per document, however many elements a filter tests.
+fn eval_rel_path<D: JsonDom>(
+    dom: &D,
+    ctx: NodeRef,
+    steps: &[Step],
+    ids: &mut FieldIds,
+) -> Vec<PathOutput> {
     let (mut cur, mut next) = (vec![ctx], Vec::new());
-    for step in steps {
-        next.clear();
-        match step {
-            Step::Field { name, hash } => {
-                apply_field(dom, &cur, name, *hash, None, Mode::Lax, &mut next)
-            }
-            Step::FieldWildcard => apply_field_wildcard(dom, &cur, Mode::Lax, &mut next),
-            Step::ArrayWildcard => apply_array_wildcard(dom, &cur, Mode::Lax, &mut next),
-            Step::Array(sels) => apply_array_sel(dom, &cur, sels, Mode::Lax, &mut next),
-            Step::Filter(p) => apply_filter(dom, &cur, p, Mode::Lax, &mut next),
-            Step::Method(m) => return apply_methods(dom, &cur, *m),
-        }
-        std::mem::swap(&mut cur, &mut next);
-        if cur.is_empty() {
-            break;
-        }
-    }
-    cur.into_iter().map(PathOutput::Node).collect()
+    run_steps(dom, steps, Mode::Lax, ids, &mut cur, &mut next, |_| {})
+        .unwrap_or_else(|| cur.into_iter().map(PathOutput::Node).collect())
 }
 
-fn eval_pred<D: JsonDom>(dom: &D, ctx: NodeRef, pred: &Predicate, mode: Mode) -> bool {
+fn eval_pred<D: JsonDom>(
+    dom: &D,
+    ctx: NodeRef,
+    pred: &Predicate,
+    mode: Mode,
+    ids: &mut FieldIds,
+) -> bool {
     match pred {
-        Predicate::And(a, b) => eval_pred(dom, ctx, a, mode) && eval_pred(dom, ctx, b, mode),
-        Predicate::Or(a, b) => eval_pred(dom, ctx, a, mode) || eval_pred(dom, ctx, b, mode),
-        Predicate::Not(p) => !eval_pred(dom, ctx, p, mode),
-        Predicate::Exists(steps) => !eval_rel_path(dom, ctx, steps).is_empty(),
+        Predicate::And(a, b) => {
+            eval_pred(dom, ctx, a, mode, ids) && eval_pred(dom, ctx, b, mode, ids)
+        }
+        Predicate::Or(a, b) => {
+            eval_pred(dom, ctx, a, mode, ids) || eval_pred(dom, ctx, b, mode, ids)
+        }
+        Predicate::Not(p) => !eval_pred(dom, ctx, p, mode, ids),
+        Predicate::Exists(steps) => !Bound::path(dom, ctx, steps, ids).is_empty(),
         Predicate::Cmp(lhs, op, rhs) => {
             // both operands are bound before any pair is compared, so a
             // relative path is walked once per test whatever it finds
-            let (lhs, rhs) = (Bound::new(dom, ctx, lhs), Bound::new(dom, ctx, rhs));
+            let (lhs, rhs) = (Bound::new(dom, ctx, lhs, ids), Bound::new(dom, ctx, rhs, ids));
             // SQL/JSON existential comparison: true if any pair satisfies
             lhs.each_scalar(dom, mode, &mut |a| {
                 rhs.each_scalar(dom, mode, &mut |b| cmp_scalars(&a, *op, &b))
@@ -418,23 +504,45 @@ fn eval_pred<D: JsonDom>(dom: &D, ctx: NodeRef, pred: &Predicate, mode: Mode) ->
     }
 }
 
-/// A comparison operand bound to one context item.
+/// A comparison operand, or an `exists` path, bound to one context item.
 enum Bound<'p> {
     /// A literal of the path.
     Lit(&'p JsonValue),
-    /// `@` itself: the context item, read in place.
+    /// A node read in place: `@` itself, or what a member chain (`@.a.b`)
+    /// reached.
     Item(NodeRef),
-    /// What a relative path selected.
+    /// What a relative path the member chain handed over selected; empty,
+    /// and not allocated, when a member is missing.
     Items(Vec<PathOutput>),
 }
 
 impl<'p> Bound<'p> {
-    fn new<D: JsonDom>(dom: &D, ctx: NodeRef, op: &'p Operand) -> Self {
+    fn new<D: JsonDom>(dom: &D, ctx: NodeRef, op: &'p Operand, ids: &mut FieldIds) -> Self {
         match op {
             Operand::Lit(v) => Bound::Lit(v),
-            Operand::Path(steps) if steps.is_empty() => Bound::Item(ctx),
-            Operand::Path(steps) => Bound::Items(eval_rel_path(dom, ctx, steps)),
+            Operand::Path(steps) => Bound::path(dom, ctx, steps, ids),
         }
+    }
+
+    /// What relative path `steps` selects from `ctx`: read in place by the
+    /// member chain, or collected by the general code it hands over to.
+    fn path<D: JsonDom>(dom: &D, ctx: NodeRef, steps: &[Step], ids: &mut FieldIds) -> Self {
+        if steps.is_empty() {
+            // `@` itself, bound once per element: not worth a chain
+            return Bound::Item(ctx);
+        }
+        match member_chain(dom, ctx, steps, ids) {
+            Chain::Done(Some(n), _) => Bound::Item(n),
+            Chain::Done(None, _) => Bound::Items(Vec::new()),
+            Chain::Handoff(n, from) => {
+                Bound::Items(eval_rel_path(dom, n, steps.get(from..).unwrap_or_default(), ids))
+            }
+        }
+    }
+
+    /// True when a relative path selected nothing.
+    fn is_empty(&self) -> bool {
+        matches!(self, Bound::Items(items) if items.is_empty())
     }
 
     /// Offer each scalar the operand denotes to `f`, borrowed, until `f`
@@ -565,9 +673,13 @@ fn apply_method<D: JsonDom>(dom: &D, n: NodeRef, m: Method) -> Option<JsonValue>
         Method::Floor => num_method(scalar()?, f64::floor),
         Method::Double => match scalar()? {
             JsonValue::Number(x) => Some(JsonValue::Number(JsonNumber::Dbl(x.to_f64()))),
-            JsonValue::String(s) => {
-                s.trim().parse::<f64>().ok().map(|v| JsonValue::Number(JsonNumber::Dbl(v)))
-            }
+            // a string beyond the range (or "inf", "NaN") is no number
+            JsonValue::String(s) => s
+                .trim()
+                .parse::<f64>()
+                .ok()
+                .filter(|v| v.is_finite())
+                .map(|v| JsonValue::Number(JsonNumber::Dbl(v))),
             _ => None,
         },
     }
@@ -761,7 +873,103 @@ mod tests {
         }
         assert_eq!(total, 45);
         // 10 documents, same dictionary: 9 of the 10 resolutions are cached
-        assert_eq!(ev.lookback_hits, 9);
+        assert_eq!(ev.lookback_hits(), 9);
+    }
+
+    #[test]
+    fn member_chains_read_the_first_member_and_stop_at_scalars_and_absent_names() {
+        // duplicate names: the first member is the one a hop reads
+        let dup = r#"{"a":1,"a":2,"o":{"b":{"c":3},"b":{"c":4}}}"#;
+        assert_eq!(count_everywhere(dup, "$?(@.a == 1)"), 1);
+        assert_eq!(count_everywhere(dup, "$?(@.a == 2)"), 0);
+        assert_eq!(count_everywhere(dup, "$?(@.o.b.c == 3)"), 1);
+        assert_eq!(count_everywhere(dup, "$?(@.o.b.c == 4)"), 0);
+        assert_eq!(count_everywhere(dup, "$.o.b.c"), 1);
+        // a hop from a scalar, and a name no member has, select nothing
+        let doc = r#"{"a":5,"o":{"b":true}}"#;
+        for path in ["$?(@.a.b == 5)", "$?(@.o.b.c == true)", "$?(@.zz == 1)", "$?(@.o.zz != 1)"] {
+            assert_eq!(count_everywhere(doc, path), 0, "{path}");
+        }
+        for path in ["$.a.b", "$.o.b.c", "$.zz", "$.o.zz.b", "$?(exists(@.o.zz))"] {
+            assert_eq!(count_everywhere(doc, path), 0, "{path}");
+        }
+        assert_eq!(count_everywhere(doc, "$?(exists(@.o.b))"), 1);
+        assert_eq!(count_everywhere(doc, "$?(@.zz != 1 || @.o.b == true)"), 1);
+    }
+
+    #[test]
+    fn an_array_at_a_middle_hop_hands_the_chain_to_the_step_loop() {
+        let doc = r#"{"a":[{"b":1},{"b":[2,3]},7,{"c":0}],"o":{"p":[{"q":"x"}]}}"#;
+        // lax unwraps the array under a path's own member step, strict not
+        assert_eq!(count_everywhere(doc, "$.a.b"), 2);
+        assert_eq!(count_everywhere(doc, "strict $.a.b"), 0);
+        assert_eq!(count_everywhere(doc, "$.o.p.q"), 1);
+        assert_eq!(count_everywhere(doc, "strict $.o.p.q"), 0);
+        // a relative path runs lax in either mode; strict then offers no
+        // scalar of an array operand
+        for mode in ["", "strict "] {
+            assert_eq!(count_everywhere(doc, &format!("{mode}$?(@.a.b == 1)")), 1, "{mode}");
+            assert_eq!(count_everywhere(doc, &format!("{mode}$?(@.o.p.q == \"x\")")), 1, "{mode}");
+            assert_eq!(count_everywhere(doc, &format!("{mode}$?(exists(@.a.c))")), 1, "{mode}");
+        }
+        assert_eq!(count_everywhere(doc, "$?(@.a.b == 3)"), 1, "lax unwraps [2,3]");
+        assert_eq!(count_everywhere(doc, "strict $?(@.a.b == 3)"), 0, "strict does not");
+    }
+
+    #[test]
+    fn a_member_path_from_a_non_object_context_selects_as_the_step_loop_does() {
+        let v =
+            parse(r#"{"xs":[1,{"name":"n"},[{"name":"m"},{"name":"k"}],null,{"z":0}]}"#).unwrap();
+        let oson = fsdm_oson::encode(&v).unwrap();
+        let bson = fsdm_bson::encode(&v).unwrap();
+        fn counts<D: JsonDom>(dom: &D, mode: &str) -> Vec<usize> {
+            let rows = PathEvaluator::new(parse_path("$.xs[*]").unwrap()).evaluate(dom);
+            let mut col = PathEvaluator::new(parse_path(&format!("{mode}$.name")).unwrap());
+            let nodes = rows.into_iter().map(|o| match o {
+                PathOutput::Node(n) => n,
+                PathOutput::Computed(v) => panic!("{v}"),
+            });
+            nodes.map(|n| col.count_first(dom, n).0).collect()
+        }
+        for mode in ["", "strict "] {
+            let want = if mode.is_empty() { [0, 1, 2, 0, 0] } else { [0, 1, 0, 0, 0] };
+            assert_eq!(counts(&ValueDom::new(&v), mode), want, "dom {mode}");
+            assert_eq!(counts(&fsdm_oson::OsonDoc::new(&oson).unwrap(), mode), want, "oson {mode}");
+            assert_eq!(counts(&fsdm_bson::BsonDoc::new(&bson).unwrap(), mode), want, "bson {mode}");
+        }
+    }
+
+    /// One evaluator over documents whose dictionaries give the same
+    /// names different ids answers as a fresh evaluator per document, and
+    /// resolves each of its names — the path's steps and the filter's
+    /// operands alike — exactly once per document.
+    #[test]
+    fn one_evaluator_resolves_each_name_once_per_document_across_dictionaries() {
+        let shapes = [
+            |i: i64| {
+                format!(r#"{{"items":[{{"partno":"p0","qty":{i}}},{{"partno":"p1","qty":1}}]}}"#)
+            },
+            // more names, hashed around the shared ones: other ids
+            |i: i64| {
+                format!(
+                    r#"{{"a0":1,"items":[{{"qty":{i},"m":2,"partno":"p2"}},{{"zz":0,"partno":"p1","qty":3}}],"b7":[]}}"#
+                )
+            },
+            |i: i64| format!(r#"{{"items":[{{"partno":"p3"}},{{"note":"x","qty":{i}}}]}}"#),
+        ];
+        let docs: Vec<Vec<u8>> = (0..30)
+            .map(|i| fsdm_oson::encode(&parse(&shapes[i % 3](i as i64)).unwrap()).unwrap())
+            .collect();
+        let path = parse_path(r#"$.items[*]?(@.partno == "p1" || @.qty > 10).partno"#).unwrap();
+        let mut shared = PathEvaluator::new(path.clone());
+        for bytes in &docs {
+            let doc = fsdm_oson::OsonDoc::new(bytes).unwrap();
+            let fresh = PathEvaluator::new(path.clone()).evaluate_values(&doc);
+            assert_eq!(shared.evaluate_values(&doc), fresh);
+        }
+        // items, partno, qty: three names, each resolved once per document
+        assert_eq!(shared.lookback_hits() + shared.lookback_misses(), 3 * docs.len() as u64);
+        assert!(shared.lookback_misses() >= docs.len() as u64, "the dictionaries alternate");
     }
 
     #[test]

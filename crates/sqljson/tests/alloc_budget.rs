@@ -2,7 +2,9 @@
 //! deterministic gates: once its buffers have grown to a collection's
 //! shape, one text pass over a document allocates only for the strings it
 //! keeps — no key, skipped value or position costs an allocation — and
-//! the DOM engine allocates nothing at all over OSON or BSON.
+//! the DOM engine allocates nothing at all over OSON or BSON: not for a
+//! filter's `@.name` operand per array element, not for a `JSON_TABLE`
+//! cell, not for the NUMBER an arithmetic result becomes.
 //!
 //! Its own test binary: the counting allocator below replaces the global
 //! one. The count is per thread, so the tests here do not see each
@@ -14,10 +16,13 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt::Write as _;
 
-use fsdm_json::JsonDom;
+use fsdm_json::{JsonDom, OraNum};
+use fsdm_sqljson::json_table::Ctx;
 use fsdm_sqljson::ops::{json_exists, json_value, OnError};
 use fsdm_sqljson::streaming::{TextPass, Want};
-use fsdm_sqljson::{parse_path, Datum, PathEvaluator, SqlType};
+use fsdm_sqljson::{
+    parse_path, ColumnDef, Datum, JsonTableCursor, JsonTableDef, PathEvaluator, SqlType,
+};
 
 thread_local! {
     /// Allocations and reallocations made by this thread.
@@ -197,4 +202,147 @@ fn the_dom_engine_allocates_nothing_per_document() {
         per_doc(over_oson),
         per_doc(over_bson)
     );
+}
+
+/// The `i`-th purchase order, shaped as the benchmark's generator shapes
+/// it: header fields, then 3–7 line items, each with a part number drawn
+/// from a thousand, a quantity and a unit price.
+fn purchase_order(state: &mut u64, i: usize) -> String {
+    let items: Vec<String> = (0..3 + next(state) % 5)
+        .map(|n| {
+            format!(
+                r#"{{"itemno":{},"partno":"{}","description":"{}","quantity":{},"unitprice":{}.{:02}}}"#,
+                n + 1,
+                97_361_000_000 + next(state) % 1000,
+                word(state, 10),
+                1 + next(state) % 19,
+                next(state) % 900,
+                1 + next(state) % 99,
+            )
+        })
+        .collect();
+    format!(
+        r#"{{"purchaseOrder":{{"id":{i},"reference":"{}-{i}","requestor":"{}","costcenter":"C{}","items":[{}]}}}}"#,
+        word(state, 5).to_uppercase(),
+        word(state, 8),
+        next(state) % 40,
+        items.join(",")
+    )
+}
+
+/// What [`member_probe_allocations`] counted over the measured documents.
+struct Probed {
+    /// Allocations of the three `JSON_EXISTS` probes.
+    probes: u64,
+    /// Allocations of the `quantity` cells.
+    cells: u64,
+    /// Items (one cell each).
+    items: usize,
+    /// Documents each probe matched.
+    matched: [usize; 3],
+}
+
+/// `olap.oson`'s existence probes — T3's one `@.partno` test per item,
+/// T5's three, T4's `@.requestor` — and a `JSON_TABLE` number cell
+/// (`quantity`) for every item, over every document `open` makes of an
+/// encoding.
+fn member_probe_allocations<'a, D: JsonDom>(
+    encoded: &'a [Vec<u8>],
+    open: impl Fn(&'a [u8]) -> D,
+) -> Probed {
+    let mut probes = [
+        r#"$.purchaseOrder.items[*]?(@.partno == "97361000001")"#,
+        r#"$.purchaseOrder.items[*]?(@.partno == "97361000002" || @.partno == "97361000003" || @.partno == "97361000004")"#,
+        r#"$.purchaseOrder?(@.requestor == "nobody")"#,
+    ]
+    .map(|p| PathEvaluator::new(parse_path(p).unwrap()));
+    let mut cursor = JsonTableCursor::new(&JsonTableDef {
+        row_path: parse_path("$.purchaseOrder.items[*]").unwrap(),
+        columns: vec![ColumnDef::value(
+            "quantity",
+            SqlType::Number,
+            parse_path("$.quantity").unwrap(),
+        )],
+        nested: vec![],
+    });
+    let mut rows: Vec<Ctx> = Vec::new();
+    let mut probed = Probed { probes: 0, cells: 0, items: 0, matched: [0; 3] };
+    for (i, bytes) in encoded.iter().enumerate() {
+        let dom = open(bytes);
+        let mut found = [false; 3];
+        let probing = allocations_of(|| {
+            for (f, ev) in found.iter_mut().zip(&mut probes) {
+                *f = json_exists(&dom, ev);
+            }
+        });
+        // the expansion allocates its row list; the cells are measured
+        rows.clear();
+        cursor.expand(&dom, &mut |ctx| rows.extend(ctx.first()));
+        let mut quantities = 0;
+        let cells = allocations_of(|| {
+            for &row in &rows {
+                let quantity = cursor.cell(&dom, 0, row);
+                quantities += quantity.as_num().and_then(|n| n.to_i64()).unwrap_or(0);
+            }
+        });
+        assert!(quantities >= rows.len() as i64, "every item has a quantity of at least 1");
+        if i >= WARM_UP {
+            probed.probes += probing;
+            probed.cells += cells;
+            probed.items += rows.len();
+            for (m, f) in probed.matched.iter_mut().zip(found) {
+                *m += usize::from(f);
+            }
+        }
+    }
+    probed
+}
+
+#[test]
+fn member_probes_and_cells_allocate_nothing() {
+    let mut state = 7;
+    let docs: Vec<fsdm_json::JsonValue> = (0..WARM_UP + MEASURED)
+        .map(|i| fsdm_json::parse(&purchase_order(&mut state, i)).unwrap())
+        .collect();
+    let oson: Vec<Vec<u8>> = docs.iter().map(|d| fsdm_oson::encode(d).unwrap()).collect();
+    let bson: Vec<Vec<u8>> = docs.iter().map(|d| fsdm_bson::encode(d).unwrap()).collect();
+    let over_oson = member_probe_allocations(&oson, |b| fsdm_oson::OsonDoc::new(b).unwrap());
+    let over_bson = member_probe_allocations(&bson, |b| fsdm_bson::BsonDoc::new(b).unwrap());
+    for (format, p) in [("OSON", &over_oson), ("BSON", &over_bson)] {
+        let [t3, t5, t4] = p.matched;
+        assert!(t3 > 0 && t5 > t3 && t4 == 0, "{format}: probes matched {:?}", p.matched);
+        let per_doc = |n: u64| n as f64 / MEASURED as f64;
+        assert!(
+            p.probes == 0 && p.cells == 0,
+            "{format}: {} allocations per document in three probes, {} in {} quantity cells \
+             ({MEASURED} documents, {} items)",
+            per_doc(p.probes),
+            per_doc(p.cells),
+            per_doc(p.items as u64),
+            p.items
+        );
+    }
+}
+
+/// What `sum(quantity * unitprice)` converts once per row: an exact
+/// `f64` product to NUMBER, through `{:e}` on the stack; and literals
+/// read straight into NUMBER.
+#[test]
+fn number_conversions_allocate_nothing() {
+    let products: Vec<f64> = (1..=200)
+        .flat_map(|k| [0.01, 350.86, 19.99, 1e-7, 123_456.789].map(|p| k as f64 * p))
+        .collect();
+    let literals = ["350.86", "-0.000125", "1.5e3", "000123.4500", "98765432109876543210.5e-40"];
+    let mut encoded = 0;
+    let allocations = allocations_of(|| {
+        for &v in &products {
+            encoded += usize::from(OraNum::from_f64(v).is_some());
+            encoded += usize::from(matches!(Datum::from(v), Datum::Num(_)));
+        }
+        for s in literals {
+            encoded += usize::from(OraNum::from_decimal_str(s).is_ok());
+        }
+    });
+    assert_eq!(encoded, 2 * products.len() + literals.len());
+    assert_eq!(allocations, 0, "{allocations} allocations for {encoded} conversions");
 }

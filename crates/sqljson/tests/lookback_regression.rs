@@ -41,8 +41,8 @@ fn lookback_hits_on_homogeneous_misses_on_heterogeneous() {
     assert_eq!(matched, 100, "every document has $.nested_obj.num");
     // instance counters: 2 field steps; only the first document resolves
     // against the dictionary, the other 99 reuse the cached field ids
-    assert_eq!(ev.lookback_hits, 198);
-    assert_eq!(ev.lookback_misses, 2);
+    assert_eq!(ev.lookback_hits(), 198);
+    assert_eq!(ev.lookback_misses(), 2);
     // the same numbers must flow into the global registry
     let delta = fsdm_obs::snapshot().diff(&before);
     assert_eq!(delta.counter("sqljson.lookback.hit"), 198);
@@ -78,12 +78,12 @@ fn lookback_hits_on_homogeneous_misses_on_heterogeneous() {
     }
     assert_eq!(matched, 100);
     let delta = fsdm_obs::snapshot().diff(&before);
-    assert_eq!(delta.counter("sqljson.lookback.hit"), ev.lookback_hits);
-    assert_eq!(delta.counter("sqljson.lookback.miss"), ev.lookback_misses);
+    assert_eq!(delta.counter("sqljson.lookback.hit"), ev.lookback_hits());
+    assert_eq!(delta.counter("sqljson.lookback.miss"), ev.lookback_misses());
     assert!(
-        ev.lookback_misses > ev.lookback_hits,
+        ev.lookback_misses() > ev.lookback_hits(),
         "heterogeneous collection must be miss-dominated: {} hits vs {} misses",
-        ev.lookback_hits,
-        ev.lookback_misses
+        ev.lookback_hits(),
+        ev.lookback_misses()
     );
 }

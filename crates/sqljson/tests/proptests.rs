@@ -46,7 +46,7 @@ fn arb_doc() -> impl Strategy<Value = JsonValue> {
 /// Paths over the same vocabulary: a streamable body, optionally in
 /// strict mode, optionally ending in a step that needs a DOM — among them
 /// filters whose comparisons meet array operands, mismatched types, item
-/// methods and boolean connectives.
+/// methods, boolean connectives and `@.a.b` member chains.
 fn arb_streamable_path() -> impl Strategy<Value = String> {
     let step = prop_oneof![
         Just(".a".to_string()),
@@ -73,6 +73,12 @@ fn arb_streamable_path() -> impl Strategy<Value = String> {
         Just("?(exists(@.b) && !(@.price < 0))"),
         Just("?(@.size() >= 2)"),
         Just("?(@.items == 1)"),
+        // member chains: one hop, two, across arrays and scalars
+        Just("?(@.a > 0)"),
+        Just("?(@.a.b == \"ab\")"),
+        Just("?(exists(@.a.b))"),
+        Just("?(@.a != @.b)"),
+        Just("?(@.price == 1 || @.price == 2 || @.price == 3)"),
         Just(".size()"),
         Just("[last]"),
     ];

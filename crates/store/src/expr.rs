@@ -707,7 +707,8 @@ fn eval_fun(
 /// Numeric arithmetic with SQL NULL propagation — the single definition
 /// shared by the row evaluator above and the vectorized
 /// [`crate::vector::ValKernel`], so both paths agree bit-for-bit on
-/// nulls, coercion failures, and division by zero.
+/// nulls, coercion failures, division by zero, and a result beyond the
+/// `f64` range, which no number stands for.
 pub(crate) fn arith_datums(x: &Datum, op: ArithOp, y: &Datum) -> Result<Datum, StoreError> {
     if x.is_null() || y.is_null() {
         return Ok(Datum::Null);
@@ -727,6 +728,9 @@ pub(crate) fn arith_datums(x: &Datum, op: ArithOp, y: &Datum) -> Result<Datum, S
             nx / ny
         }
     };
+    if !r.is_finite() {
+        return Err(StoreError::new("numeric overflow"));
+    }
     Ok(Datum::from(r))
 }
 

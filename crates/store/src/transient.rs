@@ -908,7 +908,7 @@ mod tests {
         assert_eq!(cols.vec(0).datum(7), Datum::from(7i64));
         // one evaluator saw all ten documents: nine look-back hits
         let ev = scratch.spine(&leaves).0.evaluators[0].as_ref().unwrap();
-        assert_eq!((ev.lookback_hits, ev.lookback_misses), (9, 1));
+        assert_eq!((ev.lookback_hits(), ev.lookback_misses()), (9, 1));
     }
 
     #[test]
@@ -930,7 +930,7 @@ mod tests {
         // a later stage over a narrower selection reuses the vectors
         let ev_hits = |s: &mut EvalScratch| {
             let ev = s.spine(&leaves).0.evaluators[slot].as_ref().unwrap();
-            ev.lookback_hits + ev.lookback_misses
+            ev.lookback_hits() + ev.lookback_misses()
         };
         let before = ev_hits(&mut scratch);
         cols.extract(&Rows::Table(&t), &leaves, &[slot], &SelVec::Ids(vec![7]), &mut scratch)
