@@ -32,6 +32,12 @@ FSDM_THREADS=1 cargo test --workspace -q
 echo "== tests (full workspace, 4-way parallel executor) =="
 FSDM_THREADS=4 cargo test --workspace -q
 
+echo "== stream differentials under a second case set =="
+# the proptest stand-in seeds case k with PROPTEST_SEED + k: a base more
+# than the 300 cases away from the default 0 replays none of its cases
+PROPTEST_SEED=977 cargo test -q -p fsdm-sqljson --test proptests
+PROPTEST_SEED=977 cargo test -q -p fsdm-json --test proptests
+
 echo "== chaos acceptance (500 seeded fault schedules, zero contract violations) =="
 # the tier-1 suite above runs the 24-schedule shape of the same test file
 cargo test --release --test chaos -- --ignored

@@ -130,7 +130,7 @@ impl FsdmDatabase {
     /// Fetch a document back as JSON text.
     pub fn get(&self, collection: &str, id: u64) -> Option<String> {
         let table = self.session.db.table(collection)?;
-        let row = table.rows.get(id as usize)?;
+        let row = table.rows().get(id as usize)?;
         match row.get(1) {
             Some(Cell::J(j)) => Some(j.decode_to_text()),
             _ => None,
@@ -293,7 +293,7 @@ impl FsdmDatabase {
         let jp = parse_path(path).map_err(|e| SqlError::new(e.message))?;
         let mut ev = PathEvaluator::new(jp.clone());
         let mut out = Vec::new();
-        for (i, row) in table.rows.iter().enumerate() {
+        for (i, row) in table.rows().iter().enumerate() {
             if let Some(Cell::J(j)) = row.get(1) {
                 let values: Vec<String> = match j {
                     fsdm_store::JsonCell::Text(s) => fsdm_sqljson::streaming::eval_text(s, &jp)

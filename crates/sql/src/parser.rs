@@ -495,6 +495,11 @@ impl Parser {
             }
             Some(Token::Sym("-")) => {
                 self.i += 1;
+                // a negative number literal keeps every digit of its text
+                if let Some(Token::Number(n)) = self.peek().cloned() {
+                    self.i += 1;
+                    return Ok(SqlExpr::NumLit(format!("-{n}")));
+                }
                 let e = self.primary()?;
                 Ok(SqlExpr::Binary(Box::new(SqlExpr::NumLit("0".into())), "-".into(), Box::new(e)))
             }

@@ -728,14 +728,6 @@ fn literal_datum(e: &SqlExpr) -> Result<Datum> {
         }
         SqlExpr::StrLit(s) => Datum::Str(s.clone()),
         SqlExpr::Null => Datum::Null,
-        SqlExpr::Binary(l, op, r) if op == "-" => {
-            // negative literals parse as 0 - n
-            let (a, b) = (literal_datum(l)?, literal_datum(r)?);
-            match (a.as_num(), b.as_num()) {
-                (Some(x), Some(y)) => Datum::from(x.to_f64() - y.to_f64()),
-                _ => return Err(SqlError::new("expected a literal")),
-            }
-        }
         other => return Err(SqlError::new(format!("expected a literal, found {other:?}"))),
     })
 }

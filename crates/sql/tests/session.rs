@@ -421,3 +421,62 @@ fn a_number_beyond_the_f64_range_is_refused() {
         }
     }
 }
+
+/// A negative number literal is one literal with every digit of its text:
+/// `=` and `IN` find the document and the row holding exactly that number,
+/// with the spine on and off; an insert stores it whole; and `did = -1`
+/// lowers to a kernel, with nothing left row-wise.
+#[test]
+fn a_negative_number_literal_keeps_its_digits() {
+    let big = "-12345678901234567891";
+    let mut s = Session::new();
+    s.execute("create table t (did number, jdoc json store as text)").unwrap();
+    s.execute(&format!(r#"insert into t values ({big}, '{{"a":{big}}}')"#)).unwrap();
+    // the nearest f64 of `big`, which a literal folded through f64 becomes
+    s.execute(r#"insert into t values (-1, '{"a":-12345678901234567168}')"#).unwrap();
+    let dids = s.execute("select did from t order by did").unwrap().rows;
+    assert_eq!(dids[0][0].to_text(), big, "stored whole");
+    let value = "json_value(jdoc, '$.a' returning number)";
+    for columnar in [true, false] {
+        s.db.set_columnar(columnar);
+        for filter in [
+            format!("{value} = {big}"),
+            format!("{value} in (-5, {big})"),
+            format!("did = {big}"),
+            format!("did in ({big}, -5)"),
+        ] {
+            let r = s.execute(&format!("select did from t where {filter}")).unwrap();
+            assert_eq!(r.rows.len(), 1, "{filter}, columnar={columnar}");
+            assert_eq!(r.rows[0][0].to_text(), big, "{filter}, columnar={columnar}");
+        }
+        let r = s.execute("select jdoc from t where did = -1").unwrap();
+        assert_eq!(r.rows.len(), 1, "columnar={columnar}");
+    }
+    s.db.set_columnar(true);
+    let explain = s.explain("select jdoc from t where did = -1", &[]).unwrap();
+    assert!(explain.contains("mode=columnar") && !explain.contains("rowwise="), "{explain}");
+}
+
+/// Only text an `IS JSON` constraint parsed may end its scan early: in a
+/// column without one, a document torn after the member a path reads
+/// fails to scan, so `$.a` is NULL on the spine and on the row evaluator.
+#[test]
+fn torn_text_without_is_json_is_read_to_its_end() {
+    let mut s = Session::new();
+    s.execute("create table raw (id number, j json store as text without validation)").unwrap();
+    for (id, doc) in [(1i64, r#"{"a":1,"b":true}"#), (2, r#"{"a":1,"b":tru"#)] {
+        s.execute_with("insert into raw values (?, ?)", &[Datum::from(id), Datum::from(doc)])
+            .unwrap();
+    }
+    let value = "select id, json_value(j, '$.a' returning number) from raw";
+    let filtered = "select id from raw where json_value(j, '$.a' returning number) = 1";
+    let explain = s.explain(value, &[]).unwrap();
+    assert!(explain.contains("mode=columnar  transient=[JSON_VALUE("), "{explain}");
+    for columnar in [true, false] {
+        s.db.set_columnar(columnar);
+        let r = s.execute(value).unwrap();
+        let expected = [[Datum::from(1i64), Datum::from(1i64)], [Datum::from(2i64), Datum::Null]];
+        assert_eq!(r.rows, expected, "columnar={columnar}");
+        assert_eq!(s.execute(filtered).unwrap().rows, [[Datum::from(1i64)]], "columnar={columnar}");
+    }
+}

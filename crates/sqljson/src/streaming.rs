@@ -19,12 +19,25 @@
 //! consumed with [`EventParser::skip_value`], which validates it without
 //! producing events.
 //!
-//! Verdicts on text that fails to scan (possible in a `ConstraintMode::None`
-//! column): a value path is NULL; an exists path whose prefix is the whole
-//! path is decided at its first match, so one that matched before the
-//! failure is true; a path with a suffix is decided at the end of the
-//! document, as the full parse it replaces. The scan stops early only once
-//! every path of the pass is a decided exists path.
+//! **Checked text.** Text from a column whose `IS JSON` constraint parsed
+//! it at insert is *checked*: the caller says so to [`TextPass::run`]. Its
+//! scan ends where no answer can change any more — once the root object
+//! is spent (every rule on it is a field step that has taken its member,
+//! and no capture of the root is open), or when no path reaches the root
+//! at all — and the rest of the document goes unread. That is sound
+//! because a field step takes the first member of its name, so later
+//! members cannot match, and because the text is known to be well formed.
+//! Everything the scan does read is still validated: a skipped value or
+//! the rest of an inner object is consumed by `skip_value` / `skip_rest`.
+//!
+//! Unchecked text (a `ConstraintMode::None` column, or any caller that
+//! cannot vouch for it) is read to its last byte, and text that fails to
+//! scan gets these verdicts: a value path is NULL; an exists path whose
+//! prefix is the whole path is decided at its first match, so one that
+//! matched before the failure is true; a path with a suffix is decided at
+//! the end of the document, as the full parse it replaces. The scan of
+//! unchecked text stops early only once every path of the pass is a
+//! decided exists path.
 
 // hot path over stored text no constraint checked: corrupted input returns
 // `Err` or a total fallback, never a panic (DESIGN.md §8)
@@ -51,21 +64,22 @@ use crate::ops::{output_datum, value_rule, OnError};
 use crate::path::{ArraySel, IndexExpr, JsonPath, Mode, Step};
 
 /// Evaluate a path over JSON text: every item it selects, materialized.
-/// A one-path [`TextPass`].
+/// A one-path [`TextPass`] over unchecked text.
 pub fn eval_text(text: &str, path: &JsonPath) -> Result<Vec<JsonValue>, JsonError> {
     let mut pass = TextPass::new([(Cow::Borrowed(path), Want::Items)]);
-    pass.run(text)?;
+    pass.run(text, false)?;
     Ok(pass.take_items(0))
 }
 
-/// Existence test over JSON text, a one-path [`TextPass`]: true as soon
-/// as a streamed match is seen, even if the text fails to scan later.
+/// Existence test over JSON text, a one-path [`TextPass`] over unchecked
+/// text: true as soon as a streamed match is seen, even if the text fails
+/// to scan later.
 pub fn exists_text(text: &str, path: &JsonPath) -> Result<bool, JsonError> {
     let mut pass = TextPass::new([(Cow::Borrowed(path), Want::Exists)]);
-    let scanned = pass.run(text);
+    let scanned = pass.run(text, false);
     match pass.take(0) {
         Datum::Bool(true) => Ok(true),
-        _ => scanned.map(|()| false),
+        _ => scanned.map(|_| false),
     }
 }
 
@@ -206,10 +220,13 @@ impl<'p> TextPass<'p> {
         TextPass { paths, scan: Scan::default() }
     }
 
-    /// Answer every path over `text` in one scan. `Err` when the text
+    /// Answer every path over `text` in one scan, and return the byte
+    /// offset where the scan ended. `checked`: the text is known to be
+    /// well formed (an `IS JSON` column's), so the scan may end before the
+    /// end of the document, as the module doc says. `Err` when the text
     /// fails to scan; the answers then hold the verdicts the module doc
     /// gives for that case.
-    pub fn run(&mut self, text: &str) -> Result<(), JsonError> {
+    pub fn run(&mut self, text: &str, checked: bool) -> Result<usize, JsonError> {
         for p in &mut self.paths {
             (p.count, p.first) = (0, None);
             p.found = false;
@@ -225,7 +242,7 @@ impl<'p> TextPass<'p> {
         scan.undecided = self.paths.len();
         let stacks = std::mem::take(&mut scan.stacks);
         let mut parser = EventParser::with_stacks(text, stacks);
-        let walked = self.walk(&mut parser, text);
+        let walked = self.walk(&mut parser, text, checked).map(|()| parser.offset());
         self.scan.stacks = parser.into_stacks();
         if walked.is_ok() {
             self.run_suffixes();
@@ -249,7 +266,12 @@ impl<'p> TextPass<'p> {
         self.paths.get_mut(i).map(|p| std::mem::take(&mut p.values)).unwrap_or_default()
     }
 
-    fn walk(&mut self, parser: &mut EventParser<'_>, text: &str) -> Result<(), JsonError> {
+    fn walk(
+        &mut self,
+        parser: &mut EventParser<'_>,
+        text: &str,
+        checked: bool,
+    ) -> Result<(), JsonError> {
         // the root holds position 0 of every path
         let root = (0..self.paths.len()).map(|path| Pos { path, step: 0, unwrapped: false });
         self.scan.incoming.extend(root);
@@ -266,15 +288,23 @@ impl<'p> TextPass<'p> {
                 Event::EndObject | Event::EndArray => self.close(parser.offset(), text)?,
                 value => {
                     self.element();
-                    self.enter(parser, &value)?;
-                    if self.scan.undecided == 0 {
+                    let unread = self.enter(parser, &value, checked)?;
+                    if unread || self.scan.undecided == 0 {
                         return Ok(());
                     }
                 }
             }
             // a value is complete: an object whose every field step has
-            // taken its member can match nothing more
-            while self.spent() && parser.skip_rest()? {
+            // taken its member can match nothing more; of checked text,
+            // once that object is the uncaptured root, the rest goes unread
+            while self.spent() {
+                let Scan { frames, captures, .. } = &self.scan;
+                if checked && frames.len() == 1 && captures.is_empty() {
+                    return Ok(());
+                }
+                if !parser.skip_rest()? {
+                    break;
+                }
                 self.close(parser.offset(), text)?;
             }
         }
@@ -342,8 +372,14 @@ impl<'p> TextPass<'p> {
 
     /// The value whose first event is `event` starts: apply its
     /// positions — lax wraps, matches, the rules its children see — then
-    /// skip it, parse it or open it.
-    fn enter(&mut self, parser: &mut EventParser<'_>, event: &Event<'_>) -> Result<(), JsonError> {
+    /// skip it, parse it or open it. `Ok(true)`: it is the root of checked
+    /// text that no path reaches inside, left unread instead of skipped.
+    fn enter(
+        &mut self,
+        parser: &mut EventParser<'_>,
+        event: &Event<'_>,
+        checked: bool,
+    ) -> Result<bool, JsonError> {
         let container = match event {
             Event::StartObject => Some(false),
             Event::StartArray => Some(true),
@@ -391,15 +427,15 @@ impl<'p> TextPass<'p> {
             if !hits.is_empty() {
                 keep(&mut self.paths, hits, arena, event.to_value()?.unwrap_or(JsonValue::Null));
             }
-            return Ok(());
+            return Ok(false);
         };
         let (kept, inside) = (!hits.is_empty(), rules.len() > from);
         match (kept, inside) {
-            (false, false) => parser.skip_value(),
+            (false, false) if checked && frames.is_empty() => return Ok(true),
+            (false, false) => parser.skip_value()?,
             (true, false) => {
                 let v = parser.parse_value()?.unwrap_or(JsonValue::Null);
                 keep(&mut self.paths, hits, arena, v);
-                Ok(())
             }
             (_, true) => {
                 if kept {
@@ -409,9 +445,9 @@ impl<'p> TextPass<'p> {
                     keep(&mut self.paths, hits, arena, JsonValue::Null);
                 }
                 frames.push(Frame { from, array, index: 0 });
-                Ok(())
             }
         }
+        Ok(false)
     }
 
     /// The innermost open container ends at byte `end`.
@@ -565,8 +601,61 @@ mod tests {
         let compiled: Vec<JsonPath> = paths.iter().map(|(p, _)| parse_path(p).unwrap()).collect();
         let mut pass =
             TextPass::new(compiled.iter().zip(paths).map(|(p, (_, w))| (Cow::Borrowed(p), *w)));
-        let ok = pass.run(doc).is_ok();
+        let ok = pass.run(doc, false).is_ok();
         ((0..paths.len()).map(|i| pass.take(i)).collect(), ok)
+    }
+
+    /// A NOBENCH document: `num` is the third member, `nested_arr` the
+    /// eighth.
+    const NOBENCH: &str = r#"{"str1":"GBRDCMBQGA======","str2":"GBRDC===","num":42,"bool":true,"dyn1":"x","dyn2":[1,{"a":2}],"nested_obj":{"str":"GBRDC===","num":7},"nested_arr":["a","b"],"sparse_420":"y","sparse_421":"z","thousandth":42}"#;
+
+    /// Where one pass of `paths` over `doc` ends, checked and unchecked.
+    fn ends(doc: &str, paths: &[(&str, Want)]) -> (usize, usize) {
+        let compiled: Vec<JsonPath> = paths.iter().map(|(p, _)| parse_path(p).unwrap()).collect();
+        let mut pass =
+            TextPass::new(compiled.iter().zip(paths).map(|(p, (_, w))| (Cow::Borrowed(p), *w)));
+        let checked = pass.run(doc, true).unwrap();
+        let answers: Vec<Datum> = (0..paths.len()).map(|i| pass.take(i)).collect();
+        let unchecked = pass.run(doc, false).unwrap();
+        assert_eq!((0..paths.len()).map(|i| pass.take(i)).collect::<Vec<_>>(), answers, "{doc}");
+        (checked, unchecked)
+    }
+
+    /// The byte just past the first occurrence of `member`.
+    fn after(doc: &str, member: &str) -> usize {
+        doc.find(member).unwrap() + member.len()
+    }
+
+    #[test]
+    fn checked_text_ends_at_the_last_decision() {
+        let num = [("$.num", Want::Value(SqlType::Number))];
+        assert_eq!(ends(NOBENCH, &num), (after(NOBENCH, r#""num":42"#), NOBENCH.len()));
+        // an inner object is still read to its end, validating it
+        let inner = [("$.nested_obj.str", Want::Value(SqlType::Any)), ("$.num", Want::Exists)];
+        assert_eq!(ends(NOBENCH, &inner).0, after(NOBENCH, r#""num":7}"#));
+        // a suffix path ends after its capture: Q8's array closes
+        let q8 = [("$.nested_arr[*]?(@ == \"b\")", Want::Exists)];
+        assert_eq!(ends(NOBENCH, &q8).0, after(NOBENCH, r#"["a","b"]"#));
+        // an absent path, a wildcard or a captured root needs every member
+        for paths in [
+            [("$.sparse_999", Want::Exists)],
+            [("$.*", Want::Value(SqlType::Any))],
+            [("$?(@.num == 42)", Want::Exists)],
+        ] {
+            assert_eq!(ends(NOBENCH, &paths), (NOBENCH.len(), NOBENCH.len()), "{paths:?}");
+        }
+        let captured = [("$.num", Want::Exists), ("$?(@.num == 42)", Want::Exists)];
+        assert_eq!(ends(NOBENCH, &captured).0, NOBENCH.len());
+        // a root no path reaches inside is not read at all
+        assert_eq!(ends("[1,2,3]", &[("strict $.a", Want::Exists)]), (1, 7));
+        // the unread tail is not validated: only unchecked text fails here
+        let jp = parse_path("$.a").unwrap();
+        let mut pass = TextPass::new([(Cow::Borrowed(&jp), Want::Value(SqlType::Number))]);
+        let torn = r#"{"a":1,"b":tru"#;
+        assert_eq!(pass.run(torn, true).unwrap(), 6);
+        assert_eq!(pass.take(0), Datum::from(1i64));
+        assert!(pass.run(torn, false).is_err());
+        assert_eq!(pass.take(0), Datum::Null);
     }
 
     #[test]
@@ -749,7 +838,7 @@ mod tests {
         for (doc, want) in
             [(r#"{"v":1}"#, Datum::from(1i64)), ("{", Datum::Null), ("[]", Datum::Null)]
         {
-            let _ = pass.run(doc);
+            let _ = pass.run(doc, false);
             assert_eq!(pass.take(0), want, "{doc}");
         }
     }

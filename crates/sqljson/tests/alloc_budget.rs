@@ -124,7 +124,7 @@ fn a_pass_allocates_once_per_kept_string() {
     ];
     let mut pass = TextPass::new(paths.iter().map(|(p, w)| (Cow::Borrowed(p), *w)));
     let mut run = |doc: &str| -> [Datum; 3] {
-        pass.run(doc).expect("generated JSON");
+        pass.run(doc, false).expect("generated JSON");
         [pass.take(0), pass.take(1), pass.take(2)]
     };
     for doc in warm_up {

@@ -117,11 +117,15 @@ fn narrow_answers_hold<D: JsonDom>(dom: &D, jp: &JsonPath) -> Result<(), TestCas
     Ok(())
 }
 
-/// One pass of `paths` over `text`: each path's answer, and whether the
-/// text scanned.
-fn one_pass(text: &str, paths: &[(JsonPath, Want)]) -> (Vec<(Datum, Vec<JsonValue>)>, bool) {
+/// One pass of `paths` over `text` (`checked`: known to be well formed):
+/// each path's answer, and whether the text scanned.
+fn one_pass(
+    text: &str,
+    paths: &[(JsonPath, Want)],
+    checked: bool,
+) -> (Vec<(Datum, Vec<JsonValue>)>, bool) {
     let mut pass = TextPass::new(paths.iter().map(|(p, w)| (Cow::Borrowed(p), *w)));
-    let scanned = pass.run(text).is_ok();
+    let scanned = pass.run(text, checked).is_ok();
     let answers = (0..paths.len()).map(|i| (pass.take(i), pass.take_items(i))).collect();
     (answers, scanned)
 }
@@ -173,8 +177,9 @@ proptest! {
         prop_assert_eq!(streaming::exists_text(&text, &jp).unwrap(), !via_dom.is_empty());
     }
 
-    /// One pass answers 1–4 paths over one document: each answer is the
-    /// DOM engine's, and an exists answer is "items are non-empty".
+    /// One pass answers 1–4 paths over one document, checked (the scan
+    /// may end early) and validating alike: each answer is the DOM
+    /// engine's, and an exists answer is "items are non-empty".
     #[test]
     fn one_pass_answers_each_path_as_the_dom_does(
         doc in arb_doc(),
@@ -183,13 +188,18 @@ proptest! {
         let text = fsdm_json::to_string(&doc);
         let compiled: Vec<(JsonPath, Want)> =
             paths.iter().map(|(p, w)| (parse_path(p).unwrap(), *w)).collect();
-        let (answers, scanned) = one_pass(&text, &compiled);
-        prop_assert!(scanned);
-        for ((jp, want), answer) in compiled.iter().zip(&answers) {
-            prop_assert_eq!(answer, &dom_answer(&doc, jp, *want), "{} ({:?}) on {}", jp, want, text);
-            if *want == Want::Exists {
-                let (_, items) = dom_answer(&doc, jp, Want::Items);
-                prop_assert_eq!(&answer.0, &Datum::Bool(!items.is_empty()));
+        for checked in [false, true] {
+            let (answers, scanned) = one_pass(&text, &compiled, checked);
+            prop_assert!(scanned);
+            for ((jp, want), answer) in compiled.iter().zip(&answers) {
+                prop_assert_eq!(
+                    answer, &dom_answer(&doc, jp, *want),
+                    "{} ({:?}, checked={}) on {}", jp, want, checked, text
+                );
+                if *want == Want::Exists {
+                    let (_, items) = dom_answer(&doc, jp, Want::Items);
+                    prop_assert_eq!(&answer.0, &Datum::Bool(!items.is_empty()));
+                }
             }
         }
     }
@@ -209,7 +219,7 @@ proptest! {
             paths.iter().map(|(p, w)| (parse_path(p).unwrap(), *w)).collect();
         let (truncated, flipped) = damage(&text, cut, at, bit);
         for damaged in [&truncated, &flipped] {
-            let (answers, scanned) = one_pass(damaged, &compiled);
+            let (answers, scanned) = one_pass(damaged, &compiled, false);
             let parses = fsdm_json::parse(damaged).is_ok();
             let early = compiled.iter().all(|(p, w)| {
                 *w == Want::Exists && p.streamable_prefix() == p.steps.len()

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use fsdm_sqljson::Datum;
 
 use crate::jsonaccess::{JsonCell, OpenDoc};
+use crate::schema::ConstraintMode;
 use crate::table::{Cell, StoreError, Table};
 
 /// A typed in-memory column vector.
@@ -281,10 +282,16 @@ impl Table {
 
     /// The document a scan evaluates SQL/JSON operators against at
     /// `(row_id, col)`, opened once; `None` when the cell is not JSON.
+    /// Text is checked when the column's `IS JSON` constraint parsed it
+    /// at insert.
     pub(crate) fn open_doc(&self, row_id: usize, col: usize) -> Option<OpenDoc<'_>> {
         match self.imc_bytes(row_id, col) {
             Some(bytes) => Some(OpenDoc::oson(bytes)),
             None => match self.rows[row_id].get(col)? {
+                Cell::J(JsonCell::Text(text)) => {
+                    let checked = self.schema.columns[col].constraint != ConstraintMode::None;
+                    Some(OpenDoc::Text { text, checked })
+                }
                 Cell::J(j) => Some(j.open()),
                 Cell::D(_) => None,
             },

@@ -96,10 +96,11 @@ impl JsonCell {
     }
 
     /// Open the document once, so several operators over the same row
-    /// share the format's header check.
+    /// share the format's header check. Text opens unchecked: the row
+    /// evaluator, the oracle, reads every text to its end.
     pub(crate) fn open(&self) -> OpenDoc<'_> {
         match self {
-            JsonCell::Text(s) => OpenDoc::Text(s),
+            JsonCell::Text(text) => OpenDoc::Text { text, checked: false },
             JsonCell::Bson(b) => fsdm_bson::BsonDoc::new(b).map_or(OpenDoc::Invalid, OpenDoc::Bson),
             JsonCell::Oson(b) => OpenDoc::oson(b),
         }
@@ -150,8 +151,10 @@ pub(crate) use with_dom;
 /// row once and runs every path of the statement against it; the row
 /// evaluator opens per operator through [`JsonCell::json_value`].
 pub(crate) enum OpenDoc<'a> {
-    /// JSON text: every text pass scans it again.
-    Text(&'a str),
+    /// JSON text: every text pass scans it again. `checked`: an `IS JSON`
+    /// column's, parsed when it was stored, so a pass may leave the rest
+    /// of the document unread once no answer can change.
+    Text { text: &'a str, checked: bool },
     /// A BSON buffer past its header check.
     Bson(fsdm_bson::BsonDoc<'a>),
     /// An OSON instance past its header check.
@@ -169,7 +172,7 @@ impl<'a> OpenDoc<'a> {
     /// `JSON_VALUE … RETURNING ty NULL ON ERROR`.
     pub(crate) fn json_value(&self, ev: &mut PathEvaluator, ty: SqlType) -> Datum {
         match self {
-            OpenDoc::Text(s) => text_answer(s, ev.path(), Want::Value(ty)),
+            OpenDoc::Text { text, .. } => text_answer(text, ev.path(), Want::Value(ty)),
             OpenDoc::Bson(doc) => json_value(doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
             OpenDoc::Oson(doc) => json_value(doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
             OpenDoc::Invalid => Datum::Null,
@@ -179,7 +182,9 @@ impl<'a> OpenDoc<'a> {
     /// `JSON_EXISTS`.
     pub(crate) fn json_exists(&self, ev: &mut PathEvaluator) -> bool {
         match self {
-            OpenDoc::Text(s) => text_answer(s, ev.path(), Want::Exists) == Datum::Bool(true),
+            OpenDoc::Text { text, .. } => {
+                text_answer(text, ev.path(), Want::Exists) == Datum::Bool(true)
+            }
             OpenDoc::Bson(doc) => ev.exists(doc),
             OpenDoc::Oson(doc) => ev.exists(doc),
             OpenDoc::Invalid => false,
@@ -190,7 +195,7 @@ impl<'a> OpenDoc<'a> {
     /// `None` for the binary formats (and for text that does not parse).
     pub(crate) fn parse_text(&self) -> Option<JsonValue> {
         match self {
-            OpenDoc::Text(s) => fsdm_json::parse(s).ok(),
+            OpenDoc::Text { text, .. } => fsdm_json::parse(text).ok(),
             _ => None,
         }
     }
@@ -199,7 +204,7 @@ impl<'a> OpenDoc<'a> {
     /// `None` when there is no valid document.
     pub(crate) fn into_dom(self, parsed: Option<&'a JsonValue>) -> Option<Dom<'a>> {
         match self {
-            OpenDoc::Text(_) => parsed.map(|v| Dom::Value(ValueDom::new(v))),
+            OpenDoc::Text { .. } => parsed.map(|v| Dom::Value(ValueDom::new(v))),
             OpenDoc::Bson(doc) => Some(Dom::Bson(doc)),
             OpenDoc::Oson(doc) => Some(Dom::Oson(doc)),
             OpenDoc::Invalid => None,
@@ -224,7 +229,7 @@ impl<'a> OpenDoc<'a> {
 /// pass's verdict.
 fn text_answer(text: &str, path: &JsonPath, want: Want) -> Datum {
     let mut pass = TextPass::new([(Cow::Borrowed(path), want)]);
-    let _ = pass.run(text);
+    let _ = pass.run(text, false);
     pass.take(0)
 }
 

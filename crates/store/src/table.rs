@@ -167,8 +167,10 @@ pub struct VirtualColumn {
 pub struct Table {
     /// Schema.
     pub schema: TableSchema,
-    /// Row storage.
-    pub rows: Vec<Row>,
+    /// Row storage, written only through [`Table::insert`] and
+    /// [`Table::set_json_cell`], so a JSON cell always satisfies its
+    /// column's constraint.
+    pub(crate) rows: Vec<Row>,
     /// Virtual columns appended after base columns in scan output.
     pub virtual_columns: Vec<VirtualColumn>,
     /// Persistent DataGuide (maintained when a JSON column has
@@ -198,6 +200,11 @@ impl Table {
             imc: ImcStore::default(),
             oson_encoder: fsdm_oson::Encoder::new(),
         }
+    }
+
+    /// The stored rows, by row id.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
     }
 
     /// Number of rows.
@@ -328,6 +335,54 @@ impl Table {
         Ok(row_id)
     }
 
+    /// Replace the JSON cell at `(row, col)` — an in-place update of a
+    /// stored document — refusing a cell the column would not have
+    /// stored: one of another storage, binary bytes that fail their
+    /// format's validation, or, under `IS JSON`, text that does not parse.
+    /// The in-memory store is dropped, as it may shadow the old cell; the
+    /// DataGuide and the search index are left as they are, so an update
+    /// that changes what they record must rebuild them.
+    pub fn set_json_cell(
+        &mut self,
+        row: usize,
+        col: usize,
+        cell: JsonCell,
+    ) -> Result<(), StoreError> {
+        let spec = self
+            .schema
+            .columns
+            .get(col)
+            .ok_or_else(|| StoreError::new(format!("no column at {col}")))?;
+        let valid = match (&spec.ty, &cell) {
+            (ColType::Json(JsonStorage::Text), JsonCell::Text(_))
+                if spec.constraint == ConstraintMode::None =>
+            {
+                Ok(())
+            }
+            (ColType::Json(JsonStorage::Text), JsonCell::Text(text)) => {
+                fsdm_json::parse(text).map(drop).map_err(|e| e.to_string())
+            }
+            (ColType::Json(JsonStorage::Oson), JsonCell::Oson(bytes)) => {
+                let doc = fsdm_oson::OsonDoc::new(bytes);
+                doc.and_then(|d| d.validate()).map_err(|e| e.to_string())
+            }
+            (ColType::Json(JsonStorage::Bson), JsonCell::Bson(bytes)) => {
+                let doc = fsdm_bson::BsonDoc::new(bytes);
+                doc.and_then(|d| d.validate()).map_err(|e| e.to_string())
+            }
+            _ => Err("a cell of another type".to_string()),
+        };
+        valid.map_err(|e| StoreError::new(format!("column {} refuses: {e}", spec.name)))?;
+        let slot = self
+            .rows
+            .get_mut(row)
+            .and_then(|r| r.get_mut(col))
+            .ok_or_else(|| StoreError::new(format!("no row {row}")))?;
+        *slot = Cell::J(cell);
+        self.imc.clear();
+        Ok(())
+    }
+
     /// Create an equality index on a scalar column (PK/FK acceleration for
     /// the relational baseline).
     pub fn create_key_index(&mut self, column: &str) -> Result<(), StoreError> {
@@ -453,6 +508,35 @@ mod tests {
                 }
                 other => panic!("{other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn set_json_cell_refuses_what_insert_would() {
+        let garbage = || std::sync::Arc::new(vec![0xff; 16]);
+        for (storage, bad) in [
+            (JsonStorage::Oson, JsonCell::Oson(garbage())),
+            (JsonStorage::Bson, JsonCell::Bson(garbage())),
+        ] {
+            let mut t = Table::new(po_schema(storage, ConstraintMode::IsJson));
+            t.insert(vec![1i64.into(), InsertValue::Json(r#"{"a":1}"#.into())]).unwrap();
+            t.populate_oson_imc().unwrap();
+            let Cell::J(good) = t.rows()[0][1].clone() else { panic!("a JSON cell") };
+            assert!(t.set_json_cell(0, 1, bad).is_err(), "{storage:?}: invalid bytes");
+            let text = JsonCell::raw_text(r#"{"a":2}"#);
+            assert!(t.set_json_cell(0, 1, text).is_err(), "{storage:?}: another storage");
+            assert!(t.set_json_cell(0, 0, good.clone()).is_err(), "not a JSON column");
+            assert!(t.set_json_cell(1, 1, good.clone()).is_err(), "no such row");
+            assert!(t.imc.oson.is_some(), "a refused cell changes nothing");
+            t.set_json_cell(0, 1, good).unwrap();
+            assert!(t.imc.oson.is_none(), "the IMC could shadow the old cell");
+        }
+        // text is parsed under IS JSON, stored as is without it
+        for (mode, stored) in [(ConstraintMode::IsJson, false), (ConstraintMode::None, true)] {
+            let mut t = Table::new(po_schema(JsonStorage::Text, mode));
+            t.insert(vec![1i64.into(), InsertValue::Json("{}".into())]).unwrap();
+            let torn = JsonCell::raw_text("{oops");
+            assert_eq!(t.set_json_cell(0, 1, torn).is_ok(), stored, "{mode:?}");
         }
     }
 

@@ -207,7 +207,7 @@ impl PathSlots {
         group: &[usize],
         mut put: impl FnMut(usize, Datum) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
-        if let OpenDoc::Text(text) = doc {
+        if let OpenDoc::Text { text, checked } = *doc {
             let pass = match self.passes.iter().position(|(g, _)| g == group) {
                 Some(i) => &mut self.passes[i].1,
                 None => {
@@ -218,7 +218,7 @@ impl PathSlots {
                 }
             };
             // a text that fails to scan leaves the answers its verdicts
-            let _ = pass.run(text);
+            let _ = pass.run(text, checked);
             return group.iter().enumerate().try_for_each(|(i, &s)| put(s, pass.take(i)));
         }
         for &s in group {
@@ -593,7 +593,9 @@ impl<'t> Expanded<'t> {
             let parsed = doc.as_ref().and_then(OpenDoc::parse_text);
             let parsed = parsed.map(|v| parse.get_or_init(|| v));
             let parse_bytes = match &doc {
-                Some(OpenDoc::Text(s)) => s.len() as u64 * BUDGET_PARSE_BYTES_PER_TEXT_BYTE,
+                Some(OpenDoc::Text { text, .. }) => {
+                    text.len() as u64 * BUDGET_PARSE_BYTES_PER_TEXT_BYTE
+                }
                 _ => 0,
             };
             let dom = doc.and_then(|d| d.into_dom(parsed));

@@ -138,7 +138,7 @@ fn partial_update_roundtrip_through_collection() {
     db.put("po", DOC1).unwrap();
     {
         let table = db.engine_mut().table_mut("po").unwrap();
-        let Cell::J(JsonCell::Oson(bytes)) = &table.rows[0][1] else {
+        let Cell::J(JsonCell::Oson(bytes)) = &table.rows()[0][1] else {
             panic!("expected OSON cell");
         };
         let mut buf = bytes.as_ref().clone();
@@ -149,7 +149,7 @@ fn partial_update_roundtrip_through_collection() {
         let out =
             fsdm::oson::update_scalar(&mut buf, id, &fsdm::json::parse("42").unwrap()).unwrap();
         assert_eq!(out, fsdm::oson::UpdateOutcome::Updated);
-        table.rows[0][1] = Cell::J(JsonCell::Oson(std::sync::Arc::new(buf)));
+        table.set_json_cell(0, 1, JsonCell::Oson(std::sync::Arc::new(buf))).unwrap();
     }
     let r =
         db.sql("select json_value(jdoc, '$.purchaseOrder.id' returning number) from po").unwrap();

@@ -106,13 +106,19 @@ fn olap_columnar_identical_to_row_at_every_degree() {
     }
 }
 
-/// A `(did, jdoc)` collection named `name` holding `docs` in `storage`.
-fn collection(name: &str, docs: &[String], storage: JsonStorage) -> Session {
+/// A `(did, jdoc)` collection named `name` holding `docs` in `storage`
+/// under `constraint`.
+fn collection(
+    name: &str,
+    docs: &[String],
+    storage: JsonStorage,
+    constraint: ConstraintMode,
+) -> Session {
     let mut t = Table::new(TableSchema::new(
         name,
         vec![
             ColumnSpec::new("did", ColType::Number),
-            ColumnSpec::json("jdoc", storage, ConstraintMode::IsJson),
+            ColumnSpec::json("jdoc", storage, constraint),
         ],
     ));
     for (i, d) in docs.iter().enumerate() {
@@ -156,10 +162,12 @@ const GUIDES: [&str; 3] = [
      group by json_value(jdoc, '$.bool')",
 ];
 
-/// The statements `nobench.path` watches — every one reads a path with
-/// no vector — are identical across spine on/off × degree {1,4} ×
-/// {no IMC, OSON-IMC, OSON-IMC + `nbq$*` vectors} × storage {text, BSON,
-/// OSON}: transient columns extract from IMC bytes or stored cells alike.
+/// The statements `nobench.path` and `nobench.text` watch — Q1, Q3, Q4,
+/// Q6–Q11 — are identical across spine on/off × degree {1,4} × {no IMC,
+/// OSON-IMC, OSON-IMC + `nbq$*` vectors} × storage {checked text (`IS
+/// JSON`), validating text (no constraint), BSON, OSON}: transient columns
+/// extract from IMC bytes or stored cells alike, and a text pass that
+/// ends early over checked text answers as one that reads it all.
 /// So are the [`GUIDES`] and the row-wise corpus ([`rowwise_plans`]: every
 /// kind of expression no kernel expresses, lowered row-wise on the spine
 /// over leaves that read the vectors where they exist, computed from the
@@ -172,7 +180,7 @@ fn path_queries_identical_across_imc_states_and_storages() {
         .db
         .table("nobench")
         .unwrap()
-        .rows
+        .rows()
         .iter()
         .map(|r| match &r[1] {
             Cell::J(j) => j.decode_to_text(),
@@ -181,12 +189,18 @@ fn path_queries_identical_across_imc_states_and_storages() {
         .collect();
     let q11 = nobench_q11_plan(n, false);
     let mut expected: Option<Vec<String>> = None;
-    for storage in [JsonStorage::Text, JsonStorage::Bson, JsonStorage::Oson] {
-        let mut session = collection("nobench", &docs, storage);
+    let stores = [
+        (JsonStorage::Text, ConstraintMode::IsJson),
+        (JsonStorage::Text, ConstraintMode::None),
+        (JsonStorage::Bson, ConstraintMode::IsJson),
+        (JsonStorage::Oson, ConstraintMode::IsJson),
+    ];
+    for (storage, constraint) in stores {
+        let mut session = collection("nobench", &docs, storage, constraint);
         session.db.set_morsel_rows(48);
         let rowwise = rowwise_plans(&mut session);
         let run = |session: &mut Session| -> Vec<String> {
-            let mut out: Vec<_> = [4, 7, 8, 9, 10]
+            let mut out: Vec<_> = [1, 3, 4, 6, 7, 8, 9, 10]
                 .iter()
                 .map(|q| session.execute(&fsdm::workloads::nobench::query_sql(*q, n)))
                 .collect();
@@ -206,7 +220,10 @@ fn path_queries_identical_across_imc_states_and_storages() {
             let got = on_off_identical(&mut session, &run);
             match &expected {
                 None => expected = Some(got),
-                Some(e) => assert_eq!(&got, e, "{storage:?} with IMC {imc} diverged from text"),
+                Some(e) => assert_eq!(
+                    &got, e,
+                    "{storage:?} ({constraint:?}) with IMC {imc} diverged from checked text"
+                ),
             }
         }
     }
@@ -265,7 +282,7 @@ fn transient_column_corner_cases_match_the_row_evaluator() {
     };
     let mut expected: Option<Vec<QueryResult>> = None;
     for storage in [JsonStorage::Text, JsonStorage::Bson, JsonStorage::Oson] {
-        let mut session = collection("t", &docs, storage);
+        let mut session = collection("t", &docs, storage, ConstraintMode::IsJson);
         session.db.set_morsel_rows(32);
         let t = session.db.table_mut("t").unwrap();
         t.populate_oson_imc().unwrap();
