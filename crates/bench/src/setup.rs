@@ -444,19 +444,21 @@ pub fn nobench_plans(session: &Session, n: usize) -> Vec<(String, Query)> {
 }
 
 /// The operators of a report rooted at `op` that are part of a
-/// scan-rooted chain — `Project` / `Filter` down to a `Scan` or a
-/// `JsonTable(Scan)`, under at most a `GroupBy` — and yet report
-/// `mode=row`. With the batch spine on there are none.
+/// scan-rooted chain — `Project` / `Filter` down to a `Scan` or to a
+/// `JsonTable` over `Filter`s over a `Scan`, under at most a `GroupBy` —
+/// and yet report `mode=row`. With the batch spine on there are none.
 pub fn scan_rooted_row_operators(op: &fsdm_store::OpProfile) -> Vec<String> {
-    fn chain(op: &fsdm_store::OpProfile) -> bool {
-        let child = op.children.first();
+    fn chain(op: &fsdm_store::OpProfile, expanded: bool) -> bool {
+        let child = |expanded| op.children.first().is_some_and(|c| chain(c, expanded));
         match op.op.as_str() {
-            "Project" | "Filter" => child.is_some_and(chain),
-            "JsonTable" => child.is_some_and(|c| c.op.starts_with("Scan(")),
+            "Filter" => child(expanded),
+            "Project" if !expanded => child(false),
+            "JsonTable" if !expanded => child(true),
             label => label.starts_with("Scan("),
         }
     }
-    let rooted = chain(op) || (op.op == "GroupBy" && op.children.first().is_some_and(chain));
+    let rooted = chain(op, false)
+        || (op.op == "GroupBy" && op.children.first().is_some_and(|c| chain(c, false)));
     let own = (rooted && op.mode == "row").then(|| op.op.clone());
     own.into_iter().chain(op.children.iter().flat_map(scan_rooted_row_operators)).collect()
 }

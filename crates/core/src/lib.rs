@@ -497,8 +497,11 @@ mod tests {
         assert_eq!(db.engine().slow_log().entries()[0].source, sql);
         // the DMDV view expands to a JSON_TABLE pipeline over the scan;
         // the profile mirrors the *optimized* plan, where the §6.3
-        // pushdown pre-filters the scan to the 2 qualifying documents
-        assert_eq!(p.find("Scan(po,filtered)").unwrap().rows_out, 2);
+        // pushdown's filter below the expansion keeps the 2 qualifying
+        // documents
+        let probe = &p.find("JsonTable").unwrap().children[0];
+        assert_eq!((probe.op.as_str(), probe.rows_out), ("Filter", 2));
+        assert_eq!(probe.children[0].op, "Scan(po)");
         assert_eq!(p.find("JsonTable").unwrap().rows_out, 3, "2 + 1 items survive");
         assert_eq!(p.find("Filter").unwrap().rows_out, 2, "items with price > 100");
         assert_eq!(p.find("GroupBy").unwrap().rows_out, 1);

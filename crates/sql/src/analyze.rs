@@ -175,7 +175,7 @@ mod tests {
         assert!(text.contains("plan:"), "{text}");
         assert!(text.contains("Filter pred=JSON_EXISTS"), "{text}");
         assert!(text.contains("optimized:"), "{text}");
-        assert!(text.contains("filter=false"), "pruned scan shown: {text}");
+        assert!(text.contains("Filter pred=false"), "pruned filter shown: {text}");
         // the pruned plan returns what the plan as written returns
         let pruned = s.execute(sql).unwrap();
         assert_eq!(pruned, s.db.execute_unoptimized(&s.plan(sql, &[]).unwrap()).unwrap());

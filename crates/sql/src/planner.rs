@@ -218,6 +218,18 @@ impl Session {
         Ok(n)
     }
 
+    /// The plan of a FROM-clause name: a table's scan, or a view's body —
+    /// inlined here, so that every statement over a view is planned whole.
+    fn source(&self, name: &str) -> Result<Query> {
+        if self.db.table(name).is_some() {
+            Ok(Query::scan(name))
+        } else if let Some(body) = self.db.view(name) {
+            Ok(body.clone())
+        } else {
+            Err(SqlError::new(format!("no table or view {name}")))
+        }
+    }
+
     /// Resolve the FROM clause into a base plan plus a naming scope.
     fn base_scope(&self, sel: &Select, binds: &[Datum]) -> Result<Scope> {
         if sel.from.is_empty() {
@@ -226,13 +238,7 @@ impl Session {
         // first source must be a table or view
         let (first_plan, first_alias, first_cols) = match &sel.from[0] {
             FromSource::Table { name, alias } => {
-                let plan = if self.db.table(name).is_some() {
-                    Query::scan(name.clone())
-                } else if self.db.view(name).is_some() {
-                    Query::view(name.clone())
-                } else {
-                    return Err(SqlError::new(format!("no table or view {name}")));
-                };
+                let plan = self.source(name)?;
                 let cols = self.db.plan_columns(&plan)?;
                 (plan, alias.clone().unwrap_or_else(|| name.clone()), cols)
             }
@@ -263,13 +269,7 @@ impl Session {
                 }
                 FromSource::Table { name, alias } => {
                     // comma join: require an equi-join condition in WHERE
-                    let plan = if self.db.table(name).is_some() {
-                        Query::scan(name.clone())
-                    } else if self.db.view(name).is_some() {
-                        Query::view(name.clone())
-                    } else {
-                        return Err(SqlError::new(format!("no table or view {name}")));
-                    };
+                    let plan = self.source(name)?;
                     let cols = self.db.plan_columns(&plan)?;
                     scope.pending_join = Some(PendingJoin {
                         plan,

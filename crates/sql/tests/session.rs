@@ -480,3 +480,38 @@ fn torn_text_without_is_json_is_read_to_its_end() {
         assert_eq!(s.execute(filtered).unwrap().rows, [[Datum::from(1i64)]], "columnar={columnar}");
     }
 }
+
+/// A view with a WHERE queried with a WHERE is one pipeline on the spine,
+/// and its filters run bottom-up: the view's rejects the row the query's
+/// would divide by zero on, though the query's reads a resident vector
+/// and the view's a path. The same rows optimized or not, on the spine or
+/// not.
+#[test]
+fn a_where_over_a_view_never_sees_a_row_the_views_where_rejected() {
+    let mut s = Session::new();
+    s.execute("create table t (did number, jdoc json store as oson)").unwrap();
+    for i in 1..=6i64 {
+        let doc = format!(r#"{{"v":{i},"w":{i}}}"#);
+        s.execute_with("insert into t values (?, ?)", &[Datum::from(i), Datum::from(doc)]).unwrap();
+    }
+    let t = s.db.table_mut("t").unwrap();
+    let v = fsdm_sqljson::parse_path("$.v").unwrap();
+    t.add_virtual_column("v", fsdm_store::Expr::json_value(1, v, fsdm_sqljson::SqlType::Number));
+    t.populate_vc_imc(&["v"]).unwrap();
+    s.execute(
+        "create view nz as select * from t where json_value(jdoc, '$.w' returning number) + 0 <> 3",
+    )
+    .unwrap();
+    let sql = "select did from nz where 1 / (v - 3) > 0";
+    let explain = s.explain(sql, &[]).unwrap();
+    assert!(!explain.contains("mode=row"), "{explain}");
+    let plan = s.plan(sql, &[]).unwrap();
+    for columnar in [true, false] {
+        s.db.set_columnar(columnar);
+        for optimize in [true, false] {
+            let run = fsdm_store::Run { optimize, ..fsdm_store::Run::default() };
+            let (r, _) = s.db.run(&plan, &run).unwrap();
+            assert_eq!(r.rows, [4i64, 5, 6].map(|i| [Datum::from(i)]), "{columnar} {optimize}");
+        }
+    }
+}

@@ -445,11 +445,11 @@ fn apply_filter<D: JsonDom>(
         if mode == Mode::Lax && dom.kind(n) == NodeKind::Array {
             for i in 0..dom.array_len(n) {
                 let e = dom.array_element(n, i);
-                if eval_pred(dom, e, pred, mode, ids) {
+                if eval_pred(dom, e, pred, mode, ids, &mut None) {
                     out.push(e);
                 }
             }
-        } else if eval_pred(dom, n, pred, mode, ids) {
+        } else if eval_pred(dom, n, pred, mode, ids, &mut None) {
             out.push(n);
         }
     }
@@ -476,26 +476,31 @@ fn eval_rel_path<D: JsonDom>(
         .unwrap_or_else(|| cur.into_iter().map(PathOutput::Node).collect())
 }
 
-fn eval_pred<D: JsonDom>(
-    dom: &D,
+/// The filter `pred` on the item `ctx`. `at` keeps the item's scalar once
+/// a comparison on `@` has read it, so that an `OR` of comparisons on `@`
+/// reads it once.
+fn eval_pred<'a, D: JsonDom>(
+    dom: &'a D,
     ctx: NodeRef,
-    pred: &Predicate,
+    pred: &'a Predicate,
     mode: Mode,
     ids: &mut FieldIds,
+    at: &mut Option<ScalarRef<'a>>,
 ) -> bool {
     match pred {
         Predicate::And(a, b) => {
-            eval_pred(dom, ctx, a, mode, ids) && eval_pred(dom, ctx, b, mode, ids)
+            eval_pred(dom, ctx, a, mode, ids, at) && eval_pred(dom, ctx, b, mode, ids, at)
         }
         Predicate::Or(a, b) => {
-            eval_pred(dom, ctx, a, mode, ids) || eval_pred(dom, ctx, b, mode, ids)
+            eval_pred(dom, ctx, a, mode, ids, at) || eval_pred(dom, ctx, b, mode, ids, at)
         }
-        Predicate::Not(p) => !eval_pred(dom, ctx, p, mode, ids),
+        Predicate::Not(p) => !eval_pred(dom, ctx, p, mode, ids, at),
         Predicate::Exists(steps) => !Bound::path(dom, ctx, steps, ids).is_empty(),
         Predicate::Cmp(lhs, op, rhs) => {
             // both operands are bound before any pair is compared, so a
             // relative path is walked once per test whatever it finds
-            let (lhs, rhs) = (Bound::new(dom, ctx, lhs, ids), Bound::new(dom, ctx, rhs, ids));
+            let (lhs, rhs) =
+                (Bound::new(dom, ctx, lhs, ids, at), Bound::new(dom, ctx, rhs, ids, at));
             // SQL/JSON existential comparison: true if any pair satisfies
             lhs.each_scalar(dom, mode, &mut |a| {
                 rhs.each_scalar(dom, mode, &mut |b| cmp_scalars(&a, *op, &b))
@@ -508,6 +513,8 @@ fn eval_pred<D: JsonDom>(
 enum Bound<'p> {
     /// A literal of the path.
     Lit(&'p JsonValue),
+    /// `@` itself, a scalar, read.
+    Scalar(ScalarRef<'p>),
     /// A node read in place: `@` itself, or what a member chain (`@.a.b`)
     /// reached.
     Item(NodeRef),
@@ -517,9 +524,18 @@ enum Bound<'p> {
 }
 
 impl<'p> Bound<'p> {
-    fn new<D: JsonDom>(dom: &D, ctx: NodeRef, op: &'p Operand, ids: &mut FieldIds) -> Self {
+    fn new<D: JsonDom>(
+        dom: &'p D,
+        ctx: NodeRef,
+        op: &'p Operand,
+        ids: &mut FieldIds,
+        at: &mut Option<ScalarRef<'p>>,
+    ) -> Self {
         match op {
             Operand::Lit(v) => Bound::Lit(v),
+            Operand::Path(steps) if steps.is_empty() && dom.kind(ctx) == NodeKind::Scalar => {
+                Bound::Scalar(at.get_or_insert_with(|| dom.scalar(ctx)).clone())
+            }
             Operand::Path(steps) => Bound::path(dom, ctx, steps, ids),
         }
     }
@@ -555,6 +571,7 @@ impl<'p> Bound<'p> {
     ) -> bool {
         match self {
             Bound::Lit(v) => value_scalar(v).is_some_and(f),
+            Bound::Scalar(s) => f(s.clone()),
             Bound::Item(n) => node_scalars(dom, *n, mode, f),
             Bound::Items(items) => items.iter().any(|o| match o {
                 PathOutput::Node(n) => node_scalars(dom, *n, mode, f),

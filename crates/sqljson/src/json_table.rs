@@ -122,30 +122,47 @@ impl JsonTableDef {
     }
 
     /// Every path this definition evaluates, as a path from the document
-    /// root: the row path, then each block's `PATH` / `EXISTS PATH`
-    /// columns and NESTED PATHs composed onto their block's row path —
+    /// root: the row path, then each NESTED PATH and each `PATH` /
+    /// `EXISTS PATH` column composed onto its block's row path —
+    /// `$.items[*]` + `$.partno` → `$.items[*].partno`. What static
+    /// analysis checks against a DataGuide.
+    pub fn document_paths(&self) -> Vec<JsonPath> {
+        let composed = self.composed().into_iter().filter_map(|(_, path)| path);
+        std::iter::once(self.row_path.clone()).chain(composed).collect()
+    }
+
+    /// Each output column's path from the document root, in positional
+    /// order, composed as in [`JsonTableDef::document_paths`]; `None` for
+    /// `FOR ORDINALITY` and where no path composes.
+    pub fn column_paths(&self) -> Vec<Option<JsonPath>> {
+        self.composed().into_iter().filter_map(|(column, path)| column.then_some(path)).collect()
+    }
+
+    /// The one composition of paths from the document root, depth-first:
+    /// a block's columns (`true`), then each NESTED PATH (`false`) and its
+    /// block in turn, every path composed onto its block's row path —
     /// `$.items[*]` + `$.partno` → `$.items[*].partno`. A mode keyword on
     /// a sub-path is dropped (the row path's mode governs evaluation).
-    /// What static analysis checks against a DataGuide.
-    pub fn document_paths(&self) -> Vec<JsonPath> {
-        fn walk(row: &JsonPath, cols: &[ColumnDef], nested: &[NestedDef], out: &mut Vec<JsonPath>) {
-            // both halves parsed on their own; a composition that does not
-            // (an item method in the middle) names no document path
+    /// `None` for `FOR ORDINALITY`, and where no path composes (an item
+    /// method in the middle) — and so for everything under such a block.
+    fn composed(&self) -> Vec<(bool, Option<JsonPath>)> {
+        type Out = Vec<(bool, Option<JsonPath>)>;
+        fn walk(row: Option<&JsonPath>, cols: &[ColumnDef], nested: &[NestedDef], out: &mut Out) {
+            // both halves parsed on their own
             let onto_row = |sub: &JsonPath| {
                 let (_, steps) = sub.text().split_once('$')?;
-                parse_path(&format!("{}{steps}", row.text().trim_end())).ok()
+                parse_path(&format!("{}{steps}", row?.text().trim_end())).ok()
             };
-            let read = cols.iter().filter(|c| c.kind != ColKind::Ordinality);
-            out.extend(read.filter_map(|c| onto_row(&c.path)));
+            let value = |c: &ColumnDef| (c.kind != ColKind::Ordinality).then(|| onto_row(&c.path));
+            out.extend(cols.iter().map(|c| (true, value(c).flatten())));
             for n in nested {
-                if let Some(path) = onto_row(&n.path) {
-                    out.push(path.clone());
-                    walk(&path, &n.columns, &n.nested, out);
-                }
+                let path = onto_row(&n.path);
+                out.push((false, path.clone()));
+                walk(path.as_ref(), &n.columns, &n.nested, out);
             }
         }
-        let mut out = vec![self.row_path.clone()];
-        walk(&self.row_path, &self.columns, &self.nested, &mut out);
+        let mut out = Vec::new();
+        walk(Some(&self.row_path), &self.columns, &self.nested, &mut out);
         out
     }
 }
@@ -624,6 +641,23 @@ mod tests {
             nested: vec![],
         };
         assert_eq!(texts(&def), ["strict $.items[*]", "strict $.items[*].n"]);
+        // per column, in positional order: the same composition, with a
+        // hole for what names no document path
+        let def = JsonTableDef {
+            row_path: p("$.a.*"),
+            columns: vec![
+                ColumnDef::ordinality("i"),
+                ColumnDef::value("x", SqlType::Number, p("$.x")),
+            ],
+            nested: vec![NestedDef {
+                path: p("$.size()"),
+                columns: vec![ColumnDef::exists("y", p("$.y"))],
+                nested: vec![],
+            }],
+        };
+        let texts: Vec<Option<String>> =
+            def.column_paths().iter().map(|p| p.as_ref().map(|p| p.text().to_string())).collect();
+        assert_eq!(texts, [None, Some("$.a.*.x".to_string()), None]);
     }
 
     #[test]

@@ -52,12 +52,27 @@ enum ScanCol {
     Val(ValKernel),
 }
 
-/// One top-level conjunct of the scan filter and the transient columns
-/// it reads: a pipeline stage, so that a column is only extracted for the
-/// rows the earlier stages kept.
+/// One top-level conjunct of a `Filter` of the pipeline and the transient
+/// columns it reads: a pipeline stage, so that a column is only extracted
+/// for the rows the earlier stages kept.
 struct Conjunct {
     test: Test,
     slots: Vec<usize>,
+    /// How many of the pipeline's `Filter`s sit below the one it came from.
+    filter: usize,
+}
+
+impl Conjunct {
+    /// The stage order. Kernel stages run first, those over resident
+    /// vectors only before those with transient columns: a kernel never
+    /// errs, so running one early only removes rows. Row-wise stages run
+    /// after them Filter by Filter from the bottom up, slot-less ones first
+    /// within one: a row-wise stage never sees a row a `Filter` below its
+    /// own rejected.
+    fn order(&self) -> (bool, usize, bool) {
+        let row = matches!(self.test, Test::Row(_));
+        (row, if row { self.filter } else { 0 }, !self.slots.is_empty())
+    }
 }
 
 /// How a stage decides which rows it keeps.
@@ -70,27 +85,28 @@ enum Test {
 }
 
 /// A scan-rooted pipeline lowered to kernels: the single unit the batch
-/// spine executes. Its source is a `Scan` or a `JsonTable(Scan)`; above
-/// the source sits any chain of `Project` / `Filter`, optionally topped by
-/// a `GroupBy`, **composed by substitution** ([`Expr::over`]) into one
-/// predicate and one output list over the source's columns — a
-/// pure-column view `Project` is a renaming, a `Filter` over it a
-/// predicate over the positions underneath. No plan is rewritten: the
-/// operators keep their profile rows and spans ([`FusedScan::below`]).
+/// spine executes. Its source is a `Scan`, or a `JsonTable` over a `Scan`
+/// with any `Filter`s in between; above the source sits any chain of
+/// `Project` / `Filter`, optionally topped by a `GroupBy`, **composed by
+/// substitution** ([`Expr::over`]) into predicates and one output list
+/// over the source's columns — a pure-column view `Project` is a
+/// renaming, a `Filter` over it a predicate over the positions
+/// underneath. No plan is rewritten: the operators keep their profile
+/// rows and spans ([`FusedScan::below`]).
 struct FusedScan<'q> {
     table: &'q Table,
-    /// The filter is a constant that rejects every row (the dead-path
-    /// pruning rewrite): no morsel runs.
+    /// The `Filter` directly over the `Scan` is a constant other than
+    /// TRUE (what the dead-path pruning rewrite writes): no morsel runs.
     empty: bool,
-    /// The scan's own filter: stages over the table's rows, those over
-    /// resident vectors only first, row-wise ones last.
-    conjuncts: Vec<Conjunct>,
-    /// `JsonTable(Scan)` source: the JSON column and the definition the
-    /// rows surviving `conjuncts` are expanded by.
+    /// Stages over the table's rows: every `Filter` below the expansion,
+    /// or all of them when there is none; in [`Conjunct::order`].
+    table_stages: Vec<Conjunct>,
+    /// `JsonTable` source: the JSON column and the definition the rows
+    /// surviving `table_stages` are expanded by.
     expand: Option<(usize, &'q JsonTableDef)>,
-    /// The chain's filter stages, in the same order: over the source's
-    /// rows — the expanded rows, or without an expansion the table's.
-    chain_conjuncts: Vec<Conjunct>,
+    /// Stages over the expanded rows: every `Filter` above the expansion,
+    /// in the same order.
+    expanded_stages: Vec<Conjunct>,
     outs: Vec<ScanCol>,
     /// Transient columns the outputs read.
     out_slots: Vec<usize>,
@@ -105,9 +121,12 @@ struct FusedScan<'q> {
 /// Rows a fused pipeline's stages put out, per morsel or summed.
 #[derive(Clone, Copy, Default)]
 struct StageRows {
-    /// Table rows past the scan's own filter: what the `Scan` emits.
+    /// Table rows: what the `Scan` emits.
     scanned: usize,
-    /// Rows of the expansion (`scanned`, without one).
+    /// Table rows past the table stages: what a `Filter` below the
+    /// expansion emits.
+    filtered: usize,
+    /// Rows of the expansion (`filtered`, without one).
     expanded: usize,
     /// Rows past every stage: what the pipeline emits.
     kept: usize,
@@ -115,67 +134,58 @@ struct StageRows {
 
 impl<'q> FusedScan<'q> {
     /// Lower the pipeline `chain` — operators top-down from the root to
-    /// the `Scan` of `table` under `filter`. Total: a conjunct no
-    /// predicate kernel expresses becomes a row-wise stage, an output no
-    /// value kernel expresses a [`ValKernel::Row`].
+    /// the `Scan` of `table`. Total: a conjunct no predicate kernel
+    /// expresses becomes a row-wise stage, an output no value kernel
+    /// expresses a [`ValKernel::Row`].
     fn lower(
         table: &'q Table,
-        filter: Option<&Expr>,
         expand: Option<(usize, &'q JsonTableDef)>,
         chain: &[&'q Query],
     ) -> FusedScan<'q> {
         let mut lw = Lowering::new(table);
-        let stages = |lw: &mut Lowering<'_>, pred: &Expr| {
-            let stage = |c: &Expr| {
-                let test = match lw.attempt(|lw| c.compile_predicate(lw)) {
-                    Some(kernel) => Test::Kernel(kernel),
-                    None => Test::Row(c.compile_value(lw)),
-                };
-                Conjunct { test, slots: lw.take_touched() }
-            };
-            pred.conjuncts().into_iter().map(stage).collect::<Vec<Conjunct>>()
-        };
-        let (mut empty, mut conjuncts) = (false, Vec::new());
-        match filter {
-            Some(Expr::Lit(d)) => empty = *d != Datum::Bool(true),
-            Some(pred) => conjuncts = stages(&mut lw, pred),
-            None => {}
-        }
-        // the scan's filter runs below the `JsonTable`, over the table's
-        // rows; everything lowered from here on reads the source's
-        if let Some((_, def)) = expand {
-            lw.expanding(def);
-        }
-        // compose the consumers bottom-up: `cols` is what the operator
+        // compose the operators bottom-up: `cols` is what the operator
         // below hands up, over the source's columns (`None`: those)
-        let source = 1 + usize::from(expand.is_some());
         let (mut cols, mut values): (Option<Vec<Expr>>, Option<Vec<Expr>>) = (None, None);
-        let mut chain_conjuncts = Vec::new();
-        for op in chain[..chain.len() - source].iter().rev() {
+        let (mut empty, mut filters, mut expanded) = (false, 0, false);
+        let (mut table_stages, mut expanded_stages) = (Vec::new(), Vec::new());
+        for (i, op) in chain[..chain.len() - 1].iter().enumerate().rev() {
             let over = |lw: &mut Lowering<'_>, e: &Expr| match &cols {
                 Some(cols) => e.over(cols, lw),
                 None => e.clone(),
             };
             match op {
-                Query::Project { exprs, .. } => {
-                    cols = Some(exprs.iter().map(|(_, e)| over(&mut lw, e)).collect())
+                Query::Filter { pred: Expr::Lit(d), .. } if i == chain.len() - 2 => {
+                    empty = *d != Datum::Bool(true)
                 }
                 Query::Filter { pred, .. } => {
                     let pred = over(&mut lw, pred);
-                    chain_conjuncts.extend(stages(&mut lw, &pred))
+                    let stages = if expanded { &mut expanded_stages } else { &mut table_stages };
+                    for c in pred.conjuncts() {
+                        let test = match lw.attempt(|lw| c.compile_predicate(lw)) {
+                            Some(kernel) => Test::Kernel(kernel),
+                            None => Test::Row(c.compile_value(&mut lw)),
+                        };
+                        stages.push(Conjunct { test, slots: lw.take_touched(), filter: filters });
+                    }
+                    filters += 1;
+                }
+                // a filter below it ran over the table's rows; everything
+                // lowered from here on reads the source's
+                Query::JsonTable { def, .. } => {
+                    lw.expanding(def);
+                    expanded = true;
+                }
+                Query::Project { exprs, .. } => {
+                    cols = Some(exprs.iter().map(|(_, e)| over(&mut lw, e)).collect())
                 }
                 Query::GroupBy { keys, aggs, .. } => {
                     values = Some(group_reads(keys, aggs).map(|e| over(&mut lw, e)).collect())
                 }
-                _ => unreachable!("lower_scan admits Project, Filter and a top GroupBy"),
+                _ => unreachable!("lower_scan admits Project, Filter, JsonTable and a top GroupBy"),
             }
         }
-        // stable: resident-only stages narrow the selection before any
-        // document is opened, and a row-wise stage runs over what the
-        // kernels kept
-        let order = |c: &Conjunct| (matches!(c.test, Test::Row(_)), !c.slots.is_empty());
-        conjuncts.sort_by_key(order);
-        chain_conjuncts.sort_by_key(order);
+        table_stages.sort_by_key(Conjunct::order);
+        expanded_stages.sort_by_key(Conjunct::order);
         let outs = match values {
             // a group-by's keys and arguments are values, gathered per morsel
             Some(values) => values.iter().map(|e| ScanCol::Val(e.compile_value(&mut lw))).collect(),
@@ -196,9 +206,9 @@ impl<'q> FusedScan<'q> {
         FusedScan {
             table,
             empty,
-            conjuncts,
+            table_stages,
             expand,
-            chain_conjuncts,
+            expanded_stages,
             outs,
             out_slots,
             leaves,
@@ -477,13 +487,6 @@ impl Database {
                 .get(table)
                 .ok_or_else(|| StoreError::new(format!("no table {table}")))?
                 .scan_column_names(),
-            Query::ViewScan { view } => {
-                let plan = self
-                    .views
-                    .get(view)
-                    .ok_or_else(|| StoreError::new(format!("no view {view}")))?;
-                self.plan_columns(plan)?
-            }
             Query::Filter { input, .. }
             | Query::Limit { input, .. }
             | Query::Sort { input, .. }
@@ -537,6 +540,8 @@ impl Database {
         root_span.record_args(|| op_label(plan));
         let mut ops = Vec::new();
         let out = self.exec(optimized.as_ref().unwrap_or(plan), &mut ops, &ctx);
+        // the executor hands up rows; the plan names them
+        let out = out.and_then(|rows| Ok((self.plan_columns(plan)?, rows)));
         drop(root_span);
         let trace = session.map(TraceSession::finish);
 
@@ -624,14 +629,14 @@ impl Database {
         plan: &Query,
         prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
-    ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
+    ) -> Result<Vec<Row>, StoreError> {
         let mut op_span = trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
         op_span.record_args(|| op_label(plan));
         let mut stats = ParStats::default();
         let start = Instant::now();
         let mut children = Vec::new();
         // the lowering that is reported is the lowering that runs
-        let (mode, note, (names, rows)) = match self.lower_scan(plan) {
+        let (mode, note, rows) = match self.lower_scan(plan) {
             Some(fused) => {
                 let out = self.run_fused(plan, &fused, &mut children, ctx, &mut stats)?;
                 ("columnar", fused.note(plan, true), out)
@@ -648,7 +653,7 @@ impl Database {
             note,
             children,
         });
-        Ok((names, rows))
+        Ok(rows)
     }
 
     /// Run one operator on the row evaluator: the operators that consume
@@ -661,43 +666,29 @@ impl Database {
         prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
         stats: &mut ParStats,
-    ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
+    ) -> Result<Vec<Row>, StoreError> {
         match plan {
-            Query::Scan { table, filter } => {
+            Query::Scan { table } => {
                 let t = self
                     .tables
                     .get(table)
                     .ok_or_else(|| StoreError::new(format!("no table {table}")))?;
-                let names = t.scan_column_names();
-                // materialize + filter per-morsel; morsel-order
-                // concatenation keeps row order identical to a serial scan
+                // materialize per-morsel; morsel-order concatenation keeps
+                // row order identical to a serial scan
                 let chunks = run_morsels(ctx, t.rows.len(), stats, |range, scratch| {
                     fsdm_fault::fire(FP_EXEC_MORSEL).map_err(fault_err)?;
                     let mut out = Vec::with_capacity(range.len());
                     let mut acc = 0;
                     for i in range.start..range.end {
                         ctx.governor.check_rows(&mut acc, 1)?;
-                        let r = scan_row(t, i, scratch)?;
-                        if let Some(pred) = filter {
-                            if !pred.matches_with(&r, scratch)? {
-                                continue;
-                            }
-                        }
-                        out.push(r);
+                        out.push(scan_row(t, i, scratch)?);
                     }
                     Ok(out)
                 })?;
-                Ok((names, chunks.into_iter().flatten().collect()))
-            }
-            Query::ViewScan { view } => {
-                let plan = self
-                    .views
-                    .get(view)
-                    .ok_or_else(|| StoreError::new(format!("no view {view}")))?;
-                self.exec(plan, prof, ctx)
+                Ok(chunks.into_iter().flatten().collect())
             }
             Query::Filter { input, pred } => {
-                let (names, rows) = self.exec(input, prof, ctx)?;
+                let rows = self.exec(input, prof, ctx)?;
                 // parallel predicate evaluation into per-morsel boolean
                 // masks; the move-filter over owned rows stays serial
                 let masks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
@@ -708,12 +699,10 @@ impl Database {
                         .collect::<Result<Vec<bool>, _>>()
                 })?;
                 let keep: Vec<bool> = masks.into_iter().flatten().collect();
-                let out = rows.into_iter().zip(keep).filter_map(|(r, k)| k.then_some(r)).collect();
-                Ok((names, out))
+                Ok(rows.into_iter().zip(keep).filter_map(|(r, k)| k.then_some(r)).collect())
             }
             Query::Project { input, exprs } => {
-                let (_, rows) = self.exec(input, prof, ctx)?;
-                let names = exprs.iter().map(|(n, _)| n.clone()).collect();
+                let rows = self.exec(input, prof, ctx)?;
                 let chunks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
                     let mut out = Vec::with_capacity(range.len());
                     for r in &rows[range.start..range.end] {
@@ -730,11 +719,10 @@ impl Database {
                     }
                     Ok(out)
                 })?;
-                Ok((names, chunks.into_iter().flatten().collect()))
+                Ok(chunks.into_iter().flatten().collect())
             }
             Query::JsonTable { input, json_col, def } => {
-                let (mut names, rows) = self.exec(input, prof, ctx)?;
-                names.extend(def.column_names());
+                let rows = self.exec(input, prof, ctx)?;
                 let width = def.width();
                 // the row API of the one expansion routine, reached with
                 // the spine off (the identity oracle) or when the pipeline
@@ -767,13 +755,11 @@ impl Database {
                         .charge(out.len() as u64 * (width as u64 + 1) * BUDGET_BYTES_PER_CELL)?;
                     Ok(out)
                 })?;
-                Ok((names, chunks.into_iter().flatten().collect()))
+                Ok(chunks.into_iter().flatten().collect())
             }
             Query::HashJoin { left, right, left_key, right_key } => {
-                let (lnames, lrows) = self.exec(left, prof, ctx)?;
-                let (rnames, rrows) = self.exec(right, prof, ctx)?;
-                let mut names = lnames;
-                names.extend(rnames);
+                let lrows = self.exec(left, prof, ctx)?;
+                let rrows = self.exec(right, prof, ctx)?;
                 // build: per-morsel partial tables merged at a barrier in
                 // morsel order. Each partial holds ascending, disjoint row
                 // ids, so per-key concatenation reproduces the serial
@@ -815,21 +801,19 @@ impl Database {
                     }
                     Ok(out)
                 })?;
-                Ok((names, chunks.into_iter().flatten().collect()))
+                Ok(chunks.into_iter().flatten().collect())
             }
             Query::GroupBy { input, keys, aggs } => {
-                let (_, rows) = self.exec(input, prof, ctx)?;
+                let rows = self.exec(input, prof, ctx)?;
                 group_by(rows, keys, aggs, ctx, stats)
             }
             Query::Sort { input, keys } => {
-                let (names, rows) = self.exec(input, prof, ctx)?;
-                let rows = sort_rows(rows, keys, ctx, stats)?;
-                Ok((names, rows))
+                let rows = self.exec(input, prof, ctx)?;
+                sort_rows(rows, keys, ctx, stats)
             }
-            Query::Window { input, name, fun, order } => {
-                let (mut names, rows) = self.exec(input, prof, ctx)?;
+            Query::Window { input, fun, order, .. } => {
+                let rows = self.exec(input, prof, ctx)?;
                 let mut rows = sort_rows(rows, order, ctx, stats)?;
-                names.push(name.clone());
                 match fun {
                     WindowFun::Lag { expr, offset, default } => {
                         // parallel: evaluate the lagged expression per-morsel
@@ -855,34 +839,29 @@ impl Database {
                         }
                     }
                 }
-                Ok((names, rows))
+                Ok(rows)
             }
             Query::Limit { input, n } => {
-                let (names, mut rows) = self.exec(input, prof, ctx)?;
+                let mut rows = self.exec(input, prof, ctx)?;
                 rows.truncate(*n);
-                Ok((names, rows))
+                Ok(rows)
             }
             Query::Sample { input, pct } => {
-                let (names, rows) = self.exec(input, prof, ctx)?;
+                let rows = self.exec(input, prof, ctx)?;
                 let keep = |i: usize| -> bool {
                     let h = (i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 32;
                     ((h % 10_000) as f64) < pct * 100.0
                 };
-                let out = rows
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(i, _)| keep(*i))
-                    .map(|(_, r)| r)
-                    .collect();
-                Ok((names, out))
+                Ok(rows.into_iter().enumerate().filter(|(i, _)| keep(*i)).map(|(_, r)| r).collect())
             }
         }
     }
 
     /// **The single mode decision**, from plan shape alone: the pipeline
     /// `plan` roots — a chain of `Project` / `Filter`, optionally topped
-    /// by a `GroupBy`, down to a `Scan` or a `JsonTable(Scan)` — lowered
-    /// to kernels; `None` when `plan` roots none, or with the spine off.
+    /// by a `GroupBy`, down to a `Scan` or to a `JsonTable` over a `Scan`
+    /// with only `Filter`s in between — lowered to kernels; `None` when
+    /// `plan` roots none, or with the spine off.
     /// The executor runs what this returns and reports it;
     /// [`Database::explain_modes`] asks here too, so report and execution
     /// cannot disagree.
@@ -890,24 +869,21 @@ impl Database {
         if !self.columnar {
             return None;
         }
-        let mut chain = vec![plan];
-        let (expand, table, filter) = loop {
+        let (mut chain, mut expand) = (vec![plan], None);
+        let table = loop {
             match chain[chain.len() - 1] {
+                Query::Scan { table } => break table,
+                Query::Filter { input, .. } => chain.push(input),
+                Query::Project { input, .. } if expand.is_none() => chain.push(input),
                 Query::GroupBy { input, .. } if chain.len() == 1 => chain.push(input),
-                Query::Project { input, .. } | Query::Filter { input, .. } => chain.push(input),
-                Query::JsonTable { input, json_col, def } => match &**input {
-                    Query::Scan { table, filter } => {
-                        chain.push(input);
-                        break (Some((*json_col, def)), table, filter);
-                    }
-                    _ => return None,
-                },
-                Query::Scan { table, filter } => break (None, table, filter),
+                Query::JsonTable { input, json_col, def } if expand.is_none() => {
+                    expand = Some((*json_col, def));
+                    chain.push(input)
+                }
                 _ => return None,
             }
         };
-        let table = self.tables.get(table)?;
-        Some(FusedScan::lower(table, filter.as_ref(), expand, &chain))
+        Some(FusedScan::lower(self.tables.get(table)?, expand, &chain))
     }
 
     /// **The single fused-scan entry.** Runs the lowered pipeline and
@@ -921,7 +897,7 @@ impl Database {
         prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
         stats: &mut ParStats,
-    ) -> Result<(Vec<String>, Vec<Row>), StoreError> {
+    ) -> Result<Vec<Row>, StoreError> {
         // a fused operator is an operator of the plan all the same: each
         // keeps its span and its profile row
         let mut spans: Vec<_> = fused
@@ -968,12 +944,16 @@ impl Database {
             *stats = scan_stats; // the scan is the operator itself
         } else {
             let elapsed_ns = start.elapsed().as_nanos() as u64;
-            let (mut child, mut rows_out) = (None, 0);
+            let (mut child, mut rows_out, mut expanded) = (None, 0, false);
             for op in fused.below.iter().rev() {
                 rows_out = match op {
                     Query::Scan { .. } => stage_rows.scanned,
-                    Query::JsonTable { .. } => stage_rows.expanded,
-                    Query::Filter { .. } => stage_rows.kept,
+                    Query::JsonTable { .. } => {
+                        expanded = true;
+                        stage_rows.expanded
+                    }
+                    Query::Filter { .. } if expanded => stage_rows.kept,
+                    Query::Filter { .. } => stage_rows.filtered,
                     _ => rows_out,
                 };
                 // the one `run_morsels` call is booked on the scan
@@ -991,13 +971,13 @@ impl Database {
             }
             prof.extend(child);
         }
-        Ok((self.plan_columns(plan)?, rows))
+        Ok(rows)
     }
 
     /// The per-morsel body of the fused pipeline: filter stages narrow the
     /// selection (each extracting the transient columns it reads for the
     /// rows still selected) — over the table's rows and then, for a
-    /// `JsonTable(Scan)` source, over the expansion of the survivors —
+    /// `JsonTable` source, over the expansion of the survivors —
     /// then every output column is gathered for the surviving rows only —
     /// late materialization — and `finish` turns the `n` selected rows'
     /// columns into the consumer's unit of work.
@@ -1016,13 +996,13 @@ impl Database {
             let start = Instant::now();
             let mut cols = MorselCols::new(range, slots, &ctx.governor);
             let table = Rows::Table(t);
-            let (own, chain) = (&fused.conjuncts, &fused.chain_conjuncts);
-            let batch = fused.stages(own, &table, &mut cols, Batch::all(range), scratch)?;
-            let mut rows = StageRows { scanned: batch.len(), ..StageRows::default() };
+            let all = Batch::all(range);
+            let mut rows = StageRows { scanned: all.len(), ..StageRows::default() };
+            let batch = fused.stages(&fused.table_stages, &table, &mut cols, all, scratch)?;
+            rows.filtered = batch.len();
             let out = match fused.expand {
                 None => {
-                    let batch = fused.stages(chain, &table, &mut cols, batch, scratch)?;
-                    (rows.expanded, rows.kept) = (rows.scanned, batch.len());
+                    (rows.expanded, rows.kept) = (rows.filtered, rows.filtered);
                     fused.gather(&table, &mut cols, &batch, scratch)?
                 }
                 Some((json_col, def)) => {
@@ -1041,7 +1021,8 @@ impl Database {
                     let all = Batch::all(RowRange { start: 0, end: expanded.len() });
                     rows.expanded = all.len();
                     let expanded = Rows::Expanded(&expanded);
-                    let batch = fused.stages(chain, &expanded, &mut cols, all, scratch)?;
+                    let batch =
+                        fused.stages(&fused.expanded_stages, &expanded, &mut cols, all, scratch)?;
                     rows.kept = batch.len();
                     fused.gather(&expanded, &mut cols, &batch, scratch)?
                 }
@@ -1055,6 +1036,7 @@ impl Database {
         let mut total = StageRows::default();
         for (_, rows) in &chunks {
             total.scanned += rows.scanned;
+            total.filtered += rows.filtered;
             total.expanded += rows.expanded;
             total.kept += rows.kept;
         }
@@ -1098,7 +1080,7 @@ impl Database {
                 self.collect_modes(left, out);
                 self.collect_modes(right, out);
             }
-            Query::Scan { .. } | Query::ViewScan { .. } => {}
+            Query::Scan { .. } => {}
         }
     }
 }
@@ -1181,11 +1163,6 @@ fn group_reads<'q>(
     keys.iter().map(|(_, e)| e).chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
 }
 
-/// Output column names of a group-by: keys, then aggregates.
-fn group_names(keys: &[(String, Expr)], aggs: &[AggSpec]) -> Vec<String> {
-    keys.iter().map(|(n, _)| n.clone()).chain(aggs.iter().map(|a| a.name.clone())).collect()
-}
-
 /// A join key as the row evaluator reads a column: a JSON document as
 /// its text.
 fn join_key(r: &Row, col: usize) -> Option<Cow<'_, Datum>> {
@@ -1203,7 +1180,7 @@ fn group_by(
     aggs: &[AggSpec],
     ctx: &ExecContext,
     stats: &mut ParStats,
-) -> Result<(Vec<String>, Vec<Row>), StoreError> {
+) -> Result<Vec<Row>, StoreError> {
     let partials = run_morsels(ctx, rows.len(), stats, |range, scratch| {
         let mut key_cols: Vec<Vec<Cell>> = keys.iter().map(|_| Vec::new()).collect();
         let mut arg_cols: Vec<Option<Vec<Cell>>> =
@@ -1220,7 +1197,7 @@ fn group_by(
         }
         GroupPartial::new(ctx, range.len(), key_cols, arg_cols)
     })?;
-    Ok((group_names(keys, aggs), merge_groups(partials, keys.len(), aggs)))
+    Ok(merge_groups(partials, keys.len(), aggs))
 }
 
 /// The serial merge barrier of every group-by. Partials arrive in morsel
@@ -1295,14 +1272,7 @@ fn materialize(columns: Vec<String>, rows: Vec<Row>) -> QueryResult {
 /// Display label of a plan node for [`QueryProfile`] output.
 fn op_label(plan: &Query) -> String {
     match plan {
-        Query::Scan { table, filter } => {
-            if filter.is_some() {
-                format!("Scan({table},filtered)")
-            } else {
-                format!("Scan({table})")
-            }
-        }
-        Query::ViewScan { view } => format!("ViewScan({view})"),
+        Query::Scan { table } => format!("Scan({table})"),
         Query::Filter { .. } => "Filter".to_string(),
         Query::Project { .. } => "Project".to_string(),
         Query::JsonTable { .. } => "JsonTable".to_string(),
@@ -1650,23 +1620,6 @@ mod tests {
     }
 
     #[test]
-    fn views_expand() {
-        let db = {
-            let mut db = sample_db(JsonStorage::Oson);
-            let plan = Query::JsonTable {
-                input: Box::new(Query::scan("po")),
-                json_col: 1,
-                def: items_def(),
-            };
-            db.create_view("po_item_dmdv", plan);
-            db
-        };
-        let r = db.execute(&Query::view("po_item_dmdv")).unwrap();
-        assert_eq!(r.rows.len(), 6);
-        assert!(db.execute(&Query::view("nope")).is_err());
-    }
-
-    #[test]
     fn empty_group_by_returns_single_row() {
         let db = sample_db(JsonStorage::Text);
         let q = Query::scan_where(
@@ -1723,19 +1676,47 @@ mod tests {
         }
     }
 
+    /// `Filter[1 / (v - 3) > 0]` over `Filter[(w + 0) <> 3]` over six rows
+    /// with `v = w = 1…6`, `v` a resident vector: the upper filter's
+    /// row-wise stage reads no transient column, the lower one's does, and
+    /// still the lower filter runs first — it rejects the row the upper one
+    /// would divide by zero on. Optimized or not, on the spine or not.
     #[test]
-    fn profiled_view_scan_nests_view_plan() {
-        let mut db = sample_db(JsonStorage::Oson);
-        db.create_view(
-            "po_item_dmdv",
-            Query::JsonTable { input: Box::new(Query::scan("po")), json_col: 1, def: items_def() },
-        );
-        let (r, p) = db.execute_profiled(&Query::view("po_item_dmdv")).unwrap();
-        assert_eq!(r.rows.len(), 6);
-        // the optimizer inlines the view, so the profile shows its plan
-        assert_eq!(p.root.op, "JsonTable");
-        assert_eq!(p.find("JsonTable").unwrap().rows_out, 6);
-        assert_eq!(p.find("Scan(po)").unwrap().rows_out, 3);
+    fn a_filter_never_sees_a_row_a_filter_below_it_rejected() {
+        use crate::expr::ArithOp;
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                ColumnSpec::new("id", ColType::Number),
+                ColumnSpec::json("jdoc", JsonStorage::Oson, ConstraintMode::IsJson),
+            ],
+        ));
+        for i in 1..=6i64 {
+            t.insert(vec![i.into(), InsertValue::Json(format!(r#"{{"v":{i},"w":{i}}}"#))]).unwrap();
+        }
+        let path = |p: &str| Expr::json_value(1, parse_path(p).unwrap(), SqlType::Number);
+        t.add_virtual_column("v", path("$.v"));
+        t.populate_vc_imc(&["v"]).unwrap();
+        let mut db = Database::new();
+        db.add_table(t);
+        let lit = |n: i64| Box::new(Expr::Lit(Datum::from(n)));
+        let arith = |a: Box<Expr>, op, b: Box<Expr>| Box::new(Expr::Arith(a, op, b));
+        let w = arith(Box::new(path("$.w")), ArithOp::Add, lit(0));
+        let inverse =
+            arith(lit(1), ArithOp::Div, arith(Box::new(Expr::Col(2)), ArithOp::Sub, lit(3)));
+        let plan = Query::scan("t").filter(Expr::Cmp(w, CmpOp::Ne, lit(3))).filter(Expr::Cmp(
+            inverse,
+            CmpOp::Gt,
+            lit(0),
+        ));
+        for columnar in [false, true] {
+            db.set_columnar(columnar);
+            for optimize in [false, true] {
+                let (r, _) = db.run(&plan, &Run { optimize, ..Run::default() }).unwrap();
+                let ids: Vec<Datum> = r.rows.into_iter().map(|mut r| r.remove(0)).collect();
+                assert_eq!(ids, [4i64, 5, 6].map(Datum::from), "{columnar} {optimize}");
+            }
+        }
     }
 
     #[test]
@@ -1785,7 +1766,7 @@ mod tests {
         let range = crate::parallel::RowRange { start: 0, end: 4 };
         let ctx = db.exec_context();
         let mut cols = MorselCols::new(range, fused.leaves.len(), &ctx.governor);
-        let filter = &fused.conjuncts[0];
+        let filter = &fused.table_stages[0];
         let Test::Kernel(kernel) = &filter.test else { panic!("JSON_EXISTS is a kernel") };
         let all = crate::vector::SelVec::All(range);
         let mut scratch = EvalScratch::new();

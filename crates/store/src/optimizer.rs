@@ -1,33 +1,35 @@
-//! Plan rewrites. The one that matters for the paper's evaluation is the
-//! §6.3 pushdown: "The WHERE predicates on the views are pushed down as
-//! JSON_EXISTS() with JSON path predicates to be filtered."
+//! Plan rewrites: exactly two, each a proof obligation of the
+//! translation validator.
 //!
-//! A filter over a JSON_TABLE expansion is augmented with a document-level
-//! `JSON_EXISTS` pre-filter on the base scan: documents that cannot
-//! produce any qualifying row are skipped *before* the (expensive)
-//! master-detail expansion. The original row-level filter is kept, so the
-//! rewrite never changes results — any document admitted by the exists
-//! probe still has its rows checked exactly.
+//! The first is the §6.3 pushdown: "The WHERE predicates on the views are
+//! pushed down as JSON_EXISTS() with JSON path predicates to be
+//! filtered." A filter over a JSON_TABLE expansion gains a document-level
+//! `JSON_EXISTS` pre-filter below the expansion, `JsonTable(Filter(Scan))`:
+//! documents that cannot produce any qualifying row are skipped *before*
+//! the (expensive) master-detail expansion. The probe is the column's own
+//! document path filtered on `@`, and keeps every item whose SQL value —
+//! after SQL's conversions — could satisfy the comparison. The row-level
+//! filter is kept, so the rewrite never changes results: any document
+//! the probe admits still has its rows checked exactly.
 //!
-//! The second rewrite is the `fsdm-analyze` handshake: a scan-filter
-//! conjunct probing a JSON path the table's DataGuide proves empty can
+//! The second is the `fsdm-analyze` handshake: a conjunct of a filter over
+//! a scan that probes a JSON path the table's DataGuide proves empty can
 //! never accept a row — `JSON_EXISTS` is false everywhere, and a
-//! comparison over `JSON_VALUE` only ever sees SQL NULL — so the scan
-//! collapses to a constant-false scan the executor answers without
-//! touching a single row.
+//! comparison over `JSON_VALUE` only ever sees SQL NULL — so the filter's
+//! predicate collapses to constant false, and the executor answers
+//! without touching a single row.
 
-use fsdm_sqljson::json_table::{ColKind, ColumnDef, JsonTableDef, NestedDef};
-use fsdm_sqljson::parse_path;
-use fsdm_sqljson::path::{ArraySel, IndexExpr, JsonPath, Step};
-use fsdm_sqljson::Datum;
+use fsdm_sqljson::json_table::ColKind;
+use fsdm_sqljson::path::JsonPath;
+use fsdm_sqljson::{parse_path, Datum, SqlType};
 
 use crate::database::Database;
 use crate::expr::{CmpOp, Expr};
 use crate::query::Query;
 use crate::schema::{ColType, ConstraintMode};
 
-/// Apply all rewrites bottom-up. `db` supplies schema information (scan
-/// widths) and view expansion.
+/// Apply both rewrites bottom-up. `db` supplies schema information (scan
+/// widths) and the DataGuides.
 ///
 /// Debug builds run the `typecheck` translation validator on every
 /// call (and, through the recursion, on every rewritten subtree): the
@@ -52,38 +54,26 @@ pub fn optimize(db: &Database, plan: Query) -> Query {
 }
 
 fn optimize_inner(db: &Database, plan: Query) -> Query {
-    let plan = map_children(db, plan);
-    let plan = match plan {
+    match map_children(db, plan) {
         Query::Filter { input, pred } => match *input {
-            // merge into the scan so the executor's vectorized path can
-            // evaluate the predicate over IMC column vectors (§5.2.1)
-            Query::Scan { table, filter } => {
-                let merged = match filter {
-                    None => pred,
-                    Some(f) => Expr::And(Box::new(f), Box::new(pred)),
-                };
-                Query::Scan { table, filter: Some(merged) }
-            }
-            other => try_pushdown(db, other, pred),
+            Query::Scan { table } => prune_dead(db, table, pred),
+            input => pushdown(db, input, pred),
         },
-        other => other,
-    };
-    prune_dead_scan(db, plan)
+        plan => plan,
+    }
 }
 
-/// The analyzer handshake: rewrite `Scan{filter}` to a constant-false
-/// scan when one of the filter's conjuncts is provably false against the
-/// table's DataGuide. Sound only when the guide covers every stored row,
-/// which is checked here (the insert pipeline maintains exactly that for
-/// `IsJsonWithDataGuide` columns).
-fn prune_dead_scan(db: &Database, plan: Query) -> Query {
-    let Query::Scan { table, filter: Some(pred) } = plan else { return plan };
+/// The analyzer handshake: `Filter(pred)` over `Scan(table)`, with `pred`
+/// replaced by constant false when one of its conjuncts is provably false
+/// against the table's DataGuide. Sound only when the guide covers every
+/// stored row, which is checked here (the insert pipeline maintains
+/// exactly that for `IsJsonWithDataGuide` columns).
+fn prune_dead(db: &Database, table: String, pred: Expr) -> Query {
     if pred.conjuncts().iter().any(|c| conjunct_provably_false(db, &table, c)) {
         fsdm_obs::counter!(fsdm_obs::catalog::ANALYZE_PRUNE_DEAD_PREDICATES).inc();
-        Query::Scan { table, filter: Some(Expr::Lit(Datum::Bool(false))) }
-    } else {
-        Query::Scan { table, filter: Some(pred) }
+        return Query::scan_where(table, Expr::Lit(Datum::Bool(false)));
     }
+    Query::scan_where(table, pred)
 }
 
 /// A conjunct that cannot accept any row: `JSON_EXISTS` over a provably
@@ -123,160 +113,147 @@ fn json_path_dead(db: &Database, table: &str, col: usize, path: &JsonPath) -> bo
 }
 
 fn map_children(db: &Database, plan: Query) -> Query {
+    let opt = |input: Box<Query>| Box::new(optimize(db, *input));
     match plan {
-        Query::Filter { input, pred } => {
-            Query::Filter { input: Box::new(optimize(db, *input)), pred }
-        }
-        Query::Project { input, exprs } => {
-            Query::Project { input: Box::new(optimize(db, *input)), exprs }
-        }
+        Query::Filter { input, pred } => Query::Filter { input: opt(input), pred },
+        Query::Project { input, exprs } => Query::Project { input: opt(input), exprs },
         Query::JsonTable { input, json_col, def } => {
-            Query::JsonTable { input: Box::new(optimize(db, *input)), json_col, def }
+            Query::JsonTable { input: opt(input), json_col, def }
         }
-        Query::HashJoin { left, right, left_key, right_key } => Query::HashJoin {
-            left: Box::new(optimize(db, *left)),
-            right: Box::new(optimize(db, *right)),
-            left_key,
-            right_key,
-        },
-        Query::GroupBy { input, keys, aggs } => {
-            Query::GroupBy { input: Box::new(optimize(db, *input)), keys, aggs }
+        Query::HashJoin { left, right, left_key, right_key } => {
+            Query::HashJoin { left: opt(left), right: opt(right), left_key, right_key }
         }
-        Query::Sort { input, keys } => Query::Sort { input: Box::new(optimize(db, *input)), keys },
+        Query::GroupBy { input, keys, aggs } => Query::GroupBy { input: opt(input), keys, aggs },
+        Query::Sort { input, keys } => Query::Sort { input: opt(input), keys },
         Query::Window { input, name, fun, order } => {
-            Query::Window { input: Box::new(optimize(db, *input)), name, fun, order }
+            Query::Window { input: opt(input), name, fun, order }
         }
-        Query::Limit { input, n } => Query::Limit { input: Box::new(optimize(db, *input)), n },
-        Query::Sample { input, pct } => {
-            Query::Sample { input: Box::new(optimize(db, *input)), pct }
-        }
-        // expand views so pushdown sees through them
-        Query::ViewScan { view } => match db.view(&view) {
-            Some(plan) => optimize(db, plan.clone()),
-            None => Query::ViewScan { view },
-        },
+        Query::Limit { input, n } => Query::Limit { input: opt(input), n },
+        Query::Sample { input, pct } => Query::Sample { input: opt(input), pct },
         leaf @ Query::Scan { .. } => leaf,
     }
 }
 
-/// `Filter(pred)` over `[Project?] → JsonTable → Scan`: derive a
-/// JSON_EXISTS scan pre-filter from the pushable conjuncts.
-fn try_pushdown(db: &Database, input: Query, pred: Expr) -> Query {
-    // peel an optional pure-column projection, tracking column mapping
-    let (proj, jt) = match input {
-        Query::Project { input: inner, exprs } => {
-            if exprs.iter().all(|(_, e)| matches!(e, Expr::Col(_))) {
-                (Some(exprs), *inner)
-            } else {
-                return Query::Filter {
-                    input: Box::new(Query::Project { input: inner, exprs }),
-                    pred,
-                };
-            }
-        }
-        other => (None, other),
-    };
-    let Query::JsonTable { input: jt_input, json_col, def } = jt else {
-        // not a JSON_TABLE pipeline: restore and bail
-        let restored = match proj {
-            Some(exprs) => Query::Project { input: Box::new(jt), exprs },
-            None => jt,
-        };
-        return Query::Filter { input: Box::new(restored), pred };
-    };
-    let Query::Scan { table, filter } = *jt_input else {
-        let restored = rebuild(proj, Query::JsonTable { input: jt_input, json_col, def });
-        return Query::Filter { input: Box::new(restored), pred };
-    };
-    let scan_width = db.table(&table).map(|t| t.scan_column_names().len()).unwrap_or(0);
-    let conjuncts = pred.conjuncts();
-    let col_paths = column_exists_paths(&def);
-    let mut exists_exprs: Vec<Expr> = Vec::new();
-    // resolve a column reference through the optional projection to a
-    // JSON_TABLE column's exists-path parts
-    let resolve = |col: usize| -> Option<&(String, String)> {
-        let jt_pos = match &proj {
-            Some(exprs) => match exprs.get(col) {
-                Some((_, Expr::Col(j))) => *j,
-                _ => return None,
-            },
-            None => col,
-        };
-        if jt_pos < scan_width {
-            return None; // predicate on a base column: not a JT pushdown
-        }
-        col_paths.get(jt_pos - scan_width)?.as_ref()
-    };
-    for c in &conjuncts {
-        match c {
-            Expr::Cmp(l, op, r) => {
-                let (col, lit, op) = match (&**l, &**r) {
-                    (Expr::Col(i), Expr::Lit(d)) => (*i, d, *op),
-                    (Expr::Lit(d), Expr::Col(i)) => (*i, d, flip(*op)),
-                    _ => continue,
-                };
-                let Some(parts) = resolve(col) else { continue };
-                if let Some(path_text) = exists_path(parts, op, lit) {
-                    if let Ok(p) = parse_path(&path_text) {
-                        exists_exprs.push(Expr::json_exists(json_col, p));
-                    }
-                }
-            }
-            // `col IN (a, b, c)` → one exists probe with an OR-chain filter
-            Expr::InList(inner, list) => {
-                let Expr::Col(col) = &**inner else { continue };
-                let Some((prefix, sub)) = resolve(*col) else { continue };
-                let mut terms = Vec::with_capacity(list.len());
-                let mut ok = true;
-                for d in list {
-                    match render_literal(d) {
-                        Some(t) => terms.push(format!("@{sub} == {t}")),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok && !terms.is_empty() {
-                    let path_text = format!("${prefix}?({})", terms.join(" || "));
-                    if let Ok(p) = parse_path(&path_text) {
-                        exists_exprs.push(Expr::json_exists(json_col, p));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    // dedupe against probes already on the scan filter: the row-level
-    // filter is kept above, so a second optimize() pass re-derives the
-    // same exists probes — re-ANDing them would break idempotence
-    let existing: Vec<String> =
-        filter.iter().flat_map(Expr::conjuncts).map(|e| format!("{e:?}")).collect();
-    let mut scan_filter = filter;
-    for e in exists_exprs {
-        if existing.contains(&format!("{e:?}")) {
-            continue;
-        }
-        scan_filter = Some(match scan_filter {
-            None => e,
-            Some(f) => Expr::And(Box::new(f), Box::new(e)),
-        });
-    }
-    let rebuilt = rebuild(
-        proj,
-        Query::JsonTable {
-            input: Box::new(Query::Scan { table, filter: scan_filter }),
-            json_col,
-            def,
-        },
-    );
-    Query::Filter { input: Box::new(rebuilt), pred }
+/// The §6.3 pushdown: `Filter(pred)` over `[Project] → JsonTable → Scan`
+/// gains the probes of `pred`'s pushable conjuncts in a `Filter` over the
+/// `Scan` — joining, deduplicated, the one an earlier pass put there.
+fn pushdown(db: &Database, input: Query, pred: Expr) -> Query {
+    let probes = probes(db, &input, &pred);
+    let input = if probes.is_empty() { input } else { below_expansion(db, input, probes) };
+    Query::Filter { input: Box::new(input), pred }
 }
 
-fn rebuild(proj: Option<Vec<(String, Expr)>>, inner: Query) -> Query {
-    match proj {
-        Some(exprs) => Query::Project { input: Box::new(inner), exprs },
-        None => inner,
+/// One `JSON_EXISTS` probe per pushable conjunct of `pred`, in conjunct
+/// order: a comparison or `IN` list of literals over a JSON_TABLE value
+/// column of `input` — a `JsonTable` whose source is a `Scan`, or the
+/// `Filter` over it that earlier probes sit in, under an optional
+/// projection.
+fn probes(db: &Database, input: &Query, pred: &Expr) -> Vec<Expr> {
+    let (renaming, expansion) = match input {
+        Query::Project { input, exprs } => (Some(exprs), &**input),
+        input => (None, input),
+    };
+    let Query::JsonTable { input: source, json_col, def } = expansion else { return Vec::new() };
+    let scan = match &**source {
+        Query::Filter { input, .. } => &**input,
+        source => source,
+    };
+    let Query::Scan { table } = scan else { return Vec::new() };
+    let width = db.table(table).map_or(0, |t| t.scan_width());
+    let (cols, paths) = (def.flat_columns(), def.column_paths());
+    // a column of the filter's input as the JSON_TABLE value column it
+    // names: its type and its document path
+    let column = |c: usize| {
+        let c = match renaming.map(|exprs| exprs.get(c)) {
+            Some(Some((_, Expr::Col(c)))) => *c,
+            Some(_) => return None,
+            None => c,
+        };
+        let i = c.checked_sub(width)?;
+        let path = paths.get(i)?.as_ref()?;
+        (cols[i].kind == ColKind::Value).then_some((cols[i].ty, path))
+    };
+    let mut out = Vec::new();
+    for c in pred.conjuncts() {
+        let (col, op, lits) = match c {
+            Expr::Cmp(l, op, r) => match (&**l, &**r) {
+                (Expr::Col(c), Expr::Lit(d)) => (*c, *op, std::slice::from_ref(d)),
+                (Expr::Lit(d), Expr::Col(c)) => (*c, flip(*op), std::slice::from_ref(d)),
+                _ => continue,
+            },
+            Expr::InList(e, list) => match &**e {
+                Expr::Col(c) => (*c, CmpOp::Eq, list.as_slice()),
+                _ => continue,
+            },
+            _ => continue,
+        };
+        let Some((ty, path)) = column(col) else { continue };
+        let mut terms = Vec::new();
+        if lits.iter().all(|lit| probe_terms(ty, op, lit, &mut terms)) && !terms.is_empty() {
+            // lax, whatever the row path's mode: a superset of the items
+            let (_, steps) = path.text().split_once('$').unwrap_or_default();
+            if let Ok(p) = parse_path(&format!("${steps}?({})", terms.join(" || "))) {
+                out.push(Expr::json_exists(*json_col, p));
+            }
+        }
+    }
+    out
+}
+
+/// Add to `terms` the filter terms on `@` that keep every item a column of
+/// type `ty` turns into a SQL value satisfying `value op lit` — false
+/// when there is no such filter:
+/// * a number, or a string literal against a `number` column that
+///   [`Datum::as_num`] converts, compares numerically; every string item
+///   is kept besides (`@ >= ""`), since SQL may convert it to a match;
+/// * a string literal against a `varchar2` or `any` column under `=` is
+///   matched as the string, and as the number or boolean it spells: the
+///   only non-strings whose text (or value) can equal it;
+/// * nothing else: boolean columns or literals, text `<`, `>` and `<>`,
+///   and strings path text cannot spell.
+fn probe_terms(ty: SqlType, op: CmpOp, lit: &Datum, terms: &mut Vec<String>) -> bool {
+    let mut push = |term: String| {
+        if !terms.contains(&term) {
+            terms.push(term);
+        }
+    };
+    let num = match (lit, ty) {
+        (_, SqlType::Boolean) => return false,
+        (Datum::Num(n), _) => Some(*n),
+        (Datum::Str(_), SqlType::Number) => match lit.as_num() {
+            Some(n) => Some(n),
+            None => return false,
+        },
+        (Datum::Str(_), _) => None,
+        _ => return false,
+    };
+    if let Some(n) = num {
+        push(format!("@ {} {}", op_text(op), n.to_literal()));
+        push("@ >= \"\"".to_string());
+        return true;
+    }
+    let Datum::Str(s) = lit else { return false };
+    if op != CmpOp::Eq || s.contains(['"', '\'', '\\']) {
+        return false;
+    }
+    push(format!("@ == \"{s}\""));
+    if let Some(n) = lit.as_num() {
+        push(format!("@ == {}", n.to_literal()));
+    }
+    if s == "true" || s == "false" {
+        push(format!("@ == {s}"));
+    }
+    true
+}
+
+fn op_text(op: CmpOp) -> &'static str {
+    match op {
+        CmpOp::Eq => "==",
+        CmpOp::Ne => "!=",
+        CmpOp::Lt => "<",
+        CmpOp::Le => "<=",
+        CmpOp::Gt => ">",
+        CmpOp::Ge => ">=",
     }
 }
 
@@ -290,101 +267,43 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
-/// For each JSON_TABLE output column (in `column_names()` order): the
-/// (container path text, column sub-path text) to build an exists probe,
-/// or `None` when the column is not a simple value column.
-fn column_exists_paths(def: &JsonTableDef) -> Vec<Option<(String, String)>> {
-    let mut out = Vec::new();
-    let root = steps_text(&def.row_path.steps);
-    collect_paths(&def.columns, &def.nested, &root, &mut out);
-    out
-}
-
-fn collect_paths(
-    cols: &[ColumnDef],
-    nested: &[NestedDef],
-    prefix: &str,
-    out: &mut Vec<Option<(String, String)>>,
-) {
-    for c in cols {
-        if c.kind == ColKind::Value {
-            match simple_sub_path(&c.path.steps) {
-                Some(sub) => out.push(Some((prefix.to_string(), sub))),
-                None => out.push(None),
+/// `input` — the shape [`probes`] read — with `probes` in the `Filter`
+/// over its `Scan`, pruned as any such filter is, so that a second pass
+/// finds nothing to do. Deduplicated: the row-level filter is kept above,
+/// so a second pass re-derives the same probes, and re-ANDing them would
+/// break idempotence.
+fn below_expansion(db: &Database, input: Query, probes: Vec<Expr>) -> Query {
+    match input {
+        Query::Project { input, exprs } => {
+            Query::Project { input: Box::new(below_expansion(db, *input, probes)), exprs }
+        }
+        Query::JsonTable { input, json_col, def } => {
+            let (scan, mut pred) = match *input {
+                Query::Filter { input, pred } => (*input, Some(pred)),
+                scan => (scan, None),
+            };
+            let seen: Vec<String> =
+                pred.iter().flat_map(Expr::conjuncts).map(|e| format!("{e:?}")).collect();
+            for probe in probes.into_iter().filter(|p| !seen.contains(&format!("{p:?}"))) {
+                pred = Some(match pred {
+                    None => probe,
+                    Some(f) => Expr::And(Box::new(f), Box::new(probe)),
+                });
             }
-        } else {
-            out.push(None);
+            let source = match (scan, pred) {
+                (Query::Scan { table }, Some(pred)) => prune_dead(db, table, pred),
+                (scan, _) => scan,
+            };
+            Query::JsonTable { input: Box::new(source), json_col, def }
         }
+        other => other,
     }
-    for n in nested {
-        let np = format!("{prefix}{}", steps_text(&n.path.steps));
-        collect_paths(&n.columns, &n.nested, &np, out);
-    }
-}
-
-/// Render steps as path text (fields and `[*]` only; anything else makes
-/// the column non-pushable).
-fn steps_text(steps: &[Step]) -> String {
-    let mut s = String::new();
-    for step in steps {
-        match step {
-            Step::Field { name, .. } => s.push_str(&fsdm_sqljson::path::path_step_text(name)),
-            Step::ArrayWildcard => s.push_str("[*]"),
-            Step::Array(sels) => {
-                if let [ArraySel::Index(IndexExpr::At(i))] = sels.as_slice() {
-                    s.push_str(&format!("[{i}]"));
-                } else {
-                    s.push_str("[*]");
-                }
-            }
-            _ => s.push_str("[*]"), // conservative
-        }
-    }
-    s
-}
-
-fn simple_sub_path(steps: &[Step]) -> Option<String> {
-    let mut s = String::new();
-    for step in steps {
-        match step {
-            Step::Field { name, .. } => s.push_str(&fsdm_sqljson::path::path_step_text(name)),
-            _ => return None,
-        }
-    }
-    Some(s)
-}
-
-/// Render a datum as a path literal (`None` when it cannot appear safely
-/// inside path text).
-fn render_literal(lit: &Datum) -> Option<String> {
-    match lit {
-        Datum::Num(n) => Some(n.to_literal()),
-        Datum::Str(s) if !s.contains(['"', '\'', '\\']) => Some(format!("\"{s}\"")),
-        Datum::Bool(b) => Some(b.to_string()),
-        _ => None,
-    }
-}
-
-/// `$<container>?(@<sub> <op> <literal>)` when the literal is renderable.
-fn exists_path((prefix, sub): &(String, String), op: CmpOp, lit: &Datum) -> Option<String> {
-    let op_text = match op {
-        CmpOp::Eq => "==",
-        CmpOp::Ne => "!=",
-        CmpOp::Lt => "<",
-        CmpOp::Le => "<=",
-        CmpOp::Gt => ">",
-        CmpOp::Ge => ">=",
-    };
-    let lit_text = render_literal(lit)?;
-    // a column directly at the row node (`sub` empty) probes `@` itself
-    Some(format!("${prefix}?(@{sub} {op_text} {lit_text})"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsdm_sqljson::json_table::ColumnDef as CD;
-    use fsdm_sqljson::SqlType;
+    use fsdm_sqljson::json_table::{ColumnDef as CD, JsonTableDef, NestedDef};
 
     fn sample_def() -> JsonTableDef {
         let p = |s: &str| parse_path(s).unwrap();
@@ -402,35 +321,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn derives_exists_paths_per_column() {
-        let paths = column_exists_paths(&sample_def());
-        assert_eq!(paths.len(), 3);
-        assert_eq!(
-            paths[0].as_ref().unwrap(),
-            &(".purchaseOrder".to_string(), ".reference".to_string())
-        );
-        assert_eq!(
-            paths[1].as_ref().unwrap(),
-            &(".purchaseOrder.items[*]".to_string(), ".partno".to_string())
-        );
-    }
-
-    #[test]
-    fn exists_path_rendering() {
-        let p = (".purchaseOrder.items[*]".to_string(), ".partno".to_string());
-        assert_eq!(
-            exists_path(&p, CmpOp::Eq, &Datum::from("P100")).unwrap(),
-            "$.purchaseOrder.items[*]?(@.partno == \"P100\")"
-        );
-        assert_eq!(
-            exists_path(&p, CmpOp::Gt, &Datum::from(5i64)).unwrap(),
-            "$.purchaseOrder.items[*]?(@.partno > 5)"
-        );
-        assert!(exists_path(&p, CmpOp::Eq, &Datum::Null).is_none());
-        assert!(exists_path(&p, CmpOp::Eq, &Datum::from("a\"b")).is_none());
-    }
-
     fn po_db() -> Database {
         use crate::jsonaccess::JsonStorage;
         use crate::schema::{ColType, ColumnSpec, ConstraintMode, TableSchema};
@@ -446,51 +336,105 @@ mod tests {
         db
     }
 
+    /// `Filter(pred)` over the sample expansion of `po`.
+    fn over_items(pred: Expr) -> Query {
+        Query::JsonTable { input: Box::new(Query::scan("po")), json_col: 1, def: sample_def() }
+            .filter(pred)
+    }
+
+    /// The probe texts `optimize` derives for `pred` over the sample
+    /// expansion, in order.
+    fn probe_texts(pred: Expr) -> Vec<String> {
+        let plan = over_items(pred);
+        let Query::Filter { input, pred } = &plan else { unreachable!() };
+        let texts = probes(&po_db(), input, pred).into_iter().map(|e| match e {
+            Expr::JsonExists { path, .. } => path.text().to_string(),
+            other => panic!("{other:?}"),
+        });
+        texts.collect()
+    }
+
+    fn cmp(col: usize, op: CmpOp, lit: impl Into<Datum>) -> Expr {
+        Expr::cmp(Expr::Col(col), op, Expr::Lit(lit.into()))
+    }
+
     #[test]
-    fn pushdown_adds_scan_prefilter_and_keeps_filter() {
-        let def = sample_def();
-        let plan = Query::Filter {
-            input: Box::new(Query::JsonTable {
-                input: Box::new(Query::scan("po")),
-                json_col: 1,
-                def,
-            }),
-            pred: Expr::cmp(Expr::Col(3), CmpOp::Eq, Expr::Lit(Datum::from("P100"))),
-        };
-        let opt = optimize(&po_db(), plan);
-        match &opt {
-            Query::Filter { input, .. } => match &**input {
-                Query::JsonTable { input, .. } => match &**input {
-                    Query::Scan { filter: Some(f), .. } => {
-                        let s = format!("{f:?}");
-                        assert!(s.contains("JSON_EXISTS"), "{s}");
-                        assert!(s.contains("partno"), "{s}");
-                    }
-                    other => panic!("expected filtered scan, got {other:?}"),
-                },
-                other => panic!("expected JsonTable, got {other:?}"),
-            },
-            other => panic!("expected Filter kept on top, got {other:?}"),
+    fn a_probe_is_the_columns_path_filtered_on_the_item() {
+        // columns after did, jdoc: reference, partno, quantity
+        assert_eq!(
+            probe_texts(cmp(3, CmpOp::Eq, "P100")),
+            [r#"$.purchaseOrder.items[*].partno?(@ == "P100")"#]
+        );
+        // a string that spells a number matches the number too
+        assert_eq!(
+            probe_texts(cmp(3, CmpOp::Eq, "5")),
+            [r#"$.purchaseOrder.items[*].partno?(@ == "5" || @ == 5)"#]
+        );
+        assert_eq!(
+            probe_texts(cmp(2, CmpOp::Eq, "true")),
+            [r#"$.purchaseOrder.reference?(@ == "true" || @ == true)"#]
+        );
+        // a numeric comparison keeps every string, which SQL may convert
+        assert_eq!(
+            probe_texts(cmp(4, CmpOp::Gt, 15i64)),
+            [r#"$.purchaseOrder.items[*].quantity?(@ > 15 || @ >= "")"#]
+        );
+        assert_eq!(
+            probe_texts(cmp(4, CmpOp::Lt, "7")),
+            [r#"$.purchaseOrder.items[*].quantity?(@ < 7 || @ >= "")"#]
+        );
+        assert_eq!(
+            probe_texts(Expr::InList(Box::new(Expr::Col(4)), vec![7i64.into(), 8i64.into()])),
+            [r#"$.purchaseOrder.items[*].quantity?(@ == 7 || @ >= "" || @ == 8)"#]
+        );
+        // a literal on the left flips the comparison
+        let flipped = Expr::cmp(Expr::Lit(Datum::from(3i64)), CmpOp::Lt, Expr::Col(4));
+        assert_eq!(
+            probe_texts(flipped),
+            [r#"$.purchaseOrder.items[*].quantity?(@ > 3 || @ >= "")"#]
+        );
+    }
+
+    #[test]
+    fn no_probe_where_path_text_cannot_keep_every_match() {
+        let none = [
+            // text order and inequality: no path filter spells SQL's
+            cmp(3, CmpOp::Lt, "P100"),
+            cmp(3, CmpOp::Ne, "P100"),
+            // a string a number column cannot convert never matches
+            cmp(4, CmpOp::Eq, "many"),
+            // booleans, NULL, and strings path text cannot spell
+            cmp(3, CmpOp::Eq, Datum::Bool(true)),
+            cmp(3, CmpOp::Eq, Datum::Null),
+            cmp(3, CmpOp::Eq, "a\"b"),
+            Expr::InList(Box::new(Expr::Col(3)), vec!["a".into(), Datum::Null]),
+            // a base column, and what is not a column against a literal
+            cmp(0, CmpOp::Eq, 1i64),
+            Expr::IsNull(Box::new(Expr::Col(3))),
+        ];
+        for pred in none {
+            assert!(probe_texts(pred.clone()).is_empty(), "{pred:?}");
         }
+    }
+
+    #[test]
+    fn pushdown_adds_a_filter_below_the_expansion_and_keeps_the_row_filter() {
+        let opt = optimize(&po_db(), over_items(cmp(3, CmpOp::Eq, "P100")));
+        let Query::Filter { input, .. } = &opt else { panic!("{}", opt.render()) };
+        let Query::JsonTable { input, .. } = &**input else { panic!("{}", opt.render()) };
+        let Query::Filter { input, pred } = &**input else { panic!("{}", opt.render()) };
+        assert!(matches!(&**input, Query::Scan { .. }), "{}", opt.render());
+        let s = format!("{pred:?}");
+        assert!(s.contains("JSON_EXISTS") && s.contains("partno"), "{s}");
     }
 
     #[test]
     fn optimize_is_idempotent_on_pushdown_plans() {
         let db = po_db();
-        let plan = Query::Filter {
-            input: Box::new(Query::JsonTable {
-                input: Box::new(Query::scan("po")),
-                json_col: 1,
-                def: sample_def(),
-            }),
-            pred: Expr::And(
-                Box::new(Expr::cmp(Expr::Col(3), CmpOp::Eq, Expr::Lit(Datum::from("P100")))),
-                Box::new(Expr::InList(
-                    Box::new(Expr::Col(4)),
-                    vec![Datum::from(1i64), Datum::from(2i64)],
-                )),
-            ),
-        };
+        let plan = over_items(Expr::And(
+            Box::new(cmp(3, CmpOp::Eq, "P100")),
+            Box::new(Expr::InList(Box::new(Expr::Col(4)), vec![1i64.into(), 2i64.into()])),
+        ));
         let once = optimize(&db, plan);
         let twice = optimize(&db, once.clone());
         assert_eq!(
@@ -507,7 +451,7 @@ mod tests {
 
     fn guided_db() -> Database {
         use crate::jsonaccess::JsonStorage;
-        use crate::schema::{ColType, ColumnSpec, TableSchema};
+        use crate::schema::{ColumnSpec, TableSchema};
         use crate::table::{InsertValue, Table};
         let mut t = Table::new(TableSchema::new(
             "po",
@@ -524,19 +468,21 @@ mod tests {
         db
     }
 
+    fn pruned(plan: &Query) -> bool {
+        matches!(plan, Query::Filter { pred: Expr::Lit(Datum::Bool(false)), input }
+            if matches!(**input, Query::Scan { .. }))
+    }
+
     #[test]
     fn dead_json_exists_prunes() {
         let dead =
             || Query::scan("po").filter(Expr::json_exists(1, parse_path("$.persno").unwrap()));
         let db = guided_db();
         let plan = optimize(&db, dead());
-        assert!(
-            matches!(&plan, Query::Scan { filter: Some(Expr::Lit(Datum::Bool(false))), .. }),
-            "{plan:?}"
-        );
+        assert!(pruned(&plan), "{plan:?}");
         // the rewrite is visible in EXPLAIN renderings, and execution
         // still returns the (empty) result the live filter would
-        assert!(plan.render().contains("filter=false"), "{}", plan.render());
+        assert!(plan.render().contains("Filter pred=false"), "{}", plan.render());
         assert!(db.execute(&dead()).unwrap().rows.is_empty());
     }
 
@@ -548,55 +494,25 @@ mod tests {
             CmpOp::Eq,
             Expr::Lit(Datum::from(7i64)),
         ));
-        let plan = optimize(&db, dead);
-        assert!(
-            matches!(&plan, Query::Scan { filter: Some(Expr::Lit(Datum::Bool(false))), .. }),
-            "{plan:?}"
-        );
+        assert!(pruned(&optimize(&db, dead)));
     }
 
     #[test]
     fn live_paths_and_unguided_tables_never_prune() {
-        let db = guided_db();
-        // live path: the guide has seen `price`
+        // live path: the guide has seen `price`; unguided table (plain IS
+        // JSON): no proof available
         let live = Query::scan("po").filter(Expr::json_exists(1, parse_path("$.price").unwrap()));
-        match optimize(&db, live) {
-            Query::Scan { filter: Some(f), .. } => {
-                assert!(format!("{f:?}").contains("JSON_EXISTS"), "{f:?}");
-            }
-            other => panic!("{other:?}"),
-        }
-        // unguided table (plain IS JSON): no proof available, no rewrite
-        let db = po_db();
         let dead = Query::scan("po").filter(Expr::json_exists(1, parse_path("$.zz").unwrap()));
-        match optimize(&db, dead) {
-            Query::Scan { filter: Some(f), .. } => {
-                assert!(format!("{f:?}").contains("JSON_EXISTS"), "{f:?}");
-            }
-            other => panic!("{other:?}"),
+        for (db, plan) in [(guided_db(), live), (po_db(), dead)] {
+            let opt = optimize(&db, plan.clone());
+            assert_eq!(format!("{opt:?}"), format!("{plan:?}"));
         }
     }
 
     #[test]
     fn non_pushable_predicates_left_alone() {
-        let def = sample_def();
-        let plan = Query::Filter {
-            input: Box::new(Query::JsonTable {
-                input: Box::new(Query::scan("po")),
-                json_col: 1,
-                def,
-            }),
-            pred: Expr::IsNull(Box::new(Expr::Col(3))),
-        };
-        let opt = optimize(&po_db(), plan);
-        match &opt {
-            Query::Filter { input, .. } => match &**input {
-                Query::JsonTable { input, .. } => {
-                    assert!(matches!(&**input, Query::Scan { filter: None, .. }));
-                }
-                other => panic!("{other:?}"),
-            },
-            other => panic!("{other:?}"),
-        }
+        let plan = over_items(Expr::IsNull(Box::new(Expr::Col(3))));
+        let opt = optimize(&po_db(), plan.clone());
+        assert_eq!(format!("{opt:?}"), format!("{plan:?}"));
     }
 }

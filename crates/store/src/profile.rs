@@ -164,7 +164,8 @@ impl QueryProfile {
     /// degree=1  optimize=0.01ms  execute=0.41ms  mem_highwater=0B  source=select …
     /// Sort  rows=2  time=0.41ms  mode=row
     ///   Project  rows=2  time=0.38ms  mode=columnar  transient=[…]  rowwise=[…]
-    ///     Scan(po,filtered)  rows=3  time=0.37ms  mode=columnar
+    ///     Filter  rows=2  time=0.37ms  mode=columnar
+    ///       Scan(po)  rows=3  time=0.37ms  mode=columnar
     /// ```
     pub fn render(&self) -> String {
         fn walk(op: &OpProfile, depth: usize, out: &mut String) {

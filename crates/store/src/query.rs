@@ -68,13 +68,6 @@ pub enum Query {
     Scan {
         /// Table name.
         table: String,
-        /// Optional pushed-down predicate.
-        filter: Option<Expr>,
-    },
-    /// Scan a registered view (expands to the view's plan).
-    ViewScan {
-        /// View name.
-        view: String,
     },
     /// Filter rows.
     Filter {
@@ -162,17 +155,12 @@ pub enum Query {
 impl Query {
     /// Scan builder.
     pub fn scan(table: impl Into<String>) -> Query {
-        Query::Scan { table: table.into(), filter: None }
+        Query::Scan { table: table.into() }
     }
 
-    /// Scan with a pushed-down filter.
+    /// A filtered scan: `Filter(Scan)`.
     pub fn scan_where(table: impl Into<String>, filter: Expr) -> Query {
-        Query::Scan { table: table.into(), filter: Some(filter) }
-    }
-
-    /// View scan builder.
-    pub fn view(view: impl Into<String>) -> Query {
-        Query::ViewScan { view: view.into() }
+        Query::scan(table).filter(filter)
     }
 
     /// Wrap in a filter.
@@ -215,11 +203,7 @@ impl Query {
         fn walk(q: &Query, depth: usize, out: &mut String) {
             let _ = write!(out, "{:indent$}", "", indent = depth * 2);
             let _ = match q {
-                Query::Scan { table, filter } => match filter {
-                    Some(f) => writeln!(out, "Scan({table}) filter={f:?}"),
-                    None => writeln!(out, "Scan({table})"),
-                },
-                Query::ViewScan { view } => writeln!(out, "ViewScan({view})"),
+                Query::Scan { table } => writeln!(out, "Scan({table})"),
                 Query::Filter { pred, .. } => writeln!(out, "Filter pred={pred:?}"),
                 Query::Project { exprs, .. } => {
                     let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
@@ -257,7 +241,7 @@ impl Query {
                     walk(left, depth + 1, out);
                     walk(right, depth + 1, out);
                 }
-                Query::Scan { .. } | Query::ViewScan { .. } => {}
+                Query::Scan { .. } => {}
             }
         }
         let mut out = String::new();

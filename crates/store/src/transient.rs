@@ -20,7 +20,7 @@
 //! ever read from, because every stage intersects its mask with the
 //! selection it was extracted for.
 //!
-//! A pipeline whose source is `JsonTable(Scan)` has a second row space:
+//! A pipeline whose source is a `JsonTable` has a second row space:
 //! the surviving documents of a morsel are expanded ([`Expanded`]) into
 //! one row per (master node, detail node, …), each remembering its parent
 //! document and the context node of every definition block on its path.
@@ -311,8 +311,8 @@ impl<'a> Lowering<'a> {
     }
 
     /// From here on kernels run over the rows of `def`'s expansion, whose
-    /// columns follow the scan's. What was lowered before — the scan's own
-    /// filter, which runs below the `JsonTable` — keeps reading the table.
+    /// columns follow the scan's. What was lowered before — the filters
+    /// below the `JsonTable` — keeps reading the table.
     pub(crate) fn expanding(&mut self, def: &'a JsonTableDef) {
         let columns = def.flat_columns();
         self.limit = self.table.scan_width() + columns.len();
@@ -523,7 +523,7 @@ impl TransientVec {
 }
 
 /// One morsel's JSON_TABLE expansion: the row space the pipeline's stages
-/// run over once its source is `JsonTable(Scan)`. Holds no column value —
+/// run over once its source is a `JsonTable`. Holds no column value —
 /// only where each expanded row came from, so that a column is extracted
 /// when a stage asks for it, for the rows still selected then.
 pub(crate) struct Expanded<'t> {

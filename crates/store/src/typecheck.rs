@@ -267,7 +267,6 @@ fn config_for(table: &Table, col: usize) -> AnalyzerConfig {
 pub fn op_safety(q: &Query) -> ParallelSafety {
     match q {
         Query::Scan { .. }
-        | Query::ViewScan { .. }
         | Query::Filter { .. }
         | Query::Project { .. }
         | Query::JsonTable { .. } => ParallelSafety::Morsel,
@@ -279,16 +278,8 @@ pub fn op_safety(q: &Query) -> ParallelSafety {
     }
 }
 
-/// The whole plan's class: the most restrictive operator in the tree
-/// (views expand to their definitions first).
-pub fn plan_safety(db: &Database, q: &Query) -> ParallelSafety {
-    let own = match q {
-        Query::ViewScan { view } => match db.view(view) {
-            Some(inner) => plan_safety(db, inner),
-            None => ParallelSafety::Morsel,
-        },
-        other => op_safety(other),
-    };
+/// The whole plan's class: the most restrictive operator in the tree.
+pub fn plan_safety(q: &Query) -> ParallelSafety {
     let children = match q {
         Query::Filter { input, .. }
         | Query::Project { input, .. }
@@ -297,25 +288,21 @@ pub fn plan_safety(db: &Database, q: &Query) -> ParallelSafety {
         | Query::Sort { input, .. }
         | Query::Window { input, .. }
         | Query::Limit { input, .. }
-        | Query::Sample { input, .. } => plan_safety(db, input),
-        Query::HashJoin { left, right, .. } => plan_safety(db, left).max(plan_safety(db, right)),
-        Query::Scan { .. } | Query::ViewScan { .. } => ParallelSafety::Morsel,
+        | Query::Sample { input, .. } => plan_safety(input),
+        Query::HashJoin { left, right, .. } => plan_safety(left).max(plan_safety(right)),
+        Query::Scan { .. } => ParallelSafety::Morsel,
     };
-    own.max(children)
+    op_safety(q).max(children)
 }
 
 /// Is the plan's output order pinned by the plan itself? False when a
 /// Sort or window ORDER BY leaves ties to the input order (empty key
 /// list, constant key, or duplicated key expression) — the conditions
 /// `PK005` reports. Rewrites must preserve this classification.
-pub fn plan_deterministic(db: &Database, q: &Query) -> bool {
+pub fn plan_deterministic(q: &Query) -> bool {
     let own = match q {
         Query::Sort { keys, .. } => order_keys_pin(keys),
         Query::Window { order, .. } => order_keys_pin(order),
-        Query::ViewScan { view } => match db.view(view) {
-            Some(inner) => return plan_deterministic(db, inner),
-            None => true,
-        },
         _ => true,
     };
     let children = match q {
@@ -326,11 +313,11 @@ pub fn plan_deterministic(db: &Database, q: &Query) -> bool {
         | Query::Sort { input, .. }
         | Query::Window { input, .. }
         | Query::Limit { input, .. }
-        | Query::Sample { input, .. } => plan_deterministic(db, input),
+        | Query::Sample { input, .. } => plan_deterministic(input),
         Query::HashJoin { left, right, .. } => {
-            plan_deterministic(db, left) && plan_deterministic(db, right)
+            plan_deterministic(left) && plan_deterministic(right)
         }
-        Query::Scan { .. } | Query::ViewScan { .. } => true,
+        Query::Scan { .. } => true,
     };
     own && children
 }
@@ -381,11 +368,11 @@ pub fn rewrite_violations(db: &Database, before: &Query, after: &Query) -> Vec<S
             out.push(format!("column {} loosened nullability", bc.name));
         }
     }
-    let (bs, asf) = (plan_safety(db, before), plan_safety(db, after));
+    let (bs, asf) = (plan_safety(before), plan_safety(after));
     if bs != asf {
         out.push(format!("parallel-safety class changed: {bs:?} -> {asf:?}"));
     }
-    let (bd, ad) = (plan_deterministic(db, before), plan_deterministic(db, after));
+    let (bd, ad) = (plan_deterministic(before), plan_deterministic(after));
     if bd != ad {
         out.push(format!("determinism class changed: {bd} -> {ad}"));
     }
@@ -444,7 +431,7 @@ impl ExprType {
 
 fn infer_plan(db: &Database, plan: &Query, diags: &mut Sink<'_>) -> PlanSchema {
     match plan {
-        Query::Scan { table, filter } => {
+        Query::Scan { table } => {
             let Some(t) = db.table(table) else {
                 diags.push(node_diag(
                     Code::UnknownColumn,
@@ -471,23 +458,8 @@ fn infer_plan(db: &Database, plan: &Query, diags: &mut Sink<'_>) -> PlanSchema {
                     c.origin = Some((table.clone(), i));
                 }
             }
-            let schema = PlanSchema { cols };
-            if let Some(pred) = filter {
-                check_predicate(pred, &schema, plan, diags);
-            }
-            schema
+            PlanSchema { cols }
         }
-        Query::ViewScan { view } => match db.view(view) {
-            Some(inner) => infer_plan(db, inner, diags),
-            None => {
-                diags.push(node_diag(
-                    Code::UnknownColumn,
-                    plan,
-                    format!("scan of unknown view `{view}`"),
-                ));
-                PlanSchema::default()
-            }
-        },
         Query::Filter { input, pred } => {
             let schema = infer_plan(db, input, diags);
             check_predicate(pred, &schema, plan, diags);
@@ -756,7 +728,7 @@ fn collect_jt_cols(cols: &[ColumnDef], nested: &[NestedDef], out: &mut Vec<ColIn
     }
 }
 
-/// A predicate position (Scan filter / Filter): anything statically
+/// A predicate position (a `Filter`): anything statically
 /// non-boolean can never accept a row.
 fn check_predicate(pred: &Expr, schema: &PlanSchema, node: &Query, diags: &mut Sink<'_>) {
     let et = infer_expr(pred, schema, node, diags);
@@ -998,10 +970,9 @@ mod tests {
     }
 
     #[test]
-    fn pk001_unknown_table_view_and_column() {
+    fn pk001_unknown_table_and_column() {
         let db = db();
         assert_eq!(codes(&infer(&db, &Query::scan("nope"))), [Code::UnknownColumn.id()]);
-        assert_eq!(codes(&infer(&db, &Query::view("nope"))), [Code::UnknownColumn.id()]);
         let oob = Query::Project {
             input: Box::new(Query::scan("t")),
             exprs: vec![("x".into(), Expr::Col(9))],
@@ -1148,8 +1119,8 @@ mod tests {
             keys: vec![SortKey::asc(Expr::Col(0))],
         };
         assert!(infer(&db, &ok).diagnostics.is_empty());
-        assert!(!plan_deterministic(&db, &empty));
-        assert!(plan_deterministic(&db, &ok));
+        assert!(!plan_deterministic(&empty));
+        assert!(plan_deterministic(&ok));
     }
 
     #[test]
@@ -1215,17 +1186,16 @@ mod tests {
 
     #[test]
     fn parallel_safety_classes_match_executor_structure() {
-        let db = db();
-        assert_eq!(plan_safety(&db, &Query::scan("t")), ParallelSafety::Morsel);
+        assert_eq!(plan_safety(&Query::scan("t")), ParallelSafety::Morsel);
         let join = Query::HashJoin {
             left: Box::new(Query::scan("t")),
             right: Box::new(Query::scan("t")),
             left_key: 0,
             right_key: 0,
         };
-        assert_eq!(plan_safety(&db, &join), ParallelSafety::Barrier);
+        assert_eq!(plan_safety(&join), ParallelSafety::Barrier);
         let limited = Query::Limit { input: Box::new(join), n: 1 };
-        assert_eq!(plan_safety(&db, &limited), ParallelSafety::Serial);
+        assert_eq!(plan_safety(&limited), ParallelSafety::Serial);
     }
 
     #[test]

@@ -124,10 +124,12 @@ proptest! {
             CmpOp::Ge,
             Expr::Lit(Datum::Num(JsonNumber::Int(lo as i64))),
         );
-        // optimized execute merges the filter into the scan → vectorized
+        // the spine runs the filter as a kernel over the vector; the row
+        // evaluator, its oracle, row by row
         let q = Query::scan("t").filter(pred.clone()).project(vec![("id", Expr::Col(0))]);
         let fast = db.execute(&q).unwrap();
-        let slow = db.execute_unoptimized(&q).unwrap();
+        db.set_columnar(false);
+        let slow = db.execute(&q).unwrap();
         prop_assert_eq!(fast, slow);
     }
 

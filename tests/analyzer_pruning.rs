@@ -53,7 +53,7 @@ fn explain_shows_the_diagnostic_and_the_rewrite() {
     assert!(explain.contains("plan:"), "{explain}");
     assert!(explain.contains("JSON_EXISTS"), "the pre-rewrite plan keeps the predicate: {explain}");
     assert!(explain.contains("optimized:"), "{explain}");
-    assert!(explain.contains("filter=false"), "the rewrite is visible: {explain}");
+    assert!(explain.contains("Filter pred=false"), "the rewrite is visible: {explain}");
     // a SELECT the planner rejects says why; only a statement that is no
     // SELECT at all (DDL) does not plan
     let unknown = session.explain("select nosuch from nobench", &[]).unwrap();
@@ -68,7 +68,7 @@ fn live_predicates_survive_pruning_untouched() {
     let mut session = nobench_guided_db(N);
     let sql = "select did from nobench where json_exists(jdoc, '$.sparse_110')";
     let explain = session.explain(sql, &[]).unwrap();
-    assert!(!explain.contains("filter=false"), "{explain}");
+    assert!(!explain.contains("pred=false"), "{explain}");
     let rows = session.execute(sql).unwrap().rows.len();
     assert!(rows > 0, "sparse_110 exists in ~1% of {N} docs");
 }

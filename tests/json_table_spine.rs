@@ -3,9 +3,10 @@
 //! process-global counter: this file is its own process, and nothing else
 //! runs in it.
 //!
-//! Every statement must return byte-identical rows in identical order
+//! Every statement must return `Debug`-identical rows in identical order
 //! with the spine on and off (off = the row evaluator over the same
-//! expansion routine's row API), at degree 1 and 4, over text, BSON and
+//! expansion routine's row API) and the optimizer on and off (the §6.3
+//! probes below the expansion), at degree 1 and 4, over text, BSON and
 //! OSON storage, under a morsel size that splits the corpus; the rows
 //! themselves are pinned for the shapes that matter: sibling NESTED PATHs
 //! (union join, never a cross product), NESTED inside NESTED, empty and
@@ -16,7 +17,8 @@
 use fsdm::sql::Session;
 use fsdm::sqljson::Datum;
 use fsdm::store::{
-    ColType, ColumnSpec, ConstraintMode, InsertValue, JsonStorage, QueryResult, Table, TableSchema,
+    ColType, ColumnSpec, ConstraintMode, InsertValue, JsonStorage, QueryResult, Run, Table,
+    TableSchema,
 };
 
 const DOCS: [&str; 7] = [
@@ -90,15 +92,20 @@ fn json_table_corner_cases_match_the_row_evaluator() {
         let mut session = session(storage);
         for degree in [1, 4] {
             session.set_parallelism(degree);
-            for columnar in [false, true] {
+            for (columnar, optimize) in [(false, false), (false, true), (true, false), (true, true)]
+            {
                 session.db.set_columnar(columnar);
+                let how = Run { optimize, ..Run::default() };
+                let run = |sql: &String| session.db.run(&session.plan(sql, &[]).unwrap(), &how);
                 let got: Vec<QueryResult> =
-                    statements.iter().map(|sql| session.execute(sql).unwrap()).collect();
+                    statements.iter().map(|sql| run(sql).unwrap().0).collect();
                 match &expected {
                     None => expected = Some(got),
-                    Some(e) => {
-                        assert_eq!(&got, e, "{storage:?} degree={degree} columnar={columnar}")
-                    }
+                    Some(e) => assert_eq!(
+                        format!("{got:?}"),
+                        format!("{e:?}"),
+                        "{storage:?} degree={degree} columnar={columnar} optimize={optimize}"
+                    ),
                 }
             }
         }

@@ -378,7 +378,7 @@ fn workload_queries_optimize_idempotently() {
         plans.push((format!("olap:Q{}", q.id), olap, olap.plan(&q.sql, &binds).unwrap()));
     }
     for view in ["po_mv", "po_item_dmdv"] {
-        plans.push((format!("view:{view}"), olap, Query::view(view)));
+        plans.push((format!("view:{view}"), olap, olap.db.view(view).unwrap().clone()));
     }
 
     assert_eq!(plans.len(), 23, "workload sweep lost queries");

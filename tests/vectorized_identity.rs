@@ -1,9 +1,10 @@
-//! Integration test: the batch spine is invisible in results. With the
-//! NOBENCH Q1–Q3 virtual columns materialized into the VC-IMC, every
-//! workload query — NOBENCH Q1–Q11 and the OLAP Table-13 set — must
-//! return byte-identical `QueryResult`s with the spine on and off (off =
-//! the row evaluator, the oracle), at degree 1 and 4, under a tiny morsel
-//! size that forces many batches per scan. The statements that read a
+//! Integration test: the batch spine and the optimizer are invisible in
+//! results. With the NOBENCH Q1–Q3 virtual columns materialized into the
+//! VC-IMC, every workload query — NOBENCH Q1–Q11 and the OLAP Table-13
+//! set — must return `Debug`-identical `QueryResult`s with the spine on and
+//! off (off = the row evaluator, the oracle) and the optimizer on and off,
+//! at degree 1 and 4, under a tiny morsel size that forces many batches
+//! per scan. The statements that read a
 //! path with no vector (Q4, Q7–Q11) are additionally held identical
 //! across IMC states and storage formats, and a hand-built corpus pins
 //! the corner cases of transient columns. On top of identity, every
@@ -13,8 +14,8 @@
 use fsdm::sql::Session;
 use fsdm::sqljson::Datum;
 use fsdm::store::{
-    Cell, ColType, ColumnSpec, ConstraintMode, Database, InsertValue, JsonStorage, QueryResult,
-    Run, Table, TableSchema,
+    Cell, ColType, ColumnSpec, ConstraintMode, Database, InsertValue, JsonStorage, Query,
+    QueryResult, Run, Table, TableSchema,
 };
 use fsdm_bench::setup::{
     add_nobench_columnar_vcs, bind_datum, nobench_db, nobench_q11_plan, nobench_q5_bind, olap_db,
@@ -24,6 +25,24 @@ use fsdm_store::optimizer::optimize;
 use fsdm_store::{infer, rewrite_violations};
 
 const DEGREES: [usize; 2] = [1, 4];
+
+/// `plan` run through [`Database::run`] with the optimizer on or off: the
+/// result, or the error's text.
+fn run(db: &Database, plan: &Query, optimize: bool) -> Result<QueryResult, String> {
+    let how = Run { optimize, ..Run::default() };
+    db.run(plan, &how).map(|(result, _)| result).map_err(|e| e.to_string())
+}
+
+/// `sql` planned by `session`, then [`run`].
+fn run_sql(
+    session: &Session,
+    sql: &str,
+    binds: &[Datum],
+    optimize: bool,
+) -> Result<QueryResult, String> {
+    let plan = session.plan(sql, binds).map_err(|e| e.to_string())?;
+    run(&session.db, &plan, optimize)
+}
 
 #[test]
 fn nobench_columnar_identical_to_row_at_every_degree() {
@@ -39,33 +58,21 @@ fn nobench_columnar_identical_to_row_at_every_degree() {
         })
         .collect();
     let q11 = nobench_q11_plan(n, false);
-
-    let mut baseline = None;
-    for degree in DEGREES {
-        session.set_parallelism(degree);
-        for columnar in [false, true] {
-            session.db.set_columnar(columnar);
-            let mut results = Vec::new();
-            for (sql, binds) in &queries {
-                results.push(session.execute_with(sql, binds).unwrap());
-            }
-            results.push(session.db.execute(&q11).unwrap());
-            match &baseline {
-                None => baseline = Some(results),
-                Some(b) => assert_eq!(
-                    &results, b,
-                    "columnar={columnar} degree={degree} diverged from the row baseline"
-                ),
-            }
-        }
-    }
-    session.db.set_columnar(true);
+    let results = on_off_identical(&mut session, &|session, optimize| {
+        let mut results: Vec<_> =
+            queries.iter().map(|(sql, binds)| run_sql(session, sql, binds, optimize)).collect();
+        results.push(run(&session.db, &q11, optimize));
+        results.iter().map(|r| format!("{r:?}")).collect()
+    });
+    assert!(results.iter().all(|r| r.starts_with("Ok")), "{results:#?}");
 }
 
 /// T1–T9 through `po_mv` and `po_item_dmdv` — `JSON_TABLE` with the
-/// view's consumers fused on top — return byte-identical rows in identical
-/// order with the spine on and off, at degree 1 and 4, over text, BSON and
-/// OSON storage alike (and, separately, over the relational decomposition).
+/// view's consumers fused on top — return `Debug`-identical rows in
+/// identical order with the spine on and off and the optimizer on and off,
+/// at degree 1 and 4, over text, BSON and OSON storage alike (and,
+/// separately, over the relational decomposition). The §6.3 pushdown
+/// still prunes: the ablation's statement expands no document.
 #[test]
 fn olap_columnar_identical_to_row_at_every_degree() {
     let n = 300;
@@ -74,36 +81,29 @@ fn olap_columnar_identical_to_row_at_every_degree() {
     for method in StorageMethod::ALL {
         let mut session = olap_db(method, n);
         session.db.set_morsel_rows(32);
-        let mut baseline = None;
-        for degree in DEGREES {
-            session.set_parallelism(degree);
-            for columnar in [false, true] {
-                session.db.set_columnar(columnar);
-                let results: Vec<_> = queries
-                    .iter()
-                    .map(|q| {
-                        let binds: Vec<Datum> = q.binds.iter().map(|b| bind_datum(b)).collect();
-                        session.execute_with(&q.sql, &binds).unwrap()
-                    })
-                    .collect();
-                match &baseline {
-                    None => baseline = Some(results),
-                    Some(b) => assert_eq!(
-                        &results,
-                        b,
-                        "{}: columnar={columnar} degree={degree} diverged",
-                        method.label()
-                    ),
-                }
-            }
-        }
+        let results = on_off_identical(&mut session, &|session, optimize| {
+            let results = queries.iter().map(|q| {
+                let binds: Vec<Datum> = q.binds.iter().map(|b| bind_datum(b)).collect();
+                format!("{:?}", run_sql(session, &q.sql, &binds, optimize))
+            });
+            results.collect()
+        });
+        assert!(results.iter().all(|r| r.starts_with("Ok")), "{}: {results:#?}", method.label());
         if method != StorageMethod::Rel {
             match &across_storages {
-                None => across_storages = baseline,
-                Some(first) => assert_eq!(&baseline.unwrap(), first, "{}", method.label()),
+                None => across_storages = Some(results),
+                Some(first) => assert_eq!(&results, first, "{}", method.label()),
             }
         }
     }
+    let session = olap_db(StorageMethod::Oson, n);
+    let sql = "select count(*) from po_item_dmdv where partno = 'no-such-part'";
+    let plan = session.plan(sql, &[]).unwrap();
+    let (_, report) = session.db.run(&plan, &Run::default()).unwrap();
+    let probe = &report.find("JsonTable").unwrap().children[0];
+    let scan = &probe.children[0];
+    assert_eq!((probe.op.as_str(), probe.rows_out), ("Filter", 0), "{}", report.render());
+    assert_eq!((scan.op.as_str(), scan.rows_out), ("Scan(po)", n), "{}", report.render());
 }
 
 /// A `(did, jdoc)` collection named `name` holding `docs` in `storage`
@@ -129,24 +129,33 @@ fn collection(
     session
 }
 
-/// Every statement at degree {1,4} with the spine off and on; all four
-/// runs must agree, and the agreed results are returned.
-fn on_off_identical<T: PartialEq + std::fmt::Debug>(
+/// Every statement at degree {1,4} with the spine off and on, and with
+/// the optimizer (the argument `run` is handed) off and on; all eight runs
+/// must agree to the `Debug` rendering, and the agreed results are
+/// returned.
+fn on_off_identical<T: std::fmt::Debug>(
     session: &mut Session,
-    run: &dyn Fn(&mut Session) -> Vec<T>,
+    run: &dyn Fn(&Session, bool) -> Vec<T>,
 ) -> Vec<T> {
     let mut baseline: Option<Vec<T>> = None;
     for degree in DEGREES {
         session.set_parallelism(degree);
         for columnar in [false, true] {
             session.db.set_columnar(columnar);
-            let results = run(session);
-            match &baseline {
-                None => baseline = Some(results),
-                Some(b) => assert_eq!(&results, b, "columnar={columnar} degree={degree} diverged"),
+            for optimize in [false, true] {
+                let results = run(session, optimize);
+                match &baseline {
+                    None => baseline = Some(results),
+                    Some(b) => assert_eq!(
+                        format!("{results:?}"),
+                        format!("{b:?}"),
+                        "columnar={columnar} optimize={optimize} degree={degree} diverged"
+                    ),
+                }
             }
         }
     }
+    session.db.set_columnar(true);
     baseline.expect("at least one run")
 }
 
@@ -171,7 +180,8 @@ const GUIDES: [&str; 3] = [
 /// So are the [`GUIDES`] and the row-wise corpus ([`rowwise_plans`]: every
 /// kind of expression no kernel expresses, lowered row-wise on the spine
 /// over leaves that read the vectors where they exist, computed from the
-/// documents by the oracle), `Debug`-identical and errors included.
+/// documents by the oracle), `Debug`-identical and errors included — with
+/// the optimizer on and off.
 #[test]
 fn path_queries_identical_across_imc_states_and_storages() {
     let n = 400;
@@ -199,16 +209,15 @@ fn path_queries_identical_across_imc_states_and_storages() {
         let mut session = collection("nobench", &docs, storage, constraint);
         session.db.set_morsel_rows(48);
         let rowwise = rowwise_plans(&mut session);
-        let run = |session: &mut Session| -> Vec<String> {
+        let statements = |session: &Session, optimize| -> Vec<String> {
+            let sql = |q| fsdm::workloads::nobench::query_sql(q, n);
             let mut out: Vec<_> = [1, 3, 4, 6, 7, 8, 9, 10]
                 .iter()
-                .map(|q| session.execute(&fsdm::workloads::nobench::query_sql(*q, n)))
+                .map(|q| run_sql(session, &sql(*q), &[], optimize))
                 .collect();
-            out.push(session.db.execute(&q11).map_err(Into::into));
-            out.extend(GUIDES.iter().map(|sql| session.execute(sql)));
-            out.extend(
-                rowwise.iter().map(|(_, plan)| session.db.execute(plan).map_err(Into::into)),
-            );
+            out.push(run(&session.db, &q11, optimize));
+            out.extend(GUIDES.iter().map(|sql| run_sql(session, sql, &[], optimize)));
+            out.extend(rowwise.iter().map(|(_, plan)| run(&session.db, plan, optimize)));
             out.iter().map(|r| format!("{r:?}")).collect()
         };
         for imc in ["none", "oson", "oson+vectors"] {
@@ -217,7 +226,7 @@ fn path_queries_identical_across_imc_states_and_storages() {
                 "oson+vectors" => add_nobench_columnar_vcs(&mut session),
                 _ => {}
             }
-            let got = on_off_identical(&mut session, &run);
+            let got = on_off_identical(&mut session, &statements);
             match &expected {
                 None => expected = Some(got),
                 Some(e) => assert_eq!(
@@ -277,8 +286,8 @@ fn transient_column_corner_cases_match_the_row_evaluator() {
          or json_value(jdoc, '$.b' returning number) > 2)",
         "select json_value(jdoc, '$.dyn1') from t where json_exists(jdoc, '$.nowhere')",
     ];
-    let run = |session: &mut Session| -> Vec<QueryResult> {
-        statements.iter().map(|sql| session.execute(sql).unwrap()).collect()
+    let run_all = |session: &Session, optimize| -> Vec<QueryResult> {
+        statements.iter().map(|sql| run_sql(session, sql, &[], optimize).unwrap()).collect()
     };
     let mut expected: Option<Vec<QueryResult>> = None;
     for storage in [JsonStorage::Text, JsonStorage::Bson, JsonStorage::Oson] {
@@ -293,7 +302,7 @@ fn transient_column_corner_cases_match_the_row_evaluator() {
             fsdm::store::Expr::json_value(1, a, fsdm::sqljson::SqlType::Number),
         );
         t.populate_vc_imc(&["t$a"]).unwrap();
-        let got = on_off_identical(&mut session, &run);
+        let got = on_off_identical(&mut session, &run_all);
         match &expected {
             None => expected = Some(got),
             Some(e) => assert_eq!(&got, e, "{storage:?} diverged from text"),
