@@ -38,6 +38,9 @@ echo "== stream differentials under a second case set =="
 PROPTEST_SEED=977 cargo test -q -p fsdm-sqljson --test proptests
 PROPTEST_SEED=977 cargo test -q -p fsdm-json --test proptests
 
+echo "== Figure 5 smoke (exits 1 when TEXT and OSON-IMC row counts differ) =="
+cargo run --release -q -p fsdm-bench --bin repro -- fig5 --scale 2000 --threads 1 --no-metrics
+
 echo "== chaos acceptance (500 seeded fault schedules, zero contract violations) =="
 # the tier-1 suite above runs the 24-schedule shape of the same test file
 cargo test --release --test chaos -- --ignored

@@ -28,6 +28,10 @@ pub struct AnalyzerConfig {
     /// The column is stored as JSON text, so a path with steps past its
     /// streamable prefix (FA006) parses each item the prefix selects.
     pub text_storage: bool,
+    /// The text is an `IS JSON` column's, so a text pass also streams a
+    /// final lax filter comparing `@` with literals
+    /// ([`JsonPath::text_prefix`]).
+    pub checked_text: bool,
     /// Normalized texts of paths already materialized as virtual
     /// columns (suppresses FA007).
     pub materialized_vc_paths: BTreeSet<String>,
@@ -38,6 +42,7 @@ impl Default for AnalyzerConfig {
         AnalyzerConfig {
             vc_frequency_pct: 10,
             text_storage: false,
+            checked_text: false,
             materialized_vc_paths: BTreeSet::new(),
         }
     }
@@ -220,7 +225,7 @@ pub fn analyze_path(guide: &DataGuide, path: &JsonPath, cfg: &AnalyzerConfig) ->
             );
         }
     }
-    let streamed = path.streamable_prefix();
+    let streamed = path.text_prefix(cfg.checked_text);
     if cfg.text_storage && streamed < path.steps.len() {
         let prefix = path.prefix_text(streamed);
         let what =
@@ -236,8 +241,10 @@ pub fn analyze_path(guide: &DataGuide, path: &JsonPath, cfg: &AnalyzerConfig) ->
                 ),
             )
             .with_help(
-                "field steps, `.*`, `[*]` and ascending absolute indexes stream (paper §5.1); \
-                 a filter, an item method or `last` needs a DOM — or store the collection as OSON",
+                "field steps, `.*`, `[*]`, ascending absolute indexes and, over an `IS JSON` \
+                 column, a final lax filter comparing `@` with literals stream (paper §5.1); \
+                 any other filter, an item method or `last` needs a DOM — or store the \
+                 collection as OSON",
             ),
         );
     }

@@ -187,6 +187,29 @@ mod tests {
     }
 
     #[test]
+    fn fa006_spares_a_filter_that_streams_on_tokens() {
+        let mut g = DataGuide::new();
+        g.add_document(&fsdm_json::parse(r#"{"nested_arr":["ab","b"]}"#).unwrap());
+        let cfg = AnalyzerConfig { text_storage: true, checked_text: true, ..Default::default() };
+        let unchecked = AnalyzerConfig { checked_text: false, ..cfg.clone() };
+        let fa006 = |path: &str| {
+            let d = analyze_path(&g, &parse_path(path).unwrap(), &cfg);
+            codes(&d).contains(&"FA006")
+        };
+        // NOBENCH Q8's two filters compare `@` with a literal: they stream
+        // over an `IS JSON` column, and only there
+        for q8 in [r#"$.nested_arr?(@ == "notpresent")"#, r#"$.nested_arr?(@ starts with "a")"#] {
+            assert!(!fa006(q8), "{q8}");
+            let d = analyze_path(&g, &parse_path(q8).unwrap(), &unchecked);
+            assert!(codes(&d).contains(&"FA006"), "{q8} over unchecked text");
+        }
+        // an item method, a member of `@`, or strict mode still parses
+        assert!(fa006("$.nested_arr?(@.size() >= 2)"));
+        assert!(fa006("$.nested_arr?(@.x == 1)"));
+        assert!(fa006(r#"strict $.nested_arr[*]?(@ == "b")"#));
+    }
+
+    #[test]
     fn fa007_vc_candidate_positive_and_negative() {
         // price: singleton scalar in 100% of docs, not materialized
         let d = run("$.price");

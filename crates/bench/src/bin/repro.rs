@@ -7,7 +7,7 @@
 //! repro table12             # DataGuide statistics (Table 12)
 //! repro fig3 [--scale N]    # OLAP queries across 4 storages (Figure 3)
 //! repro fig4                # storage sizes (Figure 4)
-//! repro fig5 [--scale N]    # NOBENCH TEXT vs OSON-IMC (Figure 5)
+//! repro fig5 [--scale N]    # NOBENCH TEXT vs OSON-IMC (Figure 5; exits 1 if their row counts differ)
 //! repro fig6                # VC-IMC on Q6/Q7/Q10/Q11 (Figure 6)
 //! repro fig7 [--scale N]    # insertion constraint modes (Figure 7)
 //! repro fig8                # homogeneous vs heterogeneous (Figure 8)
@@ -215,6 +215,7 @@ fn fig5_fig6(n: usize, reps: usize, show5: bool, show6: bool) {
     if show5 {
         println!("\n== Figure 5: NOBENCH query time (ms), {n} docs: TEXT vs OSON-IMC ==");
         println!("{:<6} {:>10} {:>10} {:>8} {:>8}", "query", "TEXT", "OSON-IMC", "speedup", "rows");
+        let mut differ = Vec::new();
         for q in 1..=11 {
             let t = cells.iter().find(|c| c.query == q && c.mode == "TEXT").unwrap();
             let o = cells.iter().find(|c| c.query == q && c.mode == "OSON-IMC").unwrap();
@@ -226,6 +227,15 @@ fn fig5_fig6(n: usize, reps: usize, show5: bool, show6: bool) {
                 t.time.as_secs_f64() / o.time.as_secs_f64(),
                 t.rows
             );
+            if t.rows != o.rows {
+                differ.push(format!("Q{q} ({} TEXT rows, {} OSON-IMC rows)", t.rows, o.rows));
+            }
+        }
+        // the two storages answer the same statements: a timing over
+        // different answers is no comparison
+        if !differ.is_empty() {
+            eprintln!("repro: TEXT and OSON-IMC disagree on {}", differ.join(", "));
+            std::process::exit(1);
         }
     }
     if show6 {

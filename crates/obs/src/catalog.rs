@@ -255,6 +255,10 @@ catalog! {
     metric SQLJSON_LOOKBACK_HIT = "sqljson.lookback.hit";
     /// Field resolutions that consulted the instance dictionary (counter).
     metric SQLJSON_LOOKBACK_MISS = "sqljson.lookback.miss";
+    /// Paths a text pass over checked text settled as "no match" without
+    /// scanning, a field name of theirs being absent from the text
+    /// (counter).
+    metric SQLJSON_TEXT_ABSENT = "sqljson.text.absent";
 
     // --- store --------------------------------------------------------------
 

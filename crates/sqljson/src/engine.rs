@@ -509,6 +509,59 @@ fn eval_pred<'a, D: JsonDom>(
     }
 }
 
+/// A streamed filter's predicate (see [`JsonPath::token_filter`]) on an
+/// item parsed into `dom`, tested as the filter tests one item: as a
+/// whole, in lax mode.
+///
+/// [`JsonPath::token_filter`]: crate::path::JsonPath::token_filter
+pub(crate) fn filter_item<D: JsonDom>(dom: &D, pred: &Predicate) -> bool {
+    eval_pred(dom, dom.root(), pred, Mode::Lax, &mut FieldIds::default(), &mut None)
+}
+
+/// A streamed filter's predicate on a scalar item no DOM holds — a token
+/// of the text — tested by [`eval_pred`] itself, over a DOM whose one
+/// node is that scalar: `@` binds it as it binds any scalar item.
+pub(crate) fn filter_scalar(pred: &Predicate, item: ScalarRef<'_>) -> bool {
+    filter_item(&ScalarDom(item), pred)
+}
+
+/// A DOM of one scalar node, its root.
+struct ScalarDom<'a>(ScalarRef<'a>);
+
+impl JsonDom for ScalarDom<'_> {
+    fn root(&self) -> NodeRef {
+        0
+    }
+
+    fn kind(&self, _: NodeRef) -> NodeKind {
+        NodeKind::Scalar
+    }
+
+    fn object_len(&self, _: NodeRef) -> usize {
+        0
+    }
+
+    fn object_entry(&self, node: NodeRef, _: usize) -> (&str, NodeRef) {
+        ("", node)
+    }
+
+    fn array_len(&self, _: NodeRef) -> usize {
+        0
+    }
+
+    fn array_element(&self, node: NodeRef, _: usize) -> NodeRef {
+        node
+    }
+
+    fn scalar(&self, _: NodeRef) -> ScalarRef<'_> {
+        self.0.clone()
+    }
+
+    fn get_field(&self, _: NodeRef, _: &str, _: u32) -> Option<NodeRef> {
+        None
+    }
+}
+
 /// A comparison operand, or an `exists` path, bound to one context item.
 enum Bound<'p> {
     /// A literal of the path.

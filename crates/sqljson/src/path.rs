@@ -315,11 +315,42 @@ impl JsonPath {
     /// How many leading steps the streaming engine answers over text
     /// events (§5.1): field steps, `.*`, `[*]` and array selectors of
     /// absolute indexes in ascending, disjoint order — each of which
-    /// yields document order. The first filter, item method, `last`
-    /// selector or out-of-order selector list ends the prefix; the rest
-    /// of the path runs on the DOM of each item the prefix selects.
+    /// yields document order — and, in lax mode, a final filter whose
+    /// predicate only compares `@` with literals, tested on each item's
+    /// token. Any other filter, an item method, a
+    /// `last` selector or an out-of-order selector list ends the prefix;
+    /// the rest of the path runs on the DOM of each item the prefix
+    /// selects.
     pub fn streamable_prefix(&self) -> usize {
-        self.steps.iter().position(|s| !streams(s)).unwrap_or(self.steps.len())
+        let n = self.steps.iter().position(|s| !streams(s)).unwrap_or(self.steps.len());
+        n + usize::from(n + 1 == self.steps.len() && self.token_filter().is_some())
+    }
+
+    /// The steps a text pass streams over text known to be well formed
+    /// (`checked`, an `IS JSON` column's) or not: the streamable prefix,
+    /// less a final token filter over unchecked text, which the DOM
+    /// engine runs there — unchecked text is the oracle the token filter
+    /// is held to.
+    pub fn text_prefix(&self, checked: bool) -> usize {
+        let n = self.streamable_prefix();
+        let filter_ends =
+            n == self.steps.len() && matches!(self.steps.last(), Some(Step::Filter(_)));
+        n - usize::from(!checked && filter_ends)
+    }
+
+    /// The predicate of a final lax filter built only from `&&`, `||`,
+    /// `!` and comparisons whose operands are `@` or literals. Such a
+    /// filter streams as `[*]` — lax, that is one array level unwrapped or
+    /// a non-array wrapped, as the filter itself unwraps — with the
+    /// predicate tested on each item: a scalar item decides it from its
+    /// token alone, since `@` is all the predicate reads.
+    fn token_filter(&self) -> Option<&Predicate> {
+        match self.steps.last() {
+            Some(Step::Filter(pred)) if self.mode == Mode::Lax && reads_only_the_item(pred) => {
+                Some(pred)
+            }
+            _ => None,
+        }
     }
 
     /// Steps `from..` as a path of their own, in this path's mode: the
@@ -393,6 +424,21 @@ fn streams(step: &Step) -> bool {
             })
         }
         Step::Filter(_) | Step::Method(_) => false,
+    }
+}
+
+/// True when `pred` is built only from `&&`, `||`, `!` and comparisons
+/// whose operands are `@` itself or literals.
+fn reads_only_the_item(pred: &Predicate) -> bool {
+    match pred {
+        Predicate::And(a, b) | Predicate::Or(a, b) => {
+            reads_only_the_item(a) && reads_only_the_item(b)
+        }
+        Predicate::Not(p) => reads_only_the_item(p),
+        Predicate::Cmp(lhs, _, rhs) => [lhs, rhs]
+            .iter()
+            .all(|o| matches!(o, Operand::Lit(_)) || matches!(o, Operand::Path(s) if s.is_empty())),
+        Predicate::Exists(_) => false,
     }
 }
 
@@ -834,6 +880,21 @@ mod tests {
         assert_eq!(prefix("$.a[0 to 2, 1]"), 1);
         assert_eq!(prefix("$.a[0, 0]"), 1);
         assert_eq!(prefix("$.a[3 to 1]"), 1);
+        // a final lax filter on `@` and literals streams; no other does
+        assert_eq!(prefix("$.a?(@ == \"b\" || !(@ starts with \"a\") && 1 < @)"), 2);
+        assert_eq!(prefix("$?(@ == 1)"), 1);
+        assert_eq!(prefix("strict $.a?(@ == 1)"), 1);
+        assert_eq!(prefix("$.a?(@ == 1).b"), 1);
+        assert_eq!(prefix("$.a?(@.b == 1)"), 1);
+        assert_eq!(prefix("$.a?(exists(@))"), 1);
+        assert_eq!(prefix("$.a?(@.size() >= 2)"), 1);
+        assert_eq!(prefix("$.a[last]?(@ == 1)"), 1);
+        // over unchecked text the DOM engine runs a token filter
+        let text = |t: &str, checked| parse_path(t).unwrap().text_prefix(checked);
+        assert_eq!((text("$.a?(@ == 1)", true), text("$.a?(@ == 1)", false)), (2, 1));
+        assert_eq!((text("$?(@ == 1)", true), text("$?(@ == 1)", false)), (1, 0));
+        assert_eq!((text("$.a?(@.b == 1)", true), text("$.a?(@.b == 1)", false)), (1, 1));
+        assert_eq!((text("$.a[*]", true), text("$.a[*]", false)), (2, 2));
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! A [`TextPass`] answers a set of paths over one JSON text in a single
 //! scan of its events, building no DOM for what it streams. Each path is
-//! split at [`JsonPath::streamable_prefix`]: the prefix — field steps,
-//! `.*`, `[*]`, ascending absolute selectors — is tracked as live
-//! positions over the event stream; the rest (a filter, an item method,
-//! `last`) "requires the engine to memorize event sequences", so each item
-//! the prefix selects is captured by its byte extent, parsed, and handed
-//! to the DOM [`PathEvaluator`] with `$` bound to it. That is sound
-//! because a filter's operands are `@`-relative paths or literals, never
-//! the document root. A path with an empty prefix captures the root: one
+//! split at [`JsonPath::text_prefix`]: the prefix — field steps, `.*`,
+//! `[*]`, ascending absolute selectors, and, over checked text, a final
+//! lax filter that compares `@` with literals, streamed as `[*]` and
+//! tested on each item's token (a container item is parsed and tested
+//! whole) — is tracked as live positions over the event stream; the rest
+//! (any other filter, an item method, `last`) "requires the engine to
+//! memorize event sequences", so each item the prefix selects is captured
+//! by its byte extent, parsed, and handed to the DOM [`PathEvaluator`]
+//! with `$` bound to it. That is sound because a filter's operands are
+//! `@`-relative paths or literals, never the document root. A path with an empty prefix captures the root: one
 //! parse per document, shared by every such path of the pass.
 //!
 //! Semantics are the DOM engine's: a field step takes the **first**
@@ -29,6 +31,10 @@
 //! members cannot match, and because the text is known to be well formed.
 //! Everything the scan does read is still validated: a skipped value or
 //! the rest of an inner object is consumed by `skip_value` / `skip_rest`.
+//! Before the scan, the *name test* settles a path as matching nothing
+//! when the text holds no `\` and lacks one of the path's field names in
+//! quotes: without an escape, every key is spelled as its raw bytes, so
+//! no key anywhere is that name.
 //!
 //! Unchecked text (a `ConstraintMode::None` column, or any caller that
 //! cannot vouch for it) is read to its last byte, and text that fails to
@@ -56,12 +62,12 @@
 
 use std::borrow::Cow;
 
-use fsdm_json::{Event, EventParser, JsonDom, JsonError, JsonValue, Stacks, ValueDom};
+use fsdm_json::{Event, EventParser, JsonDom, JsonError, JsonValue, ScalarRef, Stacks, ValueDom};
 
 use crate::datum::{Datum, SqlType};
-use crate::engine::PathEvaluator;
+use crate::engine::{filter_item, filter_scalar, PathEvaluator};
 use crate::ops::{output_datum, value_rule, OnError};
-use crate::path::{ArraySel, IndexExpr, JsonPath, Mode, Step};
+use crate::path::{ArraySel, IndexExpr, JsonPath, Mode, Predicate, Step};
 
 /// Evaluate a path over JSON text: every item it selects, materialized.
 /// A one-path [`TextPass`] over unchecked text.
@@ -105,9 +111,24 @@ pub struct TextPass<'p> {
 
 struct PassPath<'p> {
     path: Cow<'p, JsonPath>,
-    /// `path.steps[..split]` stream.
+    /// [`JsonPath::text_prefix`] over checked text: `path.steps[..checked]`
+    /// stream, a filter among them — the path's
+    /// [`JsonPath::token_filter`] — as `[*]`.
+    checked: usize,
+    /// [`JsonPath::text_prefix`] over unchecked text, where the DOM
+    /// `suffix` runs a token filter as it runs any filter.
+    unchecked: usize,
+    /// `path.steps[..split]` stream in this document's scan: `checked`
+    /// or `unchecked`.
     split: usize,
-    /// The DOM evaluator of `path.steps[split..]`, if any.
+    /// Each top-level field name as it appears quoted in text that spells
+    /// it without escapes (a name JSON must escape has none).
+    needles: Vec<String>,
+    /// The path is in this document's scan: checked text may settle it
+    /// before the scan, by the name test.
+    live: bool,
+    /// The DOM evaluator of the steps after the prefix, a token filter
+    /// included; it runs when `split` leaves steps to it.
     suffix: Option<PathEvaluator>,
     want: Want,
     /// This document's `JSON_VALUE` items — the prefix's matches without
@@ -200,12 +221,22 @@ impl<'p> TextPass<'p> {
         let paths = paths
             .into_iter()
             .map(|(path, want)| {
-                let split = path.streamable_prefix();
+                let split = path.text_prefix(false);
                 let suffix =
                     (split < path.steps.len()).then(|| PathEvaluator::new(path.suffix(split)));
+                let needles = path
+                    .field_names()
+                    .into_iter()
+                    .filter(|name| !name.contains(|c: char| c == '"' || c == '\\' || c < ' '))
+                    .map(|name| format!("\"{name}\""))
+                    .collect();
                 PassPath {
-                    path,
+                    checked: path.text_prefix(true),
+                    unchecked: split,
                     split,
+                    path,
+                    needles,
+                    live: true,
                     suffix,
                     want,
                     count: 0,
@@ -227,23 +258,25 @@ impl<'p> TextPass<'p> {
     /// fails to scan; the answers then hold the verdicts the module doc
     /// gives for that case.
     pub fn run(&mut self, text: &str, checked: bool) -> Result<usize, JsonError> {
+        // whether the text holds no backslash, once a name test asks
+        let mut plain = None;
+        let mut live = 0;
         for p in &mut self.paths {
             (p.count, p.first) = (0, None);
             p.found = false;
             p.items.clear();
             p.values.clear();
+            p.split = if checked { p.checked } else { p.unchecked };
+            p.live = !(checked
+                && p.needles.iter().any(|n| !text.contains(n.as_str()))
+                && *plain.get_or_insert_with(|| !text.contains('\\')));
+            if p.live {
+                live += 1;
+            } else {
+                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_TEXT_ABSENT).inc();
+            }
         }
-        let scan = &mut self.scan;
-        scan.frames.clear();
-        scan.rules.clear();
-        scan.incoming.clear();
-        scan.arena.clear();
-        scan.captures.clear();
-        scan.undecided = self.paths.len();
-        let stacks = std::mem::take(&mut scan.stacks);
-        let mut parser = EventParser::with_stacks(text, stacks);
-        let walked = self.walk(&mut parser, text, checked).map(|()| parser.offset());
-        self.scan.stacks = parser.into_stacks();
+        let walked = if live == 0 { Ok(0) } else { self.scan_text(text, checked, live) };
         if walked.is_ok() {
             self.run_suffixes();
         }
@@ -251,6 +284,23 @@ impl<'p> TextPass<'p> {
         for p in &mut self.paths {
             p.settle(walked.is_ok(), &mut self.scan.arena, shared);
         }
+        walked
+    }
+
+    /// One scan of `text` for the `live` paths left after the name test;
+    /// the byte offset where it ended.
+    fn scan_text(&mut self, text: &str, checked: bool, live: usize) -> Result<usize, JsonError> {
+        let scan = &mut self.scan;
+        scan.frames.clear();
+        scan.rules.clear();
+        scan.incoming.clear();
+        scan.arena.clear();
+        scan.captures.clear();
+        scan.undecided = live;
+        let stacks = std::mem::take(&mut scan.stacks);
+        let mut parser = EventParser::with_stacks(text, stacks);
+        let walked = self.walk(&mut parser, text, checked).map(|()| parser.offset());
+        self.scan.stacks = parser.into_stacks();
         walked
     }
 
@@ -272,8 +322,9 @@ impl<'p> TextPass<'p> {
         text: &str,
         checked: bool,
     ) -> Result<(), JsonError> {
-        // the root holds position 0 of every path
-        let root = (0..self.paths.len()).map(|path| Pos { path, step: 0, unwrapped: false });
+        // the root holds position 0 of every live path
+        let root = self.paths.iter().enumerate().filter(|(_, p)| p.live);
+        let root = root.map(|(path, _)| Pos { path, step: 0, unwrapped: false });
         self.scan.incoming.extend(root);
         while let Some(event) = parser.next_event()? {
             match event {
@@ -400,14 +451,24 @@ impl<'p> TextPass<'p> {
                 }
             }
             let Some(step) = steps.get(k) else {
-                // the prefix is consumed: a match
-                match (p.want, &p.suffix) {
-                    (Want::Exists, None) => {
+                // the prefix is consumed: a match, once a streamed filter
+                // passes it — on its token, or once a container is parsed
+                if let Some(pred) = streamed_filter(&p.path, p.split) {
+                    if container.is_some() {
+                        hits.push(pos.path);
+                        continue;
+                    }
+                    if !filter_token(pred, event)? {
+                        continue;
+                    }
+                }
+                match (p.want, p.runs_suffix()) {
+                    (Want::Exists, false) => {
                         if !std::mem::replace(&mut p.found, true) {
                             *undecided -= 1;
                         }
                     }
-                    (Want::Value(_), None) => {
+                    (Want::Value(_), false) => {
                         if p.count == 0 && container.is_none() {
                             p.first = Some(scalar_datum(event)?);
                         }
@@ -465,10 +526,30 @@ impl<'p> TextPass<'p> {
         Ok(())
     }
 
-    /// Run each suffix over the prefix matches its path kept.
+    /// Run each suffix over the prefix matches its path kept, and each
+    /// streamed filter over the containers its path kept.
     fn run_suffixes(&mut self) {
         let arena = &self.scan.arena;
         for p in &mut self.paths {
+            if let Some(pred) = streamed_filter(&p.path, p.split) {
+                // a kept scalar passed on its token
+                p.items.retain(|&slot| {
+                    arena.get(slot).is_some_and(|v| {
+                        !matches!(v, JsonValue::Array(_) | JsonValue::Object(_))
+                            || filter_item(&ValueDom::new(v), pred)
+                    })
+                });
+                match p.want {
+                    Want::Exists => p.found |= !p.items.is_empty(),
+                    // a container has no scalar to be `first`
+                    Want::Value(_) => p.count += p.items.len(),
+                    Want::Items => {}
+                }
+                continue;
+            }
+            if !p.runs_suffix() {
+                continue;
+            }
             let Some(ev) = p.suffix.as_mut() else { continue };
             for &slot in &p.items {
                 let Some(item) = arena.get(slot) else { continue };
@@ -490,6 +571,11 @@ impl<'p> TextPass<'p> {
 }
 
 impl PassPath<'_> {
+    /// This document's scan leaves steps to the DOM suffix.
+    fn runs_suffix(&self) -> bool {
+        self.split < self.path.steps.len()
+    }
+
     /// Fix this document's answer; `scanned`: the text scanned to its
     /// end. An `Items` path takes its kept matches out of the arena
     /// unless other paths may share them.
@@ -506,7 +592,7 @@ impl PassPath<'_> {
             Want::Items => {
                 if !scanned {
                     self.values.clear();
-                } else if self.suffix.is_none() {
+                } else if !self.runs_suffix() {
                     for &slot in &self.items {
                         let Some(v) = arena.get_mut(slot) else { continue };
                         self.values.push(if shared { v.clone() } else { std::mem::take(v) });
@@ -530,6 +616,15 @@ fn keep(paths: &mut [PassPath<'_>], hits: &[usize], arena: &mut Vec<JsonValue>, 
     }
 }
 
+/// The predicate of the filter that ends `path`'s streamed steps
+/// `..split` — its [`JsonPath::token_filter`] — if it has one.
+fn streamed_filter(path: &JsonPath, split: usize) -> Option<&Predicate> {
+    match path.steps.get(..split)?.last()? {
+        Step::Filter(pred) => Some(pred),
+        _ => None,
+    }
+}
+
 /// The rule step `step` puts on the children of a container (`array`:
 /// an array, else an object), if it reaches them.
 fn rule_kind(step: &Step, array: bool, lax: bool, unwrapped: bool) -> Option<RuleKind> {
@@ -539,7 +634,7 @@ fn rule_kind(step: &Step, array: bool, lax: bool, unwrapped: bool) -> Option<Rul
         (Step::Field { .. } | Step::FieldWildcard, true) if lax && !unwrapped => {
             Some(RuleKind::Unwrap)
         }
-        (Step::ArrayWildcard | Step::Array(_), true) => Some(RuleKind::Elements),
+        (Step::ArrayWildcard | Step::Array(_) | Step::Filter(_), true) => Some(RuleKind::Elements),
         // an array step over an object, unless it wrapped; `unwrapped`
         // field steps over a nested array; and, past the prefix, nothing
         _ => None,
@@ -554,7 +649,9 @@ fn wraps(step: &Step) -> bool {
 /// True when array step `step` selects element `index`.
 fn array_step_selects(step: &Step, index: usize) -> bool {
     match step {
-        Step::ArrayWildcard => true,
+        // a streamed filter selects as `[*]` does; its predicate is tested
+        // on what it selects
+        Step::ArrayWildcard | Step::Filter(_) => true,
         Step::Array(sels) => sels.iter().any(|s| match *s {
             ArraySel::Index(IndexExpr::At(i)) => i == index,
             ArraySel::Range(IndexExpr::At(a), IndexExpr::At(b)) => (a..=b).contains(&index),
@@ -563,6 +660,22 @@ fn array_step_selects(step: &Step, index: usize) -> bool {
         }),
         _ => false,
     }
+}
+
+/// A streamed filter's predicate on the scalar whose token is `event`: a
+/// string is decoded only when it holds an escape.
+fn filter_token(pred: &Predicate, event: &Event<'_>) -> Result<bool, JsonError> {
+    let decoded;
+    let item = match event {
+        Event::String(s) => {
+            decoded = s.decode()?;
+            ScalarRef::Str(&decoded)
+        }
+        Event::Number(n) => ScalarRef::Num(n.to_number()?),
+        Event::Bool(b) => ScalarRef::Bool(*b),
+        _ => ScalarRef::Null,
+    };
+    Ok(filter_scalar(pred, item))
 }
 
 /// A scalar event as the datum `JSON_VALUE` selects: a string is copied
@@ -579,6 +692,7 @@ fn scalar_datum(event: &Event<'_>) -> Result<Datum, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::json_value;
     use crate::path::parse_path;
     use fsdm_json::parse;
 
@@ -633,21 +747,25 @@ mod tests {
         // an inner object is still read to its end, validating it
         let inner = [("$.nested_obj.str", Want::Value(SqlType::Any)), ("$.num", Want::Exists)];
         assert_eq!(ends(NOBENCH, &inner).0, after(NOBENCH, r#""num":7}"#));
-        // a suffix path ends after its capture: Q8's array closes
-        let q8 = [("$.nested_arr[*]?(@ == \"b\")", Want::Exists)];
+        // a streamed filter decides an exists path at the token it passes
+        let q8 = [("$.nested_arr?(@ == \"b\")", Want::Exists)];
+        assert_eq!(ends(NOBENCH, &q8).0, after(NOBENCH, r#"["a","b""#));
+        // and, passing none, ends once the array closes
+        let q8 = [("$.nested_arr?(@ starts with \"z\")", Want::Exists)];
         assert_eq!(ends(NOBENCH, &q8).0, after(NOBENCH, r#"["a","b"]"#));
-        // an absent path, a wildcard or a captured root needs every member
-        for paths in [
-            [("$.sparse_999", Want::Exists)],
-            [("$.*", Want::Value(SqlType::Any))],
-            [("$?(@.num == 42)", Want::Exists)],
-        ] {
+        // a suffix path ends after its capture
+        let q8 = [("$.nested_arr?(@.size() == 2)", Want::Exists)];
+        assert_eq!(ends(NOBENCH, &q8).0, after(NOBENCH, r#"["a","b"]"#));
+        // a path whose name is absent is settled unscanned
+        assert_eq!(ends(NOBENCH, &[("$.sparse_999", Want::Exists)]), (0, NOBENCH.len()));
+        // a wildcard or a captured root needs every member
+        for paths in [[("$.*", Want::Value(SqlType::Any))], [("$?(@.num == 42)", Want::Exists)]] {
             assert_eq!(ends(NOBENCH, &paths), (NOBENCH.len(), NOBENCH.len()), "{paths:?}");
         }
         let captured = [("$.num", Want::Exists), ("$?(@.num == 42)", Want::Exists)];
         assert_eq!(ends(NOBENCH, &captured).0, NOBENCH.len());
         // a root no path reaches inside is not read at all
-        assert_eq!(ends("[1,2,3]", &[("strict $.a", Want::Exists)]), (1, 7));
+        assert_eq!(ends(r#"[1,"a",3]"#, &[("strict $.a", Want::Exists)]), (1, 9));
         // the unread tail is not validated: only unchecked text fails here
         let jp = parse_path("$.a").unwrap();
         let mut pass = TextPass::new([(Cow::Borrowed(&jp), Want::Value(SqlType::Number))]);
@@ -656,6 +774,107 @@ mod tests {
         assert_eq!(pass.take(0), Datum::from(1i64));
         assert!(pass.run(torn, false).is_err());
         assert_eq!(pass.take(0), Datum::Null);
+    }
+
+    /// Each answer of one path over `doc`, checked and unchecked, is the
+    /// DOM engine's.
+    fn agrees_checked_and_unchecked(doc: &str, path: &str) {
+        let jp = parse_path(path).unwrap();
+        let v = parse(doc).unwrap();
+        let expected = dom(doc, path);
+        let mut dom_ev = PathEvaluator::new(jp.clone());
+        let exists = dom_ev.exists(&ValueDom::new(&v));
+        assert_eq!(exists, !expected.is_empty(), "{path} on {doc}");
+        let value = json_value(&ValueDom::new(&v), &mut dom_ev, SqlType::Any, OnError::Null);
+        let value = value.unwrap();
+        for checked in [true, false] {
+            let mut pass = TextPass::new([
+                (Cow::Borrowed(&jp), Want::Exists),
+                (Cow::Borrowed(&jp), Want::Items),
+                (Cow::Borrowed(&jp), Want::Value(SqlType::Any)),
+            ]);
+            pass.run(doc, checked).unwrap();
+            assert_eq!(pass.take(0), Datum::Bool(exists), "{path} on {doc}, checked={checked}");
+            assert_eq!(pass.take_items(1), expected, "{path} on {doc}, checked={checked}");
+            assert_eq!(pass.take(2), value, "{path} on {doc}, checked={checked}");
+        }
+    }
+
+    #[test]
+    fn the_name_test_settles_only_a_name_the_text_cannot_hold() {
+        for (doc, path) in [
+            // a key may spell the name with escapes: the backslash keeps
+            // the path in the scan
+            (r#"{"sparse\u005f110":1}"#, "$.sparse_110"),
+            (r#"{"a":{"sparse\u005f110":1}}"#, "$.a.sparse_110"),
+            // the quoted name present, but not as a key of the path's level
+            (r#"{"x":"sparse_110"}"#, "$.sparse_110"),
+            (r#"{"o":{"sparse_110":1}}"#, "$.sparse_110"),
+            (r#"{"o":{"sparse_110":1}}"#, "$.o.sparse_110"),
+            // unquoted, the name is part of other strings
+            (r#"{"xsparse_110":1,"sparse_1100":2}"#, "$.sparse_110"),
+            // names inside a filter are not needles
+            (r#"{"a":[{"b":1},{"c":2}]}"#, "$.a?(!(exists(@.zz)))"),
+            (r#"{"a":[1,2]}"#, "$.a?(@ == 2)"),
+        ] {
+            agrees_checked_and_unchecked(doc, path);
+        }
+        // a settled path answers as a scan that found nothing
+        let paths = [
+            ("$.zz", Want::Value(SqlType::Number)),
+            ("$.zz", Want::Exists),
+            ("$.a.zz?(@.size() > 0)", Want::Exists),
+        ];
+        let compiled: Vec<JsonPath> = paths.iter().map(|(p, _)| parse_path(p).unwrap()).collect();
+        let mut pass =
+            TextPass::new(compiled.iter().zip(&paths).map(|(p, (_, w))| (Cow::Borrowed(p), *w)));
+        assert_eq!(pass.run(r#"{"a":{"b":1}}"#, true).unwrap(), 0, "no path left to scan");
+        let answers: Vec<Datum> = (0..3).map(|i| pass.take(i)).collect();
+        assert_eq!(answers, [Datum::Null, Datum::Bool(false), Datum::Bool(false)]);
+    }
+
+    #[test]
+    fn a_settled_path_leaves_the_root_to_the_others() {
+        // neither the key `xsparse_110` nor `sparse_1100` is `sparse_110`
+        let doc = r#"{"str1":"s","xsparse_110":1,"num":2,"sparse_1100":3}"#;
+        let paths = [("$.str1", Want::Value(SqlType::Any)), ("$.sparse_110", Want::Exists)];
+        assert_eq!(ends(doc, &paths), (after(doc, r#""str1":"s""#), doc.len()));
+        let (answers, _) = pass(doc, &paths);
+        assert_eq!(answers, [Datum::from("s"), Datum::Bool(false)]);
+        // an escape anywhere in the text keeps the path in the scan
+        let escaped = r#"{"str1":"s","xsparse_110":1,"num":2,"sparse_1100":"\n"}"#;
+        assert_eq!(ends(escaped, &paths), (escaped.len(), escaped.len()));
+    }
+
+    #[test]
+    fn a_token_filter_answers_as_the_dom_filter_does() {
+        let doc =
+            r#"{"a":[1,"ab","b\u0061",true,null,[2,"ab"],{"x":"ab"},[[1]]],"s":"ab","n":2.50}"#;
+        for path in [
+            "$.a?(@ == \"ab\")",
+            "$.a?(@ == \"ba\")",
+            "$.a?(\"ab\" == @)",
+            "$.a?(@ starts with \"a\" || @ == 1)",
+            "$.a?(!(@ == 1) && @ != \"ab\")",
+            "$.a?(@ == 2)",
+            "$.a?(@ == 1)",
+            "$.a?(@ == true)",
+            "$.a?(@ == null)",
+            "$.a?(@ > 0)",
+            "$.a[*]?(@ == 1)",
+            "$.a[5]?(@ == 2)",
+            "$.s?(@ starts with \"a\")",
+            "$.n?(@ == 2.5)",
+            "$?(@ == 1)",
+            "$.*?(@ == \"ab\")",
+        ] {
+            assert_eq!(
+                parse_path(path).unwrap().streamable_prefix(),
+                parse_path(path).unwrap().steps.len(),
+                "{path}"
+            );
+            agrees_checked_and_unchecked(doc, path);
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The steady-state allocation budgets of the two path engines, as
 //! deterministic gates: once its buffers have grown to a collection's
 //! shape, one text pass over a document allocates only for the strings it
-//! keeps — no key, skipped value or position costs an allocation — and
-//! the DOM engine allocates nothing at all over OSON or BSON: not for a
-//! filter's `@.name` operand per array element, not for a `JSON_TABLE`
-//! cell, not for the NUMBER an arithmetic result becomes.
+//! keeps — no key, skipped value, position or filter test on a token
+//! costs an allocation — and the DOM engine allocates nothing at all over
+//! OSON or BSON: not for a filter's `@.name` operand per array element,
+//! not for a `JSON_TABLE` cell, not for the NUMBER an arithmetic result
+//! becomes.
 //!
 //! Its own test binary: the counting allocator below replaces the global
 //! one. The count is per thread, so the tests here do not see each
@@ -112,37 +113,98 @@ fn nobench(state: &mut u64, i: usize) -> String {
 const WARM_UP: usize = 200;
 const MEASURED: usize = 1000;
 
+/// The NOBENCH texts a measurement runs over: warm-up, then measured.
+fn nobench_texts() -> Vec<String> {
+    let mut state = 42;
+    (0..WARM_UP + MEASURED).map(|i| nobench(&mut state, i)).collect()
+}
+
+/// Allocations of one pass of `paths` over each measured document,
+/// `checked` or not, after a warm-up; each document's index and answers
+/// are handed to `check`, which must not allocate.
+fn pass_allocations(
+    docs: &[String],
+    paths: &[(&str, Want)],
+    checked: bool,
+    mut check: impl FnMut(usize, &[Datum]),
+) -> u64 {
+    let compiled: Vec<_> = paths.iter().map(|(p, w)| (parse_path(p).unwrap(), *w)).collect();
+    let mut pass = TextPass::new(compiled.iter().map(|(p, w)| (Cow::Borrowed(p), *w)));
+    let mut answers = Vec::with_capacity(paths.len());
+    let mut run = |doc: &str, answers: &mut Vec<Datum>| {
+        pass.run(doc, checked).expect("generated JSON");
+        answers.clear();
+        answers.extend((0..paths.len()).map(|i| pass.take(i)));
+    };
+    let (warm_up, measured) = docs.split_at(WARM_UP);
+    for doc in warm_up {
+        run(doc, &mut answers);
+    }
+    allocations_of(|| {
+        for (i, doc) in measured.iter().enumerate() {
+            run(doc, &mut answers);
+            check(WARM_UP + i, &answers);
+        }
+    })
+}
+
 #[test]
 fn a_pass_allocates_once_per_kept_string() {
-    let mut state = 42;
-    let docs: Vec<String> = (0..WARM_UP + MEASURED).map(|i| nobench(&mut state, i)).collect();
-    let (warm_up, measured) = docs.split_at(WARM_UP);
+    let docs = nobench_texts();
     let paths = [
-        (parse_path("$.sparse_110").unwrap(), Want::Exists),
-        (parse_path("$.str1").unwrap(), Want::Value(SqlType::Any)),
-        (parse_path("$.num").unwrap(), Want::Value(SqlType::Number)),
+        ("$.sparse_110", Want::Exists),
+        ("$.str1", Want::Value(SqlType::Any)),
+        ("$.num", Want::Value(SqlType::Number)),
     ];
-    let mut pass = TextPass::new(paths.iter().map(|(p, w)| (Cow::Borrowed(p), *w)));
-    let mut run = |doc: &str| -> [Datum; 3] {
-        pass.run(doc, false).expect("generated JSON");
-        [pass.take(0), pass.take(1), pass.take(2)]
-    };
-    for doc in warm_up {
-        run(doc);
-    }
-    let (mut kept_strings, mut found) = (0, 0);
-    let passing = allocations_of(|| {
-        for (i, doc) in measured.iter().enumerate() {
-            let [sparse, str1, num] = run(doc);
-            assert_eq!(num, Datum::from((WARM_UP + i) as i64));
-            found += usize::from(sparse == Datum::Bool(true));
+    for checked in [false, true] {
+        let (mut kept_strings, mut found) = (0, 0);
+        let passing = pass_allocations(&docs, &paths, checked, |i, answers| {
+            let [sparse, str1, num] = answers else { panic!("three answers") };
+            assert!(*num == Datum::Num((i as i64).into()), "num of document {i}");
+            found += usize::from(*sparse == Datum::Bool(true));
             kept_strings += usize::from(matches!(str1, Datum::Str(_)));
-        }
+        });
+        assert_eq!(
+            (kept_strings, found),
+            (MEASURED, MEASURED / 100),
+            "every str1, one cluster in 100 (checked={checked})"
+        );
+        assert!(
+            passing <= kept_strings as u64,
+            "{passing} allocations for {MEASURED} passes keeping {kept_strings} strings \
+             (checked={checked})"
+        );
+    }
+}
+
+/// Over checked text, NOBENCH Q3's `JSON_EXISTS` — settled by the name
+/// test in 99 documents of 100 — and Q8's two filters, tested on the
+/// tokens of `nested_arr`, allocate nothing.
+#[test]
+fn checked_q3_and_q8_passes_allocate_nothing() {
+    let docs = nobench_texts();
+    let mut found = 0;
+    let q3 = [("$.sparse_110", Want::Exists)];
+    let q3 = pass_allocations(&docs, &q3, true, |_, answers| {
+        found += usize::from(answers == [Datum::Bool(true)]);
     });
-    assert_eq!((kept_strings, found), (MEASURED, MEASURED / 100), "every str1, one cluster in 100");
+    assert_eq!(found, MEASURED / 100, "one cluster in 100");
+    let (mut absent, mut starts) = (0, 0);
+    let q8 = [
+        ("$.nested_arr?(@ == \"notpresent\")", Want::Exists),
+        ("$.nested_arr?(@ starts with \"a\")", Want::Exists),
+    ];
+    let q8 = pass_allocations(&docs, &q8, true, |_, answers| {
+        absent += usize::from(answers[0] == Datum::Bool(true));
+        starts += usize::from(answers[1] == Datum::Bool(true));
+    });
+    assert!(absent == 0 && starts > 0, "Q8 matched {absent} and {starts} documents");
+    let per_doc = |n: u64| n as f64 / MEASURED as f64;
     assert!(
-        passing <= kept_strings as u64,
-        "{passing} allocations for {MEASURED} passes keeping {kept_strings} strings"
+        q3 == 0 && q8 == 0,
+        "{} allocations per document in Q3's pass, {} in Q8's ({MEASURED} documents)",
+        per_doc(q3),
+        per_doc(q8)
     );
 }
 

@@ -1,7 +1,8 @@
 //! Property-based tests for the SQL/JSON layer: text-pass/DOM engine
-//! agreement (one path and several per pass, duplicate keys, strict
-//! mode, suffixes, malformed text), OSON/BSON backend agreement, the
-//! DOM engine's narrow answers, and parser totality.
+//! agreement (one path and several per pass, duplicate keys, keys spelled
+//! with escapes, strict mode, suffixes, filters on tokens, malformed
+//! text), OSON/BSON backend agreement, the DOM engine's narrow answers,
+//! and parser totality.
 
 use std::borrow::Cow;
 
@@ -11,22 +12,21 @@ use fsdm_sqljson::streaming::{self, TextPass, Want};
 use fsdm_sqljson::{parse_path, Datum, JsonPath, PathEvaluator, SqlType};
 use proptest::prelude::*;
 
+/// The field names documents and paths share.
+const FIELDS: [&str; 5] = ["a", "b", "items", "name", "price"];
+
 /// Documents shaped like realistic collections: bounded depth, fields
 /// drawn from a small vocabulary so paths actually hit — and may repeat
-/// within one object, as JSON text allows.
+/// within one object, as JSON text allows; string leaves are sometimes
+/// those names, so that a name appears in the text as a value.
 fn arb_doc() -> impl Strategy<Value = JsonValue> {
-    let field = prop_oneof![
-        Just("a".to_string()),
-        Just("b".to_string()),
-        Just("items".to_string()),
-        Just("name".to_string()),
-        Just("price".to_string()),
-    ];
+    let field = (0..FIELDS.len()).prop_map(|i| FIELDS[i].to_string());
     let leaf = prop_oneof![
         Just(JsonValue::Null),
         any::<bool>().prop_map(JsonValue::Bool),
         (-100i64..100).prop_map(|v| JsonValue::Number(JsonNumber::Int(v))),
         "[a-z]{0,6}".prop_map(JsonValue::String),
+        (0..FIELDS.len()).prop_map(|i| JsonValue::String(FIELDS[i].to_string())),
     ];
     leaf.prop_recursive(3, 40, 5, move |inner| {
         let field = field.clone();
@@ -43,10 +43,55 @@ fn arb_doc() -> impl Strategy<Value = JsonValue> {
     })
 }
 
+/// `doc` as JSON text with the first character of every `every`-th key
+/// (counted through the document; none for 0) spelled as a `\uXXXX`
+/// escape, as a writer may spell any character.
+fn text_of(doc: &JsonValue, every: usize) -> String {
+    fn write(v: &JsonValue, every: usize, keys: &mut usize, out: &mut String) {
+        match v {
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write(item, every, keys, out);
+                }
+                out.push(']');
+            }
+            JsonValue::Object(o) => {
+                out.push('{');
+                for (i, (k, item)) in o.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    *keys += 1;
+                    let key = fsdm_json::to_string(&JsonValue::String(k.to_string()));
+                    match k.chars().next() {
+                        Some(c) if every > 0 && keys.is_multiple_of(every) => {
+                            out.push_str(&format!("\"\\u{:04x}", u32::from(c)));
+                            out.push_str(&key[1 + c.len_utf8()..]);
+                        }
+                        _ => out.push_str(&key),
+                    }
+                    out.push(':');
+                    write(item, every, keys, out);
+                }
+                out.push('}');
+            }
+            scalar => out.push_str(&fsdm_json::to_string(scalar)),
+        }
+    }
+    let mut out = String::new();
+    write(doc, every, &mut 0, &mut out);
+    out
+}
+
 /// Paths over the same vocabulary: a streamable body, optionally in
 /// strict mode, optionally ending in a step that needs a DOM — among them
 /// filters whose comparisons meet array operands, mismatched types, item
-/// methods, boolean connectives and `@.a.b` member chains.
+/// methods, boolean connectives and `@.a.b` member chains — or in a
+/// filter comparing `@` with literals, which lax mode streams.
 fn arb_streamable_path() -> impl Strategy<Value = String> {
     let step = prop_oneof![
         Just(".a".to_string()),
@@ -79,6 +124,15 @@ fn arb_streamable_path() -> impl Strategy<Value = String> {
         Just("?(exists(@.a.b))"),
         Just("?(@.a != @.b)"),
         Just("?(@.price == 1 || @.price == 2 || @.price == 3)"),
+        // `@` against literals: on tokens in lax mode, over nested arrays
+        Just("?(@ == \"name\")"),
+        Just("?(\"a\" == @ || @ == 1)"),
+        Just("?(@ starts with \"i\" && !(@ == \"items\"))"),
+        Just("?(@ != \"b\")"),
+        Just("?(@ > 0 && @ <= 50)"),
+        Just("?(@ == true || @ == null)"),
+        Just("[*]?(@ < 0)"),
+        Just("[*]?(@ == \"price\")"),
         Just(".size()"),
         Just("[last]"),
     ];
@@ -132,13 +186,14 @@ fn one_pass(
 
 /// The verdict decision 1 gives a path over text that may not scan: the
 /// DOM's when it parses; else NULL for a value, false for an exists path
-/// with a suffix, the one-path pass's (decided at its first match) for
-/// one without, and nothing for items.
+/// with a suffix (over unchecked text any filter is one), the one-path
+/// pass's (decided at its first match) for one without, and nothing for
+/// items.
 fn verdict(text: &str, jp: &JsonPath, want: Want) -> (Datum, Vec<JsonValue>) {
     match fsdm_json::parse(text) {
         Ok(doc) => dom_answer(&doc, jp, want),
         Err(_) => match want {
-            Want::Exists if jp.streamable_prefix() == jp.steps.len() => {
+            Want::Exists if jp.text_prefix(false) == jp.steps.len() => {
                 (Datum::Bool(streaming::exists_text(text, jp).unwrap_or(false)), Vec::new())
             }
             Want::Exists => (Datum::Bool(false), Vec::new()),
@@ -178,14 +233,18 @@ proptest! {
     }
 
     /// One pass answers 1–4 paths over one document, checked (the scan
-    /// may end early) and validating alike: each answer is the DOM
-    /// engine's, and an exists answer is "items are non-empty".
+    /// may end early, or not start for a path whose name the text lacks)
+    /// and validating alike, over text that may spell keys with escapes:
+    /// each answer is the DOM engine's, and an exists answer is "items are
+    /// non-empty".
     #[test]
     fn one_pass_answers_each_path_as_the_dom_does(
         doc in arb_doc(),
         paths in prop::collection::vec((arb_streamable_path(), arb_want()), 1..5),
+        every in 0usize..4,
     ) {
-        let text = fsdm_json::to_string(&doc);
+        let text = text_of(&doc, every);
+        prop_assert_eq!(&fsdm_json::parse(&text).unwrap(), &doc);
         let compiled: Vec<(JsonPath, Want)> =
             paths.iter().map(|(p, w)| (parse_path(p).unwrap(), *w)).collect();
         for checked in [false, true] {
@@ -222,7 +281,7 @@ proptest! {
             let (answers, scanned) = one_pass(damaged, &compiled, false);
             let parses = fsdm_json::parse(damaged).is_ok();
             let early = compiled.iter().all(|(p, w)| {
-                *w == Want::Exists && p.streamable_prefix() == p.steps.len()
+                *w == Want::Exists && p.text_prefix(false) == p.steps.len()
             });
             prop_assert!(scanned == parses || (early && scanned), "{}", damaged);
             for ((jp, want), answer) in compiled.iter().zip(&answers) {

@@ -34,7 +34,7 @@ use crate::database::Database;
 use crate::expr::{AggFun, Expr, ScalarFun};
 use crate::jsonaccess::JsonStorage;
 use crate::query::{Query, SortKey, WindowFun};
-use crate::schema::ColType;
+use crate::schema::{ColType, ConstraintMode};
 use crate::table::Table;
 
 /// The scalar-type lattice of the inference pass. `Null` is the bottom
@@ -248,16 +248,18 @@ impl Sink<'_> {
 }
 
 /// The analyzer configuration a table implies: TEXT storage enables the
-/// streamability check, and virtual columns over this JSON column
+/// streamability check (an `IS JSON` constraint widens what streams), and virtual columns over this JSON column
 /// suppress FA007 for their (already materialized) paths.
 fn config_for(table: &Table, col: usize) -> AnalyzerConfig {
-    let text_storage = matches!(table.schema.columns[col].ty, ColType::Json(JsonStorage::Text));
+    let column = &table.schema.columns[col];
+    let text_storage = matches!(column.ty, ColType::Json(JsonStorage::Text));
     let materialized = table.virtual_columns.iter().filter_map(|vc| match &vc.expr {
         Expr::JsonValue { col: c, path, .. } if *c == col => normalized_field_path(path),
         _ => None,
     });
     AnalyzerConfig {
         text_storage,
+        checked_text: column.constraint != ConstraintMode::None,
         materialized_vc_paths: materialized.collect(),
         ..Default::default()
     }
