@@ -47,7 +47,10 @@ cargo test --release --test chaos -- --ignored
 
 echo "== committed benchmark (fmt, clippy, unit tests, smoke run with the oracle on) =="
 # the benchmark package builds the engine from this checkout: an engine
-# change that breaks its build or its text-storage oracle fails here
+# change that breaks its build or its text-storage oracle fails here, and
+# one that would rewrite its lockfile (a crate gaining or losing a
+# dependency) fails before the benchmark run could change the file
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
 benchmark/check.sh
 
 echo "== rustdoc (a doc link to a name that no longer exists fails) =="

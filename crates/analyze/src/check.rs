@@ -13,6 +13,7 @@ use std::collections::BTreeSet;
 
 use fsdm_dataguide::{DataGuide, GuideNode, ScalarKind};
 use fsdm_json::JsonValue;
+use fsdm_obs::catalog::metric;
 use fsdm_sqljson::path::{path_step_text, CmpOp, Method, Mode, Operand, Predicate, Span, Step};
 use fsdm_sqljson::JsonPath;
 
@@ -79,7 +80,7 @@ pub fn analyze_path(guide: &DataGuide, path: &JsonPath, cfg: &AnalyzerConfig) ->
     if guide.doc_count == 0 {
         return diags;
     }
-    fsdm_obs::counter!(fsdm_obs::catalog::ANALYZE_PATHS_CHECKED).inc();
+    metric::ANALYZE_PATHS_CHECKED.inc();
     let text = path.text();
     let whole = Span::new(0, text.len());
     let mut nodes: Vec<&GuideNode> = vec![&guide.root];
@@ -256,9 +257,9 @@ pub fn analyze_path(guide: &DataGuide, path: &JsonPath, cfg: &AnalyzerConfig) ->
 fn count(diags: &[Diagnostic]) {
     for d in diags {
         match d.severity {
-            Severity::Error => fsdm_obs::counter!(fsdm_obs::catalog::ANALYZE_DIAG_ERRORS).inc(),
-            Severity::Warning => fsdm_obs::counter!(fsdm_obs::catalog::ANALYZE_DIAG_WARNINGS).inc(),
-            Severity::Info => fsdm_obs::counter!(fsdm_obs::catalog::ANALYZE_DIAG_INFOS).inc(),
+            Severity::Error => metric::ANALYZE_DIAG_ERRORS.inc(),
+            Severity::Warning => metric::ANALYZE_DIAG_WARNINGS.inc(),
+            Severity::Info => metric::ANALYZE_DIAG_INFOS.inc(),
         }
     }
 }

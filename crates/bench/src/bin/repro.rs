@@ -46,6 +46,7 @@
 use fsdm_bench::experiments::*;
 use fsdm_bench::ms;
 use fsdm_bench::setup::StorageMethod;
+use fsdm_obs::catalog::metric;
 
 /// Report a usage error and exit 2.
 fn usage(msg: &str) -> ! {
@@ -290,7 +291,7 @@ fn fig9(n: usize) {
         println!(
             "persistent / transient 99% = {:.2}x; index.bytes as built = {}",
             persistent.time.as_secs_f64() / transient.time.as_secs_f64(),
-            fsdm_obs::gauge!(fsdm_obs::catalog::INDEX_BYTES).get(),
+            metric::INDEX_BYTES.get(),
         );
     }
 }

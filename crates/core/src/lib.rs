@@ -238,11 +238,6 @@ impl FsdmDatabase {
         self.session.execute(sql)
     }
 
-    /// Run SQL with positional binds.
-    pub fn sql_with(&mut self, sql: &str, binds: &[Datum]) -> Result<QueryResult> {
-        self.session.execute_with(sql, binds)
-    }
-
     /// Run SQL and return the statement's report with the rows: for a
     /// SELECT a [`fsdm_store::QueryProfile`] — degree, optimize and
     /// execute time, memory high-water, every operator with its output
@@ -274,10 +269,10 @@ impl FsdmDatabase {
         self.session.db.slow_log_json()
     }
 
-    /// Snapshot of every metric recorded so far in the global
-    /// [`fsdm_obs`] registry (`oson.*`, `sqljson.*`, `dataguide.*`,
-    /// `index.*`, `store.*`). Use [`fsdm_obs::MetricsSnapshot::diff`]
-    /// against an earlier snapshot to isolate one workload's activity.
+    /// Snapshot of every metric the [`fsdm_obs::catalog`] declares
+    /// (`oson.*`, `sqljson.*`, `dataguide.*`, `index.*`, `store.*`, …).
+    /// Use [`fsdm_obs::MetricsSnapshot::diff`] against an earlier
+    /// snapshot to isolate one workload's activity.
     pub fn metrics_snapshot(&self) -> fsdm_obs::MetricsSnapshot {
         fsdm_obs::snapshot()
     }
@@ -458,6 +453,26 @@ mod tests {
         db.put("notes", r#"{"note":"gift wrap"}"#).unwrap();
         db.create_search_index("notes").unwrap();
         assert_eq!(db.text_contains("notes", "$.note", "shipping").unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn search_index_sees_puts_after_its_build_with_or_without_a_dataguide() {
+        for dataguide in [true, false] {
+            let mut db = FsdmDatabase::new();
+            let options = CollectionOptions { dataguide, ..Default::default() };
+            db.create_collection("notes", options).unwrap();
+            db.put("notes", r#"{"note":"alpha"}"#).unwrap();
+            db.create_search_index("notes").unwrap();
+            db.put("notes", r#"{"note":"beta"}"#).unwrap();
+            let hits = db.text_contains("notes", "$.note", "beta").unwrap();
+            assert_eq!(hits, vec![1], "dataguide: {dataguide}");
+        }
+        // text stored without IS JSON is never parsed, so it cannot be indexed
+        let mut db = FsdmDatabase::new();
+        let options =
+            CollectionOptions { storage: JsonStorage::Text, dataguide: false, validate: false };
+        db.create_collection("raw", options).unwrap();
+        assert!(db.create_search_index("raw").is_err());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 
 use fsdm_json::JsonValue;
+use fsdm_obs::catalog::metric;
 
 /// Scalar leaf types tracked by the guide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -364,10 +365,10 @@ impl DataGuide {
         self.walked_docs += 1;
         let new_paths = self.root.observe(doc, self.doc_count, false);
         if new_paths > 0 {
-            fsdm_obs::counter!(fsdm_obs::catalog::DATAGUIDE_INSERT_CHANGED).inc();
-            fsdm_obs::gauge!(fsdm_obs::catalog::DATAGUIDE_PATHS).add(new_paths as i64);
+            metric::DATAGUIDE_INSERT_CHANGED.inc();
+            metric::DATAGUIDE_PATHS.add(new_paths as i64);
         } else {
-            fsdm_obs::counter!(fsdm_obs::catalog::DATAGUIDE_INSERT_UNCHANGED).inc();
+            metric::DATAGUIDE_INSERT_UNCHANGED.inc();
         }
         new_paths
     }

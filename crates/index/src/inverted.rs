@@ -14,10 +14,7 @@ use std::hash::Hash;
 
 use fsdm_dataguide::{path_step_text, structure_signature, DataGuide, GuideMaintainer};
 use fsdm_json::{JsonValue, OraNum};
-use fsdm_obs::catalog::{
-    INDEX_INSERT_DOCS, INDEX_LOOKUP_PATH, INDEX_LOOKUP_SCALAR, INDEX_LOOKUP_TEXT,
-    INDEX_LOOKUP_VALUE, INDEX_POSTINGS_ADDED, SPAN_INDEX_LOOKUP,
-};
+use fsdm_obs::catalog::{metric, SPAN_INDEX_LOOKUP};
 use fsdm_obs::trace::SpanGuard;
 
 /// Document identifier within an indexed collection.
@@ -239,8 +236,8 @@ impl SearchIndex {
             self.by_text.insert("$".to_string(), ROOT);
         }
         let posted = self.walk::<Post>(doc, ROOT, id);
-        fsdm_obs::counter!(INDEX_POSTINGS_ADDED).add(posted);
-        fsdm_obs::counter!(INDEX_INSERT_DOCS).inc();
+        metric::INDEX_POSTINGS_ADDED.add(posted);
+        metric::INDEX_INSERT_DOCS.inc();
         // §3.2.1: DataGuide maintenance rides on document processing, with
         // a short-circuit when no schema change is possible
         self.guide.observe(doc, signature)
@@ -343,7 +340,7 @@ impl SearchIndex {
 
     /// Documents containing the given path (`$.a.b`, arrays transparent).
     pub fn docs_with_path(&self, path: &str) -> Vec<DocId> {
-        let (_span, node) = self.probe("path", path, fsdm_obs::counter!(INDEX_LOOKUP_PATH));
+        let (_span, node) = self.probe("path", path, &metric::INDEX_LOOKUP_PATH);
         node.map(|n| n.presence.docs().to_vec()).unwrap_or_default()
     }
 
@@ -352,7 +349,7 @@ impl SearchIndex {
     /// `"7"` from the number `7` — so numeric-looking input probes both
     /// the numeric and the string postings (union, document order).
     pub fn docs_with_value(&self, path: &str, value: &str) -> Vec<DocId> {
-        let (_span, node) = self.probe("value", path, fsdm_obs::counter!(INDEX_LOOKUP_VALUE));
+        let (_span, node) = self.probe("value", path, &metric::INDEX_LOOKUP_VALUE);
         let Some(node) = node else {
             return Vec::new();
         };
@@ -368,7 +365,7 @@ impl SearchIndex {
 
     /// Exact typed lookup (no text ambiguity); a container matches nothing.
     pub fn docs_with_scalar(&self, path: &str, value: &JsonValue) -> Vec<DocId> {
-        let (_span, node) = self.probe("scalar", path, fsdm_obs::counter!(INDEX_LOOKUP_SCALAR));
+        let (_span, node) = self.probe("scalar", path, &metric::INDEX_LOOKUP_SCALAR);
         match (node, Term::of(value)) {
             (Some(node), Some(term)) => node.docs(&term).to_vec(),
             _ => Vec::new(),
@@ -378,7 +375,7 @@ impl SearchIndex {
     /// `JSON_TEXTCONTAINS`: documents whose string leaf at `path` contains
     /// the keyword (case-insensitive full word).
     pub fn docs_text_contains(&self, path: &str, keyword: &str) -> Vec<DocId> {
-        let (_span, node) = self.probe("text", path, fsdm_obs::counter!(INDEX_LOOKUP_TEXT));
+        let (_span, node) = self.probe("text", path, &metric::INDEX_LOOKUP_TEXT);
         node.and_then(|n| n.strings.get(&keyword.to_lowercase()))
             .map(|t| t.keyword.docs().to_vec())
             .unwrap_or_default()

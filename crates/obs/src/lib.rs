@@ -9,22 +9,14 @@
 //! * [`Histogram`] — log₂-bucketed distribution of `u64` samples
 //!   (nanosecond latencies, byte sizes), with `p50`/`p99` estimation.
 //!
-//! Metrics live in a [`MetricsRegistry`]. Instrumented crates use the
-//! process-global registry ([`global`]) through the [`counter!`],
-//! [`gauge!`] and [`histogram!`] macros, which cache the interned handle
-//! in a local `OnceLock` so steady-state recording never touches the
-//! registry lock. Tests and embedders can also construct private
-//! registries.
+//! Every metric is a `static` cell that [`catalog`] declares with its
+//! kind, beside the `&str` constant of its name: a recording site names
+//! the cell (`catalog::metric::OSON_DICT_PROBES.inc()`), so a metric the
+//! catalog does not declare, or one recorded as another kind, does not
+//! compile. [`snapshot`] walks the catalog.
 //!
 //! Metric names follow `<crate>.<subsystem>.<name>`, e.g.
 //! `oson.dict.probes` or `sqljson.lookback.hit`.
-//!
-//! # Disable / no-op mode
-//!
-//! [`set_enabled`]`(false)` turns every recording operation into a single
-//! relaxed atomic load (the check) — benches use this to quantify
-//! instrumentation overhead. Snapshots still work; they simply stop
-//! advancing. The flag is process-global and defaults to enabled.
 //!
 //! # Locks
 //!
@@ -36,33 +28,19 @@
 pub mod catalog;
 pub mod trace;
 
+pub use catalog::snapshot;
+
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{
-    AtomicBool, AtomicI64, AtomicU64,
-    Ordering::{Acquire, Relaxed, Release},
-};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use crate::trace::json_escape;
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const NUM_BUCKETS: usize = 65;
-
-/// The global metrics on/off gate. A handshake: [`set_enabled`] stores
-/// `Release`, every recording site loads `Acquire`.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enable or disable all metric recording.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Release);
-}
-
-/// Whether metric recording is currently enabled.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Acquire)
-}
 
 /// A monotonically increasing counter. Like [`Gauge`] and [`Histogram`]
 /// it is a statistic no other memory hangs off, so every operation on it
@@ -85,9 +63,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Relaxed);
-        }
+        self.0.fetch_add(n, Relaxed);
     }
 
     /// Current value.
@@ -109,17 +85,13 @@ impl Gauge {
     /// Set the level.
     #[inline]
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.0.store(v, Relaxed);
-        }
+        self.0.store(v, Relaxed);
     }
 
     /// Adjust the level by `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.0.fetch_add(delta, Relaxed);
-        }
+        self.0.fetch_add(delta, Relaxed);
     }
 
     /// Current level.
@@ -180,11 +152,9 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        if enabled() {
-            self.buckets[Self::bucket_index(v)].fetch_add(1, Relaxed);
-            self.count.fetch_add(1, Relaxed);
-            self.sum.fetch_add(v, Relaxed);
-        }
+        self.buckets[Self::bucket_index(v)].fetch_add(1, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+        self.sum.fetch_add(v, Relaxed);
     }
 
     /// Number of recorded samples.
@@ -277,14 +247,13 @@ thread_local! {
 /// whole lock-order rule:
 ///
 /// * a **leaf** guards a short critical section that reaches no other
-///   lock — the metrics registry map, the trace sink, the slow-query
-///   ring, and the failpoint registry (which `fsdm-fault` locks itself,
-///   uncounted). Leaves never nest, so no two leaves can wait on each
-///   other. In debug builds this function counts the leaf guards each
-///   thread holds and panics if it is entered while one is held;
-///   `run_morsels` panics the same way, so no leaf is held while the
-///   executor runs. Every `cargo test` checks every acquisition it
-///   executes.
+///   lock — the trace sink, the slow-query ring, and the failpoint
+///   registry (which `fsdm-fault` locks itself, uncounted). Leaves never
+///   nest, so no two leaves can wait on each other. In debug builds this
+///   function counts the leaf guards each thread holds and panics if it
+///   is entered while one is held; `run_morsels` panics the same way, so
+///   no leaf is held while the executor runs. Every `cargo test` checks
+///   every acquisition it executes.
 /// * a **serializer** — the trace session lock, the failpoint scope
 ///   lock, a test's turn lock — is taken first and held across a whole
 ///   statement or test by design. A serializer calls `Mutex::lock`
@@ -292,8 +261,8 @@ thread_local! {
 ///   names its role; it is not counted.
 ///
 /// Poison recovery is sound because every leaf critical section leaves
-/// its data valid at each step (an interned handle is inserted whole, a
-/// span batch is appended whole, a ring entry is pushed whole), so a
+/// its data valid at each step (a span batch is appended whole, a ring
+/// entry is pushed whole), so a
 /// panic under a leaf cannot break a later holder.
 ///
 /// ```
@@ -345,100 +314,16 @@ impl<T> Drop for LeafGuard<'_, T> {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<String, &'static Counter>,
-    gauges: BTreeMap<String, &'static Gauge>,
-    histograms: BTreeMap<String, &'static Histogram>,
-}
-
-/// A named collection of metrics.
-///
-/// Registration (name → handle) takes a lock; recording through a handle
-/// is lock-free. Handles are interned with `'static` lifetime so callers
-/// can cache them in `OnceLock` statics — that is what the [`counter!`]
-/// family of macros does.
-///
-/// The registry map is a leaf lock ([`lock`]): a panic elsewhere while
-/// it is held cannot brick the registry, because an interned handle is
-/// either fully inserted or absent.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
-}
-
-impl MetricsRegistry {
-    /// New empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Get or create the counter `name`.
-    pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut g = lock(&self.inner);
-        if let Some(c) = g.counters.get(name) {
-            return c;
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        g.counters.insert(name.to_string(), c);
-        c
-    }
-
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> &'static Gauge {
-        let mut g = lock(&self.inner);
-        if let Some(c) = g.gauges.get(name) {
-            return c;
-        }
-        let c: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-        g.gauges.insert(name.to_string(), c);
-        c
-    }
-
-    /// Get or create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> &'static Histogram {
-        let mut g = lock(&self.inner);
-        if let Some(c) = g.histograms.get(name) {
-            return c;
-        }
-        let c: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-        g.histograms.insert(name.to_string(), c);
-        c
-    }
-
-    /// Point-in-time copy of every metric in this registry.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = lock(&self.inner);
-        MetricsSnapshot {
-            counters: g.counters.iter().map(|(k, c)| (k.clone(), c.get())).collect(),
-            gauges: g.gauges.iter().map(|(k, c)| (k.clone(), c.get())).collect(),
-            histograms: g.histograms.iter().map(|(k, c)| (k.clone(), c.snapshot())).collect(),
-        }
-    }
-}
-
-/// The process-global registry used by all instrumented fsdm crates.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-/// Snapshot of the global registry (shorthand for
-/// `global().snapshot()`).
-pub fn snapshot() -> MetricsSnapshot {
-    global().snapshot()
-}
-
-/// Point-in-time copy of a whole registry. Ordered maps so exports are
-/// deterministic.
+/// Point-in-time copy of the metrics, keyed by catalog name. Ordered
+/// maps so exports are deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<&'static str, u64>,
     /// Gauge levels by name.
-    pub gauges: BTreeMap<String, i64>,
+    pub gauges: BTreeMap<&'static str, i64>,
     /// Histogram states by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    pub histograms: BTreeMap<&'static str, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -461,46 +346,52 @@ impl MetricsSnapshot {
             counters: self
                 .counters
                 .iter()
-                .map(|(k, &v)| (k.clone(), v.saturating_sub(before.counter(k))))
+                .map(|(&k, &v)| (k, v.saturating_sub(before.counter(k))))
                 .collect(),
             gauges: self.gauges.clone(),
             histograms: self
                 .histograms
                 .iter()
-                .map(|(k, v)| (k.clone(), v.diff(before.histograms.get(k).unwrap_or(&empty_hist))))
+                .map(|(&k, v)| (k, v.diff(before.histograms.get(k).unwrap_or(&empty_hist))))
                 .collect(),
         }
     }
 
-    /// Export as a JSON object (hand-rolled; metric names are simple
-    /// dotted identifiers but quotes/backslashes are escaped anyway).
+    /// The metrics that have moved off zero: what the exports print.
+    fn nonzero(&self) -> MetricsSnapshot {
+        let mut s = self.clone();
+        s.counters.retain(|_, v| *v != 0);
+        s.gauges.retain(|_, v| *v != 0);
+        s.histograms.retain(|_, h| h.count != 0);
+        s
+    }
+
+    /// Export the metrics off zero as a JSON object.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
+        let s = self.nonzero();
         let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
+        for (i, (k, v)) in s.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", esc(k), v);
+            let _ = write!(out, "\"{}\":{}", json_escape(k), v);
         }
         out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
+        for (i, (k, v)) in s.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", esc(k), v);
+            let _ = write!(out, "\"{}\":{}", json_escape(k), v);
         }
         out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
+        for (i, (k, h)) in s.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(
                 out,
                 "\"{}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-                esc(k),
+                json_escape(k),
                 h.count,
                 h.sum,
                 h.p50(),
@@ -522,37 +413,38 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Export as an aligned, human-readable table.
+    /// Export the metrics off zero as an aligned, human-readable table.
     pub fn to_table(&self) -> String {
-        let width = self
+        let s = self.nonzero();
+        let width = s
             .counters
             .keys()
-            .chain(self.gauges.keys())
-            .chain(self.histograms.keys())
+            .chain(s.gauges.keys())
+            .chain(s.histograms.keys())
             .map(|k| k.len())
             .max()
             .unwrap_or(0)
             .max(6);
         let mut out = String::new();
-        if !self.counters.is_empty() {
+        if !s.counters.is_empty() {
             let _ = writeln!(out, "{:<width$}  {:>14}", "counter", "value");
-            for (k, v) in &self.counters {
+            for (k, v) in &s.counters {
                 let _ = writeln!(out, "{k:<width$}  {v:>14}");
             }
         }
-        if !self.gauges.is_empty() {
+        if !s.gauges.is_empty() {
             let _ = writeln!(out, "{:<width$}  {:>14}", "gauge", "value");
-            for (k, v) in &self.gauges {
+            for (k, v) in &s.gauges {
                 let _ = writeln!(out, "{k:<width$}  {v:>14}");
             }
         }
-        if !self.histograms.is_empty() {
+        if !s.histograms.is_empty() {
             let _ = writeln!(
                 out,
                 "{:<width$}  {:>10} {:>14} {:>12} {:>12}",
                 "histogram", "count", "mean", "p50", "p99"
             );
-            for (k, h) in &self.histograms {
+            for (k, h) in &s.histograms {
                 let _ = writeln!(
                     out,
                     "{k:<width$}  {:>10} {:>14.1} {:>12} {:>12}",
@@ -565,49 +457,6 @@ impl MetricsSnapshot {
         }
         out
     }
-}
-
-/// Intern a global counter once and cache the handle in a local static.
-/// The name is a path to a [`catalog`] constant:
-///
-/// ```
-/// fsdm_obs::counter!(fsdm_obs::catalog::OSON_DICT_PROBES).inc();
-/// ```
-///
-/// and nothing else, so a string literal does not match the macro:
-///
-/// ```compile_fail
-/// fsdm_obs::counter!("oson.dict.probes").inc();
-/// ```
-///
-/// [`gauge!`] and [`histogram!`] take their names the same way.
-#[macro_export]
-macro_rules! counter {
-    ($name:path) => {{
-        static __METRIC: ::std::sync::OnceLock<&'static $crate::Counter> =
-            ::std::sync::OnceLock::new();
-        *__METRIC.get_or_init(|| $crate::global().counter($name))
-    }};
-}
-
-/// Intern a global gauge once and cache the handle in a local static.
-#[macro_export]
-macro_rules! gauge {
-    ($name:path) => {{
-        static __METRIC: ::std::sync::OnceLock<&'static $crate::Gauge> =
-            ::std::sync::OnceLock::new();
-        *__METRIC.get_or_init(|| $crate::global().gauge($name))
-    }};
-}
-
-/// Intern a global histogram once and cache the handle in a local static.
-#[macro_export]
-macro_rules! histogram {
-    ($name:path) => {{
-        static __METRIC: ::std::sync::OnceLock<&'static $crate::Histogram> =
-            ::std::sync::OnceLock::new();
-        *__METRIC.get_or_init(|| $crate::global().histogram($name))
-    }};
 }
 
 #[cfg(test)]
@@ -657,18 +506,27 @@ mod tests {
         assert_eq!(Histogram::new().snapshot().p50(), 0);
     }
 
+    /// A snapshot of three local cells, as the catalog's walk reads them.
+    fn snapshot_of(c: &Counter, g: &Gauge, h: &Histogram) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: [("a.b.c", c.get())].into(),
+            gauges: [("a.b.level", g.get())].into(),
+            histograms: [("a.b.ns", h.snapshot())].into(),
+        }
+    }
+
     #[test]
     fn snapshot_diff() {
-        let r = MetricsRegistry::new();
-        r.counter("a.b.c").add(5);
-        r.gauge("a.b.level").set(7);
-        r.histogram("a.b.ns").record(100);
-        let before = r.snapshot();
-        r.counter("a.b.c").add(3);
-        r.counter("a.b.new").inc();
-        r.histogram("a.b.ns").record(200);
-        r.gauge("a.b.level").set(9);
-        let after = r.snapshot();
+        let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
+        c.add(5);
+        g.set(7);
+        h.record(100);
+        let before = snapshot_of(&c, &g, &h);
+        c.add(3);
+        h.record(200);
+        g.set(9);
+        let mut after = snapshot_of(&c, &g, &h);
+        after.counters.insert("a.b.new", 1);
         let d = after.diff(&before);
         assert_eq!(d.counter("a.b.c"), 3);
         assert_eq!(d.counter("a.b.new"), 1);
@@ -679,10 +537,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_exact() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("t.concurrent.count");
-        let h = r.histogram("t.concurrent.hist");
-        let g = r.gauge("t.concurrent.gauge");
+        let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
         #[expect(clippy::disallowed_methods, reason = "concurrent recording is the subject")]
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -696,8 +551,8 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 80_000);
-        assert_eq!(r.snapshot().histograms["t.concurrent.hist"].count, 80_000);
-        assert_eq!(r.snapshot().gauge("t.concurrent.gauge"), 80_000);
+        assert_eq!(h.count(), 80_000);
+        assert_eq!(g.get(), 80_000);
     }
 
     #[test]
@@ -724,27 +579,22 @@ mod tests {
     }
 
     #[test]
-    fn registry_interns_handles() {
-        let r = MetricsRegistry::new();
-        let a = r.counter("x.y.z") as *const Counter;
-        let b = r.counter("x.y.z") as *const Counter;
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn json_and_table_exports() {
-        let r = MetricsRegistry::new();
-        r.counter("e.x.count").add(2);
-        r.gauge("e.x.level").set(-4);
-        r.histogram("e.x.bytes").record(10);
-        let s = r.snapshot();
+        let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
+        c.add(2);
+        g.set(-4);
+        h.record(10);
+        let mut s = snapshot_of(&c, &g, &h);
+        s.counters.insert("a.b.untouched", 0);
         let j = s.to_json();
-        assert!(j.contains("\"e.x.count\":2"), "{j}");
-        assert!(j.contains("\"e.x.level\":-4"), "{j}");
+        assert!(j.contains("\"a.b.c\":2"), "{j}");
+        assert!(j.contains("\"a.b.level\":-4"), "{j}");
         assert!(j.contains("\"count\":1"), "{j}");
         assert!(j.starts_with('{') && j.ends_with('}'));
         let t = s.to_table();
-        assert!(t.contains("e.x.count"));
-        assert!(t.contains("e.x.bytes"));
+        assert!(t.contains("a.b.c"));
+        assert!(t.contains("a.b.ns"));
+        // a metric still at zero is left out of both exports
+        assert!(!j.contains("a.b.untouched") && !t.contains("a.b.untouched"), "{j}\n{t}");
     }
 }

@@ -48,7 +48,7 @@ use std::sync::atomic::{
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use crate::catalog::SpanName;
+use crate::catalog::{metric, SpanName};
 
 /// Default maximum number of spans one session keeps (≈ 24 MB of
 /// records). Beyond it spans are dropped and counted, never allocated.
@@ -260,7 +260,7 @@ impl Drop for SpanGuard {
                         l.stack.pop();
                     }
                     l.buf.push(record);
-                    crate::counter!(crate::catalog::TRACE_SPAN_RECORDED).inc();
+                    metric::TRACE_SPAN_RECORDED.inc();
                     if l.buf.len() >= FLUSH_CHUNK {
                         l.flush();
                     }
@@ -313,7 +313,7 @@ fn enter(name: SpanName, explicit_parent: Option<u64>) -> SpanGuard {
     let c = collector();
     if c.budget.fetch_sub(1, Relaxed) <= 0 {
         c.dropped.fetch_add(1, Relaxed);
-        crate::counter!(crate::catalog::TRACE_SPAN_DROPPED).inc();
+        metric::TRACE_SPAN_DROPPED.inc();
         return SpanGuard(None);
     }
     let epoch = c.epoch.load(Acquire);
@@ -408,7 +408,7 @@ impl TraceSession {
             .iter()
             .map(|s| std::mem::size_of::<SpanRecord>() + s.args.as_ref().map_or(0, |a| a.len()))
             .sum();
-        crate::gauge!(crate::catalog::TRACE_SESSION_BYTES).set(bytes.min(i64::MAX as usize) as i64);
+        metric::TRACE_SESSION_BYTES.set(bytes.min(i64::MAX as usize) as i64);
         Trace { spans, dropped }
     }
 }
@@ -571,7 +571,7 @@ fn frame_label(s: &SpanRecord) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

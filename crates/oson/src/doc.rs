@@ -38,6 +38,7 @@
 use std::cell::Cell;
 
 use fsdm_json::{field_hash, FieldId, JsonDom, JsonNumber, NodeKind, NodeRef, OraNum, ScalarRef};
+use fsdm_obs::catalog::metric;
 
 use crate::wire::{
     self, read_varint, NodeTag, FLAG_WIDE_FIELD_IDS, FLAG_WIDE_OFFSETS, MAGIC, VERSION,
@@ -274,8 +275,8 @@ impl<'a> OsonDoc<'a> {
             }
             i += 1;
         }
-        fsdm_obs::counter!(fsdm_obs::catalog::OSON_DICT_LOOKUPS).inc();
-        fsdm_obs::counter!(fsdm_obs::catalog::OSON_DICT_PROBES).add(probes);
+        metric::OSON_DICT_LOOKUPS.inc();
+        metric::OSON_DICT_PROBES.add(probes);
         found
     }
 
@@ -374,7 +375,7 @@ impl<'a> OsonDoc<'a> {
         match self.validate_inner() {
             Ok(()) => Ok(()),
             Err(e) => {
-                fsdm_obs::counter!(fsdm_obs::catalog::OSON_VALIDATE_FAILURES).inc();
+                metric::OSON_VALIDATE_FAILURES.inc();
                 Err(e)
             }
         }
@@ -737,8 +738,8 @@ impl JsonDom for OsonDoc<'_> {
                 hi = mid;
             }
         }
-        fsdm_obs::counter!(fsdm_obs::catalog::OSON_NODE_LOOKUPS).inc();
-        fsdm_obs::counter!(fsdm_obs::catalog::OSON_NODE_PROBES).add(probes);
+        metric::OSON_NODE_LOOKUPS.inc();
+        metric::OSON_NODE_PROBES.add(probes);
         if lo < count && self.read_id(base + lo * id_w) == id {
             let offs = base + count * id_w;
             Some(NodeRef::from(self.read_off(offs + lo * self.off_w())))

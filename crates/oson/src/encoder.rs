@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fsdm_json::{field_hash, JsonValue};
+use fsdm_obs::catalog::metric;
 
 use crate::wire::{write_varint, NodeTag, FLAG_WIDE_FIELD_IDS, FLAG_WIDE_OFFSETS, MAGIC, VERSION};
 use crate::{OsonError, Result};
@@ -166,13 +167,11 @@ impl Encoder {
         );
         // per-segment byte accounting (§4 / Table 11)
         let entry = 4 + layout.off_w() + if layout.wide_offsets { 2 } else { 1 };
-        fsdm_obs::counter!(fsdm_obs::catalog::OSON_ENCODE_DOCS).inc();
-        fsdm_obs::histogram!(fsdm_obs::catalog::OSON_ENCODE_BYTES).record(out.len() as u64);
-        fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_DICTIONARY_BYTES)
-            .add((nfields * entry + names_len) as u64);
-        fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_TREE_BYTES).add(self.tree.len() as u64);
-        fsdm_obs::counter!(fsdm_obs::catalog::OSON_SEGMENT_VALUES_BYTES)
-            .add(self.values.len() as u64);
+        metric::OSON_ENCODE_DOCS.inc();
+        metric::OSON_ENCODE_BYTES.record(out.len() as u64);
+        metric::OSON_SEGMENT_DICTIONARY_BYTES.add((nfields * entry + names_len) as u64);
+        metric::OSON_SEGMENT_TREE_BYTES.add(self.tree.len() as u64);
+        metric::OSON_SEGMENT_VALUES_BYTES.add(self.values.len() as u64);
         Ok(out)
     }
 

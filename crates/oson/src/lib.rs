@@ -41,6 +41,8 @@ pub use update::{update_scalar, UpdateOutcome};
 
 use std::fmt;
 
+use fsdm_obs::catalog::metric;
+
 /// What went wrong while decoding or validating an OSON buffer —
 /// the typed half of [`OsonError`], so callers can distinguish "not
 /// OSON at all" from "OSON that has been damaged".
@@ -132,6 +134,6 @@ pub fn decode(bytes: &[u8]) -> Result<fsdm_json::JsonValue> {
     decode_span.record_args(|| format!("bytes={}", bytes.len()));
     let doc = OsonDoc::new(bytes)?;
     doc.validate()?;
-    fsdm_obs::counter!(fsdm_obs::catalog::OSON_DECODE_DOCS).inc();
+    metric::OSON_DECODE_DOCS.inc();
     Ok(doc.materialize(doc.root()))
 }

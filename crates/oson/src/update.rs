@@ -29,6 +29,7 @@
 )]
 
 use fsdm_json::{JsonDom, JsonValue, NodeRef};
+use fsdm_obs::catalog::metric;
 
 use crate::doc::OsonDoc;
 use crate::wire::{self, NodeTag};
@@ -55,10 +56,8 @@ pub fn update_scalar(
     let out = update_scalar_inner(buf, node, new_value)?;
     // §4.3 piggyback-vs-rewrite accounting
     match out {
-        UpdateOutcome::Updated => fsdm_obs::counter!(fsdm_obs::catalog::OSON_UPDATE_IN_PLACE).inc(),
-        UpdateOutcome::NeedsReencode => {
-            fsdm_obs::counter!(fsdm_obs::catalog::OSON_UPDATE_REENCODE).inc()
-        }
+        UpdateOutcome::Updated => metric::OSON_UPDATE_IN_PLACE.inc(),
+        UpdateOutcome::NeedsReencode => metric::OSON_UPDATE_REENCODE.inc(),
     }
     Ok(out)
 }

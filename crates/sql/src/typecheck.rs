@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use fsdm_obs::catalog::metric;
 use fsdm_sqljson::Datum;
 use fsdm_store::typecheck::{check_plan, Inference};
 
@@ -40,10 +41,10 @@ impl Session {
     pub fn typecheck_plan(&self, plan: &fsdm_store::Query) -> Inference {
         let start = Instant::now();
         let inf = check_plan(&self.db, plan);
-        fsdm_obs::counter!(fsdm_obs::catalog::PLANCK_CHECKS).inc();
+        metric::PLANCK_CHECKS.inc();
         let errors = inf.errors() as u64;
         if errors > 0 {
-            fsdm_obs::counter!(fsdm_obs::catalog::PLANCK_ERRORS).add(errors);
+            metric::PLANCK_ERRORS.add(errors);
         }
         let warnings = inf
             .diagnostics
@@ -51,10 +52,9 @@ impl Session {
             .filter(|d| d.severity == fsdm_analyze::Severity::Warning)
             .count() as u64;
         if warnings > 0 {
-            fsdm_obs::counter!(fsdm_obs::catalog::PLANCK_WARNINGS).add(warnings);
+            metric::PLANCK_WARNINGS.add(warnings);
         }
-        fsdm_obs::histogram!(fsdm_obs::catalog::PLANCK_INFER_NS)
-            .record(start.elapsed().as_nanos() as u64);
+        metric::PLANCK_INFER_NS.record(start.elapsed().as_nanos() as u64);
         inf
     }
 }

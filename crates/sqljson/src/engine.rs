@@ -31,6 +31,7 @@
 )]
 
 use fsdm_json::{FieldId, JsonDom, JsonNumber, JsonValue, NodeKind, NodeRef, ScalarRef};
+use fsdm_obs::catalog::metric;
 
 use crate::path::{ArraySel, CmpOp, IndexExpr, JsonPath, Method, Mode, Operand, Predicate, Step};
 
@@ -94,14 +95,14 @@ impl FieldIds {
         match entry.last {
             Some(id) if dom.verify_field_id(id, name, hash) => {
                 self.hits += 1;
-                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_HIT).inc();
+                metric::SQLJSON_LOOKBACK_HIT.inc();
             }
             _ => {
                 entry.last = dom.field_id(name, hash);
                 self.misses += 1;
-                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_MISS).inc();
+                metric::SQLJSON_LOOKBACK_MISS.inc();
                 if entry.last.is_none() {
-                    fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_LOOKBACK_ABSENT).inc();
+                    metric::SQLJSON_LOOKBACK_ABSENT.inc();
                 }
             }
         }
@@ -195,12 +196,12 @@ impl PathEvaluator {
     fn walk<D: JsonDom>(&mut self, dom: &D, start: NodeRef) -> Option<Vec<PathOutput>> {
         let PathEvaluator { path, ids, cur, next } = self;
         ids.walk += 1;
-        fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_PATHS).inc();
+        metric::SQLJSON_EVAL_PATHS.inc();
         let mut eval_span = fsdm_obs::trace::span(fsdm_obs::catalog::SPAN_SQLJSON_EVAL);
         let (hits0, misses0) = (ids.hits, ids.misses);
         let visited = |n: usize| {
             if n > 0 {
-                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_EVAL_NODES_VISITED).add(n as u64);
+                metric::SQLJSON_EVAL_NODES_VISITED.add(n as u64);
             }
         };
         cur.clear();

@@ -63,6 +63,7 @@
 use std::borrow::Cow;
 
 use fsdm_json::{Event, EventParser, JsonDom, JsonError, JsonValue, ScalarRef, Stacks, ValueDom};
+use fsdm_obs::catalog::metric;
 
 use crate::datum::{Datum, SqlType};
 use crate::engine::{filter_item, filter_scalar, PathEvaluator};
@@ -273,7 +274,7 @@ impl<'p> TextPass<'p> {
             if p.live {
                 live += 1;
             } else {
-                fsdm_obs::counter!(fsdm_obs::catalog::SQLJSON_TEXT_ABSENT).inc();
+                metric::SQLJSON_TEXT_ABSENT.inc();
             }
         }
         let walked = if live == 0 { Ok(0) } else { self.scan_text(text, checked, live) };

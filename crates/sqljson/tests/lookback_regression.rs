@@ -8,7 +8,7 @@
 //! documents invalidate the cache and misses must dominate.
 //!
 //! This file holds a single test on purpose: it asserts exact deltas of
-//! the process-global metrics registry, so it must not share its test
+//! the process-global metric cells, so it must not share its test
 //! binary (= process) with other metric-recording tests.
 
 use fsdm_oson::OsonDoc;
@@ -43,7 +43,7 @@ fn lookback_hits_on_homogeneous_misses_on_heterogeneous() {
     // against the dictionary, the other 99 reuse the cached field ids
     assert_eq!(ev.lookback_hits(), 198);
     assert_eq!(ev.lookback_misses(), 2);
-    // the same numbers must flow into the global registry
+    // the same numbers must flow into the catalog's cells
     let delta = fsdm_obs::snapshot().diff(&before);
     assert_eq!(delta.counter("sqljson.lookback.hit"), 198);
     assert_eq!(delta.counter("sqljson.lookback.miss"), 2);

@@ -20,6 +20,7 @@ use fsdm_fault::catalog::{
     FP_EXEC_GROUPBY_PARTIAL, FP_EXEC_JOIN_BUILD, FP_EXEC_JSONTABLE_ROW, FP_EXEC_MORSEL,
     FP_EXEC_SORT_PERMUTE,
 };
+use fsdm_obs::catalog::metric;
 use fsdm_obs::trace::{self, Trace, TraceSession};
 
 use crate::expr::{AggFun, EvalScratch, Expr};
@@ -238,8 +239,7 @@ impl<'q> FusedScan<'q> {
                 Test::Kernel(kernel) => batch.filter(kernel, cols),
                 Test::Row(value) => batch.keep(value, cols)?,
             };
-            fsdm_obs::histogram!(fsdm_obs::catalog::IMC_KERNEL_NS)
-                .record(kernel_start.elapsed().as_nanos() as u64);
+            metric::IMC_KERNEL_NS.record(kernel_start.elapsed().as_nanos() as u64);
         }
         Ok(batch)
     }
@@ -253,7 +253,7 @@ impl<'q> FusedScan<'q> {
         batch: &Batch,
         scratch: &mut EvalScratch,
     ) -> Result<Vec<Vec<Cell>>, StoreError> {
-        fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_ROWS).record(batch.len() as u64);
+        metric::EXEC_BATCH_ROWS.record(batch.len() as u64);
         let mut out: Vec<Vec<Cell>> = self.outs.iter().map(|_| Vec::new()).collect();
         // nothing selected: no output column is extracted or gathered
         if !batch.is_empty() {
@@ -535,7 +535,7 @@ impl Database {
         let optimized = how.optimize.then(|| crate::optimizer::optimize(self, plan.clone()));
         let optimize_ns = start.elapsed().as_nanos() as u64;
         let ctx = self.exec_context();
-        fsdm_obs::gauge!(fsdm_obs::catalog::EXEC_DEGREE).set(ctx.degree as i64);
+        metric::EXEC_DEGREE.set(ctx.degree as i64);
         let mut root_span = trace::span(fsdm_obs::catalog::SPAN_STORE_QUERY);
         root_span.record_args(|| op_label(plan));
         let mut ops = Vec::new();
@@ -547,7 +547,7 @@ impl Database {
 
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         let mem_highwater = ctx.governor.mem_highwater();
-        fsdm_obs::gauge!(fsdm_obs::catalog::EXEC_MEM_HIGHWATER).set(mem_highwater as i64);
+        metric::EXEC_MEM_HIGHWATER.set(mem_highwater as i64);
         let source = how.source.map_or_else(|| op_label(plan), str::to_string);
         let (columns, rows) = match out {
             Ok(out) => out,
@@ -558,8 +558,8 @@ impl Database {
                 return Err(e);
             }
         };
-        fsdm_obs::counter!(fsdm_obs::catalog::STORE_EXEC_QUERIES).inc();
-        fsdm_obs::histogram!(fsdm_obs::catalog::STORE_EXEC_NS).record(elapsed_ns);
+        metric::STORE_EXEC_QUERIES.inc();
+        metric::STORE_EXEC_NS.record(elapsed_ns);
         let mut report = QueryProfile {
             source,
             degree: ctx.degree,
@@ -1028,9 +1028,8 @@ impl Database {
                 }
             };
             let done = finish(rows.kept, out)?;
-            fsdm_obs::counter!(fsdm_obs::catalog::EXEC_LATE_MATERIALIZE_ROWS).add(rows.kept as u64);
-            fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_BATCH_NS)
-                .record(start.elapsed().as_nanos() as u64);
+            metric::EXEC_LATE_MATERIALIZE_ROWS.add(rows.kept as u64);
+            metric::EXEC_BATCH_NS.record(start.elapsed().as_nanos() as u64);
             Ok((done, rows))
         })?;
         let mut total = StageRows::default();
@@ -1246,15 +1245,15 @@ fn merge_groups(partials: Vec<GroupPartial>, nkeys: usize, aggs: &[AggSpec]) -> 
 fn count_kill(kind: ErrorKind) -> Option<&'static str> {
     match kind {
         ErrorKind::Cancelled(r) => {
-            fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_CANCELLED).inc();
+            metric::GOVERN_CANCELLED.inc();
             Some(r.label())
         }
         ErrorKind::DeadlineExceeded => {
-            fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_DEADLINE_EXCEEDED).inc();
+            metric::GOVERN_DEADLINE_EXCEEDED.inc();
             Some("deadline")
         }
         ErrorKind::BudgetExceeded => {
-            fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_BUDGET_EXCEEDED).inc();
+            metric::GOVERN_BUDGET_EXCEEDED.inc();
             Some("budget")
         }
         // worker panics are counted at the catch site in `run_morsels`

@@ -22,6 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use fsdm_obs::catalog::metric;
+
 use crate::table::{CancelReason, ErrorKind, StoreError};
 
 /// Rows a fused columnar loop may process between cancellation checks.
@@ -284,7 +286,7 @@ impl QueryGovernor {
 /// injection. Call sites fire failpoints as
 /// `fsdm_fault::fire(FP_X).map_err(fault_err)?`.
 pub fn fault_err(e: fsdm_fault::FaultError) -> StoreError {
-    fsdm_obs::counter!(fsdm_obs::catalog::FAULT_INJECTED).inc();
+    metric::FAULT_INJECTED.inc();
     StoreError::new(e.to_string())
 }
 

@@ -19,6 +19,7 @@
 //! predicate collapses to constant false, and the executor answers
 //! without touching a single row.
 
+use fsdm_obs::catalog::metric;
 use fsdm_sqljson::json_table::ColKind;
 use fsdm_sqljson::path::JsonPath;
 use fsdm_sqljson::{parse_path, Datum, SqlType};
@@ -70,7 +71,7 @@ fn optimize_inner(db: &Database, plan: Query) -> Query {
 /// exactly that for `IsJsonWithDataGuide` columns).
 fn prune_dead(db: &Database, table: String, pred: Expr) -> Query {
     if pred.conjuncts().iter().any(|c| conjunct_provably_false(db, &table, c)) {
-        fsdm_obs::counter!(fsdm_obs::catalog::ANALYZE_PRUNE_DEAD_PREDICATES).inc();
+        metric::ANALYZE_PRUNE_DEAD_PREDICATES.inc();
         return Query::scan_where(table, Expr::Lit(Datum::Bool(false)));
     }
     Query::scan_where(table, pred)

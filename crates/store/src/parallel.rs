@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use fsdm_obs::catalog::metric;
 use fsdm_obs::trace;
 
 use crate::expr::EvalScratch;
@@ -152,7 +153,7 @@ where
     let workers = ctx.degree.min(ranges.len()).max(1);
     stats.workers = stats.workers.max(workers);
     stats.morsels += ranges.len();
-    fsdm_obs::counter!(fsdm_obs::catalog::EXEC_MORSEL_COUNT).add(ranges.len() as u64);
+    metric::EXEC_MORSEL_COUNT.add(ranges.len() as u64);
     let mut pipeline = trace::span(fsdm_obs::catalog::SPAN_EXEC_PIPELINE);
     pipeline.record_args(|| format!("workers={workers} morsels={}", ranges.len()));
     if workers == 1 {
@@ -205,8 +206,7 @@ where
                             break;
                         }
                     }
-                    fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_WORKER_BUSY_NS)
-                        .record(busy.elapsed().as_nanos() as u64);
+                    metric::EXEC_WORKER_BUSY_NS.record(busy.elapsed().as_nanos() as u64);
                     sentry.worker_exit();
                     // close the worker span, then push this lane's buffered
                     // spans into the session sink: the scope join orders the
@@ -302,7 +302,7 @@ where
         Ok(v) => v,
         Err(payload) => {
             governor.cancel_token().cancel(CancelReason::PeerPanic);
-            fsdm_obs::counter!(fsdm_obs::catalog::GOVERN_WORKER_PANIC).inc();
+            metric::GOVERN_WORKER_PANIC.inc();
             let msg = payload
                 .downcast_ref::<&str>()
                 .copied()
@@ -422,9 +422,8 @@ mod oracle {
 }
 
 fn record_morsel(range: RowRange, started: Instant) {
-    fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_MORSEL_NS)
-        .record(started.elapsed().as_nanos() as u64);
-    fsdm_obs::histogram!(fsdm_obs::catalog::EXEC_MORSEL_ROWS).record(range.len() as u64);
+    metric::EXEC_MORSEL_NS.record(started.elapsed().as_nanos() as u64);
+    metric::EXEC_MORSEL_ROWS.record(range.len() as u64);
 }
 
 #[cfg(test)]

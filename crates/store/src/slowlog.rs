@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
 use fsdm_json::ser::write_escaped;
+use fsdm_obs::catalog::metric;
 
 use crate::profile::QueryProfile;
 
@@ -79,7 +80,7 @@ impl SlowLog {
             let flag = if cap == 0 { 0 } else { threshold_ns.saturating_add(1) };
             self.threshold_ns.store(flag, Relaxed);
         });
-        fsdm_obs::gauge!(fsdm_obs::catalog::SLOWLOG_ENTRIES).set(0);
+        metric::SLOWLOG_ENTRIES.set(0);
     }
 
     /// Disarm and clear.
@@ -167,9 +168,9 @@ impl SlowLog {
         });
         let Some((evicted, len)) = pushed else { return };
         if evicted {
-            fsdm_obs::counter!(fsdm_obs::catalog::SLOWLOG_EVICTED).inc();
+            metric::SLOWLOG_EVICTED.inc();
         }
-        fsdm_obs::gauge!(fsdm_obs::catalog::SLOWLOG_ENTRIES).set(len as i64);
+        metric::SLOWLOG_ENTRIES.set(len as i64);
     }
 
     /// Snapshot of the ring's current entries, oldest first.
@@ -196,7 +197,7 @@ impl SlowLog {
         let poisoned = self.ring.is_poisoned();
         let out = f(&mut fsdm_obs::lock(&self.ring));
         if poisoned {
-            fsdm_obs::counter!(fsdm_obs::catalog::SLOWLOG_POISONED).inc();
+            metric::SLOWLOG_POISONED.inc();
         }
         out
     }
@@ -281,8 +282,7 @@ mod tests {
         let log = SlowLog::new();
         log.arm(0, 4);
         log.record("before", 1, 1, None, None);
-        let poisoned = fsdm_obs::global().counter(fsdm_obs::catalog::SLOWLOG_POISONED);
-        let before = poisoned.get();
+        let before = metric::SLOWLOG_POISONED.get();
         // poison the ring the only way it can happen: a panic unwinding
         // while the guard is held
         #[expect(clippy::disallowed_methods, reason = "poisoning the ring needs an unwind")]
@@ -295,7 +295,7 @@ mod tests {
         let entries = log.entries();
         assert_eq!(entries.len(), 2, "the ring keeps working after poisoning");
         assert_eq!(entries[1].source, "after");
-        assert!(poisoned.get() > before, "recoveries must be counted");
+        assert!(metric::SLOWLOG_POISONED.get() > before, "recoveries must be counted");
     }
 
     #[test]

@@ -9,8 +9,7 @@ use fsdm_fault::catalog::FP_INGEST_PUT;
 use fsdm_index::SearchIndex;
 use fsdm_json::JsonValue;
 use fsdm_obs::catalog::{
-    INDEX_BYTES, SPAN_INGEST_ENCODE, SPAN_INGEST_GUIDE, SPAN_INGEST_PARSE, SPAN_INGEST_POSTINGS,
-    STORE_INSERT_GUIDE_FAST_PATH,
+    metric, SPAN_INGEST_ENCODE, SPAN_INGEST_GUIDE, SPAN_INGEST_PARSE, SPAN_INGEST_POSTINGS,
 };
 use fsdm_obs::trace::span;
 use fsdm_sqljson::Datum;
@@ -254,7 +253,12 @@ impl Table {
             )));
         }
         let mut row = Vec::with_capacity(values.len());
-        let mut guide_docs: Vec<JsonValue> = Vec::new();
+        // the parsed documents the DataGuide or the search index takes, each
+        // with whether its column keeps a DataGuide and whether the index
+        // covers it: the index covers the first JSON column, which
+        // `create_search_index` only accepts when it is parsed here
+        let mut docs: Vec<(JsonValue, bool, bool)> = Vec::new();
+        let mut indexed = self.search_index.is_some();
         for (spec, value) in self.schema.columns.iter().zip(values) {
             match (&spec.ty, value) {
                 // no IS JSON check: bytes stored as-is; only valid for
@@ -283,9 +287,11 @@ impl Table {
                         }
                     };
                     row.push(Cell::J(cell));
-                    if spec.constraint == ConstraintMode::IsJsonWithDataGuide {
-                        guide_docs.push(doc);
+                    let guided = spec.constraint == ConstraintMode::IsJsonWithDataGuide;
+                    if guided || indexed {
+                        docs.push((doc, guided, indexed));
                     }
+                    indexed = false;
                 }
                 (ColType::Json(_), InsertValue::Datum(_)) => {
                     return Err(StoreError::new(format!(
@@ -317,16 +323,16 @@ impl Table {
         }
         // one structure signature per document serves the table's $DG and
         // the search index's
-        for doc in &guide_docs {
+        for (doc, guided, indexed) in &docs {
             let signature = {
                 let _span = span(SPAN_INGEST_GUIDE);
                 let signature = structure_signature(doc);
-                if self.dataguide.observe(doc, signature) {
-                    fsdm_obs::counter!(STORE_INSERT_GUIDE_FAST_PATH).inc();
+                if *guided && self.dataguide.observe(doc, signature) {
+                    metric::STORE_INSERT_GUIDE_FAST_PATH.inc();
                 }
                 signature
             };
-            if let Some(ix) = &mut self.search_index {
+            if let Some(ix) = self.search_index.as_mut().filter(|_| *indexed) {
                 let _span = span(SPAN_INGEST_POSTINGS);
                 ix.insert_signed(row_id as u64, doc, signature);
             }
@@ -400,14 +406,23 @@ impl Table {
         Ok(())
     }
 
-    /// Attach (and build) a JSON search index over the first JSON column.
+    /// Attach (and build) a JSON search index over the first JSON column,
+    /// which every later insert then posts to. A text column without an
+    /// `IS JSON` constraint is refused: its inserts are never parsed.
     pub fn create_search_index(&mut self) -> Result<(), StoreError> {
-        let col = self
+        let (col, spec) = self
             .schema
             .columns
             .iter()
-            .position(|c| matches!(c.ty, ColType::Json(_)))
+            .enumerate()
+            .find(|(_, c)| matches!(c.ty, ColType::Json(_)))
             .ok_or_else(|| StoreError::new("no JSON column to index"))?;
+        if spec.ty == ColType::Json(JsonStorage::Text) && spec.constraint == ConstraintMode::None {
+            return Err(StoreError::new(format!(
+                "column {} has no IS JSON constraint to index under",
+                spec.name
+            )));
+        }
         // row ids ascend, so every posting list is born sorted
         let mut ix = SearchIndex::new();
         for (i, row) in self.rows.iter().enumerate() {
@@ -416,7 +431,7 @@ impl Table {
                 ix.insert(i as u64, &doc);
             }
         }
-        fsdm_obs::gauge!(INDEX_BYTES).set(ix.size_bytes() as i64);
+        metric::INDEX_BYTES.set(ix.size_bytes() as i64);
         self.search_index = Some(ix);
         Ok(())
     }

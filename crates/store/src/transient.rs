@@ -34,6 +34,7 @@ use std::time::Instant;
 
 use fsdm_fault::catalog::FP_EXPR_EVAL;
 use fsdm_json::{JsonNumber, JsonValue};
+use fsdm_obs::catalog::metric;
 use fsdm_sqljson::json_table::{ColKind as TableColKind, ColumnDef, Ctx, JsonTableCursor};
 use fsdm_sqljson::path::JsonPath;
 use fsdm_sqljson::streaming::{TextPass, Want};
@@ -723,11 +724,9 @@ impl<'g> MorselCols<'g> {
                 self.fill_expanded(&pending, leaves, sel, paths, x, cursor)?
             }
         }
-        fsdm_obs::counter!(fsdm_obs::catalog::EXEC_TRANSIENT_COLS).add(pending.len() as u64);
-        fsdm_obs::counter!(fsdm_obs::catalog::EXEC_TRANSIENT_ROWS)
-            .add((pending.len() * sel.len()) as u64);
-        fsdm_obs::histogram!(fsdm_obs::catalog::IMC_TRANSIENT_EXTRACT_NS)
-            .record(start.elapsed().as_nanos() as u64);
+        metric::EXEC_TRANSIENT_COLS.add(pending.len() as u64);
+        metric::EXEC_TRANSIENT_ROWS.add((pending.len() * sel.len()) as u64);
+        metric::IMC_TRANSIENT_EXTRACT_NS.record(start.elapsed().as_nanos() as u64);
         Ok(())
     }
 

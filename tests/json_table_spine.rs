@@ -68,7 +68,7 @@ fn render(r: &QueryResult) -> Vec<String> {
 }
 
 fn transient_cols() -> u64 {
-    fsdm::obs::global().counter(fsdm::obs::catalog::EXEC_TRANSIENT_COLS).get()
+    fsdm::obs::catalog::metric::EXEC_TRANSIENT_COLS.get()
 }
 
 #[test]
