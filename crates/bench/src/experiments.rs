@@ -5,7 +5,7 @@ use std::time::Duration;
 use fsdm_dataguide::views::create_view_on_path;
 use fsdm_dataguide::DataGuide;
 use fsdm_json::{JsonValue, ValueDom};
-use fsdm_oson::{OsonDoc, OsonSetBuilder, SegmentStats};
+use fsdm_oson::{OsonDoc, OsonSet, SegmentStats};
 use fsdm_sqljson::{parse_path, Datum, PathEvaluator};
 use fsdm_store::table::InsertValue;
 use fsdm_store::{ColType, ColumnSpec, ConstraintMode, JsonStorage, Table, TableSchema};
@@ -455,13 +455,17 @@ pub fn run_ablations(n: usize, reps: usize) -> Vec<AblationRow> {
         off: scan(true),
     };
 
-    // one dictionary for the whole set against one per instance
-    let per_instance: usize = encoded.iter().map(Vec::len).sum();
-    let mut builder = OsonSetBuilder::new();
-    for d in docs {
-        builder.add(d);
+    // one dictionary for the whole set against one per instance: the
+    // heap bytes each holds, the buffers' entries included
+    let per_instance = encoded.capacity() * std::mem::size_of::<Vec<u8>>()
+        + encoded.iter().map(Vec::capacity).sum::<usize>();
+    let mut set = OsonSet::new();
+    for d in &docs {
+        set.push(d).expect("set encodes");
     }
-    let set = builder.finalize().expect("set encodes");
+    for i in 0..set.len() {
+        set.doc(i).and_then(|doc| doc.validate()).expect("set member validates");
+    }
     let set_encoding = AblationRow {
         label: "§7 set encoding (shared dictionary)",
         unit: "bytes",

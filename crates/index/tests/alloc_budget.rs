@@ -4,7 +4,8 @@
 //! document, not per posting.
 //!
 //! Its own test binary: the counting allocator below replaces the global
-//! one. It and its twin in `crates/sqljson/tests/alloc_budget.rs` are the
+//! one. It, its twin in `crates/sqljson/tests/alloc_budget.rs` and the
+//! live-byte counter in `crates/bench/tests/set_heap_size.rs` are the
 //! only `unsafe` in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -108,18 +108,11 @@ pub trait JsonDom {
     }
 
     /// Child lookup by a [`FieldId`] previously returned by
-    /// [`JsonDom::field_id`] *for this same fingerprint*.
+    /// [`JsonDom::field_id`] on this instance, or one that
+    /// [`JsonDom::verify_field_id`] accepts here.
     fn get_field_by_id(&self, node: NodeRef, id: FieldId) -> Option<NodeRef> {
         let _ = (node, id);
         None
-    }
-
-    /// A fingerprint of the instance's field dictionary. Two instances with
-    /// equal fingerprints are guaranteed to share field-id assignments, so
-    /// a cached (name → id) mapping from the previous document may be
-    /// reused without re-resolution (the "single-row look-back").
-    fn dict_fingerprint(&self) -> u64 {
-        0
     }
 
     /// True when this implementation resolves fields through an instance
@@ -333,6 +326,5 @@ mod tests {
         let v = parse("{}").unwrap();
         let dom = ValueDom::new(&v);
         assert!(dom.field_id("a", field_hash("a")).is_none());
-        assert_eq!(dom.dict_fingerprint(), 0);
     }
 }

@@ -18,6 +18,10 @@
 //! *untrusted* bytes should run [`OsonDoc::validate`] first — the deep
 //! structural verifier — after which the neutral-value fallbacks are
 //! unreachable and navigation is exact.
+//!
+//! The same reader opens a member of an [`crate::OsonSet`]
+//! ([`OsonDoc::member`]): its field ids index the set's [`Dictionary`]
+//! instead of the instance's own dictionary segment, which is empty.
 
 // hot-path decode of untrusted bytes: corrupted input returns `Err`, never
 // a panic, and offset arithmetic never truncates silently (DESIGN.md §8)
@@ -35,11 +39,10 @@
     )
 )]
 
-use std::cell::Cell;
-
 use fsdm_json::{field_hash, FieldId, JsonDom, JsonNumber, NodeKind, NodeRef, OraNum, ScalarRef};
 use fsdm_obs::catalog::metric;
 
+use crate::set::Dictionary;
 use crate::wire::{
     self, read_varint, NodeTag, FLAG_WIDE_FIELD_IDS, FLAG_WIDE_OFFSETS, MAGIC, VERSION,
 };
@@ -65,16 +68,17 @@ pub struct OsonDoc<'a> {
     wide_ids: bool,
     nfields: usize,
     root: u32,
-    /// absolute offset of the hash-id array
-    hash_arr: usize,
+    /// absolute offset of the hash-id array (= header length)
+    pub(crate) hash_arr: usize,
     /// absolute offset of the names blob
     names: usize,
     /// absolute offset of the tree segment
-    tree: usize,
+    pub(crate) tree: usize,
     /// absolute offset of the value segment
-    values: usize,
-    /// lazily computed dictionary fingerprint (0 = not yet computed)
-    fingerprint: Cell<u64>,
+    pub(crate) values: usize,
+    /// the set dictionary a member's field ids index; `None` for a
+    /// self-contained instance
+    set: Option<&'a Dictionary>,
 }
 
 impl<'a> OsonDoc<'a> {
@@ -146,8 +150,18 @@ impl<'a> OsonDoc<'a> {
             names,
             tree,
             values,
-            fingerprint: Cell::new(0),
+            set: None,
         })
+    }
+
+    /// Wrap a member of an [`crate::OsonSet`] whose dictionary is `set`:
+    /// the checks of [`OsonDoc::new`], and an empty dictionary segment.
+    pub fn member(bytes: &'a [u8], set: &'a Dictionary) -> Result<Self> {
+        let doc = Self::new(bytes)?;
+        if doc.nfields != 0 {
+            return Err(OsonError::corrupt("a set member carries a dictionary segment"));
+        }
+        Ok(OsonDoc { set: Some(set), ..doc })
     }
 
     /// Underlying encoded bytes.
@@ -155,9 +169,10 @@ impl<'a> OsonDoc<'a> {
         self.bytes
     }
 
-    /// Number of distinct field names in the instance dictionary.
+    /// Number of distinct field names its field ids index: the instance
+    /// dictionary's, or a member's set's.
     pub fn num_fields(&self) -> usize {
-        self.nfields
+        self.set.map_or(self.nfields, Dictionary::len)
     }
 
     fn off_w(&self) -> usize {
@@ -233,6 +248,9 @@ impl<'a> OsonDoc<'a> {
     }
 
     fn field_name_checked(&self, id: FieldId) -> Option<&'a str> {
+        if let Some(set) = self.set {
+            return set.name(id);
+        }
         let i = usize::try_from(id).ok()?;
         if i >= self.nfields {
             return None;
@@ -248,10 +266,21 @@ impl<'a> OsonDoc<'a> {
         self.field_name_checked(id).unwrap_or("")
     }
 
-    /// Resolve a field name to its instance field id: binary search on the
-    /// hash-id array, then name comparison to resolve hash collisions
-    /// (§4.2.1).
+    /// Resolve a field name to its field id: binary search on the hash-id
+    /// array, then name comparison to resolve hash collisions (§4.2.1); a
+    /// member asks its set's dictionary.
     pub fn lookup_field_id(&self, name: &str, hash: u32) -> Option<FieldId> {
+        let (found, probes) = match self.set {
+            Some(set) => set.find(name, hash),
+            None => self.search_dictionary(name, hash),
+        };
+        metric::OSON_DICT_LOOKUPS.inc();
+        metric::OSON_DICT_PROBES.add(probes);
+        found
+    }
+
+    /// The instance dictionary's id for `name`, and the entries probed.
+    fn search_dictionary(&self, name: &str, hash: u32) -> (Option<FieldId>, u64) {
         let (mut lo, mut hi) = (0usize, self.nfields);
         let mut probes: u64 = 0;
         while lo < hi {
@@ -275,9 +304,7 @@ impl<'a> OsonDoc<'a> {
             }
             i += 1;
         }
-        metric::OSON_DICT_LOOKUPS.inc();
-        metric::OSON_DICT_PROBES.add(probes);
-        found
+        (found, probes)
     }
 
     /// Absolute buffer position of the node's header byte. Saturates on
@@ -345,7 +372,7 @@ impl<'a> OsonDoc<'a> {
     /// * the field-id dictionary is sorted by `(hash, name)`, free of
     ///   duplicates, every name span lies inside the names blob, every
     ///   name is UTF-8, and every stored hash matches
-    ///   [`fsdm_json::field_hash`] of its name;
+    ///   [`fsdm_json::field_hash`] of its name (a member's is empty);
     /// * every tree node reachable from the root has a canonical header
     ///   (no stray high bits), lies inside the tree segment, and nesting
     ///   stays within [`MAX_DEPTH`];
@@ -518,11 +545,11 @@ impl<'a> OsonDoc<'a> {
                         let id = self
                             .read_id_checked(base + i * id_w)
                             .ok_or_else(|| OsonError::truncated("object field id"))?;
-                        if wire::idx(id) >= self.nfields {
+                        if wire::idx(id) >= self.num_fields() {
                             return Err(OsonError::corrupt(format!(
                                 "object at {node}: field id {id} out of dictionary \
                                  range ({} entries)",
-                                self.nfields
+                                self.num_fields()
                             )));
                         }
                         if let Some(prev) = prev_id {
@@ -712,6 +739,9 @@ impl JsonDom for OsonDoc<'_> {
     }
 
     fn verify_field_id(&self, id: FieldId, name: &str, hash: u32) -> bool {
+        if let Some(set) = self.set {
+            return set.entry(id).is_some_and(|e| e.hash == hash && *e.text == *name);
+        }
         wire::idx(id) < self.nfields
             && self.entry_hash(wire::idx(id)) == hash
             && self.field_name(id) == name
@@ -746,28 +776,6 @@ impl JsonDom for OsonDoc<'_> {
         } else {
             None
         }
-    }
-
-    /// Computed lazily on first use (queries that never look up a field
-    /// by name — array-only paths — skip it entirely) and cached for the
-    /// lifetime of the view.
-    fn dict_fingerprint(&self) -> u64 {
-        let cached = self.fingerprint.get();
-        if cached != 0 {
-            return cached;
-        }
-        // FNV-1a 64 over the dictionary region; never returns the 0
-        // sentinel (the offset basis bit pattern is restored if it does)
-        let mut fp: u64 = 0xcbf29ce484222325;
-        for &b in self.bytes.get(self.hash_arr..self.tree).unwrap_or(&[]) {
-            fp ^= u64::from(b);
-            fp = fp.wrapping_mul(0x100000001b3);
-        }
-        if fp == 0 {
-            fp = 0xcbf29ce484222325;
-        }
-        self.fingerprint.set(fp);
-        fp
     }
 }
 
@@ -870,15 +878,22 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_match_for_homogeneous_instances() -> TestResult {
-        let (b1, _) = doc_of(r#"{"name":"a","price":1}"#)?;
-        let (b2, _) = doc_of(r#"{"name":"b","price":2}"#)?;
-        let (b3, _) = doc_of(r#"{"name":"c","cost":2}"#)?;
-        let d1 = OsonDoc::new(&b1)?;
-        let d2 = OsonDoc::new(&b2)?;
-        let d3 = OsonDoc::new(&b3)?;
-        assert_eq!(d1.dict_fingerprint(), d2.dict_fingerprint());
-        assert_ne!(d1.dict_fingerprint(), d3.dict_fingerprint());
+    fn a_reader_is_shared_across_threads() {
+        fn sync<T: Sync>() {}
+        sync::<OsonDoc<'_>>();
+    }
+
+    #[test]
+    fn a_member_needs_its_set_and_an_instance_is_not_a_member() -> TestResult {
+        let mut set = crate::OsonSet::new();
+        set.push(&parse(r#"{"a":{"b":1}}"#)?)?;
+        let member = set.doc(0)?.as_bytes();
+        // alone, its field ids index nothing
+        let alone = OsonDoc::new(member)?;
+        assert_eq!(alone.validate().map_err(|e| e.kind), Err(ErrorKind::Corrupt));
+        let (instance, _) = doc_of(r#"{"a":1}"#)?;
+        let refused = OsonDoc::member(&instance, set.dictionary()).map(|_| ());
+        assert_eq!(refused.map_err(|e| e.kind), Err(ErrorKind::Corrupt));
         Ok(())
     }
 

@@ -1,21 +1,25 @@
 //! OSON encoder: [`JsonValue`] → three-segment binary instance.
 //!
 //! One [`Encoder`] serves a run of documents: it interns every field name
-//! it meets (name, hash) once and keeps its segment buffers, so encoding
-//! a document whose names it has seen allocates the output and nothing
-//! else. Each document is walked twice: once to collect its names — the
-//! field ids are their ranks by (hash, name) — and once to serialize,
-//! with compact 2-byte offsets. The wide (4-byte) layout differs from the
-//! compact one by exactly two bytes per offset written, so whether a
-//! document needs it is decided by arithmetic, and only such documents
-//! are serialized again.
+//! it meets (name, hash) once in a [`Dictionary`] and keeps its segment
+//! buffers, so encoding a document whose names it has seen allocates the
+//! output and nothing else. Each document is walked twice: once to
+//! collect its names — the field ids are their ranks by (hash, name) —
+//! and once to serialize, with compact 2-byte offsets. The wide (4-byte)
+//! layout differs from the compact one by exactly two bytes per offset
+//! written, so whether a document needs it is decided by arithmetic, and
+//! only such documents are serialized again.
+//!
+//! A set's encoder ([`crate::OsonSet`]) writes members instead: the same
+//! tree, with an empty dictionary segment and the names' positions in the
+//! never-cleared intern table as field ids.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::mem::size_of;
 
-use fsdm_json::{field_hash, JsonValue};
+use fsdm_json::JsonValue;
 use fsdm_obs::catalog::metric;
 
+use crate::set::Dictionary;
 use crate::wire::{write_varint, NodeTag, FLAG_WIDE_FIELD_IDS, FLAG_WIDE_OFFSETS, MAGIC, VERSION};
 use crate::{OsonError, Result};
 
@@ -72,27 +76,19 @@ impl Layout {
     }
 }
 
-/// A field name the encoder has met.
-#[derive(Debug)]
-struct Name {
-    text: Arc<str>,
-    hash: u32,
-    /// The last document (by [`Encoder::epoch`]) that used the name.
-    stamp: u64,
-    /// Its field id in that document.
-    id: u32,
-}
-
 /// A reusable OSON encoder; see the module documentation.
 #[derive(Debug, Default)]
 pub struct Encoder {
-    /// Every name met → its position in `names`.
-    interned: HashMap<Arc<str>, u32>,
-    names: Vec<Name>,
+    /// Every name met.
+    names: Dictionary,
+    /// A set's encoder: names are never forgotten, a name's field id is
+    /// its position, and documents carry no dictionary segment.
+    member: bool,
     /// Documents encoded so far.
     epoch: u64,
     /// The current document's distinct names (positions in `names`); once
-    /// collected, sorted by (hash, name), so the index is the field id.
+    /// collected, an instance sorts them by (hash, name), so the index is
+    /// the field id.
     dictionary: Vec<u32>,
     /// The name of every object member, in walk order.
     members: Vec<u32>,
@@ -114,12 +110,30 @@ impl Encoder {
         Self::default()
     }
 
+    /// The encoder of an [`crate::OsonSet`]: see the module documentation.
+    pub(crate) fn for_set() -> Self {
+        Encoder { member: true, ..Self::default() }
+    }
+
+    /// The names met, in first-seen order.
+    pub(crate) fn names(&self) -> &Dictionary {
+        &self.names
+    }
+
+    /// Heap bytes held: the names and every buffer.
+    pub(crate) fn heap_size(&self) -> usize {
+        self.names.heap_size()
+            + (self.dictionary.capacity() + self.members.capacity()) * size_of::<u32>()
+            + self.tree.capacity()
+            + self.values.capacity()
+            + self.kids.capacity() * size_of::<(u32, u32)>()
+    }
+
     /// Encode one document. Numbers are Oracle NUMBERs (§4.2.3), exact
     /// decimals; one beyond NUMBER's range is an IEEE double.
     pub fn encode(&mut self, v: &JsonValue) -> Result<Vec<u8>> {
-        if self.names.len() > MAX_INTERNED {
-            self.interned.clear();
-            self.names.clear();
+        if !self.member && self.names.len() > MAX_INTERNED {
+            self.names.truncate(0);
         }
         self.epoch += 1;
         self.dictionary.clear();
@@ -127,17 +141,32 @@ impl Encoder {
         // a first use skips the doubling steps a small document would
         // walk every buffer through; afterwards these cost nothing
         if self.names.is_empty() {
-            self.interned.reserve(SMALL_DOC_NAMES);
             self.names.reserve(SMALL_DOC_NAMES);
         }
         self.dictionary.reserve(SMALL_DOC_NAMES);
         self.members.reserve(SMALL_DOC_NAMES);
-        self.collect_names(v)?;
+        let known = self.names.len();
+        if let Err(e) = self.collect_names(v) {
+            // a refused member must not leave its names to the set
+            if self.member {
+                self.names.truncate(known);
+            }
+            return Err(e);
+        }
+        // field ids span 0..id_span
+        let id_span = if self.member {
+            // a member's ids are positions, and it stores no dictionary
+            let span = self.dictionary.iter().max().map_or(0, |&n| n as usize + 1);
+            self.dictionary.clear();
+            span
+        } else {
+            self.dictionary.len()
+        };
         let nfields = self.dictionary.len();
         if nfields > u16::MAX as usize {
             return Err(OsonError::limit("too many distinct field names (max 65535)"));
         }
-        let names = &mut self.names;
+        let names = &mut self.names.entries;
         self.dictionary.sort_unstable_by(|&a, &b| {
             let (a, b) = (&names[a as usize], &names[b as usize]);
             a.hash.cmp(&b.hash).then_with(|| a.text.cmp(&b.text))
@@ -152,8 +181,9 @@ impl Encoder {
 
         // the narrow header holds a name length in one byte
         let narrow = nfields <= 255 && names_len < NARROW_LIMIT && longest <= u8::MAX as usize;
-        let small = Layout { wide_offsets: false, wide_ids: false };
-        let wide = Layout { wide_offsets: true, wide_ids: nfields > 256 };
+        let wide_ids = id_span > 256;
+        let small = Layout { wide_offsets: false, wide_ids };
+        let wide = Layout { wide_offsets: true, wide_ids };
         let (layout, root) = match narrow.then(|| self.write_segments(v, small)).flatten() {
             Some(root) => (small, root),
             None => (wide, self.write_segments(v, wide).expect("wide offsets always fit")),
@@ -162,7 +192,13 @@ impl Encoder {
         // the deep structural verifier must accept everything we emit; in
         // debug builds every encode proves it
         debug_assert!(
-            crate::doc::OsonDoc::new(&out).and_then(|d| d.validate()).is_ok(),
+            if self.member {
+                crate::doc::OsonDoc::member(&out, &self.names)
+            } else {
+                crate::doc::OsonDoc::new(&out)
+            }
+            .and_then(|d| d.validate())
+            .is_ok(),
             "encoder produced an OSON document the verifier rejects"
         );
         // per-segment byte accounting (§4 / Table 11)
@@ -184,18 +220,11 @@ impl Encoder {
                     if k.len() > u16::MAX as usize {
                         return Err(OsonError::limit("field name longer than 65535 bytes"));
                     }
-                    let n = match self.interned.get(k) {
-                        Some(&n) => n,
-                        None => {
-                            let n = self.names.len() as u32;
-                            let text: Arc<str> = Arc::from(k);
-                            let hash = field_hash(k);
-                            self.names.push(Name { text: text.clone(), hash, stamp: 0, id: 0 });
-                            self.interned.insert(text, n);
-                            n
-                        }
-                    };
-                    let name = &mut self.names[n as usize];
+                    let n = self.names.intern(k)?;
+                    if self.member && n >= u32::from(u16::MAX) {
+                        return Err(OsonError::limit("a set holds at most 65535 field names"));
+                    }
+                    let name = &mut self.names.entries[n as usize];
                     if name.stamp != self.epoch {
                         name.stamp = self.epoch;
                         self.dictionary.push(n);
@@ -241,7 +270,7 @@ impl Encoder {
             }
             JsonValue::Object(o) => {
                 for (_, c) in o.iter() {
-                    let id = self.names[self.members[self.cursor] as usize].id;
+                    let id = self.names.entries[self.members[self.cursor] as usize].id;
                     self.cursor += 1;
                     let off = self.write_node(c, layout)?;
                     self.kids.push((id, off));
@@ -344,7 +373,7 @@ impl Encoder {
         layout.push_off(&mut out, names_len as u32);
         layout.push_off(&mut out, self.tree.len() as u32);
         layout.push_off(&mut out, self.values.len() as u32);
-        let names = self.dictionary.iter().map(|&n| &self.names[n as usize]);
+        let names = self.dictionary.iter().map(|&n| &self.names.entries[n as usize]);
         let mut noff = 0u32;
         for name in names.clone() {
             out.extend_from_slice(&name.hash.to_le_bytes());

@@ -22,9 +22,14 @@
 //! [`OsonDoc`] implements [`fsdm_json::JsonDom`] *directly over the
 //! serialized bytes* — the "DOM read operations against the serialized
 //! instance" of §5.1 — including instance field-id resolution and the
-//! dictionary fingerprint that powers the cross-document look-back cache
-//! of §4.2.1. Partial updates of existing leaf scalar values are supported
-//! in place (§4.2.3's stated update trade-off).
+//! id check behind the cross-document look-back cache of §4.2.1.
+//! Partial updates of existing leaf scalar values are supported in place
+//! (§4.2.3's stated update trade-off).
+//!
+//! [`OsonSet`] is §7's set encoding: its members are the same instances
+//! with an empty dictionary segment, their field ids indexing one shared
+//! [`Dictionary`], and [`OsonSet::doc`] reads one as an [`OsonDoc`]. The
+//! crate has one tree writer ([`Encoder`]) and one reader.
 
 pub mod doc;
 pub mod encoder;
@@ -35,7 +40,7 @@ mod wire;
 
 pub use doc::OsonDoc;
 pub use encoder::{encode, Encoder};
-pub use set::{OsonSet, OsonSetBuilder, SetDictionary, SetDoc};
+pub use set::{Dictionary, OsonSet};
 pub use stats::SegmentStats;
 pub use update::{update_scalar, UpdateOutcome};
 

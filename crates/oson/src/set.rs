@@ -1,426 +1,259 @@
-//! OSON **set encoding** — the paper's §7 future-work direction,
-//! implemented: "the common field-id-name dictionary segments can be
-//! extracted from each OSON instance and merged into a single dictionary
-//! in the in-memory store. This would reduce memory consumption and
-//! improve query performance because field name to id mapping can be done
-//! once for the entire in-memory store."
+//! OSON **set encoding** — the paper's §7 future-work direction: "the
+//! common field-id-name dictionary segments can be extracted from each
+//! OSON instance and merged into a single dictionary in the in-memory
+//! store. This would reduce memory consumption and improve query
+//! performance because field name to id mapping can be done once for the
+//! entire in-memory store."
 //!
-//! Unlike Dremel's columnar encoding, the set encoding keeps every
-//! instance's own tree — so fully **heterogeneous** collections are fine:
-//! a field may be a string in one document, a number in the next, an
-//! object or array in a third (§7's explicit requirement). Only the
-//! name→id mapping is hoisted out and shared.
+//! A member of an [`OsonSet`] is the ordinary instance [`Encoder`] writes,
+//! with an empty dictionary segment: its field ids index the set's
+//! [`Dictionary`], which is the set's encoder's intern table. Ids are
+//! positions in first-seen order and the table is never cleared, so
+//! appending a document never renumbers an earlier member. An
+//! [`OsonDoc`] opened on a member with [`OsonDoc::member`] resolves names
+//! through that dictionary; every other read is the instance reader's.
+//!
+//! Unlike Dremel's columnar encoding, every member keeps its own tree, so
+//! fully **heterogeneous** collections are fine: a field may be a string
+//! in one document, a number in the next, an object or array in a third
+//! (§7's explicit requirement). Only the name→id mapping is shared.
 //!
 //! Per the paper's closing vision: the on-disk format stays the
-//! self-contained instance encoding (`fsdm_oson::encode`); this module is
-//! the non-self-contained, query-friendly **in-memory** companion.
+//! self-contained instance (`fsdm_oson::encode`); a set is the
+//! non-self-contained, query-friendly **in-memory** companion.
 
-use std::collections::HashMap;
+// the dictionary is read on the decode hot path of every member: a
+// lookup is total, and index arithmetic never truncates silently
+// (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::as_conversions
+    )
+)]
 
-use fsdm_json::{
-    field_hash, FieldId, JsonDom, JsonNumber, JsonValue, NodeKind, NodeRef, OraNum, ScalarRef,
-};
+use std::mem::size_of;
 
-use crate::wire::{read_varint, write_varint, NodeTag};
-use crate::{OsonError, Result};
+use fsdm_json::{field_hash, FieldId, JsonValue};
 
-/// The shared field-id-name dictionary of a set.
-#[derive(Debug, Default)]
-pub struct SetDictionary {
-    /// (hash, name) sorted by (hash, name); ordinal = field id.
-    entries: Vec<(u32, String)>,
-    ids: HashMap<String, u32>,
+use crate::encoder::Encoder;
+use crate::wire::idx;
+use crate::{OsonDoc, OsonError, Result};
+
+/// A field name held by a [`Dictionary`].
+#[derive(Debug)]
+pub(crate) struct Name {
+    pub(crate) text: Box<str>,
+    pub(crate) hash: u32,
+    /// The last document (by the encoder's epoch) that used the name.
+    pub(crate) stamp: u64,
+    /// Its field id in that document; a set's ids are positions.
+    pub(crate) id: u32,
 }
 
-impl SetDictionary {
-    /// Number of distinct field names across the set.
+/// Field names in first-seen order, each stored once, with a hash index
+/// over them. An [`Encoder`]'s intern table; a set's encoder never clears
+/// it, and then it is the set's dictionary: a name's position is its id.
+#[derive(Debug, Default)]
+pub struct Dictionary {
+    pub(crate) entries: Vec<Name>,
+    /// Open-addressed index over `entries`, probed linearly from a name's
+    /// hash: a slot holds a position plus one, 0 when empty. At most half
+    /// full, so every probe ends at an empty slot.
+    slots: Vec<u32>,
+}
+
+impl Dictionary {
+    /// Number of distinct field names.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no names are registered.
+    /// True when no names are held.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Name of a field id.
-    pub fn name(&self, id: FieldId) -> &str {
-        &self.entries[id as usize].1
+    /// The name at position `id`.
+    pub fn name(&self, id: FieldId) -> Option<&str> {
+        self.entry(id).map(|n| &*n.text)
     }
 
-    /// Resolve a name (binary search by hash, then name compare).
-    pub fn lookup(&self, name: &str, hash: u32) -> Option<FieldId> {
-        let mut lo = 0usize;
-        let mut hi = self.entries.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.entries[mid].0 < hash {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        while lo < self.entries.len() && self.entries[lo].0 == hash {
-            if self.entries[lo].1 == name {
-                return Some(lo as u32);
-            }
-            lo += 1;
-        }
-        None
+    pub(crate) fn entry(&self, id: FieldId) -> Option<&Name> {
+        self.entries.get(idx(id))
     }
 
-    /// Bytes used by the dictionary.
-    pub fn heap_size(&self) -> usize {
-        self.entries.iter().map(|(_, n)| n.len() + 8).sum::<usize>()
+    /// The position of `name` (whose [`field_hash`] is `hash`), with the
+    /// slots probed to find it or its absence.
+    pub(crate) fn find(&self, name: &str, hash: u32) -> (Option<FieldId>, u64) {
+        let (found, probes) = self.probe(name, hash);
+        (found.ok(), probes)
+    }
+
+    /// `Ok(position)` of `name`, or `Err(slot)`: the empty slot it would
+    /// take.
+    fn probe(&self, name: &str, hash: u32) -> (std::result::Result<FieldId, usize>, u64) {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut slot = idx(hash) & mask;
+        let mut probes = 1;
+        loop {
+            let Some(n) = self.slots.get(slot).and_then(|s| s.checked_sub(1)) else {
+                return (Err(slot), probes);
+            };
+            if self.entry(n).is_some_and(|e| e.hash == hash && *e.text == *name) {
+                return (Ok(n), probes);
+            }
+            slot = slot.wrapping_add(1) & mask;
+            probes += 1;
+        }
+    }
+
+    /// The position of `name`, which is appended if new.
+    pub(crate) fn intern(&mut self, name: &str) -> Result<u32> {
+        if 2 * (self.entries.len() + 1) > self.slots.len() {
+            self.reindex((2 * self.slots.len()).max(16));
+        }
+        let hash = field_hash(name);
+        match self.probe(name, hash).0 {
+            Ok(n) => Ok(n),
+            Err(slot) => {
+                let n = u32::try_from(self.entries.len())
+                    .map_err(|_| OsonError::limit("too many field names"))?;
+                let cell = self
+                    .slots
+                    .get_mut(slot)
+                    .ok_or_else(|| OsonError::usage("dictionary index full"))?;
+                *cell = n + 1;
+                self.entries.push(Name { text: name.into(), hash, stamp: 0, id: n });
+                Ok(n)
+            }
+        }
+    }
+
+    /// Make room for `additional` more names.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+        if 2 * self.entries.capacity() > self.slots.len() {
+            self.reindex((2 * self.entries.capacity()).next_power_of_two());
+        }
+    }
+
+    /// Keep the first `len` names only.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.entries.truncate(len);
+        self.reindex(self.slots.len());
+    }
+
+    /// Rebuild the index over `slots` slots, a power of two.
+    fn reindex(&mut self, slots: usize) {
+        self.slots.clear();
+        self.slots.resize(slots, 0);
+        let mask = slots.wrapping_sub(1);
+        for (n, name) in (1u32..).zip(&self.entries) {
+            let mut slot = idx(name.hash) & mask;
+            while let Some(cell) = self.slots.get_mut(slot) {
+                if *cell == 0 {
+                    *cell = n;
+                    break;
+                }
+                slot = slot.wrapping_add(1) & mask;
+            }
+        }
+    }
+
+    /// Heap bytes held: the names, their entries and the index.
+    pub(crate) fn heap_size(&self) -> usize {
+        self.entries.capacity() * size_of::<Name>()
+            + self.entries.iter().map(|n| n.text.len()).sum::<usize>()
+            + self.slots.capacity() * size_of::<u32>()
     }
 }
 
-/// Builder: collect documents, then finalize into an [`OsonSet`].
-#[derive(Default)]
-pub struct OsonSetBuilder {
-    docs: Vec<JsonValue>,
-    names: HashMap<String, u32>,
+/// A set-encoded in-memory collection: members share one [`Dictionary`].
+#[derive(Debug)]
+pub struct OsonSet {
+    /// Writes the members; its intern table is the set's dictionary.
+    encoder: Encoder,
+    /// Each member at its exact length.
+    members: Vec<Box<[u8]>>,
 }
 
-impl OsonSetBuilder {
-    /// Empty builder.
+impl Default for OsonSet {
+    fn default() -> Self {
+        OsonSet { encoder: Encoder::for_set(), members: Vec::new() }
+    }
+}
+
+impl OsonSet {
+    /// An empty set.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Add one document to the set.
-    pub fn add(&mut self, doc: JsonValue) {
-        collect_names(&doc, &mut self.names);
-        self.docs.push(doc);
+    /// Append a document. Its new names join the dictionary after every
+    /// name met before, so no earlier member changes. A set holds at most
+    /// 65 535 distinct names (member field ids are 16-bit); a document
+    /// that would exceed it is refused with [`crate::ErrorKind::Limit`]
+    /// and leaves the set as it was.
+    pub fn push(&mut self, v: &JsonValue) -> Result<()> {
+        let bytes = self.encoder.encode(v)?;
+        self.members.push(bytes.into_boxed_slice());
+        Ok(())
     }
 
-    /// Number of documents added.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// True when no documents were added.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
-
-    /// Assign global field ids and encode every instance against the
-    /// shared dictionary.
-    pub fn finalize(self) -> Result<OsonSet> {
-        let mut entries: Vec<(u32, String)> = self.names.into_iter().map(|(n, h)| (h, n)).collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        if entries.len() > u32::MAX as usize / 2 {
-            return Err(OsonError::limit("set dictionary too large"));
-        }
-        let mut ids = HashMap::with_capacity(entries.len());
-        for (i, (_, n)) in entries.iter().enumerate() {
-            ids.insert(n.clone(), i as u32);
-        }
-        let dict = SetDictionary { entries, ids };
-        let mut instances = Vec::with_capacity(self.docs.len());
-        for d in &self.docs {
-            instances.push(encode_instance(d, &dict)?);
-        }
-        Ok(OsonSet { dict, instances })
-    }
-}
-
-fn collect_names(v: &JsonValue, out: &mut HashMap<String, u32>) {
-    match v {
-        JsonValue::Object(o) => {
-            for (k, c) in o.iter() {
-                out.entry(k.to_string()).or_insert_with(|| field_hash(k));
-                collect_names(c, out);
-            }
-        }
-        JsonValue::Array(a) => {
-            for c in a {
-                collect_names(c, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// One set-encoded instance: tree + values only (no dictionary — that is
-/// the whole point). Offsets are 4-byte, field ids LEB128 varints against
-/// the shared dictionary.
-struct SetInstance {
-    tree: Vec<u8>,
-    values: Vec<u8>,
-    root: u32,
-}
-
-/// A set-encoded in-memory collection.
-pub struct OsonSet {
-    dict: SetDictionary,
-    instances: Vec<SetInstance>,
-}
-
-impl OsonSet {
     /// The shared dictionary.
-    pub fn dictionary(&self) -> &SetDictionary {
-        &self.dict
+    pub fn dictionary(&self) -> &Dictionary {
+        self.encoder.names()
     }
 
     /// Number of documents in the set.
     pub fn len(&self) -> usize {
-        self.instances.len()
+        self.members.len()
     }
 
     /// True when the set holds no documents.
     pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
+        self.members.is_empty()
     }
 
-    /// A [`JsonDom`] view over one document.
-    pub fn doc(&self, i: usize) -> SetDoc<'_> {
-        SetDoc { set: self, inst: &self.instances[i] }
+    /// The reader over member `i`.
+    pub fn doc(&self, i: usize) -> Result<OsonDoc<'_>> {
+        let bytes = self
+            .members
+            .get(i)
+            .ok_or_else(|| OsonError::usage(format!("no member {i} in a set of {}", self.len())))?;
+        OsonDoc::member(bytes, self.dictionary())
     }
 
-    /// Total heap bytes: shared dictionary once + per-instance tree/value
-    /// segments. Compare against the sum of self-contained instance
-    /// encodings to see §7's memory saving.
+    /// Every heap byte the set holds: the members, their entries, the
+    /// dictionary with its index and the encoder's buffers. Compare it
+    /// with the bytes self-contained instances hold to see §7's saving.
     pub fn heap_size(&self) -> usize {
-        self.dict.heap_size()
-            + self.instances.iter().map(|i| i.tree.len() + i.values.len()).sum::<usize>()
-    }
-}
-
-fn encode_instance(doc: &JsonValue, dict: &SetDictionary) -> Result<SetInstance> {
-    let mut tree = Vec::with_capacity(128);
-    let mut values = Vec::with_capacity(128);
-    let root = write_node(doc, dict, &mut tree, &mut values)?;
-    Ok(SetInstance { tree, values, root })
-}
-
-fn write_node(
-    v: &JsonValue,
-    dict: &SetDictionary,
-    tree: &mut Vec<u8>,
-    values: &mut Vec<u8>,
-) -> Result<u32> {
-    Ok(match v {
-        JsonValue::Null => {
-            let off = tree.len() as u32;
-            tree.push(NodeTag::Null as u8);
-            off
-        }
-        JsonValue::Bool(b) => {
-            let off = tree.len() as u32;
-            tree.push(if *b { NodeTag::True as u8 } else { NodeTag::False as u8 });
-            off
-        }
-        JsonValue::String(s) => {
-            let voff = values.len() as u32;
-            write_varint(values, s.len() as u64);
-            values.extend_from_slice(s.as_bytes());
-            let off = tree.len() as u32;
-            tree.push(NodeTag::Str as u8);
-            tree.extend_from_slice(&voff.to_le_bytes());
-            off
-        }
-        JsonValue::Number(n) => {
-            let off = tree.len() as u32;
-            match n.to_oranum() {
-                Some(d) => {
-                    let b = d.as_bytes();
-                    tree.push(NodeTag::NumOra as u8);
-                    tree.push(b.len() as u8);
-                    tree.extend_from_slice(b);
-                }
-                None => {
-                    tree.push(NodeTag::NumDouble as u8);
-                    tree.extend_from_slice(&n.to_f64().to_le_bytes());
-                }
-            }
-            off
-        }
-        JsonValue::Array(a) => {
-            let kids: Vec<u32> =
-                a.iter().map(|c| write_node(c, dict, tree, values)).collect::<Result<_>>()?;
-            let off = tree.len() as u32;
-            tree.push(NodeTag::Array as u8);
-            write_varint(tree, kids.len() as u64);
-            for k in kids {
-                tree.extend_from_slice(&k.to_le_bytes());
-            }
-            off
-        }
-        JsonValue::Object(o) => {
-            let mut kids: Vec<(u32, u32)> = Vec::with_capacity(o.len());
-            for (k, c) in o.iter() {
-                let id = *dict
-                    .ids
-                    .get(k)
-                    .ok_or_else(|| OsonError::usage(format!("name {k:?} not in set dictionary")))?;
-                let coff = write_node(c, dict, tree, values)?;
-                kids.push((id, coff));
-            }
-            kids.sort_by_key(|(id, _)| *id);
-            let off = tree.len() as u32;
-            tree.push(NodeTag::Object as u8);
-            write_varint(tree, kids.len() as u64);
-            // ids fixed-width u32 to keep binary search trivial (this is an
-            // in-memory format; compactness is secondary to scan speed)
-            for (id, _) in &kids {
-                tree.extend_from_slice(&id.to_le_bytes());
-            }
-            for (_, coff) in &kids {
-                tree.extend_from_slice(&coff.to_le_bytes());
-            }
-            off
-        }
-    })
-}
-
-/// [`JsonDom`] over one set-encoded instance. Field resolution goes
-/// through the **shared** dictionary, so the engine's look-back cache
-/// validates trivially for every document of the set — the "field name to
-/// id mapping done once for the entire in-memory store" of §7.
-pub struct SetDoc<'a> {
-    set: &'a OsonSet,
-    inst: &'a SetInstance,
-}
-
-impl SetDoc<'_> {
-    fn u32_at(&self, pos: usize) -> u32 {
-        u32::from_le_bytes(self.inst.tree[pos..pos + 4].try_into().unwrap())
-    }
-
-    fn header(&self, node: NodeRef) -> (NodeTag, usize) {
-        let p = node as usize;
-        (NodeTag::from_byte(self.inst.tree[p]), p + 1)
-    }
-
-    fn container(&self, node: NodeRef) -> (NodeTag, usize, usize) {
-        let (tag, p) = self.header(node);
-        let (count, n) = read_varint(&self.inst.tree, p).expect("count");
-        (tag, count as usize, p + n)
-    }
-}
-
-impl JsonDom for SetDoc<'_> {
-    fn root(&self) -> NodeRef {
-        self.inst.root as NodeRef
-    }
-
-    fn kind(&self, node: NodeRef) -> NodeKind {
-        match self.header(node).0 {
-            NodeTag::Object => NodeKind::Object,
-            NodeTag::Array => NodeKind::Array,
-            _ => NodeKind::Scalar,
-        }
-    }
-
-    fn object_len(&self, node: NodeRef) -> usize {
-        self.container(node).1
-    }
-
-    fn object_entry(&self, node: NodeRef, i: usize) -> (&str, NodeRef) {
-        let (_, count, base) = self.container(node);
-        let id = self.u32_at(base + i * 4);
-        let child = self.u32_at(base + count * 4 + i * 4);
-        (self.set.dict.name(id), child as NodeRef)
-    }
-
-    fn array_len(&self, node: NodeRef) -> usize {
-        self.container(node).1
-    }
-
-    fn array_element(&self, node: NodeRef, i: usize) -> NodeRef {
-        let (_, _, base) = self.container(node);
-        self.u32_at(base + i * 4) as NodeRef
-    }
-
-    fn scalar(&self, node: NodeRef) -> ScalarRef<'_> {
-        let (tag, p) = self.header(node);
-        match tag {
-            NodeTag::Null => ScalarRef::Null,
-            NodeTag::True => ScalarRef::Bool(true),
-            NodeTag::False => ScalarRef::Bool(false),
-            NodeTag::NumOra => {
-                let len = self.inst.tree[p] as usize;
-                let d =
-                    OraNum::from_bytes(&self.inst.tree[p + 1..p + 1 + len]).expect("valid number");
-                ScalarRef::Num(match d.to_i64() {
-                    Some(i) => JsonNumber::Int(i),
-                    None => JsonNumber::Dec(d),
-                })
-            }
-            NodeTag::NumDouble => {
-                let v = f64::from_le_bytes(self.inst.tree[p..p + 8].try_into().unwrap());
-                ScalarRef::Num(JsonNumber::from(v))
-            }
-            NodeTag::Str => {
-                let voff = self.u32_at(p) as usize;
-                let (len, n) = read_varint(&self.inst.values, voff).expect("len");
-                let start = voff + n;
-                ScalarRef::Str(
-                    std::str::from_utf8(&self.inst.values[start..start + len as usize])
-                        .unwrap_or(""),
-                )
-            }
-            NodeTag::Object | NodeTag::Array => panic!("scalar() on container"),
-        }
-    }
-
-    fn get_field(&self, node: NodeRef, name: &str, hash: u32) -> Option<NodeRef> {
-        let id = self.set.dict.lookup(name, hash)?;
-        self.get_field_by_id(node, id)
-    }
-
-    fn field_id(&self, name: &str, hash: u32) -> Option<FieldId> {
-        self.set.dict.lookup(name, hash)
-    }
-
-    fn has_field_ids(&self) -> bool {
-        true
-    }
-
-    /// Ids are global to the set: a cached id is valid for *every*
-    /// instance — resolution happens once for the whole store (§7).
-    fn verify_field_id(&self, id: FieldId, name: &str, hash: u32) -> bool {
-        (id as usize) < self.set.dict.len() && {
-            let (h, n) = &self.set.dict.entries[id as usize];
-            *h == hash && n == name
-        }
-    }
-
-    fn get_field_by_id(&self, node: NodeRef, id: FieldId) -> Option<NodeRef> {
-        let (tag, count, base) = self.container(node);
-        if tag != NodeTag::Object {
-            return None;
-        }
-        let mut lo = 0usize;
-        let mut hi = count;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.u32_at(base + mid * 4) < id {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < count && self.u32_at(base + lo * 4) == id {
-            Some(self.u32_at(base + count * 4 + lo * 4) as NodeRef)
-        } else {
-            None
-        }
+        self.members.capacity() * size_of::<Box<[u8]>>()
+            + self.members.iter().map(|m| m.len()).sum::<usize>()
+            + self.encoder.heap_size()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsdm_json::parse;
+    use crate::ErrorKind;
+    use fsdm_json::{parse, JsonDom};
 
     fn build(texts: &[&str]) -> OsonSet {
-        let mut b = OsonSetBuilder::new();
+        let mut set = OsonSet::new();
         for t in texts {
-            b.add(parse(t).unwrap());
+            set.push(&parse(t).unwrap()).unwrap();
         }
-        b.finalize().unwrap()
+        set
     }
 
     #[test]
@@ -433,9 +266,23 @@ mod tests {
         let set = build(&texts);
         assert_eq!(set.len(), 3);
         for (i, t) in texts.iter().enumerate() {
-            let doc = set.doc(i);
+            let doc = set.doc(i).unwrap();
+            doc.validate().unwrap();
             let back = doc.materialize(doc.root());
             assert!(back.eq_unordered(&parse(t).unwrap()), "doc {i}");
+        }
+        assert!(set.doc(3).is_err());
+    }
+
+    #[test]
+    fn members_store_no_dictionary_and_ids_are_first_seen_positions() {
+        let set = build(&[r#"{"zeta":1,"alpha":{"zeta":2}}"#, r#"{"beta":3,"alpha":4}"#]);
+        let names: Vec<_> = (0..3).map(|id| set.dictionary().name(id).unwrap()).collect();
+        assert_eq!(names, ["zeta", "alpha", "beta"]);
+        for i in 0..set.len() {
+            let doc = set.doc(i).unwrap();
+            assert_eq!(crate::SegmentStats::of(doc.as_bytes()).unwrap().dictionary, 0);
+            assert_eq!(doc.field_id("beta", field_hash("beta")), Some(2));
         }
     }
 
@@ -452,7 +299,7 @@ mod tests {
         use fsdm_json::NodeKind::*;
         let kinds: Vec<_> = (0..4)
             .map(|i| {
-                let d = set.doc(i);
+                let d = set.doc(i).unwrap();
                 let n = d.get_field(d.root(), "name", field_hash("name")).unwrap();
                 d.kind(n)
             })
@@ -462,19 +309,28 @@ mod tests {
 
     #[test]
     fn shared_dictionary_saves_memory_on_homogeneous_sets() {
-        use rand::SeedableRng;
+        use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let docs: Vec<JsonValue> = (0..200)
             .map(|i| {
-                fsdm_workloads_like_doc(&mut rng, i) // local helper below
+                let text = format!(
+                    r#"{{"customer_reference":"c{}","shipping_priority":{},"order_total_amount":{}.{:02},
+                        "warehouse_location":"w{}","delivery_instructions":"leave at door {}"}}"#,
+                    i,
+                    rng.gen_range(0..5),
+                    rng.gen_range(1..999),
+                    rng.gen_range(0..99),
+                    rng.gen_range(0..50),
+                    i
+                );
+                parse(&text).unwrap()
             })
             .collect();
         let individual: usize = docs.iter().map(|d| crate::encode(d).unwrap().len()).sum();
-        let mut b = OsonSetBuilder::new();
-        for d in docs {
-            b.add(d);
+        let mut set = OsonSet::new();
+        for d in &docs {
+            set.push(d).unwrap();
         }
-        let set = b.finalize().unwrap();
         let shared = set.heap_size();
         assert!(
             (shared as f64) < individual as f64 * 0.85,
@@ -482,37 +338,76 @@ mod tests {
         );
     }
 
-    /// NOBENCH-ish doc without depending on fsdm-workloads (cycle).
-    fn fsdm_workloads_like_doc(rng: &mut rand::rngs::StdRng, i: usize) -> JsonValue {
-        use rand::Rng;
-        let text = format!(
-            r#"{{"customer_reference":"c{}","shipping_priority":{},"order_total_amount":{}.{:02},
-                "warehouse_location":"w{}","delivery_instructions":"leave at door {}"}}"#,
-            i,
-            rng.gen_range(0..5),
-            rng.gen_range(1..999),
-            rng.gen_range(0..99),
-            rng.gen_range(0..50),
-            i
-        );
-        parse(&text).unwrap()
-    }
-
     #[test]
     fn lookback_always_hits_across_the_set() {
         // the engine's verify step: resolve once, reuse on every doc
         let set = build(&[r#"{"a":1,"b":2}"#, r#"{"a":3}"#, r#"{"b":4,"a":5}"#]);
         let h = field_hash("a");
-        let id = set.doc(0).field_id("a", h).unwrap();
+        let id = set.doc(0).unwrap().field_id("a", h).unwrap();
         for i in 0..set.len() {
-            assert!(set.doc(i).verify_field_id(id, "a", h), "doc {i}");
+            let doc = set.doc(i).unwrap();
+            assert!(doc.verify_field_id(id, "a", h), "doc {i}");
+            assert!(!doc.verify_field_id(id, "b", field_hash("b")), "doc {i}");
         }
+    }
+
+    #[test]
+    fn new_names_leave_earlier_members_unchanged() {
+        let texts = [r#"{"a":1,"b":{"c":[true,"x"]}}"#, r#"{"c":2,"a":{"b":null}}"#];
+        let mut set = build(&texts);
+        let before: Vec<Vec<u8>> =
+            (0..2).map(|i| set.doc(i).unwrap().as_bytes().to_vec()).collect();
+        let ids: Vec<_> =
+            ["a", "b", "c"].iter().map(|n| set.dictionary().find(n, field_hash(n)).0).collect();
+        // enough new names that later members need two-byte field ids
+        let mut wide = fsdm_json::Object::new();
+        for i in 0..300 {
+            wide.push(format!("n{i}"), JsonValue::from(i as i64));
+        }
+        wide.push("a", JsonValue::from(7i64));
+        set.push(&JsonValue::Object(wide)).unwrap();
+        set.doc(2).unwrap().validate().unwrap();
+        for (i, t) in texts.iter().enumerate() {
+            let doc = set.doc(i).unwrap();
+            assert_eq!(doc.as_bytes(), before[i], "member {i}");
+            doc.validate().unwrap();
+            assert!(doc.materialize(doc.root()).eq_unordered(&parse(t).unwrap()), "member {i}");
+        }
+        for (n, id) in ["a", "b", "c"].iter().zip(ids) {
+            assert_eq!(set.dictionary().find(n, field_hash(n)).0, id, "{n}");
+        }
+    }
+
+    #[test]
+    fn the_65536th_distinct_name_is_a_limit() {
+        let object_of = |range: std::ops::Range<usize>| {
+            let mut o = fsdm_json::Object::new();
+            for i in range {
+                o.push(format!("f{i}"), JsonValue::Null);
+            }
+            JsonValue::Object(o)
+        };
+        let mut set = OsonSet::new();
+        set.push(&object_of(0..65_000)).unwrap();
+        set.push(&object_of(64_000..65_535)).unwrap();
+        assert_eq!(set.dictionary().len(), 65_535);
+        let err = set.push(&object_of(65_530..65_536)).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Limit);
+        // the refused document left nothing behind
+        assert_eq!((set.len(), set.dictionary().len()), (2, 65_535));
+        assert_eq!(set.dictionary().find("f65535", field_hash("f65535")).0, None);
+        set.push(&object_of(65_530..65_535)).unwrap();
+        let last = set.doc(2).unwrap();
+        last.validate().unwrap();
+        let id = last.field_id("f65534", field_hash("f65534")).unwrap();
+        assert_eq!(id, 65_534);
+        assert!(last.get_field_by_id(last.root(), id).is_some());
     }
 
     #[test]
     fn empty_and_unknown_names() {
         let set = build(&[r#"{}"#]);
-        let d = set.doc(0);
+        let d = set.doc(0).unwrap();
         assert_eq!(d.object_len(d.root()), 0);
         assert!(d.get_field(d.root(), "zz", field_hash("zz")).is_none());
         assert!(set.dictionary().is_empty());

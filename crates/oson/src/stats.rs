@@ -1,7 +1,6 @@
 //! Per-segment size statistics (reproduces Table 11's measurement).
 
 use crate::doc::OsonDoc;
-use crate::wire::{self, FLAG_WIDE_OFFSETS};
 use crate::Result;
 
 /// Byte sizes of the three OSON segments (plus fixed header) for one
@@ -19,28 +18,17 @@ pub struct SegmentStats {
 }
 
 impl SegmentStats {
-    /// Measure an encoded OSON buffer.
+    /// Measure an encoded OSON buffer (or a set member, whose dictionary
+    /// segment is empty).
     pub fn of(bytes: &[u8]) -> Result<SegmentStats> {
-        // validate framing via the doc reader, then derive region sizes
-        // (reads below are checked-but-infallible once `new` succeeds)
-        let _doc = OsonDoc::new(bytes)?;
-        let wide = wire::read_u8(bytes, 5).unwrap_or(0) & FLAG_WIDE_OFFSETS != 0;
-        let w = if wide { 4usize } else { 2 };
-        let nlen_w = if wide { 2usize } else { 1 };
-        let nfields = usize::from(wire::read_u16_le(bytes, 6).unwrap_or(0));
-        let rd = |pos: usize| -> usize {
-            if wide {
-                wire::idx(wire::read_u32_le(bytes, pos).unwrap_or(0))
-            } else {
-                usize::from(wire::read_u16_le(bytes, pos).unwrap_or(0))
-            }
-        };
-        let header = 8 + 4 * w;
-        let names_len = rd(8 + w);
-        let tree = rd(8 + 2 * w);
-        let values = rd(8 + 3 * w);
-        let dictionary = nfields * (4 + w + nlen_w) + names_len;
-        Ok(SegmentStats { header, dictionary, tree, values })
+        // `new` has checked that the segments tile the buffer in order
+        let doc = OsonDoc::new(bytes)?;
+        Ok(SegmentStats {
+            header: doc.hash_arr,
+            dictionary: doc.tree - doc.hash_arr,
+            tree: doc.values - doc.tree,
+            values: bytes.len() - doc.values,
+        })
     }
 
     /// Total encoded size.

@@ -1,10 +1,20 @@
 //! Property-based tests for the OSON codec: round-tripping against the
 //! value model, navigation agreement with the in-memory DOM, and partial
-//! update safety.
+//! update safety — for self-contained instances and for members of a §7
+//! set, which the same reader opens through the set's dictionary.
 
 use fsdm_json::{field_hash, JsonDom, JsonNumber, JsonValue, Object, ValueDom};
-use fsdm_oson::{decode, encode, update_scalar, OsonDoc, SegmentStats, UpdateOutcome};
+use fsdm_oson::{decode, encode, update_scalar, OsonDoc, OsonSet, SegmentStats, UpdateOutcome};
 use proptest::prelude::*;
+
+/// The documents pushed into one set, in order.
+fn set_of(docs: &[JsonValue]) -> OsonSet {
+    let mut set = OsonSet::new();
+    for d in docs {
+        set.push(d).unwrap();
+    }
+    set
+}
 
 fn arb_json() -> impl Strategy<Value = JsonValue> {
     let leaf = prop_oneof![
@@ -53,21 +63,31 @@ proptest! {
     }
 
     /// Every field reachable in the in-memory DOM resolves identically in
-    /// the serialized OSON DOM (name → same scalar / same container sizes).
+    /// the serialized OSON DOM (name → same scalar / same container sizes),
+    /// as an instance and as a member of a set of all the documents.
     #[test]
-    fn navigation_agrees_with_value_dom(v in arb_json()) {
-        let bytes = encode(&v).unwrap();
-        let oson = OsonDoc::new(&bytes).unwrap();
-        let dom = ValueDom::new(&v);
-        check_agree(&dom, dom.root(), &oson, oson.root())?;
+    fn navigation_agrees_with_value_dom(docs in prop::collection::vec(arb_json(), 1..5)) {
+        let set = set_of(&docs);
+        for (i, v) in docs.iter().enumerate() {
+            let dom = ValueDom::new(v);
+            let bytes = encode(v).unwrap();
+            let oson = OsonDoc::new(&bytes).unwrap();
+            check_agree(&dom, dom.root(), &oson, oson.root())?;
+            let member = set.doc(i).unwrap();
+            check_agree(&dom, dom.root(), &member, member.root())?;
+        }
     }
 
-    /// Every encoder-produced buffer passes the deep structural verifier.
+    /// Every encoder-produced buffer passes the deep structural verifier,
+    /// instance or set member.
     #[test]
-    fn encoded_documents_validate(v in arb_json()) {
-        let bytes = encode(&v).unwrap();
-        let doc = OsonDoc::new(&bytes).unwrap();
-        prop_assert!(doc.validate().is_ok());
+    fn encoded_documents_validate(docs in prop::collection::vec(arb_json(), 1..5)) {
+        let set = set_of(&docs);
+        for (i, v) in docs.iter().enumerate() {
+            let bytes = encode(v).unwrap();
+            prop_assert!(OsonDoc::new(&bytes).unwrap().validate().is_ok());
+            prop_assert!(set.doc(i).unwrap().validate().is_ok());
+        }
     }
 
     /// Flipping a single byte of a valid buffer yields `Err` or a value —
@@ -85,20 +105,28 @@ proptest! {
     }
 
     /// The decoder stays total under heavier damage: multiple flips and a
-    /// truncation.
+    /// truncation, of an instance and of a set member.
     #[test]
     fn decoder_total_on_bitflips(
         v in arb_json(),
         flips in prop::collection::vec((0usize..4096, 0u8..8), 1..8),
         cut in 0usize..4096,
     ) {
-        let mut bytes = encode(&v).unwrap();
-        for (pos, bit) in flips {
-            let n = bytes.len();
-            bytes[pos % n] ^= 1 << bit;
+        let set = set_of(std::slice::from_ref(&v));
+        let member = set.doc(0).unwrap().as_bytes().to_vec();
+        for mut bytes in [encode(&v).unwrap(), member] {
+            for &(pos, bit) in &flips {
+                let n = bytes.len();
+                bytes[pos % n] ^= 1 << bit;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            let _ = decode(&bytes);
+            if let Ok(doc) = OsonDoc::member(&bytes, set.dictionary()) {
+                if doc.validate().is_ok() {
+                    let _ = doc.materialize(doc.root());
+                }
+            }
         }
-        bytes.truncate(cut % (bytes.len() + 1));
-        let _ = decode(&bytes);
     }
 
     /// Partial number updates preserve every other leaf.
@@ -149,6 +177,13 @@ fn check_agree(
                 prop_assert!(ochild.is_some(), "field {} missing in OSON", name);
                 check_agree(dom, child, oson, ochild.unwrap())?;
             }
+            // members listed in id order name the same fields
+            let n = dom.object_len(dn);
+            let mut want: Vec<&str> = (0..n).map(|i| dom.object_entry(dn, i).0).collect();
+            let mut got: Vec<&str> = (0..n).map(|i| oson.object_entry(on, i).0).collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(want, got);
         }
     }
     Ok(())
