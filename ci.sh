@@ -37,6 +37,7 @@ echo "== stream differentials under a second case set =="
 # than the 300 cases away from the default 0 replays none of its cases
 PROPTEST_SEED=977 cargo test -q -p fsdm-sqljson --test proptests
 PROPTEST_SEED=977 cargo test -q -p fsdm-json --test proptests
+PROPTEST_SEED=977 cargo test -q -p fsdm-oson --test proptests
 
 echo "== Figure 5 smoke (exits 1 when TEXT and OSON-IMC row counts differ) =="
 cargo run --release -q -p fsdm-bench --bin repro -- fig5 --scale 2000 --threads 1 --no-metrics

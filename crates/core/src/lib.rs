@@ -339,8 +339,8 @@ impl FsdmDatabase {
         Ok(ix.docs_text_contains(path, keyword))
     }
 
-    /// Load the collection's OSON-IMC cache (§5.2.2): text stays on disk,
-    /// binary serves queries.
+    /// Load the collection's OSON-IMC (§5.2.2): its documents as one §7
+    /// OSON set in memory, which serves its queries; storage is unchanged.
     pub fn populate_oson_imc(&mut self, collection: &str) -> Result<()> {
         self.session
             .db

@@ -121,6 +121,16 @@ pub trait JsonDom {
         false
     }
 
+    /// The identity and number of names of the dictionary this DOM's
+    /// field ids index, when that dictionary is shared with other
+    /// documents (an OSON set member's); `None` when it is the instance's
+    /// own. Two documents reporting the same pair map every name to the
+    /// same id, or both lack it, so a name resolved in one is resolved in
+    /// the other without [`JsonDom::verify_field_id`].
+    fn shared_names(&self) -> Option<(u64, usize)> {
+        None
+    }
+
     /// O(1) validation that `id` maps to `name` *in this instance's*
     /// dictionary — the cheap form of the §4.2.1 single-row look-back: a
     /// field id cached from the previous document is reused iff this

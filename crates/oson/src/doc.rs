@@ -738,6 +738,10 @@ impl JsonDom for OsonDoc<'_> {
         true
     }
 
+    fn shared_names(&self) -> Option<(u64, usize)> {
+        self.set.map(Dictionary::identity)
+    }
+
     fn verify_field_id(&self, id: FieldId, name: &str, hash: u32) -> bool {
         if let Some(set) = self.set {
             return set.entry(id).is_some_and(|e| e.hash == hash && *e.text == *name);

@@ -112,7 +112,7 @@ impl Encoder {
 
     /// The encoder of an [`crate::OsonSet`]: see the module documentation.
     pub(crate) fn for_set() -> Self {
-        Encoder { member: true, ..Self::default() }
+        Encoder { names: Dictionary::for_set(), member: true, ..Self::default() }
     }
 
     /// The names met, in first-seen order.

@@ -28,7 +28,8 @@
 //!
 //! [`OsonSet`] is §7's set encoding: its members are the same instances
 //! with an empty dictionary segment, their field ids indexing one shared
-//! [`Dictionary`], and [`OsonSet::doc`] reads one as an [`OsonDoc`]. The
+//! [`Dictionary`], and [`OsonSet::doc`] reads one as an [`OsonDoc`]; it
+//! is the form of the store's in-memory OSON column (OSON-IMC). The
 //! crate has one tree writer ([`Encoder`]) and one reader.
 
 pub mod doc;

@@ -20,7 +20,14 @@
 //!
 //! Per the paper's closing vision: the on-disk format stays the
 //! self-contained instance (`fsdm_oson::encode`); a set is the
-//! non-self-contained, query-friendly **in-memory** companion.
+//! non-self-contained, query-friendly **in-memory** companion — the
+//! store's OSON-IMC holds a JSON column as one set. Names are only
+//! appended, so a dictionary's identity (a number of its own) and its
+//! length, which a member reports through
+//! [`fsdm_json::JsonDom::shared_names`], tell a reader when a name it
+//! resolved in one member is resolved for every member: the path engine
+//! then resolves each name once per statement instead of once per
+//! document.
 
 // the dictionary is read on the decode hot path of every member: a
 // lookup is total, and index arithmetic never truncates silently
@@ -40,6 +47,7 @@
 )]
 
 use std::mem::size_of;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fsdm_json::{field_hash, FieldId, JsonValue};
 
@@ -68,9 +76,25 @@ pub struct Dictionary {
     /// hash: a slot holds a position plus one, 0 when empty. At most half
     /// full, so every probe ends at an empty slot.
     slots: Vec<u32>,
+    /// A set's dictionary: a number no other set's has; 0 for an
+    /// encoder's own table, which no reader shares.
+    serial: u64,
 }
 
 impl Dictionary {
+    /// A set's dictionary, numbered apart from every other.
+    pub(crate) fn for_set() -> Self {
+        static SETS: AtomicU64 = AtomicU64::new(1);
+        Dictionary { serial: SETS.fetch_add(1, Ordering::Relaxed), ..Self::default() }
+    }
+
+    /// This dictionary's identity and number of names. Names are only
+    /// appended and never renumbered, so two readers that see the same
+    /// pair see the same names at the same ids.
+    pub(crate) fn identity(&self) -> (u64, usize) {
+        (self.serial, self.len())
+    }
+
     /// Number of distinct field names.
     pub fn len(&self) -> usize {
         self.entries.len()

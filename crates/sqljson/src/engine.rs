@@ -8,7 +8,9 @@
 //! the previous document. A name resolves at most once per document: the
 //! previous id is kept when this instance's dictionary validates it in
 //! O(1) (the "single-row look-back" optimization of §4.2.1), else it is
-//! searched for (hash binary search + name compare).
+//! searched for (hash binary search + name compare). Over members of one
+//! OSON set (§7) a name resolves once for as long as the set's dictionary
+//! is unchanged: the previous answer, absence included, holds unchecked.
 //!
 //! Members are read through one **member chain**: leading `.name` steps
 //! are followed hop by hop in place while each hop lands on an object;
@@ -54,6 +56,9 @@ struct NameId {
     last: Option<FieldId>,
     /// The walk `last` was resolved in (0: never).
     walk: u64,
+    /// The shared dictionary `last` was resolved in
+    /// ([`JsonDom::shared_names`]); `None` for an instance's own.
+    shared: Option<(u64, usize)>,
 }
 
 /// The evaluator's field-id table: every distinct name the path has read
@@ -69,13 +74,15 @@ struct FieldIds {
 }
 
 impl FieldIds {
-    /// The instance field id of `name` in the current walk's document,
-    /// resolved once per walk: the first time, the previous document's id
-    /// is kept when this instance's dictionary validates it (the §4.2.1
-    /// single-row look-back), else the dictionary is searched; later in
+    /// The field id of `name` in the current walk's document, resolved
+    /// once per walk: the first time, the previous answer is kept
+    /// unchecked when both documents read the same shared dictionary
+    /// (members of one OSON set, absence included), or when this
+    /// instance's dictionary validates the previous id (the §4.2.1
+    /// single-row look-back); else the dictionary is searched. Later in
     /// the walk the answer is reused unchecked. `Some(None)`: absent from
-    /// the instance; `None`: the instance has no dictionary, look the name
-    /// up per object.
+    /// the dictionary; `None`: the document has no dictionary, look the
+    /// name up per object.
     fn resolve<D: JsonDom>(&mut self, dom: &D, name: &str, hash: u32) -> Option<Option<FieldId>> {
         if !dom.has_field_ids() {
             return None;
@@ -83,7 +90,9 @@ impl FieldIds {
         let at = match self.names.iter().position(|e| e.hash == hash && e.name == name) {
             Some(at) => at,
             None => {
-                self.names.push(NameId { name: name.to_string(), hash, last: None, walk: 0 });
+                let entry =
+                    NameId { name: name.to_string(), hash, last: None, walk: 0, shared: None };
+                self.names.push(entry);
                 self.names.len() - 1
             }
         };
@@ -91,19 +100,23 @@ impl FieldIds {
         if entry.walk == self.walk {
             return Some(entry.last);
         }
+        let shared = dom.shared_names();
+        let kept = match (shared, entry.last) {
+            (Some(_), _) => shared == entry.shared,
+            (None, Some(id)) => dom.verify_field_id(id, name, hash),
+            (None, None) => false,
+        };
         entry.walk = self.walk;
-        match entry.last {
-            Some(id) if dom.verify_field_id(id, name, hash) => {
-                self.hits += 1;
-                metric::SQLJSON_LOOKBACK_HIT.inc();
-            }
-            _ => {
-                entry.last = dom.field_id(name, hash);
-                self.misses += 1;
-                metric::SQLJSON_LOOKBACK_MISS.inc();
-                if entry.last.is_none() {
-                    metric::SQLJSON_LOOKBACK_ABSENT.inc();
-                }
+        if kept {
+            self.hits += 1;
+            metric::SQLJSON_LOOKBACK_HIT.inc();
+        } else {
+            entry.last = dom.field_id(name, hash);
+            entry.shared = shared;
+            self.misses += 1;
+            metric::SQLJSON_LOOKBACK_MISS.inc();
+            if entry.last.is_none() {
+                metric::SQLJSON_LOOKBACK_ABSENT.inc();
             }
         }
         Some(entry.last)

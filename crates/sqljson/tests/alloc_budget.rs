@@ -3,7 +3,7 @@
 //! shape, one text pass over a document allocates only for the strings it
 //! keeps — no key, skipped value, position or filter test on a token
 //! costs an allocation — and the DOM engine allocates nothing at all over
-//! OSON or BSON: not for a filter's `@.name` operand per array element,
+//! OSON (an instance or a set member) or BSON: not for a filter's `@.name` operand per array element,
 //! not for a `JSON_TABLE` cell, not for the NUMBER an arithmetic result
 //! becomes.
 //!
@@ -256,13 +256,23 @@ fn the_dom_engine_allocates_nothing_per_document() {
         .collect();
     let oson: Vec<Vec<u8>> = docs.iter().map(|d| fsdm_oson::encode(d).unwrap()).collect();
     let bson: Vec<Vec<u8>> = docs.iter().map(|d| fsdm_bson::encode(d).unwrap()).collect();
+    // the same documents as the members of one set, the OSON-IMC's form
+    let mut set = fsdm_oson::OsonSet::new();
+    docs.iter().for_each(|d| set.push(d).unwrap());
+    let members: Vec<Vec<u8>> =
+        (0..set.len()).map(|i| set.doc(i).unwrap().as_bytes().to_vec()).collect();
     let over_oson = dom_engine_allocations(&oson, |b| fsdm_oson::OsonDoc::new(b).unwrap());
+    let over_members = dom_engine_allocations(&members, |b| {
+        fsdm_oson::OsonDoc::member(b, set.dictionary()).unwrap()
+    });
     let over_bson = dom_engine_allocations(&bson, |b| fsdm_bson::BsonDoc::new(b).unwrap());
     let per_doc = |n: u64| n as f64 / MEASURED as f64;
     assert!(
-        over_oson == 0 && over_bson == 0,
-        "{} allocations per document over OSON, {} over BSON ({MEASURED} documents, four paths)",
+        over_oson == 0 && over_members == 0 && over_bson == 0,
+        "{} allocations per document over OSON instances, {} over set members, {} over BSON \
+         ({MEASURED} documents, four paths)",
         per_doc(over_oson),
+        per_doc(over_members),
         per_doc(over_bson)
     );
 }

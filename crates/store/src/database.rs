@@ -47,7 +47,7 @@ const BUDGET_BYTES_PER_CELL: u64 = 32;
 
 /// One output column of a fused scan.
 enum ScanCol {
-    /// The stored cell of a base column (OSON-IMC substituted).
+    /// The stored cell of a base column.
     Cell(usize),
     /// A value kernel's datum.
     Val(ValKernel),
@@ -1084,10 +1084,10 @@ impl Database {
     }
 }
 
-/// The row evaluator's scan row: §5.2.2 transparent rewrite (substitute
-/// cached OSON bytes for text cells when the IMC is populated), then
-/// every virtual column — from its IMC vector when materialized, computed
-/// on the fly otherwise.
+/// The row evaluator's scan row: the stored cells — the OSON-IMC is the
+/// spine's alone, so the row evaluator is an oracle that does not depend
+/// on it — then every virtual column, from its IMC vector when
+/// materialized, computed on the fly otherwise.
 fn scan_row(t: &Table, i: usize, scratch: &mut EvalScratch) -> Result<Row, StoreError> {
     let mut r = t.imc_row(i);
     for vc in &t.virtual_columns {

@@ -2,25 +2,39 @@
 //!
 //! Two complementary caches per table:
 //!
-//! * **OSON-IMC** (§5.2.2): for a JSON column stored as *text* on disk, a
-//!   hidden OSON encoding of every document is kept in memory; scans
-//!   transparently substitute the binary for the text so "SQL/JSON queries
-//!   over the JSON textual column are transparently rewritten to access
-//!   the OSON virtual column instead".
+//! * **OSON-IMC** (§5.2.2): for a JSON column, every document is kept in
+//!   memory as a member of one [`OsonSet`] (§7's set encoding: the
+//!   column's field names are held once, in the set's dictionary, and a
+//!   member's field ids index it). [`Table::open_doc`] — the one place
+//!   the fused scan opens a document — substitutes the member for the
+//!   stored cell, so "SQL/JSON queries over the JSON textual column are
+//!   transparently rewritten to access the OSON virtual column instead".
+//!   A row has no member when its cell is SQL NULL, its text does not
+//!   parse, its document would take the set past its 65 535 names, or it
+//!   was inserted after population: it reads its stored cell. The row
+//!   evaluator always reads stored cells, so it stays an oracle that does
+//!   not depend on the IMC.
 //! * **VC-IMC** (§5.2.1): virtual columns (typically
 //!   `JSON_VALUE(jcol, path)`) are materialized into typed column vectors
 //!   — numbers as `f64` with a null slot, strings dictionary-encoded — so
 //!   predicates, aggregations and projections on those columns never touch
-//!   the JSON at all.
+//!   the JSON at all. They are computed by the spine, hence through
+//!   [`Table::open_doc`] too.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use fsdm_oson::{OsonDoc, OsonSet};
 use fsdm_sqljson::Datum;
 
+use crate::expr::EvalScratch;
+use crate::govern::QueryGovernor;
 use crate::jsonaccess::{JsonCell, OpenDoc};
+use crate::parallel::RowRange;
 use crate::schema::ConstraintMode;
-use crate::table::{Cell, StoreError, Table};
+use crate::table::{Cell, Row, StoreError, Table};
+use crate::transient::{Lowering, MorselCols, Rows};
+use crate::vector::Batch;
 
 /// A typed in-memory column vector.
 #[derive(Debug, Clone)]
@@ -148,13 +162,26 @@ impl ColumnVector {
     }
 }
 
+/// The OSON-IMC of one JSON column: the documents of its rows as the
+/// members of one [`OsonSet`].
+#[derive(Debug)]
+pub(crate) struct OsonImc {
+    /// The JSON column the set shadows.
+    col: usize,
+    /// The documents, in row order.
+    set: OsonSet,
+    /// Per row at population: its member in `set`, or [`NO_MEMBER`].
+    member: Vec<u32>,
+}
+
+/// A row of [`OsonImc::member`] whose document is not in the set.
+const NO_MEMBER: u32 = u32::MAX;
+
 /// Per-table in-memory store state.
 #[derive(Debug, Default)]
 pub struct ImcStore {
-    /// OSON bytes per row for one JSON column (`oson_col`).
-    pub oson: Option<Vec<Option<Arc<Vec<u8>>>>>,
-    /// Which column the OSON cache shadows.
-    pub oson_col: Option<usize>,
+    /// The OSON-IMC, once populated.
+    pub(crate) oson: Option<OsonImc>,
     /// Materialized (virtual) column vectors, keyed by scan column index.
     /// Shared (`Arc`) so batch pipelines can borrow columns without
     /// holding the table borrow across kernel boundaries.
@@ -170,21 +197,38 @@ impl ImcStore {
     /// Drop all cached state (back to pure disk/TEXT mode).
     pub fn clear(&mut self) {
         self.oson = None;
-        self.oson_col = None;
         self.vectors.clear();
         self.vc_defs.clear();
     }
 
-    /// Total bytes held by the OSON cache.
+    /// Heap bytes held by the OSON-IMC: [`OsonSet::heap_size`], which
+    /// counts every byte the set holds — members, their entries, the
+    /// shared dictionary with its index and the set's encoder buffers.
     pub fn oson_bytes(&self) -> usize {
-        self.oson.as_ref().map(|v| v.iter().flatten().map(|b| b.len()).sum()).unwrap_or(0)
+        self.oson.as_ref().map_or(0, |imc| imc.set.heap_size())
+    }
+
+    /// The OSON-IMC's set, once populated.
+    pub fn oson_set(&self) -> Option<&OsonSet> {
+        self.oson.as_ref().map(|imc| &imc.set)
+    }
+
+    /// The member standing in for the cell at `(row, col)`, opened; `None`
+    /// when the column is not cached or the row has no member.
+    fn member(&self, row: usize, col: usize) -> Option<fsdm_oson::Result<OsonDoc<'_>>> {
+        let imc = self.oson.as_ref().filter(|imc| imc.col == col)?;
+        let m = *imc.member.get(row)?;
+        (m != NO_MEMBER).then(|| imc.set.doc(m as usize))
     }
 }
 
 impl Table {
-    /// Populate the hidden OSON column cache for the first JSON column
-    /// (OSON-IMC mode). Text rows are parsed and encoded once here — the
-    /// implicit `OSON()` constructor invocation of §5.2.2 at load time.
+    /// Populate the OSON-IMC for the first JSON column: each row's
+    /// document is pushed into one [`OsonSet`] — the implicit `OSON()`
+    /// constructor invocation of §5.2.2 at load time, with §7's shared
+    /// dictionary. A row whose cell is SQL NULL, whose text does not
+    /// parse, or whose document the set refuses (its 65 535-name limit)
+    /// gets no member and is read from its stored cell.
     pub fn populate_oson_imc(&mut self) -> Result<(), StoreError> {
         let col = self
             .schema
@@ -192,23 +236,20 @@ impl Table {
             .iter()
             .position(|c| matches!(c.ty, crate::schema::ColType::Json(_)))
             .ok_or_else(|| StoreError::new("no JSON column"))?;
-        let mut cache: Vec<Option<Arc<Vec<u8>>>> = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            match row.get(col) {
-                Some(Cell::J(JsonCell::Oson(b))) => cache.push(Some(b.clone())),
-                Some(Cell::J(j)) => {
-                    let doc = j.decode()?;
-                    let bytes = self
-                        .oson_encoder
-                        .encode(&doc)
-                        .map_err(|e| StoreError::new(e.to_string()))?;
-                    cache.push(Some(Arc::new(bytes)));
+        let mut set = OsonSet::new();
+        let member = self
+            .rows
+            .iter()
+            .map(|row| {
+                let Some(Cell::J(cell)) = row.get(col) else { return NO_MEMBER };
+                let doc = cell.decode().ok();
+                match doc.map(|doc| set.push(&doc)) {
+                    Some(Ok(())) => u32::try_from(set.len() - 1).unwrap_or(NO_MEMBER),
+                    _ => NO_MEMBER,
                 }
-                _ => cache.push(None),
-            }
-        }
-        self.imc.oson = Some(cache);
-        self.imc.oson_col = Some(col);
+            })
+            .collect();
+        self.imc.oson = Some(OsonImc { col, set, member });
         Ok(())
     }
 
@@ -220,24 +261,11 @@ impl Table {
                 .scan_col_index(name)
                 .ok_or_else(|| StoreError::new(format!("no column {name}")))?;
             let width = self.schema.width();
-            let mut vals = Vec::with_capacity(self.rows.len());
-            // one scratch across the whole population pass: compiled-path
-            // look-back caches stay warm from row to row
-            let mut scratch = crate::expr::EvalScratch::new();
-            for (i, row) in self.rows.iter().enumerate() {
-                let d = if idx < width {
-                    match &row[idx] {
-                        Cell::D(d) => d.clone(),
-                        Cell::J(j) => Datum::Str(j.decode_to_text()),
-                    }
-                } else {
-                    let vc = &self.virtual_columns[idx - width];
-                    // evaluate against the IMC-substituted row so VC
-                    // population itself benefits from the OSON cache
-                    vc.expr.eval_with(&self.imc_row(i), &mut scratch)?
-                };
-                vals.push(d);
-            }
+            let vals: Vec<Datum> = if idx < width {
+                self.rows.iter().map(|row| row[idx].clone().into_datum()).collect()
+            } else {
+                self.virtual_values(idx)?
+            };
             self.imc.vectors.insert(idx, Arc::new(ColumnVector::from_datums(&vals)));
             if idx >= width {
                 let def = format!("{:?}", self.virtual_columns[idx - width].expr);
@@ -246,6 +274,26 @@ impl Table {
             }
         }
         Ok(())
+    }
+
+    /// Virtual column `idx` of every row, computed as the spine gathers a
+    /// projection over one morsel spanning the table: its definition
+    /// lowered to a gather kernel, whose SQL/JSON leaves open each
+    /// document through [`Table::open_doc`] — so population reads the
+    /// OSON-IMC when it is there.
+    fn virtual_values(&self, idx: usize) -> Result<Vec<Datum>, StoreError> {
+        let mut lw = Lowering::new(self);
+        let kernel = lw
+            .defining(idx, |lw, def| def.compile_value(lw))
+            .ok_or_else(|| StoreError::new(format!("no virtual column at {idx}")))?;
+        let slots = lw.take_touched();
+        let range = RowRange { start: 0, end: self.rows.len() };
+        let governor = QueryGovernor::unlimited();
+        let mut cols = MorselCols::new(range, lw.leaves.len(), &governor);
+        let batch = Batch::all(range);
+        let mut scratch = EvalScratch::new();
+        cols.extract(&Rows::Table(self), &lw.leaves, &slots, &batch.sel, &mut scratch)?;
+        batch.gather(&kernel, &cols)
     }
 
     /// The vector of scan column `col`, if materialized and covering every
@@ -264,48 +312,31 @@ impl Table {
         defs.filter_map(|(def, col)| Some((def.as_str(), *col, self.vector(*col)?)))
     }
 
-    /// The OSON-IMC bytes shadowing `(row_id, col)`, when that column is
-    /// cached and the row has an entry.
-    fn imc_bytes(&self, row_id: usize, col: usize) -> Option<&Arc<Vec<u8>>> {
-        let cache = self.imc.oson.as_ref().filter(|_| self.imc.oson_col == Some(col))?;
-        cache.get(row_id)?.as_ref()
-    }
-
-    /// The cell a scan sees at `(row_id, col)`: the §5.2.2 transparent
-    /// rewrite substitutes cached OSON bytes for the stored JSON cell.
-    pub(crate) fn scan_cell(&self, row_id: usize, col: usize) -> Cell {
-        match self.imc_bytes(row_id, col) {
-            Some(bytes) => Cell::J(JsonCell::Oson(bytes.clone())),
-            None => self.rows[row_id][col].clone(),
-        }
-    }
-
     /// The document a scan evaluates SQL/JSON operators against at
     /// `(row_id, col)`, opened once; `None` when the cell is not JSON.
-    /// Text is checked when the column's `IS JSON` constraint parsed it
-    /// at insert.
+    /// The one place the OSON-IMC substitutes for a stored cell: a row
+    /// with a member reads it. Text is checked when the column's `IS
+    /// JSON` constraint parsed it at insert.
     pub(crate) fn open_doc(&self, row_id: usize, col: usize) -> Option<OpenDoc<'_>> {
-        match self.imc_bytes(row_id, col) {
-            Some(bytes) => Some(OpenDoc::oson(bytes)),
-            None => match self.rows[row_id].get(col)? {
-                Cell::J(JsonCell::Text(text)) => {
-                    let checked = self.schema.columns[col].constraint != ConstraintMode::None;
-                    Some(OpenDoc::Text { text, checked })
-                }
-                Cell::J(j) => Some(j.open()),
-                Cell::D(_) => None,
-            },
+        if let Some(member) = self.imc.member(row_id, col) {
+            return Some(member.map_or(OpenDoc::Invalid, OpenDoc::Oson));
+        }
+        match self.rows[row_id].get(col)? {
+            Cell::J(JsonCell::Text(text)) => {
+                let checked = self.schema.columns[col].constraint != ConstraintMode::None;
+                Some(OpenDoc::Text { text, checked })
+            }
+            Cell::J(j) => Some(j.open()),
+            Cell::D(_) => None,
         }
     }
 
-    /// The base row a scan of the row evaluator sees at `row_id` (every
-    /// cell through [`Table::scan_cell`], so a shadowed JSON cell is never
-    /// cloned), with room for every virtual column: pushing them never
-    /// reallocates.
-    pub fn imc_row(&self, row_id: usize) -> crate::table::Row {
-        let width = self.schema.width();
-        let mut out = Vec::with_capacity(width + self.virtual_columns.len());
-        out.extend((0..width).map(|col| self.scan_cell(row_id, col)));
+    /// The base row the row evaluator's scan sees at `row_id`: the stored
+    /// cells, never the OSON-IMC's, with room for every virtual column:
+    /// pushing them never reallocates.
+    pub fn imc_row(&self, row_id: usize) -> Row {
+        let mut out = Vec::with_capacity(self.schema.width() + self.virtual_columns.len());
+        out.extend_from_slice(&self.rows[row_id]);
         out
     }
 }
@@ -313,7 +344,10 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Database;
+    use crate::expr::{ArithOp, CmpOp, Expr};
     use crate::jsonaccess::JsonStorage;
+    use crate::query::Query;
     use crate::schema::{ColType, ColumnSpec, ConstraintMode, TableSchema};
     use crate::table::InsertValue;
     use fsdm_sqljson::{parse_path, SqlType};
@@ -342,15 +376,182 @@ mod tests {
         assert_eq!(t.imc.oson_bytes(), 0);
         t.populate_oson_imc().unwrap();
         assert!(t.imc.oson_bytes() > 0);
-        // rows on disk remain text; the substitution happens per scan row
-        assert!(matches!(&t.rows[0][1], Cell::J(JsonCell::Text(_))));
-        let sub = t.imc_row(0);
-        assert!(matches!(&sub[1], Cell::J(JsonCell::Oson(_))));
+        let set = t.imc.oson_set().unwrap();
+        assert_eq!((set.len(), set.dictionary().len()), (10, 2), "one name each, held once");
+        // the scan opens the member; the row evaluator reads the stored text
+        let Some(OpenDoc::Oson(doc)) = t.open_doc(3, 1) else { panic!("a member") };
+        assert_eq!(doc.as_bytes(), set.doc(3).unwrap().as_bytes());
+        assert!(matches!(&t.imc_row(3)[1], Cell::J(JsonCell::Text(_))));
+        assert!(matches!(&t.rows[3][1], Cell::J(JsonCell::Text(_))));
         // sized for the scan's width up front: virtual cells never regrow it
         t.add_virtual_column("v", crate::expr::Expr::Lit(Datum::Null));
         assert_eq!((t.imc_row(0).len(), t.imc_row(0).capacity()), (2, 3));
         t.imc.clear();
         assert_eq!(t.imc.oson_bytes(), 0);
+        assert!(matches!(t.open_doc(3, 1), Some(OpenDoc::Text { checked: true, .. })));
+    }
+
+    /// `plan` over `t` on the spine and on the row evaluator, which must
+    /// agree: the answer.
+    fn spine_and_rows(t: Table, plan: &Query) -> Vec<Vec<Datum>> {
+        let mut db = Database::new();
+        db.add_table(t);
+        let spine = db.execute(plan).unwrap();
+        db.set_columnar(false);
+        assert_eq!(db.execute(plan).unwrap(), spine, "the row evaluator disagrees");
+        spine.rows
+    }
+
+    /// `$.v` and `$.s` of every row of `t`, with its id.
+    fn v_and_s() -> Query {
+        Query::scan("t").project(vec![
+            ("id", Expr::Col(0)),
+            ("v", Expr::json_value(1, parse_path("$.v").unwrap(), SqlType::Number)),
+            ("s", Expr::json_exists(1, parse_path("$.s").unwrap())),
+        ])
+    }
+
+    fn has_member(t: &Table, row: usize) -> bool {
+        t.imc.member(row, 1).is_some()
+    }
+
+    #[test]
+    fn a_sql_null_cell_gets_no_member() {
+        // no insert stores SQL NULL in a JSON column; population skips it
+        let table = || {
+            let mut t = text_table(3);
+            t.rows.push(vec![Cell::D(Datum::from(3i64)), Cell::D(Datum::Null)]);
+            t.populate_oson_imc().unwrap();
+            t
+        };
+        let t = table();
+        assert_eq!((has_member(&t, 2), has_member(&t, 3)), (true, false));
+        assert!(t.open_doc(3, 1).is_none(), "no document to open");
+        let whole = spine_and_rows(t, &Query::scan("t"));
+        assert_eq!(whole[3], [Datum::from(3i64), Datum::Null]);
+        // a SQL/JSON operator over the NULL cell errs on either executor
+        let not_null = Expr::cmp(Expr::Col(0), CmpOp::Lt, Expr::Lit(Datum::from(3i64)));
+        let plan = Query::scan_where("t", not_null)
+            .project(vec![("v", Expr::json_value(1, parse_path("$.v").unwrap(), SqlType::Number))]);
+        assert_eq!(spine_and_rows(table(), &plan).len(), 3);
+    }
+
+    #[test]
+    fn text_that_does_not_parse_gets_no_member() {
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                ColumnSpec::new("id", ColType::Number),
+                ColumnSpec::json("j", JsonStorage::Text, ConstraintMode::None),
+            ],
+        ));
+        for (i, text) in [r#"{"v":1,"s":"a"}"#, r#"{"v":2,"s":"#, r#"{"v":3}"#].iter().enumerate() {
+            t.insert(vec![(i as i64).into(), InsertValue::Json(text.to_string())]).unwrap();
+        }
+        t.populate_oson_imc().unwrap();
+        assert_eq!((0..3).map(|r| has_member(&t, r)).collect::<Vec<_>>(), [true, false, true]);
+        assert!(matches!(t.open_doc(1, 1), Some(OpenDoc::Text { checked: false, .. })));
+        let rows = spine_and_rows(t, &v_and_s());
+        assert_eq!(rows[0][1..], [Datum::from(1i64), Datum::Bool(true)]);
+        assert_eq!(rows[2][1..], [Datum::from(3i64), Datum::Bool(false)]);
+    }
+
+    #[test]
+    fn a_document_past_the_name_limit_gets_no_member() {
+        let wide = |names: std::ops::Range<usize>| {
+            let fields: Vec<String> = names.map(|i| format!(r#""f{i}":{i}"#)).collect();
+            format!(r#"{{"v":0,{}}}"#, fields.join(","))
+        };
+        let mut t = text_table(0);
+        for (i, text) in [wide(0..65_000), wide(65_000..66_000), r#"{"v":2,"s":"x"}"#.into()]
+            .into_iter()
+            .enumerate()
+        {
+            t.insert(vec![(i as i64).into(), InsertValue::Json(text)]).unwrap();
+        }
+        t.populate_oson_imc().unwrap();
+        assert_eq!((0..3).map(|r| has_member(&t, r)).collect::<Vec<_>>(), [true, false, true]);
+        let set = t.imc.oson_set().unwrap();
+        assert_eq!((set.len(), set.dictionary().len()), (2, 65_002), "the refusal left nothing");
+        let plan = Query::scan("t").project(vec![
+            ("f", Expr::json_value(1, parse_path("$.f65500").unwrap(), SqlType::Number)),
+            ("s", Expr::json_value(1, parse_path("$.s").unwrap(), SqlType::Varchar2(4))),
+        ]);
+        let rows = spine_and_rows(t, &plan);
+        assert_eq!(rows[1], [Datum::from(65_500i64), Datum::Null]);
+        assert_eq!(rows[2], [Datum::Null, Datum::from("x")]);
+    }
+
+    #[test]
+    fn a_row_inserted_after_population_gets_no_member() {
+        let mut t = text_table(4);
+        t.populate_oson_imc().unwrap();
+        t.insert(vec![4i64.into(), InsertValue::Json(r#"{"v":40,"s":"late"}"#.into())]).unwrap();
+        assert_eq!((has_member(&t, 3), has_member(&t, 4)), (true, false));
+        assert!(matches!(t.open_doc(4, 1), Some(OpenDoc::Text { checked: true, .. })));
+        let rows = spine_and_rows(t, &v_and_s());
+        assert_eq!(rows[4], [Datum::from(4i64), Datum::from(40i64), Datum::Bool(true)]);
+    }
+
+    #[test]
+    fn the_set_holds_nobench_in_fewer_bytes_than_instances() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let docs: Vec<_> = (0..2000).map(|i| fsdm_workloads::nobench::doc(&mut rng, i)).collect();
+        let mut t = text_table(0);
+        for (i, d) in docs.iter().enumerate() {
+            t.insert(vec![(i as i64).into(), InsertValue::Json(fsdm_json::to_string(d))]).unwrap();
+        }
+        t.populate_oson_imc().unwrap();
+        let instances: usize = docs.iter().map(|d| fsdm_oson::encode(d).unwrap().len()).sum();
+        let set = t.imc.oson_bytes();
+        assert!(
+            set as f64 <= 0.93 * instances as f64,
+            "the set holds {set} bytes, per-row instances {instances}"
+        );
+    }
+
+    #[test]
+    fn vectors_read_members_and_hold_what_the_row_evaluator_computes() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let mut t = text_table(0);
+        for i in 0..300 {
+            let text = fsdm_json::to_string(&fsdm_workloads::nobench::doc(&mut rng, i));
+            t.insert(vec![(i as i64).into(), InsertValue::Json(text)]).unwrap();
+        }
+        let p = |s: &str| parse_path(s).unwrap();
+        let text = SqlType::Varchar2(4000);
+        let defs = [
+            ("num", Expr::json_value(1, p("$.num"), SqlType::Number)),
+            // a number in even documents, a string in odd ones
+            ("dyn1", Expr::json_value(1, p("$.dyn1"), SqlType::Number)),
+            ("dyn1s", Expr::json_value(1, p("$.dyn1"), text)),
+            ("nstr", Expr::json_value(1, p("$.nested_obj.str"), text)),
+            ("x110", Expr::json_exists(1, p("$.sparse_110"))),
+            ("twice", Expr::Arith(Box::new(Expr::Col(2)), ArithOp::Mul, Box::new(Expr::Col(2)))),
+        ];
+        for (name, e) in &defs {
+            t.add_virtual_column(*name, e.clone());
+        }
+        t.populate_oson_imc().unwrap();
+        let names: Vec<&str> = defs.iter().map(|(n, _)| *n).collect();
+        t.populate_vc_imc(&names).unwrap();
+        assert_eq!(t.imc.vectors.len(), defs.len());
+        let width = t.schema.width();
+        for (k, (name, e)) in defs.iter().enumerate() {
+            let mut oracle = Vec::new();
+            for i in 0..t.len() {
+                let mut row = t.imc_row(i);
+                for vc in &t.virtual_columns[..k] {
+                    let value = vc.expr.eval(&row).unwrap();
+                    row.push(Cell::D(value));
+                }
+                oracle.push(e.eval(&row).unwrap());
+            }
+            let want = format!("{:?}", ColumnVector::from_datums(&oracle));
+            assert_eq!(format!("{:?}", t.imc.vectors[&(width + k)]), want, "{name}");
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub enum JsonStorage {
     Oson,
 }
 
-/// One stored JSON document. Binary payloads are reference-counted so
-/// the in-memory store can hand OSON bytes to query rows without copying.
+/// One stored JSON document. Payloads are reference-counted so a scan
+/// can hand a stored document to many rows without copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonCell {
     /// JSON text (shared: scans hand the same buffer to many rows).
@@ -164,7 +164,7 @@ pub(crate) enum OpenDoc<'a> {
 }
 
 impl<'a> OpenDoc<'a> {
-    /// Open OSON bytes (a stored cell's, or the OSON-IMC's).
+    /// Open a stored cell's OSON bytes.
     pub(crate) fn oson(bytes: &'a [u8]) -> OpenDoc<'a> {
         fsdm_oson::OsonDoc::new(bytes).map_or(OpenDoc::Invalid, OpenDoc::Oson)
     }

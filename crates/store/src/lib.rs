@@ -17,9 +17,10 @@
 //! * A **volcano-style executor** (scan / filter / project / hash join /
 //!   group by / sort / window LAG / JSON_TABLE lateral) sufficient for the
 //!   paper's OLAP and NOBENCH query sets.
-//! * The **in-memory store** (§5.2): an OSON byte cache per JSON column
-//!   (OSON-IMC — text on disk, binary in memory, queries transparently
-//!   rewritten) and typed column vectors for (virtual) columns (VC-IMC).
+//! * The **in-memory store** (§5.2): the documents of a JSON column as
+//!   one §7 OSON set (OSON-IMC — any storage on disk, set members in
+//!   memory, queries transparently rewritten) and typed column vectors for
+//!   (virtual) columns (VC-IMC).
 
 pub mod database;
 pub mod expr;

@@ -63,8 +63,8 @@ pub struct AggSpec {
 )]
 #[derive(Debug, Clone)]
 pub enum Query {
-    /// Scan a base table (emits base columns then virtual columns; applies
-    /// the OSON-IMC substitution transparently when populated).
+    /// Scan a base table (emits base columns then virtual columns; its
+    /// SQL/JSON operators read the OSON-IMC transparently when populated).
     Scan {
         /// Table name.
         table: String,

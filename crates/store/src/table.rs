@@ -181,8 +181,8 @@ pub struct Table {
     pub key_indexes: HashMap<usize, HashMap<Datum, Vec<usize>>>,
     /// In-memory store (§5.2).
     pub imc: ImcStore,
-    /// The OSON encoder of every row written or cached: field names are
-    /// interned once per table, segment buffers reused from row to row.
+    /// The OSON encoder of every row written: field names are interned
+    /// once per table, segment buffers reused from row to row.
     pub(crate) oson_encoder: fsdm_oson::Encoder,
 }
 
@@ -542,9 +542,9 @@ mod tests {
             assert!(t.set_json_cell(0, 1, text).is_err(), "{storage:?}: another storage");
             assert!(t.set_json_cell(0, 0, good.clone()).is_err(), "not a JSON column");
             assert!(t.set_json_cell(1, 1, good.clone()).is_err(), "no such row");
-            assert!(t.imc.oson.is_some(), "a refused cell changes nothing");
+            assert!(t.imc.oson_set().is_some(), "a refused cell changes nothing");
             t.set_json_cell(0, 1, good).unwrap();
-            assert!(t.imc.oson.is_none(), "the IMC could shadow the old cell");
+            assert!(t.imc.oson_set().is_none(), "the IMC could shadow the old cell");
         }
         // text is parsed under IS JSON, stored as is without it
         for (mode, stored) in [(ConstraintMode::IsJson, false), (ConstraintMode::None, true)] {

@@ -11,11 +11,14 @@
 //!
 //! Extraction is **selection-driven and row-major**: a pipeline stage
 //! asks for the slots it is about to read and the rows still selected;
-//! each of those rows is opened once ([`OpenDoc`]) and every pending
-//! path of the stage over that column is answered from that one document
-//! ([`PathSlots`]): a binary document through each slot's own
+//! each of those rows is opened once, by [`Table::open_doc`] — the one
+//! place an OSON-IMC member stands in for the stored cell — and every
+//! pending path of the stage over that column is answered from that one
+//! document ([`PathSlots`]): a binary document through each slot's own
 //! [`fsdm_sqljson::PathEvaluator`] (so look-back caches stay warm from
-//! row to row), a text document in **one** [`TextPass`] for all of them.
+//! row to row, and over set members each name resolves once), a text
+//! document in **one** [`TextPass`] for all of them. A heap leaf reads
+//! the stored cell.
 //! Rows outside the selection keep a NULL slot that no kernel result is
 //! ever read from, because every stage intersects its mask with the
 //! selection it was extracted for.
@@ -635,12 +638,12 @@ pub(crate) enum Rows<'a> {
 }
 
 impl Rows<'_> {
-    /// The scan cell of base column `col` for row `i` (an expanded row
+    /// The stored cell of base column `col` for row `i` (an expanded row
     /// has its parent's).
     pub(crate) fn cell(&self, i: usize, col: usize) -> crate::table::Cell {
         match self {
-            Rows::Table(t) => t.scan_cell(i, col),
-            Rows::Expanded(x) => x.table.scan_cell(x.docs[x.parent[i] as usize].0, col),
+            Rows::Table(t) => t.rows[i][col].clone(),
+            Rows::Expanded(x) => x.table.rows[x.docs[x.parent[i] as usize].0][col].clone(),
         }
     }
 }
@@ -763,7 +766,7 @@ impl<'g> MorselCols<'g> {
                 })?;
             }
             for &(s, col) in &heap {
-                let value = table.scan_cell(i, col).into_datum();
+                let value = table.rows[i][col].clone().into_datum();
                 self.vecs[s].as_mut().expect("allocated above").set(off, value)?;
             }
         }
@@ -848,7 +851,7 @@ impl<'g> MorselCols<'g> {
 /// table row `row`.
 fn scan_value(table: &Table, row: usize, source: &LeafSource) -> Result<Datum, StoreError> {
     Ok(match source {
-        LeafSource::Heap { col } => table.scan_cell(row, *col).into_datum(),
+        LeafSource::Heap { col } => table.rows[row][*col].clone().into_datum(),
         LeafSource::Resident(v) => v.slot(row).to_datum(),
         LeafSource::Value { .. } | LeafSource::Exists { .. } => {
             return Err(StoreError::new("a path leaf outside its document's pass"))

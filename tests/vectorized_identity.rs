@@ -175,7 +175,7 @@ const GUIDES: [&str; 3] = [
 /// Q6–Q11 — are identical across spine on/off × degree {1,4} × {no IMC,
 /// OSON-IMC, OSON-IMC + `nbq$*` vectors} × storage {checked text (`IS
 /// JSON`), validating text (no constraint), BSON, OSON}: transient columns
-/// extract from IMC bytes or stored cells alike, and a text pass that
+/// extract from OSON-IMC set members or stored cells alike, and a text pass that
 /// ends early over checked text answers as one that reads it all.
 /// So are the [`GUIDES`] and the row-wise corpus ([`rowwise_plans`]: every
 /// kind of expression no kernel expresses, lowered row-wise on the spine
@@ -222,7 +222,14 @@ fn path_queries_identical_across_imc_states_and_storages() {
         };
         for imc in ["none", "oson", "oson+vectors"] {
             match imc {
-                "oson" => session.db.table_mut("nobench").unwrap().populate_oson_imc().unwrap(),
+                "oson" => {
+                    let table = session.db.table_mut("nobench").unwrap();
+                    table.populate_oson_imc().unwrap();
+                    // past 256 names, members write two-byte field ids:
+                    // those are on the compared path
+                    let names = table.imc.oson_set().unwrap().dictionary().len();
+                    assert!(names > 256, "the set's dictionary holds {names} names");
+                }
                 "oson+vectors" => add_nobench_columnar_vcs(&mut session),
                 _ => {}
             }
