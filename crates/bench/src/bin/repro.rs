@@ -8,7 +8,7 @@
 //! repro fig3 [--scale N]    # OLAP queries across 4 storages (Figure 3)
 //! repro fig4                # storage sizes (Figure 4)
 //! repro fig5 [--scale N]    # NOBENCH TEXT vs OSON-IMC (Figure 5; exits 1 if their row counts differ)
-//! repro fig6                # VC-IMC on Q6/Q7/Q10/Q11 (Figure 6)
+//! repro fig6                # VC-IMC on Q6/Q7/Q10/Q11 (Figure 6; exits 1 if OSON-IMC and VC-IMC row counts differ)
 //! repro fig7 [--scale N]    # insertion constraint modes (Figure 7)
 //! repro fig8                # homogeneous vs heterogeneous (Figure 8)
 //! repro fig9 [--scale N]    # transient vs persistent DataGuide (Figure 9)
@@ -213,13 +213,12 @@ fn fig3_fig4(n: usize, reps: usize, show_queries: bool, show_sizes: bool) {
 
 fn fig5_fig6(n: usize, reps: usize, show5: bool, show6: bool) {
     let cells = run_nobench(n, reps);
+    let cell = |q, mode| cell(&cells, q, mode);
     if show5 {
         println!("\n== Figure 5: NOBENCH query time (ms), {n} docs: TEXT vs OSON-IMC ==");
         println!("{:<6} {:>10} {:>10} {:>8} {:>8}", "query", "TEXT", "OSON-IMC", "speedup", "rows");
-        let mut differ = Vec::new();
         for q in 1..=11 {
-            let t = cells.iter().find(|c| c.query == q && c.mode == "TEXT").unwrap();
-            let o = cells.iter().find(|c| c.query == q && c.mode == "OSON-IMC").unwrap();
+            let (t, o) = (cell(q, "TEXT"), cell(q, "OSON-IMC"));
             println!(
                 "Q{:<5} {:>10} {:>10} {:>7.1}x {:>8}",
                 q,
@@ -228,31 +227,48 @@ fn fig5_fig6(n: usize, reps: usize, show5: bool, show6: bool) {
                 t.time.as_secs_f64() / o.time.as_secs_f64(),
                 t.rows
             );
-            if t.rows != o.rows {
-                differ.push(format!("Q{q} ({} TEXT rows, {} OSON-IMC rows)", t.rows, o.rows));
-            }
         }
-        // the two storages answer the same statements: a timing over
-        // different answers is no comparison
-        if !differ.is_empty() {
-            eprintln!("repro: TEXT and OSON-IMC disagree on {}", differ.join(", "));
-            std::process::exit(1);
-        }
+        same_rows(&cells, 1..=11, "TEXT", "OSON-IMC");
     }
     if show6 {
         println!("\n== Figure 6: Q6/Q7/Q10/Q11 (ms): OSON-IMC vs VC-IMC ==");
-        println!("{:<6} {:>10} {:>10} {:>8}", "query", "OSON-IMC", "VC-IMC", "speedup");
+        println!(
+            "{:<6} {:>10} {:>10} {:>8} {:>8}",
+            "query", "OSON-IMC", "VC-IMC", "speedup", "rows"
+        );
         for q in [6, 7, 10, 11] {
-            let o = cells.iter().find(|c| c.query == q && c.mode == "OSON-IMC").unwrap();
-            let v = cells.iter().find(|c| c.query == q && c.mode == "VC-IMC").unwrap();
+            let (o, v) = (cell(q, "OSON-IMC"), cell(q, "VC-IMC"));
             println!(
-                "Q{:<5} {:>10} {:>10} {:>7.1}x",
+                "Q{:<5} {:>10} {:>10} {:>7.1}x {:>8}",
                 q,
                 ms(o.time),
                 ms(v.time),
-                o.time.as_secs_f64() / v.time.as_secs_f64()
+                o.time.as_secs_f64() / v.time.as_secs_f64(),
+                o.rows
             );
         }
+        same_rows(&cells, [6, 7, 10, 11], "OSON-IMC", "VC-IMC");
+    }
+}
+
+/// The cell `run_nobench` timed query `q` in `mode` in.
+fn cell<'c>(cells: &'c [NobenchCell], q: usize, mode: &str) -> &'c NobenchCell {
+    cells.iter().find(|c| c.query == q && c.mode == mode).unwrap()
+}
+
+/// Exit 1 unless modes `a` and `b` returned as many rows on each of
+/// `queries`: the two answer the same statements, and a timing over
+/// different answers is no comparison.
+fn same_rows(cells: &[NobenchCell], queries: impl IntoIterator<Item = usize>, a: &str, b: &str) {
+    let rows = |q, mode| cell(cells, q, mode).rows;
+    let differ: Vec<String> = queries
+        .into_iter()
+        .filter(|&q| rows(q, a) != rows(q, b))
+        .map(|q| format!("Q{q} ({} {a} rows, {} {b} rows)", rows(q, a), rows(q, b)))
+        .collect();
+    if !differ.is_empty() {
+        eprintln!("repro: {a} and {b} disagree on {}", differ.join(", "));
+        std::process::exit(1);
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! Its own test binary: the allocator below replaces the global one and
 //! counts live bytes per thread, so the tests here do not see each other.
-//! It and the allocation counters in `crates/{index,sqljson}/tests/
+//! It and the allocation counters in `crates/{index,sqljson,store}/tests/
 //! alloc_budget.rs` are the only `unsafe` in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -4,9 +4,9 @@
 //! document, not per posting.
 //!
 //! Its own test binary: the counting allocator below replaces the global
-//! one. It, its twin in `crates/sqljson/tests/alloc_budget.rs` and the
-//! live-byte counter in `crates/bench/tests/set_heap_size.rs` are the
-//! only `unsafe` in the workspace.
+//! one. It, its twins in `crates/{sqljson,store}/tests/alloc_budget.rs`
+//! and the live-byte counter in `crates/bench/tests/set_heap_size.rs` are
+//! the only `unsafe` in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

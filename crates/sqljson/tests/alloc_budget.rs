@@ -9,9 +9,9 @@
 //!
 //! Its own test binary: the counting allocator below replaces the global
 //! one. The count is per thread, so the tests here do not see each
-//! other. It, its twin in `crates/index/tests/alloc_budget.rs` and the
-//! live-byte counter in `crates/bench/tests/set_heap_size.rs` are the
-//! only `unsafe` in the workspace.
+//! other. It, its twins in `crates/{index,store}/tests/alloc_budget.rs`
+//! and the live-byte counter in `crates/bench/tests/set_heap_size.rs` are
+//! the only `unsafe` in the workspace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;

@@ -51,6 +51,61 @@ enum ScanCol {
     Cell(usize),
     /// A value kernel's datum.
     Val(ValKernel),
+    /// A transient column no other output reads: its values are moved
+    /// out of the morsel's column, not cloned.
+    Take(usize),
+}
+
+/// The value of the rows an operator hands up: a [`Cell`] for an operator
+/// above it, which may still read a JSON document as one, and a
+/// [`Datum`] at the statement's root, where a document is rendered as
+/// text — so each row is written once, in the form its consumer takes.
+trait RowValue: Send + Sized {
+    /// A stored cell.
+    fn of_cell(cell: Cell) -> Self;
+    /// A computed value.
+    fn of_datum(d: Datum) -> Self;
+    /// A gathered column.
+    fn of_datums(ds: Vec<Datum>) -> Vec<Self> {
+        ds.into_iter().map(Self::of_datum).collect()
+    }
+    /// The row evaluator's rows.
+    fn of_rows(rows: Vec<Row>) -> Vec<Vec<Self>>;
+}
+
+impl RowValue for Cell {
+    fn of_cell(cell: Cell) -> Cell {
+        cell
+    }
+
+    fn of_datum(d: Datum) -> Cell {
+        Cell::D(d)
+    }
+
+    fn of_rows(rows: Vec<Row>) -> Vec<Row> {
+        rows
+    }
+}
+
+impl RowValue for Datum {
+    fn of_cell(cell: Cell) -> Datum {
+        cell.into_datum()
+    }
+
+    fn of_datum(d: Datum) -> Datum {
+        d
+    }
+
+    fn of_datums(ds: Vec<Datum>) -> Vec<Datum> {
+        ds
+    }
+
+    /// Converted in place: the one root whose rows are built first and
+    /// converted after is a row-evaluator operator (a join, a sort, a
+    /// window…).
+    fn of_rows(rows: Vec<Row>) -> Vec<Vec<Datum>> {
+        rows.into_iter().map(|r| r.into_iter().map(Cell::into_datum).collect()).collect()
+    }
 }
 
 /// One top-level conjunct of a `Filter` of the pipeline and the transient
@@ -187,7 +242,7 @@ impl<'q> FusedScan<'q> {
         }
         table_stages.sort_by_key(Conjunct::order);
         expanded_stages.sort_by_key(Conjunct::order);
-        let outs = match values {
+        let outs: Vec<ScanCol> = match values {
             // a group-by's keys and arguments are values, gathered per morsel
             Some(values) => values.iter().map(|e| ScanCol::Val(e.compile_value(&mut lw))).collect(),
             // rows: without a projection, the source's own columns; a base
@@ -203,6 +258,20 @@ impl<'q> FusedScan<'q> {
             }
         };
         let out_slots = lw.take_touched();
+        // an output that is a slot's only reader moves its values out
+        let mut reads = vec![0; lw.leaves.len()];
+        for out in &outs {
+            if let ScanCol::Val(v) = out {
+                v.count_reads(&mut reads);
+            }
+        }
+        let outs = outs
+            .into_iter()
+            .map(|out| match out {
+                ScanCol::Val(ValKernel::Transient(slot)) if reads[slot] == 1 => ScanCol::Take(slot),
+                out => out,
+            })
+            .collect();
         let (leaves, rowwise, below) = (lw.leaves, lw.rowwise, chain[1..].to_vec());
         FusedScan {
             table,
@@ -245,23 +314,26 @@ impl<'q> FusedScan<'q> {
     }
 
     /// Gather every output column for the rows `batch` still selects —
-    /// the late materialization point.
-    fn gather(
+    /// the late materialization point — as the values its consumer takes.
+    fn gather<V: RowValue>(
         &self,
         rows: &Rows<'_>,
         cols: &mut MorselCols<'_>,
         batch: &Batch,
         scratch: &mut EvalScratch,
-    ) -> Result<Vec<Vec<Cell>>, StoreError> {
+    ) -> Result<Vec<Vec<V>>, StoreError> {
         metric::EXEC_BATCH_ROWS.record(batch.len() as u64);
-        let mut out: Vec<Vec<Cell>> = self.outs.iter().map(|_| Vec::new()).collect();
+        let mut out: Vec<Vec<V>> = self.outs.iter().map(|_| Vec::new()).collect();
         // nothing selected: no output column is extracted or gathered
         if !batch.is_empty() {
             cols.extract(rows, &self.leaves, &self.out_slots, &batch.sel, scratch)?;
             for (col, out) in self.outs.iter().zip(&mut out) {
                 *out = match col {
-                    ScanCol::Cell(c) => batch.sel.iter().map(|i| rows.cell(i, *c)).collect(),
-                    ScanCol::Val(v) => batch.gather(v, cols)?.into_iter().map(Cell::D).collect(),
+                    ScanCol::Cell(c) => {
+                        batch.sel.iter().map(|i| V::of_cell(rows.cell(i, *c))).collect()
+                    }
+                    ScanCol::Val(v) => V::of_datums(batch.gather(v, cols)?),
+                    ScanCol::Take(slot) => V::of_datums(batch.take(*slot, cols)?),
                 };
             }
         }
@@ -539,7 +611,7 @@ impl Database {
         let mut root_span = trace::span(fsdm_obs::catalog::SPAN_STORE_QUERY);
         root_span.record_args(|| op_label(plan));
         let mut ops = Vec::new();
-        let out = self.exec(optimized.as_ref().unwrap_or(plan), &mut ops, &ctx);
+        let out = self.exec::<Datum>(optimized.as_ref().unwrap_or(plan), &mut ops, &ctx);
         // the executor hands up rows; the plan names them
         let out = out.and_then(|rows| Ok((self.plan_columns(plan)?, rows)));
         drop(root_span);
@@ -573,7 +645,7 @@ impl Database {
         let summary = trace.as_ref().map(Trace::summary);
         self.slow_log.record(&report.source, elapsed_ns, ctx.degree, Some(&report), summary);
         report.trace = trace;
-        Ok((materialize(columns, rows), report))
+        Ok((QueryResult { columns, rows }, report))
     }
 
     /// [`Database::run`] with [`Run::default`] (optimized — notably the
@@ -621,15 +693,16 @@ impl Database {
     /// Recursive entry point of the volcano executor: run `plan` on the
     /// batch spine when it roots a scan-rooted pipeline
     /// ([`Database::lower_scan`], **the single mode decision**), else on
-    /// the row evaluator. The operator's output row count and inclusive
+    /// the row evaluator. Its rows are handed up as the consumer takes
+    /// them ([`RowValue`]). The operator's output row count and inclusive
     /// elapsed time are pushed into `prof`, its children collected in a
     /// sink of their own: a cost per operator, never per row or morsel.
-    fn exec(
+    fn exec<V: RowValue>(
         &self,
         plan: &Query,
         prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
-    ) -> Result<Vec<Row>, StoreError> {
+    ) -> Result<Vec<Vec<V>>, StoreError> {
         let mut op_span = trace::span(fsdm_obs::catalog::SPAN_EXEC_OP);
         op_span.record_args(|| op_label(plan));
         let mut stats = ParStats::default();
@@ -641,7 +714,10 @@ impl Database {
                 let out = self.run_fused(plan, &fused, &mut children, ctx, &mut stats)?;
                 ("columnar", fused.note(plan, true), out)
             }
-            None => ("row", String::new(), self.exec_row(plan, &mut children, ctx, &mut stats)?),
+            None => {
+                let rows = self.exec_row(plan, &mut children, ctx, &mut stats)?;
+                ("row", String::new(), V::of_rows(rows))
+            }
         };
         prof.push(OpProfile {
             op: op_label(plan),
@@ -685,7 +761,7 @@ impl Database {
                     }
                     Ok(out)
                 })?;
-                Ok(chunks.into_iter().flatten().collect())
+                Ok(concat(chunks))
             }
             Query::Filter { input, pred } => {
                 let rows = self.exec(input, prof, ctx)?;
@@ -698,11 +774,11 @@ impl Database {
                         .map(|r| pred.matches_with(r, scratch))
                         .collect::<Result<Vec<bool>, _>>()
                 })?;
-                let keep: Vec<bool> = masks.into_iter().flatten().collect();
+                let keep = concat(masks);
                 Ok(rows.into_iter().zip(keep).filter_map(|(r, k)| k.then_some(r)).collect())
             }
             Query::Project { input, exprs } => {
-                let rows = self.exec(input, prof, ctx)?;
+                let rows: Vec<Row> = self.exec(input, prof, ctx)?;
                 let chunks = run_morsels(ctx, rows.len(), stats, |range, scratch| {
                     let mut out = Vec::with_capacity(range.len());
                     for r in &rows[range.start..range.end] {
@@ -719,7 +795,7 @@ impl Database {
                     }
                     Ok(out)
                 })?;
-                Ok(chunks.into_iter().flatten().collect())
+                Ok(concat(chunks))
             }
             Query::JsonTable { input, json_col, def } => {
                 let rows = self.exec(input, prof, ctx)?;
@@ -755,7 +831,7 @@ impl Database {
                         .charge(out.len() as u64 * (width as u64 + 1) * BUDGET_BYTES_PER_CELL)?;
                     Ok(out)
                 })?;
-                Ok(chunks.into_iter().flatten().collect())
+                Ok(concat(chunks))
             }
             Query::HashJoin { left, right, left_key, right_key } => {
                 let lrows = self.exec(left, prof, ctx)?;
@@ -801,7 +877,7 @@ impl Database {
                     }
                     Ok(out)
                 })?;
-                Ok(chunks.into_iter().flatten().collect())
+                Ok(concat(chunks))
             }
             Query::GroupBy { input, keys, aggs } => {
                 let rows = self.exec(input, prof, ctx)?;
@@ -823,7 +899,7 @@ impl Database {
                                 .map(|r| expr.eval_with(r, scratch))
                                 .collect::<Result<Vec<Datum>, _>>()
                         })?;
-                        let vals: Vec<Datum> = chunks.into_iter().flatten().collect();
+                        let vals = concat(chunks);
                         // serial tail: stitch lagged values back in order
                         let mut scratch = EvalScratch::new();
                         for i in 0..rows.len() {
@@ -887,17 +963,18 @@ impl Database {
     }
 
     /// **The single fused-scan entry.** Runs the lowered pipeline and
-    /// hands its output to the consumer: rows — or, for a `GroupBy`,
-    /// per-morsel group partials built straight from the gathered columns,
-    /// no row in between.
-    fn run_fused(
+    /// hands its output to the consumer: rows of the values it takes,
+    /// built once inside the morsel — or, for a `GroupBy`, per-morsel
+    /// group partials built straight from the gathered columns, no row
+    /// in between.
+    fn run_fused<V: RowValue>(
         &self,
         plan: &Query,
         fused: &FusedScan<'_>,
         prof: &mut Vec<OpProfile>,
         ctx: &ExecContext,
         stats: &mut ParStats,
-    ) -> Result<Vec<Row>, StoreError> {
+    ) -> Result<Vec<Vec<V>>, StoreError> {
         // a fused operator is an operator of the plan all the same: each
         // keeps its span and its profile row
         let mut spans: Vec<_> = fused
@@ -913,7 +990,7 @@ impl Database {
         let mut scan_stats = ParStats::default();
         let (rows, stage_rows) = match plan {
             Query::GroupBy { keys, aggs, .. } => {
-                let finish = |n, mut cols: Vec<Vec<Cell>>| {
+                let finish = |n, mut cols: Vec<Vec<Datum>>| {
                     // the pipeline emitted [keys…, aggregate arguments…]
                     let mut gathered = cols.split_off(keys.len()).into_iter();
                     let args = aggs.iter().map(|a| a.arg.as_ref().and_then(|_| gathered.next()));
@@ -923,20 +1000,20 @@ impl Database {
                 (merge_groups(partials, keys.len(), aggs), rows)
             }
             _ => {
-                let finish = |n, cols: Vec<Vec<Cell>>| {
-                    // transpose, moving each cell exactly once: the first
+                let finish = |n, cols: Vec<Vec<V>>| {
+                    // transpose, moving each value exactly once: the first
                     // and only point rows exist in the pipeline
-                    let mut rows: Vec<Row> =
-                        (0..n).map(|_| Vec::with_capacity(cols.len())).collect();
-                    for col in cols {
-                        for (r, cell) in rows.iter_mut().zip(col) {
-                            r.push(cell);
-                        }
-                    }
-                    Ok(rows)
+                    let width = cols.len();
+                    let mut cols: Vec<_> = cols.into_iter().map(Vec::into_iter).collect();
+                    let row = |_| {
+                        let mut row = Vec::with_capacity(width);
+                        row.extend(cols.iter_mut().filter_map(Iterator::next));
+                        row
+                    };
+                    Ok((0..n).map(row).collect::<Vec<_>>())
                 };
                 let (chunks, rows) = self.scan_batches(fused, ctx, &mut scan_stats, finish)?;
-                (chunks.into_iter().flatten().collect(), rows)
+                (concat(chunks), rows)
             }
         };
         while spans.pop().is_some() {} // innermost first
@@ -981,12 +1058,12 @@ impl Database {
     /// then every output column is gathered for the surviving rows only —
     /// late materialization — and `finish` turns the `n` selected rows'
     /// columns into the consumer's unit of work.
-    fn scan_batches<T: Send>(
+    fn scan_batches<C: RowValue, T: Send>(
         &self,
         fused: &FusedScan<'_>,
         ctx: &ExecContext,
         stats: &mut ParStats,
-        finish: impl Fn(usize, Vec<Vec<Cell>>) -> Result<T, StoreError> + Sync,
+        finish: impl Fn(usize, Vec<Vec<C>>) -> Result<T, StoreError> + Sync,
     ) -> Result<(Vec<T>, StageRows), StoreError> {
         let t = fused.table;
         let slots = fused.leaves.len();
@@ -1117,7 +1194,7 @@ struct GroupPartial {
     /// keyless aggregate (one group).
     group_of: Vec<u32>,
     /// Per aggregate, its argument per input row (`None`: `COUNT(*)`).
-    args: Vec<Option<Vec<Cell>>>,
+    args: Vec<Option<Vec<Datum>>>,
 }
 
 impl GroupPartial {
@@ -1126,8 +1203,8 @@ impl GroupPartial {
     fn new(
         ctx: &ExecContext,
         rows: usize,
-        keys: Vec<Vec<Cell>>,
-        args: Vec<Option<Vec<Cell>>>,
+        keys: Vec<Vec<Datum>>,
+        args: Vec<Option<Vec<Datum>>>,
     ) -> Result<GroupPartial, StoreError> {
         fsdm_fault::fire(FP_EXEC_GROUPBY_PARTIAL).map_err(fault_err)?;
         // the partial holds one evaluated datum per key and aggregate
@@ -1140,8 +1217,7 @@ impl GroupPartial {
             let mut keys: Vec<_> = keys.into_iter().map(Vec::into_iter).collect();
             group_of.reserve(rows);
             for _ in 0..rows {
-                let key: Vec<Datum> =
-                    keys.iter_mut().filter_map(Iterator::next).map(Cell::into_datum).collect();
+                let key: Vec<Datum> = keys.iter_mut().filter_map(Iterator::next).collect();
                 let next = order.len() as u32;
                 group_of.push(*index.entry(key).or_insert_with_key(|key| {
                     order.push(key.clone());
@@ -1181,16 +1257,16 @@ fn group_by(
     stats: &mut ParStats,
 ) -> Result<Vec<Row>, StoreError> {
     let partials = run_morsels(ctx, rows.len(), stats, |range, scratch| {
-        let mut key_cols: Vec<Vec<Cell>> = keys.iter().map(|_| Vec::new()).collect();
-        let mut arg_cols: Vec<Option<Vec<Cell>>> =
+        let mut key_cols: Vec<Vec<Datum>> = keys.iter().map(|_| Vec::new()).collect();
+        let mut arg_cols: Vec<Option<Vec<Datum>>> =
             aggs.iter().map(|a| a.arg.as_ref().map(|_| Vec::new())).collect();
         for r in &rows[range.start..range.end] {
             for (col, (_, e)) in key_cols.iter_mut().zip(keys) {
-                col.push(Cell::D(e.eval_with(r, scratch)?));
+                col.push(e.eval_with(r, scratch)?);
             }
             for (col, spec) in arg_cols.iter_mut().zip(aggs) {
                 if let (Some(col), Some(e)) = (col, &spec.arg) {
-                    col.push(Cell::D(e.eval_with(r, scratch)?));
+                    col.push(e.eval_with(r, scratch)?);
                 }
             }
         }
@@ -1204,7 +1280,11 @@ fn group_by(
 /// feeds every group's accumulators exactly the update sequence a serial
 /// run would; likewise first-seen key order across morsels in morsel
 /// order equals serial first-seen order.
-fn merge_groups(partials: Vec<GroupPartial>, nkeys: usize, aggs: &[AggSpec]) -> Vec<Row> {
+fn merge_groups<V: RowValue>(
+    partials: Vec<GroupPartial>,
+    nkeys: usize,
+    aggs: &[AggSpec],
+) -> Vec<Vec<V>> {
     let fresh = || aggs.iter().map(|a| Acc::new(a.fun)).collect::<Vec<Acc>>();
     let mut index: HashMap<Vec<Datum>, usize> = HashMap::new();
     let mut groups: Vec<(Vec<Datum>, Vec<Acc>)> = Vec::new();
@@ -1228,16 +1308,26 @@ fn merge_groups(partials: Vec<GroupPartial>, nkeys: usize, aggs: &[AggSpec]) -> 
         for row in 0..p.rows {
             let group = p.group_of.get(row).map_or(0, |g| global[*g as usize]);
             for (acc, col) in groups[group].1.iter_mut().zip(&mut args) {
-                acc.update(col.as_mut().and_then(Iterator::next).map(Cell::into_datum));
+                acc.update(col.as_mut().and_then(Iterator::next));
             }
         }
     }
     groups
         .into_iter()
         .map(|(key, accs)| {
-            key.into_iter().chain(accs.into_iter().map(Acc::finish)).map(Cell::D).collect()
+            key.into_iter().chain(accs.into_iter().map(Acc::finish)).map(V::of_datum).collect()
         })
         .collect()
+}
+
+/// Per-morsel outputs concatenated in morsel order, into one vector
+/// sized once.
+fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for mut chunk in chunks {
+        out.append(&mut chunk);
+    }
+    out
 }
 
 /// Count a governance kill by reason; `None` for an error that is not
@@ -1259,13 +1349,6 @@ fn count_kill(kind: ErrorKind) -> Option<&'static str> {
         // worker panics are counted at the catch site in `run_morsels`
         ErrorKind::WorkerPanic { .. } | ErrorKind::Generic => None,
     }
-}
-
-/// Convert executor rows (which may still hold binary JSON cells) into the
-/// datum-only [`QueryResult`] surface.
-fn materialize(columns: Vec<String>, rows: Vec<Row>) -> QueryResult {
-    let rows = rows.into_iter().map(|r| r.into_iter().map(Cell::into_datum).collect()).collect();
-    QueryResult { columns, rows }
 }
 
 /// Display label of a plan node for [`QueryProfile`] output.
@@ -1305,7 +1388,7 @@ fn sort_rows(
             })
             .collect::<Result<Vec<_>, _>>()
     })?;
-    let keyed: Vec<Vec<Datum>> = chunks.into_iter().flatten().collect();
+    let keyed = concat(chunks);
     // fired once, serially, before the permutation is applied — a fault
     // here proves the sort tail cleans up owned rows mid-operator
     fsdm_fault::fire(FP_EXEC_SORT_PERMUTE).map_err(fault_err)?;
@@ -1776,8 +1859,9 @@ mod tests {
         // projected column next to the filter column — an empty selection
         // extracts nothing — and every morsel hands its charge back
         let ctx = db.exec_context();
-        let (sizes, _) =
-            db.scan_batches(&fused, &ctx, &mut ParStats::default(), |n, _| Ok(n)).unwrap();
+        let (sizes, _) = db
+            .scan_batches(&fused, &ctx, &mut ParStats::default(), |n, _: Vec<Vec<Cell>>| Ok(n))
+            .unwrap();
         assert_eq!(sizes, vec![0, 0, 4]);
         assert_eq!(ctx.governor.mem_highwater(), 2 * 4 * 32, "one morsel, two columns");
         assert_eq!(db.execute(&plan).unwrap().rows.len(), 4);

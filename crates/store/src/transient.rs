@@ -515,6 +515,16 @@ impl TransientVec {
         }
     }
 
+    /// The slot at `off` as an owned datum, moved out: the slot reads
+    /// NULL afterwards.
+    pub(crate) fn take(&mut self, off: usize) -> Datum {
+        match self {
+            TransientVec::Strs(v) => v[off].take().map_or(Datum::Null, Datum::Str),
+            TransientVec::Any(v) => std::mem::replace(&mut v[off], Datum::Null),
+            TransientVec::Nums(_) | TransientVec::Bools(_) => self.datum(off),
+        }
+    }
+
     /// True when the slot at `off` is SQL NULL.
     pub fn is_null(&self, off: usize) -> bool {
         match self {
@@ -682,6 +692,11 @@ impl<'g> MorselCols<'g> {
     /// that reads them has extracted their slots.
     pub fn vec(&self, slot: usize) -> &TransientVec {
         self.vecs[slot].as_ref().expect("a stage extracts its slots before its kernels run")
+    }
+
+    /// The extracted vector of `slot`, to move values out of.
+    pub(crate) fn vec_mut(&mut self, slot: usize) -> &mut TransientVec {
+        self.vecs[slot].as_mut().expect("a stage extracts its slots before its kernels run")
     }
 
     /// Charge `bytes` held for the life of this morsel to the budget.

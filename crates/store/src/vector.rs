@@ -180,13 +180,14 @@ impl SelVec {
         self.len() == 0
     }
 
-    /// Absolute row ids, ascending.
+    /// Absolute row ids, ascending, with an exact size hint: a gather
+    /// collects them into a vector sized once.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let (range, ids) = match self {
-            SelVec::All(r) => (Some(*r), None),
-            SelVec::Ids(ids) => (None, Some(ids)),
+            SelVec::All(r) => (r.start..r.end, &[][..]),
+            SelVec::Ids(ids) => (0..0, &ids[..]),
         };
-        range.into_iter().flat_map(|r| r.start..r.end).chain(ids.into_iter().flatten().copied())
+        range.chain(ids.iter().copied())
     }
 }
 
@@ -244,6 +245,19 @@ impl Batch {
     pub fn gather(&self, kernel: &ValKernel, cols: &MorselCols) -> Result<Vec<Datum>, StoreError> {
         fsdm_fault::fire(fsdm_fault::catalog::FP_VECTOR_BATCH).map_err(crate::govern::fault_err)?;
         kernel.gather(self, cols)
+    }
+
+    /// Gather transient column `slot` for the selected rows by moving
+    /// each value out of its slot: the gather of an output that is the
+    /// slot's only reader, so nothing reads the emptied slots after it.
+    pub(crate) fn take(
+        &self,
+        slot: usize,
+        cols: &mut MorselCols,
+    ) -> Result<Vec<Datum>, StoreError> {
+        fsdm_fault::fire(fsdm_fault::catalog::FP_VECTOR_BATCH).map_err(crate::govern::fault_err)?;
+        let v = cols.vec_mut(slot);
+        Ok(self.sel.iter().map(|i| v.take(i - self.range.start)).collect())
     }
 }
 
@@ -536,6 +550,20 @@ pub enum ValKernel {
 }
 
 impl ValKernel {
+    /// Count in `reads`, per transient slot, the leaves of this kernel
+    /// that read it.
+    pub(crate) fn count_reads(&self, reads: &mut [usize]) {
+        match self {
+            ValKernel::Transient(slot) => reads[*slot] += 1,
+            ValKernel::Arith { l, r, .. } => {
+                l.count_reads(reads);
+                r.count_reads(reads);
+            }
+            ValKernel::Row { leaves, .. } => leaves.iter().for_each(|l| l.count_reads(reads)),
+            ValKernel::Col(_) | ValKernel::Lit(_) => {}
+        }
+    }
+
     /// Materialize this kernel's value for every selected row of `batch`.
     pub fn gather(&self, batch: &Batch, cols: &MorselCols) -> Result<Vec<Datum>, StoreError> {
         let sel = &batch.sel;
