@@ -39,9 +39,9 @@ PROPTEST_SEED=977 cargo test -q -p fsdm-sqljson --test proptests
 PROPTEST_SEED=977 cargo test -q -p fsdm-json --test proptests
 PROPTEST_SEED=977 cargo test -q -p fsdm-oson --test proptests
 
-echo "== Figure 5/6 smoke (exit 1 when TEXT and OSON-IMC, or OSON-IMC and VC-IMC, row counts differ) =="
+echo "== Figure 5/6 smoke (exit 1 when TEXT and OSON-IMC, or OSON-IMC and VC-IMC, answer differently) =="
 cargo run --release -q -p fsdm-bench --bin repro -- fig5 --scale 2000 --threads 1 --no-metrics
-# VC-IMC statements run a root pipeline over resident vectors only
+# VC-IMC statements filter on resident vectors; the check compares answers by hash
 cargo run --release -q -p fsdm-bench --bin repro -- fig6 --scale 2000 --threads 1 --no-metrics
 
 echo "== chaos acceptance (500 seeded fault schedules, zero contract violations) =="

@@ -8,7 +8,9 @@ use fsdm_json::{JsonValue, ValueDom};
 use fsdm_oson::{OsonDoc, OsonSet, SegmentStats};
 use fsdm_sqljson::{parse_path, Datum, PathEvaluator};
 use fsdm_store::table::InsertValue;
-use fsdm_store::{ColType, ColumnSpec, ConstraintMode, JsonStorage, Table, TableSchema};
+use fsdm_store::{
+    ColType, ColumnSpec, ConstraintMode, JsonStorage, QueryResult, Table, TableSchema,
+};
 use fsdm_workloads::{generate, nobench, rng_for, Collection};
 
 use crate::setup::{
@@ -183,10 +185,42 @@ pub struct NobenchCell {
     pub time: Duration,
     /// Result row count.
     pub rows: usize,
+    /// FNV-1a hash of the result's `Debug` rows: two modes that answered
+    /// alike hash alike.
+    pub hash: u64,
+}
+
+/// The 64-bit FNV-1a hash of what is written to it.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+        Ok(())
+    }
+}
+
+/// The cell of query `q` in `mode`: the best of `reps` runs of `run`,
+/// with the answer of the last.
+fn nobench_cell(
+    q: usize,
+    mode: &'static str,
+    reps: usize,
+    mut run: impl FnMut() -> QueryResult,
+) -> NobenchCell {
+    let mut last = None;
+    let time = time_best(|| last = Some(run()), 1, reps);
+    let rows = last.expect("time_best runs at least once").rows;
+    let mut fnv = Fnv(0xcbf29ce484222325);
+    std::fmt::Write::write_fmt(&mut fnv, format_args!("{rows:?}")).expect("hashing cannot fail");
+    NobenchCell { query: q, mode, time, rows: rows.len(), hash: fnv.0 }
 }
 
 /// Figures 5 and 6: the eleven NOBENCH queries under TEXT-MODE and
-/// OSON-IMC-MODE, plus the four VC queries under VC-IMC-MODE.
+/// OSON-IMC-MODE, plus the four VC queries under VC-IMC-MODE, each
+/// answering what its OSON-IMC statement answers.
 pub fn run_nobench(n: usize, reps: usize) -> Vec<NobenchCell> {
     let mut session = nobench_db(n);
     let q5_bind = nobench_q5_bind(n);
@@ -194,28 +228,14 @@ pub fn run_nobench(n: usize, reps: usize) -> Vec<NobenchCell> {
     let run_all =
         |session: &mut fsdm_sql::Session, mode: &'static str, cells: &mut Vec<NobenchCell>| {
             for q in 1..=11usize {
-                let mut rows = 0usize;
-                let time = if q == 11 {
+                cells.push(if q == 11 {
                     let plan = nobench_q11_plan(n, false);
-                    time_best(
-                        || {
-                            rows = session.db.execute(&plan).unwrap().rows.len();
-                        },
-                        1,
-                        reps,
-                    )
+                    nobench_cell(q, mode, reps, || session.db.execute(&plan).unwrap())
                 } else {
                     let sql = nobench::query_sql(q, n);
                     let binds = if q == 5 { vec![q5_bind.clone()] } else { vec![] };
-                    time_best(
-                        || {
-                            rows = session.execute_with(&sql, &binds).unwrap().rows.len();
-                        },
-                        1,
-                        reps,
-                    )
-                };
-                cells.push(NobenchCell { query: q, mode, time, rows });
+                    nobench_cell(q, mode, reps, || session.execute_with(&sql, &binds).unwrap())
+                });
             }
         };
     run_all(&mut session, "TEXT", &mut cells);
@@ -233,7 +253,14 @@ pub fn run_nobench(n: usize, reps: usize) -> Vec<NobenchCell> {
     let hi = lo + n / 10;
     let vc_sql: [(usize, String); 3] = [
         (6, format!("select \"nb$num\" from nobench where \"nb$num\" between {lo} and {hi}")),
-        (7, format!("select \"nb$dyn1\" from nobench where \"nb$dyn1\" between {lo} and {hi}")),
+        // Q7 projects `$.dyn1` as text, which `nb$dyn1` (a number) is not
+        (
+            7,
+            format!(
+                "select json_value(jdoc, '$.dyn1') from nobench \
+                 where \"nb$dyn1\" between {lo} and {hi}"
+            ),
+        ),
         (
             10,
             format!(
@@ -244,26 +271,10 @@ pub fn run_nobench(n: usize, reps: usize) -> Vec<NobenchCell> {
         ),
     ];
     for (q, sql) in &vc_sql {
-        let mut rows = 0usize;
-        let time = time_best(
-            || {
-                rows = session.execute(sql).unwrap().rows.len();
-            },
-            1,
-            reps,
-        );
-        cells.push(NobenchCell { query: *q, mode: "VC-IMC", time, rows });
+        cells.push(nobench_cell(*q, "VC-IMC", reps, || session.execute(sql).unwrap()));
     }
     let plan = nobench_q11_plan(n, true);
-    let mut rows = 0usize;
-    let time = time_best(
-        || {
-            rows = session.db.execute(&plan).unwrap().rows.len();
-        },
-        1,
-        reps,
-    );
-    cells.push(NobenchCell { query: 11, mode: "VC-IMC", time, rows });
+    cells.push(nobench_cell(11, "VC-IMC", reps, || session.db.execute(&plan).unwrap()));
     cells
 }
 

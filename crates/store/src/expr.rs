@@ -411,10 +411,6 @@ impl Expr {
     /// with `lw` otherwise. `None` when no kernel expresses it exactly; the
     /// caller then lowers it row-wise ([`Expr::compile_value`]), under
     /// [`Lowering::attempt`] so the failed kernel leaves nothing bound.
-    ///
-    /// The lowering assumes vector null-ness mirrors datum null-ness,
-    /// which holds for typed base columns, VC vectors and transient
-    /// columns alike.
     pub(crate) fn compile_predicate(&self, lw: &mut Lowering<'_>) -> Option<PredKernel> {
         // a boolean column — bare, JSON_EXISTS, or a virtual column that
         // materializes this very predicate — used as the filter
@@ -482,14 +478,7 @@ impl Expr {
         ValKernel::Row { expr, leaves }
     }
 
-    /// This expression as a gather kernel, if one expresses it. Only
-    /// *virtual* columns are read from resident vectors: VC vectors hold
-    /// exactly the datums the defining expression produced, whereas
-    /// base-column vectors normalize values (`from_datums` folds numbers
-    /// to `f64`), which would break byte-identity with the row path on
-    /// materialized output. Predicates tolerate that normalization
-    /// (comparisons are value-based); gathers must not, so base columns
-    /// are copied off the heap as transient columns instead.
+    /// This expression as a gather kernel, if one expresses it.
     fn value_kernel(&self, lw: &mut Lowering<'_>) -> Option<ValKernel> {
         let col = match (lw.materialized(self), self) {
             (Some(v), _) => lw.resident(self, v).0,

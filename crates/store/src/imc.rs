@@ -14,16 +14,19 @@
 //!   was inserted after population: it reads its stored cell. The row
 //!   evaluator always reads stored cells, so it stays an oracle that does
 //!   not depend on the IMC.
-//! * **VC-IMC** (§5.2.1): virtual columns (typically
-//!   `JSON_VALUE(jcol, path)`) are materialized into typed column vectors
-//!   — numbers as `f64` with a null slot, strings dictionary-encoded — so
+//! * **VC-IMC** (§5.2.1): base and virtual columns (typically
+//!   `JSON_VALUE(jcol, path)`) are materialized into column vectors that
+//!   hold exactly the datums the column produces — exact numbers, strings
+//!   dictionary-encoded, a column whose values mix kinds held whole — so
 //!   predicates, aggregations and projections on those columns never touch
-//!   the JSON at all. They are computed by the spine, hence through
-//!   [`Table::open_doc`] too.
+//!   the JSON at all, and reading a vector changes no answer. Virtual
+//!   columns are computed by the spine, hence through [`Table::open_doc`]
+//!   too.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use fsdm_json::JsonNumber;
 use fsdm_oson::{OsonDoc, OsonSet};
 use fsdm_sqljson::Datum;
 
@@ -36,11 +39,13 @@ use crate::table::{Cell, Row, StoreError, Table};
 use crate::transient::{Lowering, MorselCols, Rows};
 use crate::vector::Batch;
 
-/// A typed in-memory column vector.
+/// A typed in-memory column vector: exactly the datums its column
+/// produced, so reading it back changes no answer.
 #[derive(Debug, Clone)]
 pub enum ColumnVector {
-    /// Numeric column (`None` = SQL NULL).
-    Numbers(Vec<Option<f64>>),
+    /// Numeric column (`None` = SQL NULL), as exact as the row path's
+    /// [`JsonNumber`]s.
+    Numbers(Vec<Option<JsonNumber>>),
     /// Dictionary-encoded string column. The dictionary is sorted, so
     /// code order is string order: range kernels compare codes directly
     /// and equality probes binary-search the dictionary.
@@ -52,33 +57,10 @@ pub enum ColumnVector {
     },
     /// Boolean column.
     Bools(Vec<Option<bool>>),
-}
-
-/// A borrowed view of one vector slot: what [`ColumnVector::get`] returns
-/// without the owned `Datum` (and, for dictionary entries, without the
-/// `String` clone).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VectorSlot<'a> {
-    /// SQL NULL.
-    Null,
-    /// A numeric value.
-    Num(f64),
-    /// A dictionary entry, borrowed from the vector.
-    Str(&'a str),
-    /// A boolean value.
-    Bool(bool),
-}
-
-impl VectorSlot<'_> {
-    /// Materialize the slot as an owned datum.
-    pub fn to_datum(self) -> Datum {
-        match self {
-            VectorSlot::Null => Datum::Null,
-            VectorSlot::Num(x) => Datum::from(x),
-            VectorSlot::Str(s) => Datum::Str(s.to_string()),
-            VectorSlot::Bool(b) => Datum::Bool(b),
-        }
-    }
+    /// A column whose values mix kinds, held whole (`Datum::Null` for
+    /// NULL): read back exactly and bound by no comparison kernel, like a
+    /// transient `RETURNING any` column.
+    Any(Vec<Datum>),
 }
 
 impl ColumnVector {
@@ -88,6 +70,7 @@ impl ColumnVector {
             ColumnVector::Numbers(v) => v.len(),
             ColumnVector::Strings { codes, .. } => codes.len(),
             ColumnVector::Bools(v) => v.len(),
+            ColumnVector::Any(v) => v.len(),
         }
     }
 
@@ -96,68 +79,56 @@ impl ColumnVector {
         self.len() == 0
     }
 
-    /// Read one row back as a datum (owned; allocates for dictionary
-    /// entries — scan-path callers prefer [`ColumnVector::slot`]).
-    pub fn get(&self, row: usize) -> Datum {
-        self.slot(row).to_datum()
-    }
-
-    /// Borrowed accessor: read one row without materializing a `Datum`.
-    pub fn slot(&self, row: usize) -> VectorSlot<'_> {
+    /// The slot at `row` as an owned datum.
+    pub fn datum(&self, row: usize) -> Datum {
         match self {
-            ColumnVector::Numbers(v) => match v[row] {
-                Some(x) => VectorSlot::Num(x),
-                None => VectorSlot::Null,
-            },
-            ColumnVector::Strings { dict, codes } => match codes[row] {
-                Some(c) => VectorSlot::Str(&dict[c as usize]),
-                None => VectorSlot::Null,
-            },
-            ColumnVector::Bools(v) => match v[row] {
-                Some(b) => VectorSlot::Bool(b),
-                None => VectorSlot::Null,
-            },
+            ColumnVector::Numbers(v) => v[row].map_or(Datum::Null, Datum::Num),
+            ColumnVector::Strings { dict, codes } => {
+                codes[row].map_or(Datum::Null, |c| Datum::Str(dict[c as usize].clone()))
+            }
+            ColumnVector::Bools(v) => v[row].map_or(Datum::Null, Datum::Bool),
+            ColumnVector::Any(v) => v[row].clone(),
         }
     }
 
-    /// Build from a sequence of datums, choosing the densest representation
-    /// for the observed values.
-    pub fn from_datums(values: &[Datum]) -> ColumnVector {
-        let mut any_num = false;
-        let mut any_str = false;
-        let mut any_bool = false;
-        for v in values {
-            match v {
-                Datum::Num(_) => any_num = true,
-                Datum::Str(_) => any_str = true,
-                Datum::Bool(_) => any_bool = true,
-                Datum::Null => {}
-            }
+    /// True when the slot at `row` is SQL NULL.
+    pub fn is_null(&self, row: usize) -> bool {
+        match self {
+            ColumnVector::Numbers(v) => v[row].is_none(),
+            ColumnVector::Strings { codes, .. } => codes[row].is_none(),
+            ColumnVector::Bools(v) => v[row].is_none(),
+            ColumnVector::Any(v) => v[row].is_null(),
         }
-        if any_str || (!any_num && !any_bool) {
-            // sorted dictionary: code order == string order, which is what
-            // lets range kernels compare codes and equality probes
-            // binary-search instead of scanning
-            let mut dict: Vec<String> =
-                values.iter().filter(|v| !v.is_null()).map(|v| v.to_text()).collect();
-            dict.sort();
-            dict.dedup();
-            let codes = values
-                .iter()
-                .map(|v| {
-                    if v.is_null() {
-                        None
-                    } else {
-                        let s = v.to_text();
-                        Some(dict.binary_search(&s).expect("dict covers all values") as u32)
-                    }
-                })
-                .collect();
-            ColumnVector::Strings { dict, codes }
-        } else if any_num {
-            ColumnVector::Numbers(values.iter().map(|v| v.as_num().map(|n| n.to_f64())).collect())
-        } else {
-            ColumnVector::Bools(values.iter().map(|v| v.as_bool()).collect())
+    }
+
+    /// Build from a column's datums: typed when every non-null value has
+    /// one kind (an all-NULL column is an empty dictionary), whole when
+    /// they mix kinds.
+    pub fn from_datums(values: Vec<Datum>) -> ColumnVector {
+        let first = values.iter().find(|v| !v.is_null());
+        let kind = first.map(std::mem::discriminant);
+        if values.iter().any(|v| !v.is_null() && Some(std::mem::discriminant(v)) != kind) {
+            return ColumnVector::Any(values);
+        }
+        let vals = values.iter();
+        match first {
+            Some(Datum::Num(_)) => ColumnVector::Numbers(vals.map(Datum::as_num).collect()),
+            Some(Datum::Bool(_)) => ColumnVector::Bools(vals.map(Datum::as_bool).collect()),
+            _ => {
+                // sorted dictionary: code order == string order, which is
+                // what lets range kernels compare codes and equality probes
+                // binary-search instead of scanning
+                let mut dict: Vec<String> =
+                    values.iter().filter_map(Datum::as_str).map(str::to_owned).collect();
+                dict.sort();
+                dict.dedup();
+                let code = |s: &str| dict.binary_search_by(|d| d.as_str().cmp(s));
+                let codes = values
+                    .iter()
+                    .map(|v| Some(code(v.as_str()?).expect("dict covers all values") as u32))
+                    .collect();
+                ColumnVector::Strings { dict, codes }
+            }
         }
     }
 }
@@ -266,7 +237,7 @@ impl Table {
             } else {
                 self.virtual_values(idx)?
             };
-            self.imc.vectors.insert(idx, Arc::new(ColumnVector::from_datums(&vals)));
+            self.imc.vectors.insert(idx, Arc::new(ColumnVector::from_datums(vals)));
             if idx >= width {
                 let def = format!("{:?}", self.virtual_columns[idx - width].expr);
                 self.imc.vc_defs.retain(|(_, col)| *col != idx);
@@ -549,8 +520,12 @@ mod tests {
                 }
                 oracle.push(e.eval(&row).unwrap());
             }
-            let want = format!("{:?}", ColumnVector::from_datums(&oracle));
-            assert_eq!(format!("{:?}", t.imc.vectors[&(width + k)]), want, "{name}");
+            // slot by slot: a lossy encoding cannot hide behind itself
+            let v = &t.imc.vectors[&(width + k)];
+            for (i, want) in oracle.iter().enumerate() {
+                assert_eq!(format!("{:?}", v.datum(i)), format!("{want:?}"), "{name} row {i}");
+                assert_eq!(v.is_null(i), want.is_null(), "{name} row {i}");
+            }
         }
     }
 
@@ -571,7 +546,7 @@ mod tests {
         match &*t.imc.vectors[&vi] {
             ColumnVector::Numbers(v) => {
                 assert_eq!(v.len(), 20);
-                assert_eq!(v[7], Some(7.0));
+                assert_eq!(v[7], Some(JsonNumber::Int(7)));
             }
             other => panic!("{other:?}"),
         }
@@ -582,14 +557,14 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(t.imc.vectors[&vi].get(3), Datum::from(3.0));
+        assert_eq!(t.imc.vectors[&vi].datum(3), Datum::from(3i64));
     }
 
     #[test]
     fn dictionaries_are_sorted_and_codes_remapped() {
         let vals: Vec<Datum> =
             ["pear", "apple", "plum", "apple", "fig"].iter().map(|&s| Datum::from(s)).collect();
-        match ColumnVector::from_datums(&vals) {
+        match ColumnVector::from_datums(vals) {
             ColumnVector::Strings { dict, codes } => {
                 assert_eq!(dict, vec!["apple", "fig", "pear", "plum"]);
                 let decoded: Vec<&str> =
@@ -601,34 +576,45 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_slot_matches_owned_get() {
-        let v = ColumnVector::from_datums(&[Datum::from("b"), Datum::Null, Datum::from("a")]);
-        assert_eq!(v.slot(0), VectorSlot::Str("b"));
-        assert_eq!(v.slot(1), VectorSlot::Null);
-        for i in 0..3 {
-            assert_eq!(v.slot(i).to_datum(), v.get(i), "row {i}");
+    fn datum_and_is_null_read_back_every_slot() {
+        let v = ColumnVector::from_datums(vec![Datum::from("b"), Datum::Null, Datum::from("a")]);
+        assert_eq!(
+            (v.datum(0), v.datum(1), v.datum(2)),
+            (Datum::from("b"), Datum::Null, "a".into())
+        );
+        assert_eq!((v.is_null(0), v.is_null(1)), (false, true));
+        // numbers stay the row path's: beyond i64 and past f64's digits
+        let exact = |s: &str| Datum::Num(JsonNumber::from_literal(s).unwrap());
+        let nums = [exact("12345678901234567891"), exact("0.12345678901234567891"), Datum::Null];
+        let n = ColumnVector::from_datums(nums.to_vec());
+        for (i, want) in nums.iter().enumerate() {
+            assert_eq!(format!("{:?}", n.datum(i)), format!("{want:?}"), "row {i}");
         }
-        let n = ColumnVector::from_datums(&[Datum::from(2i64), Datum::Null]);
-        assert_eq!(n.slot(0), VectorSlot::Num(2.0));
-        assert_eq!(n.slot(0).to_datum(), Datum::from(2i64));
+        assert!(n.is_null(2));
     }
 
     #[test]
     fn vector_type_inference() {
-        let nums = ColumnVector::from_datums(&[Datum::from(1i64), Datum::Null]);
+        let nums = ColumnVector::from_datums(vec![Datum::from(1i64), Datum::Null]);
         assert!(matches!(nums, ColumnVector::Numbers(_)));
-        let mixed = ColumnVector::from_datums(&[Datum::from(1i64), Datum::from("x")]);
-        assert!(matches!(mixed, ColumnVector::Strings { .. }));
-        let bools = ColumnVector::from_datums(&[Datum::Bool(true), Datum::Null]);
+        // mixed kinds are held whole, not rendered to text
+        let values = vec![Datum::from(5i64), Datum::from("abc"), Datum::Bool(true), Datum::Null];
+        let mixed = ColumnVector::from_datums(values.clone());
+        assert!(matches!(mixed, ColumnVector::Any(_)));
+        assert_eq!((0..4).map(|i| mixed.datum(i)).collect::<Vec<_>>(), values);
+        assert!(mixed.is_null(3));
+        let bools = ColumnVector::from_datums(vec![Datum::Bool(true), Datum::Null]);
         assert!(matches!(bools, ColumnVector::Bools(_)));
-        assert_eq!(bools.get(1), Datum::Null);
+        assert_eq!(bools.datum(1), Datum::Null);
+        let nulls = ColumnVector::from_datums(vec![Datum::Null; 2]);
+        assert!(matches!(nulls, ColumnVector::Strings { ref dict, .. } if dict.is_empty()));
     }
 
     #[test]
     fn dictionary_encoding_dedups() {
         let vals: Vec<Datum> =
             (0..100).map(|i| Datum::from(if i % 2 == 0 { "a" } else { "b" })).collect();
-        match ColumnVector::from_datums(&vals) {
+        match ColumnVector::from_datums(vals) {
             ColumnVector::Strings { dict, .. } => assert_eq!(dict.len(), 2),
             other => panic!("{other:?}"),
         }

@@ -41,7 +41,7 @@ pub mod vector;
 pub use database::{Database, Run};
 pub use expr::{AggFun, CmpOp, EvalScratch, Expr, ScalarFun};
 pub use govern::{CancelHandle, CancelToken, QueryGovernor, ROWS_PER_CHECK};
-pub use imc::{ColumnVector, ImcStore, VectorSlot};
+pub use imc::{ColumnVector, ImcStore};
 pub use jsonaccess::{JsonCell, JsonStorage};
 pub use parallel::{
     default_degree, morsels, run_morsels, ExecContext, ParStats, RowRange, DEFAULT_MORSEL_ROWS,

@@ -350,6 +350,7 @@ impl<'a> Lowering<'a> {
             ColumnVector::Numbers(_) => ColKind::Nums,
             ColumnVector::Strings { .. } => ColKind::Strs,
             ColumnVector::Bools(_) => ColKind::Bools,
+            ColumnVector::Any(_) => ColKind::Any,
         };
         match self.expand {
             None => (Col::Resident(v), kind),
@@ -385,9 +386,9 @@ impl<'a> Lowering<'a> {
     }
 
     /// Bind `e` — a column reference or a SQL/JSON operator over a JSON
-    /// base column — as the column a kernel leaf reads. `as_value` marks
-    /// a gather: it may not read a normalized base-column vector, and it
-    /// may select a JSON column as text.
+    /// base column — as the column a kernel leaf reads: a column's vector
+    /// when it has one, base or virtual, over either row space. `as_value`
+    /// marks a gather, which may select a JSON column as text.
     pub(crate) fn bind(&mut self, e: &Expr, as_value: bool) -> Option<(Col, ColKind)> {
         if let Some(v) = self.materialized(e) {
             return Some(self.resident(e, v));
@@ -407,16 +408,12 @@ impl<'a> Lowering<'a> {
                 };
                 Some(self.transient(e, LeafSource::JsonTable { col }, kind))
             }
-            Expr::Col(i) if *i >= width => match self.vector(*i) {
+            Expr::Col(i) => match self.vector(*i) {
                 Some(v) => Some(self.resident(e, v)),
                 // no usable vector: lower the defining expression
-                None => self.defining(*i, |lw, def| lw.bind(def, as_value)).flatten(),
-            },
-            // a base column's vector is normalized: predicates over the
-            // table's rows only (over expanded rows the heap leaf a gather
-            // of the same column registers must not turn out to be it)
-            Expr::Col(i) => match self.vector(*i).filter(|_| !as_value && self.expand.is_none()) {
-                Some(v) => Some(self.resident(e, v)),
+                None if *i >= width => {
+                    self.defining(*i, |lw, def| lw.bind(def, as_value)).flatten()
+                }
                 None => {
                     let kind = match table.schema.columns[*i].ty {
                         ColType::Number => ColKind::Nums,
@@ -867,7 +864,7 @@ impl<'g> MorselCols<'g> {
 fn scan_value(table: &Table, row: usize, source: &LeafSource) -> Result<Datum, StoreError> {
     Ok(match source {
         LeafSource::Heap { col } => table.rows[row][*col].clone().into_datum(),
-        LeafSource::Resident(v) => v.slot(row).to_datum(),
+        LeafSource::Resident(v) => v.datum(row),
         LeafSource::Value { .. } | LeafSource::Exists { .. } => {
             return Err(StoreError::new("a path leaf outside its document's pass"))
         }

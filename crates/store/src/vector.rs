@@ -415,25 +415,25 @@ fn scan_leaf(range: RowRange, f: impl Fn(usize) -> Tri) -> Mask {
     Mask::from_tris((range.start..range.end).map(f).collect())
 }
 
-/// A numeric leaf over either source: `f` sees each non-null value in
-/// [`JsonNumber`] form, NULL is unknown.
+/// `f` of each slot's value, NULL unknown: the one scan every leaf over
+/// an element slice runs.
+fn slice_leaf<T: Copy>(vals: &[Option<T>], f: impl Fn(T) -> Tri) -> Mask {
+    Mask::from_tris(vals.iter().map(|v| v.map_or(Tri::Unknown, &f)).collect())
+}
+
+/// A numeric leaf over either source; NULL is unknown.
 fn num_leaf(col: &Col, range: RowRange, cols: &MorselCols, f: impl Fn(JsonNumber) -> Tri) -> Mask {
-    match col {
+    let vals = match col {
         Col::Resident(v) => match &**v {
-            ColumnVector::Numbers(vals) => scan_leaf(range, |i| match vals[i] {
-                Some(v) => f(JsonNumber::from(v)),
-                None => Tri::Unknown,
-            }),
+            ColumnVector::Numbers(vals) => &vals[range.start..range.end],
             other => unreachable!("numeric kernel bound to {other:?}"),
         },
         Col::Transient(slot) => match cols.vec(*slot) {
-            TransientVec::Nums(vals) => scan_leaf(range, |i| match vals[i - range.start] {
-                Some(n) => f(n),
-                None => Tri::Unknown,
-            }),
+            TransientVec::Nums(vals) => &vals[..],
             other => unreachable!("numeric kernel bound to {other:?}"),
         },
-    }
+    };
+    slice_leaf(vals, f)
 }
 
 /// A boolean leaf over either source; NULL is unknown.
@@ -448,15 +448,13 @@ fn bool_leaf(col: &Col, range: RowRange, cols: &MorselCols, f: impl Fn(bool) -> 
             other => unreachable!("boolean kernel bound to {other:?}"),
         },
     };
-    Mask::from_tris(vals.iter().map(|v| v.map_or(Tri::Unknown, &f)).collect())
+    slice_leaf(vals, f)
 }
 
 /// A dictionary-code leaf over a resident string vector.
 fn code_leaf(col: &ColumnVector, range: RowRange, f: impl Fn(u32) -> Tri) -> Mask {
     match col {
-        ColumnVector::Strings { codes, .. } => {
-            scan_leaf(range, |i| codes[i].map_or(Tri::Unknown, &f))
-        }
+        ColumnVector::Strings { codes, .. } => slice_leaf(&codes[range.start..range.end], f),
         other => unreachable!("dictionary kernel bound to {other:?}"),
     }
 }
@@ -487,9 +485,7 @@ impl PredKernel {
             }
             PredKernel::Truth { col } => bool_leaf(col, range, cols, Tri::from),
             PredKernel::IsNull { col } => match col {
-                Col::Resident(v) => scan_leaf(range, |i| {
-                    Tri::from(matches!(v.slot(i), crate::imc::VectorSlot::Null))
-                }),
+                Col::Resident(v) => scan_leaf(range, |i| Tri::from(v.is_null(i))),
                 Col::Transient(slot) => {
                     let v = cols.vec(*slot);
                     scan_leaf(range, |i| Tri::from(v.is_null(i - range.start)))
@@ -521,8 +517,8 @@ impl PredKernel {
 /// aggregate arguments.
 #[derive(Debug, Clone)]
 pub enum ValKernel {
-    /// Read a resident column vector back (numbers round-trip through
-    /// [`Datum::from`], which is the identity the row path applies too).
+    /// Read a resident column vector back: the datums its column
+    /// produced.
     Col(Arc<ColumnVector>),
     /// Read a transient column back.
     Transient(usize),
@@ -568,7 +564,7 @@ impl ValKernel {
     pub fn gather(&self, batch: &Batch, cols: &MorselCols) -> Result<Vec<Datum>, StoreError> {
         let sel = &batch.sel;
         match self {
-            ValKernel::Col(v) => Ok(sel.iter().map(|i| v.slot(i).to_datum()).collect()),
+            ValKernel::Col(v) => Ok(sel.iter().map(|i| v.datum(i)).collect()),
             ValKernel::Transient(slot) => {
                 let v = cols.vec(*slot);
                 Ok(sel.iter().map(|i| v.datum(i - batch.range.start)).collect())
@@ -612,19 +608,19 @@ mod tests {
         k.eval(r, &MorselCols::new(r, 0, &QueryGovernor::unlimited()))
     }
 
-    fn nums(vals: &[Option<f64>]) -> Arc<ColumnVector> {
-        Arc::new(ColumnVector::Numbers(vals.to_vec()))
+    fn nums(vals: &[Option<i64>]) -> Arc<ColumnVector> {
+        Arc::new(ColumnVector::Numbers(vals.iter().map(|v| v.map(JsonNumber::Int)).collect()))
     }
 
     fn strings(vals: &[Option<&str>]) -> Arc<ColumnVector> {
         let datums: Vec<Datum> =
             vals.iter().map(|v| v.map(Datum::from).unwrap_or(Datum::Null)).collect();
-        Arc::new(ColumnVector::from_datums(&datums))
+        Arc::new(ColumnVector::from_datums(datums))
     }
 
     #[test]
     fn num_cmp_is_null_aware() {
-        let col = nums(&[Some(1.0), None, Some(3.0), Some(2.0)]);
+        let col = nums(&[Some(1), None, Some(3), Some(2)]);
         let k =
             PredKernel::NumCmp { col: Col::Resident(col), op: CmpOp::Ge, lit: JsonNumber::Int(2) };
         let m = eval(&k, range(0, 4));
@@ -636,7 +632,7 @@ mod tests {
 
     #[test]
     fn all_true_and_all_false_collapse() {
-        let col = nums(&[Some(1.0), Some(2.0), Some(3.0)]);
+        let col = nums(&[Some(1), Some(2), Some(3)]);
         let lo = PredKernel::NumCmp {
             col: Col::Resident(col.clone()),
             op: CmpOp::Gt,
@@ -659,7 +655,7 @@ mod tests {
 
     #[test]
     fn empty_range_collapses_to_all_false() {
-        let col = nums(&[Some(1.0)]);
+        let col = nums(&[Some(1)]);
         let k =
             PredKernel::NumCmp { col: Col::Resident(col), op: CmpOp::Eq, lit: JsonNumber::Int(1) };
         assert_eq!(eval(&k, range(1, 1)), Mask::AllFalse);
@@ -669,7 +665,7 @@ mod tests {
 
     #[test]
     fn kleene_not_keeps_unknown() {
-        let col = nums(&[Some(5.0), None]);
+        let col = nums(&[Some(5), None]);
         let k = PredKernel::Not(Box::new(PredKernel::NumCmp {
             col: Col::Resident(col),
             op: CmpOp::Lt,
@@ -708,7 +704,7 @@ mod tests {
 
     #[test]
     fn selection_intersection_and_gather() {
-        let col = nums(&[Some(0.0), Some(1.0), Some(2.0), Some(3.0), Some(4.0)]);
+        let col = nums(&[Some(0), Some(1), Some(2), Some(3), Some(4)]);
         let ge1 = PredKernel::NumCmp {
             col: Col::Resident(col.clone()),
             op: CmpOp::Ge,
@@ -727,13 +723,7 @@ mod tests {
         assert_eq!(got, vec![Datum::from(1i64), Datum::from(2i64), Datum::from(3i64)]);
         // arithmetic matches the row path (integral results stay exact)
         let double = ValKernel::Arith {
-            l: Box::new(ValKernel::Col(nums(&[
-                Some(0.0),
-                Some(1.0),
-                Some(2.0),
-                Some(3.0),
-                Some(4.0),
-            ]))),
+            l: Box::new(ValKernel::Col(nums(&[Some(0), Some(1), Some(2), Some(3), Some(4)]))),
             op: ArithOp::Mul,
             r: Box::new(ValKernel::Lit(Datum::from(2i64))),
         };
@@ -743,7 +733,7 @@ mod tests {
 
     #[test]
     fn gather_on_empty_selection_is_empty() {
-        let col = nums(&[Some(1.0), Some(2.0)]);
+        let col = nums(&[Some(1), Some(2)]);
         let none = PredKernel::NumCmp {
             col: Col::Resident(col.clone()),
             op: CmpOp::Gt,
@@ -758,7 +748,7 @@ mod tests {
 
     #[test]
     fn null_arith_propagates_and_div0_errors() {
-        let col = nums(&[Some(4.0), None]);
+        let col = nums(&[Some(4), None]);
         let k = ValKernel::Arith {
             l: Box::new(ValKernel::Col(col.clone())),
             op: ArithOp::Add,

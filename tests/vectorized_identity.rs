@@ -259,10 +259,13 @@ fn path_queries_identical_across_imc_states_and_storages() {
 /// transient leaf with Kleene unknowns, a filter nothing survives, a
 /// slot two outputs read (the gather moves a value out only for a slot's
 /// one reader), and a document cell rendered where the result row is
-/// built.
+/// built. Resident vectors change no answer: every statement returns the
+/// same rows before the vectors are populated and after, among them
+/// numbers past `i64` and past `f64`'s digits under a vector, and a
+/// `RETURNING any` column whose values mix kinds.
 #[test]
 fn transient_column_corner_cases_match_the_row_evaluator() {
-    let docs: Vec<String> = (0..96)
+    let mut docs: Vec<String> = (0..96)
         .map(|i| {
             // number in even docs, string in odd; every 8th string numeric
             let dyn1 = match i % 2 {
@@ -284,6 +287,16 @@ fn transient_column_corner_cases_match_the_row_evaluator() {
             format!("{{\"dyn1\":{dyn1}{arr}{rare}{a}{b}}}")
         })
         .collect();
+    // numbers a vector must hold exactly, and `m` of three kinds
+    docs.extend(
+        [
+            r#"{"a":12345678901234567891,"m":5}"#,
+            r#"{"a":12345678901234567890,"m":"abc"}"#,
+            r#"{"a":0.12345678901234567891,"m":true}"#,
+            r#"{"a":0.12345678901234567890}"#,
+        ]
+        .map(String::from),
+    );
     let statements = [
         "select did, json_value(jdoc, '$.dyn1' returning number) from t",
         "select json_value(jdoc, '$.dyn1') from t \
@@ -301,6 +314,15 @@ fn transient_column_corner_cases_match_the_row_evaluator() {
          json_value(jdoc, '$.b' returning number) * 2 from t",
         // a document cell, rendered as text where the row is built
         "select did, jdoc from t where json_exists(jdoc, '$.rare')",
+        // exact numbers under the vector of `$.a`
+        "select did, json_value(jdoc, '$.a' returning number) from t where did >= 96",
+        "select did from t where json_value(jdoc, '$.a' returning number) = 12345678901234567891",
+        "select count(*) from t where json_value(jdoc, '$.a' returning number) \
+         > 0.12345678901234567890 and json_value(jdoc, '$.a' returning number) < 1",
+        // a `RETURNING any` column of mixed kinds: each value is itself,
+        // and `5 < '10'` compares numbers
+        "select did, \"t$m\" from t where did >= 96",
+        "select did from t where \"t$m\" < '10'",
     ];
     let run_all = |session: &Session, optimize| -> Vec<QueryResult> {
         statements.iter().map(|sql| run_sql(session, sql, &[], optimize).unwrap()).collect()
@@ -311,29 +333,45 @@ fn transient_column_corner_cases_match_the_row_evaluator() {
         session.db.set_morsel_rows(32);
         let t = session.db.table_mut("t").unwrap();
         t.populate_oson_imc().unwrap();
-        // `$.a` gets a resident vector, `$.b` stays transient
-        let a = fsdm::sqljson::parse_path("$.a").unwrap();
-        t.add_virtual_column(
-            "t$a",
-            fsdm::store::Expr::json_value(1, a, fsdm::sqljson::SqlType::Number),
-        );
-        t.populate_vc_imc(&["t$a"]).unwrap();
-        let plan = session.plan(statements[7], &[]).unwrap();
-        let explain = session.db.explain_modes(&plan);
-        assert_eq!(explain.matches("JSON_VALUE(").count(), 1, "one shared slot: {explain}");
-        let mut got = on_off_identical(&mut session, &run_all);
+        let path = |p: &str| fsdm::sqljson::parse_path(p).unwrap();
+        let vc = |p, ty| fsdm::store::Expr::json_value(1, path(p), ty);
+        t.add_virtual_column("t$a", vc("$.a", fsdm::sqljson::SqlType::Number));
+        t.add_virtual_column("t$m", vc("$.m", fsdm::sqljson::SqlType::Any));
         // a document renders in its own format's member order (OSON's is
         // its dictionary's): checked here, then left out of the
         // comparison across storages
-        for row in &mut got[9].rows {
-            let text = row.pop();
-            assert!(
-                matches!(&text, Some(Datum::Str(t)) if t.contains("\"rare\":true")),
-                "{storage:?}: {text:?}"
-            );
-        }
+        let run_all = |session: &mut Session| {
+            let mut got = on_off_identical(session, &run_all);
+            for row in &mut got[9].rows {
+                let text = row.pop();
+                assert!(
+                    matches!(&text, Some(Datum::Str(t)) if t.contains("\"rare\":true")),
+                    "{storage:?}: {text:?}"
+                );
+            }
+            got
+        };
+        let without = run_all(&mut session);
+        // `$.a` and `$.m` get resident vectors, `$.b` stays transient
+        let t = session.db.table_mut("t").unwrap();
+        t.populate_vc_imc(&["t$a", "t$m"]).unwrap();
+        let plan = session.plan(statements[7], &[]).unwrap();
+        let explain = session.db.explain_modes(&plan);
+        assert_eq!(explain.matches("JSON_VALUE(").count(), 1, "one shared slot: {explain}");
+        let got = run_all(&mut session);
+        assert_eq!(format!("{got:?}"), format!("{without:?}"), "{storage:?}: a vector changed");
         match &expected {
             None => expected = Some(got),
+            // BSON holds a number past `i64` as a double (its encoder's
+            // documented loss), so the exact numbers are compared across
+            // text and OSON only
+            Some(e) if storage == JsonStorage::Bson => {
+                for (i, (got, e)) in got.iter().zip(e).enumerate() {
+                    if !(10..13).contains(&i) {
+                        assert_eq!(got, e, "{storage:?} diverged from text on statement {i}");
+                    }
+                }
+            }
             Some(e) => assert_eq!(&got, e, "{storage:?} diverged from text"),
         }
     }
@@ -357,16 +395,29 @@ fn transient_column_corner_cases_match_the_row_evaluator() {
             a != Some(true) && b != Some(true) && (a.is_none() || b.is_none())
         })
         .count();
-    assert!(unknown > 0 && or + nor + unknown == 96, "{or} + {nor} + {unknown} rows");
+    // the last four: two `$.a` above 5, two below it with no `$.b`
+    let unknown = unknown + 2;
+    assert!(unknown > 2 && or + nor + unknown == 100, "{or} + {nor} + {unknown} rows");
     assert!(r[6].rows.is_empty());
     // both readers of a shared slot see every value
     for shared in [&r[7], &r[8]] {
-        assert_eq!(shared.rows.len(), 96);
+        assert_eq!(shared.rows.len(), 100);
         assert!(shared.rows.iter().any(|row| !row[0].is_null()));
     }
     assert!(r[7].rows.iter().all(|row| row[0] == row[1]));
     assert_eq!(r[8].rows[1][1], Datum::from(2i64), "$.b of document 1 is 1");
     assert_eq!(r[9].rows.len(), 32);
+    // the numbers as written, none rounded to a neighbour
+    let exact = |s: &str| Datum::Num(fsdm::json::JsonNumber::from_literal(s).unwrap());
+    let a = ["12345678901234567891", "12345678901234567890", "0.12345678901234567891"];
+    for (row, a) in r[10].rows.iter().zip(a) {
+        assert_eq!(format!("{:?}", row[1]), format!("{:?}", exact(a)), "{a}");
+    }
+    assert_eq!(r[11].rows, [[Datum::from(96i64)]]);
+    assert_eq!(r[12].rows, [[Datum::from(1i64)]]);
+    let m = [Datum::from(5i64), Datum::from("abc"), Datum::Bool(true), Datum::Null];
+    assert_eq!(r[13].rows.iter().map(|row| row[1].clone()).collect::<Vec<_>>(), m);
+    assert_eq!(r[14].rows, [[Datum::from(96i64)]]);
 }
 
 /// The acceptance gate on pipeline *selection*: every scan-rooted
