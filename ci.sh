@@ -32,12 +32,16 @@ FSDM_THREADS=1 cargo test --workspace -q
 echo "== tests (full workspace, 4-way parallel executor) =="
 FSDM_THREADS=4 cargo test --workspace -q
 
+echo "== ingest allocation budgets in a release build (the workspace runs above were debug) =="
+cargo test --release -q -p fsdm-index --test alloc_budget
+
 echo "== stream differentials under a second case set =="
 # the proptest stand-in seeds case k with PROPTEST_SEED + k: a base more
 # than the 300 cases away from the default 0 replays none of its cases
 PROPTEST_SEED=977 cargo test -q -p fsdm-sqljson --test proptests
 PROPTEST_SEED=977 cargo test -q -p fsdm-json --test proptests
 PROPTEST_SEED=977 cargo test -q -p fsdm-oson --test proptests
+PROPTEST_SEED=977 cargo test -q -p fsdm-dataguide --test proptests
 
 echo "== Figure 5/6 smoke (exit 1 when TEXT and OSON-IMC, or OSON-IMC and VC-IMC, answer differently) =="
 cargo run --release -q -p fsdm-bench --bin repro -- fig5 --scale 2000 --threads 1 --no-metrics

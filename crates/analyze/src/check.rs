@@ -277,7 +277,8 @@ fn advance<'g>(nodes: &[&'g GuideNode], step: &Step) -> Option<Vec<&'g GuideNode
             }
         }
         Step::FieldWildcard => {
-            let next: Vec<&GuideNode> = nodes.iter().flat_map(|n| n.children.values()).collect();
+            let next: Vec<&GuideNode> =
+                nodes.iter().flat_map(|n| n.children().map(|(_, c)| c)).collect();
             if next.is_empty() {
                 None
             } else {

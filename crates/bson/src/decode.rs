@@ -30,6 +30,7 @@
 
 use fsdm_json::{JsonDom, JsonNumber, JsonValue, NodeKind, NodeRef, Object, ScalarRef};
 
+use crate::decimal128::{BIAS, COEFFICIENT_LIMIT, EXPONENT_SHIFT};
 use crate::{tag, BsonError, ErrorKind, Result};
 
 /// Maximum container nesting accepted by the structural verifier;
@@ -116,12 +117,18 @@ impl<'a> BsonDoc<'a> {
         Some(f64::from_le_bytes(b.try_into().ok()?))
     }
 
+    fn read_u128(&self, off: usize) -> Option<u128> {
+        let b = self.bytes.get(off..off.checked_add(16)?)?;
+        Some(u128::from_le_bytes(b.try_into().ok()?))
+    }
+
     /// Size in bytes of the value of type `t` starting at `off` — this is
     /// the "skip" operation BSON's leading length words enable. `None`
     /// for unknown tags or lengths that do not fit the buffer.
     fn value_size(&self, t: u8, off: usize) -> Option<usize> {
         match t {
             tag::DOUBLE | tag::INT64 => Some(8),
+            tag::DECIMAL128 => Some(16),
             tag::STRING => usize::try_from(self.read_i32(off)?).ok()?.checked_add(4),
             tag::DOCUMENT | tag::ARRAY => usize::try_from(self.read_i32(off)?).ok(),
             tag::BOOL => Some(1),
@@ -212,6 +219,13 @@ impl<'a> BsonDoc<'a> {
                 tag::DOUBLE | tag::INT64 => 8,
                 tag::INT32 => 4,
                 tag::NULL => 0,
+                tag::DECIMAL128 => {
+                    let bits = self
+                        .read_u128(val_off)
+                        .ok_or_else(|| BsonError::truncated("decimal128 value"))?;
+                    decimal128_number(bits)?;
+                    16
+                }
                 tag::BOOL => {
                     let b = self
                         .read_u8(val_off)
@@ -280,6 +294,26 @@ impl<'a> BsonDoc<'a> {
         }
         Ok(len)
     }
+}
+
+/// The number a decimal128 (see [`crate::decimal128`]) holds, read as
+/// the JSON literal `{coefficient}e{exponent}` reads: exactly, as
+/// [`JsonNumber::Dec`], unless it is an `i64`.
+fn decimal128_number(bits: u128) -> Result<JsonNumber> {
+    if (bits >> 125) & 0b11 == 0b11 {
+        return Err(BsonError::corrupt("decimal128 infinity, NaN or non-canonical coefficient"));
+    }
+    let coefficient = bits & ((1u128 << EXPONENT_SHIFT) - 1);
+    if coefficient >= COEFFICIENT_LIMIT {
+        return Err(BsonError::corrupt("decimal128 coefficient beyond 34 digits"));
+    }
+    let biased = i32::try_from((bits >> EXPONENT_SHIFT) & 0x3fff)
+        .map_err(|_| BsonError::corrupt("decimal128 exponent"))?;
+    let exponent = biased - BIAS;
+    let sign = if bits >> 127 == 1 { "-" } else { "" };
+    let text = format!("{sign}{coefficient}e{exponent}");
+    JsonNumber::from_literal(&text)
+        .map_err(|e| BsonError::corrupt(format!("decimal128 {text} is not a JSON number: {e}")))
 }
 
 struct ElementIter<'a, 'd> {
@@ -377,6 +411,11 @@ impl JsonDom for BsonDoc<'_> {
                 ScalarRef::Num(JsonNumber::Int(i64::from(self.read_i32(off).unwrap_or(0))))
             }
             tag::INT64 => ScalarRef::Num(JsonNumber::Int(self.read_i64(off).unwrap_or(0))),
+            tag::DECIMAL128 => ScalarRef::Num(
+                self.read_u128(off)
+                    .and_then(|bits| decimal128_number(bits).ok())
+                    .unwrap_or(JsonNumber::Int(0)),
+            ),
             _ => {
                 debug_assert!(
                     t != tag::DOCUMENT && t != tag::ARRAY,
@@ -435,10 +474,18 @@ mod tests {
     }
 
     #[test]
-    fn decimal_loses_to_double() -> TestResult {
-        // documents BSON's lossy decimal handling relative to OSON
-        let v = roundtrip(r#"{"d":0.1}"#)?;
-        assert_eq!(v.get("d").and_then(|d| d.as_f64()), Some(0.1));
+    fn numbers_read_back_exactly() -> TestResult {
+        // a double where it reads back as the number, a decimal128 where
+        // it would not: either way the number written is the one read
+        for text in ["0.1", "-350.86", "12345678901234567891", "0.12345678901234567891", "-1e-100"]
+        {
+            let v = roundtrip(&format!(r#"{{"d":{text}}}"#))?;
+            let want = parse(text)?;
+            let got = v.get("d").map(fsdm_json::to_string);
+            assert_eq!(got, Some(fsdm_json::to_string(&want)), "{text}");
+        }
+        let big = roundtrip(r#"{"d":12345678901234567891}"#)?;
+        assert!(matches!(big.get("d"), Some(JsonValue::Number(JsonNumber::Dec(_)))), "{big}");
         Ok(())
     }
 

@@ -2,6 +2,7 @@
 
 use fsdm_json::{JsonNumber, JsonValue};
 
+use crate::decimal128::{BIAS, DIGITS, EXPONENT_SHIFT, MAX_BIASED};
 use crate::{tag, BsonError, Result};
 
 /// Encode a JSON value as a BSON document. BSON requires an object at the
@@ -67,12 +68,18 @@ fn write_element(out: &mut Vec<u8>, name: &str, value: &JsonValue) -> Result<()>
                 write_cstring(out, name)?;
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            // BSON (pre-decimal128) represents non-integers as doubles;
-            // decimals lose precision beyond an f64, as real BSON does.
-            other => {
+            // a number the decoder reads back from its double is stored
+            // as one; any other exactly, as a decimal128
+            other if JsonNumber::from(other.to_f64()) == *other => {
                 out.push(tag::DOUBLE);
                 write_cstring(out, name)?;
                 out.extend_from_slice(&other.to_f64().to_le_bytes());
+            }
+            other => {
+                let bits = decimal128(other)?;
+                out.push(tag::DECIMAL128);
+                write_cstring(out, name)?;
+                out.extend_from_slice(&bits.to_le_bytes());
             }
         },
         JsonValue::String(s) => {
@@ -100,6 +107,41 @@ fn write_element(out: &mut Vec<u8>, name: &str, value: &JsonValue) -> Result<()>
     Ok(())
 }
 
+/// `n` as a decimal128 (see [`crate::decimal128`]), from its canonical
+/// literal. More than 34 significant digits is a [`crate::ErrorKind::Limit`].
+fn decimal128(n: &JsonNumber) -> Result<u128> {
+    let text = n.to_literal();
+    let bad = || BsonError::corrupt(format!("number literal {text} does not read as a decimal"));
+    let (negative, body) = match text.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, text.as_str()),
+    };
+    let (mantissa, exponent) = match body.split_once('e') {
+        Some((m, e)) => (m, e.parse::<i32>().map_err(|_| bad())?),
+        None => (body, 0),
+    };
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let digits = format!("{int}{frac}");
+    let significant = digits.trim_start_matches('0');
+    let coefficient = significant.trim_end_matches('0');
+    if coefficient.len() > DIGITS {
+        return Err(BsonError::limit(format!(
+            "{text} has more than the {DIGITS} significant digits of a decimal128"
+        )));
+    }
+    // the point moves right past the fraction, trailing zeros leave
+    let shift = |k: usize| i32::try_from(k).map_err(|_| bad());
+    let exponent = exponent - shift(frac.len())? + shift(significant.len() - coefficient.len())?;
+    let coefficient: u128 = match coefficient {
+        "" => 0,
+        digits => digits.parse().map_err(|_| bad())?,
+    };
+    let biased = exponent.checked_add(BIAS).filter(|e| (0..=MAX_BIASED).contains(e));
+    let biased = biased
+        .ok_or_else(|| BsonError::limit(format!("{text} is beyond a decimal128's exponents")))?;
+    Ok(u128::from(negative) << 127 | (biased as u128) << EXPONENT_SHIFT | coefficient)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +167,42 @@ mod tests {
         assert_eq!(big[4], tag::INT64);
         let dbl = encode(&parse(r#"{"v":1.5}"#).unwrap()).unwrap();
         assert_eq!(dbl[4], tag::DOUBLE);
+    }
+
+    #[test]
+    fn numbers_a_double_cannot_hold_are_decimal128() {
+        let tag_of =
+            |text: &str| encode(&parse(&format!(r#"{{"v":{text}}}"#)).unwrap()).unwrap()[4];
+        for text in ["0.1", "350.86", "-2.5e-7", "1e300", "12345678901234567000"] {
+            assert_eq!(tag_of(text), tag::DOUBLE, "{text}");
+        }
+        for text in ["12345678901234567891", "0.12345678901234567891", "-9.87654321098765432e60"] {
+            assert_eq!(tag_of(text), tag::DECIMAL128, "{text}");
+        }
+        // 1.2345678901234567891 × 10^19: coefficient 12345678901234567891,
+        // exponent 0, stored biased
+        let b = encode(&parse(r#"{"v":12345678901234567891}"#).unwrap()).unwrap();
+        let bits = u128::from_le_bytes(b[7..23].try_into().unwrap());
+        assert_eq!(bits, 6176u128 << 113 | 12345678901234567891);
+        let b = encode(&parse(r#"{"v":-0.00120}"#).unwrap());
+        assert_eq!(b.unwrap()[4], tag::DOUBLE);
+        assert_eq!(
+            decimal128(&JsonNumber::from_literal("-0.00120000000000000000001").unwrap()),
+            Ok(1u128 << 127 | (6176u128 - 23) << 113 | 120000000000000000001)
+        );
+    }
+
+    #[test]
+    fn more_than_34_significant_digits_is_a_typed_error() {
+        let fits = "1234567890123456789012345678901234";
+        let over = "12345678901234567890123456789012345";
+        assert!(encode(&parse(&format!(r#"{{"v":{fits}}}"#)).unwrap()).is_ok());
+        // trailing zeros fold into the exponent
+        assert!(encode(&parse(&format!(r#"{{"v":{fits}000000}}"#)).unwrap()).is_ok());
+        let err = encode(&parse(&format!(r#"{{"v":{over}}}"#)).unwrap()).unwrap_err();
+        assert_eq!(err.kind, crate::ErrorKind::Limit, "{err}");
+        let err = encode(&parse(&format!(r#"{{"v":0.{over}}}"#)).unwrap()).unwrap_err();
+        assert_eq!(err.kind, crate::ErrorKind::Limit, "{err}");
     }
 
     #[test]

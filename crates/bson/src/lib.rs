@@ -12,6 +12,13 @@
 //!   *skipped*, but reaching the N-th field or element still requires a
 //!   sequential walk — there is no random access.
 //!
+//! Numbers keep their value: an integer is an int32 or int64, any other
+//! number a double when the double reads back as the same number, and a
+//! decimal128 when it does not (`12345678901234567891`,
+//! `0.12345678901234567891`), so a query answers alike over BSON, text
+//! and OSON. A number of more than 34 significant digits has no BSON
+//! form and is refused ([`ErrorKind::Limit`]).
+//!
 //! The [`BsonDoc`] reader implements [`fsdm_json::JsonDom`] directly over
 //! the serialized bytes with exactly those sequential-access semantics, so
 //! the shared path engine measures BSON's true navigation cost.
@@ -114,6 +121,26 @@ pub mod tag {
     pub const INT32: u8 = 0x10;
     /// 64-bit integer.
     pub const INT64: u8 = 0x12;
+    /// IEEE 754-2008 decimal128, binary integer decimal layout.
+    pub const DECIMAL128: u8 = 0x13;
+}
+
+/// The layout of a BSON decimal128: a sign bit, a 14-bit exponent biased
+/// by 6 176 and a 113-bit coefficient of at most 34 decimal digits, read
+/// as `coefficient × 10^exponent` (the coefficient-first form of IEEE
+/// 754-2008 BID; the other form, infinities and NaNs are not numbers
+/// JSON can hold).
+pub(crate) mod decimal128 {
+    /// Added to an exponent to store it.
+    pub const BIAS: i32 = 6176;
+    /// Largest stored exponent.
+    pub const MAX_BIASED: i32 = 0x2fff;
+    /// Bit position of the exponent.
+    pub const EXPONENT_SHIFT: u32 = 113;
+    /// The most decimal digits a coefficient holds.
+    pub const DIGITS: usize = 34;
+    /// One past the largest coefficient.
+    pub const COEFFICIENT_LIMIT: u128 = 10u128.pow(DIGITS as u32);
 }
 
 #[cfg(test)]

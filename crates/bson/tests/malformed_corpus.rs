@@ -1,8 +1,8 @@
 //! Corpus of malformed BSON buffers: every entry must make [`decode`]
 //! return `Err` — never panic. Cases start from real encoder output and
 //! break one framing invariant at a time (lengths, NULs, terminators,
-//! tags, canonical array keys), plus hand-built buffers for shapes the
-//! encoder cannot produce (overdeep nesting).
+//! tags, canonical array keys, decimal128 values), plus hand-built
+//! buffers for shapes the encoder cannot produce (overdeep nesting).
 
 use fsdm_bson::{decode, encode, ErrorKind};
 use fsdm_json::parse;
@@ -206,6 +206,67 @@ fn array_keys_must_be_in_order() {
     let p0 = b.iter().position(|&c| c == b'0').expect("key 0 present");
     b[p0] = b'1'; // keys become "1", "1"
     assert_kind("array order", &b, ErrorKind::Corrupt);
+}
+
+// --- decimal128 ------------------------------------------------------------
+
+/// `{"a":12345678901234567891}`: a decimal128 (tag 0x13) whose 16 value
+/// bytes sit at offsets 7..23.
+fn decimal_doc() -> Vec<u8> {
+    let b = enc(r#"{"a":12345678901234567891}"#);
+    assert_eq!(b[4], 0x13, "a number past i64 and f64 is a decimal128");
+    assert_eq!(b.len(), 24);
+    b
+}
+
+fn set_value(b: &mut [u8], bits: u128) {
+    b[7..23].copy_from_slice(&bits.to_le_bytes());
+}
+
+#[test]
+fn decimal128_truncated_anywhere() {
+    let b = decimal_doc();
+    assert!(decode(&b).is_ok(), "the control decodes");
+    for cut in 0..b.len() {
+        assert_rejected("decimal prefix", &b[..cut]);
+    }
+    // a length word that ends the document inside the value
+    let mut short = b[..15].to_vec();
+    short[0..4].copy_from_slice(&16i32.to_le_bytes());
+    short.push(0);
+    assert_rejected("decimal inside a 16-byte document", &short);
+}
+
+#[test]
+fn decimal128_that_is_no_json_number() {
+    let infinity = 0x78u128 << 120;
+    let nan = 0x7cu128 << 120;
+    let mut b = decimal_doc();
+    for (name, bits) in [
+        ("infinity", infinity),
+        ("NaN", nan),
+        ("coefficient of 10^34", 6176u128 << 113 | 10u128.pow(34)),
+        ("beyond a double", 0x2fffu128 << 113 | 1),
+    ] {
+        set_value(&mut b, bits);
+        assert_kind(name, &b, ErrorKind::Corrupt);
+    }
+}
+
+#[test]
+fn decimal128_bitflips_never_panic() {
+    // every single-bit flip of the value either reads as some number or
+    // is refused; the sign bit and a low coefficient bit read back
+    let b = decimal_doc();
+    for bit in 0..128 {
+        let mut flipped = b.clone();
+        flipped[7 + bit / 8] ^= 1 << (bit % 8);
+        let _ = decode(&flipped);
+    }
+    let mut negative = b.clone();
+    negative[22] ^= 0x80;
+    let v = decode(&negative).expect("the sign bit flips the sign");
+    assert_eq!(fsdm_json::to_string(&v), r#"{"a":-12345678901234567891}"#);
 }
 
 // --- hand-built ----------------------------------------------------------

@@ -1,9 +1,15 @@
 //! The DataGuide tree: instance extraction, merge, and the flat `$DG`
 //! row form.
+//!
+//! A node's children are hashed by name (under the process-keyed
+//! [`fsdm_json::SeededState`]: names come from documents) and sorted only
+//! where output is produced — the `$DG` rows, the hierarchical form, the
+//! generated views — so the walk of a document whose paths are all known
+//! allocates nothing.
 
 use std::collections::BTreeMap;
 
-use fsdm_json::JsonValue;
+use fsdm_json::{JsonValue, SeededMap};
 use fsdm_obs::catalog::metric;
 
 /// Scalar leaf types tracked by the guide.
@@ -94,7 +100,7 @@ impl ScalarStats {
                 ScalarKind::String
             }
             JsonValue::Number(n) => {
-                self.max_len = self.max_len.max(n.to_literal().len());
+                self.max_len = self.max_len.max(n.literal_len());
                 ScalarKind::Number
             }
             JsonValue::Bool(_) => {
@@ -199,8 +205,21 @@ fn cmp_scalars(a: &JsonValue, b: &JsonValue) -> std::cmp::Ordering {
         (JsonValue::Number(x), JsonValue::Number(y)) => x.total_cmp(y),
         (JsonValue::String(x), JsonValue::String(y)) => x.cmp(y),
         (JsonValue::Bool(x), JsonValue::Bool(y)) => x.cmp(y),
-        // cross-type extremes compare by textual form (rare: mixed types)
-        _ => fsdm_json::to_string(a).cmp(&fsdm_json::to_string(b)),
+        // cross-kind extremes (mixed types) order by kind
+        _ => kind_rank(a).cmp(&kind_rank(b)),
+    }
+}
+
+/// The order of extremes of different kinds. It is the order of their
+/// JSON texts' first bytes — `"` for a string, `-` or a digit for a
+/// number, `f`/`t` for a boolean — so it agrees with comparing the texts;
+/// a null is never an extreme.
+fn kind_rank(v: &JsonValue) -> u8 {
+    match v {
+        JsonValue::String(_) => 0,
+        JsonValue::Number(_) => 1,
+        JsonValue::Bool(_) => 2,
+        JsonValue::Null | JsonValue::Object(_) | JsonValue::Array(_) => 3,
     }
 }
 
@@ -214,8 +233,9 @@ pub struct GuideNode {
     /// Scalar occurrences at this path.
     pub scalars: ScalarStats,
     /// Child fields (reached through objects, including object elements of
-    /// arrays at this path).
-    pub children: BTreeMap<String, GuideNode>,
+    /// arrays at this path), hashed by name: [`GuideNode::children()`] lists
+    /// them in name order.
+    children: SeededMap<Box<str>, GuideNode>,
 }
 
 impl GuideNode {
@@ -233,14 +253,7 @@ impl GuideNode {
             JsonValue::Object(o) => {
                 self.object.hit(doc_id, under_array);
                 for (k, c) in o.iter() {
-                    if !self.children.contains_key(k) {
-                        new_paths += 1;
-                    }
-                    new_paths += self.children.entry(k.to_string()).or_default().observe(
-                        c,
-                        doc_id,
-                        under_array,
-                    );
+                    new_paths += self.observe_member(k, c, doc_id, under_array);
                 }
             }
             JsonValue::Array(a) => {
@@ -252,14 +265,7 @@ impl GuideNode {
                         // "array of object"
                         JsonValue::Object(o) => {
                             for (k, c) in o.iter() {
-                                if !self.children.contains_key(k) {
-                                    new_paths += 1;
-                                }
-                                new_paths += self
-                                    .children
-                                    .entry(k.to_string())
-                                    .or_default()
-                                    .observe(c, doc_id, true);
+                                new_paths += self.observe_member(k, c, doc_id, true);
                             }
                         }
                         // a nested array is recorded at the same path with
@@ -272,6 +278,20 @@ impl GuideNode {
             scalar => self.scalars.observe(scalar, doc_id, under_array),
         }
         new_paths
+    }
+
+    /// [`GuideNode::observe`] of member `name`'s value at the child path,
+    /// which is created — the one allocation of its name — when new.
+    fn observe_member(&mut self, name: &str, v: &JsonValue, doc_id: u64, under_array: bool) -> u64 {
+        match self.children.get_mut(name) {
+            Some(child) => child.observe(v, doc_id, under_array),
+            None => {
+                let mut child = GuideNode::default();
+                let new_paths = 1 + child.observe(v, doc_id, under_array);
+                self.children.insert(name.into(), child);
+                new_paths
+            }
+        }
     }
 
     fn merge(&mut self, other: &GuideNode) {
@@ -295,6 +315,15 @@ impl GuideNode {
     /// Child node for `name`, for step-by-step walks of compiled paths.
     pub fn child(&self, name: &str) -> Option<&GuideNode> {
         self.children.get(name)
+    }
+
+    /// The child fields in name order (sorted on each call: for output,
+    /// not for walks).
+    pub fn children(&self) -> impl Iterator<Item = (&str, &GuideNode)> {
+        let mut sorted: Vec<(&str, &GuideNode)> =
+            self.children.iter().map(|(k, c)| (&**k, c)).collect();
+        sorted.sort_unstable_by_key(|&(k, _)| k);
+        sorted.into_iter()
     }
 
     /// True when anything — object, array, or scalar — was ever observed
@@ -423,7 +452,7 @@ impl DataGuide {
             return Some(node);
         }
         for step in parse_dotted(rest)? {
-            node = node.children.get(&step)?;
+            node = node.child(&step)?;
         }
         Some(node)
     }
@@ -504,7 +533,7 @@ fn emit_rows(node: &GuideNode, path: &str, is_root: bool, out: &mut Vec<DgRow>) 
             });
         }
     }
-    for (name, child) in &node.children {
+    for (name, child) in node.children() {
         let step = fsdm_sqljson::path::path_step_text(name);
         let child_path = format!("{path}{step}");
         emit_rows(child, &child_path, false, out);

@@ -42,8 +42,9 @@ pub fn to_hierarchical_json(g: &DataGuide) -> JsonValue {
 
 fn node_json(n: &GuideNode, total_docs: u64, name: Option<&str>) -> JsonValue {
     let mut o = Object::new();
+    let children: Vec<(&str, &GuideNode)> = n.children().collect();
     let mut types: Vec<JsonValue> = Vec::new();
-    if n.object.seen() || (!n.children.is_empty() && !n.array.seen()) {
+    if n.object.seen() || (!children.is_empty() && !n.array.seen()) {
         types.push("object".into());
     }
     if n.array.seen() {
@@ -67,10 +68,10 @@ fn node_json(n: &GuideNode, total_docs: u64, name: Option<&str>) -> JsonValue {
     if n.scalars.max_len > 0 {
         o.push("o:length", pow2_length(n.scalars.max_len));
     }
-    if !n.children.is_empty() {
+    if !children.is_empty() {
         let mut props = Object::new();
-        for (k, c) in &n.children {
-            props.push(k.clone(), node_json(c, total_docs, Some(k)));
+        for (k, c) in children {
+            props.push(k, node_json(c, total_docs, Some(k)));
         }
         // array nodes expose element structure under "items", object
         // nodes under "properties" — when both kinds occur, both appear

@@ -9,10 +9,9 @@
 //! already seen means the instance cannot add rows to `$DG`, so the guide
 //! walk is skipped entirely.
 
-use std::collections::HashSet;
 use std::ops::Deref;
 
-use fsdm_json::JsonValue;
+use fsdm_json::{JsonValue, SeededSet};
 
 use crate::guide::DataGuide;
 
@@ -36,7 +35,7 @@ pub fn structure_signature(doc: &JsonValue) -> u64 {
 #[derive(Debug, Default)]
 pub struct GuideMaintainer {
     guide: DataGuide,
-    seen: HashSet<u64>,
+    seen: SeededSet<u64>,
     /// Documents whose guide walk the fast path skipped.
     pub fast_path_hits: u64,
 }

@@ -75,7 +75,7 @@ fn collect_vc(
     used: &mut HashMap<String, usize>,
     out: &mut Vec<VirtualColumnDef>,
 ) {
-    for (name, child) in &node.children {
+    for (name, child) in node.children() {
         let child_path = format!("{path}{}", path_step_text(name));
         if child.is_singleton_scalar() {
             let freq = frequency_pct(child.scalars.doc_count(), total_docs);
@@ -156,7 +156,7 @@ fn walk_level(
     columns: &mut Vec<ColumnDef>,
     nested: &mut Vec<NestedDef>,
 ) {
-    for (name, child) in &node.children {
+    for (name, child) in node.children() {
         let step = path_step_text(name);
         let abs = format!("{abs_path}{step}");
         let rel = format!("{rel_path}{step}");
@@ -292,7 +292,7 @@ mod tests {
     fn add_vc_table7() {
         let g = guide(&[PO1, PO3]);
         let vcs = add_vc(&g, "JCOL", 0);
-        // children iterate in name order (BTreeMap), not document order
+        // children iterate in name order, not document order
         let names: Vec<&str> = vcs.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(names, vec!["JCOL$foreign_id", "JCOL$id", "JCOL$podate"]);
         let id = vcs.iter().find(|v| v.name == "JCOL$id").unwrap();

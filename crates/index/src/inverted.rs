@@ -1,19 +1,21 @@
 //! The inverted index and its embedded `$DG` persistent DataGuide.
 //!
-//! Paths and terms are interned once per index. A path is a node of a
-//! trie keyed by field name (arrays transparent); the document walk
-//! carries a [`PathId`] cursor and never builds a path string. Value
+//! Paths are interned once per index, terms once per path. A path is a
+//! node of a trie keyed by field name (arrays transparent); the document
+//! walk carries a [`PathId`] cursor and never builds a path string. Value
 //! terms are typed — strings probed by borrowed `&str`, numbers by their
 //! canonical [`OraNum`] bytes, `true`/`false`/`null` in fixed slots — so
 //! a document whose paths and terms have all been seen allocates nothing
-//! but posting-list growth.
+//! but posting-list growth. The trie's edges and the term dictionaries
+//! hash under the process-keyed [`fsdm_json::SeededState`]: their keys
+//! come from documents.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use fsdm_dataguide::{path_step_text, structure_signature, DataGuide, GuideMaintainer};
-use fsdm_json::{JsonValue, OraNum};
+use fsdm_json::{JsonValue, OraNum, SeededMap};
 use fsdm_obs::catalog::{metric, SPAN_INDEX_LOOKUP};
 use fsdm_obs::trace::SpanGuard;
 
@@ -73,16 +75,22 @@ impl<'a> Term<'a> {
     }
 }
 
-/// The documents of one posting list, in posting order. A list of one
-/// document is held inline: on the benchmark's `ingest.index` corpus that
-/// is 98.9 % of the lists and 61 % of the postings (38 per document), and
-/// a `Vec` per list costs 28 % more peak RSS (71.7 against 56.1 MB).
+/// The documents of one posting list, in posting order: 16 bytes. A
+/// list of one document is held inline — on the benchmark's
+/// `ingest.index` corpus that is 98.9 % of the lists and 61 % of the
+/// postings (38 per document) — and the 1.1 % of longer lists sit behind
+/// one more pointer, so an unused list costs no 24-byte `Vec` header.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::box_collection,
+    reason = "a `Vec` inline would make every list 32 bytes; boxed, only the 1.1 % \
+              longer than one document pay its pointer"
+)]
 enum Postings {
     #[default]
     None,
     One(DocId),
-    Many(Vec<DocId>),
+    Many(Box<Vec<DocId>>),
 }
 
 impl Postings {
@@ -97,6 +105,7 @@ impl Postings {
 
 /// A string term of one path: exact leaf values and (lower-cased)
 /// keywords share a dictionary, so a one-word value is interned once.
+/// With its `Box<str>` key a dictionary entry is 48 bytes.
 #[derive(Debug, Default)]
 struct StringTerm {
     value: Postings,
@@ -109,11 +118,11 @@ struct PathNode {
     /// `$.a."b c"`, rendered when the node is created.
     text: String,
     /// Field name → child path. Names that render alike share a child.
-    children: HashMap<String, PathId>,
+    children: SeededMap<String, PathId>,
     /// Documents in which the path occurs at all.
     presence: Postings,
-    strings: HashMap<String, StringTerm>,
-    numbers: HashMap<NumKey, Postings>,
+    strings: SeededMap<Box<str>, StringTerm>,
+    numbers: SeededMap<NumKey, Postings>,
     fixed: [Postings; 3],
 }
 
@@ -146,7 +155,7 @@ impl Sink for Post {
         match list {
             Postings::None => *list = Postings::One(id),
             Postings::One(only) if *only == id => {}
-            Postings::One(only) => *list = Postings::Many(vec![*only, id]),
+            Postings::One(only) => *list = Postings::Many(Box::new(vec![*only, id])),
             Postings::Many(ids) => {
                 if ids.last() != Some(&id) {
                     ids.push(id);
@@ -168,17 +177,17 @@ impl Sink for Unpost {
 }
 
 /// Run `f` on the entry of `term`, which a creating sink adds if missing.
-fn edit<S: Sink, K, Q, V: Default>(terms: &mut HashMap<K, V>, term: &Q, f: impl FnOnce(&mut V))
+fn edit<S: Sink, K, Q, V: Default>(terms: &mut SeededMap<K, V>, term: &Q, f: impl FnOnce(&mut V))
 where
-    K: Borrow<Q> + Hash + Eq,
-    Q: ToOwned<Owned = K> + Hash + Eq + ?Sized,
+    K: Borrow<Q> + Hash + Eq + From<Q::Owned>,
+    Q: ToOwned + Hash + Eq + ?Sized,
 {
     match terms.get_mut(term) {
         Some(entry) => f(entry),
         None if S::CREATES => {
             let mut entry = V::default();
             f(&mut entry);
-            terms.insert(term.to_owned(), entry);
+            terms.insert(K::from(term.to_owned()), entry);
         }
         None => {}
     }
@@ -376,7 +385,7 @@ impl SearchIndex {
     /// the keyword (case-insensitive full word).
     pub fn docs_text_contains(&self, path: &str, keyword: &str) -> Vec<DocId> {
         let (_span, node) = self.probe("text", path, &metric::INDEX_LOOKUP_TEXT);
-        node.and_then(|n| n.strings.get(&keyword.to_lowercase()))
+        node.and_then(|n| n.strings.get(keyword.to_lowercase().as_str()))
             .map(|t| t.keyword.docs().to_vec())
             .unwrap_or_default()
     }
@@ -527,6 +536,12 @@ mod tests {
         guide.dedup(); // one row per node kind at a path
         assert_eq!(indexed[1..], guide, "the index and $DG quote by one rule");
         assert_eq!(ix.docs_with_scalar("$.\"9lives\".\"qt\"", &JsonValue::Bool(true)), vec![1]);
+    }
+
+    #[test]
+    fn a_string_term_entry_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Postings>(), 16);
+        assert_eq!(std::mem::size_of::<(Box<str>, StringTerm)>(), 48);
     }
 
     #[test]

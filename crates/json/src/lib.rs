@@ -12,6 +12,7 @@
 pub mod dom;
 pub mod error;
 pub mod events;
+pub mod hash;
 pub mod number;
 pub mod parse;
 pub mod ser;
@@ -20,6 +21,7 @@ pub mod value;
 pub use dom::{field_hash, FieldId, JsonDom, NodeKind, NodeRef, ScalarRef, ValueDom};
 pub use error::{JsonError, Result};
 pub use events::{Event, EventParser, RawNum, RawStr, Stacks};
+pub use hash::{SeededMap, SeededSet, SeededState};
 pub use number::{JsonNumber, OraNum};
 pub use parse::{parse, parse_bytes, Parser};
 pub use ser::{to_string, to_string_pretty};

@@ -74,12 +74,18 @@ impl std::ops::Deref for Digits {
     }
 }
 
-/// A short text formatted on the stack (`{:e}` of an `f64`: at most 17
-/// digits, a sign, a point and a signed three-digit exponent).
-#[derive(Default)]
+/// A short text formatted on the stack: `{:e}` of an `f64` (at most 17
+/// digits, a sign, a point and a signed three-digit exponent) or the
+/// decimal digits of an [`OraNum`] (at most 42).
 struct StackText {
-    buf: [u8; 32],
+    buf: [u8; 48],
     len: usize,
+}
+
+impl Default for StackText {
+    fn default() -> Self {
+        StackText { buf: [0; 48], len: 0 }
+    }
 }
 
 impl fmt::Write for StackText {
@@ -385,46 +391,55 @@ impl OraNum {
     /// Canonical decimal string (no exponent for |exp10| ≤ 40, scientific
     /// beyond that).
     pub fn to_decimal_string(&self) -> String {
+        self.to_string()
+    }
+
+    /// Write [`OraNum::to_decimal_string`] to `w`, allocating nothing.
+    fn write_decimal<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
         let (neg, exp, digits) = match self.parts() {
-            None => return "0".to_string(),
+            None => return w.write_str("0"),
             Some(p) => p,
         };
-        let mut ds = String::with_capacity(digits.len() * 2);
+        let mut text = StackText::default();
         for (i, &d) in digits.iter().enumerate() {
             // no leading zero on the first base-100 digit
             if i > 0 || d >= 10 {
-                ds.push(char::from(b'0' + d / 10));
+                text.write_char(char::from(b'0' + d / 10))?;
             }
-            ds.push(char::from(b'0' + d % 10));
+            text.write_char(char::from(b'0' + d % 10))?;
         }
+        let ds = text.as_str();
+        let zeros = |w: &mut W, count: i64| (0..count).try_for_each(|_| w.write_char('0'));
         // value = 0.?? with digit string ds where the decimal point sits
         // after `point` digits of ds:
         let first_len = if digits.first().is_some_and(|&d| d >= 10) { 2i64 } else { 1i64 };
         let point = exp as i64 * 2 + first_len; // digits of ds left of the point
-        let sign = if neg { "-" } else { "" };
+        if neg {
+            w.write_str("-")?;
+        }
         let n = ds.len() as i64;
         if point >= n && point <= 40 {
-            let zeros = "0".repeat((point - n) as usize);
-            format!("{sign}{ds}{zeros}")
+            w.write_str(ds)?;
+            zeros(w, point - n)
         } else if point > 0 && point < n {
-            let (int, frac) = ds.split_at_checked(point as usize).unwrap_or((&ds, ""));
+            let (int, frac) = ds.split_at_checked(point as usize).unwrap_or((ds, ""));
             let frac = frac.trim_end_matches('0');
+            w.write_str(int)?;
             if frac.is_empty() {
-                format!("{sign}{int}")
+                Ok(())
             } else {
-                format!("{sign}{int}.{frac}")
+                w.write_str(".")?;
+                w.write_str(frac)
             }
         } else if point <= 0 && point > -38 {
-            let zeros = "0".repeat((-point) as usize);
-            let frac = ds.trim_end_matches('0');
-            format!("{sign}0.{zeros}{frac}")
+            w.write_str("0.")?;
+            zeros(w, -point)?;
+            w.write_str(ds.trim_end_matches('0'))
         } else {
             // scientific: d.ddd e (point-1)
             match ds.split_at_checked(1) {
-                Some((head, tail)) if !tail.is_empty() => {
-                    format!("{sign}{head}.{tail}e{}", point - 1)
-                }
-                _ => format!("{sign}{ds}e{}", point - 1),
+                Some((head, tail)) if !tail.is_empty() => write!(w, "{head}.{tail}e{}", point - 1),
+                _ => write!(w, "{ds}e{}", point - 1),
             }
         }
     }
@@ -505,7 +520,7 @@ impl fmt::Debug for OraNum {
 
 impl fmt::Display for OraNum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_decimal_string())
+        self.write_decimal(f)
     }
 }
 
@@ -583,16 +598,40 @@ impl JsonNumber {
     /// Canonical textual form (what the serializer emits).
     pub fn to_literal(&self) -> String {
         match self {
+            // an integer's own `to_string` skips the formatter
             JsonNumber::Int(v) => v.to_string(),
-            JsonNumber::Dec(d) => d.to_decimal_string(),
-            JsonNumber::Dbl(v) => {
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    format!("{:.1}", v)
-                } else {
-                    format!("{v}")
-                }
+            _ => self.to_string(),
+        }
+    }
+
+    /// Write [`JsonNumber::to_literal`] to `w`, allocating nothing.
+    fn write_literal<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        match self {
+            JsonNumber::Int(v) => write!(w, "{v}"),
+            JsonNumber::Dec(d) => d.write_decimal(w),
+            JsonNumber::Dbl(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(w, "{v:.1}"),
+            JsonNumber::Dbl(v) => write!(w, "{v}"),
+        }
+    }
+
+    /// The byte length of [`JsonNumber::to_literal`], counted without
+    /// rendering it.
+    pub fn literal_len(&self) -> usize {
+        if let JsonNumber::Int(v) = self {
+            let digits = v.unsigned_abs().checked_ilog10().map_or(1, |d| d as usize + 1);
+            return usize::from(*v < 0) + digits;
+        }
+        struct Count(usize);
+        impl fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
             }
         }
+        let mut count = Count(0);
+        // a count takes any text, and a literal fits the stack buffer
+        let _ = self.write_literal(&mut count);
+        count.0
     }
 
     /// Total order across all variants (exact where both sides are exact).
@@ -663,7 +702,7 @@ impl From<f64> for JsonNumber {
 
 impl fmt::Display for JsonNumber {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_literal())
+        self.write_literal(f)
     }
 }
 
@@ -675,9 +714,61 @@ mod tests {
     /// The heap-based conversions the stack ones replaced, kept as their
     /// oracle: `{:e}` into a `String`, then the digits through `Vec`s.
     mod oracle {
-        use super::super::{OraNum, MAX_ENCODED, MAX_MANTISSA};
+        use super::super::{JsonNumber, OraNum, MAX_ENCODED, MAX_MANTISSA};
         use crate::error::JsonError;
         use std::str::FromStr;
+
+        /// The decimal rendering built in `String`s, and `JsonNumber`'s
+        /// literal by `to_string` / `format!`.
+        pub fn to_decimal_string(n: &OraNum) -> String {
+            let (neg, exp, digits) = match n.parts() {
+                None => return "0".to_string(),
+                Some(p) => p,
+            };
+            let mut ds = String::with_capacity(digits.len() * 2);
+            for (i, &d) in digits.iter().enumerate() {
+                if i > 0 || d >= 10 {
+                    ds.push(char::from(b'0' + d / 10));
+                }
+                ds.push(char::from(b'0' + d % 10));
+            }
+            let first_len = if digits.first().is_some_and(|&d| d >= 10) { 2i64 } else { 1i64 };
+            let point = exp as i64 * 2 + first_len;
+            let sign = if neg { "-" } else { "" };
+            let n = ds.len() as i64;
+            if point >= n && point <= 40 {
+                let zeros = "0".repeat((point - n) as usize);
+                format!("{sign}{ds}{zeros}")
+            } else if point > 0 && point < n {
+                let (int, frac) = ds.split_at_checked(point as usize).unwrap_or((&ds, ""));
+                let frac = frac.trim_end_matches('0');
+                if frac.is_empty() {
+                    format!("{sign}{int}")
+                } else {
+                    format!("{sign}{int}.{frac}")
+                }
+            } else if point <= 0 && point > -38 {
+                let zeros = "0".repeat((-point) as usize);
+                let frac = ds.trim_end_matches('0');
+                format!("{sign}0.{zeros}{frac}")
+            } else {
+                match ds.split_at_checked(1) {
+                    Some((head, tail)) if !tail.is_empty() => {
+                        format!("{sign}{head}.{tail}e{}", point - 1)
+                    }
+                    _ => format!("{sign}{ds}e{}", point - 1),
+                }
+            }
+        }
+
+        pub fn literal(n: &JsonNumber) -> String {
+            match n {
+                JsonNumber::Int(v) => v.to_string(),
+                JsonNumber::Dec(d) => to_decimal_string(d),
+                JsonNumber::Dbl(v) if v.fract() == 0.0 && v.abs() < 1e15 => format!("{:.1}", v),
+                JsonNumber::Dbl(v) => format!("{v}"),
+            }
+        }
 
         pub fn from_f64(v: f64) -> Option<OraNum> {
             if !v.is_finite() {
@@ -879,6 +970,37 @@ mod tests {
                 s.push_str(&format!("{e}{plus}{exp}"));
             }
             same_as_oracle(&s)?;
+        }
+
+        /// The text written without allocating is the text the `String`
+        /// building rendering made, and `literal_len` is its length: at
+        /// every exponent, digit count and trailing-zero run.
+        #[test]
+        fn literals_match_the_oracle(
+            neg in any::<bool>(),
+            int in "[0-9]{1,45}",
+            frac in "[0-9]{0,45}",
+            exp in -140i64..140,
+            bits in any::<u64>(),
+            small in any::<i64>(),
+        ) {
+            let sign = if neg { "-" } else { "" };
+            let mut numbers = vec![JsonNumber::Int(small)];
+            if let Ok(d) = OraNum::from_decimal_str(&format!("{sign}{int}.{frac}e{exp}")) {
+                numbers.push(JsonNumber::Dec(d));
+            }
+            let v = f64::from_bits(bits);
+            if v.is_finite() {
+                numbers.push(JsonNumber::Dbl(v));
+            }
+            for n in numbers {
+                let want = oracle::literal(&n);
+                prop_assert_eq!(n.to_literal(), want.clone());
+                prop_assert_eq!(n.literal_len(), want.len(), "{}", want);
+                if let JsonNumber::Dec(d) = n {
+                    prop_assert_eq!(d.to_decimal_string(), want);
+                }
+            }
         }
 
         /// Malformed literals are refused by both.
