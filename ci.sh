@@ -60,8 +60,9 @@ echo "== committed benchmark (fmt, clippy, unit tests, smoke run with the oracle
 cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
 benchmark/check.sh
 
-echo "== rustdoc (a doc link to a name that no longer exists fails) =="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline -q
+echo "== rustdoc (a doc link to a name that no longer exists, or that the rendered docs hide, fails) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline -q
 
 echo "== rustfmt =="
 cargo fmt --all --check

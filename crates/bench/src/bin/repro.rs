@@ -37,9 +37,7 @@
 //!
 //! A malformed value, an unknown flag or an unknown command exits 2.
 //!
-//! The engine's own environment applies to the run: `FSDM_TIMEOUT_MS=N`
-//! arms a statement deadline for every query (a statement that runs past
-//! it dies with a typed deadline error) and
+//! The engine's own environment applies to the run:
 //! `FSDM_FAILPOINTS=name=mode;...` arms cataloged failpoints — see
 //! README's Query governance section.
 

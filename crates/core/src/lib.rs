@@ -26,7 +26,7 @@
 use fsdm_dataguide::views::{add_vc, create_view_on_path};
 use fsdm_dataguide::DataGuide;
 use fsdm_sql::{Session, SqlError};
-use fsdm_sqljson::{parse_path, Datum, PathEvaluator};
+use fsdm_sqljson::{parse_path, Datum};
 use fsdm_store::table::InsertValue;
 use fsdm_store::{
     Cell, ColType, ColumnSpec, ConstraintMode, Expr, JsonStorage, Query, QueryResult, Table,
@@ -277,44 +277,6 @@ impl FsdmDatabase {
         fsdm_obs::snapshot()
     }
 
-    /// Evaluate a SQL/JSON path against every document; returns (id,
-    /// matched values as JSON text) pairs.
-    pub fn find(&self, collection: &str, path: &str) -> Result<Vec<(u64, Vec<String>)>> {
-        let table = self
-            .session
-            .db
-            .table(collection)
-            .ok_or_else(|| SqlError::new(format!("no collection {collection}")))?;
-        let jp = parse_path(path).map_err(|e| SqlError::new(e.message))?;
-        let mut ev = PathEvaluator::new(jp.clone());
-        let mut out = Vec::new();
-        for (i, row) in table.rows().iter().enumerate() {
-            if let Some(Cell::J(j)) = row.get(1) {
-                let values: Vec<String> = match j {
-                    fsdm_store::JsonCell::Text(s) => fsdm_sqljson::streaming::eval_text(s, &jp)
-                        .map_err(|e| SqlError::new(e.to_string()))?
-                        .iter()
-                        .map(fsdm_json::to_string)
-                        .collect(),
-                    fsdm_store::JsonCell::Oson(b) => {
-                        let doc =
-                            fsdm_oson::OsonDoc::new(b).map_err(|e| SqlError::new(e.to_string()))?;
-                        ev.evaluate_values(&doc).iter().map(fsdm_json::to_string).collect()
-                    }
-                    fsdm_store::JsonCell::Bson(b) => {
-                        let doc =
-                            fsdm_bson::BsonDoc::new(b).map_err(|e| SqlError::new(e.to_string()))?;
-                        ev.evaluate_values(&doc).iter().map(fsdm_json::to_string).collect()
-                    }
-                };
-                if !values.is_empty() {
-                    out.push((i as u64, values));
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Build the schema-agnostic search index on a collection (§3.2).
     pub fn create_search_index(&mut self, collection: &str) -> Result<()> {
         self.session
@@ -439,10 +401,16 @@ mod tests {
 
     #[test]
     fn find_with_paths() {
-        let db = seeded();
-        let hits = db.find("po", "$.purchaseOrder.items[*]?(@.price > 300).name").unwrap();
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].1, vec!["\"ipad\"".to_string()]);
+        let mut db = seeded();
+        let hits = db
+            .sql(
+                "select did, name from po, json_table(jdoc, '$.purchaseOrder.items[*]' \
+                 columns (name varchar2(16) path '$.name', price number path '$.price')) jt \
+                 where price > 300",
+            )
+            .unwrap();
+        let ipad = vec![Datum::from(0i64), Datum::from("ipad")];
+        assert_eq!(hits.rows, vec![ipad, vec![Datum::from(2i64), Datum::from("TV")]]);
     }
 
     #[test]

@@ -130,6 +130,11 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_guide_renders_no_rows() {
+        assert_eq!(to_flat_json(&DataGuide::new()), JsonValue::Array(vec![]));
+    }
+
+    #[test]
     fn flat_form_shape() {
         let g = guide(&[r#"{"a":1,"b":[{"c":"xy"}]}"#, r#"{"a":2}"#]);
         let flat = to_flat_json(&g);

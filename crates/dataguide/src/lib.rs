@@ -21,13 +21,11 @@
 //! plus its SQL text — child arrays un-nest with left-outer-join
 //! semantics, sibling arrays with union joins.
 
-pub mod agg;
 pub mod guide;
 pub mod hierarchical;
 pub mod signature;
 pub mod views;
 
-pub use agg::DataGuideAgg;
 /// How `$DG` renders one field step of a path (`.name`, or `."a name"`):
 /// the search index that hosts `$DG` renders its paths by the same rule.
 pub use fsdm_sqljson::path::path_step_text;

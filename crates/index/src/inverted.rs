@@ -2,7 +2,7 @@
 //!
 //! Paths are interned once per index, terms once per path. A path is a
 //! node of a trie keyed by field name (arrays transparent); the document
-//! walk carries a [`PathId`] cursor and never builds a path string. Value
+//! walk carries a `PathId` cursor and never builds a path string. Value
 //! terms are typed — strings probed by borrowed `&str`, numbers by their
 //! canonical [`OraNum`] bytes, `true`/`false`/`null` in fixed slots — so
 //! a document whose paths and terms have all been seen allocates nothing
@@ -151,16 +151,23 @@ struct Unpost;
 impl Sink for Post {
     const CREATES: bool = true;
     fn apply(list: &mut Postings, id: DocId) {
-        // a path or term met twice in one document posts once
+        // a path or term met twice in one document posts once; ids arrive
+        // ascending, except a replaced document's, which goes to its place
         match list {
             Postings::None => *list = Postings::One(id),
             Postings::One(only) if *only == id => {}
-            Postings::One(only) => *list = Postings::Many(Box::new(vec![*only, id])),
-            Postings::Many(ids) => {
-                if ids.last() != Some(&id) {
-                    ids.push(id);
-                }
+            Postings::One(only) => {
+                let (lo, hi) = (id.min(*only), id.max(*only));
+                *list = Postings::Many(Box::new(vec![lo, hi]));
             }
+            Postings::Many(ids) => match ids.last() {
+                Some(&last) if last < id => ids.push(id),
+                _ => {
+                    if let Err(at) = ids.binary_search(&id) {
+                        ids.insert(at, id);
+                    }
+                }
+            },
         }
     }
 }
@@ -501,6 +508,14 @@ mod tests {
         ix.replace(1, &parse(r#"{"v":"old"}"#).unwrap(), &parse(r#"{"v":"new"}"#).unwrap());
         assert!(ix.docs_with_value("$.v", "old").is_empty());
         assert_eq!(ix.docs_with_value("$.v", "new"), vec![1]);
+        // a replaced document keeps its place in every list
+        let mut ix = index(&[r#"{"v":1}"#, r#"{"v":1}"#, r#"{"v":1}"#]);
+        ix.replace(1, &parse(r#"{"v":1}"#).unwrap(), &parse(r#"{"v":1}"#).unwrap());
+        ix.replace(2, &parse(r#"{"v":1}"#).unwrap(), &parse(r#"{"v":1}"#).unwrap());
+        assert_eq!(
+            (ix.docs_with_path("$.v"), ix.docs_with_value("$.v", "1")),
+            (vec![1, 2, 3], vec![1, 2, 3])
+        );
     }
 
     #[test]

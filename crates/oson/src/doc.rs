@@ -10,7 +10,7 @@
 //!
 //! The navigation accessors are **infallible by trait contract**
 //! ([`JsonDom`]) but **total by implementation**: every byte read goes
-//! through the checked primitives in [`crate::wire`], and a read that
+//! through the checked primitives in `crate::wire`, and a read that
 //! falls outside the buffer yields a neutral value (`Null`, `""`, `0`)
 //! instead of panicking. That keeps the hot path free of bounds-check
 //! branching beyond what the reads themselves need, while guaranteeing a

@@ -13,7 +13,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fsdm_dataguide::agg::{DataGuideAgg, GuideFormat};
+use fsdm_dataguide::hierarchical::to_flat_json;
+use fsdm_dataguide::DataGuide;
 use fsdm_sqljson::{Datum, JsonTableDef};
 
 use fsdm_fault::catalog::{
@@ -415,7 +416,7 @@ impl Default for Database {
             // the batch spine is on by default: it only runs where kernels
             // reproduce row semantics exactly
             columnar: true,
-            statement_timeout_ms: crate::govern::default_timeout_ms(),
+            statement_timeout_ms: None,
             mem_limit: None,
             cancel: Arc::new(CancelToken::new()),
         }
@@ -1420,7 +1421,7 @@ enum Acc {
     Avg { total: f64, n: u64 },
     Min(Option<Datum>),
     Max(Option<Datum>),
-    DataGuide(Box<DataGuideAgg>),
+    DataGuide(Box<DataGuide>),
 }
 
 impl Acc {
@@ -1432,7 +1433,7 @@ impl Acc {
             AggFun::Avg => Acc::Avg { total: 0.0, n: 0 },
             AggFun::Min => Acc::Min(None),
             AggFun::Max => Acc::Max(None),
-            AggFun::DataGuide => Acc::DataGuide(Box::new(DataGuideAgg::new(GuideFormat::Flat))),
+            AggFun::DataGuide => Acc::DataGuide(Box::default()),
         }
     }
 
@@ -1476,10 +1477,10 @@ impl Acc {
             }
             // the argument is the document as text; text that does not
             // parse (and any non-text value) contributes nothing
-            Acc::DataGuide(agg) => {
+            Acc::DataGuide(guide) => {
                 if let Some(Datum::Str(text)) = &arg {
                     if let Ok(doc) = fsdm_json::parse(text) {
-                        agg.iterate(&doc);
+                        guide.add_document(&doc);
                     }
                 }
             }
@@ -1504,7 +1505,7 @@ impl Acc {
                 }
             }
             Acc::Min(d) | Acc::Max(d) => d.unwrap_or(Datum::Null),
-            Acc::DataGuide(agg) => Datum::Str(fsdm_json::to_string(&agg.terminate())),
+            Acc::DataGuide(guide) => Datum::Str(fsdm_json::to_string(&to_flat_json(&guide))),
         }
     }
 }

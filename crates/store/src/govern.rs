@@ -19,7 +19,7 @@
 //! the session's next statement.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fsdm_obs::catalog::metric;
@@ -28,18 +28,6 @@ use crate::table::{CancelReason, ErrorKind, StoreError};
 
 /// Rows a fused columnar loop may process between cancellation checks.
 pub const ROWS_PER_CHECK: usize = 4096;
-
-/// The process-wide default statement timeout: `FSDM_TIMEOUT_MS` when
-/// set to a positive integer, otherwise none. Mirrors `FSDM_THREADS` —
-/// resolved once, on first database construction, so binaries that take
-/// a `--timeout-ms` flag must set the variable before building any
-/// [`crate::Database`].
-pub fn default_timeout_ms() -> Option<u64> {
-    static TIMEOUT: OnceLock<Option<u64>> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| {
-        std::env::var("FSDM_TIMEOUT_MS").ok().and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)
-    })
-}
 
 const LIVE: u64 = 0;
 

@@ -5,13 +5,13 @@
 //! * **OSON-IMC** (§5.2.2): for a JSON column, every document is kept in
 //!   memory as a member of one [`OsonSet`] (§7's set encoding: the
 //!   column's field names are held once, in the set's dictionary, and a
-//!   member's field ids index it). [`Table::open_doc`] — the one place
+//!   member's field ids index it). `Table::open_doc` — the one place
 //!   the fused scan opens a document — substitutes the member for the
 //!   stored cell, so "SQL/JSON queries over the JSON textual column are
 //!   transparently rewritten to access the OSON virtual column instead".
 //!   A row has no member when its cell is SQL NULL, its text does not
 //!   parse, its document would take the set past its 65 535 names, or it
-//!   was inserted after population: it reads its stored cell. The row
+//!   was written after population: it reads its stored cell. The row
 //!   evaluator always reads stored cells, so it stays an oracle that does
 //!   not depend on the IMC.
 //! * **VC-IMC** (§5.2.1): base and virtual columns (typically
@@ -20,7 +20,7 @@
 //!   dictionary-encoded, a column whose values mix kinds held whole — so
 //!   predicates, aggregations and projections on those columns never touch
 //!   the JSON at all, and reading a vector changes no answer. Virtual
-//!   columns are computed by the spine, hence through [`Table::open_doc`]
+//!   columns are computed by the spine, hence through `Table::open_doc`
 //!   too.
 
 use std::collections::HashMap;
@@ -141,7 +141,8 @@ pub(crate) struct OsonImc {
     col: usize,
     /// The documents, in row order.
     set: OsonSet,
-    /// Per row at population: its member in `set`, or [`NO_MEMBER`].
+    /// Per row at population: its member in `set`, or [`NO_MEMBER`] (also
+    /// once a write has changed the row).
     member: Vec<u32>,
 }
 
@@ -165,11 +166,18 @@ pub struct ImcStore {
 }
 
 impl ImcStore {
-    /// Drop all cached state (back to pure disk/TEXT mode).
-    pub fn clear(&mut self) {
-        self.oson = None;
-        self.vectors.clear();
-        self.vc_defs.clear();
+    /// Forget what the store derived from `row`, which a write has just
+    /// added or changed: its member, so the row reads its stored cell (a
+    /// row added after population has none to forget), and every vector,
+    /// since each is a whole column. The set itself stays.
+    pub(crate) fn forget(&mut self, row: usize) {
+        if let Some(m) = self.oson.as_mut().and_then(|imc| imc.member.get_mut(row)) {
+            *m = NO_MEMBER;
+        }
+        if !self.vectors.is_empty() {
+            self.vectors.clear();
+            self.vc_defs.clear();
+        }
     }
 
     /// Heap bytes held by the OSON-IMC: [`OsonSet::heap_size`], which
@@ -201,12 +209,7 @@ impl Table {
     /// parse, or whose document the set refuses (its 65 535-name limit)
     /// gets no member and is read from its stored cell.
     pub fn populate_oson_imc(&mut self) -> Result<(), StoreError> {
-        let col = self
-            .schema
-            .columns
-            .iter()
-            .position(|c| matches!(c.ty, crate::schema::ColType::Json(_)))
-            .ok_or_else(|| StoreError::new("no JSON column"))?;
+        let col = self.json_col().ok_or_else(|| StoreError::new("no JSON column"))?;
         let mut set = OsonSet::new();
         let member = self
             .rows
@@ -267,11 +270,10 @@ impl Table {
         batch.gather(&kernel, &cols)
     }
 
-    /// The vector of scan column `col`, if materialized and covering every
-    /// current row (`len == nrows` guards against inserts after
-    /// [`Table::populate_vc_imc`]).
+    /// The vector of scan column `col`, if materialized: a write drops
+    /// every vector, so one that is there covers every row.
     pub(crate) fn vector(&self, col: usize) -> Option<&Arc<ColumnVector>> {
-        self.imc.vectors.get(&col).filter(|v| v.len() == self.rows.len())
+        self.imc.vectors.get(&col)
     }
 
     /// Every virtual column with a usable vector, as (rendering of its
@@ -357,8 +359,10 @@ mod tests {
         // sized for the scan's width up front: virtual cells never regrow it
         t.add_virtual_column("v", crate::expr::Expr::Lit(Datum::Null));
         assert_eq!((t.imc_row(0).len(), t.imc_row(0).capacity()), (2, 3));
-        t.imc.clear();
-        assert_eq!(t.imc.oson_bytes(), 0);
+        // a written row reads its stored cell; the set stays
+        let bytes = t.imc.oson_bytes();
+        t.set_json_cell(3, 1, JsonCell::raw_text(r#"{"v":30}"#)).unwrap();
+        assert_eq!(t.imc.oson_bytes(), bytes);
         assert!(matches!(t.open_doc(3, 1), Some(OpenDoc::Text { checked: true, .. })));
     }
 
@@ -454,14 +458,45 @@ mod tests {
     }
 
     #[test]
-    fn a_row_inserted_after_population_gets_no_member() {
+    fn a_row_written_after_population_gets_no_member() {
         let mut t = text_table(4);
         t.populate_oson_imc().unwrap();
         t.insert(vec![4i64.into(), InsertValue::Json(r#"{"v":40,"s":"late"}"#.into())]).unwrap();
-        assert_eq!((has_member(&t, 3), has_member(&t, 4)), (true, false));
+        t.set_json_cell(1, 1, JsonCell::raw_text(r#"{"v":10}"#)).unwrap();
+        let members: Vec<bool> = (0..5).map(|r| has_member(&t, r)).collect();
+        assert_eq!(members, [true, false, true, true, false], "only the written rows");
+        assert_eq!(t.imc.oson_set().map(OsonSet::len), Some(4), "the set stays");
         assert!(matches!(t.open_doc(4, 1), Some(OpenDoc::Text { checked: true, .. })));
         let rows = spine_and_rows(t, &v_and_s());
+        assert_eq!(rows[1], [Datum::from(1i64), Datum::from(10i64), Datum::Bool(false)]);
         assert_eq!(rows[4], [Datum::from(4i64), Datum::from(40i64), Datum::Bool(true)]);
+    }
+
+    #[test]
+    fn a_write_drops_every_vector() {
+        let mut t = text_table(3);
+        t.add_virtual_column("v", Expr::json_value(1, parse_path("$.v").unwrap(), SqlType::Number));
+        let written: [fn(&mut Table); 2] = [
+            |t| {
+                assert_eq!(
+                    t.insert(vec![9i64.into(), InsertValue::Json(r#"{"v":9}"#.into())]),
+                    Ok(3)
+                )
+            },
+            |t| t.set_json_cell(0, 1, JsonCell::raw_text(r#"{"v":7}"#)).unwrap(),
+        ];
+        for write in written {
+            t.populate_vc_imc(&["id", "v"]).unwrap();
+            assert_eq!((t.imc.vectors.len(), t.imc.vc_defs.len()), (2, 1));
+            write(&mut t);
+            assert!(t.imc.vectors.is_empty() && t.imc.vc_defs.is_empty());
+        }
+        // a refused write changes nothing
+        t.populate_vc_imc(&["v"]).unwrap();
+        assert!(t.set_json_cell(0, 1, JsonCell::raw_text("{oops")).is_err());
+        assert_eq!(t.imc.vectors.len(), 1);
+        let rows = spine_and_rows(t, &Query::scan("t"));
+        assert_eq!(rows[0], [Datum::from(0i64), Datum::from(r#"{"v":7}"#), Datum::from(7i64)]);
     }
 
     #[test]

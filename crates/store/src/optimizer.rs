@@ -104,10 +104,11 @@ fn json_path_dead(db: &Database, table: &str, col: usize, path: &JsonPath) -> bo
     {
         return false;
     }
-    // full coverage check: every stored row contributed to the guide
-    // (a second guided JSON column would overcount and disable pruning,
-    // which errs on the safe side)
-    if t.dataguide.doc_count != t.rows.len() as u64 {
+    // full coverage check: every write reached the guide — one
+    // observation per row inserted and one per update (a second guided
+    // JSON column would overcount and disable pruning, which errs on the
+    // safe side)
+    if t.dataguide.doc_count != t.rows.len() as u64 + t.guide_updates {
         return false;
     }
     fsdm_analyze::path_provably_empty(&t.dataguide, path)

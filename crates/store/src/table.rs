@@ -162,6 +162,11 @@ pub struct VirtualColumn {
     pub expr: Expr,
 }
 
+/// A document a write hands to the derived state: the parsed value,
+/// whether its column keeps a DataGuide, and whether the search index
+/// covers its column.
+type Written = (JsonValue, bool, bool);
+
 /// A heap table.
 pub struct Table {
     /// Schema.
@@ -175,6 +180,9 @@ pub struct Table {
     /// Persistent DataGuide (maintained when a JSON column has
     /// `IsJsonWithDataGuide`), kept through the §3.2.1 signature fast path.
     pub dataguide: GuideMaintainer,
+    /// Updates the `$DG` observed: with one guided column, its
+    /// `doc_count` is the row count plus these.
+    pub(crate) guide_updates: u64,
     /// Optional full search index (JSON search index of §3.2).
     pub search_index: Option<SearchIndex>,
     /// Equality indexes: column position → value → row ids.
@@ -194,6 +202,7 @@ impl Table {
             rows: Vec::new(),
             virtual_columns: Vec::new(),
             dataguide: GuideMaintainer::default(),
+            guide_updates: 0,
             search_index: None,
             key_indexes: HashMap::new(),
             imc: ImcStore::default(),
@@ -201,7 +210,8 @@ impl Table {
         }
     }
 
-    /// The stored rows, by row id.
+    /// The stored rows, by row id: what [`Table::insert`] and
+    /// [`Table::set_json_cell`] last wrote, whatever the IMC holds.
     pub fn rows(&self) -> &[Row] {
         &self.rows
     }
@@ -257,7 +267,7 @@ impl Table {
         // with whether its column keeps a DataGuide and whether the index
         // covers it: the index covers the first JSON column, which
         // `create_search_index` only accepts when it is parsed here
-        let mut docs: Vec<(JsonValue, bool, bool)> = Vec::new();
+        let mut docs: Vec<Written> = Vec::new();
         let mut indexed = self.search_index.is_some();
         for (spec, value) in self.schema.columns.iter().zip(values) {
             match (&spec.ty, value) {
@@ -321,9 +331,20 @@ impl Table {
                 index.entry(d.clone()).or_default().push(row_id);
             }
         }
-        // one structure signature per document serves the table's $DG and
-        // the search index's
-        for (doc, guided, indexed) in &docs {
+        self.derive(row_id, &docs, None);
+        self.rows.push(row);
+        Ok(row_id)
+    }
+
+    /// The one step both writers take once their checks have passed, so
+    /// what the table derives from a row never depends on which writer
+    /// wrote it. Each written document goes, with one structure
+    /// signature, to the `$DG` when its column keeps one, and to the
+    /// search index when the index covers its column — after the index
+    /// drops the postings of `replaced`, the document the row held there.
+    /// Then the IMC forgets the row (see [`ImcStore::forget`]).
+    fn derive(&mut self, row_id: usize, docs: &[Written], replaced: Option<&JsonValue>) {
+        for (doc, guided, indexed) in docs {
             let signature = {
                 let _span = span(SPAN_INGEST_GUIDE);
                 let signature = structure_signature(doc);
@@ -334,20 +355,24 @@ impl Table {
             };
             if let Some(ix) = self.search_index.as_mut().filter(|_| *indexed) {
                 let _span = span(SPAN_INGEST_POSTINGS);
+                if let Some(old) = replaced {
+                    ix.remove(row_id as u64, old);
+                }
                 ix.insert_signed(row_id as u64, doc, signature);
             }
         }
-        self.rows.push(row);
-        Ok(row_id)
+        self.imc.forget(row_id);
     }
 
     /// Replace the JSON cell at `(row, col)` — an in-place update of a
     /// stored document — refusing a cell the column would not have
     /// stored: one of another storage, binary bytes that fail their
     /// format's validation, or, under `IS JSON`, text that does not parse.
-    /// The in-memory store is dropped, as it may shadow the old cell; the
-    /// DataGuide and the search index are left as they are, so an update
-    /// that changes what they record must rebuild them.
+    /// A refused cell changes nothing. A stored one reaches the `$DG` and
+    /// the search index as an inserted document does; the row's OSON-IMC
+    /// member and every resident vector are dropped. The `$DG` only grows:
+    /// the paths of the replaced document stay in it, which keeps it a
+    /// sound over-approximation of the column.
     pub fn set_json_cell(
         &mut self,
         row: usize,
@@ -379,13 +404,22 @@ impl Table {
             _ => Err("a cell of another type".to_string()),
         };
         valid.map_err(|e| StoreError::new(format!("column {} refuses: {e}", spec.name)))?;
-        let slot = self
+        let old = self
             .rows
-            .get_mut(row)
-            .and_then(|r| r.get_mut(col))
+            .get(row)
+            .and_then(|r| r.get(col))
             .ok_or_else(|| StoreError::new(format!("no row {row}")))?;
-        *slot = Cell::J(cell);
-        self.imc.clear();
+        // what the derived state takes, decoded before anything changes
+        let guided = spec.constraint == ConstraintMode::IsJsonWithDataGuide;
+        let indexed = self.search_index.is_some() && self.json_col() == Some(col);
+        let replaced = match old {
+            Cell::J(old) if indexed => Some(old.decode()?),
+            _ => None,
+        };
+        let docs = if guided || indexed { vec![(cell.decode()?, guided, indexed)] } else { vec![] };
+        self.rows[row][col] = Cell::J(cell);
+        self.guide_updates += u64::from(guided);
+        self.derive(row, &docs, replaced.as_ref());
         Ok(())
     }
 
@@ -406,17 +440,18 @@ impl Table {
         Ok(())
     }
 
+    /// Position of the first JSON column: the one the search index and
+    /// the OSON-IMC cover.
+    pub(crate) fn json_col(&self) -> Option<usize> {
+        self.schema.columns.iter().position(|c| matches!(c.ty, ColType::Json(_)))
+    }
+
     /// Attach (and build) a JSON search index over the first JSON column,
-    /// which every later insert then posts to. A text column without an
+    /// which every later write then posts to. A text column without an
     /// `IS JSON` constraint is refused: its inserts are never parsed.
     pub fn create_search_index(&mut self) -> Result<(), StoreError> {
-        let (col, spec) = self
-            .schema
-            .columns
-            .iter()
-            .enumerate()
-            .find(|(_, c)| matches!(c.ty, ColType::Json(_)))
-            .ok_or_else(|| StoreError::new("no JSON column to index"))?;
+        let col = self.json_col().ok_or_else(|| StoreError::new("no JSON column to index"))?;
+        let spec = &self.schema.columns[col];
         if spec.ty == ColType::Json(JsonStorage::Text) && spec.constraint == ConstraintMode::None {
             return Err(StoreError::new(format!(
                 "column {} has no IS JSON constraint to index under",
@@ -533,18 +568,32 @@ mod tests {
             (JsonStorage::Oson, JsonCell::Oson(garbage())),
             (JsonStorage::Bson, JsonCell::Bson(garbage())),
         ] {
-            let mut t = Table::new(po_schema(storage, ConstraintMode::IsJson));
+            let mut t = Table::new(po_schema(storage, ConstraintMode::IsJsonWithDataGuide));
             t.insert(vec![1i64.into(), InsertValue::Json(r#"{"a":1}"#.into())]).unwrap();
+            t.create_search_index().unwrap();
             t.populate_oson_imc().unwrap();
+            let state = |t: &Table| {
+                let ix = t.search_index.as_ref().unwrap();
+                let set = t.imc.oson_set().map(|s| (s.len(), s.heap_size()));
+                (
+                    t.rows().to_vec(),
+                    t.dataguide.rows(),
+                    t.guide_updates,
+                    set,
+                    ix.docs_with_path("$.a"),
+                )
+            };
+            let before = state(&t);
             let Cell::J(good) = t.rows()[0][1].clone() else { panic!("a JSON cell") };
             assert!(t.set_json_cell(0, 1, bad).is_err(), "{storage:?}: invalid bytes");
             let text = JsonCell::raw_text(r#"{"a":2}"#);
             assert!(t.set_json_cell(0, 1, text).is_err(), "{storage:?}: another storage");
             assert!(t.set_json_cell(0, 0, good.clone()).is_err(), "not a JSON column");
             assert!(t.set_json_cell(1, 1, good.clone()).is_err(), "no such row");
-            assert!(t.imc.oson_set().is_some(), "a refused cell changes nothing");
+            assert_eq!(state(&t), before, "a refused cell changes nothing");
             t.set_json_cell(0, 1, good).unwrap();
-            assert!(t.imc.oson_set().is_none(), "the IMC could shadow the old cell");
+            assert!(t.imc.oson_set().is_some(), "the set outlives an update");
+            assert_eq!((t.dataguide.doc_count, t.guide_updates), (2, 1), "the update is observed");
         }
         // text is parsed under IS JSON, stored as is without it
         for (mode, stored) in [(ConstraintMode::IsJson, false), (ConstraintMode::None, true)] {

@@ -4,17 +4,17 @@
 //! else a scan-rooted pipeline reads — a `JSON_VALUE` / `JSON_EXISTS`
 //! leaf with no virtual-column vector, a base column straight off the
 //! heap — is a **transient column**: registered once per statement in
-//! [`Leaves`] when the expression is lowered (structurally equal leaves
+//! `Leaves` when the expression is lowered (structurally equal leaves
 //! share one slot), and extracted per morsel into a typed
 //! [`TransientVec`] that the ordinary kernels of [`crate::vector`] then
 //! read like any other vector. Nothing here outlives its morsel.
 //!
 //! Extraction is **selection-driven and row-major**: a pipeline stage
 //! asks for the slots it is about to read and the rows still selected;
-//! each of those rows is opened once, by [`Table::open_doc`] — the one
+//! each of those rows is opened once, by `Table::open_doc` — the one
 //! place an OSON-IMC member stands in for the stored cell — and every
 //! pending path of the stage over that column is answered from that one
-//! document ([`PathSlots`]): a binary document through each slot's own
+//! document (`PathSlots`): a binary document through each slot's own
 //! [`fsdm_sqljson::PathEvaluator`] (so look-back caches stay warm from
 //! row to row, and over set members each name resolves once), a text
 //! document in **one** [`TextPass`] for all of them. A heap leaf reads
@@ -24,7 +24,7 @@
 //! selection it was extracted for.
 //!
 //! A pipeline whose source is a `JsonTable` has a second row space:
-//! the surviving documents of a morsel are expanded ([`Expanded`]) into
+//! the surviving documents of a morsel are expanded (`Expanded`) into
 //! one row per (master node, detail node, …), each remembering its parent
 //! document and the context node of every definition block on its path.
 //! Transient columns over that space are extracted the same way, stage by
@@ -656,7 +656,7 @@ impl Rows<'_> {
 }
 
 /// The transient columns of one morsel: one optional vector per slot of
-/// the statement's [`Leaves`], filled by [`MorselCols::extract`] as the
+/// the statement's `Leaves`, filled by `MorselCols::extract` as the
 /// pipeline's stages ask for them and dropped with the morsel — at which
 /// point their memory-budget charge is handed back, so a statement is
 /// billed for the morsels in flight, not for the table.

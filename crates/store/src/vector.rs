@@ -22,11 +22,10 @@
 //! ([`crate::transient`]), indexed by offset from the morsel start.
 //!
 //! Compilation from [`crate::expr::Expr`] lives in `expr.rs`
-//! ([`crate::expr::Expr::compile_predicate`] /
-//! [`crate::expr::Expr::compile_value`]). What no kernel expresses is
-//! still lowered: [`ValKernel::Row`] gathers the largest sub-expressions
-//! that do lower and runs the row evaluator's own `eval` over them, once
-//! per selected row.
+//! (`Expr::compile_predicate` / `Expr::compile_value`). What no kernel
+//! expresses is still lowered: [`ValKernel::Row`] gathers the largest
+//! sub-expressions that do lower and runs the row evaluator's own `eval`
+//! over them, once per selected row.
 
 use std::sync::Arc;
 

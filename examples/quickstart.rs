@@ -54,10 +54,17 @@ fn main() {
         println!("{:<10} {}", row[0], row[1]);
     }
 
-    // 5. Ad-hoc path queries still work on the raw documents.
-    let hits = db.find("po", "$.purchaseOrder.items[*]?(@.quantity >= 3).name").unwrap();
-    println!("\n== bulk items (path query) ==");
-    for (id, names) in hits {
-        println!("doc {id}: {names:?}");
+    // 5. Ad-hoc queries still work on the raw documents: JSON_TABLE
+    //    projects each item of every document as a row.
+    let r = db
+        .sql(
+            "select did, name from po, json_table(jdoc, '$.purchaseOrder.items[*]' \
+             columns (name varchar2(16) path '$.name', quantity number path '$.quantity')) jt \
+             where quantity >= 3",
+        )
+        .unwrap();
+    println!("\n== bulk items (JSON_TABLE) ==");
+    for row in &r.rows {
+        println!("doc {}: {}", row[0], row[1]);
     }
 }

@@ -1,13 +1,13 @@
-//! The DataGuide's rendered output, pinned: the flat and hierarchical
-//! `JSON_DATAGUIDEAGG` texts and the `AddVC()` / `CreateViewOnPath()`
+//! The DataGuide's rendered output, pinned: the flat (`JSON_DATAGUIDEAGG`)
+//! and hierarchical texts and the `AddVC()` / `CreateViewOnPath()`
 //! definitions over a NOBENCH corpus are compared by FNV-1a hash with the
 //! values the BTreeMap-ordered guide produced. Any change in member order,
 //! extreme selection, length statistics or column naming changes a hash.
 
 use std::collections::HashMap;
 
-use fsdm_dataguide::agg::{DataGuideAgg, GuideFormat};
-use fsdm_dataguide::{add_vc, create_view_on_path};
+use fsdm_dataguide::hierarchical::{to_flat_json, to_hierarchical_json};
+use fsdm_dataguide::{add_vc, create_view_on_path, DataGuide};
 use fsdm_json::JsonValue;
 
 const DOCS: usize = 2_000;
@@ -49,22 +49,19 @@ fn corpus() -> Vec<JsonValue> {
 #[test]
 fn guide_texts_and_generated_definitions_are_pinned() {
     let docs = corpus();
-    let mut flat = DataGuideAgg::new(GuideFormat::Flat);
-    let mut hier = DataGuideAgg::new(GuideFormat::Hierarchical);
+    let mut guide = DataGuide::new();
     for d in &docs {
-        flat.iterate(d);
-        hier.iterate(d);
+        guide.add_document(d);
     }
-    let flat_text = fsdm_json::to_string(&flat.terminate());
-    let hier_text = fsdm_json::to_string(&hier.terminate());
-    let guide = flat.guide();
+    let flat_text = fsdm_json::to_string(&to_flat_json(&guide));
+    let hier_text = fsdm_json::to_string(&to_hierarchical_json(&guide));
     assert_eq!(guide.rows().len(), 1_084, "$DG rows");
 
-    let vcs: String = add_vc(guide, "jdoc", 0)
+    let vcs: String = add_vc(&guide, "jdoc", 0)
         .iter()
         .map(|v| format!("{}|{}|{}|{}\n", v.name, v.path, v.ty, v.sql))
         .collect();
-    let view = create_view_on_path(guide, "$", "jdoc", "nobench_dmdv", 0, &HashMap::new())
+    let view = create_view_on_path(&guide, "$", "jdoc", "nobench_dmdv", 0, &HashMap::new())
         .expect("the root path has a view");
 
     assert_eq!(fnv1a(flat_text.as_bytes()), "7c4017f9716518e5", "flat text");
