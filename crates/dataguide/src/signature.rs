@@ -9,6 +9,7 @@
 //! already seen means the instance cannot add rows to `$DG`, so the guide
 //! walk is skipped entirely.
 
+use std::cell::RefCell;
 use std::ops::Deref;
 
 use fsdm_json::{JsonValue, SeededSet};
@@ -76,37 +77,66 @@ fn mix(h: &mut u64, b: u8) {
     *h = h.wrapping_mul(FNV_PRIME);
 }
 
+/// Buffers the walk orders members and deduplicates element hashes in,
+/// reused across documents so that a walk allocates only while they grow
+/// to the largest container the thread has met. Each container works on
+/// the tail it pushed and truncates it before returning, so the walk
+/// below it can push above.
+#[derive(Default)]
+struct Scratch {
+    /// Member indices of the objects being walked, sorted per object.
+    members: Vec<usize>,
+    /// Distinct element hashes of the arrays being walked.
+    elements: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 fn walk(v: &JsonValue, h: &mut u64) {
+    SCRATCH.with(|scratch| walk_in(v, h, &mut scratch.borrow_mut()));
+}
+
+fn walk_in(v: &JsonValue, h: &mut u64, scratch: &mut Scratch) {
     match v {
         JsonValue::Object(o) => {
             mix(h, b'{');
             // sort member names so field order does not change the
-            // signature (the guide is order-insensitive too)
-            let mut entries: Vec<(&str, &JsonValue)> = o.iter().collect();
-            entries.sort_by_key(|(k, _)| *k);
-            for (k, c) in entries {
-                mix_bytes(h, k.as_bytes());
-                mix(h, b':');
-                walk(c, h);
+            // signature (the guide is order-insensitive too); duplicate
+            // names keep document order, and an unstable sort allocates
+            // nothing
+            let base = scratch.members.len();
+            scratch.members.extend(0..o.len());
+            let name = |i: usize| o.entry_at(i).map_or("", |(k, _)| k);
+            scratch.members[base..].sort_unstable_by(|&a, &b| name(a).cmp(name(b)).then(a.cmp(&b)));
+            for at in base..base + o.len() {
+                if let Some((k, c)) = o.entry_at(scratch.members[at]) {
+                    mix_bytes(h, k.as_bytes());
+                    mix(h, b':');
+                    walk_in(c, h, scratch);
+                }
             }
+            scratch.members.truncate(base);
             mix(h, b'}');
         }
         JsonValue::Array(a) => {
             mix(h, b'[');
             // element skeletons are deduplicated: an array of 2 vs 3
             // identically-shaped objects has identical guide impact
-            let mut seen = Vec::new();
+            let base = scratch.elements.len();
             for e in a {
                 let mut eh = FNV_OFFSET;
-                walk(e, &mut eh);
-                if !seen.contains(&eh) {
-                    seen.push(eh);
+                walk_in(e, &mut eh, scratch);
+                if !scratch.elements[base..].contains(&eh) {
+                    scratch.elements.push(eh);
                 }
             }
-            seen.sort_unstable();
-            for eh in seen {
+            scratch.elements[base..].sort_unstable();
+            for eh in &scratch.elements[base..] {
                 mix_bytes(h, &eh.to_le_bytes());
             }
+            scratch.elements.truncate(base);
             mix(h, b']');
         }
         JsonValue::String(_) => mix(h, b's'),

@@ -269,12 +269,6 @@ impl SearchIndex {
         }
     }
 
-    /// Replace a document in place.
-    pub fn replace(&mut self, id: DocId, old_doc: &JsonValue, new_doc: &JsonValue) -> bool {
-        self.remove(id, old_doc);
-        self.insert(id, new_doc)
-    }
-
     /// Apply `S` to every posting list `v` reaches from path `at`;
     /// returns how many it reached.
     fn walk<S: Sink>(&mut self, v: &JsonValue, at: PathId, id: DocId) -> u64 {
@@ -505,13 +499,16 @@ mod tests {
     #[test]
     fn replace_updates_postings() {
         let mut ix = index(&[r#"{"v":"old"}"#]);
-        ix.replace(1, &parse(r#"{"v":"old"}"#).unwrap(), &parse(r#"{"v":"new"}"#).unwrap());
+        ix.remove(1, &parse(r#"{"v":"old"}"#).unwrap());
+        ix.insert(1, &parse(r#"{"v":"new"}"#).unwrap());
         assert!(ix.docs_with_value("$.v", "old").is_empty());
         assert_eq!(ix.docs_with_value("$.v", "new"), vec![1]);
         // a replaced document keeps its place in every list
         let mut ix = index(&[r#"{"v":1}"#, r#"{"v":1}"#, r#"{"v":1}"#]);
-        ix.replace(1, &parse(r#"{"v":1}"#).unwrap(), &parse(r#"{"v":1}"#).unwrap());
-        ix.replace(2, &parse(r#"{"v":1}"#).unwrap(), &parse(r#"{"v":1}"#).unwrap());
+        for id in [1, 2] {
+            ix.remove(id, &parse(r#"{"v":1}"#).unwrap());
+            ix.insert(id, &parse(r#"{"v":1}"#).unwrap());
+        }
         assert_eq!(
             (ix.docs_with_path("$.v"), ix.docs_with_value("$.v", "1")),
             (vec![1, 2, 3], vec![1, 2, 3])

@@ -174,7 +174,9 @@ proptest! {
                 }
                 (4, Some(id)) => {
                     let old = live.insert(id, doc.clone()).expect("a live id");
-                    index.replace(id, &old, &doc);
+                    // an update, as `Table` makes one: unpost, then post
+                    index.remove(id, &old);
+                    index.insert(id, &doc);
                 }
                 _ => {
                     index.insert(next_id, &doc);

@@ -4,7 +4,7 @@
 //! Each name lives here exactly once, in the one `catalog!` list below,
 //! with its kind: `counter`, `gauge`, `histogram` or `span`. For a metric
 //! the list declares the `&str` constant of its name and, under the same
-//! name in [`metric`], the one `static` cell a recording site names:
+//! name in [`metric`], the one cell a recording site names:
 //!
 //! ```
 //! use fsdm_obs::catalog::{self, metric};
@@ -23,6 +23,15 @@
 //! ```compile_fail,E0599
 //! fsdm_obs::catalog::metric::OSON_DICT_PROBES.record(3);
 //! ```
+//!
+//! A gauge's or histogram's cell is a `static` of atomics. A counter's
+//! cell is a `const` slot: its rank among the list's counters, which each
+//! recording site compiles in. An `inc` or `add` is a plain add into the
+//! calling thread's buffer at that slot; [`crate::publish`] moves a thread's buffer into the process
+//! totals, and into a statement's [`crate::Tally`], with one atomic add
+//! per counter the thread moved. [`snapshot`] and `Counter::get` publish
+//! the reader's own thread first, so a thread always reads its own
+//! counts, and another thread's once that thread has published.
 //!
 //! A span constant is a [`SpanName`], which only this module constructs,
 //! so the catalog is the complete, documented inventory of what the stack
@@ -55,7 +64,8 @@ impl fmt::Display for SpanName {
 }
 
 /// Declares, from one list, each name constant, each metric's cell in
-/// [`metric`], [`ALL`] and the catalog's [`snapshot`].
+/// [`metric`], [`ALL`] and the catalog's [`snapshot`]. A counter's cell
+/// is its slot: its rank among the list's counters ([`slot_of`]).
 macro_rules! catalog {
     (@const $(#[$doc:meta])* span $name:ident $value:literal) => {
         $(#[$doc])* pub const $name: SpanName = SpanName($value);
@@ -63,19 +73,19 @@ macro_rules! catalog {
     (@const $(#[$doc:meta])* $kind:ident $name:ident $value:literal) => {
         $(#[$doc])* pub const $name: &str = $value;
     };
-    (@cell $(#[$doc:meta])* span $name:ident) => {};
-    (@cell $(#[$doc:meta])* counter $name:ident) => {
-        $(#[$doc])* pub static $name: Counter = Counter::new();
+    (@cell $(#[$doc:meta])* span $name:ident $value:literal) => {};
+    (@cell $(#[$doc:meta])* counter $name:ident $value:literal) => {
+        $(#[$doc])* pub const $name: Counter = Counter::new(super::slot_of($value));
     };
-    (@cell $(#[$doc:meta])* gauge $name:ident) => {
+    (@cell $(#[$doc:meta])* gauge $name:ident $value:literal) => {
         $(#[$doc])* pub static $name: Gauge = Gauge::new();
     };
-    (@cell $(#[$doc:meta])* histogram $name:ident) => {
+    (@cell $(#[$doc:meta])* histogram $name:ident $value:literal) => {
         $(#[$doc])* pub static $name: Histogram = Histogram::new();
     };
     (@read $s:ident span $name:ident $value:literal) => {};
     (@read $s:ident counter $name:ident $value:literal) => {
-        $s.counters.insert($value, metric::$name.get());
+        $s.counters.insert($value, metric::$name.published());
     };
     (@read $s:ident gauge $name:ident $value:literal) => {
         $s.gauges.insert($value, metric::$name.get());
@@ -90,7 +100,7 @@ macro_rules! catalog {
         pub mod metric {
             use crate::{Counter, Gauge, Histogram};
 
-            $(catalog!(@cell $(#[$doc])* $kind $name);)*
+            $(catalog!(@cell $(#[$doc])* $kind $name $value);)*
         }
 
         /// Every name in the catalog with its declared kind (`counter`,
@@ -98,14 +108,73 @@ macro_rules! catalog {
         /// order.
         pub const ALL: &[(&str, &str)] = &[$(($value, stringify!($kind)),)*];
 
-        /// Every declared metric's current value, under its kind.
+        /// Every declared metric's current value, under its kind: the
+        /// published counter totals, after publishing this thread's own
+        /// counts (see [`crate::publish`]).
         pub fn snapshot() -> MetricsSnapshot {
+            crate::publish(None);
             let mut s = MetricsSnapshot::default();
             $(catalog!(@read s $kind $name $value);)*
             s
         }
     };
 }
+
+/// Whether two strings are equal, in a const context.
+const fn same(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Whether catalog entry `i` is a counter.
+const fn is_counter(i: usize) -> bool {
+    same(ALL[i].1, "counter")
+}
+
+/// The slot of counter `name`: how many counters precede it in [`ALL`].
+const fn slot_of(name: &str) -> usize {
+    let (mut i, mut slot) = (0, 0);
+    while !same(ALL[i].0, name) {
+        slot += is_counter(i) as usize;
+        i += 1;
+    }
+    slot
+}
+
+/// Number of counters the catalog declares: the length of each thread's
+/// buffer, of the totals and of a [`crate::Tally`].
+pub(crate) const COUNTERS: usize = {
+    let (mut i, mut n) = (0, 0);
+    while i < ALL.len() {
+        n += is_counter(i) as usize;
+        i += 1;
+    }
+    n
+};
+
+/// Each counter's name, by slot: the counters of [`ALL`], in its order.
+pub(crate) const COUNTER_NAMES: [&str; COUNTERS] = {
+    let mut names = [""; COUNTERS];
+    let (mut i, mut slot) = (0, 0);
+    while i < ALL.len() {
+        if is_counter(i) {
+            names[slot] = ALL[i].0;
+            slot += 1;
+        }
+        i += 1;
+    }
+    names
+};
 
 catalog! {
     // --- analyze ------------------------------------------------------------
@@ -355,6 +424,16 @@ mod tests {
                     "{name}: component {p} must be lower_snake_case"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn each_counter_has_its_own_slot_in_catalog_order() {
+        let counters: Vec<&str> =
+            ALL.iter().filter(|(_, kind)| *kind == "counter").map(|(name, _)| *name).collect();
+        assert_eq!(counters, super::COUNTER_NAMES);
+        for (slot, name) in counters.iter().enumerate() {
+            assert_eq!(super::slot_of(name), slot, "{name}");
         }
     }
 

@@ -1,16 +1,21 @@
 //! `fsdm-obs`: the measurement substrate for the FSDM stack.
 //!
-//! A zero-external-dependency metrics core — everything is built on
-//! `std::sync::atomic` so hot-path recording is a single relaxed atomic
-//! RMW, with no locks anywhere on the record path:
+//! A zero-external-dependency metrics core with no locks anywhere on the
+//! record path:
 //!
-//! * [`Counter`] — monotonically increasing `u64`.
+//! * [`Counter`] — monotonically increasing `u64`. Recording is a plain
+//!   add into the calling thread's own buffer; the thread [`publish`]es
+//!   the buffer into the process totals, and into a statement's [`Tally`],
+//!   at a few fixed points (see [`publish`]).
 //! * [`Gauge`] — instantaneous `i64` level.
 //! * [`Histogram`] — log₂-bucketed distribution of `u64` samples
 //!   (nanosecond latencies, byte sizes), with `p50`/`p99` estimation.
 //!
-//! Every metric is a `static` cell that [`catalog`] declares with its
-//! kind, beside the `&str` constant of its name: a recording site names
+//! Gauges and histograms are recorded per morsel or per statement, never
+//! per node, so each of their records is one relaxed atomic RMW.
+//!
+//! Every metric is a cell that [`catalog`] declares with its kind,
+//! beside the `&str` constant of its name: a recording site names
 //! the cell (`catalog::metric::OSON_DICT_PROBES.inc()`), so a metric the
 //! catalog does not declare, or one recorded as another kind, does not
 //! compile. [`snapshot`] walks the catalog.
@@ -42,33 +47,111 @@ use crate::trace::json_escape;
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const NUM_BUCKETS: usize = 65;
 
-/// A monotonically increasing counter. Like [`Gauge`] and [`Histogram`]
-/// it is a statistic no other memory hangs off, so every operation on it
-/// is `Relaxed`.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+/// A monotonically increasing counter: one slot of the calling thread's
+/// buffer and of the process totals.
+///
+/// [`Counter::add`] is a plain add into this thread's slot, with no
+/// atomic and no lock; the count reaches the totals when the thread
+/// [`publish`]es. [`Counter::get`] publishes the reader's own thread
+/// first, so a thread always reads its own counts.
+#[derive(Debug)]
+pub struct Counter {
+    slot: usize,
+}
+
+/// Totals published by every thread, one cell per catalog counter.
+static TOTALS: [AtomicU64; catalog::COUNTERS] = [const { AtomicU64::new(0) }; catalog::COUNTERS];
+
+thread_local! {
+    /// This thread's counts since it last published, one slot per
+    /// catalog counter. Const-initialized and without a destructor, so an
+    /// add reaches it with no lazy-initialization check.
+    static LOCAL: [Cell<u64>; catalog::COUNTERS] =
+        const { [const { Cell::new(0) }; catalog::COUNTERS] };
+}
 
 impl Counter {
-    /// New counter at zero.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
+    /// The counter of catalog slot `slot`; only the catalog makes them.
+    pub(crate) const fn new(slot: usize) -> Counter {
+        Counter { slot }
     }
 
+    // `always`: a debug build, which the test suite runs, inlines no
+    // plain `#[inline]` call, and these sit on every path evaluation
+
     /// Add one.
-    #[inline]
+    #[inline(always)]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Add `n`.
-    #[inline]
+    /// Add `n` to this thread's count.
+    #[inline(always)]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Relaxed);
+        LOCAL.with(|local| {
+            let cell = &local[self.slot];
+            cell.set(cell.get() + n);
+        });
     }
 
-    /// Current value.
+    /// The published total, after publishing this thread's own counts.
     pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
+        publish(None);
+        self.published()
+    }
+
+    /// The published total as it stands.
+    pub(crate) fn published(&self) -> u64 {
+        TOTALS[self.slot].load(Relaxed)
+    }
+}
+
+/// Move this thread's counts into the process totals and, when given,
+/// into a statement's `tally`: one relaxed `fetch_add` per counter this
+/// thread moved since it last published, and the buffer is zero again.
+///
+/// The executor publishes at fixed points: each morsel worker as it
+/// exits, and a statement's own thread as the statement starts (into the
+/// totals only: those counts are not the statement's) and as it ends. A
+/// reader's own thread publishes at [`snapshot`] and [`Counter::get`]. A
+/// count another thread makes outside a statement reaches the totals at
+/// that thread's next publication; one it never publishes is lost when it
+/// exits.
+pub fn publish(tally: Option<&Tally>) {
+    LOCAL.with(|local| {
+        for (slot, cell) in local.iter().enumerate() {
+            let n = cell.replace(0);
+            if n != 0 {
+                TOTALS[slot].fetch_add(n, Relaxed);
+                if let Some(tally) = tally {
+                    tally.0[slot].fetch_add(n, Relaxed);
+                }
+            }
+        }
+    });
+}
+
+/// One statement's own counts: what the threads that worked for it
+/// published into it (see [`publish`]).
+#[derive(Debug)]
+pub struct Tally([AtomicU64; catalog::COUNTERS]);
+
+impl Default for Tally {
+    /// A tally at zero.
+    fn default() -> Tally {
+        Tally([const { AtomicU64::new(0) }; catalog::COUNTERS])
+    }
+}
+
+impl Tally {
+    /// The counters off zero with their counts, in catalog order.
+    pub fn counts(&self) -> Vec<(&'static str, u64)> {
+        catalog::COUNTER_NAMES
+            .iter()
+            .zip(&self.0)
+            .map(|(&name, n)| (name, n.load(Relaxed)))
+            .filter(|&(_, n)| n != 0)
+            .collect()
     }
 }
 
@@ -462,6 +545,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{self, metric};
 
     #[test]
     fn histogram_bucket_boundaries() {
@@ -506,10 +590,11 @@ mod tests {
         assert_eq!(Histogram::new().snapshot().p50(), 0);
     }
 
-    /// A snapshot of three local cells, as the catalog's walk reads them.
-    fn snapshot_of(c: &Counter, g: &Gauge, h: &Histogram) -> MetricsSnapshot {
+    /// A snapshot of a counter value and two local cells, as the
+    /// catalog's walk reads them.
+    fn snapshot_of(c: u64, g: &Gauge, h: &Histogram) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: [("a.b.c", c.get())].into(),
+            counters: [("a.b.c", c)].into(),
             gauges: [("a.b.level", g.get())].into(),
             histograms: [("a.b.ns", h.snapshot())].into(),
         }
@@ -517,15 +602,13 @@ mod tests {
 
     #[test]
     fn snapshot_diff() {
-        let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
-        c.add(5);
+        let (g, h) = (Gauge::new(), Histogram::new());
         g.set(7);
         h.record(100);
-        let before = snapshot_of(&c, &g, &h);
-        c.add(3);
+        let before = snapshot_of(5, &g, &h);
         h.record(200);
         g.set(9);
-        let mut after = snapshot_of(&c, &g, &h);
+        let mut after = snapshot_of(8, &g, &h);
         after.counters.insert("a.b.new", 1);
         let d = after.diff(&before);
         assert_eq!(d.counter("a.b.c"), 3);
@@ -535,9 +618,15 @@ mod tests {
         assert_eq!(d.histograms["a.b.ns"].sum, 200);
     }
 
+    // Each counter below is recorded by one test of this crate only, so
+    // its deltas are exact while the tests share the process.
+
     #[test]
     fn concurrent_recording_is_exact() {
-        let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
+        let c = &metric::SLOWLOG_EVICTED;
+        let (g, h) = (Gauge::new(), Histogram::new());
+        let before = c.get();
+        let tally = Tally::default();
         #[expect(clippy::disallowed_methods, reason = "concurrent recording is the subject")]
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -547,12 +636,61 @@ mod tests {
                         h.record(i % 1000);
                         g.add(1);
                     }
+                    publish(Some(&tally));
                 });
             }
         });
-        assert_eq!(c.get(), 80_000);
+        assert_eq!(c.get() - before, 80_000);
+        assert_eq!(tally.counts(), vec![(catalog::SLOWLOG_EVICTED, 80_000)]);
         assert_eq!(h.count(), 80_000);
         assert_eq!(g.get(), 80_000);
+    }
+
+    #[test]
+    fn a_thread_reads_its_own_counts_without_publishing() {
+        let before = snapshot().counter(catalog::OSON_UPDATE_REENCODE);
+        metric::OSON_UPDATE_REENCODE.add(3);
+        assert_eq!(snapshot().counter(catalog::OSON_UPDATE_REENCODE), before + 3);
+        metric::OSON_UPDATE_REENCODE.inc();
+        assert_eq!(metric::OSON_UPDATE_REENCODE.get(), before + 4);
+    }
+
+    #[test]
+    fn a_spawned_thread_counts_once_it_publishes_and_is_joined() {
+        let c = &metric::OSON_UPDATE_IN_PLACE;
+        let before = c.get();
+        #[expect(clippy::disallowed_methods, reason = "a second thread is the subject")]
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                c.add(5);
+                // still buffered: the totals do not have it yet
+                assert_eq!(c.published(), before);
+                publish(None);
+            });
+        });
+        assert_eq!(c.get(), before + 5);
+        // a thread that never publishes keeps its counts to itself
+        #[expect(clippy::disallowed_methods, reason = "a second thread is the subject")]
+        std::thread::scope(|s| {
+            s.spawn(|| c.add(7));
+        });
+        assert_eq!(c.get(), before + 5);
+    }
+
+    #[test]
+    fn a_tally_lists_the_counters_off_zero_in_catalog_order() {
+        publish(None); // whatever this thread counted before is not the tally's
+        let tally = Tally::default();
+        metric::PLANCK_WARNINGS.add(2);
+        metric::ANALYZE_DIAG_INFOS.inc();
+        publish(Some(&tally));
+        assert_eq!(
+            tally.counts(),
+            vec![(catalog::ANALYZE_DIAG_INFOS, 1), (catalog::PLANCK_WARNINGS, 2)]
+        );
+        // published once: a second publication adds nothing
+        publish(Some(&tally));
+        assert_eq!(tally.counts().len(), 2);
     }
 
     #[test]
@@ -580,11 +718,10 @@ mod tests {
 
     #[test]
     fn json_and_table_exports() {
-        let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
-        c.add(2);
+        let (g, h) = (Gauge::new(), Histogram::new());
         g.set(-4);
         h.record(10);
-        let mut s = snapshot_of(&c, &g, &h);
+        let mut s = snapshot_of(2, &g, &h);
         s.counters.insert("a.b.untouched", 0);
         let j = s.to_json();
         assert!(j.contains("\"a.b.c\":2"), "{j}");

@@ -519,6 +519,7 @@ impl Database {
                 self.statement_timeout_ms,
                 self.mem_limit,
             )),
+            counts: Arc::default(),
         }
     }
 
@@ -595,12 +596,16 @@ impl Database {
     /// exit: the memory high-water gauge, the governance-kill counters,
     /// `store.exec.queries` / `store.exec.ns` and the slow-query ring (a
     /// killed statement enters it threshold-exempt, with its reason) are
-    /// fed here and nowhere else.
+    /// fed here and nowhere else. Every count the statement made is
+    /// published before it returns, and the report lists them
+    /// ([`QueryProfile::counts`]).
     pub fn run(
         &self,
         plan: &Query,
         how: &Run<'_>,
     ) -> Result<(QueryResult, QueryProfile), StoreError> {
+        // what this thread counted before the statement is not its own
+        fsdm_obs::publish(None);
         // sessions are process-global: concurrent traced statements
         // serialize here, before the clock starts
         let session = how.trace.then(TraceSession::begin);
@@ -628,23 +633,29 @@ impl Database {
                 if let Some(reason) = count_kill(e.kind) {
                     self.slow_log.record_killed(&source, elapsed_ns, ctx.degree, reason);
                 }
+                fsdm_obs::publish(Some(&ctx.counts));
                 return Err(e);
             }
         };
         metric::STORE_EXEC_QUERIES.inc();
         metric::STORE_EXEC_NS.record(elapsed_ns);
+        // the workers published as they exited; this thread's share last
+        fsdm_obs::publish(Some(&ctx.counts));
         let mut report = QueryProfile {
             source,
             degree: ctx.degree,
             optimize_ns,
             mem_highwater,
             root: ops.pop().expect("the executor reports its root operator"),
+            counts: ctx.counts.counts(),
             trace: None,
             diagnostics: Vec::new(),
         };
         // the ring keeps the report with the trace reduced to its summary
         let summary = trace.as_ref().map(Trace::summary);
         self.slow_log.record(&report.source, elapsed_ns, ctx.degree, Some(&report), summary);
+        // an eviction the ring just counted is published with the rest
+        fsdm_obs::publish(None);
         report.trace = trace;
         Ok((QueryResult { columns, rows }, report))
     }

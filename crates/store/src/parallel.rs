@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use fsdm_obs::catalog::metric;
-use fsdm_obs::trace;
+use fsdm_obs::{trace, Tally};
 
 use crate::expr::EvalScratch;
 use crate::govern::QueryGovernor;
@@ -68,6 +68,9 @@ pub struct ExecContext {
     /// The statement's governance bundle (cancel token, deadline, memory
     /// budget), shared by every worker of every pipeline.
     pub governor: Arc<QueryGovernor>,
+    /// The statement's own counts: each worker publishes into it as it
+    /// exits, the statement's thread as the statement ends.
+    pub counts: Arc<Tally>,
 }
 
 impl ExecContext {
@@ -78,6 +81,7 @@ impl ExecContext {
             degree: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
             governor: Arc::new(QueryGovernor::unlimited()),
+            counts: Arc::default(),
         }
     }
 }
@@ -209,12 +213,14 @@ where
                     metric::EXEC_WORKER_BUSY_NS.record(busy.elapsed().as_nanos() as u64);
                     sentry.worker_exit();
                     // close the worker span, then push this lane's buffered
-                    // spans into the session sink: the scope join orders the
-                    // closure, not this thread's TLS destructors, so a
-                    // session finishing right after the join must not race
-                    // the deferred flush
+                    // spans into the session sink and its counts into the
+                    // totals and the statement's tally: the scope join
+                    // orders the closure, not this thread's TLS destructors,
+                    // so a session finishing (or a statement reporting)
+                    // right after the join must not race a deferred flush
                     drop(worker);
                     trace::flush_local();
+                    fsdm_obs::publish(Some(&ctx.counts));
                     local
                 })
             })
@@ -431,7 +437,7 @@ mod tests {
     use super::*;
 
     fn ctx(degree: usize, morsel_rows: usize) -> ExecContext {
-        ExecContext { degree, morsel_rows, governor: Arc::new(QueryGovernor::unlimited()) }
+        ExecContext { degree, morsel_rows, ..ExecContext::serial() }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! The executor always keeps it ([`crate::Database::run`]): every
 //! operator of the plan reports its output cardinality, its inclusive wall
 //! time, the pipeline it ran on and why, and the statement adds its
-//! degree, optimize time, memory high-water, trace and prepare-time
-//! findings. The result is a [`QueryProfile`] mirroring the plan shape,
-//! suitable for spotting where rows explode (JSON_TABLE un-nesting) or
-//! where time goes (path evaluation vs. join vs. sort).
+//! degree, optimize time, memory high-water, its own counts, trace and
+//! prepare-time findings. The result is a [`QueryProfile`] mirroring the
+//! plan shape, suitable for spotting where rows explode (JSON_TABLE
+//! un-nesting) or where time goes (path evaluation vs. join vs. sort).
 
 use std::fmt::Write as _;
 
@@ -63,6 +63,14 @@ pub struct QueryProfile {
     pub mem_highwater: u64,
     /// The root operator (its `elapsed_ns` is the execute time).
     pub root: OpProfile,
+    /// The counters this statement moved, with its own counts, in catalog
+    /// order: every thread that worked for it published into its tally
+    /// alone (`fsdm_obs::publish`), so no concurrent statement's counts
+    /// reach them, at any degree. Above degree 1 the look-back and
+    /// dictionary counts follow which worker ran which morsel, since each
+    /// worker's evaluator resolves a name once; every other count is the
+    /// same at every degree.
+    pub counts: Vec<(&'static str, u64)>,
     /// The span tree, when the statement ran traced.
     pub trace: Option<Trace>,
     /// Prepare-time semantic findings (`fsdm-analyze` FA path codes and
@@ -141,7 +149,15 @@ impl QueryProfile {
             self.degree, self.optimize_ns, self.mem_highwater
         );
         walk(&self.root, &mut out);
-        out.push_str(",\"trace\":");
+        out.push_str(",\"counts\":{");
+        for (i, (name, n)) in self.counts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(name, &mut out);
+            let _ = write!(out, ":{n}");
+        }
+        out.push_str("},\"trace\":");
         match &self.trace {
             Some(t) => write_escaped(&t.summary(), &mut out),
             None => out.push_str("null"),
@@ -157,8 +173,8 @@ impl QueryProfile {
         out
     }
 
-    /// The header line, the indented plan tree, then the trace summary
-    /// and the diagnostics when there are any:
+    /// The header line, the indented plan tree, then the counts, the
+    /// trace summary and the diagnostics when there are any:
     ///
     /// ```text
     /// degree=1  optimize=0.01ms  execute=0.41ms  mem_highwater=0B  source=select …
@@ -202,6 +218,13 @@ impl QueryProfile {
             self.source
         );
         walk(&self.root, 0, &mut out);
+        if !self.counts.is_empty() {
+            out.push_str("counts:");
+            for (name, n) in &self.counts {
+                let _ = write!(out, " {name}={n}");
+            }
+            out.push('\n');
+        }
         if let Some(t) = &self.trace {
             let _ = writeln!(out, "trace: {}", t.summary());
         }
@@ -247,6 +270,7 @@ mod tests {
             optimize_ns: 250_000,
             mem_highwater: 96,
             root,
+            counts: Vec::new(),
             trace: None,
             diagnostics: Vec::new(),
         }
@@ -309,6 +333,19 @@ mod tests {
         assert_eq!(json.get("mem_highwater").and_then(|d| d.as_i64()), Some(96));
         assert_eq!(json.get("trace").and_then(|t| t.as_str()), Some("spans=0 dropped=0 names[]"));
         assert!(json.get("root").is_some_and(|r| r.get("children").is_some()));
+    }
+
+    #[test]
+    fn the_counts_follow_the_tree() {
+        let mut p = sample();
+        assert!(!p.render().contains("counts:"), "no counts, no line");
+        p.counts = vec![("oson.node.lookups", 12), ("sqljson.eval.paths", 3)];
+        let text = p.render();
+        assert!(text.contains("\ncounts: oson.node.lookups=12 sqljson.eval.paths=3\n"), "{text}");
+        let json = fsdm_json::parse(&p.to_json()).expect("the report re-parses");
+        let counts = json.get("counts").expect("a counts object");
+        assert_eq!(counts.get("oson.node.lookups").and_then(|n| n.as_i64()), Some(12));
+        assert_eq!(counts.get("sqljson.eval.paths").and_then(|n| n.as_i64()), Some(3));
     }
 
     #[test]

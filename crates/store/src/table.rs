@@ -384,26 +384,28 @@ impl Table {
             .columns
             .get(col)
             .ok_or_else(|| StoreError::new(format!("no column at {col}")))?;
-        let valid = match (&spec.ty, &cell) {
+        // under `IS JSON` the validating parse is the document itself
+        let parsed = match (&spec.ty, &cell) {
             (ColType::Json(JsonStorage::Text), JsonCell::Text(_))
                 if spec.constraint == ConstraintMode::None =>
             {
-                Ok(())
+                Ok(None)
             }
             (ColType::Json(JsonStorage::Text), JsonCell::Text(text)) => {
-                fsdm_json::parse(text).map(drop).map_err(|e| e.to_string())
+                fsdm_json::parse(text).map(Some).map_err(|e| e.to_string())
             }
             (ColType::Json(JsonStorage::Oson), JsonCell::Oson(bytes)) => {
                 let doc = fsdm_oson::OsonDoc::new(bytes);
-                doc.and_then(|d| d.validate()).map_err(|e| e.to_string())
+                doc.and_then(|d| d.validate()).map(|()| None).map_err(|e| e.to_string())
             }
             (ColType::Json(JsonStorage::Bson), JsonCell::Bson(bytes)) => {
                 let doc = fsdm_bson::BsonDoc::new(bytes);
-                doc.and_then(|d| d.validate()).map_err(|e| e.to_string())
+                doc.and_then(|d| d.validate()).map(|()| None).map_err(|e| e.to_string())
             }
             _ => Err("a cell of another type".to_string()),
         };
-        valid.map_err(|e| StoreError::new(format!("column {} refuses: {e}", spec.name)))?;
+        let parsed =
+            parsed.map_err(|e| StoreError::new(format!("column {} refuses: {e}", spec.name)))?;
         let old = self
             .rows
             .get(row)
@@ -416,7 +418,11 @@ impl Table {
             Cell::J(old) if indexed => Some(old.decode()?),
             _ => None,
         };
-        let docs = if guided || indexed { vec![(cell.decode()?, guided, indexed)] } else { vec![] };
+        let docs = match parsed {
+            _ if !(guided || indexed) => vec![],
+            Some(doc) => vec![(doc, guided, indexed)],
+            None => vec![(cell.decode()?, guided, indexed)],
+        };
         self.rows[row][col] = Cell::J(cell);
         self.guide_updates += u64::from(guided);
         self.derive(row, &docs, replaced.as_ref());
