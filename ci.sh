@@ -45,6 +45,9 @@ PROPTEST_SEED=977 cargo test -q -p fsdm-dataguide --test proptests
 
 echo "== Figure 5/6 smoke (exit 1 when TEXT and OSON-IMC, or OSON-IMC and VC-IMC, answer differently) =="
 cargo run --release -q -p fsdm-bench --bin repro -- fig5 --scale 2000 --threads 1 --no-metrics
+# above degree 1 each worker's extraction walks the OSON-IMC's member lists
+# over the morsels it claims: the same check at degree 4
+cargo run --release -q -p fsdm-bench --bin repro -- fig5 --scale 2000 --threads 4 --no-metrics
 # VC-IMC statements filter on resident vectors; the check compares answers by hash
 cargo run --release -q -p fsdm-bench --bin repro -- fig6 --scale 2000 --threads 1 --no-metrics
 

@@ -260,6 +260,10 @@ catalog! {
     /// Per-batch predicate-kernel evaluation time over IMC column vectors in
     /// nanoseconds.
     histogram IMC_KERNEL_NS = "imc.kernel.ns";
+    /// OSON-IMC members a path group answered without opening them: the
+    /// member lacks a field-step name of every path of the group (one add
+    /// per extraction of a morsel).
+    counter IMC_OSON_MEMBERS_SKIPPED = "imc.oson.members_skipped";
     /// Per-stage transient-column extraction time in nanoseconds: opening the
     /// selected rows' documents and running the stage's paths.
     histogram IMC_TRANSIENT_EXTRACT_NS = "imc.transient.extract.ns";

@@ -90,6 +90,9 @@ pub struct Encoder {
     /// collected, an instance sorts them by (hash, name), so the index is
     /// the field id.
     dictionary: Vec<u32>,
+    /// A set's encoder: the last member's distinct names, in first-seen
+    /// order (a member stores no dictionary segment).
+    member_names: Vec<u32>,
     /// The name of every object member, in walk order.
     members: Vec<u32>,
     /// How far into `members` the serialization has read.
@@ -120,10 +123,17 @@ impl Encoder {
         &self.names
     }
 
+    /// The distinct names, at any depth, of the member last encoded by a
+    /// set's encoder, as positions in [`Encoder::names`].
+    pub(crate) fn member_names(&self) -> &[u32] {
+        &self.member_names
+    }
+
     /// Heap bytes held: the names and every buffer.
     pub(crate) fn heap_size(&self) -> usize {
         self.names.heap_size()
-            + (self.dictionary.capacity() + self.members.capacity()) * size_of::<u32>()
+            + (self.dictionary.capacity() + self.member_names.capacity() + self.members.capacity())
+                * size_of::<u32>()
             + self.tree.capacity()
             + self.values.capacity()
             + self.kids.capacity() * size_of::<(u32, u32)>()
@@ -155,8 +165,10 @@ impl Encoder {
         }
         // field ids span 0..id_span
         let id_span = if self.member {
-            // a member's ids are positions, and it stores no dictionary
+            // a member's ids are positions, and it stores no dictionary:
+            // its names are kept for the set instead
             let span = self.dictionary.iter().max().map_or(0, |&n| n as usize + 1);
+            std::mem::swap(&mut self.dictionary, &mut self.member_names);
             self.dictionary.clear();
             span
         } else {

@@ -13,6 +13,15 @@
 //! [`OsonDoc`] opened on a member with [`OsonDoc::member`] resolves names
 //! through that dictionary; every other read is the instance reader's.
 //!
+//! The set also records, once for the set, which members use each name:
+//! per name an ascending list of the members that hold it at any depth
+//! ([`OsonSet::members_with`]). A list is dropped once it would hold more
+//! than `max(64, members / 8)` ids — a dense name narrows nothing worth
+//! its bytes — and is never rebuilt, so a list that exists is complete.
+//! A path with a field step whose name a member lacks selects nothing in
+//! that member: a reader may answer it without opening the member (the
+//! IMC's storage-index pruning, at member grain).
+//!
 //! Unlike Dremel's columnar encoding, every member keeps its own tree, so
 //! fully **heterogeneous** collections are fine: a field may be a string
 //! in one document, a number in the next, an object or array in a third
@@ -26,8 +35,8 @@
 //! length, which a member reports through
 //! [`fsdm_json::JsonDom::shared_names`], tell a reader when a name it
 //! resolved in one member is resolved for every member: the path engine
-//! then resolves each name once per statement instead of once per
-//! document.
+//! then resolves each name once per worker's evaluator instead of once
+//! per document.
 
 // the dictionary is read on the decode hot path of every member: a
 // lookup is total, and index arithmetic never truncates silently
@@ -207,12 +216,21 @@ pub struct OsonSet {
     encoder: Encoder,
     /// Each member at its exact length.
     members: Vec<Box<[u8]>>,
+    /// Per name, by id: the members that use it at any depth, ascending;
+    /// `None` once dropped for holding too many (see the module doc).
+    users: Vec<Option<Vec<u32>>>,
 }
 
 impl Default for OsonSet {
     fn default() -> Self {
-        OsonSet { encoder: Encoder::for_set(), members: Vec::new() }
+        OsonSet { encoder: Encoder::for_set(), members: Vec::new(), users: Vec::new() }
     }
+}
+
+/// The most ids a name's member list holds in a set of `members`: one id
+/// more drops it.
+fn list_cap(members: usize) -> usize {
+    (members / 8).max(64)
 }
 
 impl OsonSet {
@@ -227,9 +245,30 @@ impl OsonSet {
     /// that would exceed it is refused with [`crate::ErrorKind::Limit`]
     /// and leaves the set as it was.
     pub fn push(&mut self, v: &JsonValue) -> Result<()> {
+        let id = u32::try_from(self.members.len())
+            .map_err(|_| OsonError::limit("a set holds fewer than 2^32 members"))?;
         let bytes = self.encoder.encode(v)?;
         self.members.push(bytes.into_boxed_slice());
+        let cap = list_cap(self.members.len());
+        self.users.resize_with(self.encoder.names().len(), || Some(Vec::new()));
+        for &n in self.encoder.member_names() {
+            let Some(users) = self.users.get_mut(idx(n)) else { continue };
+            match users {
+                Some(list) if list.len() < cap => list.push(id),
+                _ => *users = None,
+            }
+        }
         Ok(())
+    }
+
+    /// The members that use `name` at any depth, ascending: `Some(&[])`
+    /// for a name no member uses, `None` when its list was dropped (the
+    /// name is too common to narrow anything).
+    pub fn members_with(&self, name: &str) -> Option<&[u32]> {
+        match self.dictionary().find(name, field_hash(name)).0 {
+            None => Some(&[]),
+            Some(id) => self.users.get(idx(id))?.as_deref(),
+        }
     }
 
     /// The shared dictionary.
@@ -257,11 +296,14 @@ impl OsonSet {
     }
 
     /// Every heap byte the set holds: the members, their entries, the
-    /// dictionary with its index and the encoder's buffers. Compare it
-    /// with the bytes self-contained instances hold to see §7's saving.
+    /// dictionary with its index, the member lists and the encoder's
+    /// buffers. Compare it with the bytes self-contained instances hold to
+    /// see §7's saving.
     pub fn heap_size(&self) -> usize {
         self.members.capacity() * size_of::<Box<[u8]>>()
             + self.members.iter().map(|m| m.len()).sum::<usize>()
+            + self.users.capacity() * size_of::<Option<Vec<u32>>>()
+            + self.users.iter().flatten().map(|l| l.capacity() * size_of::<u32>()).sum::<usize>()
             + self.encoder.heap_size()
     }
 }
@@ -415,17 +457,100 @@ mod tests {
         set.push(&object_of(0..65_000)).unwrap();
         set.push(&object_of(64_000..65_535)).unwrap();
         assert_eq!(set.dictionary().len(), 65_535);
+        let lists = set.users.clone();
+        let heap = set.heap_size();
         let err = set.push(&object_of(65_530..65_536)).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Limit);
         // the refused document left nothing behind
         assert_eq!((set.len(), set.dictionary().len()), (2, 65_535));
         assert_eq!(set.dictionary().find("f65535", field_hash("f65535")).0, None);
+        assert_eq!(set.users, lists, "every member list unchanged");
+        assert_eq!(set.heap_size(), heap);
+        assert_eq!(set.members_with("f65534"), Some(&[1][..]));
+        assert_eq!(set.members_with("f65535"), Some(&[][..]));
         set.push(&object_of(65_530..65_535)).unwrap();
         let last = set.doc(2).unwrap();
         last.validate().unwrap();
         let id = last.field_id("f65534", field_hash("f65534")).unwrap();
         assert_eq!(id, 65_534);
         assert!(last.get_field_by_id(last.root(), id).is_some());
+    }
+
+    /// Every name `v` uses at any depth.
+    fn names_in(v: &JsonValue, out: &mut std::collections::BTreeSet<String>) {
+        match v {
+            JsonValue::Object(o) => {
+                for (k, c) in o.iter() {
+                    out.insert(k.to_string());
+                    names_in(c, out);
+                }
+            }
+            JsonValue::Array(a) => a.iter().for_each(|c| names_in(c, out)),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn member_lists_equal_a_scan_of_the_members() {
+        let texts = [
+            r#"{"a":1,"b":{"nested":2}}"#,
+            r#"[{"in_array":1},{"a":[{"deeper":null}]}]"#,
+            r#"{"b":3,"b":4}"#,
+            r#"7"#,
+            r#"{"c":{"nested":{"in_array":[{"deeper":1}]}}}"#,
+            r#"{}"#,
+            r#"{"a":{"a":{"a":1}},"e":""}"#,
+        ];
+        let set = build(&texts);
+        for id in 0..set.dictionary().len() {
+            let name = set.dictionary().name(id as FieldId).unwrap();
+            let brute: Vec<u32> = (0..set.len())
+                .filter(|&i| {
+                    let doc = set.doc(i).unwrap();
+                    let mut names = Default::default();
+                    names_in(&doc.materialize(doc.root()), &mut names);
+                    names.contains(name)
+                })
+                .map(|i| i as u32)
+                .collect();
+            assert_eq!(set.members_with(name), Some(&brute[..]), "{name}");
+        }
+        assert_eq!(set.members_with("deeper"), Some(&[1, 4][..]), "nested and in arrays");
+        assert_eq!(set.members_with("in_array"), Some(&[1, 4][..]));
+        assert_eq!(set.members_with("absent"), Some(&[][..]), "no member uses it");
+    }
+
+    #[test]
+    fn a_dense_names_list_is_dropped_and_a_rare_ones_kept() {
+        let mut set = OsonSet::new();
+        let doc = |i: usize| {
+            let rare = if i.is_multiple_of(50) { r#","rare":1"# } else { "" };
+            parse(&format!(r#"{{"dense":{i}{rare}}}"#)).unwrap()
+        };
+        for i in 0..64 {
+            set.push(&doc(i)).unwrap();
+        }
+        // at the cap: 64 ids in a set of 64
+        assert_eq!(set.members_with("dense").map(<[u32]>::len), Some(64));
+        set.push(&doc(64)).unwrap();
+        assert_eq!(set.members_with("dense"), None, "a 65th id would pass max(64, 65 / 8)");
+        for i in 65..1000 {
+            set.push(&doc(i)).unwrap();
+        }
+        assert_eq!(set.members_with("dense"), None, "a dropped list is never rebuilt");
+        let rare: Vec<u32> = (0..1000).step_by(50).collect();
+        assert_eq!(set.members_with("rare"), Some(&rare[..]));
+    }
+
+    #[test]
+    fn heap_size_counts_the_member_lists() {
+        let mut set = build(&[r#"{"a":1,"b":[{"c":2}]}"#, r#"{"a":2,"d":3}"#]);
+        let with = set.heap_size();
+        let lists = set.users.capacity() * size_of::<Option<Vec<u32>>>()
+            + set.users.iter().flatten().map(|l| l.capacity() * size_of::<u32>()).sum::<usize>();
+        assert!(lists >= 4 * (size_of::<Option<Vec<u32>>>() + size_of::<u32>()), "{lists}");
+        set.users = Vec::new();
+        assert_eq!(set.heap_size(), with - lists);
     }
 
     #[test]

@@ -350,6 +350,10 @@ impl<'q> FusedScan<'q> {
         if root && !self.leaves.note().is_empty() {
             notes.push(self.leaves.note());
         }
+        let skip = if root { self.leaves.skip_note(self.table) } else { String::new() };
+        if !skip.is_empty() {
+            notes.push(skip);
+        }
         if root && !self.rowwise.is_empty() {
             notes.push(format!("rowwise=[{}]", self.rowwise.join(", ")));
         }

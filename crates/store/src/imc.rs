@@ -147,7 +147,7 @@ pub(crate) struct OsonImc {
 }
 
 /// A row of [`OsonImc::member`] whose document is not in the set.
-const NO_MEMBER: u32 = u32::MAX;
+pub(crate) const NO_MEMBER: u32 = u32::MAX;
 
 /// Per-table in-memory store state.
 #[derive(Debug, Default)]
@@ -190,6 +190,15 @@ impl ImcStore {
     /// The OSON-IMC's set, once populated.
     pub fn oson_set(&self) -> Option<&OsonSet> {
         self.oson.as_ref().map(|imc| &imc.set)
+    }
+
+    /// The OSON-IMC's set and, per row, its member in it ([`NO_MEMBER`]
+    /// for none), when column `col` is the one cached. Members ascend with
+    /// their rows: population hands them out in row order, and a write
+    /// only clears a row's.
+    pub(crate) fn members(&self, col: usize) -> Option<(&OsonSet, &[u32])> {
+        let imc = self.oson.as_ref().filter(|imc| imc.col == col)?;
+        Some((&imc.set, &imc.member))
     }
 
     /// The member standing in for the cell at `(row, col)`, opened; `None`

@@ -38,10 +38,11 @@ pub struct OpProfile {
     pub mode: &'static str,
     /// Why, in the operator's own terms: on a pipeline's root,
     /// `transient=[…]` names the path and heap columns it extracted per
-    /// morsel (absent when it read resident vectors only) and
-    /// `rowwise=[…]` the expressions no kernel expresses, evaluated row by
-    /// row inside it; `expand=[…] of n` on a fused `JsonTable`. Empty on
-    /// the row evaluator.
+    /// morsel (absent when it read resident vectors only), `skip=[…]` each
+    /// path whose OSON-IMC member list leaves members unopened, with the
+    /// list's length, and `rowwise=[…]` the expressions no kernel
+    /// expresses, evaluated row by row inside it; `expand=[…] of n` on a
+    /// fused `JsonTable`. Empty on the row evaluator.
     pub note: String,
     /// Child operators in plan order.
     pub children: Vec<OpProfile>,

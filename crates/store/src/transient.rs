@@ -18,7 +18,9 @@
 //! [`fsdm_sqljson::PathEvaluator`] (so look-back caches stay warm from
 //! row to row, and over set members each name resolves once), a text
 //! document in **one** [`TextPass`] for all of them. A heap leaf reads
-//! the stored cell.
+//! the stored cell. A row whose OSON-IMC member lacks a field-step name of
+//! every path of its group is not opened at all (`MemberSkip`): the set's
+//! member lists say so, and such a path selects nothing.
 //! Rows outside the selection keep a NULL slot that no kernel result is
 //! ever read from, because every stage intersects its mask with the
 //! selection it was extracted for.
@@ -38,6 +40,7 @@ use std::time::Instant;
 use fsdm_fault::catalog::FP_EXPR_EVAL;
 use fsdm_json::{JsonNumber, JsonValue};
 use fsdm_obs::catalog::metric;
+use fsdm_oson::OsonSet;
 use fsdm_sqljson::json_table::{ColKind as TableColKind, ColumnDef, Ctx, JsonTableCursor};
 use fsdm_sqljson::path::JsonPath;
 use fsdm_sqljson::streaming::{TextPass, Want};
@@ -45,7 +48,7 @@ use fsdm_sqljson::{Datum, JsonTableDef, PathEvaluator, SqlType};
 
 use crate::expr::{EvalScratch, Expr};
 use crate::govern::{fault_err, QueryGovernor};
-use crate::imc::ColumnVector;
+use crate::imc::{ColumnVector, NO_MEMBER};
 use crate::jsonaccess::{with_dom, Dom, OpenDoc};
 use crate::parallel::RowRange;
 use crate::schema::ColType;
@@ -159,6 +162,51 @@ impl Leaves {
         }
     }
 
+    /// The members of `set` a path leaf can select anything from: the
+    /// shortest member list among its path's own field-step names, since a
+    /// path selects nothing from a document that lacks one of them (a
+    /// filter's operands are no steps: `!exists(@.x)` holds without `x`).
+    /// `None` when no step name has a list.
+    fn member_list<'s>(&self, slot: usize, set: &'s OsonSet) -> Option<&'s [u32]> {
+        let (path, _) = self.path(slot)?;
+        let lists = path.field_names().into_iter().filter_map(|name| set.members_with(name));
+        lists.min_by_key(|list| list.len())
+    }
+
+    /// What a path leaf answers over a document lacking one of its step
+    /// names: no item, so `JSON_VALUE`'s `value_rule(0, …)`, NULL, and
+    /// `JSON_EXISTS` false.
+    fn absent(&self, slot: usize) -> Datum {
+        match self.path(slot) {
+            Some((_, Want::Exists)) => Datum::Bool(false),
+            _ => Datum::Null,
+        }
+    }
+
+    /// `skip=[…]` annotation naming each path leaf over the OSON-IMC whose
+    /// member list lets rows go unopened, with the list's length; empty
+    /// without any.
+    pub(crate) fn skip_note(&self, table: &Table) -> String {
+        let mut seen: Vec<String> = Vec::new();
+        for (slot, leaf) in self.entries.iter().enumerate() {
+            let (LeafSource::Value { col, path, .. } | LeafSource::Exists { col, path }) =
+                &leaf.source
+            else {
+                continue;
+            };
+            let Some((set, _)) = table.imc.members(*col) else { continue };
+            let Some(list) = self.member_list(slot, set) else { continue };
+            let note = format!("{}: {} of {} members", path.text(), list.len(), set.len());
+            if !seen.contains(&note) {
+                seen.push(note);
+            }
+        }
+        if seen.is_empty() {
+            return String::new();
+        }
+        format!("skip=[{}]", seen.join(", "))
+    }
+
     /// The path leaves among `slots`, grouped by the JSON column they
     /// read, in first-seen order: a row answers each group from one open
     /// document.
@@ -236,6 +284,48 @@ impl PathSlots {
             )?;
         }
         Ok(())
+    }
+}
+
+/// The rows of one path group an extraction answers without opening
+/// their documents: those whose OSON-IMC member is in none of the group's
+/// member lists ([`Leaves::member_list`], one per leaf). Built only when
+/// every leaf of the group has a list; a row with no member is opened as
+/// any other. Rows arrive ascending and so do their members, so each
+/// list is walked once, by a cursor of its own that starts at 0 for every
+/// extraction.
+struct MemberSkip<'t> {
+    /// Per table row, its member in the set (`NO_MEMBER`: none).
+    member: &'t [u32],
+    /// Per leaf: its member list and the cursor into it.
+    lists: Vec<(&'t [u32], usize)>,
+    /// The member of the last row asked about (checked in debug builds).
+    last: Option<u32>,
+}
+
+impl<'t> MemberSkip<'t> {
+    /// The skip of `group`, path leaves over column `col` of `table`;
+    /// `None` when that column has no OSON-IMC or a leaf has no list.
+    fn new(table: &'t Table, col: usize, leaves: &Leaves, group: &[usize]) -> Option<Self> {
+        let (set, member) = table.imc.members(col)?;
+        let lists = group.iter().map(|&s| Some((leaves.member_list(s, set)?, 0)));
+        Some(MemberSkip { member, lists: lists.collect::<Option<_>>()?, last: None })
+    }
+
+    /// True when row `i`, later than every row asked about before, has a
+    /// member that is in none of the lists.
+    fn skips(&mut self, i: usize) -> bool {
+        let Some(&m) = self.member.get(i).filter(|&&m| m != NO_MEMBER) else { return false };
+        if cfg!(debug_assertions) {
+            debug_assert!(self.last.is_none_or(|l| l < m), "members ascend with their rows");
+            self.last = Some(m);
+        }
+        !self.lists.iter_mut().any(|(list, at)| {
+            if list.get(*at).is_some_and(|&x| x < m) {
+                *at += list[*at..].partition_point(|&x| x < m);
+            }
+            list.get(*at) == Some(&m)
+        })
     }
 }
 
@@ -766,10 +856,21 @@ impl<'g> MorselCols<'g> {
                 }
             }
         }
+        let mut skips: Vec<Option<MemberSkip<'_>>> =
+            groups.iter().map(|(col, group)| MemberSkip::new(table, *col, leaves, group)).collect();
+        let mut skipped = 0;
         for i in sel.iter() {
             self.governor.check_rows(&mut self.checked, 1)?;
             let off = i - self.range.start;
-            for (col, group) in &groups {
+            for ((col, group), skip) in groups.iter().zip(&mut skips) {
+                if skip.as_mut().is_some_and(|skip| skip.skips(i)) {
+                    skipped += 1;
+                    for &s in group {
+                        let slot = self.vecs[s].as_mut().expect("allocated above");
+                        slot.set(off, leaves.absent(s))?;
+                    }
+                    continue;
+                }
                 let doc = table
                     .open_doc(i, *col)
                     .ok_or_else(|| StoreError::new("SQL/JSON operator on non-JSON column"))?;
@@ -781,6 +882,9 @@ impl<'g> MorselCols<'g> {
                 let value = table.rows[i][col].clone().into_datum();
                 self.vecs[s].as_mut().expect("allocated above").set(off, value)?;
             }
+        }
+        if skipped > 0 {
+            metric::IMC_OSON_MEMBERS_SKIPPED.add(skipped);
         }
         Ok(())
     }

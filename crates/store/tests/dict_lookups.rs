@@ -4,7 +4,8 @@
 //! absence included — in every other without a dictionary search. At
 //! degree 1 a statement's `oson.dict.lookups` is the number of distinct
 //! names each of its SQL/JSON operators reads, summed over its distinct
-//! operators, whatever the number of documents.
+//! operators, whatever the number of documents — or none, when the
+//! set's member lists leave no member to open.
 //!
 //! Its own test binary, holding one test: metrics are process-global, so
 //! no other statement may run while this one diffs them.
@@ -98,11 +99,20 @@ fn statements(n: usize) -> Vec<(&'static str, Query, u64)> {
             4,
         ),
         (
-            // a name the set does not hold is settled once too
+            // a step name the set does not hold: its member list is empty,
+            // so no member is opened and no name resolved
             "absent name",
             Query::scan_where("nobench", exists("$.no_such_name"))
                 .project(vec![("did", Expr::Col(0))]),
-            1,
+            0,
+        ),
+        (
+            // a filter operand is no step: every member is opened, and the
+            // name the set does not hold is settled once too
+            "absent filter operand",
+            Query::scan_where("nobench", exists("$.nested_obj?(exists(@.no_such_name))"))
+                .project(vec![("did", Expr::Col(0))]),
+            2,
         ),
     ]
 }

@@ -1,6 +1,6 @@
 //! A statement's `QueryProfile::counts` are its own. Four sessions share
-//! one NOBENCH database with the OSON-IMC populated and each runs Q4, Q8
-//! and Q11; every statement must report exactly the counts it makes when
+//! one NOBENCH database with the OSON-IMC populated and each runs Q4, Q8,
+//! Q9 and Q11; every statement must report exactly the counts it makes when
 //! it runs alone, at degree 1 and at degree 4, and two solo runs must
 //! agree exactly. Each thread that works for a statement publishes its
 //! counts into the statement's tally alone, so nothing a concurrent
@@ -13,6 +13,10 @@
 //! test holds what is fixed: hits plus misses (every field resolution is
 //! one of the two) exactly, and each of the others between the solo
 //! degree-1 count and that many times the degree.
+//!
+//! `imc.oson.members_skipped` is one of the exact counts: Q4 and Q9 skip
+//! every member their sparse names' lists leave out, and Q8 and Q11,
+//! which read dense names, skip none.
 
 use fsdm::obs::catalog;
 use fsdm::store::{Database, Query, Run};
@@ -67,14 +71,25 @@ fn each_statement_reports_its_own_counts_beside_concurrent_sessions() {
     session.db.set_morsel_rows(MORSEL_ROWS);
     let plans: Vec<(String, Query)> = nobench_plans(&session, SCALE)
         .into_iter()
-        .filter(|(label, _)| matches!(label.as_str(), "Q4" | "Q8" | "Q11"))
+        .filter(|(label, _)| matches!(label.as_str(), "Q4" | "Q8" | "Q9" | "Q11"))
         .collect();
-    assert_eq!(plans.len(), 3);
+    assert_eq!(plans.len(), 4);
+
+    // the members each statement opens: those its sparse names' lists hold
+    let set = session.db.table("nobench").unwrap().imc.oson_set().unwrap();
+    let users = |name: &str| set.members_with(name).expect("a sparse name keeps its list");
+    let mut q4: Vec<u32> = [users("sparse_110"), users("sparse_220")].concat();
+    q4.sort_unstable();
+    q4.dedup();
+    let skipped = |opened: usize| (SCALE - opened) as u64;
+    let want_skipped = [skipped(q4.len()), 0, skipped(users("sparse_550").len()), 0];
+    assert!(want_skipped[0] > 0 && want_skipped[2] > 0);
 
     session.set_parallelism(1);
     let solo = counts_of(&session.db, &plans);
     assert_eq!(counts_of(&session.db, &plans), solo, "two solo runs agree exactly");
-    for (label, counts) in &solo {
+    for ((label, counts), want) in solo.iter().zip(want_skipped) {
+        assert_eq!(count(counts, catalog::IMC_OSON_MEMBERS_SKIPPED), want, "{label} skips");
         assert!(count(counts, catalog::SQLJSON_EVAL_PATHS) > 0, "{label} evaluates paths");
         assert!(count(counts, catalog::OSON_NODE_LOOKUPS) > 0, "{label} reads the OSON-IMC");
         assert_eq!(count(counts, catalog::STORE_EXEC_QUERIES), 1, "{label} is one statement");

@@ -261,3 +261,138 @@ fn a_written_database_answers_as_a_loaded_one() {
         }
     }
 }
+
+/// Statements whose path leaves the OSON-IMC's member lists answer
+/// without opening a member: a rare name; a name no document holds; names
+/// found only nested; a name found only in the elements of a root array
+/// (lax unwrap; strict finds nothing there); a filter whose operand names
+/// a field rarer than its step, which skips by the step's list only; and
+/// a second stage reading rows a first stage kept.
+const SKIP_STATEMENTS: [&str; 6] = [
+    "select did, json_value(jdoc, '$.rare_a' returning number), \
+     json_exists(jdoc, '$.rare_a') from c",
+    "select did, json_value(jdoc, '$.no_such_name'), json_exists(jdoc, '$.no_such_name') from c",
+    "select did, json_value(jdoc, '$.outer.only_nested' returning number), \
+     json_exists(jdoc, '$.only_nested'), json_exists(jdoc, '$.outer.only_nested') from c",
+    "select did, json_value(jdoc, '$.only_in_array' returning number), \
+     json_exists(jdoc, 'strict $.only_in_array') from c",
+    "select did, json_exists(jdoc, '$.rare_a?(!(exists(@.rare_b)))') from c",
+    "select did, json_value(jdoc, '$.rare_b' returning number) from c \
+     where json_exists(jdoc, '$.rare_a') or json_exists(jdoc, '$.only_in_array')",
+];
+
+/// A document for [`SKIP_STATEMENTS`]: `rare_b` only inside `rare_a`, and
+/// rarer; `k`, in most documents, is too dense to keep a member list.
+fn skip_doc(rng: &mut StdRng, k: usize) -> (JsonValue, bool) {
+    let text = match rng.gen_range(0..10) {
+        0 => format!(r#"{{"rare_a":{{"rare_b":{k}}},"k":{k}}}"#),
+        1 | 2 => format!(r#"{{"rare_a":{k},"k":{k}}}"#),
+        3 => format!(r#"{{"outer":{{"only_nested":{k}}},"k":{k}}}"#),
+        4 => format!(r#"[{{"only_in_array":{k}}},{{"k":{k}}}]"#),
+        _ => format!(r#"{{"k":{k}}}"#),
+    };
+    let rare = text.contains("rare_a");
+    (fsdm::json::parse(&text).unwrap(), rare)
+}
+
+fn skip_table(storage: JsonStorage) -> Table {
+    Table::new(TableSchema::new(
+        "c",
+        vec![
+            ColumnSpec::new("did", ColType::Number),
+            ColumnSpec::json("jdoc", storage, ConstraintMode::IsJson),
+        ],
+    ))
+}
+
+/// Every statement of [`SKIP_STATEMENTS`], rendered with its result, at
+/// `degree` over 16-row morsels; and the members the statements skipped.
+fn skip_answers(session: &mut Session, degree: usize) -> (Vec<String>, u64) {
+    session.set_parallelism(degree);
+    session.db.set_morsel_rows(16);
+    let mut skipped = 0;
+    let answers = SKIP_STATEMENTS
+        .iter()
+        .map(|sql| {
+            let result = session.report(sql, &[], false);
+            if let Ok((_, Some(report))) = &result {
+                let counts = report.counts.iter();
+                let n = counts.filter(|(n, _)| *n == fsdm::obs::catalog::IMC_OSON_MEMBERS_SKIPPED);
+                skipped += n.map(|&(_, v)| v).sum::<u64>();
+            }
+            format!("{sql} {:?}", result.map(|(rows, _)| rows))
+        })
+        .collect();
+    (answers, skipped)
+}
+
+#[test]
+fn rows_skipped_by_member_lists_answer_as_their_documents() {
+    // a BSON document's root is an object, so BSON cannot hold the root
+    // arrays these documents include
+    for storage in [JsonStorage::Text, JsonStorage::Oson] {
+        for seed in [1, 2] {
+            let label = format!("{storage:?} seed {seed}");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut table = skip_table(storage);
+            for k in 0..120 {
+                let text = fsdm::json::to_string(&skip_doc(&mut rng, k).0);
+                table.insert(vec![(k as i64).into(), InsertValue::Json(text)]).unwrap();
+            }
+            table.populate_oson_imc().unwrap();
+            // rows written after population, with no member: some of them
+            // hold names whose lists do not know them
+            let (mut encoder, mut rare_written) = (fsdm::oson::Encoder::new(), 0);
+            for k in 120..170 {
+                let (doc, rare) = skip_doc(&mut rng, k);
+                rare_written += usize::from(rare);
+                if rng.gen_range(0..2) == 0 {
+                    let text = InsertValue::Json(fsdm::json::to_string(&doc));
+                    table.insert(vec![(k as i64).into(), text]).unwrap();
+                } else {
+                    let row = rng.gen_range(0..table.len());
+                    let cell = JsonCell::encode(&doc, storage, &mut encoder).unwrap();
+                    table.set_json_cell(row, 1, cell).unwrap();
+                }
+            }
+            assert!(rare_written > 0, "{label}: a written row holds a rare name");
+
+            let mut fresh = skip_table(storage);
+            for row in table.rows() {
+                let [Cell::D(did), Cell::J(doc)] = &row[..] else { panic!("a row of c") };
+                let values =
+                    vec![InsertValue::Datum(did.clone()), InsertValue::Json(doc.decode_to_text())];
+                fresh.insert(values).unwrap();
+            }
+            fresh.populate_oson_imc().unwrap();
+            let mut written = Session::new();
+            written.db.add_table(table);
+            let mut loaded = Session::new();
+            loaded.db.add_table(fresh);
+
+            let plan = written.explain(SKIP_STATEMENTS[4], &[]).unwrap();
+            let set = written.db.table("c").unwrap().imc.oson_set().unwrap();
+            let rare_a = set.members_with("rare_a").unwrap().len();
+            assert!(rare_a > set.members_with("rare_b").unwrap().len(), "{label}");
+            let note = format!("$.rare_a?(!(exists(@.rare_b))): {rare_a} of {} members", set.len());
+            assert!(plan.contains(&note), "{label}: skips by the step only: {plan}");
+            let (_, report) = written.report(SKIP_STATEMENTS[4], &[], false).unwrap();
+            let root = report.unwrap().root;
+            assert!(root.note.contains(&format!("skip=[{note}]")), "{label}: {}", root.note);
+
+            for degree in [1, 4] {
+                let at = format!("{label}, degree {degree}");
+                let (w, skipped) = skip_answers(&mut written, degree);
+                let (f, _) = skip_answers(&mut loaded, degree);
+                written.db.set_columnar(false);
+                let (rows, _) = skip_answers(&mut written, degree);
+                written.db.set_columnar(true);
+                assert!(skipped > 0, "{at}: the member lists skipped rows");
+                for ((w, f), rows) in w.iter().zip(&f).zip(&rows) {
+                    assert_eq!(w, f, "{at}: the loaded copy");
+                    assert_eq!(w, rows, "{at}: the row evaluator");
+                }
+            }
+        }
+    }
+}
